@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race verify bench bench-figures bench-smoke conform fuzz-smoke obs-smoke udp-smoke shard-smoke quasi-smoke soak-smoke soak-nightly
+.PHONY: build test race flake verify bench bench-e2e bench-figures bench-smoke conform fuzz-smoke obs-smoke udp-smoke shard-smoke quasi-smoke soak-smoke soak-nightly
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,12 @@ test:
 race:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/sim/... ./internal/experiments/... ./internal/netcast/... ./internal/faultair/... ./internal/client/... ./internal/conformance/... ./internal/protocol/... ./internal/server/... ./internal/airsched/... ./internal/obs/... ./internal/cmatrix/... ./internal/wire/... ./internal/dgram/... ./internal/bctest/... ./internal/shard/... ./internal/qcache/... ./cmd/bcsoak/...
+
+# Timing-dependent assertions show up as rare failures, not as a red
+# tier-1 run: repeat every socket-bearing package so CI finds them
+# before a reviewer does. The nightly job runs this.
+flake:
+	$(GO) test -count=20 ./internal/faultair ./internal/netcast ./internal/dgram ./internal/shard ./internal/client ./cmd/bcsoak
 
 verify: build test race
 
@@ -49,6 +55,13 @@ fuzz-smoke:
 # Micro-benchmarks only (matrix apply/snapshot, wire codec, validator).
 bench:
 	$(GO) test -run '^$$' -bench 'Matrix|Snapshot|Validator|Wire' -benchtime 100x
+
+# The wall-clock benchmark (BENCHMARK.json, ~8 min) followed by its
+# regression table against the committed baseline. A report, not a
+# gate: the comparison's exit status is ignored.
+bench-e2e:
+	$(GO) run ./bench/e2e -out bench/e2e/out
+	-$(GO) run ./bench/e2e -compare bench/e2e/baseline/BENCH_e2e.json bench/e2e/out/BENCH_e2e.json
 
 # One pass over every figure sweep at reduced scale.
 bench-figures:

@@ -44,17 +44,40 @@ import (
 	"broadcastcc/internal/experiments"
 )
 
-// writeBenchJSON writes one figure in the shared benchmark schema.
-func writeBenchJSON(path string, e *broadcastcc.Experiment) error {
+// study is a figure outside the classic sweeps: it runs, prints one
+// table, and projects to zero or more BENCH_<id>.json files.
+type study struct {
+	id    string
+	inAll bool
+	run   func(opt broadcastcc.ExperimentOptions) (table string, benches []experiments.BenchExperiment, err error)
+}
+
+// writeBench writes one figure into dir in the shared benchmark schema.
+func writeBench(dir string, bench experiments.BenchExperiment) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	path := filepath.Join(dir, "BENCH_"+bench.ID+".json")
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := e.WriteJSON(f); err != nil {
-		f.Close()
-		return err
+	err = bench.WriteJSON(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	if err == nil {
+		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+	}
+	return err
+}
+
+// check exits on a failed run or write.
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 }
 
 func main() {
@@ -82,191 +105,79 @@ func main() {
 		}
 	}
 
-	// The scale study is deliberately not part of "all": its million-
-	// client points dominate the wall clock of everything else combined.
-	if *figure == "scale" {
-		var counts []int
-		if *scaleClients != "" {
-			for _, part := range strings.Split(*scaleClients, ",") {
-				n, err := strconv.Atoi(strings.TrimSpace(part))
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "bad -scale-clients entry %q: %v\n", part, err)
-					os.Exit(2)
-				}
-				counts = append(counts, n)
-			}
-		}
-		bench, err := experiments.ScaleStudy(experiments.ScaleConfig{Clients: counts, Seed: *seed}, opt.Progress)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Println(experiments.ScaleTable(bench))
-		if *jsonDir != "" {
-			if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			path := filepath.Join(*jsonDir, "BENCH_"+bench.ID+".json")
-			f, err := os.Create(path)
-			if err == nil {
-				err = bench.WriteJSON(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
+	type benches = []experiments.BenchExperiment
+	studies := []study{
+		// The scale study is deliberately not part of "all": its million-
+		// client points dominate the wall clock of everything else combined.
+		{"scale", false, func(opt broadcastcc.ExperimentOptions) (string, benches, error) {
+			var counts []int
+			if *scaleClients != "" {
+				for _, part := range strings.Split(*scaleClients, ",") {
+					n, err := strconv.Atoi(strings.TrimSpace(part))
+					if err != nil {
+						fmt.Fprintf(os.Stderr, "bad -scale-clients entry %q: %v\n", part, err)
+						os.Exit(2)
+					}
+					counts = append(counts, n)
 				}
 			}
+			bench, err := experiments.ScaleStudy(experiments.ScaleConfig{Clients: counts, Seed: *seed}, opt.Progress)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return "", nil, err
 			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-		}
-		return
-	}
-
-	if *figure == "delta" || *figure == "all" {
-		points, err := experiments.DeltaAnalysis(opt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Println(experiments.DeltaTable(points))
-		fmt.Println()
-		if *figure == "delta" {
-			return
-		}
-	}
-
-	if *figure == "grouped" || *figure == "all" {
-		points, err := experiments.GroupedBandwidth(opt, experiments.GroupedConfig{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Println(experiments.GroupedTable(points))
-		fmt.Println()
-		if *jsonDir != "" {
-			if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			bench := experiments.GroupedBench(points)
-			path := filepath.Join(*jsonDir, "BENCH_"+bench.ID+".json")
-			f, err := os.Create(path)
-			if err == nil {
-				err = bench.WriteJSON(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
+			return experiments.ScaleTable(bench), benches{bench}, nil
+		}},
+		{"delta", true, func(opt broadcastcc.ExperimentOptions) (string, benches, error) {
+			points, err := experiments.DeltaAnalysis(opt)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return "", nil, err
 			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-		}
-		if *figure == "grouped" {
-			return
-		}
-	}
-
-	if *figure == "quasi" || *figure == "all" {
-		points, err := experiments.QuasiCurrency(opt, experiments.QuasiConfig{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Println(experiments.QuasiTable(points))
-		fmt.Println()
-		if *jsonDir != "" {
-			if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			bench := experiments.QuasiBench(points)
-			path := filepath.Join(*jsonDir, "BENCH_"+bench.ID+".json")
-			f, err := os.Create(path)
-			if err == nil {
-				err = bench.WriteJSON(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
+			return experiments.DeltaTable(points), nil, nil
+		}},
+		{"grouped", true, func(opt broadcastcc.ExperimentOptions) (string, benches, error) {
+			points, err := experiments.GroupedBandwidth(opt, experiments.GroupedConfig{})
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return "", nil, err
 			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-		}
-		if *figure == "quasi" {
-			return
-		}
-	}
-
-	if *figure == "shard" || *figure == "all" {
-		points, err := experiments.ShardStudy(opt, experiments.ShardConfig{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Println(experiments.ShardTable(points))
-		fmt.Println()
-		if *jsonDir != "" {
-			if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			bench := experiments.ShardBench(points)
-			path := filepath.Join(*jsonDir, "BENCH_"+bench.ID+".json")
-			f, err := os.Create(path)
-			if err == nil {
-				err = bench.WriteJSON(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
+			return experiments.GroupedTable(points), benches{experiments.GroupedBench(points)}, nil
+		}},
+		{"quasi", true, func(opt broadcastcc.ExperimentOptions) (string, benches, error) {
+			points, err := experiments.QuasiCurrency(opt, experiments.QuasiConfig{})
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return "", nil, err
 			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-		}
-		if *figure == "shard" {
-			return
-		}
-	}
-
-	if *figure == "wire" || *figure == "all" {
-		analysis, err := experiments.WireStudy(opt, experiments.WireConfig{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Println(experiments.WireTable(analysis))
-		fmt.Println()
-		if *jsonDir != "" {
-			if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+			return experiments.QuasiTable(points), benches{experiments.QuasiBench(points)}, nil
+		}},
+		{"shard", true, func(opt broadcastcc.ExperimentOptions) (string, benches, error) {
+			points, err := experiments.ShardStudy(opt, experiments.ShardConfig{})
+			if err != nil {
+				return "", nil, err
+			}
+			return experiments.ShardTable(points), benches{experiments.ShardBench(points)}, nil
+		}},
+		{"wire", true, func(opt broadcastcc.ExperimentOptions) (string, benches, error) {
+			analysis, err := experiments.WireStudy(opt, experiments.WireConfig{})
+			if err != nil {
+				return "", nil, err
 			}
 			scaling, fec := experiments.WireBench(analysis)
-			for _, bench := range []experiments.BenchExperiment{scaling, fec} {
-				path := filepath.Join(*jsonDir, "BENCH_"+bench.ID+".json")
-				f, err := os.Create(path)
-				if err == nil {
-					err = bench.WriteJSON(f)
-					if cerr := f.Close(); err == nil {
-						err = cerr
-					}
-				}
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+			return experiments.WireTable(analysis), benches{scaling, fec}, nil
+		}},
+	}
+	for _, st := range studies {
+		if *figure != st.id && !(st.inAll && *figure == "all") {
+			continue
+		}
+		table, out, err := st.run(opt)
+		check(err)
+		fmt.Println(table)
+		fmt.Println()
+		if *jsonDir != "" {
+			for _, bench := range out {
+				check(writeBench(*jsonDir, bench))
 			}
 		}
-		if *figure == "wire" {
+		if *figure == st.id {
 			return
 		}
 	}
@@ -274,35 +185,17 @@ func main() {
 	var exps []*broadcastcc.Experiment
 	if *figure == "all" {
 		all, err := broadcastcc.RunAllFigures(opt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		check(err)
 		exps = all
 	} else {
 		e, err := broadcastcc.RunFigure(*figure, opt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		check(err)
 		exps = append(exps, e)
-	}
-
-	if *jsonDir != "" {
-		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
 	}
 
 	for _, e := range exps {
 		if *jsonDir != "" {
-			path := filepath.Join(*jsonDir, "BENCH_"+e.ID+".json")
-			if err := writeBenchJSON(path, e); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+			check(writeBench(*jsonDir, e.Bench()))
 		}
 		fmt.Println(e.Table(e.Metric()))
 		if e.ID == "2a" { // the paper discusses both metrics for Figure 2
@@ -325,19 +218,12 @@ func main() {
 			os.Exit(2)
 		}
 		f, err := os.Create(*csvPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		check(err)
 		if err := exps[0].WriteCSV(f); err != nil {
 			f.Close()
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			check(err)
 		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		check(f.Close())
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *csvPath)
 	}
 }

@@ -165,10 +165,12 @@ func (p *Proxy) relay(down net.Conn, client int) {
 		queue = append(queue, frame)
 		if idx >= release {
 			for _, f := range queue {
+				// Count before writing: a reader that has the frame must
+				// already see it in Stats.
+				p.count(func(st *ListenStats) { st.Delivered++ })
 				if err := netcast.WriteFrame(down, f); err != nil {
 					return
 				}
-				p.count(func(st *ListenStats) { st.Delivered++ })
 			}
 			queue = queue[:0]
 		}

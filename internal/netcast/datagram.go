@@ -1,9 +1,6 @@
 package netcast
 
 import (
-	"errors"
-	"io"
-	"net"
 	"sync"
 	"time"
 
@@ -35,7 +32,7 @@ import (
 // self-contained frame, exactly like a tuner that missed a broadcast.
 // Errors are terminal stream corruption.
 type FrameDecoder struct {
-	asm       *assembler
+	asm       assembler
 	last      *bcast.CycleBroadcast
 	lastPart  *cmatrix.Partition
 	lastEpoch uint64
@@ -43,7 +40,7 @@ type FrameDecoder struct {
 
 // NewFrameDecoder builds a decoder in the "just tuned in" state.
 func NewFrameDecoder() *FrameDecoder {
-	return &FrameDecoder{asm: newAssembler()}
+	return &FrameDecoder{asm: assembler{chain: bucketChain{}}}
 }
 
 // Decode consumes one wire frame, returning a completed cycle when the
@@ -113,9 +110,8 @@ func (s *Server) AttachDatagram(sender *dgram.Sender) {
 
 // DatagramTuner is a client's receiver on the connectionless datapath:
 // it pulls datagrams from a PacketSource, reassembles frames
-// (internal/dgram: ingress filter, dedup, FEC repair), decodes them
-// with the same FrameDecoder the TCP tuner uses, and publishes cycles
-// into a local medium for the ordinary client runtime.
+// (internal/dgram: ingress filter, dedup, FEC repair) and hands them to
+// the same receiver (FrameDecoder + local medium) the TCP tuner uses.
 //
 // Unlike the TCP tuner, dozing here is genuinely not receiving: Doze
 // makes the receive loop stop calling Recv for the window, so the
@@ -123,12 +119,9 @@ func (s *Server) AttachDatagram(sender *dgram.Sender) {
 // missed packets are simply gone — a powered-down radio, not
 // consume-undecoded.
 type DatagramTuner struct {
-	src    dgram.PacketSource
-	reasm  *dgram.Reassembler
-	dec    *FrameDecoder
-	medium *bcast.Medium
-	done   chan struct{}
-	err    error
+	src   dgram.PacketSource
+	reasm *dgram.Reassembler
+	receiver
 
 	mu        sync.Mutex
 	dozeUntil time.Time
@@ -141,20 +134,12 @@ func TuneDatagram(src dgram.PacketSource, cfg dgram.Config, reg *obs.Registry) (
 	if err != nil {
 		return nil, err
 	}
-	t := &DatagramTuner{
-		src:    src,
-		reasm:  reasm,
-		dec:    NewFrameDecoder(),
-		medium: bcast.NewMedium(),
-		done:   make(chan struct{}),
-	}
+	t := &DatagramTuner{src: src, reasm: reasm, receiver: newReceiver()}
 	go t.loop()
 	return t, nil
 }
 
 func (t *DatagramTuner) loop() {
-	defer close(t.done)
-	defer t.medium.Close()
 	for {
 		// A doze window is an actual non-read: sleep it out without
 		// touching the source, letting its buffer overflow.
@@ -167,30 +152,24 @@ func (t *DatagramTuner) loop() {
 		pkt, err := t.src.Recv()
 		if err != nil {
 			// End of stream: emit what the reorder gate was still
-			// holding, then report anything that was not a plain close.
-			if t.publish(t.reasm.Flush()) &&
-				!errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				t.err = err
-			}
+			// holding before reporting how the source ended.
+			t.publish(t.reasm.Flush())
+			t.stop(err)
 			return
 		}
 		if !t.publish(t.reasm.Ingest(pkt)) {
+			t.stop(nil)
 			return
 		}
 	}
 }
 
-// publish decodes reassembled frames into cycles; false means the
-// stream is terminally corrupt.
+// publish delivers reassembled frames in order; false means the stream
+// is terminally corrupt.
 func (t *DatagramTuner) publish(frames []dgram.Frame) bool {
 	for _, f := range frames {
-		cb, err := t.dec.Decode(f.Data)
-		if err != nil {
-			t.err = err
+		if !t.deliver(f.Data) {
 			return false
-		}
-		if cb != nil {
-			t.medium.Publish(cb)
 		}
 	}
 	return true
@@ -204,11 +183,6 @@ func (t *DatagramTuner) Doze(d time.Duration) {
 	t.mu.Lock()
 	t.dozeUntil = time.Now().Add(d)
 	t.mu.Unlock()
-}
-
-// Subscribe returns a subscription delivering decoded cycles.
-func (t *DatagramTuner) Subscribe(buffer int) *bcast.Subscription {
-	return t.medium.Subscribe(buffer)
 }
 
 // Close tears the tuner down and waits for its receive loop.

@@ -6,7 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"broadcastcc/internal/airsched"
+	"broadcastcc/internal/bcast"
 	"broadcastcc/internal/client"
+	"broadcastcc/internal/cmatrix"
 	"broadcastcc/internal/dgram"
 	"broadcastcc/internal/obs"
 	"broadcastcc/internal/protocol"
@@ -159,78 +162,122 @@ func TestDatagramDozeMissesTraffic(t *testing.T) {
 // TestOverflowReapThenRetune is the regression for the slow-subscriber
 // reap path: a TCP subscriber that never reads must be reaped (counter
 // + trace event), and the server must keep serving — a fresh tuner
-// connecting afterwards receives cycles normally.
+// connecting afterwards receives cycles normally. Both transmission
+// modes run through the one fan-out; the program row also needs the
+// fresh tuner to outlast the delta chains it joined mid-way.
 func TestOverflowReapThenRetune(t *testing.T) {
-	bsrv, err := server.New(server.Config{
-		Objects: 256, ObjectBits: 64, Algorithm: protocol.FMatrix,
-		Trace: obs.NewTracer(512),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bsrv.Close()
-	ns, err := ServeOptions(bsrv, "127.0.0.1:0", "127.0.0.1:0", Options{
-		WriteTimeout: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ns.Close()
-
-	// A subscriber that never reads: the kernel buffer fills and the
-	// write deadline reaps it.
-	conn, err := net.Dial("tcp", ns.BroadcastAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	awaitSubscribers(t, ns, 1)
-
-	deadline := time.Now().Add(30 * time.Second)
-	for ns.Subscribers() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("unread subscriber never reaped")
-		}
-		if _, err := ns.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	reg := ns.Obs()
-	if n := reg.Counter("netcast_overflow_reaps").Load(); n < 1 {
-		t.Fatalf("netcast_overflow_reaps = %d, want >= 1", n)
-	}
-	if n := reg.Counter("netcast_tx_bytes").Load(); n == 0 {
-		t.Fatal("netcast_tx_bytes never moved while a subscriber was attached")
-	}
-	found := false
-	for _, ev := range bsrv.Tracer().Events() {
-		if ev.Kind == obs.EvSubReap {
-			found = true
-			if ev.Arg != 0 {
-				t.Fatalf("EvSubReap arg = %d subscribers left, want 0", ev.Arg)
+	const n = 256
+	for _, tc := range []struct {
+		name    string
+		program bool
+		opts    Options
+		// resync is how many cycles a fresh tuner may need before it can
+		// assemble one: every object's next full column.
+		resync int
+	}{
+		{name: "classic", resync: 1},
+		{name: "program", program: true, opts: Options{RefreshEvery: 2}, resync: 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := server.Config{
+				Objects: n, ObjectBits: 64, Algorithm: protocol.FMatrix,
+				Trace: obs.NewTracer(512),
 			}
-		}
-	}
-	if !found {
-		t.Fatal("no EvSubReap event in the trace")
-	}
+			if tc.program {
+				prog, err := airsched.Build(bcast.LayoutFor(protocol.FMatrix, n, 64, 8, 0), airsched.ZipfWeights(n, 0.95), 2, 4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Program = prog
+			}
+			bsrv, err := server.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer bsrv.Close()
+			tc.opts.WriteTimeout = 50 * time.Millisecond
+			ns, err := ServeOptions(bsrv, "127.0.0.1:0", "127.0.0.1:0", tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ns.Close()
 
-	// The server must still be fully serviceable: a fresh tuner retunes
-	// and receives the next cycle.
-	tuner, err := Tune(ns.BroadcastAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tuner.Close()
-	sub := tuner.Subscribe(8)
-	awaitSubscribers(t, ns, 1)
-	if _, err := ns.Step(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-sub.C:
-	case <-time.After(5 * time.Second):
-		t.Fatal("retuned subscriber received nothing after the reap")
+			// A subscriber that never reads: the kernel buffer fills and the
+			// write deadline reaps it.
+			conn, err := net.Dial("tcp", ns.BroadcastAddr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			awaitSubscribers(t, ns, 1)
+
+			deadline := time.Now().Add(30 * time.Second)
+			for ns.Subscribers() > 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("unread subscriber never reaped")
+				}
+				if _, err := ns.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			reg := ns.Obs()
+			if n := reg.Counter("netcast_overflow_reaps").Load(); n < 1 {
+				t.Fatalf("netcast_overflow_reaps = %d, want >= 1", n)
+			}
+			if n := reg.Counter("netcast_tx_bytes").Load(); n == 0 {
+				t.Fatal("netcast_tx_bytes never moved while a subscriber was attached")
+			}
+			found := false
+			for _, ev := range bsrv.Tracer().Events() {
+				if ev.Kind == obs.EvSubReap {
+					found = true
+					if ev.Arg != 0 {
+						t.Fatalf("EvSubReap arg = %d subscribers left, want 0", ev.Arg)
+					}
+				}
+			}
+			if !found {
+				t.Fatal("no EvSubReap event in the trace")
+			}
+
+			// The server must still be fully serviceable: a fresh tuner
+			// retunes and receives whole cycles, one per Step once it has
+			// resynchronized.
+			tuner, err := Tune(ns.BroadcastAddr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tuner.Close()
+			sub := tuner.Subscribe(8)
+			awaitSubscribers(t, ns, 1)
+			await := func(after cmatrix.Cycle) cmatrix.Cycle {
+				t.Helper()
+				timeout := time.After(5 * time.Second)
+				for {
+					select {
+					case cb := <-sub.C:
+						if len(cb.Values) != n || cb.Matrix == nil {
+							t.Fatalf("cycle %d arrived incomplete: %d values, matrix %v", cb.Number, len(cb.Values), cb.Matrix != nil)
+						}
+						if cb.Number > after {
+							return cb.Number
+						}
+					case <-timeout:
+						t.Fatalf("retuned subscriber received no cycle past %d after the reap", after)
+					}
+				}
+			}
+			for i := 0; i < tc.resync; i++ {
+				if _, err := ns.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			first := await(0)
+			if _, err := ns.Step(); err != nil {
+				t.Fatal(err)
+			}
+			await(first)
+		})
 	}
 }

@@ -38,14 +38,7 @@ const maxFrame = 16 << 20
 // wire format (4-byte big-endian length, then the payload). Exported so
 // frame-level middleboxes — the faultair proxy, capture tools — can
 // speak the stream format without decoding cycles.
-func WriteFrame(w io.Writer, data []byte) error { return writeFrame(w, data) }
-
-// ReadFrame reads one length-prefixed frame, rejecting frames above the
-// stream's size limit.
-func ReadFrame(r io.Reader) ([]byte, error) { return readFrame(r) }
-
-// writeFrame writes a length-prefixed frame.
-func writeFrame(w io.Writer, data []byte) error {
+func WriteFrame(w io.Writer, data []byte) error {
 	if len(data) > maxFrame {
 		return fmt.Errorf("netcast: frame of %d bytes exceeds limit", len(data))
 	}
@@ -58,8 +51,9 @@ func writeFrame(w io.Writer, data []byte) error {
 	return err
 }
 
-// readFrame reads a length-prefixed frame.
-func readFrame(r io.Reader) ([]byte, error) {
+// ReadFrame reads one length-prefixed frame, rejecting frames above the
+// stream's size limit.
+func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -119,13 +113,21 @@ type Options struct {
 	Obs *obs.Registry
 }
 
+// subFilter is a subset subscriber's normalized object filter plus the
+// key subscribers with equal filters share one BCQ3 encode under. The
+// zero value is the full feed.
+type subFilter struct {
+	objs []int
+	key  string
+}
+
 // Server exposes a broadcast server over TCP.
 type Server struct {
 	bsrv *server.Server
 	opts Options
 
 	broadcastLn net.Listener
-	uplinkLn    net.Listener
+	uplink      *UplinkServer
 
 	// Program-mode transmission state (nil timeline = classic
 	// one-frame-per-cycle mode). seqs and prevCols track each object's
@@ -135,19 +137,18 @@ type Server struct {
 	seqs     []uint32
 	prevCols [][]cmatrix.Cycle
 
-	mu   sync.Mutex
-	subs map[net.Conn]bool
-	// subSets holds each subset subscriber's normalized object filter
-	// (absent = full feed). Entries appear when a subscriber's BCQ2
-	// frame is accepted and vanish with the connection.
-	subSets map[net.Conn][]int
-	closed  bool
-	prev    *bcast.CycleBroadcast
-	wg      sync.WaitGroup
+	mu sync.Mutex
+	// subs maps each broadcast connection to its filter. A filter is set
+	// when the subscriber's BCQ2 frame is accepted; entries vanish with
+	// the connection.
+	subs   map[net.Conn]subFilter
+	closed bool
+	wg     sync.WaitGroup
 
-	// Sparse-grouped transmission state (Step only, not concurrent):
-	// which regroup epoch the last frame named, and whether any
-	// partition-bearing frame has gone out yet.
+	// Classic-mode transmission state (Step only, not concurrent): the
+	// delta base, which regroup epoch the last sparse-grouped frame
+	// named, and whether any partition-bearing frame has gone out yet.
+	prev         *bcast.CycleBroadcast
 	groupedEpoch uint64
 	sentPart     bool
 
@@ -166,7 +167,6 @@ type Server struct {
 	cSubsetBytes  *obs.Counter
 	cSubsetSubs   *obs.Counter
 	gSubs         *obs.Gauge
-	hUplinkNs     *obs.Histogram
 	reg           *obs.Registry
 
 	// Optional datagram broadcast (AttachDatagram): every cycle's frames
@@ -209,22 +209,21 @@ func ServeOptions(bsrv *server.Server, broadcastAddr, uplinkAddr string, opts Op
 	if opts.RefreshEvery > 0 && prog == nil {
 		return nil, errors.New("netcast: RefreshEvery requires a server with a broadcast program")
 	}
-	bl, err := net.Listen("tcp", broadcastAddr)
-	if err != nil {
-		return nil, err
-	}
-	ul, err := net.Listen("tcp", uplinkAddr)
-	if err != nil {
-		bl.Close()
-		return nil, err
-	}
-	s := &Server{bsrv: bsrv, opts: opts, broadcastLn: bl, uplinkLn: ul,
-		subs: map[net.Conn]bool{}, subSets: map[net.Conn][]int{}}
 	reg := opts.Obs
 	if reg == nil {
 		reg = bsrv.Obs()
 	}
-	s.reg = reg
+	bl, err := net.Listen("tcp", broadcastAddr)
+	if err != nil {
+		return nil, err
+	}
+	// bsrv is the uplink handler, two-shot participant pair included.
+	ul, err := ServeUplink(uplinkAddr, bsrv, reg)
+	if err != nil {
+		bl.Close()
+		return nil, err
+	}
+	s := &Server{bsrv: bsrv, opts: opts, broadcastLn: bl, uplink: ul, subs: map[net.Conn]subFilter{}, reg: reg}
 	s.cFullBytes = reg.Counter("netcast_full_bytes")
 	s.cDeltaBytes = reg.Counter("netcast_delta_bytes")
 	s.cGroupedBytes = reg.Counter("netcast_grouped_bytes")
@@ -236,17 +235,13 @@ func ServeOptions(bsrv *server.Server, broadcastAddr, uplinkAddr string, opts Op
 	s.cSubsetBytes = reg.Counter("netcast_subset_bytes")
 	s.cSubsetSubs = reg.Counter("netcast_subset_subs")
 	s.gSubs = reg.Gauge("netcast_subscribers")
-	// Uplink commit latency (decode + server-side validation + commit),
-	// nanoseconds: ~1 µs .. ~0.5 s. The soak harness bounds its p99.
-	s.hUplinkNs = reg.Histogram("netcast_uplink_ns", obs.Pow2Buckets(10, 20))
 	if prog != nil {
 		s.timeline = airsched.NewTimeline(prog)
 		s.seqs = make([]uint32, bsrv.Layout().Objects)
 		s.prevCols = make([][]cmatrix.Cycle, bsrv.Layout().Objects)
 	}
-	s.wg.Add(2)
+	s.wg.Add(1)
 	go s.acceptBroadcast()
-	go s.acceptUplink()
 	return s, nil
 }
 
@@ -261,28 +256,51 @@ func (s *Server) TransmittedBytes() (full, delta int64) {
 func (s *Server) BroadcastAddr() string { return s.broadcastLn.Addr().String() }
 
 // UplinkAddr reports the uplink listener's address.
-func (s *Server) UplinkAddr() string { return s.uplinkLn.Addr().String() }
+func (s *Server) UplinkAddr() string { return s.uplink.Addr() }
 
 // Step produces and transmits one broadcast cycle. It returns the
-// number of subscribers that received it. In program mode the cycle
-// goes out as the timeline's individual index and bucket frames; every
-// occurrence of an object within the cycle carries the cycle-start
-// control column, so validation is identical wherever a client tunes
-// in.
+// number of subscribers that received it. Classic mode sends the cycle
+// as one frame (full, delta or sparse-grouped); program mode sends the
+// timeline's individual index and bucket frames, where every occurrence
+// of an object within the cycle carries the cycle-start control column,
+// so validation is identical wherever a client tunes in.
 func (s *Server) Step() (int, error) {
-	if s.timeline != nil {
-		return s.stepProgram()
-	}
 	cb := s.bsrv.StartCycle()
 	if cb == nil {
 		return 0, server.ErrClosed
 	}
-	var data []byte
+	var frames [][]byte
+	var one [1][]byte // a classic cycle's frame list, kept off the heap
 	var err error
-	var isDelta, isGrouped bool
-	s.mu.Lock()
-	prev := s.prev
-	s.mu.Unlock()
+	if s.timeline != nil {
+		frames, err = s.encodeProgram(cb)
+	} else {
+		one[0], err = s.encodeCycle(cb)
+		frames = one[:]
+	}
+	if err != nil {
+		return 0, err
+	}
+	s.cFramesSent.Add(int64(len(frames)))
+	if s.dsender != nil {
+		// One datagram transmission reaches every tuned receiver; its
+		// cost does not appear in the per-subscriber fan-out.
+		if err := s.dsender.SendCycle(int64(cb.Number), frames); err != nil {
+			return 0, err
+		}
+	}
+	if s.opts.DeltaEvery > 0 {
+		s.prev = cb
+	}
+	delivered := s.fanOut(cb, frames)
+	s.bsrv.Tracer().Emit(obs.EvCycleEnd, obs.ActorServer, int64(cb.Number), int32(len(frames)), int64(delivered))
+	return delivered, nil
+}
+
+// encodeCycle encodes a classic-mode cycle as its one frame and
+// accounts the payload under its kind.
+func (s *Server) encodeCycle(cb *bcast.CycleBroadcast) (data []byte, err error) {
+	kind := s.cFullBytes
 	switch {
 	case s.opts.SparseGrouped:
 		// The epoch is stable between StartCycle calls, so reading it
@@ -294,88 +312,85 @@ func (s *Server) Step() (int, error) {
 		if err == nil {
 			s.groupedEpoch, s.sentPart = epoch, true
 		}
-		isGrouped = true
-	case s.opts.DeltaEvery > 0 && prev != nil && cb.Number%cmatrix.Cycle(s.opts.DeltaEvery) != 0:
-		data, err = wire.EncodeCycleDelta(prev, cb)
-		isDelta = true
+		kind = s.cGroupedBytes
+	case s.opts.DeltaEvery > 0 && s.prev != nil && cb.Number%cmatrix.Cycle(s.opts.DeltaEvery) != 0:
+		data, err = wire.EncodeCycleDelta(s.prev, cb)
+		kind = s.cDeltaBytes
 	default:
 		data, err = wire.EncodeCycle(cb)
 	}
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	switch {
-	case isGrouped:
-		s.cGroupedBytes.Add(int64(len(data)))
-	case isDelta:
-		s.cDeltaBytes.Add(int64(len(data)))
-	default:
-		s.cFullBytes.Add(int64(len(data)))
-	}
-	s.cFramesSent.Inc()
-	if s.dsender != nil {
-		// One datagram transmission reaches every tuned receiver; its
-		// cost does not appear in the per-subscriber loop below.
-		if err := s.dsender.SendCycle(int64(cb.Number), [][]byte{data}); err != nil {
-			return 0, err
-		}
-	}
-	s.mu.Lock()
-	s.prev = cb
+	kind.Add(int64(len(data)))
+	return data, nil
+}
+
+// fanOut writes one cycle's frames to every current subscriber and
+// returns how many took all of them. A slow or dead subscriber must not
+// stall the broadcast: each gets one write deadline for the cycle and is
+// reaped on the first failed write.
+//
+// Partial replication: a subset subscriber gets a per-subset BCQ3 frame
+// (the matching objects' values plus their full control columns) in
+// place of the cycle frame, one encode per distinct filter. Filters are
+// only accepted in classic matrix mode, so the substitution never meets
+// a multi-frame cycle.
+func (s *Server) fanOut(cb *bcast.CycleBroadcast, frames [][]byte) int {
 	type target struct {
 		conn   net.Conn
-		subset []int
+		filter subFilter
 	}
+	s.mu.Lock()
 	targets := make([]target, 0, len(s.subs))
-	for c := range s.subs {
-		targets = append(targets, target{conn: c, subset: s.subSets[c]})
+	for c, f := range s.subs {
+		targets = append(targets, target{c, f})
 	}
 	s.mu.Unlock()
-	// Partial replication: subset subscribers get a per-subset BCQ3
-	// frame (the matching objects' values plus their full control
-	// columns) instead of the full cycle. One encode serves every
-	// subscriber sharing a filter.
+	timeout := s.opts.WriteTimeout
+	if timeout <= 0 {
+		timeout = 2 * time.Second
+		if s.timeline != nil {
+			timeout = 10 * time.Second
+		}
+	}
 	subsetFrames := map[string][]byte{}
+	var subsetOut [1][]byte
 	delivered := 0
 	for _, tg := range targets {
-		payload := data
-		if tg.subset != nil && cb.Matrix != nil {
-			key := fmt.Sprint(tg.subset)
-			f, ok := subsetFrames[key]
+		out := frames
+		if tg.filter.objs != nil {
+			f, ok := subsetFrames[tg.filter.key]
 			if !ok {
-				if sc, err := wire.SubsetOf(cb, tg.subset); err == nil {
+				if sc, err := wire.SubsetOf(cb, tg.filter.objs); err == nil {
 					f, _ = wire.EncodeSubsetCycle(sc)
 				}
-				subsetFrames[key] = f
+				subsetFrames[tg.filter.key] = f
 				if f != nil {
 					s.cSubsetBytes.Add(int64(len(f)))
 					s.cFramesSent.Inc()
 				}
 			}
 			if f != nil {
-				payload = f
+				subsetOut[0] = f
+				out = subsetOut[:]
 			}
 		}
-		// A slow or dead subscriber must not stall the broadcast: give
-		// each write a short deadline and drop the connection on error.
-		tg.conn.SetWriteDeadline(time.Now().Add(s.writeTimeout(2 * time.Second)))
-		if err := writeFrame(tg.conn, payload); err != nil {
-			s.reapSub(tg.conn, cb.Number)
-			continue
+		tg.conn.SetWriteDeadline(time.Now().Add(timeout))
+		ok := true
+		for _, data := range out {
+			if err := WriteFrame(tg.conn, data); err != nil {
+				s.reapSub(tg.conn, cb.Number)
+				ok = false
+				break
+			}
+			s.cTxBytes.Add(int64(len(data)) + 4)
 		}
-		s.cTxBytes.Add(int64(len(payload)) + 4)
-		delivered++
+		if ok {
+			delivered++
+		}
 	}
-	s.bsrv.Tracer().Emit(obs.EvCycleEnd, obs.ActorServer, int64(cb.Number), 1, int64(delivered))
-	return delivered, nil
-}
-
-// writeTimeout resolves the per-write deadline for subscriber sockets.
-func (s *Server) writeTimeout(def time.Duration) time.Duration {
-	if s.opts.WriteTimeout > 0 {
-		return s.opts.WriteTimeout
-	}
-	return def
+	return delivered
 }
 
 // reapSub drops a subscriber whose send path overflowed — it could not
@@ -385,12 +400,10 @@ func (s *Server) writeTimeout(def time.Duration) time.Duration {
 // the outside and the difference matters when debugging retune storms.
 func (s *Server) reapSub(c net.Conn, cycle cmatrix.Cycle) {
 	s.mu.Lock()
-	reaped := false
-	if s.subs[c] {
+	_, reaped := s.subs[c]
+	if reaped {
 		delete(s.subs, c)
-		delete(s.subSets, c)
 		c.Close()
-		reaped = true
 		s.cSubsDropped.Inc()
 		s.cReaps.Inc()
 		s.gSubs.Set(int64(len(s.subs)))
@@ -418,19 +431,20 @@ func (s *Server) RunTicker(interval time.Duration, stop <-chan struct{}) {
 	}
 }
 
-// Subscribers reports the current broadcast subscriber count.
 // Obs returns the registry the server's transmission counters live in
 // (Options.Obs, defaulting to the broadcast server's own registry).
 func (s *Server) Obs() *obs.Registry { return s.reg }
 
+// Subscribers reports the current broadcast subscriber count.
 func (s *Server) Subscribers() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.subs)
 }
 
-// Close stops listening and disconnects everything. The underlying
-// broadcast server is left open (close it separately).
+// Close stops listening and disconnects everything, uplink connections
+// included. The underlying broadcast server is left open (close it
+// separately).
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -438,18 +452,15 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed = true
-	s.mu.Unlock()
-	s.broadcastLn.Close()
-	s.uplinkLn.Close()
-	s.mu.Lock()
 	for c := range s.subs {
 		c.Close()
 		delete(s.subs, c)
-		delete(s.subSets, c)
 		s.cSubsDropped.Inc()
 	}
 	s.gSubs.Set(0)
 	s.mu.Unlock()
+	s.broadcastLn.Close()
+	s.uplink.Close()
 	s.wg.Wait()
 }
 
@@ -466,7 +477,7 @@ func (s *Server) acceptBroadcast() {
 			conn.Close()
 			return
 		}
-		s.subs[conn] = true
+		s.subs[conn] = subFilter{}
 		s.cSubsAdded.Inc()
 		s.gSubs.Set(int64(len(s.subs)))
 		s.mu.Unlock()
@@ -488,100 +499,75 @@ func (s *Server) acceptBroadcast() {
 func (s *Server) readSubscriber(conn net.Conn) {
 	defer s.wg.Done()
 	for {
-		frame, err := readFrame(conn)
+		frame, err := ReadFrame(conn)
 		if err != nil {
 			return
 		}
-		if !wire.IsSubsetSubscribeFrame(frame) {
-			s.reapSub(conn, 0)
-			return
-		}
 		objs, err := wire.DecodeSubsetSubscribe(frame)
-		if err != nil || len(objs) == 0 {
+		layout := s.bsrv.Layout()
+		if err != nil || len(objs) == 0 || objs[len(objs)-1] >= layout.Objects ||
+			s.timeline != nil || layout.Control != bcast.ControlMatrix {
 			s.reapSub(conn, 0)
 			return
 		}
-		if s.timeline != nil || s.bsrv.Layout().Control != bcast.ControlMatrix {
-			s.reapSub(conn, 0)
-			return
-		}
-		if objs[len(objs)-1] >= s.bsrv.Layout().Objects {
-			s.reapSub(conn, 0)
-			return
-		}
+		filter := subFilter{objs: objs, key: fmt.Sprint(objs)}
 		s.mu.Lock()
-		if s.subs[conn] {
-			s.subSets[conn] = objs
+		if _, ok := s.subs[conn]; ok {
+			s.subs[conn] = filter
 		}
 		s.mu.Unlock()
 		s.cSubsetSubs.Inc()
 	}
 }
 
-func (s *Server) acceptUplink() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.uplinkLn.Accept()
-		if err != nil {
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer conn.Close()
-			for {
-				frame, err := readFrame(conn)
-				if err != nil {
-					return
-				}
-				start := time.Now()
-				verdict := s.dispatchUplink(frame)
-				s.hUplinkNs.Observe(time.Since(start).Nanoseconds())
-				if err := writeFrame(conn, wire.EncodeUpdateReply(verdict)); err != nil {
-					return
-				}
-			}
-		}()
-	}
-}
-
-// dispatchUplink decodes and executes one uplink frame, multiplexing
-// the three uplink frame kinds by magic: ordinary BCU1 submissions plus
-// the BCP1/BCD1 shots of the cross-shard two-shot commit, so a shard
-// coordinator drives a remote shard over the same scarce uplink
-// connection clients use.
-func (s *Server) dispatchUplink(frame []byte) error {
-	if len(frame) >= 4 {
-		switch [4]byte(frame[0:4]) {
-		case wire.PrepareMagic:
-			token, req, remote, err := wire.DecodePrepare(frame)
-			if err != nil {
-				return err
-			}
-			return s.bsrv.PrepareUpdate(token, req, remote)
-		case wire.DecisionMagic:
-			token, commit, err := wire.DecodeDecision(frame)
-			if err != nil {
-				return err
-			}
-			return s.bsrv.DecideUpdate(token, commit)
-		}
-	}
-	req, err := wire.DecodeUpdateRequest(frame)
-	if err != nil {
-		return err
-	}
-	return s.bsrv.SubmitUpdate(req)
-}
-
-// Tuner is a client's receiver: it decodes the broadcast stream into a
-// local medium that internal/client consumes unchanged.
-type Tuner struct {
-	conn   net.Conn
+// receiver is the transport-independent back half of a tuner: frames
+// in, decoded cycles published into a local medium that internal/client
+// consumes unchanged. The TCP Tuner feeds it frames off a socket, the
+// DatagramTuner frames reassembled from datagrams.
+type receiver struct {
+	dec    *FrameDecoder
 	medium *bcast.Medium
 	done   chan struct{}
 	err    error
-	dec    *FrameDecoder
+}
+
+func newReceiver() receiver {
+	return receiver{dec: NewFrameDecoder(), medium: bcast.NewMedium(), done: make(chan struct{})}
+}
+
+// deliver decodes one frame and publishes the cycle it completes, if
+// any. False means the stream is terminally corrupt (error recorded).
+func (r *receiver) deliver(frame []byte) bool {
+	cb, err := r.dec.Decode(frame)
+	if err != nil {
+		r.err = err
+		return false
+	}
+	if cb != nil {
+		r.medium.Publish(cb)
+	}
+	return true
+}
+
+// stop ends the cycle stream. cause is what ended the transport; it is
+// recorded unless a decode error already was or it is a plain close.
+func (r *receiver) stop(cause error) {
+	if r.err == nil && !errors.Is(cause, net.ErrClosed) && !errors.Is(cause, io.EOF) {
+		r.err = cause
+	}
+	r.medium.Close()
+	close(r.done)
+}
+
+// Subscribe returns a subscription delivering decoded cycles.
+func (r *receiver) Subscribe(buffer int) *bcast.Subscription {
+	return r.medium.Subscribe(buffer)
+}
+
+// Tuner is a client's receiver on the TCP broadcast stream.
+type Tuner struct {
+	conn net.Conn
+	receiver
 }
 
 // Tune connects to a broadcast address and starts receiving cycles.
@@ -610,41 +596,24 @@ func tune(addr string, subset []int) (*Tuner, error) {
 		return nil, err
 	}
 	if subset != nil {
-		if err := writeFrame(conn, wire.EncodeSubsetSubscribe(subset)); err != nil {
+		if err := WriteFrame(conn, wire.EncodeSubsetSubscribe(subset)); err != nil {
 			conn.Close()
 			return nil, err
 		}
 	}
-	t := &Tuner{conn: conn, medium: bcast.NewMedium(), done: make(chan struct{}), dec: NewFrameDecoder()}
+	t := &Tuner{conn: conn, receiver: newReceiver()}
 	go t.loop()
 	return t, nil
 }
 
 func (t *Tuner) loop() {
-	defer close(t.done)
-	defer t.medium.Close()
 	for {
-		frame, err := readFrame(t.conn)
-		if err != nil {
-			if !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.EOF) {
-				t.err = err
-			}
+		frame, err := ReadFrame(t.conn)
+		if err != nil || !t.deliver(frame) {
+			t.stop(err)
 			return
-		}
-		cb, err := t.dec.Decode(frame)
-		if err != nil {
-			t.err = err
-			return
-		}
-		if cb != nil {
-			t.medium.Publish(cb)
 		}
 	}
-}
-
-// Subscribe returns a subscription delivering decoded cycles.
-func (t *Tuner) Subscribe(buffer int) *bcast.Subscription {
-	return t.medium.Subscribe(buffer)
 }
 
 // Close tears the tuner down and waits for its receive loop.
@@ -675,10 +644,10 @@ func DialUplink(addr string) (*Uplink, error) {
 func (u *Uplink) roundTrip(frame []byte) error {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if err := writeFrame(u.conn, frame); err != nil {
+	if err := WriteFrame(u.conn, frame); err != nil {
 		return err
 	}
-	reply, err := readFrame(u.conn)
+	reply, err := ReadFrame(u.conn)
 	if err != nil {
 		return err
 	}

@@ -47,25 +47,25 @@ func awaitSubscribers(t *testing.T, ns *Server, want int) {
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello frame")
-	if err := writeFrame(&buf, payload); err != nil {
+	if err := WriteFrame(&buf, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readFrame(&buf)
+	got, err := ReadFrame(&buf)
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("round trip: %q, %v", got, err)
 	}
 	// Oversized frames are rejected on both ends.
-	if err := writeFrame(&buf, make([]byte, maxFrame+1)); err == nil {
+	if err := WriteFrame(&buf, make([]byte, maxFrame+1)); err == nil {
 		t.Error("oversized write should fail")
 	}
 	var evil bytes.Buffer
 	evil.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := readFrame(&evil); err == nil {
+	if _, err := ReadFrame(&evil); err == nil {
 		t.Error("oversized length prefix should fail")
 	}
 	var short bytes.Buffer
 	short.Write([]byte{0, 0, 0, 9, 'x'})
-	if _, err := readFrame(&short); err == nil {
+	if _, err := ReadFrame(&short); err == nil {
 		t.Error("truncated frame should fail")
 	}
 }

@@ -5,14 +5,11 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
-	"time"
+	"sync/atomic"
 
 	"broadcastcc/internal/airsched"
 	"broadcastcc/internal/bcast"
 	"broadcastcc/internal/cmatrix"
-	"broadcastcc/internal/obs"
-	"broadcastcc/internal/server"
 	"broadcastcc/internal/wire"
 )
 
@@ -43,13 +40,9 @@ func column(cb *bcast.CycleBroadcast, obj int) []cmatrix.Cycle {
 	}
 }
 
-// stepProgram produces and transmits one major cycle of the broadcast
-// program as its individual frames.
-func (s *Server) stepProgram() (int, error) {
-	cb := s.bsrv.StartCycle()
-	if cb == nil {
-		return 0, server.ErrClosed
-	}
+// encodeProgram encodes one major cycle of the broadcast program as its
+// individual frames and accounts them as full or delta payload.
+func (s *Server) encodeProgram(cb *bcast.CycleBroadcast) ([][]byte, error) {
 	tl := s.timeline
 	layout := s.bsrv.Layout()
 	frames := tl.Frames()
@@ -98,43 +91,52 @@ func (s *Server) stepProgram() (int, error) {
 			s.prevCols[obj] = col
 		}
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		payloads = append(payloads, data)
 	}
-
 	s.cFullBytes.Add(fullB)
 	s.cDeltaBytes.Add(deltaB)
-	s.cFramesSent.Add(int64(len(payloads)))
-	if s.dsender != nil {
-		if err := s.dsender.SendCycle(int64(cb.Number), payloads); err != nil {
-			return 0, err
-		}
+	return payloads, nil
+}
+
+// errBrokenChain marks a delta bucket whose base occurrence the
+// receiver never heard.
+var errBrokenChain = errors.New("netcast: delta chain broken")
+
+// bucketChain follows the per-object delta chains of a program-mode
+// stream: for each object, the last occurrence this receiver decoded.
+type bucketChain map[int]occurrence
+
+// occurrence is a decoded bucket's sequence number and reconstructed
+// control column.
+type occurrence struct {
+	seq uint32
+	col []cmatrix.Cycle
+}
+
+// decode decodes a bucket frame, resolving a delta column against the
+// object's previous occurrence. errBrokenChain means that occurrence
+// was missed; the object's next full refresh restores the chain.
+func (c bucketChain) decode(frame []byte) (*wire.Bucket, error) {
+	_, obj, seq, delta, _, err := wire.BucketInfo(frame)
+	if err != nil {
+		return nil, err
 	}
-	s.mu.Lock()
-	conns := make([]net.Conn, 0, len(s.subs))
-	for c := range s.subs {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	delivered := 0
-	for _, c := range conns {
-		c.SetWriteDeadline(time.Now().Add(s.writeTimeout(10 * time.Second)))
-		ok := true
-		for _, data := range payloads {
-			if err := writeFrame(c, data); err != nil {
-				s.reapSub(c, cb.Number)
-				ok = false
-				break
-			}
-			s.cTxBytes.Add(int64(len(data)) + 4)
+	var prev []cmatrix.Cycle
+	if delta {
+		last := c[obj]
+		if last.seq+1 != seq || last.col == nil {
+			return nil, errBrokenChain
 		}
-		if ok {
-			delivered++
-		}
+		prev = last.col
 	}
-	s.bsrv.Tracer().Emit(obs.EvCycleEnd, obs.ActorServer, int64(cb.Number), int32(len(payloads)), int64(delivered))
-	return delivered, nil
+	b, err := wire.DecodeBucket(frame, prev)
+	if err != nil {
+		return nil, err
+	}
+	c[obj] = occurrence{seq, b.Column}
+	return b, nil
 }
 
 // assembler reconstructs whole broadcast cycles from a program-mode
@@ -152,14 +154,8 @@ type assembler struct {
 	seen      []bool
 	nSeen     int
 	indexM    int
-	published bool
 
-	lastSeq map[int]uint32
-	lastCol map[int][]cmatrix.Cycle
-}
-
-func newAssembler() *assembler {
-	return &assembler{lastSeq: map[int]uint32{}, lastCol: map[int][]cmatrix.Cycle{}}
+	chain bucketChain
 }
 
 // begin resets per-cycle state for major cycle number.
@@ -172,7 +168,6 @@ func (a *assembler) begin(number cmatrix.Cycle, layout bcast.Layout) {
 	a.seen = make([]bool, layout.Objects)
 	a.nSeen = 0
 	a.indexM = 0
-	a.published = false
 }
 
 // feed consumes one program-mode frame, returning a completed cycle
@@ -188,43 +183,30 @@ func (a *assembler) feed(frame []byte) (*bcast.CycleBroadcast, error) {
 		}
 		return nil, nil
 	}
-	number, obj, seq, delta, _, err := wire.BucketInfo(frame)
+	b, err := a.chain.decode(frame)
+	if errors.Is(err, errBrokenChain) {
+		// Skip the occurrence; a full refresh will restore the chain.
+		return nil, nil
+	}
 	if err != nil {
 		return nil, err
 	}
-	var prev []cmatrix.Cycle
-	if delta {
-		if a.lastSeq[obj]+1 != seq || a.lastCol[obj] == nil {
-			// Broken delta chain (missed this object's previous
-			// occurrence): skip the occurrence; a full refresh will
-			// restore the chain.
-			return nil, nil
-		}
-		prev = a.lastCol[obj]
-	}
-	b, err := wire.DecodeBucket(frame, prev)
-	if err != nil {
-		return nil, err
-	}
-	a.lastSeq[obj] = seq
-	a.lastCol[obj] = b.Column
-	if !a.haveStart || number != a.number {
-		a.begin(number, b.Layout)
+	obj := b.Obj
+	if !a.haveStart || b.Number != a.number {
+		a.begin(b.Number, b.Layout)
 	}
 	if obj >= a.layout.Objects {
 		return nil, fmt.Errorf("netcast: bucket object %d outside layout of %d objects", obj, a.layout.Objects)
 	}
-	if !a.seen[obj] {
-		a.seen[obj] = true
-		a.nSeen++
-		a.values[obj] = b.Value
-		a.cols[obj] = b.Column
+	if a.seen[obj] {
+		return nil, nil
 	}
-	if a.nSeen == a.layout.Objects && !a.published {
-		a.published = true
-		return a.build()
+	a.seen[obj] = true
+	a.values[obj], a.cols[obj] = b.Value, b.Column
+	if a.nSeen++; a.nSeen < a.layout.Objects {
+		return nil, nil
 	}
-	return nil, nil
+	return a.build() // the first hearing of the last missing object
 }
 
 // build assembles the completed cycle broadcast.
@@ -282,16 +264,12 @@ type SelectiveTuner struct {
 	done   chan struct{}
 	err    error
 
-	mu    sync.Mutex
-	stats SelectiveStats
+	// The tuning counters behind Stats; the pump goroutine bumps dozed
+	// on queue overflow while ReadObject runs.
+	listened, dozed, misses atomic.Int64
 
-	lastSeq map[int]uint32
-	lastCol map[int][]cmatrix.Cycle
+	chain bucketChain
 }
-
-// errBrokenChain marks a delta bucket whose base occurrence this tuner
-// never heard.
-var errBrokenChain = errors.New("netcast: delta chain broken")
 
 // TuneSelective connects a selective tuner to a broadcast address. The
 // stream must be in program mode (index/bucket frames).
@@ -301,11 +279,10 @@ func TuneSelective(addr string) (*SelectiveTuner, error) {
 		return nil, err
 	}
 	t := &SelectiveTuner{
-		conn:    conn,
-		frames:  make(chan []byte, 4096),
-		done:    make(chan struct{}),
-		lastSeq: map[int]uint32{},
-		lastCol: map[int][]cmatrix.Cycle{},
+		conn:   conn,
+		frames: make(chan []byte, 4096),
+		done:   make(chan struct{}),
+		chain:  bucketChain{},
 	}
 	go t.pump()
 	return t, nil
@@ -318,7 +295,7 @@ func (t *SelectiveTuner) pump() {
 	defer close(t.done)
 	defer close(t.frames)
 	for {
-		frame, err := readFrame(t.conn)
+		frame, err := ReadFrame(t.conn)
 		if err != nil {
 			if !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.EOF) {
 				t.err = err
@@ -332,7 +309,7 @@ func (t *SelectiveTuner) pump() {
 			// the oldest to keep position tracking monotone.
 			select {
 			case <-t.frames:
-				t.countDozed(1)
+				t.dozed.Add(1)
 			default:
 			}
 			select {
@@ -343,29 +320,13 @@ func (t *SelectiveTuner) pump() {
 	}
 }
 
-func (t *SelectiveTuner) countDozed(n int64) {
-	t.mu.Lock()
-	t.stats.FramesDozed += n
-	t.mu.Unlock()
-}
-
-func (t *SelectiveTuner) countListened() {
-	t.mu.Lock()
-	t.stats.FramesListened++
-	t.mu.Unlock()
-}
-
-func (t *SelectiveTuner) countMiss() {
-	t.mu.Lock()
-	t.stats.IndexMisses++
-	t.mu.Unlock()
-}
-
 // Stats returns a copy of the tuning counters.
 func (t *SelectiveTuner) Stats() SelectiveStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.stats
+	return SelectiveStats{
+		FramesListened: t.listened.Load(),
+		FramesDozed:    t.dozed.Load(),
+		IndexMisses:    t.misses.Load(),
+	}
 }
 
 // next consumes the next frame from the air.
@@ -380,39 +341,20 @@ func (t *SelectiveTuner) next() ([]byte, error) {
 	return frame, nil
 }
 
-// doze consumes n frames without decoding them.
-func (t *SelectiveTuner) doze(n int) error {
-	for i := 0; i < n; i++ {
+// listen dozes through skip frames — consumed, never decoded — and
+// returns the frame it wakes for.
+func (t *SelectiveTuner) listen(skip int) ([]byte, error) {
+	for i := 0; i < skip; i++ {
 		if _, err := t.next(); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	t.countDozed(int64(n))
-	return nil
-}
-
-// decodeBucket decodes a bucket frame, following this tuner's
-// per-object delta chains. errBrokenChain means the frame was a delta
-// whose base this tuner never heard.
-func (t *SelectiveTuner) decodeBucket(frame []byte) (*wire.Bucket, error) {
-	_, obj, seq, delta, _, err := wire.BucketInfo(frame)
-	if err != nil {
-		return nil, err
+	t.dozed.Add(int64(skip))
+	frame, err := t.next()
+	if err == nil {
+		t.listened.Add(1)
 	}
-	var prev []cmatrix.Cycle
-	if delta {
-		if t.lastSeq[obj]+1 != seq || t.lastCol[obj] == nil {
-			return nil, errBrokenChain
-		}
-		prev = t.lastCol[obj]
-	}
-	b, err := wire.DecodeBucket(frame, prev)
-	if err != nil {
-		return nil, err
-	}
-	t.lastSeq[obj] = seq
-	t.lastCol[obj] = b.Column
-	return b, nil
+	return frame, err
 }
 
 // ReadObject waits for the next receivable broadcast of obj and
@@ -425,20 +367,12 @@ func (t *SelectiveTuner) decodeBucket(frame []byte) (*wire.Bucket, error) {
 func (t *SelectiveTuner) ReadObject(obj int) (*wire.Bucket, error) {
 	for {
 		// Probe: decode one frame, whatever it is.
-		frame, err := t.next()
+		frame, err := t.listen(0)
 		if err != nil {
 			return nil, err
 		}
-		t.countListened()
-		var idx *wire.IndexFrame
-		switch {
-		case wire.IsIndexFrame(frame):
-			idx, err = wire.DecodeIndexFrame(frame)
-			if err != nil {
-				return nil, err
-			}
-		case wire.IsBucketFrame(frame):
-			b, derr := t.decodeBucket(frame)
+		if wire.IsBucketFrame(frame) {
+			b, derr := t.chain.decode(frame)
 			if derr == nil && b.Obj == obj {
 				return b, nil // lucky probe
 			}
@@ -451,51 +385,41 @@ func (t *SelectiveTuner) ReadObject(obj int) (*wire.Bucket, error) {
 				// listening frame by frame.
 				continue
 			}
-			if err := t.doze(nextIndex - 1); err != nil {
+			if frame, err = t.listen(nextIndex - 1); err != nil {
 				return nil, err
 			}
-			frame, err = t.next()
-			if err != nil {
-				return nil, err
-			}
-			t.countListened()
 			if !wire.IsIndexFrame(frame) {
-				t.countMiss() // lost sync with the schedule
+				t.misses.Add(1) // lost sync with the schedule
 				continue
 			}
-			idx, err = wire.DecodeIndexFrame(frame)
-			if err != nil {
-				return nil, err
-			}
-		default:
+		} else if !wire.IsIndexFrame(frame) {
 			return nil, fmt.Errorf("netcast: selective tuning requires a program-mode stream, got frame %q", frame[:min(4, len(frame))])
+		}
+		idx, err := wire.DecodeIndexFrame(frame)
+		if err != nil {
+			return nil, err
 		}
 		if obj < 0 || obj >= len(idx.Offsets) {
 			return nil, fmt.Errorf("netcast: object %d outside broadcast of %d objects", obj, len(idx.Offsets))
 		}
 		// Doze to the frame before the object's occurrence, then listen.
-		if err := t.doze(idx.Offsets[obj] - 1); err != nil {
+		if frame, err = t.listen(idx.Offsets[obj] - 1); err != nil {
 			return nil, err
 		}
-		frame, err = t.next()
-		if err != nil {
-			return nil, err
-		}
-		t.countListened()
 		if !wire.IsBucketFrame(frame) {
-			t.countMiss()
+			t.misses.Add(1)
 			continue
 		}
-		b, err := t.decodeBucket(frame)
+		b, err := t.chain.decode(frame)
 		if err != nil {
 			if errors.Is(err, errBrokenChain) {
-				t.countMiss() // wait for the object's next full refresh
+				t.misses.Add(1) // wait for the object's next full refresh
 				continue
 			}
 			return nil, err
 		}
 		if b.Obj != obj {
-			t.countMiss()
+			t.misses.Add(1)
 			continue
 		}
 		return b, nil

@@ -129,7 +129,7 @@ func TestProgramRebroadcastColumnsIdentical(t *testing.T) {
 		}
 		seen := map[int][]cmatrix.Cycle{}
 		for i := 0; i < frames; i++ {
-			frame, err := readFrame(conn)
+			frame, err := ReadFrame(conn)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -55,4 +55,9 @@ func TestUplinkShardDispatch(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	// Serve's uplink is the one UplinkServer loop, so the two-shot frames
+	// are counted like any other request: prepare, two decisions, submit.
+	if got := ns.Obs().Counter("netcast_uplink_requests").Load(); got != 4 {
+		t.Fatalf("netcast_uplink_requests = %d after BCP1+BCD1+BCD1+BCU1, want 4", got)
+	}
 }

@@ -2,8 +2,12 @@ package netcast
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"broadcastcc/internal/client"
 	"broadcastcc/internal/protocol"
@@ -181,6 +185,107 @@ func TestServeUplinkNilHandler(t *testing.T) {
 	if _, err := ServeUplink("127.0.0.1:0", nil, nil); err == nil {
 		t.Fatal("ServeUplink accepted a nil handler")
 	}
+}
+
+// TestCloseDisconnectsLiveUplinks: Close must not wait for uplink
+// clients to hang up — the one uplink loop tracks its connections and
+// cuts them. Both entry points share that loop.
+func TestCloseDisconnectsLiveUplinks(t *testing.T) {
+	bsrv, err := server.New(server.Config{Objects: 8, ObjectBits: 64, Algorithm: protocol.FMatrix})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bsrv.Close()
+	bsrv.StartCycle()
+	for _, tc := range []struct {
+		name  string
+		serve func(t *testing.T) (addr string, close func())
+	}{
+		{"Serve", func(t *testing.T) (string, func()) {
+			ns, err := Serve(bsrv, "127.0.0.1:0", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ns.UplinkAddr(), ns.Close
+		}},
+		{"ServeUplink", func(t *testing.T) (string, func()) {
+			us, err := ServeUplink("127.0.0.1:0", bsrv, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return us.Addr(), us.Close
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr, closeServer := tc.serve(t)
+			up, err := DialUplink(addr)
+			if err != nil {
+				closeServer()
+				t.Fatal(err)
+			}
+			defer up.Close()
+			req := protocol.UpdateRequest{Writes: []protocol.ObjectWrite{{Obj: 1, Value: []byte("live")}}}
+			if err := up.SubmitUpdate(req); err != nil {
+				closeServer()
+				t.Fatalf("submit on a live uplink: %v", err)
+			}
+			closed := make(chan struct{})
+			go func() {
+				closeServer()
+				close(closed)
+			}()
+			select {
+			case <-closed:
+			case <-time.After(2 * time.Second):
+				t.Fatal("Close still waiting on a connected uplink client after 2s")
+			}
+			err = up.SubmitUpdate(req)
+			var netErr net.Error
+			if !errors.Is(err, io.EOF) && !errors.As(err, &netErr) {
+				t.Fatalf("submit after Close: %v, want a connection error", err)
+			}
+		})
+	}
+}
+
+// TestCloseLetsInFlightReplyOut: a request already dispatched when Close
+// arrives still gets its verdict — the client of a committed update must
+// not be left guessing.
+func TestCloseLetsInFlightReplyOut(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	us, err := ServeUplink("127.0.0.1:0", uplinkFunc(func(protocol.UpdateRequest) error {
+		close(entered)
+		<-release
+		return nil
+	}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up, err := DialUplink(us.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer up.Close()
+	verdict := make(chan error, 1)
+	go func() {
+		verdict <- up.SubmitUpdate(protocol.UpdateRequest{Writes: []protocol.ObjectWrite{{Obj: 0, Value: []byte("x")}}})
+	}()
+	<-entered
+	closed := make(chan struct{})
+	go func() {
+		us.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a dispatch was still in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-verdict; err != nil {
+		t.Fatalf("in-flight request lost its reply to Close: %v", err)
+	}
+	<-closed
 }
 
 // uplinkFunc adapts a function to protocol.Uplink.

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race flake verify bench bench-e2e bench-figures bench-smoke conform fuzz-smoke obs-smoke udp-smoke shard-smoke quasi-smoke soak-smoke soak-nightly
+.PHONY: build test race flake loc verify bench bench-e2e bench-figures bench-smoke conform fuzz-smoke obs-smoke udp-smoke shard-smoke quasi-smoke soak-smoke soak-nightly
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,15 @@ race:
 # before a reviewer does. The nightly job runs this.
 flake:
 	$(GO) test -count=20 ./internal/faultair ./internal/netcast ./internal/dgram ./internal/shard ./internal/client ./cmd/bcsoak
+
+# Non-test Go lines per internal/* package, under cmd/ and at the root:
+# the figure every "collapse duplicate machinery" PR quotes before and
+# after.
+loc:
+	@for d in internal/* cmd; do \
+		printf '%-24s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+	done; \
+	printf '%-24s %6d\n' . $$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 
 verify: build test race
 

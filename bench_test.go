@@ -226,9 +226,9 @@ func BenchmarkValidatorTryRead(b *testing.B) {
 			var snap protocol.Snapshot
 			switch alg {
 			case FMatrix:
-				snap = protocol.MatrixSnapshot{C: m}
+				snap = m
 			default:
-				snap = protocol.VectorSnapshot{V: vec}
+				snap = vec
 			}
 			v := protocol.NewValidator(alg)
 			b.ResetTimer()

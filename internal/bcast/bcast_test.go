@@ -117,15 +117,15 @@ func TestControlKindStringsAndMapping(t *testing.T) {
 
 func TestCycleBroadcastSnapshot(t *testing.T) {
 	m := &CycleBroadcast{Matrix: cmatrix.NewMatrix(2)}
-	if _, ok := m.Snapshot().(protocol.MatrixSnapshot); !ok {
+	if _, ok := m.Snapshot().(*cmatrix.Matrix); !ok {
 		t.Error("matrix broadcast should yield a matrix snapshot")
 	}
 	v := &CycleBroadcast{Vector: cmatrix.NewVector(2)}
-	if _, ok := v.Snapshot().(protocol.VectorSnapshot); !ok {
+	if _, ok := v.Snapshot().(*cmatrix.Vector); !ok {
 		t.Error("vector broadcast should yield a vector snapshot")
 	}
 	g := &CycleBroadcast{Grouped: cmatrix.GroupedOf(cmatrix.NewMatrix(2), cmatrix.UniformPartition(2, 1))}
-	if _, ok := g.Snapshot().(protocol.GroupedSnapshot); !ok {
+	if _, ok := g.Snapshot().(*cmatrix.Grouped); !ok {
 		t.Error("grouped broadcast should yield a grouped snapshot")
 	}
 	col := m.Column(1)

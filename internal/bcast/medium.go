@@ -38,15 +38,15 @@ type CycleBroadcast struct {
 }
 
 // Snapshot returns the protocol.Snapshot a validator should use for
-// reads performed during this cycle.
+// reads performed during this cycle: the non-nil control value itself.
 func (cb *CycleBroadcast) Snapshot() protocol.Snapshot {
 	switch {
 	case cb.Matrix != nil:
-		return protocol.MatrixSnapshot{C: cb.Matrix}
+		return cb.Matrix
 	case cb.Vector != nil:
-		return protocol.VectorSnapshot{V: cb.Vector}
+		return cb.Vector
 	case cb.Grouped != nil:
-		return protocol.GroupedSnapshot{MC: cb.Grouped}
+		return cb.Grouped
 	default:
 		panic("bcast: cycle broadcast carries no control information")
 	}

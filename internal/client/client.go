@@ -14,6 +14,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"broadcastcc/internal/bcast"
 	"broadcastcc/internal/cmatrix"
@@ -106,8 +107,13 @@ type Config struct {
 	ClientID int32
 }
 
-// currencyOf resolves the effective currency bound for one object.
+// currencyOf resolves the effective currency bound for one object. The
+// stale-serve hook lifts it out of reach — the conformance harness uses
+// that to prove the oracle notices.
 func (c Config) currencyOf(obj int) cmatrix.Cycle {
+	if cacheSkipRevalidate {
+		return math.MaxInt64
+	}
 	if c.CacheCurrencyOf != nil {
 		return c.CacheCurrencyOf(obj)
 	}
@@ -121,8 +127,8 @@ type Client struct {
 	cfg    Config
 	sub    *bcast.Subscription
 	cur    *bcast.CycleBroadcast
-	cache  *cache
-	subset map[int]bool // nil = full-channel subscription
+	cache  *qcache.Cache // nil = caching disabled
+	subset map[int]bool  // nil = full-channel subscription
 
 	// pendingRevalidate marks a cache inventory recovered from the
 	// persistent store that has not yet been checked against a live
@@ -181,9 +187,6 @@ type Stats struct {
 // revalidation against the first cycle heard off the air.
 func New(cfg Config, sub *bcast.Subscription) *Client {
 	c := &Client{cfg: cfg, sub: sub}
-	if cfg.CacheCurrency > 0 {
-		c.cache = newCache(cfg.CacheSize, cfg.Store)
-	}
 	if cfg.Subset != nil {
 		c.subset = make(map[int]bool, len(cfg.Subset))
 		for _, o := range cfg.Subset {
@@ -211,66 +214,16 @@ func New(cfg Config, sub *bcast.Subscription) *Client {
 	c.cOfflineQueued = c.obs.Counter("client_offline_queued")
 	c.cOfflineOK = c.obs.Counter("client_offline_committed")
 	c.cOfflineAborted = c.obs.Counter("client_offline_aborted")
-	if c.cache != nil {
-		c.cache.onStoreErr = c.cStoreErrors.Inc
+	if cfg.CacheCurrency > 0 {
+		c.cache = new(qcache.Cache)
+		c.cache.Init(cfg.CacheSize, cfg.currencyOf, cfg.Store, c.cStoreErrors.Inc)
 		if cfg.Store != nil {
-			c.loadInventory()
+			// Recovered entries are not served until the first received
+			// cycle revalidates them.
+			c.pendingRevalidate = c.cache.Recover() > 0
 		}
 	}
 	return c
-}
-
-// loadInventory seeds the cache from the persistent store's recovered
-// inventory. Entries are not served until the first received cycle
-// revalidates them (per-object currency check against the live control
-// snapshot); the store's snapshots are rebuilt per algorithm — a
-// matrix column for F-Matrix, the retained vector for the vector
-// protocols. Grouped entries were never persisted.
-func (c *Client) loadInventory() {
-	for obj, e := range c.cfg.Store.Inventory() {
-		snap, ok := c.snapshotFromStored(obj, e.Col)
-		if !ok {
-			c.cfg.Store.Delete(obj)
-			continue
-		}
-		c.cache.seed(obj, cacheEntry{value: e.Value, cycle: e.Cycle, snap: snap})
-	}
-	c.pendingRevalidate = c.cache.len() > 0
-}
-
-// snapshotFromStored rebuilds the validation snapshot for one stored
-// column under the configured algorithm.
-func (c *Client) snapshotFromStored(obj int, col []cmatrix.Cycle) (protocol.Snapshot, bool) {
-	if len(col) == 0 {
-		return nil, false
-	}
-	switch c.cfg.Algorithm {
-	case protocol.FMatrix:
-		return protocol.ColumnSnapshot{Obj: obj, Col: append([]cmatrix.Cycle(nil), col...)}, true
-	case protocol.RMatrix, protocol.Datacycle:
-		v, err := cmatrix.VectorFromEntries(append([]cmatrix.Cycle(nil), col...))
-		if err != nil {
-			return nil, false
-		}
-		return protocol.VectorSnapshot{V: v}, true
-	default:
-		return nil, false
-	}
-}
-
-// revalidateInventory checks every store-recovered entry against the
-// first live control snapshot: entries beyond their currency bound, or
-// from an incomparable epoch (cached "later" than the current cycle —
-// the server restarted), are dropped; the rest are validated and may
-// serve reads. Aborts only what genuinely fails — a disconnected
-// client's inventory survives arbitrarily many missed cycles as long
-// as the currency bound tolerates them.
-func (c *Client) revalidateInventory(cb *bcast.CycleBroadcast) {
-	c.pendingRevalidate = false
-	kept, dropped := c.cache.revalidate(cb.Number, c.cfg.currencyOf)
-	c.cRevalidated.Add(kept)
-	c.cRevalDropped.Add(dropped)
-	c.trace.Emit(obs.EvRetune, c.cfg.ClientID, int64(cb.Number), 1, kept)
 }
 
 // Obs returns the client's metrics registry (Config.Obs, or the
@@ -357,10 +310,19 @@ func (c *Client) setCurrent(cb *bcast.CycleBroadcast) bool {
 	c.cur = cb
 	c.cCyclesSeen.Inc()
 	if c.cache != nil {
+		// The per-cycle expiry is also the revalidation of a
+		// store-recovered inventory against the first cycle heard: entries
+		// beyond their currency bound, or cached "later" than this cycle
+		// (an incomparable epoch — the server restarted), are dropped and
+		// the rest may serve reads. A disconnected client's inventory
+		// survives arbitrarily many missed cycles as long as the currency
+		// bound tolerates them.
+		kept, dropped := c.cache.Expire(cb.Number)
 		if c.pendingRevalidate {
-			c.revalidateInventory(cb)
-		} else {
-			c.cache.evictStale(cb.Number, c.cfg.currencyOf)
+			c.pendingRevalidate = false
+			c.cRevalidated.Add(kept)
+			c.cRevalDropped.Add(dropped)
+			c.trace.Emit(obs.EvRetune, c.cfg.ClientID, int64(cb.Number), 1, kept)
 		}
 	}
 	return true
@@ -417,9 +379,7 @@ func (c *Client) Retune(sub *bcast.Subscription) {
 	if c.cache != nil {
 		// The persistent inventory belongs to the old epoch too: clear it
 		// rather than revalidate entries whose cycles are incomparable.
-		c.cache.clear()
-		c.cache = newCache(c.cfg.CacheSize, c.cfg.Store)
-		c.cache.onStoreErr = c.cStoreErrors.Inc
+		c.cache.Clear()
 	}
 	c.pendingRevalidate = false
 }
@@ -463,50 +423,58 @@ func (t *ReadTxn) Read(obj int) ([]byte, error) {
 	if t.done {
 		return nil, ErrTxnFinished
 	}
-	value, snap, cycle, hit, err := t.c.fetch(obj)
+	value, err := t.c.read(t.val, obj)
+	t.done = errors.Is(err, ErrInconsistentRead)
+	return value, err
+}
+
+// read fetches obj and validates it against the transaction's previous
+// reads. A failed validation returns ErrInconsistentRead, which
+// finishes the transaction, and drops its objects from the cache so a
+// restart re-reads them off the air instead of replaying the same stale
+// entries into the same conflict.
+func (c *Client) read(val protocol.Validator, obj int) ([]byte, error) {
+	value, snap, cycle, hit, err := c.fetch(obj)
 	if err != nil {
 		return nil, err
 	}
-	if !t.val.TryRead(snap, obj, cycle) {
-		t.done = true
-		t.c.readAborted(obj, cycle, hit)
-		t.c.invalidateAfterAbort(t.val, obj)
+	ok := val.TryRead(snap, obj, cycle)
+	c.recordRead(obj, cycle, hit, ok)
+	if !ok {
+		if c.cache != nil {
+			for _, r := range val.ReadSet() {
+				c.cache.Remove(r.Obj)
+			}
+			c.cache.Remove(obj)
+		}
 		return nil, fmt.Errorf("%w: object %d at cycle %d", ErrInconsistentRead, obj, cycle)
 	}
-	t.c.readValidated(obj, cycle, hit)
 	return value, nil
 }
 
-// readValidated / readAborted record a read outcome in the registry
-// and trace. Cache hits are stamped frame -1 (the value never crossed
-// the air this cycle); off-the-air reads use frame 0, since the flat
-// client layer has no sub-cycle frame position (the selective tuner
-// accounts frames via AddFrameStats).
-func (c *Client) readValidated(obj int, cycle cmatrix.Cycle, hit bool) {
-	c.cReads.Inc()
-	frame := int32(0)
-	if hit {
-		c.cCacheHits.Inc()
-		frame = -1
-	}
-	c.trace.Emit(obs.EvReadValidate, c.cfg.ClientID, int64(cycle), frame, int64(obj))
-	c.observeRead(obj, cycle, hit, true)
-}
-
-func (c *Client) readAborted(obj int, cycle cmatrix.Cycle, hit bool) {
-	c.cReadAborts.Inc()
-	frame := int32(0)
+// recordRead records a read outcome in the registry and trace, and
+// notifies the instrumentation hook when one is installed. Cache hits
+// are stamped frame -1 (the value never crossed the air this cycle);
+// off-the-air reads use frame 0, since the flat client layer has no
+// sub-cycle frame position (the selective tuner accounts frames via
+// AddFrameStats).
+func (c *Client) recordRead(obj int, cycle cmatrix.Cycle, hit, accepted bool) {
+	kind, frame := obs.EvReadAbort, int32(0)
 	if hit {
 		frame = -1
 	}
-	c.trace.Emit(obs.EvReadAbort, c.cfg.ClientID, int64(cycle), frame, int64(obj))
-	c.observeRead(obj, cycle, hit, false)
-}
-
-// observeRead notifies the instrumentation hook, when one is installed.
-func (c *Client) observeRead(obj int, cycle cmatrix.Cycle, cacheHit, accepted bool) {
+	if accepted {
+		kind = obs.EvReadValidate
+		c.cReads.Inc()
+		if hit {
+			c.cCacheHits.Inc()
+		}
+	} else {
+		c.cReadAborts.Inc()
+	}
+	c.trace.Emit(kind, c.cfg.ClientID, int64(cycle), frame, int64(obj))
 	if c.cfg.ObserveRead != nil {
-		c.cfg.ObserveRead(obj, cycle, cacheHit, accepted)
+		c.cfg.ObserveRead(obj, cycle, hit, accepted)
 	}
 }
 
@@ -519,19 +487,6 @@ func (t *ReadTxn) Commit() ([]protocol.ReadAt, error) {
 	}
 	t.done = true
 	return t.val.ReadSet(), nil
-}
-
-// invalidateAfterAbort drops the aborted transaction's objects from the
-// cache so a restart re-reads them off the air instead of replaying the
-// same stale entries into the same conflict.
-func (c *Client) invalidateAfterAbort(v protocol.Validator, failedObj int) {
-	if c.cache == nil {
-		return
-	}
-	for _, r := range v.ReadSet() {
-		c.cache.remove(r.Obj)
-	}
-	c.cache.remove(failedObj)
 }
 
 // fetch resolves a read: cache first (when enabled and fresh), then the
@@ -548,34 +503,25 @@ func (c *Client) fetch(obj int) (value []byte, snap protocol.Snapshot, cycle cma
 		return nil, nil, 0, false, fmt.Errorf("%w: object %d", ErrNotSubscribed, obj)
 	}
 	if c.cache != nil {
-		// get enforces the currency bound at read time (and evicts on
+		// Get enforces the currency bound at read time (and evicts on
 		// failure): a CacheCurrencyOf bound lowered mid-cycle takes effect
 		// immediately, not at the next cycle boundary.
-		if e, ok := c.cache.get(obj, c.cur.Number, c.cfg.currencyOf); ok {
-			return append([]byte(nil), e.value...), e.snap, e.cycle, true, nil
+		if value, cycle, snap, ok := c.cache.Get(obj, c.cur.Number); ok {
+			return append([]byte(nil), value...), snap, cycle, true, nil
 		}
 	}
 	value = append([]byte(nil), c.cur.Values[obj]...)
-	cycle = c.cur.Number
+	cycle, snap = c.cur.Number, c.cur.Snapshot()
 	if c.cache != nil {
 		// Retain only this object's control slice so the cache cost per
-		// entry matches Section 3.3 (one matrix column, or the vector).
-		snap = c.columnSnapshot(obj)
-		c.cache.put(obj, cacheEntry{value: value, cycle: cycle, snap: snap})
-	} else {
-		snap = c.cur.Snapshot()
+		// entry matches Section 3.3: one matrix column, or under the
+		// vector layouts the whole (small) vector.
+		if c.cur.Matrix != nil {
+			snap = c.cur.Column(obj)
+		}
+		c.cache.Put(obj, value, cycle, snap)
 	}
 	return value, snap, cycle, false, nil
-}
-
-// columnSnapshot extracts the per-object control information retained
-// with cached entries.
-func (c *Client) columnSnapshot(obj int) protocol.Snapshot {
-	if c.cur.Matrix != nil {
-		return c.cur.Column(obj)
-	}
-	// Vector layouts: the whole (small) vector is the "column".
-	return c.cur.Snapshot()
 }
 
 // RunReadOnly executes fn as a read-only transaction, retrying on
@@ -630,18 +576,9 @@ func (t *UpdateTxn) Read(obj int) ([]byte, error) {
 	if v, ok := t.writes[obj]; ok {
 		return append([]byte(nil), v...), nil
 	}
-	value, snap, cycle, hit, err := t.c.fetch(obj)
-	if err != nil {
-		return nil, err
-	}
-	if !t.val.TryRead(snap, obj, cycle) {
-		t.done = true
-		t.c.readAborted(obj, cycle, hit)
-		t.c.invalidateAfterAbort(t.val, obj)
-		return nil, fmt.Errorf("%w: object %d at cycle %d", ErrInconsistentRead, obj, cycle)
-	}
-	t.c.readValidated(obj, cycle, hit)
-	return value, nil
+	value, err := t.c.read(t.val, obj)
+	t.done = errors.Is(err, ErrInconsistentRead)
+	return value, err
 }
 
 // Write buffers val as the new value of obj. No check is made (Section
@@ -693,186 +630,3 @@ func (t *UpdateTxn) Finish() (protocol.UpdateRequest, error) {
 
 // Abort discards the transaction.
 func (t *UpdateTxn) Abort() { t.done = true }
-
-// cache is the client's least-recently-cached store of broadcast items.
-// With a persistent store attached every mutation writes through, so
-// the on-disk inventory tracks the in-memory one record for record.
-type cache struct {
-	max        int
-	entries    map[int]cacheEntry
-	order      []int // insertion order for eviction
-	store      *qcache.Store
-	onStoreErr func()
-}
-
-type cacheEntry struct {
-	value []byte
-	cycle cmatrix.Cycle
-	snap  protocol.Snapshot
-}
-
-func newCache(max int, store *qcache.Store) *cache {
-	return &cache{max: max, entries: map[int]cacheEntry{}, store: store}
-}
-
-// get returns the entry for obj if it is within its currency bound at
-// the current cycle; a stale entry is evicted on the spot, so a bound
-// lowered mid-cycle takes effect at the very next read rather than at
-// the next cycle boundary. The stale-serve hook disables the check —
-// the conformance harness uses it to prove the oracle notices.
-func (c *cache) get(obj int, now cmatrix.Cycle, currencyOf func(obj int) cmatrix.Cycle) (cacheEntry, bool) {
-	e, ok := c.entries[obj]
-	if !ok {
-		return e, false
-	}
-	if cacheSkipRevalidate {
-		return e, true
-	}
-	if now-e.cycle > currencyOf(obj) {
-		c.remove(obj)
-		return cacheEntry{}, false
-	}
-	return e, true
-}
-
-func (c *cache) put(obj int, e cacheEntry) {
-	if _, exists := c.entries[obj]; !exists {
-		if c.max > 0 && len(c.entries) >= c.max {
-			c.evictOldest()
-		}
-		c.order = append(c.order, obj)
-	} else {
-		c.removeFromOrder(obj)
-		c.order = append(c.order, obj)
-	}
-	c.entries[obj] = e
-	c.persist(obj, e)
-}
-
-// seed installs an entry recovered from the persistent store without
-// writing it back.
-func (c *cache) seed(obj int, e cacheEntry) {
-	if _, exists := c.entries[obj]; !exists {
-		if c.max > 0 && len(c.entries) >= c.max {
-			c.evictOldest()
-		}
-		c.order = append(c.order, obj)
-	}
-	c.entries[obj] = e
-}
-
-// persist writes one entry through to the store. Grouped snapshots
-// carry no per-object column and stay memory-only.
-func (c *cache) persist(obj int, e cacheEntry) {
-	if c.store == nil {
-		return
-	}
-	col, ok := storedColumn(e.snap)
-	if !ok {
-		return
-	}
-	if err := c.store.Put(obj, e.value, e.cycle, col); err != nil && c.onStoreErr != nil {
-		c.onStoreErr()
-	}
-}
-
-// unpersist removes one entry from the store.
-func (c *cache) unpersist(obj int) {
-	if c.store == nil {
-		return
-	}
-	if err := c.store.Delete(obj); err != nil && c.onStoreErr != nil {
-		c.onStoreErr()
-	}
-}
-
-// storedColumn extracts the persistable control column from a retained
-// snapshot: the F-Matrix column, or the whole (small) vector.
-func storedColumn(snap protocol.Snapshot) ([]cmatrix.Cycle, bool) {
-	switch s := snap.(type) {
-	case protocol.ColumnSnapshot:
-		return s.Col, true
-	case protocol.VectorSnapshot:
-		col := make([]cmatrix.Cycle, s.V.N())
-		for i := range col {
-			col[i] = s.V.At(i)
-		}
-		return col, true
-	default:
-		return nil, false
-	}
-}
-
-func (c *cache) evictOldest() {
-	for len(c.order) > 0 {
-		obj := c.order[0]
-		c.order = c.order[1:]
-		if _, ok := c.entries[obj]; ok {
-			delete(c.entries, obj)
-			c.unpersist(obj)
-			return
-		}
-	}
-}
-
-func (c *cache) removeFromOrder(obj int) {
-	for i, o := range c.order {
-		if o == obj {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			return
-		}
-	}
-}
-
-// remove drops one entry if present.
-func (c *cache) remove(obj int) {
-	if _, ok := c.entries[obj]; ok {
-		delete(c.entries, obj)
-		c.removeFromOrder(obj)
-		c.unpersist(obj)
-	}
-}
-
-// evictStale drops entries older than their (per-object) currency bound
-// — the paper's purely local invalidation: no communication needed.
-func (c *cache) evictStale(now cmatrix.Cycle, currencyOf func(obj int) cmatrix.Cycle) {
-	if cacheSkipRevalidate {
-		return
-	}
-	for obj, e := range c.entries {
-		if now-e.cycle > currencyOf(obj) {
-			delete(c.entries, obj)
-			c.removeFromOrder(obj)
-			c.unpersist(obj)
-		}
-	}
-}
-
-// revalidate is the restart/reconnect inventory check: entries beyond
-// their currency bound at the current cycle, or cached in a later
-// (incomparable) epoch, are dropped. Returns kept and dropped counts.
-func (c *cache) revalidate(now cmatrix.Cycle, currencyOf func(obj int) cmatrix.Cycle) (kept, dropped int64) {
-	for obj, e := range c.entries {
-		if !cacheSkipRevalidate && (e.cycle > now || now-e.cycle > currencyOf(obj)) {
-			delete(c.entries, obj)
-			c.removeFromOrder(obj)
-			c.unpersist(obj)
-			dropped++
-			continue
-		}
-		kept++
-	}
-	return kept, dropped
-}
-
-// clear drops every entry, in memory and in the store (epoch reset).
-func (c *cache) clear() {
-	for obj := range c.entries {
-		delete(c.entries, obj)
-		c.unpersist(obj)
-	}
-	c.order = c.order[:0]
-}
-
-// Len reports the number of cached entries.
-func (c *cache) len() int { return len(c.entries) }

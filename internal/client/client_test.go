@@ -313,13 +313,13 @@ func TestCacheSizeEviction(t *testing.T) {
 		}
 	}
 	txn.Commit()
-	if got := c.cache.len(); got != 2 {
+	if got := c.cache.Len(); got != 2 {
 		t.Fatalf("cache len = %d, want 2", got)
 	}
-	if _, ok := c.cache.get(0, c.cur.Number, c.cfg.currencyOf); ok {
+	if _, _, _, ok := c.cache.Get(0, c.cur.Number); ok {
 		t.Error("oldest entry should have been evicted")
 	}
-	if _, ok := c.cache.get(2, c.cur.Number, c.cfg.currencyOf); !ok {
+	if _, _, _, ok := c.cache.Get(2, c.cur.Number); !ok {
 		t.Error("newest entry should be cached")
 	}
 }

@@ -4,8 +4,8 @@ package client
 // client's caching discipline so the conformance harness can prove its
 // oracle catches the breakage. Production code never touches these.
 
-// cacheSkipRevalidate, when set, disables the client's cache currency
-// enforcement: cache.get serves entries regardless of age, and the
+// cacheSkipRevalidate, when set, puts every object's currency bound out
+// of reach: the cache serves entries regardless of age, and the
 // restart/retune inventory revalidation keeps entries it should drop.
 // The conformance runner consults it through CacheSkipRevalidate so the
 // modelled cache misbehaves identically — a T-served read can then be

@@ -5,7 +5,7 @@ package client
 // down with its persistent cache on disk — records transaction intents
 // instead of failing them. When it retunes, the recovered cache
 // inventory is revalidated against the live control snapshot
-// (revalidateInventory) and the queue drains through the ordinary
+// (setCurrent) and the queue drains through the ordinary
 // transaction machinery: each read validates under the Theorem-2
 // read-condition against the stored columns or the current cycle, so
 // an intent aborts only when it genuinely fails — never merely because

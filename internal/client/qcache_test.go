@@ -2,6 +2,7 @@ package client
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"broadcastcc/internal/cmatrix"
@@ -184,12 +185,12 @@ func TestCurrencyBoundLoweredMidCycle(t *testing.T) {
 	if hits := c.Stats().CacheHits; hits != 1 {
 		t.Fatalf("read after lowering the bound hit the cache (hits=%d)", hits)
 	}
-	if c.cache.len() != 1 {
+	if c.cache.Len() != 1 {
 		// The stale entry was evicted at read time and re-cached fresh.
-		t.Fatalf("cache len = %d, want 1 (fresh re-cache)", c.cache.len())
+		t.Fatalf("cache len = %d, want 1 (fresh re-cache)", c.cache.Len())
 	}
-	if e, ok := c.cache.get(0, c.cur.Number, c.cfg.currencyOf); !ok || e.cycle != 3 {
-		t.Fatalf("re-cached entry at cycle %d, want 3", e.cycle)
+	if _, cycle, _, ok := c.cache.Get(0, c.cur.Number); !ok || cycle != 3 {
+		t.Fatalf("re-cached entry at cycle %d, want 3", cycle)
 	}
 }
 
@@ -337,5 +338,68 @@ func TestOfflineUpdateGenuineConflictAborts(t *testing.T) {
 	}
 	if got := c.obs.Counter("client_offline_aborted").Load(); got != 1 {
 		t.Fatalf("offline aborted = %d, want 1", got)
+	}
+}
+
+// TestInventoryRecoveryDeterministic: a recovered inventory larger than
+// CacheSize must keep the most recently cached entries — the same ones
+// on every open, in memory and on disk (the losers are deleted from the
+// store, so an arbitrary choice would destroy data at random).
+func TestInventoryRecoveryDeterministic(t *testing.T) {
+	const n = 8
+	srv, err := server.New(server.Config{Objects: n, ObjectBits: 64, Algorithm: protocol.FMatrix})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	for c := 0; c <= n; c++ {
+		srv.StartCycle() // every stored entry predates the cycle the client hears first
+	}
+	for round := 0; round < 20; round++ {
+		dir := t.TempDir()
+		store, err := qcache.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for obj := 0; obj < n; obj++ {
+			if err := store.Put(obj, []byte{byte(obj)}, cmatrix.Cycle(obj+1), make([]cmatrix.Cycle, n)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		store.Close()
+		if store, err = qcache.Open(dir); err != nil {
+			t.Fatal(err)
+		}
+		var hits []int
+		c := New(Config{
+			Algorithm:     protocol.FMatrix,
+			CacheCurrency: 100,
+			CacheSize:     4,
+			Store:         store,
+			ObserveRead: func(obj int, _ cmatrix.Cycle, cacheHit, _ bool) {
+				if cacheHit {
+					hits = append(hits, obj)
+				}
+			},
+		}, srv.Subscribe(1))
+		inv := store.Inventory()
+		for obj := 0; obj < n; obj++ {
+			if _, ok := inv[obj]; ok != (obj >= 4) {
+				t.Fatalf("round %d: store holds object %d = %v; want exactly {4,5,6,7} to survive", round, obj, ok)
+			}
+		}
+		c.AwaitCycle()
+		for obj := n - 1; obj >= 0; obj-- {
+			txn := c.BeginReadOnly()
+			if v, err := txn.Read(obj); err != nil || (obj >= 4 && (len(v) != 1 || v[0] != byte(obj))) {
+				t.Fatalf("round %d: read %d = %v, %v", round, obj, v, err)
+			}
+			txn.Commit()
+		}
+		if !reflect.DeepEqual(hits, []int{7, 6, 5, 4}) {
+			t.Fatalf("round %d: reads served from the recovered cache = %v, want [7 6 5 4]", round, hits)
+		}
+		c.Cancel()
+		store.Close()
 	}
 }

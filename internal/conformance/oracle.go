@@ -118,13 +118,13 @@ func CheckWorkload(w *Workload) (*Report, error) {
 	rep.Violations = append(rep.Violations, shardViolations...)
 
 	vecAt := func(c cmatrix.Cycle) protocol.Snapshot {
-		return protocol.VectorSnapshot{V: tr.snaps[c].vec}
+		return tr.snaps[c].vec
 	}
 	matAt := func(c cmatrix.Cycle) protocol.Snapshot {
-		return protocol.MatrixSnapshot{C: tr.snaps[c].mat}
+		return tr.snaps[c].mat
 	}
 	grpAt := func(c cmatrix.Cycle) protocol.Snapshot {
-		return protocol.GroupedSnapshot{MC: tr.snaps[c].grp}
+		return tr.snaps[c].grp
 	}
 	// Cached reads carry per-cycle control columns instead of whole
 	// snapshots: column j of the C matrix under F-Matrix, and the

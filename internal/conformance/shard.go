@@ -178,7 +178,7 @@ func runShard(w *Workload, tr *airTrace) ([]Violation, error) {
 			continue
 		}
 		refAccept := runValidator(&protocol.ConjunctiveValidator{}, rt.reads, func(c cmatrix.Cycle) protocol.Snapshot {
-			return protocol.MatrixSnapshot{C: snaps[c].ref}
+			return snaps[c].ref
 		})
 		shardAccept := shardVerdict(m, rt.reads, snaps)
 		if shardAccept && !refAccept {
@@ -215,7 +215,7 @@ func shardVerdict(m *shard.Mapping, reads []protocol.ReadAt, snaps []shardCycle)
 	}
 	for s, rs := range perShard {
 		if !runValidator(&protocol.ConjunctiveValidator{}, rs, func(c cmatrix.Cycle) protocol.Snapshot {
-			return protocol.MatrixSnapshot{C: snaps[c].mats[s]}
+			return snaps[c].mats[s]
 		}) {
 			return false
 		}

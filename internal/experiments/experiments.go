@@ -91,11 +91,6 @@ type Options struct {
 	// harness serializes calls, but in parallel mode lines arrive in
 	// completion order rather than sweep order.
 	Progress func(format string, args ...any)
-	// Engine selects the multi-client sim engine (sim.EngineWheel,
-	// sim.EngineLegacy, or empty for the default). The differential
-	// suite sweeps every figure under both values and asserts
-	// byte-identical output; it has no effect on single-client figures.
-	Engine string
 }
 
 func (o Options) normalized() Options {
@@ -129,7 +124,6 @@ func (o Options) baseConfig(alg protocol.Algorithm) sim.Config {
 	cfg.MeasureFrom = o.MeasureFrom
 	cfg.Seed = o.Seed
 	cfg.MaxTime = o.MaxTime
-	cfg.Engine = o.Engine
 	return cfg
 }
 

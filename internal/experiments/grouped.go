@@ -285,7 +285,7 @@ func runGroupedPass(cfg GroupedConfig, stream *groupedStream, series string, gro
 			if measured {
 				cBits.Add(wire.GroupedCycleBits(mc, 0, cfg.TimestampBits, withPartition))
 			}
-			snap = protocol.GroupedSnapshot{MC: mc}
+			snap = mc
 		}
 
 		// Clients read against the published control, then the cycle's

@@ -280,7 +280,7 @@ func (c *shardClient) step(snaps []*cmatrix.Grouped, cur cmatrix.Cycle) (committ
 	objs := c.txns[c.txn]
 	obj := objs[c.pos]
 	s := c.m.ShardOf(obj)
-	if !c.vs[s].TryRead(protocol.GroupedSnapshot{MC: snaps[s]}, c.m.Local(obj), cur) {
+	if !c.vs[s].TryRead(snaps[s], c.m.Local(obj), cur) {
 		c.reset()
 		return false, false, true
 	}

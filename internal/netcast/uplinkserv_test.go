@@ -66,6 +66,9 @@ func TestServeUplinkNetFleet(t *testing.T) {
 		}
 		defer tuner.Close()
 		clients[s] = client.New(client.Config{Algorithm: protocol.FMatrix}, tuner.Subscribe(64))
+		// A cycle stepped before the server has accepted the tuner never
+		// reaches it, and the router would wait for it forever.
+		awaitSubscribers(t, nss[s], 1)
 	}
 	up, err := DialUplink(us.Addr())
 	if err != nil {

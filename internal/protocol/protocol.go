@@ -95,41 +95,13 @@ type ReadAt struct {
 // a client. Bound(i, j) is the value the read-condition compares against
 // a prior read of object i when the transaction now reads object j:
 // C(i,j) for F-Matrix, MC(i, group(j)) for grouped matrices, V(i) for
-// the one-partition vector.
+// the one-partition vector. *cmatrix.Matrix, *cmatrix.Vector and
+// *cmatrix.Grouped implement it directly.
 type Snapshot interface {
 	// Bound returns the control entry guarding a read of object j with
 	// respect to a previous read of object i.
 	Bound(i, j int) cmatrix.Cycle
 }
-
-// VectorSnapshot adapts a control vector; it additionally exposes the
-// per-object last-write cycle that R-Matrix's second disjunct needs.
-type VectorSnapshot struct {
-	V *cmatrix.Vector
-}
-
-// Bound implements Snapshot: the vector ignores which object is being
-// read.
-func (s VectorSnapshot) Bound(i, _ int) cmatrix.Cycle { return s.V.At(i) }
-
-// LastWrite reports V(j), the last cycle a committed write hit object j.
-func (s VectorSnapshot) LastWrite(j int) cmatrix.Cycle { return s.V.At(j) }
-
-// MatrixSnapshot adapts a full C matrix.
-type MatrixSnapshot struct {
-	C *cmatrix.Matrix
-}
-
-// Bound implements Snapshot with the full-precision entry C(i, j).
-func (s MatrixSnapshot) Bound(i, j int) cmatrix.Cycle { return s.C.At(i, j) }
-
-// GroupedSnapshot adapts an n×g grouped matrix.
-type GroupedSnapshot struct {
-	MC *cmatrix.Grouped
-}
-
-// Bound implements Snapshot with MC(i, group(j)).
-func (s GroupedSnapshot) Bound(i, j int) cmatrix.Cycle { return s.MC.Bound(i, j) }
 
 // Validator validates the reads of one read-only transaction.
 // Implementations are not safe for concurrent use; each transaction
@@ -189,7 +161,8 @@ func (v *ConjunctiveValidator) Reset() { v.reads = v.reads[:0] }
 // RMatrixValidator implements R-Matrix's weakened condition
 // (∀(ob_i, cycle) ∈ R_t: V(i) < cycle) ∨ (V(j) < c_first): the
 // transaction either sees the database state at its last read or the
-// state at its first read. It requires a VectorSnapshot.
+// state at its first read. It requires a *cmatrix.Vector snapshot: the
+// disjunct needs V(j), the last cycle a committed write hit object j.
 type RMatrixValidator struct {
 	reads   []ReadAt
 	first   cmatrix.Cycle
@@ -198,9 +171,9 @@ type RMatrixValidator struct {
 
 // TryRead implements Validator.
 func (v *RMatrixValidator) TryRead(snap Snapshot, obj int, cur cmatrix.Cycle) bool {
-	vs, ok := snap.(VectorSnapshot)
+	vs, ok := snap.(*cmatrix.Vector)
 	if !ok {
-		panic(fmt.Sprintf("protocol: R-Matrix needs a VectorSnapshot, got %T", snap))
+		panic(fmt.Sprintf("protocol: R-Matrix needs a *cmatrix.Vector, got %T", snap))
 	}
 	if !v.started {
 		v.started = true
@@ -208,12 +181,12 @@ func (v *RMatrixValidator) TryRead(snap Snapshot, obj int, cur cmatrix.Cycle) bo
 	}
 	okAll := true
 	for _, r := range v.reads {
-		if violates(vs.LastWrite(r.Obj), r.Cycle) {
+		if violates(vs.At(r.Obj), r.Cycle) {
 			okAll = false
 			break
 		}
 	}
-	if !okAll && violates(vs.LastWrite(obj), v.first) {
+	if !okAll && violates(vs.At(obj), v.first) {
 		return false
 	}
 	v.reads = append(v.reads, ReadAt{Obj: obj, Cycle: cur})

@@ -59,15 +59,15 @@ func TestRMatrixNeedsVectorSnapshot(t *testing.T) {
 		}
 	}()
 	v := &RMatrixValidator{}
-	v.TryRead(MatrixSnapshot{C: cmatrix.NewMatrix(2)}, 0, 1)
+	v.TryRead(cmatrix.NewMatrix(2), 0, 1)
 }
 
 // Worked scenario: object 0 is overwritten between two reads.
 func TestDatacycleVsRMatrixOnOverwrite(t *testing.T) {
 	vec := cmatrix.NewVector(2)
-	snap1 := VectorSnapshot{V: vec.Clone()} // cycle 1 snapshot: nothing written
-	vec.Apply([]int{0}, 1)                  // a commit in cycle 1 overwrites ob0
-	snap2 := VectorSnapshot{V: vec.Clone()} // cycle 2 snapshot: V(0)=1
+	snap1 := vec.Clone()   // cycle 1 snapshot: nothing written
+	vec.Apply([]int{0}, 1) // a commit in cycle 1 overwrites ob0
+	snap2 := vec.Clone()   // cycle 2 snapshot: V(0)=1
 
 	// Datacycle: read ob0 at cycle 1, then ob1 at cycle 2 - V(0)=1 >= 1 fails.
 	d := NewValidator(Datacycle)
@@ -92,9 +92,9 @@ func TestDatacycleVsRMatrixOnOverwrite(t *testing.T) {
 	// R-Matrix must abort too.
 	r2 := NewValidator(RMatrix)
 	vec2 := cmatrix.NewVector(2)
-	s1 := VectorSnapshot{V: vec2.Clone()}
+	s1 := vec2.Clone()
 	vec2.Apply([]int{0, 1}, 1) // both overwritten during cycle 1
-	s2 := VectorSnapshot{V: vec2.Clone()}
+	s2 := vec2.Clone()
 	if !r2.TryRead(s1, 0, 1) {
 		t.Fatal("first read must succeed")
 	}
@@ -107,12 +107,12 @@ func TestDatacycleVsRMatrixOnOverwrite(t *testing.T) {
 // overwriting transaction is unrelated to what the client reads.
 func TestFMatrixIgnoresUnrelatedWriters(t *testing.T) {
 	m := cmatrix.NewMatrix(3)
-	snap1 := MatrixSnapshot{C: m.Clone()}
+	snap1 := m.Clone()
 	// Unrelated blind writer hits ob0 in cycle 1.
 	m.Apply(nil, []int{0}, 1)
 	// A writer of ob1 that does NOT depend on ob0 commits in cycle 1.
 	m.Apply(nil, []int{1}, 1)
-	snap2 := MatrixSnapshot{C: m.Clone()}
+	snap2 := m.Clone()
 
 	f := NewValidator(FMatrix)
 	if !f.TryRead(snap1, 0, 1) { // read ob0 at cycle 1 (initial value)
@@ -127,10 +127,10 @@ func TestFMatrixIgnoresUnrelatedWriters(t *testing.T) {
 	// If instead the ob1 writer had read ob0 (depends on the overwrite),
 	// F-Matrix must abort.
 	m2 := cmatrix.NewMatrix(3)
-	s1 := MatrixSnapshot{C: m2.Clone()}
+	s1 := m2.Clone()
 	m2.Apply(nil, []int{0}, 1)      // overwrite ob0 in cycle 1
 	m2.Apply([]int{0}, []int{1}, 1) // dependent writer of ob1
-	s2 := MatrixSnapshot{C: m2.Clone()}
+	s2 := m2.Clone()
 	f2 := NewValidator(FMatrix)
 	if !f2.TryRead(s1, 0, 1) {
 		t.Fatal("first read must succeed")
@@ -142,7 +142,7 @@ func TestFMatrixIgnoresUnrelatedWriters(t *testing.T) {
 
 func TestValidatorReadSetAndReset(t *testing.T) {
 	m := cmatrix.NewMatrix(2)
-	snap := MatrixSnapshot{C: m}
+	snap := m
 	v := NewValidator(FMatrix)
 	v.TryRead(snap, 0, 3)
 	v.TryRead(snap, 1, 4)
@@ -157,7 +157,7 @@ func TestValidatorReadSetAndReset(t *testing.T) {
 	}
 
 	r := &RMatrixValidator{}
-	vec := VectorSnapshot{V: cmatrix.NewVector(2)}
+	vec := cmatrix.NewVector(2)
 	r.TryRead(vec, 0, 7)
 	if c, ok := r.FirstReadCycle(); !ok || c != 7 {
 		t.Errorf("FirstReadCycle = %v, %v", c, ok)
@@ -227,12 +227,12 @@ func sortInts(xs []int) {
 }
 
 // matrixAt returns the C snapshot for the beginning of cycle c (1-based).
-func (w *world) matrixAt(c cmatrix.Cycle) MatrixSnapshot {
-	return MatrixSnapshot{C: w.snapsM[int(c)-1]}
+func (w *world) matrixAt(c cmatrix.Cycle) *cmatrix.Matrix {
+	return w.snapsM[int(c)-1]
 }
 
-func (w *world) vectorAt(c cmatrix.Cycle) VectorSnapshot {
-	return VectorSnapshot{V: w.snapsV[int(c)-1]}
+func (w *world) vectorAt(c cmatrix.Cycle) *cmatrix.Vector {
+	return w.snapsV[int(c)-1]
 }
 
 // maxCycle reports the last cycle with a snapshot.
@@ -511,7 +511,7 @@ func TestGroupedSpectrum(t *testing.T) {
 			part := cmatrix.UniformPartition(n, g)
 			v := NewValidator(Grouped)
 			for _, r := range reads {
-				snap := GroupedSnapshot{MC: cmatrix.GroupedOf(w.snapsM[int(r.Cycle)-1], part)}
+				snap := cmatrix.GroupedOf(w.snapsM[int(r.Cycle)-1], part)
 				if !v.TryRead(snap, r.Obj, r.Cycle) {
 					return false
 				}

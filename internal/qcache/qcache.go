@@ -221,13 +221,18 @@ func (s *Store) append(rec wire.CacheRecord) error {
 			return err
 		}
 	}
+	n, err := s.write(s.f, frameRecord(rec))
+	s.size += int64(n)
+	return err
+}
+
+// frameRecord encodes one record as it lies in a segment: a 4-byte
+// big-endian payload length, then the BCQ1 payload.
+func frameRecord(rec wire.CacheRecord) []byte {
 	payload := wire.EncodeCacheRecord(rec)
 	buf := make([]byte, 0, 4+len(payload))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	n, err := s.write(s.f, buf)
-	s.size += int64(n)
-	return err
+	return append(buf, payload...)
 }
 
 // write is the failpoint-aware write: under a budget it writes exactly
@@ -318,13 +323,9 @@ func (s *Store) Compact() error {
 	var size int64
 	for _, obj := range objs {
 		e := s.inv[obj]
-		payload := wire.EncodeCacheRecord(wire.CacheRecord{
+		n, err := s.write(tmp, frameRecord(wire.CacheRecord{
 			Kind: wire.CachePut, Obj: obj, Cycle: e.Cycle, Value: e.Value, Col: e.Col,
-		})
-		buf := make([]byte, 0, 4+len(payload))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-		buf = append(buf, payload...)
-		n, err := s.write(tmp, buf)
+		}))
 		size += int64(n)
 		if err != nil {
 			tmp.Close()

@@ -19,17 +19,6 @@ import (
 	"broadcastcc/internal/protocol"
 )
 
-// Engine values for Config.Engine. The empty string selects the
-// default (the event wheel).
-const (
-	// EngineWheel is the event-wheel engine: flat per-client state,
-	// pending events on a cycle-clock timing wheel.
-	EngineWheel = "wheel"
-	// EngineLegacy is the original heap-per-event engine, retained as
-	// the differential oracle for the wheel.
-	EngineLegacy = "legacy"
-)
-
 // MaxClients bounds Config.Clients. The event-wheel engine addresses
 // clients with int32 cursors and packs per-client state into flat
 // arrays sized Clients x ClientTxnLength; 4M clients keeps every index
@@ -79,30 +68,20 @@ type Config struct {
 	TimestampBits int
 
 	// Clients is the number of concurrent clients (0 or 1 = the paper's
-	// single client). With more than one client the event-driven
-	// multi-client engine runs; each client executes ClientTxns
-	// transactions and metrics are pooled (plus reported per client).
+	// single client). With more than one client the event-wheel engine
+	// (wheel.go) runs; each client executes ClientTxns transactions and
+	// metrics are pooled (plus reported per client).
 	// The client cache is not supported in multi-client mode. Bounded
 	// above by MaxClients (the event-wheel engine addresses clients with
 	// int32 cursors into flat state arrays).
 	Clients int
 
-	// Engine selects the multi-client execution engine: EngineWheel (or
-	// empty, the default) runs the event-wheel engine — clients are
-	// cursors into the shared broadcast timeline, per-client state lives
-	// in flat arrays, and pending events sit on a timing wheel keyed on
-	// the cycle clock, so 10^6 clients fit in memory. EngineLegacy runs
-	// the original heap-based engine, retained as the differential
-	// oracle: both engines produce byte-identical Results for the same
-	// Config. Single-client runs (Clients <= 1) ignore this field.
-	Engine string
-
 	// CompactRNG replaces the per-client math/rand lagged-Fibonacci
 	// source (~5 KB of state per client) with a two-word PCG stream and
 	// an allocation-free object picker. Required in practice beyond
 	// ~10^5 clients; it changes the per-client random streams (not the
-	// model), so it is incompatible with EngineLegacy and with the
-	// byte-identity guarantee against it.
+	// model), so the byte-identity with the legacy test oracle does not
+	// extend to it.
 	CompactRNG bool
 
 	// ClientTxns is the number of client transactions to run to
@@ -256,10 +235,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: Clients = %d exceeds MaxClients = %d (event-wheel client cursors are int32-indexed)", c.Clients, MaxClients)
 	case c.Clients > 1 && c.CacheCurrency > 0:
 		return fmt.Errorf("sim: the client cache is not supported in multi-client mode")
-	case c.Engine != "" && c.Engine != EngineWheel && c.Engine != EngineLegacy:
-		return fmt.Errorf("sim: Engine = %q, need %q, %q or empty", c.Engine, EngineWheel, EngineLegacy)
-	case c.CompactRNG && c.Engine == EngineLegacy:
-		return fmt.Errorf("sim: CompactRNG requires the event-wheel engine (the legacy oracle keeps the original per-client rand streams)")
 	case c.FaultLoss < 0 || c.FaultLoss >= 1:
 		return fmt.Errorf("sim: FaultLoss = %v, need [0,1) (at 1 no read ever completes)", c.FaultLoss)
 	case c.FaultDoze < 0 || c.FaultDoze >= 1:

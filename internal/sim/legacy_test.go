@@ -8,9 +8,13 @@ import (
 	"broadcastcc/internal/cmatrix"
 	"broadcastcc/internal/obs"
 	"broadcastcc/internal/protocol"
-	"broadcastcc/internal/stats"
 )
 
+// The legacy heap-per-event multi-client engine, kept as the
+// byte-identity oracle for the event wheel: sim.Run dispatches
+// Clients > 1 to the wheel only, and wheel_diff_test.go drives this
+// engine through newEngine.
+//
 // Multi-client simulation. The paper simulates a single client because
 // the protocols' read-only validation is purely local: "the performance
 // of the outlined concurrency control mechanisms for read-only
@@ -19,21 +23,6 @@ import (
 // through a global event queue — and is required once client *update*
 // transactions (our future-work extension) are in play, because uplink
 // commits from different clients genuinely interact.
-
-// ClientStats are one client's measured metrics in a multi-client run.
-type ClientStats struct {
-	ResponseTime       stats.Sample
-	Restarts           stats.Sample
-	UpdateResponseTime stats.Sample
-}
-
-// mcAction is what a client does when its event fires.
-type mcAction int
-
-const (
-	actRead   mcAction = iota // perform the scheduled validated read
-	actCommit                 // uplink commit arrives at the server
-)
 
 // mcClient is one simulated client's state machine.
 type mcClient struct {
@@ -241,31 +230,4 @@ func (e *engine) nextTxnOrStop(c *mcClient, res *Result, push func(float64, *mcC
 	e.startTxnAt(c, submit)
 	push(e.scheduleReadAt(c, submit), c)
 	return false
-}
-
-// finalizeResult fills the aggregate fields shared with the
-// single-client path.
-func (e *engine) finalizeResult(res *Result) {
-	res.CyclesSimulated = int64(e.snappedThrough)
-	res.DozedFrames = e.dozed
-	res.SimulatedTime = e.now
-	res.AuditLog = e.auditLog
-	res.CommittedReadSets = e.auditReadSets
-	// Counter fields are views over the registry — the same numbers a
-	// live run would expose on /metrics under the same names.
-	res.ServerCommits = e.cServerCommits.Load()
-	res.CacheHits = e.cCacheHits.Load()
-	res.ClientCommits = e.cClientCommits.Load()
-	res.UplinkRejects = e.cUplinkRejects.Load()
-	e.obsReg.Gauge("sim_dozed_frames").Set(e.dozed)
-	res.Obs = e.obsReg.Snapshot()
-	res.Trace = e.trace.Events()
-	if res.ResponseTime.N() >= 2 {
-		if ci, err := res.ResponseTime.ConfidenceInterval(0.95); err == nil {
-			res.ResponseCI = ci
-		}
-	}
-	if n := res.Restarts.N(); n > 0 {
-		res.RestartRatio = res.Restarts.Sum() / float64(n)
-	}
 }

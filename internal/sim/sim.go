@@ -12,6 +12,7 @@ import (
 	"broadcastcc/internal/faultair"
 	"broadcastcc/internal/obs"
 	"broadcastcc/internal/protocol"
+	"broadcastcc/internal/qcache"
 	"broadcastcc/internal/stats"
 )
 
@@ -94,6 +95,13 @@ type Result struct {
 	Trace []obs.Event
 }
 
+// ClientStats are one client's measured metrics in a multi-client run.
+type ClientStats struct {
+	ResponseTime       stats.Sample
+	Restarts           stats.Sample
+	UpdateResponseTime stats.Sample
+}
+
 // traceCapacity bounds the per-run event ring. Overflow drops the
 // oldest events deterministically, so a truncated trace is still
 // reproducible.
@@ -114,9 +122,6 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	if cfg.Clients > 1 {
-		if cfg.Engine == EngineLegacy {
-			return e.runMulti()
-		}
 		return e.runWheel()
 	}
 	return e.run()
@@ -130,12 +135,10 @@ func Run(cfg Config) (*Result, error) {
 type engine struct {
 	cfg    Config
 	layout bcast.Layout
-	rng    *rand.Rand
-	// srvRng drives server workload generation. It aliases rng in the
-	// single-client engine (preserving its exact event stream) and is a
-	// dedicated stream in the multi-client engine so client count does
-	// not perturb the server workload.
-	srvRng *rand.Rand
+	// rng drives the server workload and, in the single-client engine,
+	// the client too; multi-client engines give every client a stream
+	// of its own, so client count does not perturb the server workload.
+	rng *rand.Rand
 
 	now       float64
 	cycleBits float64
@@ -186,18 +189,14 @@ type engine struct {
 	snaps          map[cmatrix.Cycle]protocol.Snapshot
 	snappedThrough cmatrix.Cycle
 
-	// Client cache (Section 3.3), enabled by cfg.CacheCurrency > 0.
-	cache     map[int]cacheEntry
-	cacheFIFO []int
+	// Client cache (Section 3.3), enabled by cfg.CacheCurrency > 0. The
+	// simulator models no values: entries carry the caching cycle and the
+	// control column only.
+	cache *qcache.Cache
 
 	// Audit trail (cfg.Audit only).
 	auditLog      []cmatrix.Commit
 	auditReadSets [][]protocol.ReadAt
-}
-
-type cacheEntry struct {
-	cycle cmatrix.Cycle
-	snap  protocol.Snapshot
 }
 
 func newEngine(cfg Config) (*engine, error) {
@@ -264,7 +263,6 @@ func newEngine(cfg Config) (*engine, error) {
 	e.cReadAborts = e.obsReg.Counter("client_read_aborts")
 	e.cRestarts = e.obsReg.Counter("client_restarts")
 	e.hRestartsTxn = e.obsReg.Histogram("client_restarts_per_txn", obs.LinearBuckets(0, 1, 8))
-	e.srvRng = e.rng
 	if cfg.ZipfTheta > 0 {
 		e.zipf = airsched.NewZipfPicker(cfg.Objects, cfg.ZipfTheta)
 	}
@@ -277,7 +275,7 @@ func newEngine(cfg Config) (*engine, error) {
 		})
 	}
 	if cfg.ServerIntervalExponential {
-		e.nextCommitTime = e.srvExp(cfg.ServerTxnInterval)
+		e.nextCommitTime = e.exp(cfg.ServerTxnInterval)
 	}
 	switch cfg.Algorithm {
 	case protocol.FMatrix, protocol.FMatrixNo:
@@ -289,26 +287,19 @@ func newEngine(cfg Config) (*engine, error) {
 		e.vector = cmatrix.NewVector(cfg.Objects)
 	}
 	if cfg.CacheCurrency > 0 {
-		e.cache = map[int]cacheEntry{}
+		e.cache = new(qcache.Cache)
+		e.cache.Init(cfg.CacheSize, func(int) cmatrix.Cycle { return cmatrix.Cycle(cfg.CacheCurrency) }, nil, nil)
 	}
 	return e, nil
 }
 
 // exp draws an exponential variate with the given mean (0 stays 0)
-// from the client stream.
+// from the engine's stream.
 func (e *engine) exp(mean float64) float64 {
 	if mean == 0 {
 		return 0
 	}
 	return e.rng.ExpFloat64() * mean
-}
-
-// srvExp draws from the server stream.
-func (e *engine) srvExp(mean float64) float64 {
-	if mean == 0 {
-		return 0
-	}
-	return e.srvRng.ExpFloat64() * mean
 }
 
 // cycleOf reports the cycle containing time t (cycle 1 starts at 0).
@@ -339,8 +330,8 @@ func (e *engine) applyNextCommit() {
 	seenR := map[int]bool{}
 	seenW := map[int]bool{}
 	for op := 0; op < e.cfg.ServerTxnLength; op++ {
-		obj := e.srvRng.Intn(e.cfg.Objects)
-		if e.srvRng.Float64() < e.cfg.ServerReadProb {
+		obj := e.rng.Intn(e.cfg.Objects)
+		if e.rng.Float64() < e.cfg.ServerReadProb {
 			if !seenR[obj] {
 				seenR[obj] = true
 				readSet = append(readSet, obj)
@@ -359,7 +350,7 @@ func (e *engine) applyNextCommit() {
 		})
 	}
 	if e.cfg.ServerIntervalExponential {
-		e.nextCommitTime += e.srvExp(e.cfg.ServerTxnInterval)
+		e.nextCommitTime += e.exp(e.cfg.ServerTxnInterval)
 	} else {
 		e.nextCommitTime += e.cfg.ServerTxnInterval
 	}
@@ -419,49 +410,12 @@ func (e *engine) ensureSnapshot(c cmatrix.Cycle) {
 func (e *engine) snapshot() protocol.Snapshot {
 	switch e.cfg.Algorithm {
 	case protocol.FMatrix, protocol.FMatrixNo:
-		return protocol.MatrixSnapshot{C: e.matrix.Snapshot()}
+		return e.matrix.Snapshot()
 	case protocol.Grouped:
-		return protocol.GroupedSnapshot{MC: e.grouped.Grouped()}
+		return e.grouped.Grouped()
 	default:
-		return protocol.VectorSnapshot{V: e.vector.Clone()}
+		return e.vector.Clone()
 	}
-}
-
-// cacheGet serves obj from the cache if present and fresh at time t.
-func (e *engine) cacheGet(obj int, t float64) (cacheEntry, bool) {
-	if e.cache == nil {
-		return cacheEntry{}, false
-	}
-	entry, ok := e.cache[obj]
-	if !ok {
-		return cacheEntry{}, false
-	}
-	if int64(e.cycleOf(t)-entry.cycle) > e.cfg.CacheCurrency {
-		delete(e.cache, obj) // local invalidation, no communication
-		return cacheEntry{}, false
-	}
-	return entry, true
-}
-
-func (e *engine) cachePut(obj int, entry cacheEntry) {
-	if e.cache == nil {
-		return
-	}
-	if _, exists := e.cache[obj]; !exists {
-		if e.cfg.CacheSize > 0 && len(e.cache) >= e.cfg.CacheSize {
-			// FIFO eviction.
-			for len(e.cacheFIFO) > 0 {
-				victim := e.cacheFIFO[0]
-				e.cacheFIFO = e.cacheFIFO[1:]
-				if _, ok := e.cache[victim]; ok {
-					delete(e.cache, victim)
-					break
-				}
-			}
-		}
-		e.cacheFIFO = append(e.cacheFIFO, obj)
-	}
-	e.cache[obj] = entry
 }
 
 // run executes the client workload to completion.
@@ -473,7 +427,7 @@ func (e *engine) run() (*Result, error) {
 	for txn := 0; txn < cfg.ClientTxns; txn++ {
 		// Distinct objects, fixed across restarts: the same transaction
 		// program re-executes after an abort.
-		objs := e.pickObjects()
+		objs := e.pickObjectsFrom(e.rng)
 		isUpdate := cfg.ClientUpdateProb > 0 && e.rng.Float64() < cfg.ClientUpdateProb
 		writes := 0
 		if isUpdate {
@@ -519,7 +473,7 @@ func (e *engine) run() (*Result, error) {
 			// entries, or a long currency bound could starve it.
 			if e.cache != nil {
 				for _, j := range objs {
-					delete(e.cache, j)
+					e.cache.Remove(j)
 				}
 			}
 			e.now += cfg.RestartDelay
@@ -553,10 +507,8 @@ func (e *engine) run() (*Result, error) {
 	return res, nil
 }
 
-// pickObjects draws the transaction's distinct object set, skewed to
+// pickObjectsFrom draws a transaction's distinct object set, skewed to
 // the hot set when HotAccessProb is set.
-func (e *engine) pickObjects() []int { return e.pickObjectsFrom(e.rng) }
-
 func (e *engine) pickObjectsFrom(rng *rand.Rand) []int {
 	cfg := e.cfg
 	if e.zipf != nil {
@@ -685,13 +637,16 @@ func (e *engine) newValidator() protocol.Validator {
 // to come around on the broadcast. It reports whether the read passed
 // validation.
 func (e *engine) performRead(v protocol.Validator, j int) (bool, error) {
-	if entry, ok := e.cacheGet(j, e.now); ok {
-		e.cCacheHits.Inc()
-		ok := v.TryRead(entry.snap, j, entry.cycle)
-		// Cache hits are stamped frame -1: the value never crossed the
-		// air during this transaction.
-		e.recordRead(0, entry.cycle, -1, j, ok)
-		return ok, nil
+	if e.cache != nil {
+		// A stale entry is invalidated locally, no communication.
+		if _, cycle, snap, ok := e.cache.Get(j, e.cycleOf(e.now)); ok {
+			e.cCacheHits.Inc()
+			ok := v.TryRead(snap, j, cycle)
+			// Cache hits are stamped frame -1: the value never crossed the
+			// air during this transaction.
+			e.recordRead(0, cycle, -1, j, ok)
+			return ok, nil
+		}
 	}
 	var readTime float64
 	var cycle cmatrix.Cycle
@@ -725,17 +680,13 @@ func (e *engine) performRead(v protocol.Validator, j int) (bool, error) {
 		return false, fmt.Errorf("sim: internal error: no snapshot for cycle %d", cycle)
 	}
 	if e.cache != nil {
-		col := protocol.ColumnOf(snap, j, e.cfg.Objects)
-		ok := v.TryRead(col, j, cycle)
-		e.recordRead(0, cycle, 0, j, ok)
-		if !ok {
-			return false, nil
-		}
-		e.cachePut(j, cacheEntry{cycle: cycle, snap: col})
-		return true, nil
+		snap = protocol.ColumnOf(snap, j, e.cfg.Objects)
 	}
 	ok := v.TryRead(snap, j, cycle)
 	e.recordRead(0, cycle, 0, j, ok)
+	if ok && e.cache != nil {
+		e.cache.Put(j, nil, cycle, snap)
+	}
 	return ok, nil
 }
 
@@ -748,5 +699,31 @@ func (e *engine) recordRead(actor int32, cycle cmatrix.Cycle, frame int32, obj i
 	} else {
 		e.cReadAborts.Inc()
 		e.trace.Emit(obs.EvReadAbort, actor, int64(cycle), frame, int64(obj))
+	}
+}
+
+// finalizeResult fills the aggregate fields every engine shares.
+func (e *engine) finalizeResult(res *Result) {
+	res.CyclesSimulated = int64(e.snappedThrough)
+	res.DozedFrames = e.dozed
+	res.SimulatedTime = e.now
+	res.AuditLog = e.auditLog
+	res.CommittedReadSets = e.auditReadSets
+	// Counter fields are views over the registry — the same numbers a
+	// live run would expose on /metrics under the same names.
+	res.ServerCommits = e.cServerCommits.Load()
+	res.CacheHits = e.cCacheHits.Load()
+	res.ClientCommits = e.cClientCommits.Load()
+	res.UplinkRejects = e.cUplinkRejects.Load()
+	e.obsReg.Gauge("sim_dozed_frames").Set(e.dozed)
+	res.Obs = e.obsReg.Snapshot()
+	res.Trace = e.trace.Events()
+	if res.ResponseTime.N() >= 2 {
+		if ci, err := res.ResponseTime.ConfidenceInterval(0.95); err == nil {
+			res.ResponseCI = ci
+		}
+	}
+	if n := res.Restarts.N(); n > 0 {
+		res.RestartRatio = res.Restarts.Sum() / float64(n)
 	}
 }

@@ -18,11 +18,19 @@ import (
 // arrival — sits on a timing wheel keyed on the cycle clock. At 10^6
 // clients the whole simulation state is a handful of large slices.
 //
-// The engine is an exact behavioural mirror of runMulti (multi.go): the
-// same per-client rand streams consumed in the same order, the same
+// The engine is an exact behavioural mirror of the legacy heap engine,
+// which survives as the test-only differential oracle (legacy_test.go):
+// the same per-client rand streams consumed in the same order, the same
 // trace emissions, the same (time, seq) global event order. Result is
-// byte-identical between the two for any Config both accept; multi.go
-// stays behind Config.Engine = EngineLegacy as the differential oracle.
+// byte-identical between the two for any Config both accept.
+
+// mcAction is what a client does when its event fires.
+type mcAction int
+
+const (
+	actRead   mcAction = iota // perform the scheduled validated read
+	actCommit                 // uplink commit arrives at the server
+)
 
 // wheelSlots is the ring horizon in broadcast cycles. Client events are
 // think-time draws (mean ~ a fraction of a cycle) and uplink latencies,

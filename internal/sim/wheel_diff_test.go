@@ -18,30 +18,31 @@ import (
 // snapshot, same trace, same per-client stats — for every multi-client
 // configuration both engines accept.
 
-// runBothEngines executes the same config under both engines.
+// runBothEngines executes the same config under both engines: the
+// legacy oracle (legacy_test.go) on an engine of its own, the wheel
+// through Run as production reaches it.
 func runBothEngines(t *testing.T, cfg Config) (legacy, wheel *Result) {
 	t.Helper()
-	lc := cfg
-	lc.Engine = EngineLegacy
-	legacy, err := Run(lc)
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	e, err := newEngine(cfg)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if legacy, err = e.runMulti(); err != nil {
 		t.Fatalf("legacy engine: %v", err)
 	}
-	wc := cfg
-	wc.Engine = EngineWheel
-	wheel, err = Run(wc)
-	if err != nil {
+	if wheel, err = Run(cfg); err != nil {
 		t.Fatalf("wheel engine: %v", err)
 	}
 	return legacy, wheel
 }
 
-// mustEqualResults asserts byte-identity between two Results modulo the
-// Engine field of the embedded Config.
+// mustEqualResults asserts byte-identity between two Results.
 func mustEqualResults(t *testing.T, legacy, wheel *Result) {
 	t.Helper()
 	l, w := *legacy, *wheel
-	l.Config.Engine, w.Config.Engine = "", ""
 
 	// The obs snapshots marshal deterministically; compare the exact
 	// bytes a /metrics endpoint (or an embedded BENCH table) would show.
@@ -83,6 +84,25 @@ func wheelDiffConfigs() map[string]Config {
 			cfg.ClientTxns = 40
 			cfg.MeasureFrom = 10
 			cfgs[fmt.Sprintf("%v/clients=%d", alg, n)] = cfg
+		}
+	}
+
+	// The same figure exactly as experiments.ClientCountAblation shapes
+	// it — Table 1 defaults, ClientTxns = max(Txns/x, 40), MeasureFrom =
+	// ClientTxns/4 — at Txns 40 (every x runs 40) and at Txns 320, where
+	// the per-client count actually scales with x.
+	for _, alg := range []protocol.Algorithm{protocol.Datacycle, protocol.RMatrix, protocol.FMatrix, protocol.FMatrixNo} {
+		for _, txns := range []int{40, 320} {
+			for _, x := range []int{2, 4, 8} {
+				cfg := DefaultConfig()
+				cfg.Algorithm = alg
+				cfg.Seed = 7
+				cfg.MaxTime = 5e11
+				cfg.Clients = x
+				cfg.ClientTxns = max(txns/x, 40)
+				cfg.MeasureFrom = cfg.ClientTxns / 4
+				cfgs[fmt.Sprintf("figure/%v/txns=%d/clients=%d", alg, txns, x)] = cfg
+			}
 		}
 	}
 
@@ -198,7 +218,6 @@ func TestWheelDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	cfg.MeasureFrom = 10
 	cfg.FaultLoss = 0.15
 	cfg.FaultSeed = 5
-	cfg.Engine = EngineWheel
 
 	prev := runtime.GOMAXPROCS(1)
 	one, err := Run(cfg)
@@ -267,8 +286,6 @@ func TestClientsAndEngineBoundsValidation(t *testing.T) {
 	}{
 		{"negative clients", func(c *Config) { c.Clients = -1 }, "Clients"},
 		{"clients overflow", func(c *Config) { c.Clients = MaxClients + 1 }, "MaxClients"},
-		{"unknown engine", func(c *Config) { c.Clients = 2; c.Engine = "turbine" }, "Engine"},
-		{"compact rng on legacy", func(c *Config) { c.Clients = 2; c.Engine = EngineLegacy; c.CompactRNG = true }, "CompactRNG"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

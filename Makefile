@@ -44,22 +44,17 @@ verify: build test race
 conform:
 	$(GO) run ./cmd/bcconform -soak 10000
 
-# Short native-fuzzing pass over every fuzz target (parser, wire codec,
-# program-mode index/bucket frames, acceptance lattice); CI runs this on
-# each push.
+# Short native-fuzzing pass over every fuzz target in the module (parser,
+# wire codecs, acceptance lattice, trace codec, datagram codec and
+# filter): 30 s each. The targets are whatever `go test -list` finds, so
+# a new one cannot be left out; CI runs this on each push.
 fuzz-smoke:
-	$(GO) test ./internal/history/ -run '^$$' -fuzz FuzzParse -fuzztime 30s
-	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzDecodeCycle -fuzztime 30s
-	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzDecodeFrames -fuzztime 30s
-	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzGroupedColumnCodec -fuzztime 30s
-	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzShardFrameCodec -fuzztime 30s
-	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzCacheRecordCodec -fuzztime 30s
-	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzSubsetSubscribeFrame -fuzztime 30s
-	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzDecodeSubsetCycle -fuzztime 30s
-	$(GO) test ./internal/conformance/ -run '^$$' -fuzz FuzzAcceptanceLattice -fuzztime 30s
-	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzTraceCodec -fuzztime 30s
-	$(GO) test ./internal/dgram/ -run '^$$' -fuzz FuzzDatagramCodec -fuzztime 30s
-	$(GO) test ./internal/dgram/ -run '^$$' -fuzz FuzzIngressFilter -fuzztime 30s
+	@for pkg in $$(grep -rl --include='*_test.go' '^func Fuzz' . | xargs -n1 dirname | sort -u); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "== $$pkg $$target"; \
+			$(GO) test $$pkg -run '^$$' -fuzz "^$$target\$$" -fuzztime 30s || exit 1; \
+		done; \
+	done
 
 # Micro-benchmarks only (matrix apply/snapshot, wire codec, validator).
 bench:

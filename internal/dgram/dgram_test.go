@@ -2,8 +2,11 @@ package dgram
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
 	"broadcastcc/internal/obs"
@@ -378,5 +381,20 @@ func TestSimTapOverflowIsGenuineNonReceive(t *testing.T) {
 	}
 	if n != 4 {
 		t.Fatalf("drained %d packets from a 4-packet buffer", n)
+	}
+}
+
+// TestGoldenPacket is the datagram byte-identity oracle:
+// testdata/packet.golden holds this packet as PR 13's encoder produced
+// it, except for the magic in bytes 0-3, which PR 14 renamed.
+func TestGoldenPacket(t *testing.T) {
+	region := encodeShardRegion(42, 3, 9000, 2800, []byte("payload"))
+	got := hex.EncodeToString(encodePacket(false, 7, 12345, 99, 2, 4, 2, region))
+	raw, err := os.ReadFile("testdata/packet.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.TrimSpace(string(raw)); got != want {
+		t.Errorf("packet changed on the wire:\n got %s\nwant %s", got, want)
 	}
 }

@@ -19,10 +19,7 @@ import "encoding/binary"
 // the first few comparisons. Filter never allocates and shares no
 // state, so any number of receive loops can call it concurrently.
 func Filter(pkt []byte, channel uint32) bool {
-	if len(pkt) < headerLen {
-		return false
-	}
-	if [4]byte(pkt[0:4]) != Magic || pkt[4] != Version {
+	if !hasHeader(pkt) {
 		return false
 	}
 	if len(pkt) != headerLen+int(binary.BigEndian.Uint16(pkt[37:39])) {

@@ -8,7 +8,7 @@ import (
 // Datagram layout (all multi-byte integers big-endian):
 //
 //	offset  field
-//	0       magic     4 bytes  "BCD1"
+//	0       magic     4 bytes  "BCK1"
 //	4       version   1 byte   packet-format version (currently 1)
 //	5       hash      8 bytes  header hash over bytes [13, end) — the
 //	                           stateless ingress filter's check word
@@ -39,8 +39,9 @@ import (
 // frameSeq, offset) along with its payload, and the receiver needs no
 // side channel to re-home repaired data.
 
-// Magic identifies a broadcast datagram.
-var Magic = [4]byte{'B', 'C', 'D', '1'}
+// Magic identifies a broadcast datagram. It was "BCD1", the cycle-delta
+// frame's magic, until PR 14; packets under the old magic are rejected.
+var Magic = [4]byte{'B', 'C', 'K', '1'}
 
 // Version is the current packet-format version.
 const Version = 1
@@ -123,19 +124,19 @@ func encodePacket(repair bool, channel uint32, pktSeq, group uint64, gIdx, gData
 	return pkt
 }
 
+// hasHeader is the one place the magic is compared: pkt is long enough
+// for a header and opens with the magic and the version.
+func hasHeader(pkt []byte) bool {
+	return len(pkt) >= headerLen && [4]byte(pkt[0:4]) == Magic && pkt[4] == Version
+}
+
 // decodeHeader parses a datagram that already passed Filter. It still
 // re-validates the structural fields the filter does not look at, so it
 // is safe on arbitrary input too.
 func decodeHeader(pkt []byte) (header, error) {
 	var h header
-	if len(pkt) < headerLen {
-		return h, fmt.Errorf("dgram: packet of %d bytes is shorter than the %d-byte header", len(pkt), headerLen)
-	}
-	if [4]byte(pkt[0:4]) != Magic {
-		return h, fmt.Errorf("dgram: bad magic %q", pkt[0:4])
-	}
-	if pkt[4] != Version {
-		return h, fmt.Errorf("dgram: packet version %d, this build speaks %d", pkt[4], Version)
+	if !hasHeader(pkt) {
+		return h, fmt.Errorf("dgram: %d-byte packet does not open with a %d-byte version-%d %q header", len(pkt), headerLen, Version, Magic[:])
 	}
 	if pkt[13]&^flagRepair != 0 {
 		return h, fmt.Errorf("dgram: unknown flags %#x", pkt[13])

@@ -1,6 +1,7 @@
 package netcast
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -46,12 +47,12 @@ func NewFrameDecoder() *FrameDecoder {
 // Decode consumes one wire frame, returning a completed cycle when the
 // frame finished one.
 func (d *FrameDecoder) Decode(frame []byte) (*bcast.CycleBroadcast, error) {
-	if wire.IsIndexFrame(frame) || wire.IsBucketFrame(frame) {
+	switch kind := wire.KindOf(frame); kind {
+	case wire.KindIndex, wire.KindBucket:
 		// Program-mode stream: reassemble whole cycles from the index
 		// and bucket frames.
 		return d.asm.feed(frame)
-	}
-	if wire.IsGroupedFrame(frame) {
+	case wire.KindGrouped:
 		cb, epoch, err := wire.DecodeGroupedCycle(frame, d.lastPart, d.lastEpoch)
 		if err != nil {
 			// Tuned in mid-stream, or the partition moved while a frame
@@ -61,8 +62,7 @@ func (d *FrameDecoder) Decode(frame []byte) (*bcast.CycleBroadcast, error) {
 		}
 		d.lastPart, d.lastEpoch = cb.Grouped.Part(), epoch
 		return cb, nil
-	}
-	if wire.IsDeltaFrame(frame) {
+	case wire.KindDelta:
 		if d.last == nil {
 			return nil, nil // tuned in mid-stream: wait for the next full frame
 		}
@@ -75,27 +75,25 @@ func (d *FrameDecoder) Decode(frame []byte) (*bcast.CycleBroadcast, error) {
 		}
 		d.last = cb
 		return cb, nil
-	}
-	if wire.IsSubsetFrame(frame) {
+	case wire.KindSubset:
 		sc, err := wire.DecodeSubsetCycle(frame)
-		if err != nil {
-			return nil, err
-		}
-		cb, err := sc.Broadcast()
 		if err != nil {
 			return nil, err
 		}
 		// A subset view cannot seed a delta chain: its unsubscribed
 		// columns are poison, not state.
 		d.last = nil
+		return sc.Broadcast()
+	case wire.KindCycle:
+		cb, err := wire.DecodeCycle(frame)
+		if err != nil {
+			return nil, err
+		}
+		d.last = cb
 		return cb, nil
+	default:
+		return nil, fmt.Errorf("netcast: %v frame on the broadcast stream", kind)
 	}
-	cb, err := wire.DecodeCycle(frame)
-	if err != nil {
-		return nil, err
-	}
-	d.last = cb
-	return cb, nil
 }
 
 // AttachDatagram makes every subsequent Step also broadcast the cycle's

@@ -22,24 +22,6 @@ import (
 // a full refresh every Options.RefreshEvery occurrences so late tuners
 // and clients that missed frames can resynchronize.
 
-// column extracts the control column transmitted with object obj.
-func column(cb *bcast.CycleBroadcast, obj int) []cmatrix.Cycle {
-	switch {
-	case cb.Matrix != nil:
-		return cb.Matrix.Column(obj)
-	case cb.Vector != nil:
-		return []cmatrix.Cycle{cb.Vector.At(obj)}
-	case cb.Grouped != nil:
-		col := make([]cmatrix.Cycle, cb.Layout.Groups)
-		for g := range col {
-			col[g] = cb.Grouped.At(obj, g)
-		}
-		return col
-	default:
-		return nil
-	}
-}
-
 // encodeProgram encodes one major cycle of the broadcast program as its
 // individual frames and accounts them as full or delta payload.
 func (s *Server) encodeProgram(cb *bcast.CycleBroadcast) ([][]byte, error) {
@@ -69,7 +51,10 @@ func (s *Server) encodeProgram(cb *bcast.CycleBroadcast) ([][]byte, error) {
 		case airsched.FrameData:
 			obj := f.Obj
 			s.seqs[obj]++
-			col := column(cb, obj)
+			col, cerr := wire.Column(cb, obj, nil)
+			if cerr != nil {
+				return nil, cerr
+			}
 			var prev []cmatrix.Cycle
 			if s.opts.RefreshEvery > 0 && (s.seqs[obj]-1)%uint32(s.opts.RefreshEvery) != 0 {
 				prev = s.prevCols[obj]
@@ -173,7 +158,8 @@ func (a *assembler) begin(number cmatrix.Cycle, layout bcast.Layout) {
 // feed consumes one program-mode frame, returning a completed cycle
 // when this frame finished one.
 func (a *assembler) feed(frame []byte) (*bcast.CycleBroadcast, error) {
-	if wire.IsIndexFrame(frame) {
+	switch kind := wire.KindOf(frame); kind {
+	case wire.KindIndex:
 		idx, err := wire.DecodeIndexFrame(frame)
 		if err != nil {
 			return nil, err
@@ -182,6 +168,9 @@ func (a *assembler) feed(frame []byte) (*bcast.CycleBroadcast, error) {
 			a.indexM = idx.M
 		}
 		return nil, nil
+	case wire.KindBucket:
+	default:
+		return nil, fmt.Errorf("netcast: %v frame in a program-mode stream", kind)
 	}
 	b, err := a.chain.decode(frame)
 	if errors.Is(err, errBrokenChain) {
@@ -371,7 +360,8 @@ func (t *SelectiveTuner) ReadObject(obj int) (*wire.Bucket, error) {
 		if err != nil {
 			return nil, err
 		}
-		if wire.IsBucketFrame(frame) {
+		switch wire.KindOf(frame) {
+		case wire.KindBucket:
 			b, derr := t.chain.decode(frame)
 			if derr == nil && b.Obj == obj {
 				return b, nil // lucky probe
@@ -388,11 +378,12 @@ func (t *SelectiveTuner) ReadObject(obj int) (*wire.Bucket, error) {
 			if frame, err = t.listen(nextIndex - 1); err != nil {
 				return nil, err
 			}
-			if !wire.IsIndexFrame(frame) {
+			if wire.KindOf(frame) != wire.KindIndex {
 				t.misses.Add(1) // lost sync with the schedule
 				continue
 			}
-		} else if !wire.IsIndexFrame(frame) {
+		case wire.KindIndex:
+		default:
 			return nil, fmt.Errorf("netcast: selective tuning requires a program-mode stream, got frame %q", frame[:min(4, len(frame))])
 		}
 		idx, err := wire.DecodeIndexFrame(frame)
@@ -406,7 +397,7 @@ func (t *SelectiveTuner) ReadObject(obj int) (*wire.Bucket, error) {
 		if frame, err = t.listen(idx.Offsets[obj] - 1); err != nil {
 			return nil, err
 		}
-		if !wire.IsBucketFrame(frame) {
+		if wire.KindOf(frame) != wire.KindBucket {
 			t.misses.Add(1)
 			continue
 		}

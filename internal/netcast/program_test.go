@@ -133,7 +133,7 @@ func TestProgramRebroadcastColumnsIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if wire.IsIndexFrame(frame) {
+			if wire.KindOf(frame) == wire.KindIndex {
 				continue
 			}
 			_, obj, seq, delta, _, err := wire.BucketInfo(frame)

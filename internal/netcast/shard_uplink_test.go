@@ -6,6 +6,7 @@ import (
 
 	"broadcastcc/internal/protocol"
 	"broadcastcc/internal/server"
+	"broadcastcc/internal/wire"
 )
 
 // TestUplinkShardDispatch drives both shots of the cross-shard commit
@@ -58,6 +59,38 @@ func TestUplinkShardDispatch(t *testing.T) {
 	// Serve's uplink is the one UplinkServer loop, so the two-shot frames
 	// are counted like any other request: prepare, two decisions, submit.
 	if got := ns.Obs().Counter("netcast_uplink_requests").Load(); got != 4 {
-		t.Fatalf("netcast_uplink_requests = %d after BCP1+BCD1+BCD1+BCU1, want 4", got)
+		t.Fatalf("netcast_uplink_requests = %d after BCP1+BCT1+BCT1+BCU1, want 4", got)
+	}
+}
+
+// TestStrayFramesRejectedAsWrongKind: until PR 14 the decision frame and
+// the cycle-delta frame were both "BCD1", told apart only by the socket
+// they arrived on. Each is now refused by the other channel's dispatch
+// for what it is, before any decoder sees it.
+func TestStrayFramesRejectedAsWrongKind(t *testing.T) {
+	_, err := NewFrameDecoder().Decode(wire.EncodeDecision(7, true))
+	if err == nil || !strings.Contains(err.Error(), "decision frame on the broadcast stream") {
+		t.Fatalf("decision frame fed to the frame decoder: %v", err)
+	}
+
+	bsrv, err := server.New(server.Config{Objects: 4, ObjectBits: 64, Algorithm: protocol.FMatrix})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bsrv.Close()
+	prev := bsrv.StartCycle()
+	if err := bsrv.SubmitUpdate(protocol.UpdateRequest{Writes: []protocol.ObjectWrite{{Obj: 1, Value: []byte("v")}}}); err != nil {
+		t.Fatal(err)
+	}
+	delta, err := wire.EncodeCycleDelta(prev, bsrv.StartCycle())
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := &UplinkServer{uplink: bsrv} // a participant: it would act on a decision
+	if err := u.dispatch(delta); err == nil || !strings.Contains(err.Error(), "cycle-delta frame on the uplink") {
+		t.Fatalf("cycle-delta frame fed to the uplink dispatch: %v", err)
+	}
+	if err := u.dispatch(nil); err == nil || !strings.Contains(err.Error(), "unknown frame on the uplink") {
+		t.Fatalf("empty frame fed to the uplink dispatch: %v", err)
 	}
 }

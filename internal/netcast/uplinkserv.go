@@ -2,6 +2,7 @@ package netcast
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -19,7 +20,7 @@ type participant interface {
 	DecideUpdate(token uint64, commit bool) error
 }
 
-// ErrNotParticipant rejects a BCP1/BCD1 frame sent to an uplink whose
+// ErrNotParticipant rejects a BCP1/BCT1 frame sent to an uplink whose
 // handler only implements the single-shot submit — e.g. a fleet
 // coordinator port, which *originates* two-shot traffic toward the
 // shards and never accepts it.
@@ -27,7 +28,7 @@ var ErrNotParticipant = errors.New("netcast: uplink handler does not accept two-
 
 // UplinkServer serves an uplink port over any protocol.Uplink. It is the
 // package's one uplink loop: Serve runs one in front of its broadcast
-// server (a participant, so the BCP1/BCD1 shots of the cross-shard
+// server (a participant, so the BCP1/BCT1 shots of the cross-shard
 // two-shot commit travel over the same scarce connection clients use),
 // and a sharded deployment runs a bare one as the coordinator endpoint —
 // clients (Routers) assemble update transactions in global object ids
@@ -145,36 +146,34 @@ func (u *UplinkServer) serve(conn net.Conn) {
 }
 
 // dispatch decodes and executes one uplink frame, multiplexing the
-// three frame kinds by magic: BCU1 submissions always, the BCP1/BCD1
+// three frame kinds by magic: BCU1 submissions always, the BCP1/BCT1
 // shots only when the handler is a participant.
 func (u *UplinkServer) dispatch(frame []byte) error {
-	if len(frame) >= 4 {
-		switch [4]byte(frame[0:4]) {
-		case wire.PrepareMagic:
-			p, ok := u.uplink.(participant)
-			if !ok {
-				return ErrNotParticipant
-			}
+	switch kind := wire.KindOf(frame); kind {
+	case wire.KindUpdate:
+		req, err := wire.DecodeUpdateRequest(frame)
+		if err != nil {
+			return err
+		}
+		return u.uplink.SubmitUpdate(req)
+	case wire.KindPrepare, wire.KindDecision:
+		p, ok := u.uplink.(participant)
+		if !ok {
+			return ErrNotParticipant
+		}
+		if kind == wire.KindPrepare {
 			token, req, remote, err := wire.DecodePrepare(frame)
 			if err != nil {
 				return err
 			}
 			return p.PrepareUpdate(token, req, remote)
-		case wire.DecisionMagic:
-			p, ok := u.uplink.(participant)
-			if !ok {
-				return ErrNotParticipant
-			}
-			token, commit, err := wire.DecodeDecision(frame)
-			if err != nil {
-				return err
-			}
-			return p.DecideUpdate(token, commit)
 		}
+		token, commit, err := wire.DecodeDecision(frame)
+		if err != nil {
+			return err
+		}
+		return p.DecideUpdate(token, commit)
+	default:
+		return fmt.Errorf("netcast: %v frame on the uplink", kind)
 	}
-	req, err := wire.DecodeUpdateRequest(frame)
-	if err != nil {
-		return err
-	}
-	return u.uplink.SubmitUpdate(req)
 }

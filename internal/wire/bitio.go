@@ -58,9 +58,6 @@ func (w *BitWriter) Align() {
 	}
 }
 
-// Bits reports the number of bits written (before any final padding).
-func (w *BitWriter) Bits() int { return w.nbit }
-
 // Bytes returns the packed buffer.
 func (w *BitWriter) Bytes() []byte { return w.buf }
 
@@ -110,9 +107,6 @@ func (r *BitReader) Align() {
 		r.nbit += 8 - rem
 	}
 }
-
-// Bits reports the number of bits consumed.
-func (r *BitReader) Bits() int { return r.nbit }
 
 // Remaining reports the number of unread bits.
 func (r *BitReader) Remaining() int { return len(r.buf)*8 - r.nbit }

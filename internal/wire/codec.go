@@ -1,0 +1,294 @@
+package wire
+
+import (
+	"encoding/binary"
+	"fmt"
+
+	"broadcastcc/internal/bcast"
+	"broadcastcc/internal/cmatrix"
+)
+
+// This file is what every frame kind shares: the frame-kind table (the
+// only place magic bytes are compared), the header guards, and the
+// codec of the air format's one atom — an object's value slot followed
+// by its control column of wrapped TS-bit timestamps (Section 3.2.1;
+// the grouped row of Section 3.2.2 and the cached column of Section 3.3
+// are the same atom at other widths).
+
+// Kind names a frame kind. Every frame on a socket or in a cache
+// segment opens with its kind's magic; update replies alone carry none.
+type Kind int
+
+// The frame kinds, in the order of the table below.
+const (
+	KindUnknown         Kind = iota // no magic from the table
+	KindCycle                       // BCC1, broadcast: one whole cycle
+	KindDelta                       // BCD1, broadcast: a cycle as a delta over the previous one
+	KindGrouped                     // BCG1, broadcast: a cycle under sparse grouped control
+	KindIndex                       // BCI1, broadcast: a (1,m) air-index segment
+	KindBucket                      // BCB1, broadcast: one program-mode data slot
+	KindCacheRecord                 // BCQ1, disk: one persistent cache mutation
+	KindSubsetSubscribe             // BCQ2, broadcast socket, client to server: a subset filter
+	KindSubset                      // BCQ3, broadcast: a cycle restricted to a subset
+	KindUpdate                      // BCU1, uplink: an update transaction
+	KindPrepare                     // BCP1, uplink: shot one of the cross-shard commit
+	KindDecision                    // BCT1, uplink: shot two
+)
+
+// kinds is the frame-kind table. No two kinds share a magic (dgram's
+// packet magic included, see TestMagicsUnique): the decision frame was
+// "BCD1" like the cycle delta until PR 14 and is rejected under that
+// magic now.
+var kinds = [...]struct {
+	magic   [4]byte
+	name    string
+	header  int  // the shortest prefix a decoder may index
+	version byte // expected at byte 4; 0 when the kind carries no version
+}{
+	KindUnknown:         {name: "unknown"},
+	KindCycle:           {[4]byte{'B', 'C', 'C', '1'}, "cycle", headerBytes, 0},
+	KindDelta:           {[4]byte{'B', 'C', 'D', '1'}, "cycle-delta", deltaHeaderBytes, 0},
+	KindGrouped:         {[4]byte{'B', 'C', 'G', '1'}, "grouped-cycle", groupedHeaderBytes, 0},
+	KindIndex:           {[4]byte{'B', 'C', 'I', '1'}, "index", indexHeaderBytes, FrameVersion},
+	KindBucket:          {[4]byte{'B', 'C', 'B', '1'}, "bucket", bucketHeaderBytes, FrameVersion},
+	KindCacheRecord:     {[4]byte{'B', 'C', 'Q', '1'}, "cache-record", cacheRecordMinBytes, CacheRecordVersion},
+	KindSubsetSubscribe: {[4]byte{'B', 'C', 'Q', '2'}, "subset-subscribe", subscribeHeaderBytes, 0},
+	KindSubset:          {[4]byte{'B', 'C', 'Q', '3'}, "subset-cycle", subsetHeaderBytes, 0},
+	KindUpdate:          {[4]byte{'B', 'C', 'U', '1'}, "update", updateHeaderBytes, 0},
+	KindPrepare:         {[4]byte{'B', 'C', 'P', '1'}, "prepare", shotBytes, 0},
+	KindDecision:        {[4]byte{'B', 'C', 'T', '1'}, "decision", shotBytes, 0},
+}
+
+// KindOf classifies a frame by its magic.
+func KindOf(frame []byte) Kind {
+	if len(frame) >= 4 {
+		magic := [4]byte(frame[0:4])
+		for k := KindCycle; int(k) < len(kinds); k++ {
+			if kinds[k].magic == magic {
+				return k
+			}
+		}
+	}
+	return KindUnknown
+}
+
+// String names the kind for error messages.
+func (k Kind) String() string { return kinds[k].name }
+
+func (k Kind) magic() []byte { return kinds[k].magic[:] }
+
+// begin stamps the kind's magic and version on a filled-in header and
+// returns a writer that holds it.
+func (k Kind) begin(hdr []byte) *BitWriter {
+	copy(hdr, k.magic())
+	if v := kinds[k].version; v != 0 {
+		hdr[4] = v
+	}
+	w := NewBitWriter()
+	w.WriteBytes(hdr)
+	return w
+}
+
+// check is the guard every decoder opens with: the buffer reaches the
+// end of the kind's header, and carries its magic and version.
+func (k Kind) check(data []byte) error {
+	e := &kinds[k]
+	if len(data) < e.header {
+		return ErrShortBuffer
+	}
+	if got := KindOf(data); got != k {
+		return fmt.Errorf("wire: want a %v frame, got %v (magic %q)", k, got, data[0:4])
+	}
+	if e.version != 0 && data[4] != e.version {
+		return fmt.Errorf("wire: %v frame version %d, this build speaks %d", k, data[4], e.version)
+	}
+	return nil
+}
+
+// getCycle reads a frame's unwrapped cycle number; real cycles start
+// at 1.
+func getCycle(b []byte) (cmatrix.Cycle, error) {
+	n := cmatrix.Cycle(binary.BigEndian.Uint64(b))
+	if n < 1 {
+		return 0, fmt.Errorf("wire: bad cycle number %d", n)
+	}
+	return n, nil
+}
+
+// The dimension run (objects 4 bytes, objBytes 4, tsBits 1) that five
+// frame kinds carry comes in three forms.
+const (
+	dimsMatrix  = iota // nothing more; matrix control implied (BCD1, BCQ3)
+	dimsGrouped        // then groups 4 bytes; grouped control implied (BCG1)
+	dimsFull           // then control 1 byte and groups 4 bytes (BCC1, BCB1)
+)
+
+// putDims writes l's dimension run at b; groups stays 0 unless the
+// control is grouped.
+func putDims(b []byte, l bcast.Layout, form int) {
+	binary.BigEndian.PutUint32(b[0:4], uint32(l.Objects))
+	binary.BigEndian.PutUint32(b[4:8], uint32(objBytesOf(l)))
+	b[8] = byte(l.TimestampBits)
+	b = b[9:]
+	if form == dimsFull {
+		b[0] = byte(l.Control)
+		b = b[1:]
+	}
+	if form != dimsMatrix && l.Control == bcast.ControlGrouped {
+		binary.BigEndian.PutUint32(b[0:4], uint32(l.Groups))
+	}
+}
+
+// getDims reads a dimension run back as a validated layout.
+func getDims(b []byte, form int) (bcast.Layout, error) {
+	l := bcast.Layout{
+		Objects:       int(binary.BigEndian.Uint32(b[0:4])),
+		ObjectBits:    int64(binary.BigEndian.Uint32(b[4:8])) * 8,
+		TimestampBits: int(b[8]),
+		Control:       bcast.ControlMatrix,
+	}
+	switch form {
+	case dimsGrouped:
+		l.Control, l.Groups = bcast.ControlGrouped, int(binary.BigEndian.Uint32(b[9:13]))
+	case dimsFull:
+		l.Control, l.Groups = bcast.ControlKind(b[9]), int(binary.BigEndian.Uint32(b[10:14]))
+	}
+	if err := l.Validate(); err != nil || l.Control > bcast.ControlGrouped {
+		return l, fmt.Errorf("wire: decoded layout %+v invalid: %v", l, err)
+	}
+	return l, nil
+}
+
+// minLen rejects a frame too short for count records of at least
+// perRecord bytes each after its header. The counts are
+// attacker-controlled uint32s whose product can wrap int64, so the test
+// is a division, never a multiplication.
+func minLen(data []byte, header, count, perRecord int64) error {
+	if avail := int64(len(data)) - header; avail < 0 || count > avail/perRecord {
+		return fmt.Errorf("wire: %d-byte frame cannot hold %d records of %d bytes: %w", len(data), count, perRecord, ErrShortBuffer)
+	}
+	return nil
+}
+
+// wantLen is minLen for the kinds whose length the header determines
+// exactly: decoders call it before allocating anything the header
+// sizes.
+func wantLen(data []byte, header, count, perRecord int64) error {
+	if err := minLen(data, header, count, perRecord); err != nil {
+		return err
+	}
+	if want := header + count*perRecord; int64(len(data)) != want {
+		return fmt.Errorf("wire: frame is %d bytes but header describes %d", len(data), want)
+	}
+	return nil
+}
+
+func objBytesOf(l bcast.Layout) int { return int((l.ObjectBits + 7) / 8) }
+
+// columnEntries reports the control-column length for a layout.
+func columnEntries(l bcast.Layout) int {
+	switch l.Control {
+	case bcast.ControlMatrix:
+		return l.Objects
+	case bcast.ControlVector:
+		return 1
+	case bcast.ControlGrouped:
+		return l.Groups
+	default:
+		return 0
+	}
+}
+
+// columnBytes is the byte-aligned size of entries packed timestamps.
+func columnBytes(entries, tsBits int) int64 { return (int64(entries)*int64(tsBits) + 7) / 8 }
+
+// Column appends to buf the control column the air carries right after
+// object j — the n matrix entries C(·, j), the one vector entry, or the
+// g entries of the grouped row MC(j, ·) — and returns the extended
+// slice. A nil buf yields a fresh column the caller may keep.
+func Column(cb *bcast.CycleBroadcast, j int, buf []cmatrix.Cycle) ([]cmatrix.Cycle, error) {
+	l := cb.Layout
+	switch {
+	case l.Control == bcast.ControlMatrix && cb.Matrix != nil:
+		for i := 0; i < l.Objects; i++ {
+			buf = append(buf, cb.Matrix.At(i, j))
+		}
+	case l.Control == bcast.ControlVector && cb.Vector != nil:
+		buf = append(buf, cb.Vector.At(j))
+	case l.Control == bcast.ControlGrouped && cb.Grouped != nil:
+		for s := 0; s < l.Groups; s++ {
+			buf = append(buf, cb.Grouped.At(j, s))
+		}
+	case l.Control != bcast.ControlNone:
+		return nil, fmt.Errorf("wire: %v layout without its control structure", l.Control)
+	}
+	return buf, nil
+}
+
+// padSlot appends object obj's value to dst, zero-padded to the fixed
+// objBytes slot (the length is not preserved); a longer value is
+// rejected.
+func padSlot(dst []byte, obj int, v []byte, objBytes int) ([]byte, error) {
+	if len(v) > objBytes {
+		return nil, fmt.Errorf("wire: object %d value is %d bytes, slot holds %d", obj, len(v), objBytes)
+	}
+	n := len(dst)
+	dst = append(dst, make([]byte, objBytes)...) // grows in place, no temporary
+	copy(dst[n:], v)
+	return dst, nil
+}
+
+// putSlot writes object obj's value slot, byte-aligned.
+func putSlot(w *BitWriter, obj int, v []byte, objBytes int) (err error) {
+	w.Align()
+	if w.buf, err = padSlot(w.buf, obj, v, objBytes); err == nil {
+		w.nbit = len(w.buf) * 8
+	}
+	return err
+}
+
+// getSlot reads a value slot into a buffer of its own.
+func getSlot(r *BitReader, objBytes int) ([]byte, error) { return r.ReadBytes(objBytes) }
+
+// putTS writes one commit cycle wrapped to tsBits.
+func putTS(w *BitWriter, c cmatrix.Cycle, tsBits int) {
+	w.WriteBits(uint64(cmatrix.Codec{Bits: tsBits}.Encode(c)), tsBits)
+}
+
+// getTS reads one wrapped timestamp of the frame for cycle number and
+// unwraps it: a control entry in cycle N is a commit cycle <= N-1, so
+// N-1 is the reference. Values older than max_cycles alias upward, which
+// can only cause extra aborts, never false acceptance — the same
+// conservativeness the paper's modulo arithmetic has.
+func getTS(r *BitReader, tsBits int, number cmatrix.Cycle) (cmatrix.Cycle, error) {
+	raw, err := r.ReadBits(tsBits)
+	if err != nil {
+		return 0, err
+	}
+	codec := cmatrix.Codec{Bits: tsBits}
+	ts := codec.Decode(uint32(raw), number-1)
+	if ts < 0 {
+		return 0, fmt.Errorf("wire: timestamp %d decodes before cycle 0 (corrupt frame)", raw)
+	}
+	return ts, nil
+}
+
+// putColumn writes a control column and pads to the byte boundary.
+func putColumn(w *BitWriter, col []cmatrix.Cycle, tsBits int) {
+	for _, c := range col {
+		putTS(w, c, tsBits)
+	}
+	w.Align()
+}
+
+// getColumn fills col from the frame for cycle number and skips the
+// padding.
+func getColumn(r *BitReader, col []cmatrix.Cycle, tsBits int, number cmatrix.Cycle) (err error) {
+	for i := range col {
+		if col[i], err = getTS(r, tsBits, number); err != nil {
+			return err
+		}
+	}
+	r.Align()
+	return nil
+}

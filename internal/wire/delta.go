@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -33,9 +34,6 @@ import (
 // Only the full-matrix (F-Matrix) layout supports deltas: the vector
 // layouts are already tiny.
 
-// DeltaMagic identifies a delta frame.
-var DeltaMagic = [4]byte{'B', 'C', 'D', '1'}
-
 const deltaHeaderBytes = 4 + 8 + 8 + 4 + 4 + 1 + 4 + 4
 
 // indexBits reports the bit width used for object indices.
@@ -66,12 +64,11 @@ func EncodeCycleDelta(prev, cur *bcast.CycleBroadcast) ([]byte, error) {
 	if prev.Matrix == nil || cur.Matrix == nil {
 		return nil, fmt.Errorf("wire: delta needs both matrices")
 	}
-	objBytes := int((l.ObjectBits + 7) / 8)
+	objBytes := objBytesOf(l)
 
 	var changedVals []int
 	for j := 0; j < l.Objects; j++ {
-		a, b := prev.Values[j], cur.Values[j]
-		if !slotEqual(a, b, objBytes) {
+		if !slotEqual(prev.Values[j], cur.Values[j]) {
 			changedVals = append(changedVals, j)
 		}
 	}
@@ -80,79 +77,62 @@ func EncodeCycleDelta(prev, cur *bcast.CycleBroadcast) ([]byte, error) {
 		return nil, err
 	}
 
-	w := NewBitWriter()
 	var hdr [deltaHeaderBytes]byte
-	copy(hdr[0:4], DeltaMagic[:])
 	binary.BigEndian.PutUint64(hdr[4:12], uint64(cur.Number))
 	binary.BigEndian.PutUint64(hdr[12:20], uint64(prev.Number))
-	binary.BigEndian.PutUint32(hdr[20:24], uint32(l.Objects))
-	binary.BigEndian.PutUint32(hdr[24:28], uint32(objBytes))
-	hdr[28] = byte(l.TimestampBits)
+	putDims(hdr[20:], l, dimsMatrix)
 	binary.BigEndian.PutUint32(hdr[29:33], uint32(len(changedVals)))
 	binary.BigEndian.PutUint32(hdr[33:37], uint32(len(entries)))
-	w.WriteBytes(hdr[:])
+	w := KindDelta.begin(hdr[:])
 	for _, j := range changedVals {
 		var idx [4]byte
 		binary.BigEndian.PutUint32(idx[:], uint32(j))
 		w.WriteBytes(idx[:])
-		slot := make([]byte, objBytes)
-		copy(slot, cur.Values[j])
-		w.WriteBytes(slot)
+		if err := putSlot(w, j, cur.Values[j], objBytes); err != nil {
+			return nil, err
+		}
 	}
 	ib := indexBits(l.Objects)
-	codec := cmatrix.Codec{Bits: l.TimestampBits}
 	for _, e := range entries {
 		w.WriteBits(uint64(e.I), ib)
 		w.WriteBits(uint64(e.J), ib)
-		w.WriteBits(uint64(codec.Encode(e.Value)), l.TimestampBits)
+		putTS(w, e.Value, l.TimestampBits)
 	}
 	return w.Bytes(), nil
 }
 
-func slotEqual(a, b []byte, slot int) bool {
-	get := func(v []byte, i int) byte {
-		if i < len(v) {
-			return v[i]
-		}
-		return 0
-	}
-	for i := 0; i < slot; i++ {
-		if get(a, i) != get(b, i) {
-			return false
-		}
-	}
-	return true
-}
-
-// IsDeltaFrame reports whether data starts with the delta magic.
-func IsDeltaFrame(data []byte) bool {
-	return len(data) >= 4 && [4]byte(data[0:4]) == DeltaMagic
+// slotEqual reports whether two values fill a slot identically:
+// trailing zeros are indistinguishable from padding.
+func slotEqual(a, b []byte) bool {
+	return bytes.Equal(bytes.TrimRight(a, "\x00"), bytes.TrimRight(b, "\x00"))
 }
 
 // DecodeCycleDelta reconstructs the current cycle from a delta frame
 // and the previous reconstruction. prev is not modified.
 func DecodeCycleDelta(data []byte, prev *bcast.CycleBroadcast) (*bcast.CycleBroadcast, error) {
-	if len(data) < deltaHeaderBytes {
-		return nil, ErrShortBuffer
+	if err := KindDelta.check(data); err != nil {
+		return nil, err
 	}
-	if !IsDeltaFrame(data) {
-		return nil, fmt.Errorf("wire: bad delta magic %q", data[0:4])
+	number, err := getCycle(data[4:12])
+	if err != nil {
+		return nil, err
 	}
-	number := cmatrix.Cycle(binary.BigEndian.Uint64(data[4:12]))
 	base := cmatrix.Cycle(binary.BigEndian.Uint64(data[12:20]))
-	objects := int(binary.BigEndian.Uint32(data[20:24]))
-	objBytes := int(binary.BigEndian.Uint32(data[24:28]))
-	tsBits := int(data[28])
+	layout, err := getDims(data[20:], dimsMatrix)
+	if err != nil {
+		return nil, err
+	}
+	objects, objBytes, tsBits := layout.Objects, objBytesOf(layout), layout.TimestampBits
 	nValues := int(binary.BigEndian.Uint32(data[29:33]))
 	nEntries := int(binary.BigEndian.Uint32(data[33:37]))
 
 	if prev == nil || prev.Matrix == nil {
 		return nil, fmt.Errorf("wire: delta frame without a previous reconstruction")
 	}
-	if prev.Number != base {
-		return nil, fmt.Errorf("wire: delta builds on cycle %d but previous reconstruction is cycle %d", base, prev.Number)
+	if prev.Number != base || number <= base {
+		return nil, fmt.Errorf("wire: delta for cycle %d builds on cycle %d but previous reconstruction is cycle %d", number, base, prev.Number)
 	}
-	if prev.Layout.Objects != objects || int((prev.Layout.ObjectBits+7)/8) != objBytes || prev.Layout.TimestampBits != tsBits {
+	if prev.Layout.Objects != objects || objBytesOf(prev.Layout) != objBytes || prev.Layout.TimestampBits != tsBits {
 		return nil, fmt.Errorf("wire: delta layout mismatch")
 	}
 	if nValues > objects || nEntries > objects*objects {
@@ -166,9 +146,9 @@ func DecodeCycleDelta(data []byte, prev *bcast.CycleBroadcast) (*bcast.CycleBroa
 		Matrix: prev.Matrix.Clone(),
 	}
 	for j, v := range prev.Values {
-		slot := make([]byte, objBytes)
-		copy(slot, v)
-		cb.Values[j] = slot
+		if cb.Values[j], err = padSlot(nil, j, v, objBytes); err != nil {
+			return nil, err
+		}
 	}
 
 	r := NewBitReader(data[deltaHeaderBytes:])
@@ -181,15 +161,11 @@ func DecodeCycleDelta(data []byte, prev *bcast.CycleBroadcast) (*bcast.CycleBroa
 		if j < 0 || j >= objects {
 			return nil, fmt.Errorf("wire: delta value index %d out of range", j)
 		}
-		slot, err := r.ReadBytes(objBytes)
-		if err != nil {
+		if cb.Values[j], err = getSlot(r, objBytes); err != nil {
 			return nil, err
 		}
-		cb.Values[j] = slot
 	}
 	ib := indexBits(objects)
-	codec := cmatrix.Codec{Bits: tsBits}
-	ref := number - 1
 	entries := make([]cmatrix.DeltaEntry, 0, nEntries)
 	for k := 0; k < nEntries; k++ {
 		i, err := r.ReadBits(ib)
@@ -200,13 +176,9 @@ func DecodeCycleDelta(data []byte, prev *bcast.CycleBroadcast) (*bcast.CycleBroa
 		if err != nil {
 			return nil, err
 		}
-		raw, err := r.ReadBits(tsBits)
+		ts, err := getTS(r, tsBits, number)
 		if err != nil {
 			return nil, err
-		}
-		ts := codec.Decode(uint32(raw), ref)
-		if ts < 0 {
-			return nil, fmt.Errorf("wire: delta timestamp %d decodes before cycle 0 (corrupt frame)", raw)
 		}
 		entries = append(entries, cmatrix.DeltaEntry{I: int(i), J: int(j), Value: ts})
 	}
@@ -220,7 +192,7 @@ func DecodeCycleDelta(data []byte, prev *bcast.CycleBroadcast) (*bcast.CycleBroa
 // given change counts — used by the bandwidth analysis (bcbench -figure
 // delta).
 func DeltaBits(layout bcast.Layout, changedValues, changedEntries int) int64 {
-	objBytes := int64((layout.ObjectBits + 7) / 8)
+	objBytes := int64(objBytesOf(layout))
 	return int64(deltaHeaderBytes)*8 +
 		int64(changedValues)*(32+objBytes*8) +
 		int64(changedEntries)*int64(2*indexBits(layout.Objects)+layout.TimestampBits)

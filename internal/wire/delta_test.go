@@ -77,7 +77,7 @@ func TestDeltaStreamReconstruction(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !IsDeltaFrame(frame) {
+			if KindOf(frame) != KindDelta {
 				t.Fatal("delta frame not recognized")
 			}
 			reconstructed, err = DecodeCycleDelta(frame, reconstructed)

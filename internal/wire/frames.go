@@ -56,17 +56,10 @@ import (
 //	  full:  the whole column (matrix: n entries; vector: 1; grouped: g)
 //	  delta: nEntries × (entry index at ceil(log2 entries) bits + timestamp)
 //
-// Timestamps wrap exactly as in cycle frames: entries in major cycle N
-// are commits ≤ N-1, so N-1 is the unwrap reference. Within a major
+// Timestamps wrap exactly as in cycle frames (getTS). Within a major
 // cycle every occurrence of an object carries the cycle-start column
 // (Theorem 1/2 consistency), so intra-cycle deltas are empty and
 // nearly free; the cost lands only on cycle boundaries.
-
-// IndexMagic identifies a (1,m) air-index segment frame.
-var IndexMagic = [4]byte{'B', 'C', 'I', '1'}
-
-// BucketMagic identifies a program-mode data bucket frame.
-var BucketMagic = [4]byte{'B', 'C', 'B', '1'}
 
 // FrameVersion is the current program-frame format version.
 const FrameVersion = 1
@@ -88,30 +81,19 @@ type IndexFrame struct {
 	Offsets   []int         // per object: frames to its next data frame
 }
 
-// IsIndexFrame reports whether data starts with the index magic.
-func IsIndexFrame(data []byte) bool {
-	return len(data) >= 4 && [4]byte(data[0:4]) == IndexMagic
-}
-
-// IsBucketFrame reports whether data starts with the bucket magic.
-func IsBucketFrame(data []byte) bool {
-	return len(data) >= 4 && [4]byte(data[0:4]) == BucketMagic
-}
-
 // BucketInfo reports a bucket frame's identifying header fields without
 // decoding its payload — what a selective tuner needs in order to
 // decide whether (and against which delta base) to decode.
 func BucketInfo(data []byte) (number cmatrix.Cycle, obj int, seq uint32, delta bool, nextIndex int, err error) {
-	if len(data) < bucketHeaderBytes {
-		return 0, 0, 0, false, 0, ErrShortBuffer
+	if err := KindBucket.check(data); err != nil {
+		return 0, 0, 0, false, 0, err
 	}
-	if !IsBucketFrame(data) {
-		return 0, 0, 0, false, 0, fmt.Errorf("wire: bad bucket magic %q", data[0:4])
+	if flags := data[5]; flags&^bucketFlagDelta != 0 {
+		return 0, 0, 0, false, 0, fmt.Errorf("wire: unknown bucket flags %#x", flags)
 	}
-	if v := data[4]; v != FrameVersion {
-		return 0, 0, 0, false, 0, fmt.Errorf("wire: bucket frame version %d, this build speaks %d", v, FrameVersion)
+	if number, err = getCycle(data[6:14]); err != nil {
+		return 0, 0, 0, false, 0, err
 	}
-	number = cmatrix.Cycle(binary.BigEndian.Uint64(data[6:14]))
 	obj = int(binary.BigEndian.Uint32(data[14:18]))
 	seq = binary.BigEndian.Uint32(data[18:22])
 	delta = data[5]&bucketFlagDelta != 0
@@ -125,10 +107,7 @@ func EncodeIndexFrame(f *IndexFrame) ([]byte, error) {
 		return nil, err
 	}
 	ob := indexOffsetBits(f.Frames)
-	w := NewBitWriter()
 	var hdr [indexHeaderBytes]byte
-	copy(hdr[0:4], IndexMagic[:])
-	hdr[4] = FrameVersion
 	binary.BigEndian.PutUint64(hdr[5:13], uint64(f.Number))
 	binary.BigEndian.PutUint32(hdr[13:17], uint32(f.Segment))
 	binary.BigEndian.PutUint32(hdr[17:21], uint32(f.M))
@@ -136,7 +115,7 @@ func EncodeIndexFrame(f *IndexFrame) ([]byte, error) {
 	binary.BigEndian.PutUint32(hdr[25:29], uint32(len(f.Offsets)))
 	binary.BigEndian.PutUint32(hdr[29:33], uint32(f.NextIndex))
 	hdr[33] = byte(ob)
-	w.WriteBytes(hdr[:])
+	w := KindIndex.begin(hdr[:])
 	for _, off := range f.Offsets {
 		w.WriteBits(uint64(off), ob)
 	}
@@ -172,14 +151,8 @@ func indexOffsetBits(frames int) int { return indexBits(frames + 1) }
 
 // DecodeIndexFrame reconstructs an index segment.
 func DecodeIndexFrame(data []byte) (*IndexFrame, error) {
-	if len(data) < indexHeaderBytes {
-		return nil, ErrShortBuffer
-	}
-	if !IsIndexFrame(data) {
-		return nil, fmt.Errorf("wire: bad index magic %q", data[0:4])
-	}
-	if v := data[4]; v != FrameVersion {
-		return nil, fmt.Errorf("wire: index frame version %d, this build speaks %d", v, FrameVersion)
+	if err := KindIndex.check(data); err != nil {
+		return nil, err
 	}
 	f := &IndexFrame{
 		Number:    cmatrix.Cycle(binary.BigEndian.Uint64(data[5:13])),
@@ -190,17 +163,14 @@ func DecodeIndexFrame(data []byte) (*IndexFrame, error) {
 	}
 	objects := int(binary.BigEndian.Uint32(data[25:29]))
 	ob := int(data[33])
-	// The frame length is fully determined by the header; reject
-	// implausible headers before allocating.
 	if objects < 1 || objects > 1<<24 || f.Frames < 0 || f.Frames > 1<<26 {
 		return nil, fmt.Errorf("wire: implausible index dimensions %d objects / %d frames", objects, f.Frames)
 	}
 	if ob != indexOffsetBits(f.Frames) {
 		return nil, fmt.Errorf("wire: index offset width %d, want %d for %d frames", ob, indexOffsetBits(f.Frames), f.Frames)
 	}
-	want := int64(indexHeaderBytes) + (int64(objects)*int64(ob)+7)/8
-	if int64(len(data)) != want {
-		return nil, fmt.Errorf("wire: index frame is %d bytes but header describes %d", len(data), want)
+	if err := wantLen(data, indexHeaderBytes, 1, columnBytes(objects, ob)); err != nil {
+		return nil, err
 	}
 	f.Offsets = make([]int, objects)
 	r := NewBitReader(data[indexHeaderBytes:])
@@ -229,21 +199,7 @@ type Bucket struct {
 	// next index segment, 0 when the program broadcasts no index.
 	NextIndex int
 	Value     []byte
-	Column []cmatrix.Cycle // matrix: n entries; vector: 1; grouped: g; none: nil
-}
-
-// columnEntries reports the control-column length for a layout.
-func columnEntries(l bcast.Layout) int {
-	switch l.Control {
-	case bcast.ControlMatrix:
-		return l.Objects
-	case bcast.ControlVector:
-		return 1
-	case bcast.ControlGrouped:
-		return l.Groups
-	default:
-		return 0
-	}
+	Column    []cmatrix.Cycle // matrix: n entries; vector: 1; grouped: g; none: nil
 }
 
 // EncodeBucket serializes one data bucket. When prevColumn is non-nil
@@ -269,10 +225,6 @@ func EncodeBucket(b *Bucket, prevColumn []cmatrix.Cycle) ([]byte, error) {
 	if b.NextIndex < 0 {
 		return nil, fmt.Errorf("wire: negative next-index distance %d", b.NextIndex)
 	}
-	objBytes := int((l.ObjectBits + 7) / 8)
-	if len(b.Value) > objBytes {
-		return nil, fmt.Errorf("wire: bucket value is %d bytes, slot holds %d", len(b.Value), objBytes)
-	}
 	delta := prevColumn != nil && entries > 0
 	var changed []int
 	if delta {
@@ -289,44 +241,30 @@ func EncodeBucket(b *Bucket, prevColumn []cmatrix.Cycle) ([]byte, error) {
 		}
 	}
 
-	w := NewBitWriter()
 	var hdr [bucketHeaderBytes]byte
-	copy(hdr[0:4], BucketMagic[:])
-	hdr[4] = FrameVersion
 	if delta {
 		hdr[5] = bucketFlagDelta
 	}
 	binary.BigEndian.PutUint64(hdr[6:14], uint64(b.Number))
 	binary.BigEndian.PutUint32(hdr[14:18], uint32(b.Obj))
 	binary.BigEndian.PutUint32(hdr[18:22], b.Seq)
-	binary.BigEndian.PutUint32(hdr[22:26], uint32(l.Objects))
-	binary.BigEndian.PutUint32(hdr[26:30], uint32(objBytes))
-	hdr[30] = byte(l.TimestampBits)
-	hdr[31] = byte(l.Control)
-	if l.Control == bcast.ControlGrouped {
-		binary.BigEndian.PutUint32(hdr[32:36], uint32(l.Groups))
-	}
+	putDims(hdr[22:], l, dimsFull)
 	if delta {
 		binary.BigEndian.PutUint32(hdr[36:40], uint32(len(changed)))
 	}
 	binary.BigEndian.PutUint32(hdr[40:44], uint32(b.NextIndex))
-	w.WriteBytes(hdr[:])
-	slot := make([]byte, objBytes)
-	copy(slot, b.Value)
-	w.WriteBytes(slot)
-	if entries > 0 {
-		codec := cmatrix.Codec{Bits: l.TimestampBits}
-		if delta {
-			eb := indexBits(entries)
-			for _, i := range changed {
-				w.WriteBits(uint64(i), eb)
-				w.WriteBits(uint64(codec.Encode(b.Column[i])), l.TimestampBits)
-			}
-		} else {
-			for _, c := range b.Column {
-				w.WriteBits(uint64(codec.Encode(c)), l.TimestampBits)
-			}
+	w := KindBucket.begin(hdr[:])
+	if err := putSlot(w, b.Obj, b.Value, objBytesOf(l)); err != nil {
+		return nil, err
+	}
+	if delta {
+		eb := indexBits(entries)
+		for _, i := range changed {
+			w.WriteBits(uint64(i), eb)
+			putTS(w, b.Column[i], l.TimestampBits)
 		}
+	} else {
+		putColumn(w, b.Column, l.TimestampBits)
 	}
 	return w.Bytes(), nil
 }
@@ -337,146 +275,78 @@ func EncodeBucket(b *Bucket, prevColumn []cmatrix.Cycle) ([]byte, error) {
 // caller detects broken delta chains via the sequence number it tracks
 // per object and must wait for a full refresh instead.
 func DecodeBucket(data []byte, prevColumn []cmatrix.Cycle) (*Bucket, error) {
-	if len(data) < bucketHeaderBytes {
-		return nil, ErrShortBuffer
+	b := &Bucket{}
+	var err error
+	if b.Number, b.Obj, b.Seq, b.Delta, b.NextIndex, err = BucketInfo(data); err != nil {
+		return nil, err
 	}
-	if !IsBucketFrame(data) {
-		return nil, fmt.Errorf("wire: bad bucket magic %q", data[0:4])
+	if b.Layout, err = getDims(data[22:], dimsFull); err != nil {
+		return nil, err
 	}
-	if v := data[4]; v != FrameVersion {
-		return nil, fmt.Errorf("wire: bucket frame version %d, this build speaks %d", v, FrameVersion)
-	}
-	flags := data[5]
-	if flags&^bucketFlagDelta != 0 {
-		return nil, fmt.Errorf("wire: unknown bucket flags %#x", flags)
-	}
-	delta := flags&bucketFlagDelta != 0
-	number := cmatrix.Cycle(binary.BigEndian.Uint64(data[6:14]))
-	obj := int(binary.BigEndian.Uint32(data[14:18]))
-	seq := binary.BigEndian.Uint32(data[18:22])
-	objects := int(binary.BigEndian.Uint32(data[22:26]))
-	objBytes := int(binary.BigEndian.Uint32(data[26:30]))
-	tsBits := int(data[30])
-	control := bcast.ControlKind(data[31])
-	groups := int(binary.BigEndian.Uint32(data[32:36]))
 	nEntries := int(binary.BigEndian.Uint32(data[36:40]))
-	nextIndex := int(binary.BigEndian.Uint32(data[40:44]))
-
-	layout := bcast.Layout{
-		Objects:       objects,
-		ObjectBits:    int64(objBytes) * 8,
-		TimestampBits: tsBits,
-		Control:       control,
-		Groups:        groups,
+	if b.Obj < 0 || b.Obj >= b.Layout.Objects {
+		return nil, fmt.Errorf("wire: bucket object %d out of range [0,%d)", b.Obj, b.Layout.Objects)
 	}
-	if err := layout.Validate(); err != nil {
-		return nil, fmt.Errorf("wire: decoded bucket layout invalid: %w", err)
-	}
-	if number < 1 {
-		return nil, fmt.Errorf("wire: bad bucket cycle number %d", number)
-	}
-	if obj < 0 || obj >= objects {
-		return nil, fmt.Errorf("wire: bucket object %d out of range [0,%d)", obj, objects)
-	}
-	entries := columnEntries(layout)
-	if delta {
+	entries, objBytes, tsBits := columnEntries(b.Layout), objBytesOf(b.Layout), b.Layout.TimestampBits
+	payload := columnBytes(entries, tsBits)
+	if b.Delta {
 		if entries == 0 {
 			return nil, fmt.Errorf("wire: delta bucket under ControlNone")
 		}
-		if seq == 0 {
+		if b.Seq == 0 {
 			return nil, fmt.Errorf("wire: delta bucket at sequence 0 has no base occurrence")
 		}
 		if nEntries > entries {
 			return nil, fmt.Errorf("wire: delta bucket changes %d of %d entries", nEntries, entries)
 		}
+		payload = columnBytes(nEntries, indexBits(entries)+tsBits)
 	} else if nEntries != 0 {
 		return nil, fmt.Errorf("wire: full bucket with delta entry count %d", nEntries)
 	}
-
-	// The frame length is fully determined by the header; reject
-	// implausible headers before allocating.
-	var payloadBits int64
-	if delta {
-		payloadBits = int64(nEntries) * int64(indexBits(entries)+tsBits)
-	} else {
-		payloadBits = int64(entries) * int64(tsBits)
+	if err := wantLen(data, bucketHeaderBytes, 1, int64(objBytes)+payload); err != nil {
+		return nil, err
 	}
-	want := int64(bucketHeaderBytes) + int64(objBytes) + (payloadBits+7)/8
-	if int64(len(data)) != want {
-		return nil, fmt.Errorf("wire: bucket frame is %d bytes but header describes %d", len(data), want)
-	}
-	if delta && len(prevColumn) != entries {
+	if b.Delta && len(prevColumn) != entries {
 		if prevColumn == nil {
 			return nil, fmt.Errorf("wire: delta bucket without the previous occurrence's column")
 		}
 		return nil, fmt.Errorf("wire: previous column has %d entries, frame needs %d", len(prevColumn), entries)
 	}
-	if delta {
+	if b.Delta {
 		// Inherited entries must predate this frame's broadcast: control
 		// at cycle N covers commits through N-1, so a previous-occurrence
 		// timestamp beyond that marks a broken delta chain (the caller
 		// paired the frame with a column from the wrong occurrence).
 		for i, c := range prevColumn {
-			if c < 0 || c > number-1 {
-				return nil, fmt.Errorf("wire: previous column entry %d has timestamp %d from bucket cycle %d's future", i, c, number)
+			if c < 0 || c > b.Number-1 {
+				return nil, fmt.Errorf("wire: previous column entry %d has timestamp %d from bucket cycle %d's future", i, c, b.Number)
 			}
 		}
 	}
 
-	b := &Bucket{
-		Number:    number,
-		Layout:    layout,
-		Obj:       obj,
-		Seq:       seq,
-		Delta:     delta,
-		NextIndex: nextIndex,
-	}
 	r := NewBitReader(data[bucketHeaderBytes:])
-	v, err := r.ReadBytes(objBytes)
-	if err != nil {
+	if b.Value, err = getSlot(r, objBytes); err != nil {
 		return nil, err
 	}
-	b.Value = v
-	if entries > 0 {
-		codec := cmatrix.Codec{Bits: tsBits}
-		ref := number - 1
-		readTS := func() (cmatrix.Cycle, error) {
-			raw, err := r.ReadBits(tsBits)
+	if b.Delta {
+		b.Column = append([]cmatrix.Cycle(nil), prevColumn...)
+		eb := indexBits(entries)
+		for k := 0; k < nEntries; k++ {
+			i, err := r.ReadBits(eb)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
-			ts := codec.Decode(uint32(raw), ref)
-			if ts < 0 {
-				return 0, fmt.Errorf("wire: bucket timestamp %d decodes before cycle 0 (corrupt frame)", raw)
+			if int(i) >= entries {
+				return nil, fmt.Errorf("wire: delta entry index %d out of range [0,%d)", i, entries)
 			}
-			return ts, nil
+			if b.Column[int(i)], err = getTS(r, tsBits, b.Number); err != nil {
+				return nil, err
+			}
 		}
-		if delta {
-			b.Column = append([]cmatrix.Cycle(nil), prevColumn...)
-			eb := indexBits(entries)
-			for k := 0; k < nEntries; k++ {
-				i, err := r.ReadBits(eb)
-				if err != nil {
-					return nil, err
-				}
-				if int(i) >= entries {
-					return nil, fmt.Errorf("wire: delta entry index %d out of range [0,%d)", i, entries)
-				}
-				ts, err := readTS()
-				if err != nil {
-					return nil, err
-				}
-				b.Column[int(i)] = ts
-			}
-		} else {
-			b.Column = make([]cmatrix.Cycle, entries)
-			for i := range b.Column {
-				ts, err := readTS()
-				if err != nil {
-					return nil, err
-				}
-				b.Column[i] = ts
-			}
+	} else if entries > 0 {
+		b.Column = make([]cmatrix.Cycle, entries)
+		if err = getColumn(r, b.Column, tsBits, b.Number); err != nil {
+			return nil, err
 		}
 	}
 	return b, nil
@@ -487,13 +357,10 @@ func DecodeBucket(data []byte, prevColumn []cmatrix.Cycle) (*Bucket, error) {
 // entries otherwise. Used by the bandwidth accounting and the air-time
 // model.
 func BucketBits(l bcast.Layout, changedEntries int) int64 {
-	objBytes := int64((l.ObjectBits + 7) / 8)
-	base := int64(bucketHeaderBytes)*8 + objBytes*8
+	base := int64(bucketHeaderBytes+objBytesOf(l)) * 8
 	entries := columnEntries(l)
 	if changedEntries < 0 {
-		return base + ceilByteBits(int64(entries)*int64(l.TimestampBits))
+		return base + 8*columnBytes(entries, l.TimestampBits)
 	}
-	return base + ceilByteBits(int64(changedEntries)*int64(indexBits(entries)+l.TimestampBits))
+	return base + 8*columnBytes(changedEntries, indexBits(entries)+l.TimestampBits)
 }
-
-func ceilByteBits(bits int64) int64 { return (bits + 7) / 8 * 8 }

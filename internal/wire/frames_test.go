@@ -27,7 +27,7 @@ func TestIndexFrameRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsIndexFrame(data) || IsBucketFrame(data) || IsDeltaFrame(data) {
+	if KindOf(data) != KindIndex {
 		t.Fatal("magic misclassified")
 	}
 	got, err := DecodeIndexFrame(data)
@@ -99,7 +99,7 @@ func TestBucketFullRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", control, err)
 		}
-		if !IsBucketFrame(data) || IsIndexFrame(data) {
+		if KindOf(data) != KindBucket {
 			t.Fatalf("%v: magic misclassified", control)
 		}
 		if got := BucketBits(b.Layout, -1); got != int64(len(data))*8 {

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"broadcastcc/internal/bcast"
@@ -32,6 +34,7 @@ func FuzzDecodeCycle(f *testing.F) {
 	}
 	goodVec, _ := EncodeCycle(vec)
 	f.Add(goodVec)
+	f.Add(overflowCycleHeader())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decoded, err := DecodeCycle(data)
 		if err != nil {
@@ -153,4 +156,149 @@ func FuzzDecodeFrames(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzDecodeAnyFrame is the one fuzz target over the frame-kind table:
+// arbitrary bytes go to the decoder KindOf picks, and whatever that
+// decoder accepts must survive re-encode and decode. No input may panic
+// a decoder or make it allocate more than a small multiple of its own
+// length — a header must never size an allocation the payload does not
+// back. Seeded with every golden frame.
+func FuzzDecodeAnyFrame(f *testing.F) {
+	var base *bcast.CycleBroadcast // what the golden BCD1 delta builds on
+	for _, g := range readGolden(f) {
+		f.Add(g.data)
+		if g.name == "BCC1-matrix" {
+			cb, err := DecodeCycle(g.data)
+			if err != nil {
+				f.Fatal(err)
+			}
+			base = cb
+		}
+	}
+	f.Add(overflowCycleHeader())
+	f.Add([]byte{})
+	part := cmatrix.UniformPartition(6, 3) // the golden BCG1 frames' partition, epoch 3
+	prevCol := []cmatrix.Cycle{0, 4, 8, 7, 2}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var err error
+		n := allocatedBy(func() { err = roundTrip(data, base, part, prevCol) })
+		if err != nil {
+			t.Fatalf("%v frame: %v", KindOf(data), err)
+		}
+		// The widest legitimate expansion is a 1-bit timestamp becoming an
+		// 8-byte Cycle (64×), held a few times over by decode, re-encode
+		// and decode.
+		if limit := uint64(1<<20 + 1024*len(data)); n > limit {
+			t.Fatalf("%v frame of %d bytes made its decoder allocate %d bytes", KindOf(data), len(data), n)
+		}
+	})
+}
+
+// roundTrip decodes data as the kind its magic names; an accepted frame
+// must re-encode and decode again. A rejected frame is not an error.
+func roundTrip(data []byte, base *bcast.CycleBroadcast, part *cmatrix.Partition, prevCol []cmatrix.Cycle) error {
+	var re []byte
+	var err error
+	switch KindOf(data) {
+	case KindCycle:
+		cb, derr := DecodeCycle(data)
+		if derr != nil {
+			return nil
+		}
+		if re, err = EncodeCycle(cb); err == nil {
+			_, err = DecodeCycle(re)
+		}
+	case KindDelta:
+		cb, derr := DecodeCycleDelta(data, base)
+		if derr != nil {
+			return nil
+		}
+		if re, err = EncodeCycleDelta(base, cb); err == nil {
+			var again *bcast.CycleBroadcast
+			if again, err = DecodeCycleDelta(re, base); err == nil && !again.Matrix.Equal(cb.Matrix) {
+				err = fmt.Errorf("delta round trip changed the matrix")
+			}
+		}
+	case KindGrouped:
+		cb, epoch, derr := DecodeGroupedCycle(data, part, 3)
+		if derr != nil {
+			return nil
+		}
+		if re, err = EncodeGroupedCycle(cb, epoch, true); err == nil {
+			var again *bcast.CycleBroadcast
+			if again, _, err = DecodeGroupedCycle(re, nil, 0); err == nil && !again.Grouped.Equal(cb.Grouped) {
+				err = fmt.Errorf("grouped round trip changed MC")
+			}
+		}
+	case KindIndex:
+		idx, derr := DecodeIndexFrame(data)
+		if derr != nil {
+			return nil
+		}
+		if re, err = EncodeIndexFrame(idx); err == nil {
+			_, err = DecodeIndexFrame(re)
+		}
+	case KindBucket:
+		b, derr := DecodeBucket(data, prevCol)
+		if derr != nil {
+			return nil
+		}
+		if re, err = EncodeBucket(b, nil); err == nil {
+			_, err = DecodeBucket(re, nil)
+		}
+	case KindCacheRecord:
+		rec, derr := DecodeCacheRecord(data)
+		if derr != nil {
+			return nil
+		}
+		re = EncodeCacheRecord(rec)
+	case KindSubsetSubscribe:
+		objs, derr := DecodeSubsetSubscribe(data)
+		if derr != nil {
+			return nil
+		}
+		re = EncodeSubsetSubscribe(objs)
+	case KindSubset:
+		sc, derr := DecodeSubsetCycle(data)
+		if derr != nil {
+			return nil
+		}
+		if re, err = EncodeSubsetCycle(sc); err == nil {
+			_, err = DecodeSubsetCycle(re)
+		}
+	case KindUpdate:
+		req, derr := DecodeUpdateRequest(data)
+		if derr != nil {
+			return nil
+		}
+		re = EncodeUpdateRequest(req)
+	case KindPrepare:
+		token, req, remote, derr := DecodePrepare(data)
+		if derr != nil {
+			return nil
+		}
+		re = EncodePrepare(token, req, remote)
+	case KindDecision:
+		token, commit, derr := DecodeDecision(data)
+		if derr != nil {
+			return nil
+		}
+		re = EncodeDecision(token, commit)
+	default: // the one magic-less message
+		_, _ = DecodeUpdateReply(data)
+		return nil
+	}
+	if err != nil {
+		return fmt.Errorf("accepted, but the round trip failed: %w", err)
+	}
+	switch KindOf(data) {
+	case KindCacheRecord, KindSubsetSubscribe, KindUpdate, KindPrepare, KindDecision:
+		// Byte-aligned kinds with no padding and no ignored field: the
+		// encoding of what was decoded is the input.
+		if !bytes.Equal(re, data) {
+			return fmt.Errorf("re-encodes as %x", re)
+		}
+	}
+	return nil
 }

@@ -58,9 +58,6 @@ import (
 // smaller). Nonzero timestamps alias upward when older than the codec
 // window, the same conservativeness as the dense formats.
 
-// GroupedMagic identifies a grouped cycle frame.
-var GroupedMagic = [4]byte{'B', 'C', 'G', '1'}
-
 const groupedHeaderBytes = 4 + 1 + 8 + 8 + 4 + 4 + 1 + 4
 
 const groupedFlagPartition = 0x01
@@ -68,11 +65,6 @@ const groupedFlagPartition = 0x01
 // countBits reports the width of a sparse row's entry count, which
 // ranges over [0, g] inclusive.
 func countBits(g int) int { return bits.Len(uint(g)) }
-
-// IsGroupedFrame reports whether data starts with the grouped magic.
-func IsGroupedFrame(data []byte) bool {
-	return len(data) >= 4 && [4]byte(data[0:4]) == GroupedMagic
-}
 
 // EncodeGroupedCycle serializes a broadcast cycle under the grouped
 // layout. epoch names the regroup epoch of cb.Grouped's partition;
@@ -97,21 +89,16 @@ func EncodeGroupedCycle(cb *bcast.CycleBroadcast, epoch uint64, includePartition
 	if len(cb.Values) != l.Objects {
 		return nil, fmt.Errorf("wire: %d values for %d objects", len(cb.Values), l.Objects)
 	}
-	objBytes := int((l.ObjectBits + 7) / 8)
+	objBytes := objBytesOf(l)
 
-	w := NewBitWriter()
 	var hdr [groupedHeaderBytes]byte
-	copy(hdr[0:4], GroupedMagic[:])
 	if includePartition {
 		hdr[4] = groupedFlagPartition
 	}
 	binary.BigEndian.PutUint64(hdr[5:13], uint64(cb.Number))
 	binary.BigEndian.PutUint64(hdr[13:21], epoch)
-	binary.BigEndian.PutUint32(hdr[21:25], uint32(l.Objects))
-	binary.BigEndian.PutUint32(hdr[25:29], uint32(objBytes))
-	hdr[29] = byte(l.TimestampBits)
-	binary.BigEndian.PutUint32(hdr[30:34], uint32(l.Groups))
-	w.WriteBytes(hdr[:])
+	putDims(hdr[21:], l, dimsGrouped)
+	w := KindGrouped.begin(hdr[:])
 
 	ib := indexBits(l.Groups)
 	if includePartition {
@@ -121,18 +108,11 @@ func EncodeGroupedCycle(cb *bcast.CycleBroadcast, epoch uint64, includePartition
 		w.Align()
 	}
 
-	codec := cmatrix.Codec{Bits: l.TimestampBits}
 	cw := countBits(l.Groups)
-	rows := cb.Grouped.SparseRows()
-	for i := 0; i < l.Objects; i++ {
-		v := cb.Values[i]
-		if len(v) > objBytes {
-			return nil, fmt.Errorf("wire: object %d value is %d bytes, slot holds %d", i, len(v), objBytes)
+	for i, row := range cb.Grouped.SparseRows() {
+		if err := putSlot(w, i, cb.Values[i], objBytes); err != nil {
+			return nil, err
 		}
-		slot := make([]byte, objBytes)
-		copy(slot, v)
-		w.WriteBytes(slot)
-		row := rows[i]
 		// A dense row cannot represent a zero (never-written) entry once
 		// the cycle number passes the codec window: Encode(0) is raw 0,
 		// which decodes to the newest cycle ≡ 0 mod 2^TS, not back to 0.
@@ -144,18 +124,12 @@ func EncodeGroupedCycle(cb *bcast.CycleBroadcast, epoch uint64, includePartition
 			w.WriteBits(uint64(len(row)), cw)
 			for _, e := range row {
 				w.WriteBits(uint64(e.Group), ib)
-				w.WriteBits(uint64(codec.Encode(e.Val)), l.TimestampBits)
+				putTS(w, e.Val, l.TimestampBits)
 			}
-		} else {
+		} else { // one entry per group, in group order
 			w.WriteBits(0, 1)
-			k := 0
-			for s := 0; s < l.Groups; s++ {
-				var val cmatrix.Cycle
-				if k < len(row) && row[k].Group == s {
-					val = row[k].Val
-					k++
-				}
-				w.WriteBits(uint64(codec.Encode(val)), l.TimestampBits)
+			for _, e := range row {
+				putTS(w, e.Val, l.TimestampBits)
 			}
 		}
 		w.Align()
@@ -194,51 +168,34 @@ func GroupedCycleBits(g *cmatrix.Grouped, objBytes, tsBits int, includePartition
 // returned epoch tells the caller which epoch to associate with the
 // frame's partition.
 func DecodeGroupedCycle(data []byte, prevPart *cmatrix.Partition, prevEpoch uint64) (cb *bcast.CycleBroadcast, epoch uint64, err error) {
-	if len(data) < groupedHeaderBytes {
-		return nil, 0, ErrShortBuffer
-	}
-	if !IsGroupedFrame(data) {
-		return nil, 0, fmt.Errorf("wire: bad grouped magic %q", data[0:4])
+	if err := KindGrouped.check(data); err != nil {
+		return nil, 0, err
 	}
 	flags := data[4]
 	if flags&^byte(groupedFlagPartition) != 0 {
 		return nil, 0, fmt.Errorf("wire: unknown grouped flags %#x", flags)
 	}
 	hasPart := flags&groupedFlagPartition != 0
-	number := cmatrix.Cycle(binary.BigEndian.Uint64(data[5:13]))
+	number, err := getCycle(data[5:13])
+	if err != nil {
+		return nil, 0, err
+	}
 	epoch = binary.BigEndian.Uint64(data[13:21])
-	objects := int(binary.BigEndian.Uint32(data[21:25]))
-	objBytes := int(binary.BigEndian.Uint32(data[25:29]))
-	tsBits := int(data[29])
-	groups := int(binary.BigEndian.Uint32(data[30:34]))
-
-	layout := bcast.Layout{
-		Objects:       objects,
-		ObjectBits:    int64(objBytes) * 8,
-		TimestampBits: tsBits,
-		Control:       bcast.ControlGrouped,
-		Groups:        groups,
+	layout, err := getDims(data[21:], dimsGrouped)
+	if err != nil {
+		return nil, 0, err
 	}
-	if err := layout.Validate(); err != nil {
-		return nil, 0, fmt.Errorf("wire: decoded layout invalid: %w", err)
-	}
-	if number < 1 {
-		return nil, 0, fmt.Errorf("wire: bad cycle number %d", number)
-	}
+	objects, objBytes, tsBits, groups := layout.Objects, objBytesOf(layout), layout.TimestampBits, layout.Groups
 	// Every object costs at least its value slot plus one aligned byte of
 	// control (mode bit + count); rejecting shorter frames up front bounds
-	// the allocations a torn frame can induce. The per-object bound is
-	// checked by division — objects and objBytes are attacker-controlled
-	// uint32s, so their product can overflow int64 and sign-flip past a
-	// multiplicative guard.
+	// the allocations a torn frame can induce.
 	ib := indexBits(groups)
 	partBytes := int64(0)
 	if hasPart {
-		partBytes = (int64(objects)*int64(ib) + 7) / 8
+		partBytes = columnBytes(objects, ib)
 	}
-	avail := int64(len(data)) - int64(groupedHeaderBytes) - partBytes
-	if avail < 0 || int64(objects) > avail/int64(objBytes+1) {
-		return nil, 0, ErrShortBuffer
+	if err := minLen(data, groupedHeaderBytes+partBytes, int64(objects), int64(objBytes)+1); err != nil {
+		return nil, 0, err
 	}
 
 	r := NewBitReader(data[groupedHeaderBytes:])
@@ -264,9 +221,7 @@ func DecodeGroupedCycle(data []byte, prevPart *cmatrix.Partition, prevEpoch uint
 		part = prevPart
 	}
 
-	codec := cmatrix.Codec{Bits: tsBits}
 	cw := countBits(groups)
-	ref := number - 1
 	cbOut := &bcast.CycleBroadcast{
 		Number: number,
 		Layout: layout,
@@ -274,11 +229,9 @@ func DecodeGroupedCycle(data []byte, prevPart *cmatrix.Partition, prevEpoch uint
 	}
 	rows := make([][]cmatrix.GroupEntry, objects)
 	for i := 0; i < objects; i++ {
-		v, err := r.ReadBytes(objBytes)
-		if err != nil {
+		if cbOut.Values[i], err = getSlot(r, objBytes); err != nil {
 			return nil, 0, err
 		}
-		cbOut.Values[i] = v
 		mode, err := r.ReadBits(1)
 		if err != nil {
 			return nil, 0, err
@@ -302,13 +255,12 @@ func DecodeGroupedCycle(data []byte, prevPart *cmatrix.Partition, prevEpoch uint
 					return nil, 0, fmt.Errorf("wire: object %d sparse row group id %d invalid (previous %d, groups %d)", i, s, prev, groups)
 				}
 				prev = int(s)
-				raw, err := r.ReadBits(tsBits)
+				ts, err := getTS(r, tsBits, number)
 				if err != nil {
 					return nil, 0, err
 				}
-				ts := codec.Decode(uint32(raw), ref)
-				if ts <= 0 {
-					return nil, 0, fmt.Errorf("wire: sparse timestamp %d decodes to cycle %d (corrupt frame)", raw, ts)
+				if ts == 0 {
+					return nil, 0, fmt.Errorf("wire: object %d sparse row lists a zero entry for group %d (corrupt frame)", i, s)
 				}
 				row = append(row, cmatrix.GroupEntry{Group: int(s), Val: ts})
 			}
@@ -316,13 +268,9 @@ func DecodeGroupedCycle(data []byte, prevPart *cmatrix.Partition, prevEpoch uint
 		} else {
 			var row []cmatrix.GroupEntry
 			for s := 0; s < groups; s++ {
-				raw, err := r.ReadBits(tsBits)
+				ts, err := getTS(r, tsBits, number)
 				if err != nil {
 					return nil, 0, err
-				}
-				ts := codec.Decode(uint32(raw), ref)
-				if ts < 0 {
-					return nil, 0, fmt.Errorf("wire: timestamp %d decodes before cycle 0 (corrupt frame)", raw)
 				}
 				if ts > 0 {
 					row = append(row, cmatrix.GroupEntry{Group: s, Val: ts})

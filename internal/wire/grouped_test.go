@@ -47,7 +47,7 @@ func TestGroupedCycleRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("partition %d withPart=%v: encode: %v", pi, withPart, err)
 			}
-			if !IsGroupedFrame(frame) {
+			if KindOf(frame) != KindGrouped {
 				t.Fatal("frame does not carry the grouped magic")
 			}
 			var prevPart *cmatrix.Partition
@@ -207,7 +207,7 @@ func TestGroupedCycleDecodeRejects(t *testing.T) {
 		// group 2 twice.
 		w := NewBitWriter()
 		var hdr [groupedHeaderBytes]byte
-		copy(hdr[0:4], GroupedMagic[:])
+		copy(hdr[0:4], KindGrouped.magic())
 		hdr[4] = groupedFlagPartition
 		binary.BigEndian.PutUint64(hdr[5:13], 9)  // cycle
 		binary.BigEndian.PutUint32(hdr[21:25], 1) // objects

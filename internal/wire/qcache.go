@@ -8,7 +8,6 @@ import (
 
 	"broadcastcc/internal/bcast"
 	"broadcastcc/internal/cmatrix"
-	"broadcastcc/internal/protocol"
 )
 
 // This file carries the persistent quasi-caching tier (Section 3.3 as a
@@ -42,12 +41,13 @@ import (
 //	column   8 bytes each, unwrapped cycles (disk pays no air bandwidth)
 //	hash     8 bytes  FNV-1a 64 over everything above
 
-// CacheRecordMagic identifies a persistent cache record.
-var CacheRecordMagic = [4]byte{'B', 'C', 'Q', '1'}
-
 // CacheRecordVersion is the current record codec version; decoders
 // reject records from a future codec rather than misparse them.
 const CacheRecordVersion = 1
+
+// cacheRecordMinBytes is an empty record: the fixed fields, a zero
+// value, a zero column, the hash.
+const cacheRecordMinBytes = 26 + 8
 
 // Cache record kinds.
 const (
@@ -69,7 +69,7 @@ type CacheRecord struct {
 // EncodeCacheRecord serializes one cache record, checksummed.
 func EncodeCacheRecord(rec CacheRecord) []byte {
 	buf := make([]byte, 0, 26+len(rec.Value)+8*len(rec.Col)+8)
-	buf = append(buf, CacheRecordMagic[:]...)
+	buf = append(buf, KindCacheRecord.magic()...)
 	buf = append(buf, CacheRecordVersion, rec.Kind)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(rec.Obj))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(rec.Cycle))
@@ -89,14 +89,8 @@ func EncodeCacheRecord(rec CacheRecord) []byte {
 // is an error, never a wrong record.
 func DecodeCacheRecord(data []byte) (CacheRecord, error) {
 	var rec CacheRecord
-	if len(data) < 26+8 {
-		return rec, ErrShortBuffer
-	}
-	if [4]byte(data[0:4]) != CacheRecordMagic {
-		return rec, fmt.Errorf("wire: bad cache record magic %q", data[0:4])
-	}
-	if data[4] != CacheRecordVersion {
-		return rec, fmt.Errorf("wire: cache record version %d (want %d)", data[4], CacheRecordVersion)
+	if err := KindCacheRecord.check(data); err != nil {
+		return rec, err
 	}
 	rec.Kind = data[5]
 	if rec.Kind != CachePut && rec.Kind != CacheDelete {
@@ -105,12 +99,9 @@ func DecodeCacheRecord(data []byte) (CacheRecord, error) {
 	rec.Obj = int(binary.BigEndian.Uint32(data[6:10]))
 	rec.Cycle = cmatrix.Cycle(binary.BigEndian.Uint64(data[10:18]))
 	vlen := int(binary.BigEndian.Uint32(data[18:22]))
-	if vlen > len(data) {
-		return rec, fmt.Errorf("wire: implausible cache value length %d in %d bytes", vlen, len(data))
-	}
 	off := 22
-	if off+vlen+4 > len(data) {
-		return rec, ErrShortBuffer
+	if err := minLen(data, int64(off)+4, int64(vlen), 1); err != nil {
+		return rec, err
 	}
 	if vlen > 0 {
 		rec.Value = append([]byte(nil), data[off:off+vlen]...)
@@ -118,11 +109,8 @@ func DecodeCacheRecord(data []byte) (CacheRecord, error) {
 	off += vlen
 	clen := int(binary.BigEndian.Uint32(data[off : off+4]))
 	off += 4
-	if clen > len(data)/8 {
-		return rec, fmt.Errorf("wire: implausible cache column length %d in %d bytes", clen, len(data))
-	}
-	if off+8*clen+8 > len(data) {
-		return rec, ErrShortBuffer
+	if err := minLen(data, int64(off)+8, int64(clen), 8); err != nil {
+		return rec, err
 	}
 	if clen > 0 {
 		rec.Col = make([]cmatrix.Cycle, clen)
@@ -148,21 +136,15 @@ func DecodeCacheRecord(data []byte) (CacheRecord, error) {
 //	count  4 bytes
 //	obj    4 bytes each, strictly ascending
 
-// SubsetSubscribeMagic identifies a subset-subscription frame.
-var SubsetSubscribeMagic = [4]byte{'B', 'C', 'Q', '2'}
-
-// IsSubsetSubscribeFrame reports whether data begins like a BCQ2 frame.
-func IsSubsetSubscribeFrame(data []byte) bool {
-	return len(data) >= 4 && [4]byte(data[0:4]) == SubsetSubscribeMagic
-}
+const subscribeHeaderBytes = 4 + 4
 
 // EncodeSubsetSubscribe serializes a tuner's object-subset filter. The
 // object list is sorted and deduplicated; an empty list (subscribe to
 // nothing) is legal and encodes a zero count.
 func EncodeSubsetSubscribe(objs []int) []byte {
 	norm := NormalizeSubset(objs)
-	buf := make([]byte, 0, 8+4*len(norm))
-	buf = append(buf, SubsetSubscribeMagic[:]...)
+	buf := make([]byte, 0, subscribeHeaderBytes+4*len(norm))
+	buf = append(buf, KindSubsetSubscribe.magic()...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(norm)))
 	for _, o := range norm {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(o))
@@ -173,18 +155,12 @@ func EncodeSubsetSubscribe(objs []int) []byte {
 // DecodeSubsetSubscribe parses a subset-subscription frame. Object ids
 // must be strictly ascending (the canonical form the encoder emits).
 func DecodeSubsetSubscribe(data []byte) ([]int, error) {
-	if len(data) < 8 {
-		return nil, ErrShortBuffer
-	}
-	if [4]byte(data[0:4]) != SubsetSubscribeMagic {
-		return nil, fmt.Errorf("wire: bad subset-subscribe magic %q", data[0:4])
+	if err := KindSubsetSubscribe.check(data); err != nil {
+		return nil, err
 	}
 	count := int(binary.BigEndian.Uint32(data[4:8]))
-	if count > (len(data)-8)/4 {
-		return nil, fmt.Errorf("wire: implausible subset count %d in %d bytes", count, len(data))
-	}
-	if len(data) != 8+4*count {
-		return nil, fmt.Errorf("wire: subset frame is %d bytes but header describes %d", len(data), 8+4*count)
+	if err := wantLen(data, subscribeHeaderBytes, int64(count), 4); err != nil {
+		return nil, err
 	}
 	objs := make([]int, count)
 	for i := range objs {
@@ -227,15 +203,7 @@ func NormalizeSubset(objs []int) []int {
 // column is exactly the control a caching client retains (Section 3.3),
 // so partial replication costs no validation precision.
 
-// SubsetCycleMagic identifies a subset cycle frame.
-var SubsetCycleMagic = [4]byte{'B', 'C', 'Q', '3'}
-
 const subsetHeaderBytes = 4 + 8 + 4 + 4 + 1 + 4
-
-// IsSubsetFrame reports whether data begins like a BCQ3 frame.
-func IsSubsetFrame(data []byte) bool {
-	return len(data) >= 4 && [4]byte(data[0:4]) == SubsetCycleMagic
-}
 
 // SubsetCycle is a partial-replication view of one broadcast cycle: the
 // subscribed objects' values and full control columns, plus the
@@ -253,10 +221,10 @@ type SubsetCycle struct {
 // SubsetOf restricts a full broadcast cycle to an object subset. The
 // cycle must carry matrix control (subset frames ship full columns).
 func SubsetOf(cb *bcast.CycleBroadcast, objs []int) (*SubsetCycle, error) {
-	if cb.Matrix == nil {
-		return nil, fmt.Errorf("wire: subset cycles require matrix control (have %v)", cb.Layout.Control)
-	}
 	l := cb.Layout
+	if l.Control != bcast.ControlMatrix {
+		return nil, fmt.Errorf("wire: subset cycles require matrix control (have %v)", l.Control)
+	}
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
@@ -264,7 +232,7 @@ func SubsetOf(cb *bcast.CycleBroadcast, objs []int) (*SubsetCycle, error) {
 	sc := &SubsetCycle{
 		Number:   cb.Number,
 		Objects:  l.Objects,
-		ObjBytes: int((l.ObjectBits + 7) / 8),
+		ObjBytes: objBytesOf(l),
 		TsBits:   l.TimestampBits,
 		Objs:     norm,
 	}
@@ -272,16 +240,28 @@ func SubsetOf(cb *bcast.CycleBroadcast, objs []int) (*SubsetCycle, error) {
 		if o < 0 || o >= l.Objects {
 			return nil, fmt.Errorf("wire: subset object %d out of range [0,%d)", o, l.Objects)
 		}
-		v := cb.Values[o]
-		if len(v) > sc.ObjBytes {
-			return nil, fmt.Errorf("wire: object %d value is %d bytes, slot holds %d", o, len(v), sc.ObjBytes)
+		slot, err := padSlot(nil, o, cb.Values[o], sc.ObjBytes)
+		if err != nil {
+			return nil, err
 		}
-		slot := make([]byte, sc.ObjBytes)
-		copy(slot, v)
+		col, err := Column(cb, o, nil)
+		if err != nil {
+			return nil, err
+		}
 		sc.Values = append(sc.Values, slot)
-		sc.Columns = append(sc.Columns, append([]cmatrix.Cycle(nil), cb.Matrix.Column(o)...))
+		sc.Columns = append(sc.Columns, col)
 	}
 	return sc, nil
+}
+
+// layout is the full-width matrix layout the subset was cut from.
+func (sc *SubsetCycle) layout() bcast.Layout {
+	return bcast.Layout{
+		Objects:       sc.Objects,
+		ObjectBits:    int64(sc.ObjBytes) * 8,
+		TimestampBits: sc.TsBits,
+		Control:       bcast.ControlMatrix,
+	}
 }
 
 // EncodeSubsetCycle serializes a subset cycle frame.
@@ -289,22 +269,17 @@ func EncodeSubsetCycle(sc *SubsetCycle) ([]byte, error) {
 	if sc.Number < 1 {
 		return nil, fmt.Errorf("wire: bad cycle number %d", sc.Number)
 	}
-	if sc.Objects < 1 || sc.ObjBytes < 1 || sc.TsBits < 1 || sc.TsBits > 32 {
-		return nil, fmt.Errorf("wire: bad subset dimensions n=%d objBytes=%d tsBits=%d", sc.Objects, sc.ObjBytes, sc.TsBits)
+	if err := sc.layout().Validate(); err != nil {
+		return nil, err
 	}
 	if len(sc.Values) != len(sc.Objs) || len(sc.Columns) != len(sc.Objs) {
 		return nil, fmt.Errorf("wire: subset shape mismatch: %d objs, %d values, %d columns", len(sc.Objs), len(sc.Values), len(sc.Columns))
 	}
-	w := NewBitWriter()
 	var hdr [subsetHeaderBytes]byte
-	copy(hdr[0:4], SubsetCycleMagic[:])
 	binary.BigEndian.PutUint64(hdr[4:12], uint64(sc.Number))
-	binary.BigEndian.PutUint32(hdr[12:16], uint32(sc.Objects))
-	binary.BigEndian.PutUint32(hdr[16:20], uint32(sc.ObjBytes))
-	hdr[20] = byte(sc.TsBits)
+	putDims(hdr[12:], sc.layout(), dimsMatrix)
 	binary.BigEndian.PutUint32(hdr[21:25], uint32(len(sc.Objs)))
-	w.WriteBytes(hdr[:])
-	codec := cmatrix.Codec{Bits: sc.TsBits}
+	w := KindSubset.begin(hdr[:])
 	for k, o := range sc.Objs {
 		if o < 0 || o >= sc.Objects {
 			return nil, fmt.Errorf("wire: subset object %d out of range [0,%d)", o, sc.Objects)
@@ -312,22 +287,16 @@ func EncodeSubsetCycle(sc *SubsetCycle) ([]byte, error) {
 		if k > 0 && o <= sc.Objs[k-1] {
 			return nil, fmt.Errorf("wire: subset objects not strictly ascending at index %d", k)
 		}
-		if len(sc.Values[k]) > sc.ObjBytes {
-			return nil, fmt.Errorf("wire: object %d value is %d bytes, slot holds %d", o, len(sc.Values[k]), sc.ObjBytes)
-		}
 		if len(sc.Columns[k]) != sc.Objects {
 			return nil, fmt.Errorf("wire: object %d column has %d entries, want %d", o, len(sc.Columns[k]), sc.Objects)
 		}
 		var ob [4]byte
 		binary.BigEndian.PutUint32(ob[:], uint32(o))
 		w.WriteBytes(ob[:])
-		slot := make([]byte, sc.ObjBytes)
-		copy(slot, sc.Values[k])
-		w.WriteBytes(slot)
-		for _, c := range sc.Columns[k] {
-			w.WriteBits(uint64(codec.Encode(c)), sc.TsBits)
+		if err := putSlot(w, o, sc.Values[k], sc.ObjBytes); err != nil {
+			return nil, err
 		}
-		w.Align()
+		putColumn(w, sc.Columns[k], sc.TsBits)
 	}
 	return w.Bytes(), nil
 }
@@ -335,38 +304,28 @@ func EncodeSubsetCycle(sc *SubsetCycle) ([]byte, error) {
 // DecodeSubsetCycle parses a subset cycle frame; the frame length must
 // match the header exactly.
 func DecodeSubsetCycle(data []byte) (*SubsetCycle, error) {
-	if len(data) < subsetHeaderBytes {
-		return nil, ErrShortBuffer
+	if err := KindSubset.check(data); err != nil {
+		return nil, err
 	}
-	if [4]byte(data[0:4]) != SubsetCycleMagic {
-		return nil, fmt.Errorf("wire: bad subset cycle magic %q", data[0:4])
+	number, err := getCycle(data[4:12])
+	if err != nil {
+		return nil, err
 	}
-	sc := &SubsetCycle{
-		Number:   cmatrix.Cycle(binary.BigEndian.Uint64(data[4:12])),
-		Objects:  int(binary.BigEndian.Uint32(data[12:16])),
-		ObjBytes: int(binary.BigEndian.Uint32(data[16:20])),
-		TsBits:   int(data[20]),
+	l, err := getDims(data[12:], dimsMatrix)
+	if err != nil {
+		return nil, err
 	}
+	sc := &SubsetCycle{Number: number, Objects: l.Objects, ObjBytes: objBytesOf(l), TsBits: l.TimestampBits}
 	count := int(binary.BigEndian.Uint32(data[21:25]))
-	if sc.Number < 1 {
-		return nil, fmt.Errorf("wire: bad cycle number %d", sc.Number)
-	}
-	if sc.Objects < 1 || sc.ObjBytes < 1 || sc.TsBits < 1 || sc.TsBits > 32 {
-		return nil, fmt.Errorf("wire: bad subset dimensions n=%d objBytes=%d tsBits=%d", sc.Objects, sc.ObjBytes, sc.TsBits)
-	}
-	if count > sc.Objects {
+	// An empty subset backs its n with no payload at all, and the view a
+	// tuner builds from the frame is n wide; the server never ships one.
+	if count < 1 || count > sc.Objects {
 		return nil, fmt.Errorf("wire: subset lists %d of %d objects", count, sc.Objects)
 	}
-	// The frame length is fully determined by the header; reject before
-	// allocating.
-	perObject := int64(4+sc.ObjBytes) + (int64(sc.Objects)*int64(sc.TsBits)+7)/8
-	want := int64(subsetHeaderBytes) + int64(count)*perObject
-	if int64(len(data)) != want {
-		return nil, fmt.Errorf("wire: subset frame is %d bytes but header describes %d", len(data), want)
+	if err := wantLen(data, subsetHeaderBytes, int64(count), 4+int64(sc.ObjBytes)+columnBytes(sc.Objects, sc.TsBits)); err != nil {
+		return nil, err
 	}
 	r := NewBitReader(data[subsetHeaderBytes:])
-	codec := cmatrix.Codec{Bits: sc.TsBits}
-	ref := sc.Number - 1
 	for k := 0; k < count; k++ {
 		ob, err := r.ReadBytes(4)
 		if err != nil {
@@ -379,23 +338,14 @@ func DecodeSubsetCycle(data []byte) (*SubsetCycle, error) {
 		if k > 0 && o <= sc.Objs[k-1] {
 			return nil, fmt.Errorf("wire: subset objects not strictly ascending at index %d", k)
 		}
-		v, err := r.ReadBytes(sc.ObjBytes)
+		v, err := getSlot(r, sc.ObjBytes)
 		if err != nil {
 			return nil, err
 		}
 		col := make([]cmatrix.Cycle, sc.Objects)
-		for i := range col {
-			raw, err := r.ReadBits(sc.TsBits)
-			if err != nil {
-				return nil, err
-			}
-			ts := codec.Decode(uint32(raw), ref)
-			if ts < 0 {
-				return nil, fmt.Errorf("wire: timestamp %d decodes before cycle 0 (corrupt frame)", raw)
-			}
-			col[i] = ts
+		if err := getColumn(r, col, sc.TsBits, number); err != nil {
+			return nil, err
 		}
-		r.Align()
 		sc.Objs = append(sc.Objs, o)
 		sc.Values = append(sc.Values, v)
 		sc.Columns = append(sc.Columns, col)
@@ -430,19 +380,8 @@ func (sc *SubsetCycle) Broadcast() (*bcast.CycleBroadcast, error) {
 	}
 	return &bcast.CycleBroadcast{
 		Number: sc.Number,
-		Layout: bcast.Layout{
-			Objects:       sc.Objects,
-			ObjectBits:    int64(sc.ObjBytes) * 8,
-			TimestampBits: sc.TsBits,
-			Control:       bcast.ControlMatrix,
-		},
+		Layout: sc.layout(),
 		Values: values,
 		Matrix: m,
 	}, nil
-}
-
-// ColumnSnapshotOf packages a stored cache column as the protocol
-// snapshot a restarted client revalidates against.
-func ColumnSnapshotOf(obj int, col []cmatrix.Cycle) protocol.ColumnSnapshot {
-	return protocol.ColumnSnapshot{Obj: obj, Col: col}
 }

@@ -13,51 +13,35 @@ import (
 //	prepare  "BCP1": token 8 bytes, remote 1 byte (1 = the global read
 //	         set extends beyond the receiving shard), then the BCU1
 //	         read/write body verbatim (counts + entries, no magic).
-//	decision "BCD1": token 8 bytes, commit 1 byte (1 commit / 0 abort).
+//	decision "BCT1": token 8 bytes, commit 1 byte (1 commit / 0 abort).
 //
 // Replies reuse the BCU1 status-byte layout (EncodeUpdateReply).
 
-// PrepareMagic identifies shot one of the two-shot commit.
-var PrepareMagic = [4]byte{'B', 'C', 'P', '1'}
-
-// DecisionMagic identifies shot two.
-var DecisionMagic = [4]byte{'B', 'C', 'D', '1'}
+// shotBytes is both shots' fixed part: magic, token, flag.
+const shotBytes = 4 + 8 + 1
 
 // EncodePrepare serializes shot one for one write-shard: the shard's
 // projection of the transaction plus the token naming it fleet-wide.
 func EncodePrepare(token uint64, req protocol.UpdateRequest, remote bool) []byte {
 	body := EncodeUpdateRequest(req)
-	buf := make([]byte, 0, 13+len(body)-4)
-	buf = append(buf, PrepareMagic[:]...)
-	buf = binary.BigEndian.AppendUint64(buf, token)
-	if remote {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
+	buf := make([]byte, 0, shotBytes+len(body)-4)
+	buf = append(buf, KindPrepare.magic()...)
+	buf = append(binary.BigEndian.AppendUint64(buf, token), flagByte(remote))
 	return append(buf, body[4:]...) // BCU1 body sans magic
 }
 
 // DecodePrepare parses shot one.
 func DecodePrepare(data []byte) (token uint64, req protocol.UpdateRequest, remote bool, err error) {
-	if len(data) < 13 {
-		return 0, req, false, ErrShortBuffer
-	}
-	if [4]byte(data[0:4]) != PrepareMagic {
-		return 0, req, false, fmt.Errorf("wire: bad prepare magic %q", data[0:4])
+	if err := KindPrepare.check(data); err != nil {
+		return 0, req, false, err
 	}
 	token = binary.BigEndian.Uint64(data[4:12])
-	switch data[12] {
-	case 0:
-		remote = false
-	case 1:
-		remote = true
-	default:
-		return 0, req, false, fmt.Errorf("wire: bad remote flag %d in prepare frame", data[12])
+	if remote, err = getFlag(data[12]); err != nil {
+		return 0, req, false, err
 	}
-	body := make([]byte, 0, 4+len(data)-13)
-	body = append(body, UplinkMagic[:]...)
-	body = append(body, data[13:]...)
+	body := make([]byte, 0, 4+len(data)-shotBytes)
+	body = append(body, KindUpdate.magic()...)
+	body = append(body, data[shotBytes:]...)
 	req, err = DecodeUpdateRequest(body)
 	if err != nil {
 		return 0, protocol.UpdateRequest{}, false, err
@@ -67,36 +51,36 @@ func DecodePrepare(data []byte) (token uint64, req protocol.UpdateRequest, remot
 
 // EncodeDecision serializes shot two.
 func EncodeDecision(token uint64, commit bool) []byte {
-	buf := make([]byte, 0, 13)
-	buf = append(buf, DecisionMagic[:]...)
-	buf = binary.BigEndian.AppendUint64(buf, token)
-	if commit {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+	buf := make([]byte, 0, shotBytes)
+	buf = append(buf, KindDecision.magic()...)
+	return append(binary.BigEndian.AppendUint64(buf, token), flagByte(commit))
+}
+
+// flagByte and getFlag code a shot's one-byte flag: 1 set, 0 clear.
+func flagByte(set bool) byte {
+	if set {
+		return 1
 	}
-	return buf
+	return 0
+}
+
+func getFlag(b byte) (bool, error) {
+	if b > 1 {
+		return false, fmt.Errorf("wire: bad flag byte %d in two-shot frame", b)
+	}
+	return b == 1, nil
 }
 
 // DecodeDecision parses shot two.
 func DecodeDecision(data []byte) (token uint64, commit bool, err error) {
-	if len(data) < 13 {
-		return 0, false, ErrShortBuffer
+	if err := KindDecision.check(data); err != nil {
+		return 0, false, err
 	}
-	if [4]byte(data[0:4]) != DecisionMagic {
-		return 0, false, fmt.Errorf("wire: bad decision magic %q", data[0:4])
+	if len(data) != shotBytes {
+		return 0, false, fmt.Errorf("wire: %d trailing bytes in decision frame", len(data)-shotBytes)
 	}
-	if len(data) != 13 {
-		return 0, false, fmt.Errorf("wire: %d trailing bytes in decision frame", len(data)-13)
+	if commit, err = getFlag(data[12]); err != nil {
+		return 0, false, err
 	}
-	token = binary.BigEndian.Uint64(data[4:12])
-	switch data[12] {
-	case 0:
-		commit = false
-	case 1:
-		commit = true
-	default:
-		return 0, false, fmt.Errorf("wire: bad commit flag %d in decision frame", data[12])
-	}
-	return token, commit, nil
+	return binary.BigEndian.Uint64(data[4:12]), commit, nil
 }

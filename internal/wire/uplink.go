@@ -19,13 +19,12 @@ import (
 // The reply is a single status byte (0 = committed) followed, on
 // failure, by a 2-byte length and a UTF-8 reason.
 
-// UplinkMagic identifies an update request frame.
-var UplinkMagic = [4]byte{'B', 'C', 'U', '1'}
+const updateHeaderBytes = 4 + 4 + 4
 
 // EncodeUpdateRequest serializes a client update transaction for the
 // uplink.
 func EncodeUpdateRequest(req protocol.UpdateRequest) []byte {
-	size := 12
+	size := updateHeaderBytes
 	for range req.Reads {
 		size += 12
 	}
@@ -33,7 +32,7 @@ func EncodeUpdateRequest(req protocol.UpdateRequest) []byte {
 		size += 8 + len(w.Value)
 	}
 	buf := make([]byte, 0, size)
-	buf = append(buf, UplinkMagic[:]...)
+	buf = append(buf, KindUpdate.magic()...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(req.Reads)))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(req.Writes)))
 	for _, r := range req.Reads {
@@ -51,24 +50,21 @@ func EncodeUpdateRequest(req protocol.UpdateRequest) []byte {
 // DecodeUpdateRequest parses an uplink frame.
 func DecodeUpdateRequest(data []byte) (protocol.UpdateRequest, error) {
 	var req protocol.UpdateRequest
-	if len(data) < 12 {
-		return req, ErrShortBuffer
-	}
-	if [4]byte(data[0:4]) != UplinkMagic {
-		return req, fmt.Errorf("wire: bad uplink magic %q", data[0:4])
+	if err := KindUpdate.check(data); err != nil {
+		return req, err
 	}
 	nReads := int(binary.BigEndian.Uint32(data[4:8]))
 	nWrites := int(binary.BigEndian.Uint32(data[8:12]))
-	// Bound counts by what the buffer could possibly hold, rejecting
-	// absurd values before allocating.
-	if nReads > len(data)/12 || nWrites > len(data)/8 {
-		return req, fmt.Errorf("wire: implausible counts reads=%d writes=%d in %d bytes", nReads, nWrites, len(data))
+	// Bound both counts by what the buffer can hold (a write is at
+	// least its 8-byte prefix) before allocating.
+	off := updateHeaderBytes
+	if err := minLen(data, int64(off), int64(nReads), 12); err != nil {
+		return req, err
 	}
-	off := 12
+	if err := minLen(data, int64(off+12*nReads), int64(nWrites), 8); err != nil {
+		return req, err
+	}
 	for i := 0; i < nReads; i++ {
-		if off+12 > len(data) {
-			return req, ErrShortBuffer
-		}
 		req.Reads = append(req.Reads, protocol.ReadAt{
 			Obj:   int(binary.BigEndian.Uint32(data[off : off+4])),
 			Cycle: cmatrix.Cycle(binary.BigEndian.Uint64(data[off+4 : off+12])),

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race flake loc verify bench bench-e2e bench-figures bench-smoke conform fuzz-smoke obs-smoke udp-smoke shard-smoke quasi-smoke soak-smoke soak-nightly
+.PHONY: build test race flake loc verify bench bench-e2e bench-figures bench-smoke figures-check conform fuzz-smoke obs-smoke udp-smoke shard-smoke quasi-smoke soak-smoke soak-nightly
 
 build:
 	$(GO) build ./...
@@ -75,6 +75,14 @@ bench-figures:
 # sweeps included); CI runs this on each push to catch harness breakage.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/experiments/...
+
+# Byte-identity of the figures (~20 s): run `bcbench -figure all -txns 50
+# -quiet -json` and `-figure scale -scale-clients 2000,4000`, and compare
+# stdout and every BENCH_<id>.json with cmd/bcbench/testdata
+# (all-txns50.stdout, figures.sha256) and bench/BENCH_shard.json. The
+# manifest is pinned to linux/amd64; elsewhere the check skips.
+figures-check:
+	$(GO) test -count=1 -run '^TestFiguresCheck$$' ./cmd/bcbench -args -figures-check
 
 # Boot bcserver with the observability endpoint and assert /metrics
 # serves a non-empty registry snapshot; catches -obs-addr wiring rot.

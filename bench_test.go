@@ -207,7 +207,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 				opt.Txns = 60
 				opt.MeasureFrom = 10
 				opt.Parallelism = par
-				if _, err := experiments.Figure2a(opt); err != nil {
+				if _, err := experiments.ByID("2a", opt); err != nil {
 					b.Fatal(err)
 				}
 			}

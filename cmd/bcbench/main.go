@@ -1,13 +1,13 @@
 // Command bcbench regenerates the paper's evaluation: one table per
-// figure (2a, 2b, 3a, 3b, 4a, 4b) plus the ablations (grouped matrix,
-// caching, multi-speed disks, client updates, client count, reception
-// faults), across Datacycle, R-Matrix, F-Matrix and F-Matrix-No.
+// figure of internal/experiments' figure table — the paper's sweeps and
+// the ablations across Datacycle, R-Matrix, F-Matrix and F-Matrix-No,
+// plus the standalone studies. `bcbench -h` lists the figure ids.
 //
 // Usage:
 //
 //	bcbench -figure 2a              # one figure at paper scale (1000 txns)
 //	bcbench -figure all -txns 200   # everything, quicker
-//	bcbench -figure 4b -csv out.csv # machine-readable series
+//	bcbench -figure 4b -csv out.csv # machine-readable series (sweeps only)
 //	bcbench -figure all -parallel 8 # bound the sweep worker pool
 //	bcbench -figure airsched -json bench/   # tuning-vs-skew study as BENCH_airsched.json
 //	bcbench -figure grouped -json bench/    # grouped-matrix bandwidth study at n=10⁵
@@ -15,12 +15,11 @@
 //	bcbench -figure shard -json bench/      # cluster-sharding channel study at n=10⁵
 //	bcbench -figure scale -json bench/      # event-wheel sweep to 10⁶ clients as BENCH_scale.json
 //
-// The airsched figures measure the air-scheduling subsystem: "airsched"
-// sweeps zipf skew θ comparing the flat broadcast against a 3-disk
-// program with a (1,8) index on tuning time at equal-or-better access
-// time; "airdisks" sweeps the disk count at θ=0.95. With -json every
-// figure (classic sweeps included) is also written as BENCH_<id>.json
-// in one shared schema for downstream tooling.
+// What each figure sweeps and measures is written next to its row in
+// the figure table. With -json every figure (classic sweeps included)
+// is also written as BENCH_<id>.json in one shared schema for
+// downstream tooling; `make figures-check` holds every table and file
+// to the committed testdata.
 //
 // Each sweep fans its independent simulation runs across a worker pool
 // (GOMAXPROCS workers by default; -parallel overrides). Tables are
@@ -33,67 +32,89 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 
-	"broadcastcc"
 	"broadcastcc/internal/experiments"
 )
 
-// study is a figure outside the classic sweeps: it runs, prints one
-// table, and projects to zero or more BENCH_<id>.json files.
-type study struct {
-	id    string
-	inAll bool
-	run   func(opt broadcastcc.ExperimentOptions) (table string, benches []experiments.BenchExperiment, err error)
-}
-
 // writeBench writes one figure into dir in the shared benchmark schema.
-func writeBench(dir string, bench experiments.BenchExperiment) error {
+func writeBench(dir string, bench experiments.BenchExperiment, stderr io.Writer) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	path := filepath.Join(dir, "BENCH_"+bench.ID+".json")
+	return writeFile(path, bench.WriteJSON, stderr)
+}
+
+// writeFile creates path, fills it through write and reports it.
+func writeFile(path string, write func(io.Writer) error, stderr io.Writer) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	err = bench.WriteJSON(f)
+	err = write(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
-		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+		fmt.Fprintf(stderr, "wrote %s\n", path)
 	}
 	return err
 }
 
-// check exits on a failed run or write.
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its streams and exit status as values: 2 for a
+// command line it rejects — before any simulation runs — and 1 for a
+// failed run or write.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bcbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	figure := fs.String("figure", "all", "figure id: "+experiments.FigureIDs()+", or all")
+	txns := fs.Int("txns", 1000, "client transactions per run (paper: 1000)")
+	seed := fs.Int64("seed", 1, "random seed for every run")
+	csvPath := fs.String("csv", "", "also write the series as CSV to this file (a single sweep figure only)")
+	quiet := fs.Bool("quiet", false, "suppress per-run progress")
+	maxTime := fs.Float64("max-time", 1e13, "per-run simulated-time guard in bit-units (0 = none)")
+	shapeSlack := fs.Float64("shape-slack", 0.35, "tolerance for the qualitative shape check")
+	parallel := fs.Int("parallel", 0, "concurrent simulations per sweep (0 = GOMAXPROCS, 1 = sequential; results are identical either way)")
+	jsonDir := fs.String("json", "", "write one machine-readable BENCH_<id>.json per figure into this directory")
+	scaleClients := fs.String("scale-clients", "", "comma-separated client counts for -figure scale (default 10000,100000,1000000)")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
 	}
-}
 
-func main() {
-	figure := flag.String("figure", "all", "figure id: 2a, 2b, 3a, 3b, 4a, 4b, groups, caching, disks, updates, clients, faults, airsched, airdisks, delta, grouped, quasi, shard, wire, scale, or all")
-	txns := flag.Int("txns", 1000, "client transactions per run (paper: 1000)")
-	seed := flag.Int64("seed", 1, "random seed for every run")
-	csvPath := flag.String("csv", "", "also write the series as CSV to this file (single figure only)")
-	quiet := flag.Bool("quiet", false, "suppress per-run progress")
-	maxTime := flag.Float64("max-time", 1e13, "per-run simulated-time guard in bit-units (0 = none)")
-	shapeSlack := flag.Float64("shape-slack", 0.35, "tolerance for the qualitative shape check")
-	parallel := flag.Int("parallel", 0, "concurrent simulations per sweep (0 = GOMAXPROCS, 1 = sequential; results are identical either way)")
-	jsonDir := flag.String("json", "", "write one machine-readable BENCH_<id>.json per figure into this directory")
-	scaleClients := flag.String("scale-clients", "", "comma-separated client counts for -figure scale (default 10000,100000,1000000)")
-	flag.Parse()
+	figures, err := experiments.Select(*figure)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	if *csvPath != "" && (len(figures) != 1 || !figures[0].IsSweep()) {
+		fmt.Fprintln(stderr, "-csv requires a single sweep -figure")
+		return 2
+	}
+	var clients []int
+	if *scaleClients != "" {
+		for _, part := range strings.Split(*scaleClients, ",") {
+			n, err := strconv.Atoi(strings.TrimSpace(part))
+			if err != nil {
+				fmt.Fprintf(stderr, "bad -scale-clients entry %q: %v\n", part, err)
+				return 2
+			}
+			clients = append(clients, n)
+		}
+	}
 
-	opt := broadcastcc.ExperimentOptions{
+	opt := experiments.Options{
 		Txns:        *txns,
 		Seed:        *seed,
 		MaxTime:     *maxTime,
@@ -101,129 +122,45 @@ func main() {
 	}
 	if !*quiet {
 		opt.Progress = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
+			fmt.Fprintf(stderr, format+"\n", args...)
 		}
 	}
 
-	type benches = []experiments.BenchExperiment
-	studies := []study{
-		// The scale study is deliberately not part of "all": its million-
-		// client points dominate the wall clock of everything else combined.
-		{"scale", false, func(opt broadcastcc.ExperimentOptions) (string, benches, error) {
-			var counts []int
-			if *scaleClients != "" {
-				for _, part := range strings.Split(*scaleClients, ",") {
-					n, err := strconv.Atoi(strings.TrimSpace(part))
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "bad -scale-clients entry %q: %v\n", part, err)
-						os.Exit(2)
-					}
-					counts = append(counts, n)
+	// report runs one figure, prints it and writes what was asked for.
+	report := func(f *experiments.Figure) error {
+		e, table, benches, err := f.Run(opt, clients)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(stdout, table)
+		if e != nil {
+			if v := e.CheckShape(*shapeSlack); len(v) > 0 {
+				fmt.Fprintf(stdout, "shape check: %d divergence(s) from the paper's qualitative ordering:\n", len(v))
+				for _, x := range v {
+					fmt.Fprintf(stdout, "  figure %s at x=%g: %s\n", x.Figure, x.X, x.Detail)
+				}
+			} else if len(e.Labels) == 4 {
+				fmt.Fprintln(stdout, "shape check: matches the paper's qualitative ordering")
+			}
+		}
+		fmt.Fprintln(stdout)
+		if *jsonDir != "" {
+			for _, bench := range benches {
+				if err := writeBench(*jsonDir, bench, stderr); err != nil {
+					return err
 				}
 			}
-			bench, err := experiments.ScaleStudy(experiments.ScaleConfig{Clients: counts, Seed: *seed}, opt.Progress)
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.ScaleTable(bench), benches{bench}, nil
-		}},
-		{"delta", true, func(opt broadcastcc.ExperimentOptions) (string, benches, error) {
-			points, err := experiments.DeltaAnalysis(opt)
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.DeltaTable(points), nil, nil
-		}},
-		{"grouped", true, func(opt broadcastcc.ExperimentOptions) (string, benches, error) {
-			points, err := experiments.GroupedBandwidth(opt, experiments.GroupedConfig{})
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.GroupedTable(points), benches{experiments.GroupedBench(points)}, nil
-		}},
-		{"quasi", true, func(opt broadcastcc.ExperimentOptions) (string, benches, error) {
-			points, err := experiments.QuasiCurrency(opt, experiments.QuasiConfig{})
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.QuasiTable(points), benches{experiments.QuasiBench(points)}, nil
-		}},
-		{"shard", true, func(opt broadcastcc.ExperimentOptions) (string, benches, error) {
-			points, err := experiments.ShardStudy(opt, experiments.ShardConfig{})
-			if err != nil {
-				return "", nil, err
-			}
-			return experiments.ShardTable(points), benches{experiments.ShardBench(points)}, nil
-		}},
-		{"wire", true, func(opt broadcastcc.ExperimentOptions) (string, benches, error) {
-			analysis, err := experiments.WireStudy(opt, experiments.WireConfig{})
-			if err != nil {
-				return "", nil, err
-			}
-			scaling, fec := experiments.WireBench(analysis)
-			return experiments.WireTable(analysis), benches{scaling, fec}, nil
-		}},
+		}
+		if *csvPath != "" {
+			return writeFile(*csvPath, e.WriteCSV, stderr)
+		}
+		return nil
 	}
-	for _, st := range studies {
-		if *figure != st.id && !(st.inAll && *figure == "all") {
-			continue
-		}
-		table, out, err := st.run(opt)
-		check(err)
-		fmt.Println(table)
-		fmt.Println()
-		if *jsonDir != "" {
-			for _, bench := range out {
-				check(writeBench(*jsonDir, bench))
-			}
-		}
-		if *figure == st.id {
-			return
+	for _, f := range figures {
+		if err := report(f); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	}
-
-	var exps []*broadcastcc.Experiment
-	if *figure == "all" {
-		all, err := broadcastcc.RunAllFigures(opt)
-		check(err)
-		exps = all
-	} else {
-		e, err := broadcastcc.RunFigure(*figure, opt)
-		check(err)
-		exps = append(exps, e)
-	}
-
-	for _, e := range exps {
-		if *jsonDir != "" {
-			check(writeBench(*jsonDir, e.Bench()))
-		}
-		fmt.Println(e.Table(e.Metric()))
-		if e.ID == "2a" { // the paper discusses both metrics for Figure 2
-			fmt.Println(e.Table(experiments.RestartRatio))
-		}
-		if v := e.CheckShape(*shapeSlack); len(v) > 0 {
-			fmt.Printf("shape check: %d divergence(s) from the paper's qualitative ordering:\n", len(v))
-			for _, x := range v {
-				fmt.Printf("  figure %s at x=%g: %s\n", x.Figure, x.X, x.Detail)
-			}
-		} else if len(e.Labels) == 4 {
-			fmt.Println("shape check: matches the paper's qualitative ordering")
-		}
-		fmt.Println()
-	}
-
-	if *csvPath != "" {
-		if len(exps) != 1 {
-			fmt.Fprintln(os.Stderr, "-csv requires a single -figure")
-			os.Exit(2)
-		}
-		f, err := os.Create(*csvPath)
-		check(err)
-		if err := exps[0].WriteCSV(f); err != nil {
-			f.Close()
-			check(err)
-		}
-		check(f.Close())
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *csvPath)
-	}
+	return 0
 }

@@ -14,7 +14,7 @@ func TestAirschedSweepClaim(t *testing.T) {
 	opt := quick()
 	opt.Txns = 300
 	opt.MeasureFrom = 100
-	e, err := AirschedSweep(opt)
+	e, err := ByID("airsched", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestAirschedDisksSweepDeterministicJSON(t *testing.T) {
 		opt.Txns = 60
 		opt.MeasureFrom = 20
 		opt.Parallelism = par
-		e, err := AirschedDisksSweep(opt)
+		e, err := ByID("airdisks", opt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -63,45 +63,61 @@ func finiteOrNil(v float64) *float64 {
 	return &v
 }
 
+// project builds a figure in the benchmark schema from its header (id,
+// title, x-label, metric and labels filled in), its points and the
+// metrics of every (point, label). The figure-level obs block is the
+// merge of every run that carries one — done here and nowhere else.
+func project[P any](head BenchExperiment, points []P, x func(P) float64, at func(p P, label string) BenchMetrics) BenchExperiment {
+	merged := obs.Snapshot{Counters: map[string]int64{}}
+	anyObs := false
+	for _, p := range points {
+		bp := BenchPoint{X: x(p), Series: map[string]BenchMetrics{}}
+		for _, lbl := range head.Labels {
+			bm := at(p, lbl)
+			if bm.Obs != nil {
+				merged = merged.Merge(*bm.Obs)
+				anyObs = true
+			}
+			bp.Series[lbl] = bm
+		}
+		head.Points = append(head.Points, bp)
+	}
+	if anyObs {
+		head.Obs = &merged
+	}
+	return head
+}
+
+// benchMetrics is the JSON form of one simulation run.
+func benchMetrics(m Metrics) BenchMetrics {
+	bm := BenchMetrics{
+		ResponseMean: finiteOrNil(m.ResponseMean),
+		RestartRatio: finiteOrNil(m.RestartRatio),
+		AccessMean:   finiteOrNil(m.AccessMean),
+		TuningMean:   finiteOrNil(m.TuningMean),
+		Cycles:       m.Cycles,
+		Commits:      m.Commits,
+		CacheHits:    m.CacheHits,
+		OffScale:     m.OffScale,
+	}
+	if m.Obs.Counters != nil {
+		bm.Obs = &m.Obs
+	}
+	return bm
+}
+
 // Bench converts the experiment to its machine-readable form.
 func (e *Experiment) Bench() BenchExperiment {
-	out := BenchExperiment{
+	head := BenchExperiment{
 		ID:     e.ID,
 		Title:  e.Title,
 		XLabel: e.XLabel,
 		Metric: e.Metric().label(),
 		Labels: e.Labels,
 	}
-	merged := obs.Snapshot{Counters: map[string]int64{}}
-	anyObs := false
-	for _, pt := range e.Points {
-		bp := BenchPoint{X: pt.X, Series: map[string]BenchMetrics{}}
-		for _, lbl := range e.Labels {
-			m := pt.Runs[lbl]
-			bm := BenchMetrics{
-				ResponseMean: finiteOrNil(m.ResponseMean),
-				RestartRatio: finiteOrNil(m.RestartRatio),
-				AccessMean:   finiteOrNil(m.AccessMean),
-				TuningMean:   finiteOrNil(m.TuningMean),
-				Cycles:       m.Cycles,
-				Commits:      m.Commits,
-				CacheHits:    m.CacheHits,
-				OffScale:     m.OffScale,
-			}
-			if m.Obs.Counters != nil {
-				snap := m.Obs
-				bm.Obs = &snap
-				merged = merged.Merge(snap)
-				anyObs = true
-			}
-			bp.Series[lbl] = bm
-		}
-		out.Points = append(out.Points, bp)
-	}
-	if anyObs {
-		out.Obs = &merged
-	}
-	return out
+	return project(head, e.Points,
+		func(pt Point) float64 { return pt.X },
+		func(pt Point, lbl string) BenchMetrics { return benchMetrics(pt.Runs[lbl]) })
 }
 
 // WriteJSON emits the experiment in the benchmark schema.

@@ -59,7 +59,7 @@ type Point struct {
 // Experiment is a completed sweep, directly mappable to one of the
 // paper's figures.
 type Experiment struct {
-	ID     string // "2a", "3b", ...
+	ID     string // the figure table's id
 	Title  string
 	XLabel string
 	Labels []string // series order for rendering
@@ -183,13 +183,13 @@ func runOne(opt Options, id string, rn sweepRun, variants []variant, progress fu
 // byte-identical to a sequential sweep. On error the pool stops
 // dispatching and the earliest run's error (in sweep order) is returned
 // — the same one a sequential sweep would hit.
-func variantSweep(opt Options, id, title, xlabel string, xs []float64, variants []variant) (*Experiment, error) {
-	exp := &Experiment{ID: id, Title: title, XLabel: xlabel}
+func variantSweep(opt Options, f *Figure, variants []variant) (*Experiment, error) {
+	exp := &Experiment{ID: f.ID, Title: f.title, XLabel: f.xlabel}
 	for _, v := range variants {
 		exp.Labels = append(exp.Labels, v.label)
 	}
-	runs := make([]sweepRun, 0, len(xs)*len(variants))
-	for _, x := range xs {
+	runs := make([]sweepRun, 0, len(f.xs)*len(variants))
+	for _, x := range f.xs {
 		for vi := range variants {
 			runs = append(runs, sweepRun{vi: vi, x: x})
 		}
@@ -199,7 +199,7 @@ func variantSweep(opt Options, id, title, xlabel string, xs []float64, variants 
 
 	if workers := min(opt.Parallelism, len(runs)); workers <= 1 {
 		for i, rn := range runs {
-			m, err := runOne(opt, id, rn, variants, opt.Progress)
+			m, err := runOne(opt, f.ID, rn, variants, opt.Progress)
 			if err != nil {
 				return nil, err
 			}
@@ -225,7 +225,7 @@ func variantSweep(opt Options, id, title, xlabel string, xs []float64, variants 
 					if i >= len(runs) || failed.Load() {
 						return
 					}
-					m, err := runOne(opt, id, runs[i], variants, progress)
+					m, err := runOne(opt, f.ID, runs[i], variants, progress)
 					if err != nil {
 						errs[i] = err
 						failed.Store(true)
@@ -247,7 +247,7 @@ func variantSweep(opt Options, id, title, xlabel string, xs []float64, variants 
 		}
 	}
 
-	for pi, x := range xs {
+	for pi, x := range f.xs {
 		pt := Point{X: x, Runs: map[string]Metrics{}}
 		for vi, v := range variants {
 			pt.Runs[v.label] = results[pi*len(variants)+vi]
@@ -255,311 +255,6 @@ func variantSweep(opt Options, id, title, xlabel string, xs []float64, variants 
 		exp.Points = append(exp.Points, pt)
 	}
 	return exp, nil
-}
-
-// sweep runs the classic per-algorithm comparison: one variant per
-// configured algorithm, each applying the per-x mutation.
-func sweep(opt Options, id, title, xlabel string, xs []float64, apply func(*sim.Config, float64)) (*Experiment, error) {
-	opt = opt.normalized()
-	variants := make([]variant, 0, len(opt.Algorithms))
-	for _, alg := range opt.Algorithms {
-		alg := alg
-		variants = append(variants, variant{
-			label: alg.String(),
-			apply: func(cfg *sim.Config, x float64) {
-				cfg.Algorithm = alg
-				apply(cfg, x)
-			},
-		})
-	}
-	return variantSweep(opt, id, title, xlabel, xs, variants)
-}
-
-// Figure2a sweeps client transaction length (2..10), reporting response
-// times — the paper's Figure 2(a).
-func Figure2a(opt Options) (*Experiment, error) {
-	return sweep(opt, "2a", "Response time vs client transaction length",
-		"client transaction length (reads)",
-		[]float64{2, 4, 6, 8, 10},
-		func(cfg *sim.Config, x float64) { cfg.ClientTxnLength = int(x) })
-}
-
-// Figure2b is the same sweep as Figure2a viewed through restart ratios —
-// the paper's Figure 2(b). (Each figure runs its own sweep so the two
-// can be generated independently.)
-func Figure2b(opt Options) (*Experiment, error) {
-	e, err := sweep(opt, "2b", "Restart ratio vs client transaction length",
-		"client transaction length (reads)",
-		[]float64{2, 4, 6, 8, 10},
-		func(cfg *sim.Config, x float64) { cfg.ClientTxnLength = int(x) })
-	return e, err
-}
-
-// Figure3a sweeps server transaction length — the paper's Figure 3(a).
-func Figure3a(opt Options) (*Experiment, error) {
-	return sweep(opt, "3a", "Response time vs server transaction length",
-		"server transaction length (operations)",
-		[]float64{2, 4, 8, 12, 16},
-		func(cfg *sim.Config, x float64) { cfg.ServerTxnLength = int(x) })
-}
-
-// Figure3b sweeps the server inter-transaction time; the transaction
-// *rate* decreases left to right exactly as in the paper's Figure 3(b).
-func Figure3b(opt Options) (*Experiment, error) {
-	return sweep(opt, "3b", "Response time vs server inter-transaction time",
-		"server inter-transaction time (bit-units; rate decreases rightward)",
-		[]float64{62500, 125000, 250000, 500000, 1000000},
-		func(cfg *sim.Config, x float64) { cfg.ServerTxnInterval = x })
-}
-
-// Figure4a sweeps the database size — the paper's Figure 4(a).
-func Figure4a(opt Options) (*Experiment, error) {
-	return sweep(opt, "4a", "Response time vs number of objects",
-		"objects in database",
-		[]float64{100, 200, 300, 400, 500},
-		func(cfg *sim.Config, x float64) { cfg.Objects = int(x) })
-}
-
-// Figure4b sweeps the object size — the paper's Figure 4(b).
-func Figure4b(opt Options) (*Experiment, error) {
-	return sweep(opt, "4b", "Response time vs object size",
-		"object size (bits)",
-		[]float64{2048, 4096, 8192, 16384, 32768},
-		func(cfg *sim.Config, x float64) { cfg.ObjectBits = int64(x) })
-}
-
-// GroupsAblation sweeps the grouped-matrix partition count between the
-// Datacycle-like single group and full F-Matrix — the Section 3.2.2
-// spectrum the paper describes but does not plot.
-func GroupsAblation(opt Options) (*Experiment, error) {
-	opt = opt.normalized()
-	opt.Algorithms = []protocol.Algorithm{protocol.Grouped}
-	e, err := sweep(opt, "groups", "Response time vs control-matrix group count (g=1 ≈ Datacycle-style vector, g=n = F-Matrix)",
-		"groups g",
-		[]float64{1, 5, 15, 60, 150, 300},
-		func(cfg *sim.Config, x float64) {
-			cfg.Groups = int(x)
-			// Higher contention so grouping effects show.
-			cfg.ClientTxnLength = 8
-		})
-	return e, err
-}
-
-// CachingAblation sweeps the client currency bound T (in cycles) under
-// F-Matrix — the Section 3.3 extension the paper defers to future work.
-func CachingAblation(opt Options) (*Experiment, error) {
-	opt = opt.normalized()
-	opt.Algorithms = []protocol.Algorithm{protocol.FMatrix}
-	return sweep(opt, "caching", "Response time vs client cache currency bound",
-		"currency bound T (cycles; 0 = no cache)",
-		[]float64{0, 1, 2, 4, 8, 16},
-		func(cfg *sim.Config, x float64) {
-			cfg.CacheCurrency = int64(x)
-			cfg.Objects = 100 // hotter object set so the cache can hit
-		})
-}
-
-// MultiDiskAblation sweeps the hot-disk speed of a two-disk broadcast
-// program under a hot-skewed client (beyond the paper, which restricts
-// itself to single-speed disks): 30 hot objects out of 300, 80% of
-// client reads hot.
-func MultiDiskAblation(opt Options) (*Experiment, error) {
-	opt = opt.normalized()
-	return sweep(opt, "disks", "Response time vs hot-disk speed (two-disk broadcast program, 80% hot access)",
-		"hot disk relative speed (1 = the paper's flat disk)",
-		[]float64{1, 2, 3, 5, 9},
-		func(cfg *sim.Config, x float64) {
-			cfg.HotSetSize = 30
-			cfg.HotAccessProb = 0.8
-			if x > 1 {
-				cfg.HotDiskSpeed = int(x) // cold set 270 divisible by 2,3,5,9
-			}
-		})
-}
-
-// ClientUpdateAblation sweeps the fraction of client transactions that
-// are updates committed over the uplink (the paper's future-work
-// direction). Reported response times are for the read-only
-// transactions; the update metrics travel in the Metrics extras.
-func ClientUpdateAblation(opt Options) (*Experiment, error) {
-	opt = opt.normalized()
-	return sweep(opt, "updates", "Response time vs client update fraction (uplink commits)",
-		"fraction of client transactions that update",
-		[]float64{0, 0.1, 0.25, 0.5},
-		func(cfg *sim.Config, x float64) {
-			cfg.ClientUpdateProb = x
-			cfg.ClientTxnWrites = 1
-			cfg.UplinkLatency = 4096
-		})
-}
-
-// ClientCountAblation sweeps the number of concurrent read-only clients
-// — the paper simulates one on the grounds that read-only performance is
-// client-count independent; this sweep verifies that the per-client
-// response times stay flat.
-func ClientCountAblation(opt Options) (*Experiment, error) {
-	opt = opt.normalized()
-	return sweep(opt, "clients", "Response time vs concurrent clients (read-only; should be flat)",
-		"concurrent clients",
-		[]float64{1, 2, 4, 8},
-		func(cfg *sim.Config, x float64) {
-			cfg.Clients = int(x)
-			// Keep total work comparable: measured txns per client shrink.
-			cfg.ClientTxns = max(cfg.ClientTxns/int(x), 40)
-			cfg.MeasureFrom = cfg.ClientTxns / 4
-		})
-}
-
-// FaultAblation sweeps the per-cycle frame-loss rate under a light doze
-// load (2% doze-window starts, 2 cycles each) — the lossy-air
-// experiment the paper's mobility premise implies but never runs. A
-// missed cycle carries no data, so reads wait for the object's next
-// received transmission; transactions stretch across more cycles, see
-// more concurrent updates, and abort more. The plotted metric is the
-// restart ratio per protocol (the ideal F-Matrix-No is excluded: it
-// broadcasts no control information and could not be validated over a
-// lossy air).
-func FaultAblation(opt Options) (*Experiment, error) {
-	opt = opt.normalized()
-	opt.Algorithms = []protocol.Algorithm{protocol.Datacycle, protocol.RMatrix, protocol.FMatrix}
-	return sweep(opt, "faults", "Restart ratio vs per-cycle frame-loss rate (plus 2% doze windows of 2 cycles)",
-		"per-cycle frame loss probability",
-		[]float64{0, 0.1, 0.2, 0.3, 0.4},
-		func(cfg *sim.Config, x float64) {
-			cfg.FaultLoss = x
-			cfg.FaultDoze = 0.02
-			cfg.FaultDozeLen = 2
-			cfg.FaultSeed = cfg.Seed
-		})
-}
-
-// airVariants are the two broadcast-program configurations the airsched
-// sweeps compare under F-Matrix: the paper's flat disk, and a 3-disk
-// program with a (1,8) air index and selective tuning.
-func airVariants(disks, indexM int, configure func(*sim.Config, float64)) []variant {
-	return []variant{
-		{label: "flat", apply: func(cfg *sim.Config, x float64) {
-			cfg.Algorithm = protocol.FMatrix
-			cfg.Disks = 1
-			configure(cfg, x)
-		}},
-		{label: "airsched", apply: func(cfg *sim.Config, x float64) {
-			cfg.Algorithm = protocol.FMatrix
-			cfg.Disks = disks
-			cfg.IndexM = indexM
-			configure(cfg, x)
-		}},
-	}
-}
-
-// AirschedSweep sweeps client access skew θ, comparing the flat disk
-// against a 3-disk, (1,8)-indexed airsched program: tuning time (frames
-// listened) should collapse while access time stays equal or better at
-// high skew. Runs under F-Matrix with a smaller, hotter database so the
-// multi-disk effects show within quick runs.
-func AirschedSweep(opt Options) (*Experiment, error) {
-	opt = opt.normalized()
-	opt.Algorithms = []protocol.Algorithm{protocol.FMatrix}
-	return variantSweep(opt, "airsched",
-		"Tuning time vs access skew (flat disk vs 3-disk + (1,8) air index)",
-		"zipf skew θ",
-		[]float64{0.25, 0.5, 0.75, 0.95},
-		airVariants(3, 8, func(cfg *sim.Config, x float64) {
-			cfg.Objects = 60
-			cfg.ZipfTheta = x
-		}))
-}
-
-// AirschedDisksSweep sweeps the disk count of the broadcast program at
-// fixed high skew (θ=0.95), with and without the (1,8) air index.
-func AirschedDisksSweep(opt Options) (*Experiment, error) {
-	opt = opt.normalized()
-	opt.Algorithms = []protocol.Algorithm{protocol.FMatrix}
-	configure := func(cfg *sim.Config, x float64) {
-		cfg.Objects = 60
-		cfg.ZipfTheta = 0.95
-		cfg.Disks = int(x)
-	}
-	return variantSweep(opt, "airdisks",
-		"Tuning time vs broadcast disk count (zipf θ=0.95, F-Matrix)",
-		"broadcast disks",
-		[]float64{1, 2, 3, 4},
-		[]variant{
-			{label: "unindexed", apply: func(cfg *sim.Config, x float64) {
-				cfg.Algorithm = protocol.FMatrix
-				configure(cfg, x)
-			}},
-			{label: "indexed", apply: func(cfg *sim.Config, x float64) {
-				cfg.Algorithm = protocol.FMatrix
-				configure(cfg, x)
-				cfg.IndexM = 8
-			}},
-		})
-}
-
-// All runs every figure of the paper plus the two ablations. Figures
-// run in sequence, but each figure's sweep fans its independent
-// simulation runs out across the Options.Parallelism worker pool, so
-// All saturates the machine while producing tables byte-identical to a
-// fully sequential reproduction.
-func All(opt Options) ([]*Experiment, error) {
-	type gen struct {
-		name string
-		f    func(Options) (*Experiment, error)
-	}
-	gens := []gen{
-		{"2a", Figure2a}, {"2b", Figure2b}, {"3a", Figure3a},
-		{"3b", Figure3b}, {"4a", Figure4a}, {"4b", Figure4b},
-		{"groups", GroupsAblation}, {"caching", CachingAblation},
-		{"disks", MultiDiskAblation}, {"updates", ClientUpdateAblation},
-		{"clients", ClientCountAblation}, {"faults", FaultAblation},
-		{"airsched", AirschedSweep}, {"airdisks", AirschedDisksSweep},
-	}
-	var out []*Experiment
-	for _, g := range gens {
-		e, err := g.f(opt)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}
-
-// ByID dispatches a figure by its identifier.
-func ByID(id string, opt Options) (*Experiment, error) {
-	switch strings.ToLower(id) {
-	case "2a":
-		return Figure2a(opt)
-	case "2b":
-		return Figure2b(opt)
-	case "3a":
-		return Figure3a(opt)
-	case "3b":
-		return Figure3b(opt)
-	case "4a":
-		return Figure4a(opt)
-	case "4b":
-		return Figure4b(opt)
-	case "groups":
-		return GroupsAblation(opt)
-	case "caching":
-		return CachingAblation(opt)
-	case "disks":
-		return MultiDiskAblation(opt)
-	case "updates":
-		return ClientUpdateAblation(opt)
-	case "clients":
-		return ClientCountAblation(opt)
-	case "faults":
-		return FaultAblation(opt)
-	case "airsched":
-		return AirschedSweep(opt)
-	case "airdisks":
-		return AirschedDisksSweep(opt)
-	default:
-		return nil, fmt.Errorf("experiments: unknown figure %q (want 2a, 2b, 3a, 3b, 4a, 4b, groups, caching, disks, updates, clients, faults, airsched, airdisks)", id)
-	}
 }
 
 // Metric selects which measurement a rendering shows.
@@ -601,18 +296,6 @@ func (m Metric) value(x Metrics) float64 {
 		return x.TuningMean
 	default:
 		return x.ResponseMean
-	}
-}
-
-// Metric picks the measurement the paper plots for this figure.
-func (e *Experiment) Metric() Metric {
-	switch e.ID {
-	case "2b", "faults":
-		return RestartRatio
-	case "airsched", "airdisks":
-		return TuningFrames
-	default:
-		return ResponseTime
 	}
 }
 

@@ -48,7 +48,7 @@ func TestFigure2aShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep too slow for -short")
 	}
-	e, err := Figure2a(quick())
+	e, err := ByID("2a", quick())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestRenderingHelpers(t *testing.T) {
 	opt.Txns = 40
 	opt.MeasureFrom = 10
 	opt.Algorithms = []protocol.Algorithm{protocol.RMatrix, protocol.FMatrix}
-	e, err := Figure3b(opt)
+	e, err := ByID("3b", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestGroupsAblationMonotone(t *testing.T) {
 	opt := quick()
 	opt.Txns = 150
 	opt.MeasureFrom = 30
-	e, err := GroupsAblation(opt)
+	e, err := ByID("groups", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestCachingAblationRuns(t *testing.T) {
 	opt := quick()
 	opt.Txns = 60
 	opt.MeasureFrom = 10
-	e, err := CachingAblation(opt)
+	e, err := ByID("caching", opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,11 +16,11 @@ func TestFaultAblationDeterministicAcrossParallelism(t *testing.T) {
 	parOpt := parallelQuick()
 	parOpt.Parallelism = 4
 
-	seq, err := FaultAblation(seqOpt)
+	seq, err := ByID("faults", seqOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := FaultAblation(parOpt)
+	par, err := ByID("faults", parOpt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,96 +130,43 @@ type GroupedPoint struct {
 	Series map[string]GroupedMetrics
 }
 
-// groupedStream is the pre-generated workload shared by every pass of
-// one analysis: the committed update stream and each client's planned
-// transaction object-sets. Identical across series and group counts, so
-// the only varying factor is the control representation.
-type groupedStream struct {
-	commits [][]plannedGroupedCommit // per cycle
-	txns    [][][]int                // txns[client][k] = k-th txn's objects
-}
-
-type plannedGroupedCommit struct {
-	readSet  []int
-	writeSet []int
-}
-
-func generateGroupedStream(cfg GroupedConfig, seed int64) *groupedStream {
+// planGrouped draws the study's workload: zipf-skewed two-read,
+// two-write commits and zipf-skewed client read sets. Identical across
+// series and group counts, so the only varying factor is the control
+// representation.
+func planGrouped(cfg GroupedConfig, seed int64) *plan {
 	rng := rand.New(rand.NewSource(seed))
 	zipf := airsched.NewZipfPicker(cfg.Objects, cfg.Theta)
 	pick := func() int { return zipf.Pick(rng.Float64()) }
-	pickDistinct := func(k int) []int {
-		out := make([]int, 0, k)
-		for len(out) < k {
-			obj := pick()
-			dup := false
-			for _, o := range out {
-				dup = dup || o == obj
+	return newPlan(cfg.Cycles, cfg.CommitsPerCycle, cfg.Clients,
+		func() plannedCommit {
+			return plannedCommit{
+				writeSet: pickDistinct(2, pick),
+				readSet:  pickDistinct(2, pick),
 			}
-			if !dup {
-				out = append(out, obj)
-			}
-		}
-		return out
-	}
-
-	s := &groupedStream{}
-	for c := 0; c < cfg.Cycles; c++ {
-		var cyc []plannedGroupedCommit
-		for i := 0; i < cfg.CommitsPerCycle; i++ {
-			cyc = append(cyc, plannedGroupedCommit{
-				writeSet: pickDistinct(2),
-				readSet:  pickDistinct(2),
-			})
-		}
-		s.commits = append(s.commits, cyc)
-	}
-	// One planned transaction per cycle is a strict upper bound on how
-	// many any client can start (each takes >= 1 cycle), so every pass
-	// consumes the same k-th object-set for its k-th transaction no
-	// matter how often it restarts.
-	s.txns = make([][][]int, cfg.Clients)
-	for cli := range s.txns {
-		for t := 0; t < cfg.Cycles; t++ {
-			s.txns[cli] = append(s.txns[cli], pickDistinct(cfg.TxnReads))
-		}
-	}
-	return s
+		},
+		func() func() []int {
+			return func() []int { return pickDistinct(cfg.TxnReads, pick) }
+		})
 }
 
 // groupedClient is one read-only client replaying its planned
-// transactions: one read per cycle, restart-until-success keeping the
-// same object set, a fresh set after each commit.
+// transactions through a conjunctive validator.
 type groupedClient struct {
-	v    protocol.ConjunctiveValidator
-	txns [][]int
-	txn  int
-	pos  int
+	cursor
+	v protocol.ConjunctiveValidator
 }
 
 func (c *groupedClient) step(snap protocol.Snapshot, cur cmatrix.Cycle) (committed, restarted bool) {
-	if c.txn >= len(c.txns) {
-		return false, false
-	}
-	objs := c.txns[c.txn]
-	if !c.v.TryRead(snap, objs[c.pos], cur) {
-		c.v.Reset()
-		c.pos = 0
-		return false, true
-	}
-	c.pos++
-	if c.pos == len(objs) {
-		c.v.Reset()
-		c.pos = 0
-		c.txn++
-		return true, false
-	}
-	return false, false
+	return c.cursor.step(
+		func(obj int) bool { return c.v.TryRead(snap, obj, cur) },
+		func() bool { return true },
+		c.v.Reset)
 }
 
 // runGroupedPass replays the shared stream against one control
 // representation and returns the pass's measurements.
-func runGroupedPass(cfg GroupedConfig, stream *groupedStream, series string, groups int) GroupedMetrics {
+func runGroupedPass(cfg GroupedConfig, stream *plan, series string, groups int) GroupedMetrics {
 	n := cfg.Objects
 	reg := obs.NewRegistry()
 	cBits := reg.Counter("exp_grouped_control_bits")
@@ -249,7 +196,7 @@ func runGroupedPass(cfg GroupedConfig, stream *groupedStream, series string, gro
 
 	clients := make([]*groupedClient, cfg.Clients)
 	for i := range clients {
-		clients[i] = &groupedClient{txns: stream.txns[i]}
+		clients[i] = &groupedClient{cursor: cursor{txns: stream.txns[i]}}
 	}
 
 	denseCycleBits := int64(n) * int64(n) * int64(cfg.TimestampBits)
@@ -332,8 +279,8 @@ func runGroupedPass(cfg GroupedConfig, stream *groupedStream, series string, gro
 func GroupedBandwidth(opt Options, cfg GroupedConfig) ([]*GroupedPoint, error) {
 	opt = opt.normalized()
 	cfg = cfg.normalized()
-	if cfg.Objects < 2 || cfg.TxnReads < 1 || cfg.Clients < 1 || cfg.TxnReads > cfg.Objects {
-		return nil, fmt.Errorf("experiments: degenerate grouped config %+v", cfg)
+	if err := checkReplayConfig(idGrouped, cfg, cfg.Objects, cfg.TxnReads, cfg.Clients); err != nil {
+		return nil, err
 	}
 	for _, g := range cfg.GroupCounts {
 		if g < 1 || g > cfg.Objects {
@@ -341,7 +288,7 @@ func GroupedBandwidth(opt Options, cfg GroupedConfig) ([]*GroupedPoint, error) {
 		}
 	}
 
-	stream := generateGroupedStream(cfg, opt.Seed)
+	stream := planGrouped(cfg, opt.Seed)
 	dense := runGroupedPass(cfg, stream, GroupedSeriesDense, 1)
 	dense.BandwidthRatio = 1
 	opt.Progress("grouped: n=%d dense floor restart=%.4f at %.3g bits/cycle",
@@ -393,28 +340,21 @@ func GroupedTable(points []*GroupedPoint) string {
 // schema: x is the group count, restart_ratio carries over, and the
 // byte/churn accounting rides in each series' obs snapshot.
 func GroupedBench(points []*GroupedPoint) BenchExperiment {
-	out := BenchExperiment{
-		ID:     "grouped",
+	head := BenchExperiment{
+		ID:     idGrouped,
 		Title:  "Grouped control bandwidth vs restart ratio",
 		XLabel: "groups g",
 		Metric: "restart ratio",
 		Labels: []string{GroupedSeriesDense, GroupedSeriesStatic, GroupedSeriesAdaptive},
 	}
-	merged := obs.Snapshot{Counters: map[string]int64{}}
-	for _, p := range points {
-		bp := BenchPoint{X: float64(p.Groups), Series: map[string]BenchMetrics{}}
-		for _, lbl := range out.Labels {
+	return project(head, points,
+		func(p *GroupedPoint) float64 { return float64(p.Groups) },
+		func(p *GroupedPoint, lbl string) BenchMetrics {
 			m := p.Series[lbl]
-			snap := m.Obs
-			bp.Series[lbl] = BenchMetrics{
+			return BenchMetrics{
 				RestartRatio: finiteOrNil(m.RestartRatio),
 				Commits:      m.Commits,
-				Obs:          &snap,
+				Obs:          &m.Obs,
 			}
-			merged = merged.Merge(snap)
-		}
-		out.Points = append(out.Points, bp)
-	}
-	out.Obs = &merged
-	return out
+		})
 }

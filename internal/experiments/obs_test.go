@@ -17,7 +17,7 @@ func TestBenchObsParallelism(t *testing.T) {
 	run := func(parallelism int) []byte {
 		opt := parallelQuick()
 		opt.Parallelism = parallelism
-		e, err := Figure2a(opt)
+		e, err := ByID("2a", opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +35,7 @@ func TestBenchObsParallelism(t *testing.T) {
 
 	// The embedded snapshots must actually be there: at least one
 	// series-level obs block and the merged sweep-level block.
-	e, err := Figure2a(parallelQuick())
+	e, err := ByID("2a", parallelQuick())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,13 +66,14 @@ func TestSweepParallelErrorMatchesSequential(t *testing.T) {
 		opt := parallelQuick()
 		opt.Parallelism = parallelism
 		opt.Algorithms = []protocol.Algorithm{protocol.Datacycle, protocol.FMatrix}
-		_, err := sweep(opt, "err", "error propagation", "x",
-			[]float64{1, 2, 3, 4},
-			func(cfg *sim.Config, x float64) {
+		row := Figure{ID: "err", title: "error propagation", xlabel: "x",
+			xs: []float64{1, 2, 3, 4},
+			apply: func(cfg *sim.Config, x float64) {
 				if x == 2 && cfg.Algorithm == protocol.Datacycle {
 					cfg.Objects = 0 // invalid: sim.Run rejects it
 				}
-			})
+			}}
+		_, err := row.sweep(opt)
 		return err
 	}
 	seqErr := run(1)
@@ -93,8 +94,9 @@ func TestSweepOffScaleParallel(t *testing.T) {
 		opt.Parallelism = parallelism
 		opt.MaxTime = 1 // everything blows the guard instantly
 		opt.Algorithms = []protocol.Algorithm{protocol.FMatrix}
-		e, err := sweep(opt, "off", "off-scale", "x", []float64{1, 2},
-			func(cfg *sim.Config, x float64) {})
+		row := Figure{ID: "off", title: "off-scale", xlabel: "x", xs: []float64{1, 2},
+			apply: func(cfg *sim.Config, x float64) {}}
+		e, err := row.sweep(opt)
 		if err != nil {
 			if errors.Is(err, sim.ErrMaxTime) {
 				t.Fatalf("parallelism=%d: ErrMaxTime must become an off-scale point, got error %v", parallelism, err)

@@ -136,107 +136,71 @@ type QuasiPoint struct {
 	Series map[string]QuasiMetrics
 }
 
-// quasiStream is the pre-generated workload shared by every pass: the
-// per-cycle commit write-sets and each client's planned transaction
-// object-sets. One planned transaction per cycle is a strict upper
-// bound on how many any client can finish.
-type quasiStream struct {
-	writes [][][]int // writes[cycle][commit] = write set
-	txns   [][][]int // txns[client][k] = k-th txn's objects
-}
-
-func generateQuasiStream(cfg QuasiConfig, seed int64) *quasiStream {
+// planQuasi draws the study's workload: per-cycle commit write-sets
+// under the mirrored write law and each client's planned read sets.
+func planQuasi(cfg QuasiConfig, seed int64) *plan {
 	rng := rand.New(rand.NewSource(seed))
 	zipf := airsched.NewZipfPicker(cfg.Objects, cfg.Theta)
-	pickDistinct := func(k int, pick func() int) []int {
-		out := make([]int, 0, k)
-		for len(out) < k {
-			obj := pick()
-			dup := false
-			for _, o := range out {
-				dup = dup || o == obj
-			}
-			if !dup {
-				out = append(out, obj)
-			}
-		}
-		return out
-	}
 	readPick := func() int { return zipf.Pick(rng.Float64()) }
 	// The mirrored write law: write heat concentrates on the tail of
 	// read popularity.
 	writePick := func() int { return cfg.Objects - 1 - zipf.Pick(rng.Float64()) }
-	s := &quasiStream{}
-	for c := 0; c < cfg.Cycles; c++ {
-		var cyc [][]int
-		for i := 0; i < cfg.CommitsPerCycle; i++ {
-			cyc = append(cyc, pickDistinct(1+rng.Intn(2), writePick))
-		}
-		s.writes = append(s.writes, cyc)
-	}
-	// Each client reads inside a small zipf-drawn working set (locality
-	// is what makes a cache worth carrying), and every transaction also
-	// reads one volatile object from the write-hot law — the
-	// fast-changing item that sets the genuine restart floor and that
-	// the per-object currency tailoring serves fresh-only.
-	s.txns = make([][][]int, cfg.Clients)
-	for cli := range s.txns {
-		wset := pickDistinct(4*cfg.TxnReads, readPick)
-		for t := 0; t < cfg.Cycles; t++ {
-			rest := pickDistinct(cfg.TxnReads-1, func() int { return wset[rng.Intn(len(wset))] })
-			// The volatile read comes first: under the pairwise read
-			// condition only an earlier-read object overwritten before a
-			// later read aborts, so a leading fast-changing read is what
-			// genuinely exposes the transaction to the update stream.
-			var v int
-			for dup := true; dup; {
-				v = writePick()
-				dup = false
-				for _, o := range rest {
-					dup = dup || o == v
+	return newPlan(cfg.Cycles, cfg.CommitsPerCycle, cfg.Clients,
+		func() plannedCommit {
+			return plannedCommit{writeSet: pickDistinct(1+rng.Intn(2), writePick)}
+		},
+		// Each client reads inside a small zipf-drawn working set (locality
+		// is what makes a cache worth carrying), and every transaction also
+		// reads one volatile object from the write-hot law — the
+		// fast-changing item that sets the genuine restart floor and that
+		// the per-object currency tailoring serves fresh-only.
+		func() func() []int {
+			wset := pickDistinct(4*cfg.TxnReads, readPick)
+			return func() []int {
+				rest := pickDistinct(cfg.TxnReads-1, func() int { return wset[rng.Intn(len(wset))] })
+				// The volatile read comes first: under the pairwise read
+				// condition only an earlier-read object overwritten before a
+				// later read aborts, so a leading fast-changing read is what
+				// genuinely exposes the transaction to the update stream.
+				var v int
+				for dup := true; dup; {
+					v = writePick()
+					dup = false
+					for _, o := range rest {
+						dup = dup || o == v
+					}
 				}
+				return append([]int{v}, rest...)
 			}
-			s.txns[cli] = append(s.txns[cli], append([]int{v}, rest...))
-		}
-	}
-	return s
+		})
 }
 
-// quasiClient drives one client in cycle lockstep: one read per cycle,
-// restart-until-success keeping the same object set, the next planned
-// set after each commit.
+// quasiClient drives one client's planned transactions through the
+// real client runtime in cycle lockstep.
 type quasiClient struct {
-	c    *client.Client
-	txn  *client.ReadTxn
-	txns [][]int
-	idx  int
-	pos  int
+	cursor
+	c   *client.Client
+	txn *client.ReadTxn
 }
 
 func (q *quasiClient) step() (committed, restarted bool) {
-	if q.idx >= len(q.txns) {
-		return false, false
-	}
-	if q.txn == nil {
-		q.txn = q.c.BeginReadOnly()
-	}
-	objs := q.txns[q.idx]
-	if _, err := q.txn.Read(objs[q.pos]); err != nil {
-		q.txn, q.pos = nil, 0
-		return false, true
-	}
-	q.pos++
-	if q.pos == len(objs) {
-		q.txn.Commit()
-		q.txn, q.pos = nil, 0
-		q.idx++
-		return true, false
-	}
-	return false, false
+	return q.cursor.step(
+		func(obj int) bool {
+			if q.txn == nil {
+				q.txn = q.c.BeginReadOnly()
+			}
+			_, err := q.txn.Read(obj)
+			return err == nil
+		},
+		func() bool {
+			q.txn.Commit()
+			return true
+		},
+		func() { q.txn = nil })
 }
 
 // runQuasiPass replays the shared stream at one (series, T) point.
-func runQuasiPass(cfg QuasiConfig, stream *quasiStream, series string, T int, dir string) (QuasiMetrics, error) {
+func runQuasiPass(cfg QuasiConfig, stream *plan, series string, T int, dir string) (QuasiMetrics, error) {
 	srv, err := server.New(server.Config{
 		Objects:    cfg.Objects,
 		ObjectBits: 64,
@@ -298,8 +262,8 @@ func runQuasiPass(cfg QuasiConfig, stream *quasiStream, series string, T int, di
 			ccfg.Store = stores[i]
 		}
 		return &quasiClient{
-			c:    client.New(ccfg, srv.Subscribe(cfg.Cycles+8)),
-			txns: stream.txns[i],
+			cursor: cursor{txns: stream.txns[i]},
+			c:      client.New(ccfg, srv.Subscribe(cfg.Cycles+8)),
 		}, nil
 	}
 
@@ -314,9 +278,9 @@ func runQuasiPass(cfg QuasiConfig, stream *quasiStream, series string, T int, di
 	cRevalidated := reg.Counter("client_cache_revalidated")
 	value := make([]byte, 8)
 	for c := 1; c <= cfg.Cycles; c++ {
-		for _, ws := range stream.writes[c-1] {
+		for _, cm := range stream.commits[c-1] {
 			txn := srv.Begin()
-			for _, obj := range ws {
+			for _, obj := range cm.writeSet {
 				binary.LittleEndian.PutUint64(value, uint64(c)<<16|uint64(obj))
 				if err := txn.Write(obj, value); err != nil {
 					return QuasiMetrics{}, err
@@ -363,7 +327,7 @@ func runQuasiPass(cfg QuasiConfig, stream *quasiStream, series string, T int, di
 				if err != nil {
 					return QuasiMetrics{}, err
 				}
-				nq.idx, nq.pos = q.idx, 0
+				nq.cursor.txn = q.cursor.txn
 				clients[i] = nq
 				// The fresh subscription replays the current cycle; consuming
 				// it here both realigns the lockstep and runs the inventory
@@ -404,8 +368,8 @@ func runQuasiPass(cfg QuasiConfig, stream *quasiStream, series string, T int, di
 func QuasiCurrency(opt Options, cfg QuasiConfig) ([]*QuasiPoint, error) {
 	opt = opt.normalized()
 	cfg = cfg.normalized()
-	if cfg.Objects < 2 || cfg.TxnReads < 1 || cfg.Clients < 1 || cfg.TxnReads > cfg.Objects {
-		return nil, fmt.Errorf("experiments: degenerate quasi config %+v", cfg)
+	if err := checkReplayConfig(idQuasi, cfg, cfg.Objects, cfg.TxnReads, cfg.Clients); err != nil {
+		return nil, err
 	}
 	if cfg.CrashAtCycle < 1 || cfg.CrashAtCycle >= cfg.Cycles {
 		return nil, fmt.Errorf("experiments: crash cycle %d outside run of %d cycles", cfg.CrashAtCycle, cfg.Cycles)
@@ -420,7 +384,7 @@ func QuasiCurrency(opt Options, cfg QuasiConfig) ([]*QuasiPoint, error) {
 		dir = tmp
 	}
 
-	stream := generateQuasiStream(cfg, opt.Seed)
+	stream := planQuasi(cfg, opt.Seed)
 	var out []*QuasiPoint
 	for _, T := range cfg.CurrencyBounds {
 		point := &QuasiPoint{T: T, Series: map[string]QuasiMetrics{}}
@@ -465,20 +429,18 @@ func QuasiTable(points []*QuasiPoint) string {
 // is the currency bound T, the crash-recovery column rides in each
 // series' values.
 func QuasiBench(points []*QuasiPoint) BenchExperiment {
-	out := BenchExperiment{
-		ID:     "quasi",
+	head := BenchExperiment{
+		ID:     idQuasi,
 		Title:  "Persistent quasi-caching under a currency bound",
 		XLabel: "currency bound T (cycles)",
 		Metric: "cache hit ratio",
 		Labels: []string{QuasiSeriesMemory, QuasiSeriesPersistent},
 	}
-	merged := obs.Snapshot{Counters: map[string]int64{}}
-	for _, p := range points {
-		bp := BenchPoint{X: float64(p.T), Series: map[string]BenchMetrics{}}
-		for _, lbl := range out.Labels {
+	return project(head, points,
+		func(p *QuasiPoint) float64 { return float64(p.T) },
+		func(p *QuasiPoint, lbl string) BenchMetrics {
 			m := p.Series[lbl]
-			snap := m.Obs
-			bp.Series[lbl] = BenchMetrics{
+			return BenchMetrics{
 				RestartRatio: finiteOrNil(m.RestartRatio),
 				TuningMean:   finiteOrNil(m.FramesPerCommit),
 				Commits:      m.Commits,
@@ -490,12 +452,7 @@ func QuasiBench(points []*QuasiPoint) BenchExperiment {
 					"precrash_inventory": float64(m.PreCrashInventory),
 					"recovered_ratio":    m.RecoveredRatio,
 				},
-				Obs: &snap,
+				Obs: &m.Obs,
 			}
-			merged = merged.Merge(snap)
-		}
-		out.Points = append(out.Points, bp)
-	}
-	out.Obs = &merged
-	return out
+		})
 }

@@ -65,14 +65,14 @@ func ScaleStudy(sc ScaleConfig, progress func(format string, args ...any)) (Benc
 	if progress == nil {
 		progress = func(string, ...any) {}
 	}
-	out := BenchExperiment{
-		ID:     "scale",
+	head := BenchExperiment{
+		ID:     idScale,
 		Title:  "Restart ratio vs client count (event-wheel engine)",
 		XLabel: "clients",
 		Metric: "restart ratio",
 	}
 	for _, alg := range sc.Algorithms {
-		out.Labels = append(out.Labels, alg.String())
+		head.Labels = append(head.Labels, alg.String())
 	}
 	for _, n := range sc.Clients {
 		if n < 1 {
@@ -83,8 +83,9 @@ func ScaleStudy(sc ScaleConfig, progress func(format string, args ...any)) (Benc
 		}
 	}
 
+	var points []BenchPoint
 	for _, n := range sc.Clients {
-		bp := BenchPoint{X: float64(n), Series: map[string]BenchMetrics{}}
+		pt := BenchPoint{X: float64(n), Series: map[string]BenchMetrics{}}
 		for _, alg := range sc.Algorithms {
 			cfg := sim.DefaultConfig()
 			cfg.Algorithm = alg
@@ -98,29 +99,20 @@ func ScaleStudy(sc ScaleConfig, progress func(format string, args ...any)) (Benc
 			if err != nil {
 				return BenchExperiment{}, fmt.Errorf("scale n=%d %s: %w", n, alg, err)
 			}
-			m := metricsOf(res)
-			bm := BenchMetrics{
-				ResponseMean: finiteOrNil(m.ResponseMean),
-				RestartRatio: finiteOrNil(m.RestartRatio),
-				AccessMean:   finiteOrNil(m.AccessMean),
-				TuningMean:   finiteOrNil(m.TuningMean),
-				Cycles:       m.Cycles,
-				Commits:      m.Commits,
-				CacheHits:    m.CacheHits,
-				Values: map[string]float64{
-					"events":         float64(n) * float64(sc.Txns) * float64(cfg.ClientTxnLength+1),
-					"client_commits": float64(res.ClientCommits),
-					"uplink_rejects": float64(res.UplinkRejects),
-				},
+			bm := benchMetrics(metricsOf(res))
+			bm.Values = map[string]float64{
+				"events":         float64(n) * float64(sc.Txns) * float64(cfg.ClientTxnLength+1),
+				"client_commits": float64(res.ClientCommits),
+				"uplink_rejects": float64(res.UplinkRejects),
 			}
-			snap := res.Obs
-			bm.Obs = &snap
-			bp.Series[alg.String()] = bm
-			progress("scale n=%d %s: restart ratio %.4f (%d cycles)", n, alg, m.RestartRatio, m.Cycles)
+			pt.Series[alg.String()] = bm
+			progress("scale n=%d %s: restart ratio %.4f (%d cycles)", n, alg, res.RestartRatio, res.CyclesSimulated)
 		}
-		out.Points = append(out.Points, bp)
+		points = append(points, pt)
 	}
-	return out, nil
+	return project(head, points,
+		func(p BenchPoint) float64 { return p.X },
+		func(p BenchPoint, lbl string) BenchMetrics { return p.Series[lbl] }), nil
 }
 
 // ScaleTable renders the study for the console: client counts down,

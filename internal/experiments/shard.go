@@ -161,16 +161,11 @@ type ShardPoint struct {
 	Metrics ShardMetrics
 }
 
-// shardStream is the pre-generated workload shared by every pass: the
-// uplink commit stream (read and write sets over global object ids) and
-// each client's planned transaction object-sets. Identical across shard
-// counts, so the only varying factor is the deployment.
-type shardStream struct {
-	commits [][]plannedGroupedCommit // per cycle
-	txns    [][][]int                // txns[client][t] = t-th txn's objects
-}
-
-func generateShardStream(cfg ShardConfig, seed int64) *shardStream {
+// planShard draws the study's workload: the uplink commit stream (read
+// and write sets over global object ids) and each client's planned read
+// sets. Identical across shard counts, so the only varying factor is
+// the deployment.
+func planShard(cfg ShardConfig, seed int64) *plan {
 	rng := rand.New(rand.NewSource(seed))
 	zipf := airsched.NewZipfPicker(cfg.Objects, cfg.Theta)
 	// Entity-affine picks: with probability Affinity a transaction
@@ -186,69 +181,34 @@ func generateShardStream(cfg ShardConfig, seed int64) *shardStream {
 	}
 	pickWithin := func(k int) []int {
 		base := entityZipf.Pick(rng.Float64()) * entity
-		out := make([]int, 0, k)
-		for len(out) < k {
-			obj := base + rng.Intn(entity)
-			dup := false
-			for _, o := range out {
-				dup = dup || o == obj
-			}
-			if !dup {
-				out = append(out, obj)
-			}
-		}
-		return out
+		return pickDistinct(k, func() int { return base + rng.Intn(entity) })
 	}
 	pickScattered := func(k int) []int {
-		out := make([]int, 0, k)
-		for len(out) < k {
-			obj := zipf.Pick(rng.Float64())
-			dup := false
-			for _, o := range out {
-				dup = dup || o == obj
-			}
-			if !dup {
-				out = append(out, obj)
-			}
-		}
-		return out
+		return pickDistinct(k, func() int { return zipf.Pick(rng.Float64()) })
 	}
-	pickDistinct := func(k int) []int {
-		if entityZipf != nil && k <= entity && rng.Float64() < cfg.Affinity {
-			return pickWithin(k)
-		}
-		return pickScattered(k)
-	}
-
-	s := &shardStream{}
-	for c := 0; c < cfg.Cycles; c++ {
-		var cyc []plannedGroupedCommit
-		for i := 0; i < cfg.CommitsPerCycle; i++ {
-			var cm plannedGroupedCommit
+	return newPlan(cfg.Cycles, cfg.CommitsPerCycle, cfg.Clients,
+		func() plannedCommit {
 			if entityZipf != nil && rng.Float64() < cfg.Affinity {
 				// Affine commit: reads and writes inside one entity.
 				objs := pickWithin(4)
-				cm = plannedGroupedCommit{writeSet: objs[:2], readSet: objs[2:]}
+				return plannedCommit{writeSet: objs[:2], readSet: objs[2:]}
 			} else if entityZipf != nil {
 				// Cross-entity commit — the realistic cross-partition
 				// shape: read one entity, write into another (usually a
 				// different shard), rather than four unrelated keys.
-				cm = plannedGroupedCommit{writeSet: pickWithin(2), readSet: pickWithin(2)}
-			} else {
-				objs := pickScattered(4)
-				cm = plannedGroupedCommit{writeSet: objs[:2], readSet: objs[2:]}
+				return plannedCommit{writeSet: pickWithin(2), readSet: pickWithin(2)}
 			}
-			cyc = append(cyc, cm)
-		}
-		s.commits = append(s.commits, cyc)
-	}
-	s.txns = make([][][]int, cfg.Clients)
-	for cli := range s.txns {
-		for t := 0; t < cfg.Cycles; t++ {
-			s.txns[cli] = append(s.txns[cli], pickDistinct(cfg.TxnReads))
-		}
-	}
-	return s
+			objs := pickScattered(4)
+			return plannedCommit{writeSet: objs[:2], readSet: objs[2:]}
+		},
+		func() func() []int {
+			return func() []int {
+				if k := cfg.TxnReads; entityZipf != nil && k <= entity && rng.Float64() < cfg.Affinity {
+					return pickWithin(k)
+				}
+				return pickScattered(cfg.TxnReads)
+			}
+		})
 }
 
 // shardClient is one read-only client against a sharded deployment: one
@@ -257,12 +217,10 @@ func generateShardStream(cfg ShardConfig, seed int64) *shardStream {
 // cross-shard cycle-alignment check at commit when the transaction
 // touched more than one shard.
 type shardClient struct {
+	cursor
 	m     *shard.Mapping
 	vs    []protocol.ConjunctiveValidator
 	reads []protocol.ReadAt // global ids with read cycles
-	txns  [][]int
-	txn   int
-	pos   int
 }
 
 func (c *shardClient) reset() {
@@ -270,51 +228,46 @@ func (c *shardClient) reset() {
 		c.vs[s].Reset()
 	}
 	c.reads = c.reads[:0]
-	c.pos = 0
 }
 
 func (c *shardClient) step(snaps []*cmatrix.Grouped, cur cmatrix.Cycle) (committed, crossShard, restarted bool) {
-	if c.txn >= len(c.txns) {
-		return false, false, false
-	}
-	objs := c.txns[c.txn]
-	obj := objs[c.pos]
-	s := c.m.ShardOf(obj)
-	if !c.vs[s].TryRead(snaps[s], c.m.Local(obj), cur) {
-		c.reset()
-		return false, false, true
-	}
-	c.reads = append(c.reads, protocol.ReadAt{Obj: obj, Cycle: cur})
-	c.pos++
-	if c.pos < len(objs) {
-		return false, false, false
-	}
-	// Commit: multi-shard read sets must admit one serialization point
-	// at c* = cur — every older read's object must be unwritten since
-	// it was read, judged on its shard's current (conservative grouped)
-	// diagonal.
-	shards := map[int]bool{}
-	for _, r := range c.reads {
-		shards[c.m.ShardOf(r.Obj)] = true
-	}
-	if len(shards) > 1 {
-		for _, r := range c.reads {
-			s := c.m.ShardOf(r.Obj)
-			li := c.m.Local(r.Obj)
-			if r.Cycle < cur && snaps[s].Bound(li, li) >= r.Cycle {
-				c.reset()
-				return false, false, true
+	committed, restarted = c.cursor.step(
+		func(obj int) bool {
+			s := c.m.ShardOf(obj)
+			if !c.vs[s].TryRead(snaps[s], c.m.Local(obj), cur) {
+				return false
 			}
-		}
-	}
-	c.reset()
-	c.txn++
-	return true, len(shards) > 1, false
+			c.reads = append(c.reads, protocol.ReadAt{Obj: obj, Cycle: cur})
+			return true
+		},
+		// Commit: multi-shard read sets must admit one serialization point
+		// at c* = cur — every older read's object must be unwritten since
+		// it was read, judged on its shard's current (conservative grouped)
+		// diagonal.
+		func() bool {
+			shards := map[int]bool{}
+			for _, r := range c.reads {
+				shards[c.m.ShardOf(r.Obj)] = true
+			}
+			crossShard = len(shards) > 1
+			if crossShard {
+				for _, r := range c.reads {
+					s := c.m.ShardOf(r.Obj)
+					li := c.m.Local(r.Obj)
+					if r.Cycle < cur && snaps[s].Bound(li, li) >= r.Cycle {
+						return false
+					}
+				}
+			}
+			return true
+		},
+		c.reset)
+	return committed, committed && crossShard, restarted
 }
 
 // runShardPass replays the shared stream against one k-shard deployment
 // and returns the pass's measurements.
-func runShardPass(cfg ShardConfig, stream *shardStream, seed int64, k int) ShardMetrics {
+func runShardPass(cfg ShardConfig, stream *plan, seed int64, k int) ShardMetrics {
 	m := shard.NewPrefixMapping(shard.NewRing(seed, k, cfg.Vnodes), cfg.Objects, cfg.EntityObjects)
 	reg := obs.NewRegistry()
 	cBits := reg.Counter("exp_shard_control_bits")
@@ -339,7 +292,7 @@ func runShardPass(cfg ShardConfig, stream *shardStream, seed int64, k int) Shard
 
 	clients := make([]*shardClient, cfg.Clients)
 	for i := range clients {
-		clients[i] = &shardClient{m: m, vs: make([]protocol.ConjunctiveValidator, k), txns: stream.txns[i]}
+		clients[i] = &shardClient{cursor: cursor{txns: stream.txns[i]}, m: m, vs: make([]protocol.ConjunctiveValidator, k)}
 	}
 
 	var latencySum int64
@@ -446,8 +399,8 @@ func runShardPass(cfg ShardConfig, stream *shardStream, seed int64, k int) Shard
 func ShardStudy(opt Options, cfg ShardConfig) ([]*ShardPoint, error) {
 	opt = opt.normalized()
 	cfg = cfg.normalized()
-	if cfg.Objects < 2 || cfg.TxnReads < 1 || cfg.Clients < 1 || cfg.TxnReads > cfg.Objects {
-		return nil, fmt.Errorf("experiments: degenerate shard config %+v", cfg)
+	if err := checkReplayConfig(idShard, cfg, cfg.Objects, cfg.TxnReads, cfg.Clients); err != nil {
+		return nil, err
 	}
 	if cfg.ShardCounts[0] != 1 {
 		return nil, fmt.Errorf("experiments: ShardCounts must start with the k=1 floor, got %v", cfg.ShardCounts)
@@ -458,7 +411,7 @@ func ShardStudy(opt Options, cfg ShardConfig) ([]*ShardPoint, error) {
 		}
 	}
 
-	stream := generateShardStream(cfg, opt.Seed)
+	stream := planShard(cfg, opt.Seed)
 	var out []*ShardPoint
 	var floor ShardMetrics
 	for i, k := range cfg.ShardCounts {
@@ -506,36 +459,28 @@ func ShardTable(points []*ShardPoint) string {
 // per-channel bandwidth, latency and cross-shard accounting ride in the
 // figure-specific values.
 func ShardBench(points []*ShardPoint) BenchExperiment {
-	out := BenchExperiment{
-		ID:     "shard",
+	head := BenchExperiment{
+		ID:     idShard,
 		Title:  "Cluster sharding: per-channel control bandwidth vs restart ratio",
 		XLabel: "shards k",
 		Metric: "restart ratio",
 		Labels: []string{ShardSeries},
 	}
-	merged := obs.Snapshot{Counters: map[string]int64{}}
-	for _, p := range points {
-		m := p.Metrics
-		snap := m.Obs
-		out.Points = append(out.Points, BenchPoint{
-			X: float64(p.Shards),
-			Series: map[string]BenchMetrics{
-				ShardSeries: {
-					RestartRatio: finiteOrNil(m.RestartRatio),
-					Commits:      m.Commits,
-					Values: map[string]float64{
-						"ctrl_bits_per_channel": m.ControlBitsPerChannel,
-						"channel_ratio":         m.ChannelRatio,
-						"restart_vs_floor":      m.RestartVsFloor,
-						"commit_latency_cycles": m.CommitLatencyCycles,
-						"cross_shard_frac":      m.CrossShardFrac,
-					},
-					Obs: &snap,
+	return project(head, points,
+		func(p *ShardPoint) float64 { return float64(p.Shards) },
+		func(p *ShardPoint, _ string) BenchMetrics {
+			m := p.Metrics
+			return BenchMetrics{
+				RestartRatio: finiteOrNil(m.RestartRatio),
+				Commits:      m.Commits,
+				Values: map[string]float64{
+					"ctrl_bits_per_channel": m.ControlBitsPerChannel,
+					"channel_ratio":         m.ChannelRatio,
+					"restart_vs_floor":      m.RestartVsFloor,
+					"commit_latency_cycles": m.CommitLatencyCycles,
+					"cross_shard_frac":      m.CrossShardFrac,
 				},
-			},
+				Obs: &m.Obs,
+			}
 		})
-		merged = merged.Merge(snap)
-	}
-	out.Obs = &merged
-	return out
 }

@@ -354,58 +354,42 @@ func WireTable(a *WireAnalysis) string {
 }
 
 // WireBench projects the analysis into the shared benchmark schema as
-// two figures: "wire" (x = subscribers) and "wirefec" (x = loss rate).
+// two figures: the egress scaling (x = subscribers) and "wirefec" (x =
+// loss rate).
 func WireBench(a *WireAnalysis) (scaling, fec BenchExperiment) {
-	scaling = BenchExperiment{
-		ID:     "wire",
+	scaling = project(BenchExperiment{
+		ID:     idWire,
 		Title:  "Server egress per cycle vs audience size",
 		XLabel: "TCP subscribers / datagram taps",
 		Metric: "bytes per cycle",
 		Labels: []string{WireSeriesTCP, WireSeriesUDP},
-	}
-	merged := obs.Snapshot{Counters: map[string]int64{}}
-	for _, p := range a.Scaling {
-		snap := p.Obs
-		merged = merged.Merge(snap)
-		scaling.Points = append(scaling.Points, BenchPoint{
-			X: float64(p.Subscribers),
-			Series: map[string]BenchMetrics{
-				WireSeriesTCP: {
-					Values: map[string]float64{"bytes_per_cycle": p.TCPBytesPerCycle},
-				},
-				WireSeriesUDP: {
-					Values: map[string]float64{"bytes_per_cycle": p.UDPBytesPerCycle},
-					Obs:    &snap,
-				},
-			},
+	}, a.Scaling,
+		func(p WireScalingPoint) float64 { return float64(p.Subscribers) },
+		// Both series ran against one registry; the point's snapshot
+		// rides on the udp series alone so it merges once.
+		func(p WireScalingPoint, lbl string) BenchMetrics {
+			if lbl == WireSeriesTCP {
+				return BenchMetrics{Values: map[string]float64{"bytes_per_cycle": p.TCPBytesPerCycle}}
+			}
+			return BenchMetrics{Values: map[string]float64{"bytes_per_cycle": p.UDPBytesPerCycle}, Obs: &p.Obs}
 		})
-	}
-	scaling.Obs = &merged
-
-	fec = BenchExperiment{
+	fec = project(BenchExperiment{
 		ID:     "wirefec",
 		Title:  "FEC frame recovery vs packet loss",
 		XLabel: "packet loss rate",
 		Metric: "delivered ratio",
 		Labels: []string{WireSeriesFEC, WireSeriesNoFEC},
-	}
-	fmerged := obs.Snapshot{Counters: map[string]int64{}}
-	for _, p := range a.FEC {
-		bp := BenchPoint{X: p.Loss, Series: map[string]BenchMetrics{}}
-		for _, lbl := range fec.Labels {
+	}, a.FEC,
+		func(p WireFECPoint) float64 { return p.Loss },
+		func(p WireFECPoint, lbl string) BenchMetrics {
 			m := p.Series[lbl]
-			snap := m.Obs
-			fmerged = fmerged.Merge(snap)
-			bp.Series[lbl] = BenchMetrics{
+			return BenchMetrics{
 				Values: map[string]float64{
 					"delivered_ratio": m.DeliveredRatio,
 					"recovery_ratio":  m.RecoveryRatio,
 				},
-				Obs: &snap,
+				Obs: &m.Obs,
 			}
-		}
-		fec.Points = append(fec.Points, bp)
-	}
-	fec.Obs = &fmerged
+		})
 	return scaling, fec
 }

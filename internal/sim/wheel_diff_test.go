@@ -87,8 +87,8 @@ func wheelDiffConfigs() map[string]Config {
 		}
 	}
 
-	// The same figure exactly as experiments.ClientCountAblation shapes
-	// it — Table 1 defaults, ClientTxns = max(Txns/x, 40), MeasureFrom =
+	// The same figure exactly as the "clients" row of experiments'
+	// figure table shapes it — Table 1 defaults, ClientTxns = max(Txns/x, 40), MeasureFrom =
 	// ClientTxns/4 — at Txns 40 (every x runs 40) and at Txns 320, where
 	// the per-client count actually scales with x.
 	for _, alg := range []protocol.Algorithm{protocol.Datacycle, protocol.RMatrix, protocol.FMatrix, protocol.FMatrixNo} {

@@ -30,12 +30,15 @@ flake:
 
 # Non-test Go lines per internal/* package, under cmd/ and at the root:
 # the figure every "collapse duplicate machinery" PR quotes before and
-# after.
+# after. The last line is the subtotal over the scope of ROADMAP's
+# "≥ 15 % fewer than at 2d16ba8" target (12,036 there).
+LOC_SCOPE = internal/sim internal/client internal/netcast internal/wire internal/experiments cmd
 loc:
 	@for d in internal/* cmd; do \
 		printf '%-24s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	done; \
-	printf '%-24s %6d\n' . $$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
+	printf '%-24s %6d\n' . $$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+	printf '%-24s %6d\n' 'roadmap scope' $$(find $(LOC_SCOPE) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 
 verify: build test race
 

@@ -375,6 +375,11 @@ type FleetConfig = shard.FleetConfig
 // coordinator.
 func NewFleet(cfg FleetConfig) (*Fleet, error) { return shard.NewFleet(cfg) }
 
+// ShardAddr reports where shard s of a fleet listens, given shard 0's
+// address for the same role (broadcast channel or participant uplink):
+// the one listen plan bcserver and bcclient share.
+func ShardAddr(base string, s int) (string, error) { return shard.Addr(base, s) }
+
 // ShardCoordinator splits global update transactions across the fleet:
 // single-shard transactions use the shard's ordinary submit (keeping
 // k = 1 byte-identical to an unsharded server), cross-shard ones run

@@ -4,27 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"net"
-	"strconv"
 	"strings"
 
 	"broadcastcc"
 )
-
-// addrPlus shifts a host:port address by delta ports — the client-side
-// mirror of the server's per-shard listen plan (shard s broadcasts on
-// port+2s).
-func addrPlus(addr string, delta int) (string, error) {
-	host, port, err := net.SplitHostPort(addr)
-	if err != nil {
-		return "", err
-	}
-	p, err := strconv.Atoi(port)
-	if err != nil {
-		return "", fmt.Errorf("address %q needs a numeric port to derive per-shard ports: %v", addr, err)
-	}
-	return net.JoinHostPort(host, strconv.Itoa(p+delta)), nil
-}
 
 // runFleetClient tunes every shard channel of a bcserver -shards fleet
 // and runs transactions over global object ids through a router: reads
@@ -33,11 +16,11 @@ func addrPlus(addr string, delta int) (string, error) {
 // locally from (ring-seed, shards, vnodes, objects), which must match
 // the server's flags — the deployment contract of a hashring fleet.
 func runFleetClient(alg broadcastcc.Algorithm, broadcastAddr, coordinatorAddr string,
-	shards, vnodes, objects, entity int, ringSeed int64, reads []int, writes map[int]string, txns int) {
-	m := broadcastcc.NewShardPrefixMapping(broadcastcc.NewShardRing(ringSeed, shards, vnodes), objects, entity)
+	shards, vnodes, objects int, ringSeed int64, reads []int, writes map[int]string, txns int) {
+	m := broadcastcc.NewShardMapping(broadcastcc.NewShardRing(ringSeed, shards, vnodes), objects)
 	clients := make([]*broadcastcc.Client, shards)
 	for s := 0; s < shards; s++ {
-		addr, err := addrPlus(broadcastAddr, 2*s)
+		addr, err := broadcastcc.ShardAddr(broadcastAddr, s)
 		if err != nil {
 			log.Fatal(err)
 		}

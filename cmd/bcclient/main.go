@@ -43,8 +43,7 @@
 // broadcast channels at once and runs transactions over global object
 // ids: reads validate per shard plus the cross-shard alignment check,
 // writes commit through the fleet's coordinator uplink. The mapping
-// flags (-ring-seed, -vnodes, -objects, -entity) must match the
-// server's:
+// flags (-ring-seed, -vnodes, -objects) must match the server's:
 //
 //	bcclient -shards 4 -objects 4096 -ring-seed 7 -read 0,1000,3000
 //	bcclient -shards 4 -objects 4096 -write 0=a,3000=b
@@ -81,7 +80,6 @@ func main() {
 	vnodes := flag.Int("vnodes", 0, "hashring virtual nodes per shard (must match the server)")
 	ringSeed := flag.Int64("ring-seed", 1, "hashring placement seed (must match the server)")
 	objects := flag.Int("objects", 64, "database size n for the shard mapping (with -shards; must match the server)")
-	entityObjs := flag.Int("entity", 0, "key-prefix entity size of the shard mapping (must match the server; 0 = per-object placement)")
 	coordinatorAddr := flag.String("coordinator", "127.0.0.1:7069", "fleet coordinator uplink for -shards writes (global object ids)")
 	obsAddr := flag.String("obs-addr", "", "serve client /metrics, /trace and /debug/pprof on this address (empty = off)")
 	udpAddr := flag.String("udp", "", "receive the broadcast over UDP datagrams bound to this host:port instead of TCP (the server's -udp destination; empty = TCP)")
@@ -118,7 +116,7 @@ func main() {
 			log.Fatal(err)
 		}
 		runFleetClient(alg, *broadcastAddr, *coordinatorAddr,
-			*shards, *vnodes, *objects, *entityObjs, *ringSeed, reads, writes, *txns)
+			*shards, *vnodes, *objects, *ringSeed, reads, writes, *txns)
 		return
 	}
 	if *selective {

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"net"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -35,22 +33,6 @@ type fleetOptions struct {
 	obsAddr         string
 }
 
-// addrPlus shifts a host:port address by delta ports, so one base flag
-// yields the whole fleet's listen plan (shard s broadcasts on
-// port+2s, uplinks on uplinkPort+2s — interleaved, so the default
-// 7070/7071 pair stays collision-free at any k).
-func addrPlus(addr string, delta int) (string, error) {
-	host, port, err := net.SplitHostPort(addr)
-	if err != nil {
-		return "", err
-	}
-	p, err := strconv.Atoi(port)
-	if err != nil {
-		return "", fmt.Errorf("address %q needs a numeric port to derive per-shard ports: %v", addr, err)
-	}
-	return net.JoinHostPort(host, strconv.Itoa(p+delta)), nil
-}
-
 // runFleet serves a k-shard deployment: one netcast server per shard
 // (its broadcast channel plus its participant uplink), a coordinator
 // endpoint for global-id update commits, and a lockstep ticker that
@@ -75,11 +57,11 @@ func runFleet(o fleetOptions) {
 	netReg := broadcastcc.NewObsRegistry()
 	servers := make([]*netcast.Server, o.shards)
 	for s := 0; s < o.shards; s++ {
-		baddr, err := addrPlus(o.broadcastAddr, 2*s)
+		baddr, err := broadcastcc.ShardAddr(o.broadcastAddr, s)
 		if err != nil {
 			log.Fatal(err)
 		}
-		uaddr, err := addrPlus(o.uplinkAddr, 2*s)
+		uaddr, err := broadcastcc.ShardAddr(o.uplinkAddr, s)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -12,14 +12,6 @@ import (
 	"broadcastcc/internal/wire"
 )
 
-// participant is the two-shot surface a handler may optionally expose
-// (shard.Participant without importing internal/shard — netcast stays
-// below the sharding layer in the dependency graph).
-type participant interface {
-	PrepareUpdate(token uint64, req protocol.UpdateRequest, remote bool) error
-	DecideUpdate(token uint64, commit bool) error
-}
-
 // ErrNotParticipant rejects a BCP1/BCT1 frame sent to an uplink whose
 // handler only implements the single-shot submit — e.g. a fleet
 // coordinator port, which *originates* two-shot traffic toward the
@@ -157,7 +149,7 @@ func (u *UplinkServer) dispatch(frame []byte) error {
 		}
 		return u.uplink.SubmitUpdate(req)
 	case wire.KindPrepare, wire.KindDecision:
-		p, ok := u.uplink.(participant)
+		p, ok := u.uplink.(protocol.Participant)
 		if !ok {
 			return ErrNotParticipant
 		}

@@ -125,6 +125,7 @@ type Server struct {
 	// (R-Matrix, Datacycle), or *cmatrix.GroupedControl (Grouped).
 	control cmatrix.Control
 	heat    *airsched.EWMA // write-heat estimate driving regrouping (nil unless RegroupEvery > 0)
+	seen    []bool         // shape's per-object dedupe scratch, all false between calls
 
 	cycle         cmatrix.Cycle // cycle currently on the air; 0 before the first broadcast
 	regroupEpoch  uint64        // bumped on every partition change
@@ -194,6 +195,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.HeatAlpha == 0 {
 		cfg.HeatAlpha = 0.1
 	}
+	if cfg.PrepareTTL <= 0 {
+		cfg.PrepareTTL = DefaultPrepareTTL
+	}
 	s := &Server{
 		cfg:             cfg,
 		layout:          layout,
@@ -201,6 +205,7 @@ func New(cfg Config) (*Server, error) {
 		committed:       make([][]byte, cfg.Objects),
 		version:         make([]int64, cfg.Objects),
 		lastCycle:       make([]cmatrix.Cycle, cfg.Objects),
+		seen:            make([]bool, cfg.Objects),
 		verifyAllGroups: true,
 	}
 	switch layout.Control {
@@ -455,7 +460,7 @@ func (s *Server) StartCycle() *bcast.CycleBroadcast {
 	switch c := s.control.(type) {
 	case *cmatrix.DenseControl:
 		// Copy-on-write: the published snapshot shares columns with the
-		// live matrix; commitLocked's Apply replaces (never mutates)
+		// live matrix; installLocked's Apply replaces (never mutates)
 		// shared columns, so subscribers read a stable cycle image.
 		cb.Matrix = c.Matrix().Snapshot()
 	case *cmatrix.VectorControl:
@@ -572,30 +577,117 @@ func (s *Server) RegroupEpoch() uint64 {
 	return s.regroupEpoch
 }
 
-// commitLocked installs a validated update transaction. Callers hold mu.
-func (s *Server) commitLocked(readSet []int, writeSet []int, values map[int][]byte) {
-	commitCycle := s.cycle
+// update is an update transaction in normal form: the distinct objects
+// read and written, in first-occurrence order, and the writes as
+// submitted — installed in that order, so the last value written to an
+// object wins. Nothing changes it once built, so the prepare table and
+// the audit log keep its slices.
+type update struct {
+	readSet  []int
+	writeSet []int
+	writes   []protocol.ObjectWrite
+}
+
+// shape reduces an uplink request to its update, reading nothing but
+// the configured dimensions: a malformed request is refused before any
+// currency or pin rule is asked (malformed first is the commit path's
+// one precedence rule). Callers hold mu for the seen scratch.
+func (s *Server) shape(req protocol.UpdateRequest) (update, error) {
+	for _, r := range req.Reads {
+		if err := s.checkObj(r.Obj); err != nil {
+			return update{}, err
+		}
+	}
+	for _, w := range req.Writes {
+		if err := s.checkWrite(w.Obj, w.Value); err != nil {
+			return update{}, err
+		}
+	}
+	// One array backs both sets, each capped so neither grows into the
+	// other; seen marks the set being built and is cleared behind it.
+	ids := make([]int, 0, len(req.Reads)+len(req.Writes))
+	add := func(obj int) {
+		if !s.seen[obj] {
+			s.seen[obj] = true
+			ids = append(ids, obj)
+		}
+	}
+	for _, r := range req.Reads {
+		add(r.Obj)
+	}
+	nr := len(ids)
+	for _, obj := range ids {
+		s.seen[obj] = false
+	}
+	for _, w := range req.Writes {
+		add(w.Obj)
+	}
+	for _, obj := range ids[nr:] {
+		s.seen[obj] = false
+	}
+	return update{readSet: ids[:nr:nr], writeSet: ids[nr:len(ids):len(ids)], writes: req.Writes}, nil
+}
+
+// admitLocked is the commit rule (§3.2.1). A read of obj at cycle c saw
+// the state as of the beginning of c, so it is current iff no write to
+// obj committed during or after c. An object pinned by an in-flight
+// prepare may not be written, nor — pinReads — read by another prepare;
+// a single-shot commit installs in this same critical section, so its
+// reads need no pin check. Any pin found is another token's: a live
+// token's duplicate prepare is answered before admission. Callers hold mu.
+func (s *Server) admitLocked(reads []protocol.ReadAt, writeSet []int, pinReads bool) error {
+	for _, r := range reads {
+		if owner, held := s.pinned[r.Obj]; held && pinReads {
+			return fmt.Errorf("%w: object %d held by token %d", ErrPinned, r.Obj, owner)
+		}
+		if s.lastCycle[r.Obj] >= r.Cycle {
+			return fmt.Errorf("%w: object %d written during cycle %d, read at cycle %d",
+				ErrConflict, r.Obj, s.lastCycle[r.Obj], r.Cycle)
+		}
+	}
 	for _, obj := range writeSet {
-		s.committed[obj] = append([]byte(nil), values[obj]...)
+		if owner, held := s.pinned[obj]; held {
+			return fmt.Errorf("%w: object %d held by token %d", ErrPinned, obj, owner)
+		}
+	}
+	return nil
+}
+
+// installLocked is the one place a transaction becomes committed: the
+// update is installed at the current cycle and folded into the control
+// state by Theorem 2 or, when remote says its read set extends beyond
+// this server's objects, by the conservative ApplyRemote (which ends
+// VerifyControl's equality claim). Without writes there is nothing to
+// commit: no commit slot, no audit entry. Callers hold mu.
+func (s *Server) installLocked(u update, remote bool) {
+	if len(u.writeSet) == 0 {
+		return
+	}
+	commitCycle := s.cycle
+	for _, obj := range u.writeSet {
 		s.version[obj]++
 		s.lastCycle[obj] = commitCycle
 	}
-	s.control.Apply(readSet, writeSet, commitCycle)
+	for _, w := range u.writes {
+		s.committed[w.Obj] = append([]byte(nil), w.Value...)
+	}
+	if remote {
+		s.control.ApplyRemote(u.writeSet, commitCycle)
+		s.remoteApplies++
+	} else {
+		s.control.Apply(u.readSet, u.writeSet, commitCycle)
+	}
 	if s.heat != nil {
-		s.heat.Observe(writeSet)
+		s.heat.Observe(u.writeSet)
 	}
 	s.cCommits.Inc()
 	s.cycleCommits++
 	// Matrix churn: Apply replaces one column per distinct written
 	// object (copy-on-write), so the write-set size is the number of
 	// shared columns unshared by this commit.
-	s.cColsRewritten.Add(int64(len(writeSet)))
+	s.cColsRewritten.Add(int64(len(u.writeSet)))
 	if s.cfg.Audit {
-		s.audit = append(s.audit, cmatrix.Commit{
-			ReadSet:  append([]int(nil), readSet...),
-			WriteSet: append([]int(nil), writeSet...),
-			Cycle:    commitCycle,
-		})
+		s.audit = append(s.audit, cmatrix.Commit{ReadSet: u.readSet, WriteSet: u.writeSet, Cycle: commitCycle})
 	}
 }
 
@@ -606,8 +698,11 @@ func (s *Server) checkObj(obj int) error {
 	return nil
 }
 
-// checkValue rejects values that cannot fit the broadcast slot.
-func (s *Server) checkValue(obj int, val []byte) error {
+// checkWrite rejects a write out of range or too wide for its broadcast slot.
+func (s *Server) checkWrite(obj int, val []byte) error {
+	if err := s.checkObj(obj); err != nil {
+		return err
+	}
 	if int64(len(val))*8 > s.cfg.ObjectBits {
 		return fmt.Errorf("server: value for object %d is %d bytes, broadcast slot holds %d bits", obj, len(val), s.cfg.ObjectBits)
 	}
@@ -616,11 +711,9 @@ func (s *Server) checkValue(obj int, val []byte) error {
 
 // SubmitUpdate validates and commits a client update transaction
 // shipped over the uplink: the write set with values, plus every read
-// the client performed and the cycle it was performed in. Validation is
-// optimistic and backward: each read of (obj, cycle) saw the committed
-// state as of the beginning of cycle, so it is valid iff no transaction
-// has committed a write to obj during or after that cycle. Success means
-// the transaction is committed; any error means it must abort.
+// the client performed and the cycle it was performed in — shape, admit
+// and install in one critical section. Success means the transaction is
+// committed; any error means it must abort.
 //
 // SubmitUpdate implements protocol.Uplink.
 func (s *Server) SubmitUpdate(req protocol.UpdateRequest) error {
@@ -630,45 +723,16 @@ func (s *Server) SubmitUpdate(req protocol.UpdateRequest) error {
 		return ErrClosed
 	}
 	s.cUplink.Inc()
-	for _, r := range req.Reads {
-		if err := s.checkObj(r.Obj); err != nil {
-			return err
-		}
-		if s.lastCycle[r.Obj] >= r.Cycle {
-			s.cAborts.Inc()
-			s.emitVerdict(0)
-			return fmt.Errorf("%w: object %d written during cycle %d, read at cycle %d",
-				ErrConflict, r.Obj, s.lastCycle[r.Obj], r.Cycle)
-		}
+	u, err := s.shape(req)
+	if err != nil {
+		return err
 	}
-	values := map[int][]byte{}
-	var writeSet []int
-	for _, w := range req.Writes {
-		if err := s.checkObj(w.Obj); err != nil {
-			return err
-		}
-		if err := s.checkValue(w.Obj, w.Value); err != nil {
-			return err
-		}
-		if _, dup := values[w.Obj]; !dup {
-			writeSet = append(writeSet, w.Obj)
-		}
-		values[w.Obj] = w.Value
-	}
-	if err := s.checkPinsLocked(writeSet); err != nil {
+	if err := s.admitLocked(req.Reads, u.writeSet, false); err != nil {
 		s.cAborts.Inc()
 		s.emitVerdict(0)
 		return err
 	}
-	var readSet []int
-	seen := map[int]bool{}
-	for _, r := range req.Reads {
-		if !seen[r.Obj] {
-			seen[r.Obj] = true
-			readSet = append(readSet, r.Obj)
-		}
-	}
-	s.commitLocked(readSet, writeSet, values)
+	s.installLocked(u, false)
 	s.emitVerdict(1)
 	return nil
 }
@@ -690,17 +754,16 @@ func (s *Server) emitVerdict(verdict int64) {
 // A Txn is not safe for concurrent use, but any number of Txns may run
 // concurrently against the server.
 type Txn struct {
-	s         *Server
-	reads     map[int]int64 // object -> version read
-	readObjs  []int         // in first-read order
-	writes    map[int][]byte
-	writeObjs []int
-	done      bool
+	s     *Server
+	reads map[int]int64 // object -> version read
+	u     update        // reads in first-read order, buffered writes (one per object)
+	wpos  map[int]int   // object -> position in u.writes
+	done  bool
 }
 
 // Begin starts a server-local update transaction.
 func (s *Server) Begin() *Txn {
-	return &Txn{s: s, reads: map[int]int64{}, writes: map[int][]byte{}}
+	return &Txn{s: s, reads: map[int]int64{}, wpos: map[int]int{}}
 }
 
 // Read returns the latest committed value of obj (its own buffered write
@@ -713,8 +776,8 @@ func (t *Txn) Read(obj int) ([]byte, error) {
 	if err := t.s.checkObj(obj); err != nil {
 		return nil, err
 	}
-	if v, ok := t.writes[obj]; ok {
-		return append([]byte(nil), v...), nil
+	if i, ok := t.wpos[obj]; ok {
+		return append([]byte(nil), t.u.writes[i].Value...), nil
 	}
 	t.s.mu.Lock()
 	defer t.s.mu.Unlock()
@@ -723,7 +786,7 @@ func (t *Txn) Read(obj int) ([]byte, error) {
 	}
 	if _, seen := t.reads[obj]; !seen {
 		t.reads[obj] = t.s.version[obj]
-		t.readObjs = append(t.readObjs, obj)
+		t.u.readSet = append(t.u.readSet, obj)
 	}
 	return append([]byte(nil), t.s.committed[obj]...), nil
 }
@@ -733,22 +796,24 @@ func (t *Txn) Write(obj int, val []byte) error {
 	if t.done {
 		return ErrTxnFinished
 	}
-	if err := t.s.checkObj(obj); err != nil {
+	if err := t.s.checkWrite(obj, val); err != nil {
 		return err
 	}
-	if err := t.s.checkValue(obj, val); err != nil {
-		return err
+	i, seen := t.wpos[obj]
+	if !seen {
+		i = len(t.u.writes)
+		t.wpos[obj] = i
+		t.u.writeSet = append(t.u.writeSet, obj)
+		t.u.writes = append(t.u.writes, protocol.ObjectWrite{Obj: obj})
 	}
-	if _, seen := t.writes[obj]; !seen {
-		t.writeObjs = append(t.writeObjs, obj)
-	}
-	t.writes[obj] = append([]byte(nil), val...)
+	t.u.writes[i].Value = append([]byte(nil), val...)
 	return nil
 }
 
 // Commit validates and installs the transaction. ErrConflict means a
 // read was stale and the transaction aborted; the caller may Begin a new
-// attempt.
+// attempt. Versions are finer than the cycle stamps an uplink request
+// carries; pins and installation are the uplink path's.
 func (t *Txn) Commit() error {
 	if t.done {
 		return ErrTxnFinished
@@ -765,14 +830,11 @@ func (t *Txn) Commit() error {
 			return fmt.Errorf("%w: object %d changed since it was read", ErrConflict, obj)
 		}
 	}
-	if len(t.writes) == 0 {
-		return nil // read-only: nothing to install
-	}
-	if err := t.s.checkPinsLocked(t.writeObjs); err != nil {
+	if err := t.s.admitLocked(nil, t.u.writeSet, false); err != nil {
 		t.s.cAborts.Inc()
 		return err
 	}
-	t.s.commitLocked(t.readObjs, t.writeObjs, t.writes)
+	t.s.installLocked(t.u, false)
 	return nil
 }
 

@@ -4,12 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
 	"broadcastcc/internal/airsched"
 	"broadcastcc/internal/bcast"
 	"broadcastcc/internal/cmatrix"
+	"broadcastcc/internal/obs"
 	"broadcastcc/internal/protocol"
 )
 
@@ -458,5 +460,86 @@ func TestProgramLayoutMismatch(t *testing.T) {
 	}
 	if _, err := New(Config{Objects: 8, ObjectBits: 64, Algorithm: protocol.RMatrix, Program: prog}); err == nil {
 		t.Fatal("mismatched control kind accepted")
+	}
+}
+
+// TestWriteFreeSubmitIsNotACommit: an uplink request with no writes is
+// accepted (its reads were current) but installs nothing, so it must
+// not consume a commit slot, a per-cycle commit count or an audit entry
+// — exactly what DecideUpdate does for a read-only participant.
+func TestWriteFreeSubmitIsNotACommit(t *testing.T) {
+	tr := obs.NewTracer(16)
+	s, err := New(Config{Objects: 3, ObjectBits: 64, Algorithm: protocol.FMatrix, Audit: true, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.StartCycle()
+	if err := s.SubmitUpdate(protocol.UpdateRequest{Reads: []protocol.ReadAt{{Obj: 0, Cycle: 1}}}); err != nil {
+		t.Fatalf("write-free request with current reads: %v", err)
+	}
+	s.StartCycle()
+	if st := s.Stats(); st.Commits != 0 || st.UplinkRequests != 1 || st.ConflictAborts != 0 {
+		t.Fatalf("stats = %+v, want 0 commits, 1 uplink request, 0 aborts", st)
+	}
+	if log := s.AuditLog(); len(log) != 0 {
+		t.Fatalf("audit log = %v, want empty", log)
+	}
+	var verdicts, cycleStarts []int64
+	for _, e := range tr.Events() {
+		switch e.Kind {
+		case obs.EvUplinkVerdict:
+			verdicts = append(verdicts, e.Arg)
+		case obs.EvCycleStart:
+			cycleStarts = append(cycleStarts, e.Arg)
+		}
+	}
+	if !reflect.DeepEqual(verdicts, []int64{1}) {
+		t.Fatalf("uplink verdict args = %v, want one accept", verdicts)
+	}
+	if !reflect.DeepEqual(cycleStarts, []int64{0, 0}) {
+		t.Fatalf("commits per cycle = %v, want none in either cycle", cycleStarts)
+	}
+	if err := s.VerifyControl(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSubmitUpdateAllocs bounds the steady-state allocations of one
+// accepted SubmitUpdate by what the per-request-map implementation it
+// replaced measured on the same three requests.
+func TestSubmitUpdateAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name                    string
+		alg                     protocol.Algorithm
+		n, groups               int
+		reads, writes, valBytes int
+		max                     float64
+	}{
+		{"F-Matrix n=300, 4 reads + 4x1KiB writes", protocol.FMatrix, 300, 0, 4, 4, 1024, 10},
+		{"grouped n=512 g=16, 2+2", protocol.Grouped, 512, 16, 2, 2, 8, 9},
+		{"vector n=32, 1+1", protocol.RMatrix, 32, 0, 1, 1, 8, 3},
+	} {
+		s, err := New(Config{Objects: tc.n, ObjectBits: int64(tc.valBytes) * 8, Algorithm: tc.alg, Groups: tc.groups})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.StartCycle()
+		// Reads and writes touch disjoint objects, so the cycle-1 reads
+		// stay current however often the request repeats.
+		var req protocol.UpdateRequest
+		for i := 0; i < tc.reads; i++ {
+			req.Reads = append(req.Reads, protocol.ReadAt{Obj: i, Cycle: 1})
+		}
+		for i := 0; i < tc.writes; i++ {
+			req.Writes = append(req.Writes, protocol.ObjectWrite{Obj: tc.reads + i, Value: make([]byte, tc.valBytes)})
+		}
+		got := testing.AllocsPerRun(200, func() {
+			if err := s.SubmitUpdate(req); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > tc.max {
+			t.Errorf("%s: %.1f allocs per SubmitUpdate, want <= %.0f", tc.name, got, tc.max)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"broadcastcc/internal/cmatrix"
 	"broadcastcc/internal/obs"
@@ -32,12 +33,10 @@ var (
 // loudly with ErrUnknownPrepare.
 const DefaultPrepareTTL = 4
 
-// prepared is shot one of the two-shot commit: a validated, pinned, but
-// not yet committed cross-shard update transaction.
+// prepared is shot one of the two-shot commit: an admitted, pinned, but
+// not yet installed cross-shard update transaction.
 type prepared struct {
-	readSet  []int
-	writeSet []int
-	values   map[int][]byte
+	update
 	// remote marks a transaction whose global read set extends beyond
 	// this shard: on commit the control state degrades conservatively
 	// via ApplyRemote (Theorem 2's dep column is not locally evaluable).
@@ -45,14 +44,14 @@ type prepared struct {
 	expires cmatrix.Cycle // timeout-aborted once the cycle clock passes this
 }
 
-// PrepareUpdate is shot one of the cross-shard commit: it validates the
-// shard-local projection of an update transaction exactly like
-// SubmitUpdate — every read (obj, cycle) must still be current — and,
-// on success, pins the transaction's read and write objects until the
-// coordinator's decision (or the TTL) so no interleaved commit can
-// invalidate what was validated. remote marks a transaction whose global
-// read set is not fully local (see prepared.remote). Duplicate prepares
-// of a live token are idempotent.
+// PrepareUpdate is shot one of the cross-shard commit: SubmitUpdate's
+// shape and admit over the shard-local projection of an update
+// transaction, with the install left to DecideUpdate. Until that
+// decision (or the TTL) the objects read and written stay pinned, so no
+// interleaved commit can invalidate what was admitted, and req.Writes
+// is held: the caller must leave it alone. remote marks a transaction
+// whose global read set is not fully local (see prepared.remote).
+// Duplicate prepares of a live token are idempotent.
 func (s *Server) PrepareUpdate(token uint64, req protocol.UpdateRequest, remote bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -60,77 +59,33 @@ func (s *Server) PrepareUpdate(token uint64, req protocol.UpdateRequest, remote 
 		return ErrClosed
 	}
 	s.cShardPrepares.Inc()
+	u, err := s.shape(req)
+	if err != nil {
+		return err
+	}
 	if _, live := s.prepares[token]; live {
 		return nil // duplicate prepare frame
 	}
 	if _, done := s.decided[token]; done {
 		return fmt.Errorf("%w: token %d already decided", ErrAlreadyDecided, token)
 	}
-	refuse := func(err error) error {
+	if err := s.admitLocked(req.Reads, u.writeSet, true); err != nil {
 		s.cShardPrepareRefused.Inc()
-		s.trace.Emit(obs.EvShardPrepare, obs.ActorServer, int64(s.cycle), int32(token&0x7fffffff), 0)
+		s.emitShard(obs.EvShardPrepare, token, 0)
 		return err
-	}
-	for _, r := range req.Reads {
-		if err := s.checkObj(r.Obj); err != nil {
-			return err
-		}
-		if owner, pinned := s.pinned[r.Obj]; pinned && owner != token {
-			return refuse(fmt.Errorf("%w: object %d held by token %d", ErrPinned, r.Obj, owner))
-		}
-		if s.lastCycle[r.Obj] >= r.Cycle {
-			return refuse(fmt.Errorf("%w: object %d written during cycle %d, read at cycle %d",
-				ErrConflict, r.Obj, s.lastCycle[r.Obj], r.Cycle))
-		}
-	}
-	values := map[int][]byte{}
-	var writeSet []int
-	for _, w := range req.Writes {
-		if err := s.checkObj(w.Obj); err != nil {
-			return err
-		}
-		if err := s.checkValue(w.Obj, w.Value); err != nil {
-			return err
-		}
-		if owner, pinned := s.pinned[w.Obj]; pinned && owner != token {
-			return refuse(fmt.Errorf("%w: object %d held by token %d", ErrPinned, w.Obj, owner))
-		}
-		if _, dup := values[w.Obj]; !dup {
-			writeSet = append(writeSet, w.Obj)
-		}
-		values[w.Obj] = w.Value
-	}
-	var readSet []int
-	seen := map[int]bool{}
-	for _, r := range req.Reads {
-		if !seen[r.Obj] {
-			seen[r.Obj] = true
-			readSet = append(readSet, r.Obj)
-		}
-	}
-	ttl := s.cfg.PrepareTTL
-	if ttl <= 0 {
-		ttl = DefaultPrepareTTL
 	}
 	if s.prepares == nil {
 		s.prepares = map[uint64]*prepared{}
 		s.pinned = map[int]uint64{}
 		s.decided = map[uint64]decision{}
 	}
-	s.prepares[token] = &prepared{
-		readSet:  readSet,
-		writeSet: writeSet,
-		values:   values,
-		remote:   remote,
-		expires:  s.cycle + cmatrix.Cycle(ttl),
+	s.prepares[token] = &prepared{update: u, remote: remote, expires: s.cycle + cmatrix.Cycle(s.cfg.PrepareTTL)}
+	for _, set := range [][]int{u.readSet, u.writeSet} {
+		for _, obj := range set {
+			s.pinned[obj] = token
+		}
 	}
-	for _, obj := range readSet {
-		s.pinned[obj] = token
-	}
-	for _, obj := range writeSet {
-		s.pinned[obj] = token
-	}
-	s.trace.Emit(obs.EvShardPrepare, obs.ActorServer, int64(s.cycle), int32(token&0x7fffffff), 1)
+	s.emitShard(obs.EvShardPrepare, token, 1)
 	return nil
 }
 
@@ -173,74 +128,36 @@ func (s *Server) DecideUpdate(token uint64, commit bool) error {
 		}
 		return nil
 	}
-	s.releaseLocked(token, p)
-	s.decided[token] = decision{commit: commit, keepUntil: s.cycle + decidedRetention}
-	if commit {
-		// A read-only participant shard validated and pinned reads for
-		// the fleet but has nothing to install locally: committing it
-		// must not consume a commit slot or an audit entry.
-		if len(p.writeSet) > 0 {
-			if p.remote {
-				s.commitRemoteLocked(p.readSet, p.writeSet, p.values)
-			} else {
-				s.commitLocked(p.readSet, p.writeSet, p.values)
-			}
-		}
-		s.cShardCommits.Inc()
-		s.emitShardDecide(token, 1)
-		return nil
-	}
-	s.cShardAborts.Inc()
-	s.emitShardDecide(token, 0)
+	s.settleLocked(token, p, commit)
 	return nil
 }
 
-func (s *Server) emitShardDecide(token uint64, verdict int64) {
-	s.trace.Emit(obs.EvShardDecide, obs.ActorServer, int64(s.cycle), int32(token&0x7fffffff), verdict)
-}
-
-// releaseLocked drops a prepare and every pin it owns. Callers hold mu.
-func (s *Server) releaseLocked(token uint64, p *prepared) {
+// settleLocked applies a decision to a live prepare: its pins go, the
+// token is remembered, and on commit the parked update is installed (a
+// read-only participant has nothing to install). Callers hold mu.
+func (s *Server) settleLocked(token uint64, p *prepared, commit bool) {
 	delete(s.prepares, token)
-	for _, obj := range p.readSet {
-		if s.pinned[obj] == token {
-			delete(s.pinned, obj)
+	for _, set := range [][]int{p.readSet, p.writeSet} {
+		for _, obj := range set {
+			if s.pinned[obj] == token {
+				delete(s.pinned, obj)
+			}
 		}
 	}
-	for _, obj := range p.writeSet {
-		if s.pinned[obj] == token {
-			delete(s.pinned, obj)
-		}
+	s.decided[token] = decision{commit: commit, keepUntil: s.cycle + decidedRetention}
+	if commit {
+		s.installLocked(p.update, p.remote)
+		s.cShardCommits.Inc()
+		s.emitShard(obs.EvShardDecide, token, 1)
+	} else {
+		s.cShardAborts.Inc()
+		s.emitShard(obs.EvShardDecide, token, 0)
 	}
 }
 
-// commitRemoteLocked installs a validated cross-shard transaction whose
-// read set is not fully local: data-plane effects are identical to
-// commitLocked, but the control state takes the conservative
-// ApplyRemote path and the server stops claiming its control equals the
-// Theorem 2 rebuild (see VerifyControl). Callers hold mu.
-func (s *Server) commitRemoteLocked(readSet []int, writeSet []int, values map[int][]byte) {
-	commitCycle := s.cycle
-	for _, obj := range writeSet {
-		s.committed[obj] = append([]byte(nil), values[obj]...)
-		s.version[obj]++
-		s.lastCycle[obj] = commitCycle
-	}
-	s.control.ApplyRemote(writeSet, commitCycle)
-	s.remoteApplies++
-	if s.heat != nil {
-		s.heat.Observe(writeSet)
-	}
-	s.cCommits.Inc()
-	s.cycleCommits++
-	s.cColsRewritten.Add(int64(len(writeSet)))
-	if s.cfg.Audit {
-		s.audit = append(s.audit, cmatrix.Commit{
-			ReadSet:  append([]int(nil), readSet...),
-			WriteSet: append([]int(nil), writeSet...),
-			Cycle:    commitCycle,
-		})
-	}
+// emitShard traces one shot of the two-shot commit, framed by the token.
+func (s *Server) emitShard(kind obs.EventKind, token uint64, verdict int64) {
+	s.trace.Emit(kind, obs.ActorServer, int64(s.cycle), int32(token&0x7fffffff), verdict)
 }
 
 // expirePreparesLocked timeout-aborts every prepare the cycle clock has
@@ -258,26 +175,14 @@ func (s *Server) expirePreparesLocked() {
 			expired = append(expired, token)
 		}
 	}
-	sortUint64(expired)
+	slices.Sort(expired)
 	for _, token := range expired {
-		p := s.prepares[token]
-		s.releaseLocked(token, p)
-		s.decided[token] = decision{commit: false, keepUntil: s.cycle + decidedRetention}
 		s.cShardExpired.Inc()
-		s.cShardAborts.Inc()
-		s.emitShardDecide(token, 0)
+		s.settleLocked(token, s.prepares[token], false)
 	}
 	for token, d := range s.decided {
 		if s.cycle > d.keepUntil {
 			delete(s.decided, token)
-		}
-	}
-}
-
-func sortUint64(v []uint64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
 		}
 	}
 }
@@ -288,21 +193,4 @@ func (s *Server) PinnedBy(obj int) (uint64, bool) {
 	defer s.mu.Unlock()
 	owner, ok := s.pinned[obj]
 	return owner, ok
-}
-
-// checkPinsLocked rejects a local commit whose writes touch objects
-// held by an in-flight prepare: the prepared transaction's validation
-// must stay intact until its decision, and concurrent writers to its
-// write set would otherwise race the fleet-wide decision order. Callers
-// hold mu.
-func (s *Server) checkPinsLocked(writeObjs []int) error {
-	if len(s.pinned) == 0 {
-		return nil
-	}
-	for _, obj := range writeObjs {
-		if owner, pinned := s.pinned[obj]; pinned {
-			return fmt.Errorf("%w: object %d held by token %d", ErrPinned, obj, owner)
-		}
-	}
-	return nil
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -17,16 +18,6 @@ var (
 	// the silent shard's own prepare TTL cleans up whatever it holds.
 	ErrPrepareTimeout = errors.New("shard: participant timed out")
 )
-
-// Participant is one shard's uplink as the two-shot commit sees it:
-// the plain single-shot submit for transactions local to the shard,
-// plus the prepare/decide pair for cross-shard ones. *server.Server
-// implements it in process; netcast.Uplink implements it over TCP.
-type Participant interface {
-	protocol.Uplink
-	PrepareUpdate(token uint64, req protocol.UpdateRequest, remote bool) error
-	DecideUpdate(token uint64, commit bool) error
-}
 
 // CoordinatorConfig parameterizes a coordinator.
 type CoordinatorConfig struct {
@@ -51,7 +42,7 @@ type CoordinatorConfig struct {
 // which keeps k = 1 byte-identical to the unsharded server.
 type Coordinator struct {
 	m     *Mapping
-	parts []Participant
+	parts []protocol.Participant
 	cfg   CoordinatorConfig
 	obs   *obs.Registry
 	next  atomic.Uint64 // token source: 1, 2, 3, ... (deterministic)
@@ -65,7 +56,7 @@ type Coordinator struct {
 }
 
 // NewCoordinator builds a coordinator over one participant per shard.
-func NewCoordinator(m *Mapping, parts []Participant, cfg CoordinatorConfig) (*Coordinator, error) {
+func NewCoordinator(m *Mapping, parts []protocol.Participant, cfg CoordinatorConfig) (*Coordinator, error) {
 	if len(parts) != m.Shards() {
 		return nil, fmt.Errorf("shard: %d participants for %d shards", len(parts), m.Shards())
 	}
@@ -152,12 +143,12 @@ func (c *Coordinator) SubmitUpdate(req protocol.UpdateRequest) error {
 		c.cCommits.Inc()
 		return nil
 	}
-	return c.submitTwoShot(perShard, involved)
+	return c.submitTwoShot(perShard, involved, len(req.Reads))
 }
 
 // submitTwoShot runs the prepare/decide rounds for a multi-shard
-// transaction.
-func (c *Coordinator) submitTwoShot(perShard []protocol.UpdateRequest, involved []int) error {
+// transaction with the given number of reads fleet-wide.
+func (c *Coordinator) submitTwoShot(perShard []protocol.UpdateRequest, involved []int, reads int) error {
 	token := c.next.Add(1)
 	t0 := time.Now()
 	var firstErr error
@@ -166,7 +157,7 @@ func (c *Coordinator) submitTwoShot(perShard []protocol.UpdateRequest, involved 
 		s := s
 		// remote marks shards that cannot see the whole read set: their
 		// control state must take the conservative ApplyRemote path.
-		remote := len(perShard[s].Reads) < c.readCount(perShard, involved)
+		remote := len(perShard[s].Reads) < reads
 		err := c.call(func() error { return c.parts[s].PrepareUpdate(token, perShard[s], remote) })
 		c.cPrepares.Inc()
 		if err != nil {
@@ -186,7 +177,7 @@ func (c *Coordinator) submitTwoShot(perShard []protocol.UpdateRequest, involved 
 	t1 := time.Now()
 	for _, s := range involved {
 		s := s
-		if !commit && !contains(prepared, s) {
+		if !commit && !slices.Contains(prepared, s) {
 			continue // never prepared there; nothing to abort
 		}
 		if err := c.call(func() error { return c.parts[s].DecideUpdate(token, commit) }); err != nil && commit {
@@ -204,22 +195,4 @@ func (c *Coordinator) submitTwoShot(perShard []protocol.UpdateRequest, involved 
 	}
 	c.cCommits.Inc()
 	return nil
-}
-
-// readCount totals the reads across the involved projections.
-func (c *Coordinator) readCount(perShard []protocol.UpdateRequest, involved []int) int {
-	total := 0
-	for _, s := range involved {
-		total += len(perShard[s].Reads)
-	}
-	return total
-}
-
-func contains(v []int, x int) bool {
-	for _, e := range v {
-		if e == x {
-			return true
-		}
-	}
-	return false
 }

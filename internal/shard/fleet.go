@@ -2,10 +2,13 @@ package shard
 
 import (
 	"fmt"
+	"net"
+	"strconv"
 	"time"
 
 	"broadcastcc/internal/bcast"
 	"broadcastcc/internal/obs"
+	"broadcastcc/internal/protocol"
 	"broadcastcc/internal/server"
 )
 
@@ -92,7 +95,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		f.nodes = append(f.nodes, node)
 		f.regs = append(f.regs, sc.Obs)
 	}
-	parts := make([]Participant, cfg.Shards)
+	parts := make([]protocol.Participant, cfg.Shards)
 	for s, n := range f.nodes {
 		parts[s] = n
 	}
@@ -154,4 +157,21 @@ func (f *Fleet) Close() {
 	for _, n := range f.nodes {
 		n.Close()
 	}
+}
+
+// Addr is the fleet's listen plan, the deployment contract bcserver
+// and bcclient must agree on: given shard 0's address for one role
+// (broadcast channel or participant uplink), shard s listens for that
+// role 2s ports higher. The two roles interleave, so a base pair on
+// adjacent ports (the default 7070/7071) stays collision-free at any k.
+func Addr(base string, s int) (string, error) {
+	host, port, err := net.SplitHostPort(base)
+	if err != nil {
+		return "", err
+	}
+	p, err := strconv.Atoi(port)
+	if err != nil {
+		return "", fmt.Errorf("address %q needs a numeric port to derive per-shard ports: %v", base, err)
+	}
+	return net.JoinHostPort(host, strconv.Itoa(p+2*s)), nil
 }

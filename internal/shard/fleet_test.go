@@ -202,7 +202,7 @@ func TestCoordinatorCrashBetweenShots(t *testing.T) {
 
 // slowParticipant delays every prepare past the coordinator's timeout.
 type slowParticipant struct {
-	Participant
+	protocol.Participant
 	delay time.Duration
 }
 
@@ -220,7 +220,7 @@ func TestPrepareTimeoutAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	parts := []Participant{
+	parts := []protocol.Participant{
 		f.Node(0),
 		&slowParticipant{Participant: f.Node(1), delay: 200 * time.Millisecond},
 	}
@@ -332,5 +332,41 @@ func TestCrossShardAlignment(t *testing.T) {
 	}
 	if len(reads) != 2 {
 		t.Fatalf("read set %+v", reads)
+	}
+}
+
+// TestAddrPlan pins the fleet's listen plan — the one rule bcserver
+// (listening) and bcclient (tuning) both derive their per-shard
+// addresses from: role port + 2s, the two roles interleaved so adjacent
+// base ports never collide, and a base without a numeric port refused
+// with the same error on either side.
+func TestAddrPlan(t *testing.T) {
+	want := map[int][2][]string{
+		1: {{"127.0.0.1:7070"}, {"127.0.0.1:7071"}},
+		4: {{"127.0.0.1:7070", "127.0.0.1:7072", "127.0.0.1:7074", "127.0.0.1:7076"},
+			{"127.0.0.1:7071", "127.0.0.1:7073", "127.0.0.1:7075", "127.0.0.1:7077"}},
+	}
+	for k, roles := range want {
+		used := map[string]bool{}
+		for role, base := range []string{"127.0.0.1:7070", "127.0.0.1:7071"} {
+			for s := 0; s < k; s++ {
+				got, err := Addr(base, s)
+				if err != nil || got != roles[role][s] {
+					t.Fatalf("k=%d: Addr(%q, %d) = %q, %v; want %q", k, base, s, got, err, roles[role][s])
+				}
+				if used[got] {
+					t.Fatalf("k=%d: %s is assigned twice", k, got)
+				}
+				used[got] = true
+			}
+		}
+	}
+	_, err := Addr("localhost:bcast", 2)
+	const text = `address "localhost:bcast" needs a numeric port to derive per-shard ports: strconv.Atoi: parsing "bcast": invalid syntax`
+	if err == nil || err.Error() != text {
+		t.Fatalf("non-numeric port: got %v, want %q", err, text)
+	}
+	if _, err := Addr("no-port", 0); err == nil {
+		t.Fatal("an address without a port must be refused")
 	}
 }

@@ -160,11 +160,9 @@ type engine struct {
 	// parallelism.
 	faults *faultair.Schedule
 
-	// Server state.
-	matrix         *cmatrix.Matrix         // F-Matrix, F-Matrix-No
-	vector         *cmatrix.Vector         // R-Matrix, Datacycle
-	grouped        *cmatrix.GroupedControl // Grouped: incremental MC, O(g) snapshots
-	partition      *cmatrix.Partition
+	// Server state: the control representation the live server would
+	// maintain for cfg.Algorithm (see server.New).
+	control        cmatrix.Control
 	lastWrite      []cmatrix.Cycle // per-object last committed-write cycle
 	nextCommitTime float64
 
@@ -277,14 +275,13 @@ func newEngine(cfg Config) (*engine, error) {
 	if cfg.ServerIntervalExponential {
 		e.nextCommitTime = e.exp(cfg.ServerTxnInterval)
 	}
-	switch cfg.Algorithm {
-	case protocol.FMatrix, protocol.FMatrixNo:
-		e.matrix = cmatrix.NewMatrix(cfg.Objects)
-	case protocol.Grouped:
-		e.partition = cmatrix.UniformPartition(cfg.Objects, cfg.Groups)
-		e.grouped = cmatrix.NewGroupedControl(e.partition)
-	default:
-		e.vector = cmatrix.NewVector(cfg.Objects)
+	switch layout.Control {
+	case bcast.ControlGrouped:
+		e.control = cmatrix.NewGroupedControl(cmatrix.UniformPartition(cfg.Objects, cfg.Groups))
+	case bcast.ControlVector:
+		e.control = cmatrix.NewVectorControl(cfg.Objects)
+	default: // ControlMatrix and ControlNone both keep the full matrix
+		e.control = cmatrix.NewDenseControl(cfg.Objects)
 	}
 	if cfg.CacheCurrency > 0 {
 		e.cache = new(qcache.Cache)
@@ -343,12 +340,6 @@ func (e *engine) applyNextCommit() {
 	}
 	e.install(readSet, writeSet, commitCycle)
 	e.cServerCommits.Inc()
-	e.cycleCommits++
-	if e.cfg.Audit {
-		e.auditLog = append(e.auditLog, cmatrix.Commit{
-			ReadSet: readSet, WriteSet: writeSet, Cycle: commitCycle,
-		})
-	}
 	if e.cfg.ServerIntervalExponential {
 		e.nextCommitTime += e.exp(e.cfg.ServerTxnInterval)
 	} else {
@@ -356,20 +347,20 @@ func (e *engine) applyNextCommit() {
 	}
 }
 
-// install folds one committed transaction (server- or client-
-// originated) into the control state.
+// install is the one place a transaction (server- or client-
+// originated) becomes committed: it folds it into the control state and
+// the audit trail. The wheel reuses its write-set buffer, so the audit
+// entry takes a copy.
 func (e *engine) install(readSet, writeSet []int, commitCycle cmatrix.Cycle) {
-	if e.matrix != nil {
-		e.matrix.Apply(readSet, writeSet, commitCycle)
-	}
-	if e.grouped != nil {
-		e.grouped.Apply(readSet, writeSet, commitCycle)
-	}
-	if e.vector != nil {
-		e.vector.Apply(writeSet, commitCycle)
-	}
+	e.control.Apply(readSet, writeSet, commitCycle)
 	for _, obj := range writeSet {
 		e.lastWrite[obj] = commitCycle
+	}
+	e.cycleCommits++
+	if e.cfg.Audit {
+		e.auditLog = append(e.auditLog, cmatrix.Commit{
+			ReadSet: readSet, WriteSet: append([]int(nil), writeSet...), Cycle: commitCycle,
+		})
 	}
 }
 
@@ -396,25 +387,13 @@ func (e *engine) ensureSnapshot(c cmatrix.Cycle) {
 		e.cCycles.Inc()
 		e.trace.Emit(obs.EvCycleStart, obs.ActorServer, int64(next), 0, e.cycleCommits)
 		e.cycleCommits = 0
-		e.snaps[next] = e.snapshot()
+		// Dense snapshots are copy-on-write: they share unchanged columns
+		// with the live matrix (O(n) per cycle) and later Applies replace
+		// the columns they write instead of mutating them.
+		e.snaps[next] = e.control.Snapshot()
 		e.trace.Emit(obs.EvSnapshotPublish, obs.ActorServer, int64(next), 0, 0)
 		e.snappedThrough = next
 		delete(e.snaps, next-8) // keep a short window of recent cycles
-	}
-}
-
-// snapshot captures the current control state in the form the client
-// protocol consumes. The matrix snapshot is copy-on-write: it shares
-// unchanged columns with the live matrix (O(n) per cycle) and later
-// Apply calls replace the columns they write instead of mutating them.
-func (e *engine) snapshot() protocol.Snapshot {
-	switch e.cfg.Algorithm {
-	case protocol.FMatrix, protocol.FMatrixNo:
-		return e.matrix.Snapshot()
-	case protocol.Grouped:
-		return e.grouped.Grouped()
-	default:
-		return e.vector.Clone()
 	}
 }
 
@@ -565,13 +544,7 @@ func (e *engine) submitClientUpdate(reads []protocol.ReadAt, writeSet []int) boo
 	commitCycle := e.cycleOf(e.now)
 	e.install(readSet, writeSet, commitCycle)
 	e.cClientCommits.Inc()
-	e.cycleCommits++
 	e.trace.Emit(obs.EvUplinkVerdict, obs.ActorServer, int64(commitCycle), 0, 1)
-	if e.cfg.Audit {
-		e.auditLog = append(e.auditLog, cmatrix.Commit{
-			ReadSet: readSet, WriteSet: append([]int(nil), writeSet...), Cycle: commitCycle,
-		})
-	}
 	return true
 }
 

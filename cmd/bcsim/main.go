@@ -48,7 +48,7 @@ func main() {
 	flag.Float64Var(&cfg.ClientUpdateProb, "update-prob", 0, "probability a client transaction is an update")
 	flag.IntVar(&cfg.ClientTxnWrites, "update-writes", 1, "writes per client update transaction")
 	flag.Float64Var(&cfg.UplinkLatency, "uplink-latency", 0, "uplink commit round trip (bit-units)")
-	flag.IntVar(&cfg.Clients, "clients", 0, "concurrent clients (0/1 = the paper's single client)")
+	flag.IntVar(&cfg.Clients, "clients", 0, "concurrent clients (0/1 = the paper's single client: the same engine at n = 1)")
 	flag.Float64Var(&cfg.FaultLoss, "loss", 0, "per-cycle probability a broadcast cycle is lost to the client ([0,1))")
 	flag.Float64Var(&cfg.FaultDoze, "doze", 0, "per-cycle probability a client doze window starts ([0,1))")
 	flag.IntVar(&cfg.FaultDozeLen, "doze-len", 0, "doze window length in cycles (default 1 when -doze > 0)")
@@ -98,5 +98,5 @@ func main() {
 				res.UpdateResponseTime.Mean(), res.UpdateResponseTime.N())
 		}
 	}
-	fmt.Printf("simulated time       %.4g bit-units\n", res.SimulatedTime)
+	fmt.Printf("simulated time       %.4g bit-units (last transaction's completion)\n", res.SimulatedTime)
 }

@@ -2,6 +2,9 @@ package sim
 
 import (
 	"testing"
+	"time"
+
+	"broadcastcc/internal/protocol"
 )
 
 func airschedConfig(disks, indexM int, theta float64) Config {
@@ -88,11 +91,11 @@ func TestAirschedFlatDegenerate(t *testing.T) {
 
 func TestAirschedConfigValidation(t *testing.T) {
 	bad := []func(*Config){
-		func(c *Config) { c.IndexM = 4 },                     // index without a program
-		func(c *Config) { c.Disks = -1 },                     // negative disks
-		func(c *Config) { c.ZipfTheta = -0.5 },               // negative skew
-		func(c *Config) { c.Disks = 2; c.HotDiskSpeed = 3; c.HotSetSize = 30 }, // legacy conflict
-		func(c *Config) { c.Disks = 2; c.Clients = 4 },       // multi-client
+		func(c *Config) { c.IndexM = 4 },                                                // index without a program
+		func(c *Config) { c.Disks = -1 },                                                // negative disks
+		func(c *Config) { c.ZipfTheta = -0.5 },                                          // negative skew
+		func(c *Config) { c.Disks = 2; c.HotDiskSpeed = 3; c.HotSetSize = 30 },          // legacy conflict
+		func(c *Config) { c.Disks = 2; c.Clients = 4 },                                  // multi-client
 		func(c *Config) { c.ZipfTheta = 0.5; c.HotAccessProb = 0.5; c.HotSetSize = 30 }, // two skews
 	}
 	for i, mutate := range bad {
@@ -135,5 +138,55 @@ func TestZipfPickSkew(t *testing.T) {
 	}
 	if frac := float64(lowHalf) / float64(total); frac < 0.7 {
 		t.Errorf("only %.0f%% of zipf(0.95) reads hit the hot half, want well above uniform 50%%", frac*100)
+	}
+}
+
+// A missed read retries from the boundary that closes the missed cycle,
+// which the timeline counts into that cycle: for the object whose frame
+// closes the major cycle the retry must still land in a later one, or
+// the read never completes.
+func TestAirschedRetryLandsInLaterCycle(t *testing.T) {
+	for _, disks := range []int{1, 2, 3} {
+		for _, indexM := range []int{0, 1, 4} {
+			e, err := newEngine(airschedConfig(disks, indexM, 0.95))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < e.cfg.Objects; j++ {
+				for c := int64(1); c <= 3; c++ {
+					at := e.retryAfter(c, j)
+					if _, got := e.timeline.NextReady(at, j); got <= c {
+						t.Fatalf("disks=%d index=%d: object %d missed in cycle %d is retried at %v, back in cycle %d",
+							disks, indexM, j, c, at, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// The run that found it: the first missed read of object 39, the last
+// frame of the flat program, spun forever without advancing the clock,
+// so MaxTime never tripped either.
+func TestAirschedRetryTerminates(t *testing.T) {
+	cfg := smallConfig(protocol.FMatrix)
+	cfg.ZipfTheta = 0.95
+	cfg.Disks = 1
+	cfg.IndexM = 1
+	cfg.FaultLoss = 0.1
+	cfg.FaultSeed = 5
+	cfg.MaxTime = 1e12
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(cfg)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Run did not return: a missed read is being retried inside the cycle it missed")
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"broadcastcc/internal/protocol"
 )
 
-// TestSimCacheEviction drives the engine's read path step by step and
+// TestSimCacheEviction drives the wheel's read path step by step and
 // checks which reads the cache serves. At CacheSize 2 the entry evicted
 // must be the oldest-cached one, also after an object left the cache
 // (expired, or dropped by an abort) and was cached again: its position
@@ -39,13 +39,15 @@ func TestSimCacheEviction(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := smallConfig(protocol.FMatrix)
-			cfg.ServerTxnLength = 0 // no updates: no read ever aborts
+			cfg.ServerTxnLength = 0  // no updates: no read ever aborts
+			cfg.MeanInterOpDelay = 0 // a read starts where the step puts the clock
 			cfg.CacheCurrency = 4
 			cfg.CacheSize = 2
 			e, err := newEngine(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			w := e.newWheel()
 			for i, s := range tc.steps {
 				if s.abort {
 					e.cache.Remove(s.obj)
@@ -55,7 +57,10 @@ func TestSimCacheEviction(t *testing.T) {
 					e.now = start
 				}
 				hits := e.cCacheHits.Load()
-				if ok, err := e.performRead(e.newValidator(), s.obj); err != nil || !ok {
+				w.objRow(0)[0] = int32(s.obj)
+				w.validator(0).Reset()
+				e.now = w.scheduleRead(0, e.now)
+				if ok, err := w.read(0); err != nil || !ok {
 					t.Fatalf("step %d: read of %d = %v, %v", i, s.obj, ok, err)
 				}
 				if hit := e.cCacheHits.Load() > hits; hit != s.hit {
@@ -80,7 +85,7 @@ func TestSimCacheEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.run()
+		res, err := e.runWheel()
 		if err != nil {
 			t.Fatal(err)
 		}

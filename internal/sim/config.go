@@ -68,12 +68,13 @@ type Config struct {
 	TimestampBits int
 
 	// Clients is the number of concurrent clients (0 or 1 = the paper's
-	// single client). With more than one client the event-wheel engine
-	// (wheel.go) runs; each client executes ClientTxns transactions and
-	// metrics are pooled (plus reported per client).
-	// The client cache is not supported in multi-client mode. Bounded
-	// above by MaxClients (the event-wheel engine addresses clients with
-	// int32 cursors into flat state arrays).
+	// single client). Every count runs on the event wheel (wheel.go); the
+	// single client is its client 0 drawing from the run's own stream, so
+	// the x = 1 point of a client sweep comes from the same code as the
+	// rest. Each client executes ClientTxns transactions and metrics are
+	// pooled (plus reported per client). The client cache and the
+	// airsched program are single-client only. Bounded above by
+	// MaxClients (clients are int32 cursors into flat state arrays).
 	Clients int
 
 	// CompactRNG replaces the per-client math/rand lagged-Fibonacci

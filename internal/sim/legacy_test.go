@@ -11,9 +11,9 @@ import (
 )
 
 // The legacy heap-per-event multi-client engine, kept as the
-// byte-identity oracle for the event wheel: sim.Run dispatches
-// Clients > 1 to the wheel only, and wheel_diff_test.go drives this
-// engine through newEngine.
+// byte-identity oracle for the event wheel: sim.Run runs every client
+// count on the wheel, and wheel_diff_test.go drives this engine through
+// newEngine.
 //
 // Multi-client simulation. The paper simulates a single client because
 // the protocols' read-only validation is purely local: "the performance
@@ -35,6 +35,7 @@ type mcClient struct {
 	isUpdate  bool
 	writes    int
 	submit    float64
+	access    float64
 	restarts  int
 	done      int
 
@@ -180,6 +181,7 @@ func (e *engine) startTxnAt(c *mcClient, submit float64) {
 	c.idx = 0
 	c.restarts = 0
 	c.submit = submit
+	c.access = 0
 	c.action = actRead
 }
 
@@ -197,6 +199,7 @@ func (e *engine) scheduleReadAt(c *mcClient, base float64) float64 {
 		ready, cycle = e.nextReady(float64(cycle)*e.cycleBits, c.objs[c.idx])
 	}
 	c.readCycle = cycle
+	c.access += ready - start
 	c.action = actRead
 	return ready
 }
@@ -218,6 +221,7 @@ func (e *engine) nextTxnOrStop(c *mcClient, res *Result, push func(float64, *mcC
 			c.stats.ResponseTime.Add(e.now - c.submit)
 			c.stats.Restarts.Add(float64(c.restarts))
 		}
+		res.AccessTime.Add(c.access)
 	}
 	if cfg.Audit && !c.isUpdate {
 		e.auditReadSets = append(e.auditReadSets, c.validator.ReadSet())

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"broadcastcc/internal/bctest"
@@ -50,6 +51,32 @@ func TestMultiClientBasics(t *testing.T) {
 	}
 	if r.ResponseTime.Mean() <= 0 || r.SimulatedTime <= 0 {
 		t.Error("degenerate metrics")
+	}
+}
+
+// The single client is a one-client run like any other: one PerClient
+// entry, equal to the pooled samples.
+func TestSingleClientFillsPerClient(t *testing.T) {
+	for _, n := range []int{0, 1} {
+		cfg := smallConfig(protocol.FMatrix)
+		cfg.Clients = n
+		cfg.ClientUpdateProb = 0.3
+		r, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.ResponseTime.N() == 0 || r.UpdateResponseTime.N() == 0 {
+			t.Fatalf("Clients=%d: degenerate run: %d read-only, %d update transactions measured",
+				n, r.ResponseTime.N(), r.UpdateResponseTime.N())
+		}
+		want := []ClientStats{{
+			ResponseTime:       r.ResponseTime,
+			Restarts:           r.Restarts,
+			UpdateResponseTime: r.UpdateResponseTime,
+		}}
+		if !reflect.DeepEqual(r.PerClient, want) {
+			t.Errorf("Clients=%d: PerClient = %+v, want the pooled samples %+v", n, r.PerClient, want)
+		}
 	}
 }
 

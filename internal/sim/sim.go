@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -53,13 +52,14 @@ type Result struct {
 	CyclesSimulated int64
 	// ServerCommits counts update transactions committed at the server.
 	ServerCommits int64
-	// SimulatedTime is the final clock value in bit-units.
+	// SimulatedTime is the instant, in bit-units, at which the last
+	// transaction completed — at every client count.
 	SimulatedTime float64
 	// CacheHits counts client reads served from the local cache.
 	CacheHits int64
 
-	// PerClient holds each client's own metrics in multi-client runs
-	// (Config.Clients > 1); nil otherwise.
+	// PerClient holds each client's own metrics; the single client's one
+	// entry equals the pooled samples.
 	PerClient []ClientStats
 
 	// UpdateResponseTime aggregates response times of client *update*
@@ -89,13 +89,13 @@ type Result struct {
 	Obs obs.Snapshot
 	// Trace is the run's cycle-clock event trace (most recent
 	// traceCapacity events). Every event is stamped with (cycle, frame)
-	// — logical broadcast time — and the engines are single-goroutine,
-	// so the trace is a pure function of Config: byte-identical at any
-	// sweep parallelism and under the race detector.
+	// — logical broadcast time — and the engine is single-goroutine, so
+	// the trace is a pure function of Config: byte-identical at any sweep
+	// parallelism and under the race detector.
 	Trace []obs.Event
 }
 
-// ClientStats are one client's measured metrics in a multi-client run.
+// ClientStats are one client's measured metrics.
 type ClientStats struct {
 	ResponseTime       stats.Sample
 	Restarts           stats.Sample
@@ -121,39 +121,35 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Clients > 1 {
-		return e.runWheel()
-	}
-	return e.run()
+	return e.runWheel()
 }
 
-// engine is the discrete-event core. The server's commit stream is a
-// deterministic function of time generated lazily in time order; the
-// single client (the paper simulates one client — protocol behaviour is
-// client-count independent) drives the clock forward through its reads,
-// pulling the server state and per-cycle control snapshots along.
+// engine is the discrete-event core's shared half: the broadcast
+// program, the server and the run's observability. The server's commit
+// stream is a deterministic function of time generated lazily in time
+// order; the clients on the event wheel (wheel.go) drive the clock
+// forward through their reads, pulling the server state and per-cycle
+// control snapshots along.
 type engine struct {
 	cfg    Config
 	layout bcast.Layout
-	// rng drives the server workload and, in the single-client engine,
-	// the client too; multi-client engines give every client a stream
-	// of its own, so client count does not perturb the server workload.
+	// rng drives the server workload. The paper's single client
+	// (Clients <= 1) draws from it too, which is what keeps every
+	// published single-client figure byte-identical; with more clients
+	// each has a stream of its own, so client count does not perturb the
+	// server workload.
 	rng *rand.Rand
 
 	now       float64
 	cycleBits float64
 	schedule  *bcast.Schedule
-	// program/timeline drive multi-disk, (1,m)-indexed broadcasts
+	// timeline drives multi-disk, (1,m)-indexed broadcasts
 	// (cfg.Disks > 0); nil keeps the flat schedule path bit-identical to
 	// the paper's study.
-	program  *airsched.Program
 	timeline *airsched.Timeline
 	zipf     *airsched.ZipfPicker
 
-	// Per-transaction tuning/access accumulators (reset by run).
-	curAccess   float64
-	curListened int64
-	dozed       int64
+	dozed int64 // frames the selective tuner slept through, whole run
 	// faults, when non-nil, decides which whole cycles each client's
 	// tuner misses (FaultLoss/FaultDoze). Decisions are pure functions of
 	// (FaultSeed, client, cycle), so the trace is identical at any
@@ -187,9 +183,9 @@ type engine struct {
 	snaps          map[cmatrix.Cycle]protocol.Snapshot
 	snappedThrough cmatrix.Cycle
 
-	// Client cache (Section 3.3), enabled by cfg.CacheCurrency > 0. The
-	// simulator models no values: entries carry the caching cycle and the
-	// control column only.
+	// Client cache (Section 3.3), enabled by cfg.CacheCurrency > 0
+	// (single client only). The simulator models no values: entries carry
+	// the caching cycle and the control column only.
 	cache *qcache.Cache
 
 	// Audit trail (cfg.Audit only).
@@ -203,11 +199,10 @@ func newEngine(cfg Config) (*engine, error) {
 		return nil, err
 	}
 	var schedule *bcast.Schedule
-	var program *airsched.Program
 	var timeline *airsched.Timeline
 	var err error
 	if cfg.Disks > 0 {
-		program, err = airsched.Build(layout, airsched.ZipfWeights(cfg.Objects, cfg.ZipfTheta), cfg.Disks, cfg.IndexM)
+		program, err := airsched.Build(layout, airsched.ZipfWeights(cfg.Objects, cfg.ZipfTheta), cfg.Disks, cfg.IndexM)
 		if err != nil {
 			return nil, err
 		}
@@ -242,7 +237,6 @@ func newEngine(cfg Config) (*engine, error) {
 		cfg:            cfg,
 		layout:         layout,
 		schedule:       schedule,
-		program:        program,
 		timeline:       timeline,
 		rng:            rand.New(rand.NewSource(cfg.Seed)),
 		cycleBits:      cycleBits,
@@ -305,13 +299,10 @@ func (e *engine) cycleOf(t float64) cmatrix.Cycle {
 }
 
 // nextReady reports the earliest instant >= t at which object j,
-// together with its control information, has been fully broadcast, and
-// the (major) cycle that broadcast belongs to.
+// together with its control information, has been fully broadcast on
+// the flat schedule, and the (major) cycle that broadcast belongs to.
+// (An airsched program is waited out by the tuner model, airRead.)
 func (e *engine) nextReady(t float64, j int) (float64, cmatrix.Cycle) {
-	if e.timeline != nil {
-		ready, cycle := e.timeline.NextReady(t, j)
-		return ready, cmatrix.Cycle(cycle)
-	}
 	ready, cycle := e.schedule.NextReady(t, j)
 	return ready, cmatrix.Cycle(cycle)
 }
@@ -364,16 +355,6 @@ func (e *engine) install(readSet, writeSet []int, commitCycle cmatrix.Cycle) {
 	}
 }
 
-// advanceCommitsTo applies every pending server commit with completion
-// time strictly before t, taking any crossed cycle-boundary snapshots
-// first so snapshots never leak later commits.
-func (e *engine) advanceCommitsTo(t float64) {
-	e.ensureSnapshot(e.cycleOf(t))
-	for e.nextCommitTime < t {
-		e.applyNextCommit()
-	}
-}
-
 // ensureSnapshot advances the server through time so that the control
 // snapshot at the beginning of cycle c exists: all commits of earlier
 // cycles applied, none of cycle c or later.
@@ -397,112 +378,11 @@ func (e *engine) ensureSnapshot(c cmatrix.Cycle) {
 	}
 }
 
-// run executes the client workload to completion.
-func (e *engine) run() (*Result, error) {
-	cfg := e.cfg
-	res := &Result{Config: cfg, Layout: e.layout}
-
-	validator := e.newValidator()
-	for txn := 0; txn < cfg.ClientTxns; txn++ {
-		// Distinct objects, fixed across restarts: the same transaction
-		// program re-executes after an abort.
-		objs := e.pickObjectsFrom(e.rng)
-		isUpdate := cfg.ClientUpdateProb > 0 && e.rng.Float64() < cfg.ClientUpdateProb
-		writes := 0
-		if isUpdate {
-			writes = cfg.ClientTxnWrites
-			if writes == 0 {
-				writes = 1
-			}
-			if writes > len(objs) {
-				writes = len(objs)
-			}
-		}
-		submit := e.now
-		restarts := 0
-		e.curAccess, e.curListened = 0, 0
-		for { // attempts
-			validator.Reset()
-			aborted := false
-			for _, j := range objs {
-				e.now += e.exp(cfg.MeanInterOpDelay)
-				if ok, err := e.performRead(validator, j); err != nil {
-					return nil, err
-				} else if !ok {
-					aborted = true
-					break
-				}
-			}
-			if !aborted && isUpdate {
-				// Commit over the uplink: the round trip costs latency,
-				// and the server validates the read-set against what has
-				// committed meanwhile.
-				e.now += cfg.UplinkLatency
-				if !e.submitClientUpdate(validator.ReadSet(), objs[:writes]) {
-					aborted = true
-				}
-			}
-			if !aborted {
-				break
-			}
-			restarts++
-			e.cRestarts.Inc()
-			// Drop the transaction's objects from the cache: an aborted
-			// attempt must not be replayed against the same stale
-			// entries, or a long currency bound could starve it.
-			if e.cache != nil {
-				for _, j := range objs {
-					e.cache.Remove(j)
-				}
-			}
-			e.now += cfg.RestartDelay
-			if cfg.MaxTime > 0 && e.now > cfg.MaxTime {
-				return nil, fmt.Errorf("%w: MaxTime=%g during transaction %d (restart %d)", ErrMaxTime, cfg.MaxTime, txn, restarts)
-			}
-		}
-		e.hRestartsTxn.Observe(int64(restarts))
-		if txn >= cfg.MeasureFrom {
-			if isUpdate {
-				res.UpdateResponseTime.Add(e.now - submit)
-				res.UpdateRestarts.Add(float64(restarts))
-			} else {
-				res.ResponseTime.Add(e.now - submit)
-				res.Restarts.Add(float64(restarts))
-			}
-			res.AccessTime.Add(e.curAccess)
-			if e.timeline != nil {
-				res.TuningFrames.Add(float64(e.curListened))
-			}
-		}
-		if cfg.Audit && !isUpdate {
-			// Update transactions are already in the commit log; only
-			// read-only read-sets need recording for the history audit.
-			e.auditReadSets = append(e.auditReadSets, validator.ReadSet())
-		}
-		e.now += e.exp(cfg.MeanInterTxnDelay)
-	}
-
-	e.finalizeResult(res)
-	return res, nil
-}
-
-// pickObjectsFrom draws a transaction's distinct object set, skewed to
-// the hot set when HotAccessProb is set.
+// pickObjectsFrom draws a transaction's distinct object set: uniform,
+// Zipf-skewed, or skewed to the hot set when HotAccessProb is set.
 func (e *engine) pickObjectsFrom(rng *rand.Rand) []int {
 	cfg := e.cfg
-	if e.zipf != nil {
-		seen := make(map[int]bool, cfg.ClientTxnLength)
-		out := make([]int, 0, cfg.ClientTxnLength)
-		for len(out) < cfg.ClientTxnLength {
-			j := e.zipf.Pick(rng.Float64())
-			if !seen[j] {
-				seen[j] = true
-				out = append(out, j)
-			}
-		}
-		return out
-	}
-	if cfg.HotAccessProb == 0 {
+	if e.zipf == nil && cfg.HotAccessProb == 0 {
 		return rng.Perm(cfg.Objects)[:cfg.ClientTxnLength]
 	}
 	coldSize := cfg.Objects - cfg.HotSetSize
@@ -510,9 +390,12 @@ func (e *engine) pickObjectsFrom(rng *rand.Rand) []int {
 	out := make([]int, 0, cfg.ClientTxnLength)
 	for len(out) < cfg.ClientTxnLength {
 		var j int
-		if coldSize == 0 || rng.Float64() < cfg.HotAccessProb {
+		switch {
+		case e.zipf != nil:
+			j = e.zipf.Pick(rng.Float64())
+		case coldSize == 0 || rng.Float64() < cfg.HotAccessProb:
 			j = rng.Intn(cfg.HotSetSize)
-		} else {
+		default:
 			j = cfg.HotSetSize + rng.Intn(coldSize)
 		}
 		if !seen[j] {
@@ -529,11 +412,18 @@ func (e *engine) pickObjectsFrom(rng *rand.Rand) []int {
 // the cycle it was read in), exactly the live server's rule. On success
 // the transaction is installed at the current cycle.
 func (e *engine) submitClientUpdate(reads []protocol.ReadAt, writeSet []int) bool {
-	e.advanceCommitsTo(e.now)
+	// Every server commit completed strictly before now comes first,
+	// after any crossed cycle-boundary snapshots so those never leak
+	// later commits.
+	commitCycle := e.cycleOf(e.now)
+	e.ensureSnapshot(commitCycle)
+	for e.nextCommitTime < e.now {
+		e.applyNextCommit()
+	}
 	for _, r := range reads {
 		if e.lastWrite[r.Obj] >= r.Cycle {
 			e.cUplinkRejects.Inc()
-			e.trace.Emit(obs.EvUplinkVerdict, obs.ActorServer, int64(e.cycleOf(e.now)), 0, 0)
+			e.trace.Emit(obs.EvUplinkVerdict, obs.ActorServer, int64(commitCycle), 0, 0)
 			return false
 		}
 	}
@@ -541,130 +431,14 @@ func (e *engine) submitClientUpdate(reads []protocol.ReadAt, writeSet []int) boo
 	for _, r := range reads {
 		readSet = append(readSet, r.Obj)
 	}
-	commitCycle := e.cycleOf(e.now)
 	e.install(readSet, writeSet, commitCycle)
 	e.cClientCommits.Inc()
 	e.trace.Emit(obs.EvUplinkVerdict, obs.ActorServer, int64(commitCycle), 0, 1)
 	return true
 }
 
-// airRead waits out the broadcast program for object j from the current
-// clock, modelling the tuner: with a (1,m) index the client listens to a
-// probe frame, the next index segment, and the object's frame (dozing
-// in between); without an index it listens to every frame until the
-// object arrives. A fault-dropped cycle costs the listening but carries
-// no data, so the attempt repeats from the next cycle.
-func (e *engine) airRead(j int) (float64, cmatrix.Cycle, error) {
-	at := e.now
-	for {
-		var ready float64
-		var cycle int64
-		if e.cfg.IndexM > 0 {
-			listened := int64(1)
-			probeEnd := e.timeline.NextFrameEnd(at)
-			direct, directCycle := e.timeline.NextReady(at, j)
-			if direct == probeEnd {
-				// The probe frame happened to be the object itself.
-				ready, cycle = direct, directCycle
-			} else {
-				idxEnd, ok := e.timeline.NextIndexEnd(at)
-				if !ok {
-					return 0, 0, fmt.Errorf("sim: internal error: indexed program has no index segments")
-				}
-				if idxEnd != probeEnd {
-					listened++ // a separate probe, then the index segment
-				}
-				ready, cycle = e.timeline.NextReady(idxEnd, j)
-				listened++ // the object's data frame
-			}
-			e.curListened += listened
-			e.dozed += e.timeline.FramesIn(at, ready) - listened
-		} else {
-			// No index: the tuner cannot doze, it decodes every frame
-			// until the object comes around.
-			ready, cycle = e.timeline.NextReady(at, j)
-			e.curListened += e.timeline.FramesIn(at, ready)
-		}
-		if e.faults == nil || !e.faults.Missed(0, cmatrix.Cycle(cycle)) {
-			return ready, cmatrix.Cycle(cycle), nil
-		}
-		at = float64(cycle) * e.cycleBits
-		if e.cfg.MaxTime > 0 && at > e.cfg.MaxTime {
-			return 0, 0, fmt.Errorf("%w: MaxTime=%g waiting out faults for object %d", ErrMaxTime, e.cfg.MaxTime, j)
-		}
-	}
-}
-
-// newValidator builds the per-transaction validator: the exact paper
-// validators normally, the snapshot-retaining validator when the cache
-// may serve (older) reads.
-func (e *engine) newValidator() protocol.Validator {
-	if e.cache != nil {
-		return &protocol.SnapshotValidator{}
-	}
-	return protocol.NewValidator(e.cfg.Algorithm)
-}
-
-// performRead executes one client read of object j at the current clock:
-// from the cache when fresh (no wait), otherwise waiting for the object
-// to come around on the broadcast. It reports whether the read passed
-// validation.
-func (e *engine) performRead(v protocol.Validator, j int) (bool, error) {
-	if e.cache != nil {
-		// A stale entry is invalidated locally, no communication.
-		if _, cycle, snap, ok := e.cache.Get(j, e.cycleOf(e.now)); ok {
-			e.cCacheHits.Inc()
-			ok := v.TryRead(snap, j, cycle)
-			// Cache hits are stamped frame -1: the value never crossed the
-			// air during this transaction.
-			e.recordRead(0, cycle, -1, j, ok)
-			return ok, nil
-		}
-	}
-	var readTime float64
-	var cycle cmatrix.Cycle
-	if e.timeline != nil {
-		var err error
-		readTime, cycle, err = e.airRead(j)
-		if err != nil {
-			return false, err
-		}
-	} else {
-		readTime, cycle = e.nextReady(e.now, j)
-		// A missed cycle (doze or frame loss) carries no data for this
-		// client: the read retries from the start of the next cycle until the
-		// object comes around in a cycle the tuner actually receives.
-		for e.faults != nil && e.faults.Missed(0, cycle) {
-			e.trace.Emit(obs.EvDoze, 0, int64(cycle), 0, 1)
-			readTime, cycle = e.nextReady(float64(cycle)*e.cycleBits, j)
-			if e.cfg.MaxTime > 0 && readTime > e.cfg.MaxTime {
-				return false, fmt.Errorf("%w: MaxTime=%g waiting out faults for object %d", ErrMaxTime, e.cfg.MaxTime, j)
-			}
-		}
-	}
-	if e.cfg.MaxTime > 0 && readTime > e.cfg.MaxTime {
-		return false, fmt.Errorf("%w: MaxTime=%g waiting for object %d", ErrMaxTime, e.cfg.MaxTime, j)
-	}
-	e.curAccess += readTime - e.now
-	e.now = readTime
-	e.ensureSnapshot(cycle)
-	snap := e.snaps[cycle]
-	if snap == nil {
-		return false, fmt.Errorf("sim: internal error: no snapshot for cycle %d", cycle)
-	}
-	if e.cache != nil {
-		snap = protocol.ColumnOf(snap, j, e.cfg.Objects)
-	}
-	ok := v.TryRead(snap, j, cycle)
-	e.recordRead(0, cycle, 0, j, ok)
-	if ok && e.cache != nil {
-		e.cache.Put(j, nil, cycle, snap)
-	}
-	return ok, nil
-}
-
 // recordRead counts and traces one read validation outcome for the
-// given client (actor 0 in the single-client engine).
+// given client.
 func (e *engine) recordRead(actor int32, cycle cmatrix.Cycle, frame int32, obj int, ok bool) {
 	if ok {
 		e.cReads.Inc()
@@ -675,7 +449,7 @@ func (e *engine) recordRead(actor int32, cycle cmatrix.Cycle, frame int32, obj i
 	}
 }
 
-// finalizeResult fills the aggregate fields every engine shares.
+// finalizeResult fills the aggregate fields.
 func (e *engine) finalizeResult(res *Result) {
 	res.CyclesSimulated = int64(e.snappedThrough)
 	res.DozedFrames = e.dozed

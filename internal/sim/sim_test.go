@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -208,6 +210,110 @@ func TestMaxTimeGuard(t *testing.T) {
 	_, err := Run(cfg)
 	if err == nil || !strings.Contains(err.Error(), "MaxTime") {
 		t.Fatalf("Run = %v, want MaxTime error", err)
+	}
+}
+
+// TestMaxTimeParity pins where the one pop-time guard ends a run: the
+// configurations the sequential single-client loop gave up on (its
+// read, restart and fault-wait guards) still return ErrMaxTime, their
+// neighbours still complete, and at every client count the guard is
+// sharp — a run completes with MaxTime at its last transaction's
+// completion instant and not a bit-unit's fraction below.
+func TestMaxTimeParity(t *testing.T) {
+	// Datacycle far off the paper's Y axis: figure 2a's longest
+	// transactions under figure 3b's fastest server, the guard scaled
+	// from the figures' 5e11 to keep the test short.
+	offAxis := DefaultConfig()
+	offAxis.Algorithm = protocol.Datacycle
+	offAxis.ClientTxnLength = 10
+	offAxis.ClientTxns, offAxis.MeasureFrom = 50, 25
+	offAxis.ServerTxnInterval = 62500
+	offAxis.MaxTime = 5e10
+	onAxis := offAxis
+	onAxis.ServerTxnInterval = 250000
+
+	overrun := smallConfig(protocol.Datacycle)
+	overrun.RestartDelay = 1e9
+	overrun.MaxTime = 2e9
+	noDelay := overrun
+	noDelay.RestartDelay = 0
+
+	airFaults := airschedConfig(1, 1, 0.95)
+	airFaults.ClientTxns, airFaults.MeasureFrom = 40, 10
+	airFaults.FaultDoze = 0.9
+	airFaults.FaultDozeLen = 50
+	airFaults.MaxTime = 1e9
+
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		maxTime bool
+	}{
+		{"datacycle off-axis", offAxis, true},
+		{"datacycle on-axis", onAxis, false},
+		{"restart-delay overrun", overrun, true},
+		{"no restart delay", noDelay, false},
+		{"airsched waiting out faults", airFaults, true},
+	} {
+		for _, n := range []int{0, 1} {
+			tc.cfg.Clients = n
+			_, err := Run(tc.cfg)
+			if tc.maxTime && !errors.Is(err, ErrMaxTime) {
+				t.Errorf("%s, Clients=%d: Run = %v, want ErrMaxTime", tc.name, n, err)
+			}
+			if !tc.maxTime && err != nil {
+				t.Errorf("%s, Clients=%d: %v", tc.name, n, err)
+			}
+		}
+	}
+
+	for _, n := range []int{1, 4} {
+		cfg := smallConfig(protocol.FMatrix)
+		cfg.Clients = n
+		cfg.ClientTxns, cfg.MeasureFrom = 40, 10
+		cfg.ClientUpdateProb = 0.3
+		free, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.MaxTime = free.SimulatedTime
+		at, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("Clients=%d, MaxTime at the last completion: %v", n, err)
+		}
+		if at.SimulatedTime != free.SimulatedTime || !reflect.DeepEqual(at.Trace, free.Trace) {
+			t.Errorf("Clients=%d: MaxTime at the last completion changed the run", n)
+		}
+		cfg.MaxTime = math.Nextafter(free.SimulatedTime, 0)
+		if _, err := Run(cfg); !errors.Is(err, ErrMaxTime) {
+			t.Errorf("Clients=%d, MaxTime just under the last completion: Run = %v, want ErrMaxTime", n, err)
+		}
+	}
+}
+
+// SimulatedTime is when the last transaction completed, so it falls in
+// the cycle the trace's last event is stamped with — at one client as
+// at four (TestMaxTimeParity pins the instant itself) — and not an
+// inter-transaction think time, here many cycles, later.
+func TestSimulatedTimeIsLastCompletion(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		cfg := smallConfig(protocol.RMatrix)
+		cfg.Clients = n
+		cfg.ClientTxns, cfg.MeasureFrom = 12, 2
+		cfg.MeanInterTxnDelay = 5e6
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := newEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := float64(res.Trace[len(res.Trace)-1].Cycle)
+		if lo, hi := (last-1)*e.cycleBits, last*e.cycleBits; res.SimulatedTime <= lo || res.SimulatedTime > hi {
+			t.Errorf("Clients=%d: SimulatedTime %v outside cycle %v (%v, %v], where the last transaction completed",
+				n, res.SimulatedTime, last, lo, hi)
+		}
 	}
 }
 

@@ -18,11 +18,17 @@ import (
 // arrival — sits on a timing wheel keyed on the cycle clock. At 10^6
 // clients the whole simulation state is a handful of large slices.
 //
-// The engine is an exact behavioural mirror of the legacy heap engine,
-// which survives as the test-only differential oracle (legacy_test.go):
-// the same per-client rand streams consumed in the same order, the same
-// trace emissions, the same (time, seq) global event order. Result is
-// byte-identical between the two for any Config both accept.
+// It is the only execution path. The paper's single client is client 0
+// of a one-client wheel drawing from the engine's own stream; what only
+// it may use (the §3.3 cache, the airsched tuner) costs the multi-client
+// runs a nil check. Its oracle is testdata/single.golden.
+//
+// For Clients > 1 the engine is an exact behavioural mirror of the
+// legacy heap engine, which survives as the test-only differential
+// oracle (legacy_test.go): the same per-client rand streams consumed in
+// the same order, the same trace emissions, the same (time, seq) global
+// event order. Result is byte-identical between the two for any Config
+// both accept.
 
 // mcAction is what a client does when its event fires.
 type mcAction int
@@ -184,6 +190,9 @@ type wheelEngine struct {
 	cfg Config
 
 	txnLen int
+	// writes is how many of its objects an update transaction writes
+	// (ClientTxnWrites, default 1, capped at the transaction length).
+	writes int
 
 	// One pending event per client on the wheel.
 	wheel *eventWheel
@@ -200,15 +209,25 @@ type wheelEngine struct {
 	idx      []int32
 	restarts []int32
 	done     []int32
-	writes   []int8
 	isUpdate []bool
 	action   []uint8
 	submit   []float64
 	readCyc  []cmatrix.Cycle
+	// Per-transaction broadcast wait (bit-units) and, under an airsched
+	// program only, frames listened to.
+	access   []float64
+	listened []int64
 
-	// Validator state, flat: exactly one of conj/rmx is non-nil.
-	conj []protocol.ConjunctiveValidator
-	rmx  []protocol.RMatrixValidator
+	// Validator state, flat: exactly one of conj/rmx/cached is non-nil.
+	// The cache may serve reads older than ones already made, so a
+	// cached run validates in both directions at every algorithm.
+	conj   []protocol.ConjunctiveValidator
+	rmx    []protocol.RMatrixValidator
+	cached []protocol.SnapshotValidator
+	// hit is the cached control column the pending read was served from,
+	// nil when the read waits on the air (the cache is single-client, so
+	// one pending read is all there is).
+	hit protocol.Snapshot
 
 	stats []ClientStats
 
@@ -221,50 +240,67 @@ type wheelEngine struct {
 	lastSeq  int64
 }
 
-// runWheel executes the multi-client simulation on the event wheel.
-func (e *engine) runWheel() (*Result, error) {
+// newWheel lays out the per-client state. Clients 0 and 1 are both the
+// paper's single client: client 0 on the engine's own stream.
+func (e *engine) newWheel() *wheelEngine {
 	cfg := e.cfg
-	n := cfg.Clients
-	res := &Result{Config: cfg, Layout: e.layout}
+	n := max(cfg.Clients, 1)
 	w := &wheelEngine{
 		e:        e,
 		cfg:      cfg,
 		txnLen:   cfg.ClientTxnLength,
+		writes:   min(max(cfg.ClientTxnWrites, 1), cfg.ClientTxnLength),
 		wheel:    newEventWheel(e.cycleBits),
 		objs:     make([]int32, n*cfg.ClientTxnLength),
 		idx:      make([]int32, n),
 		restarts: make([]int32, n),
 		done:     make([]int32, n),
-		writes:   make([]int8, n),
 		isUpdate: make([]bool, n),
 		action:   make([]uint8, n),
 		submit:   make([]float64, n),
 		readCyc:  make([]cmatrix.Cycle, n),
+		access:   make([]float64, n),
 		stats:    make([]ClientStats, n),
 	}
-	if cfg.Algorithm == protocol.RMatrix {
+	if e.timeline != nil {
+		w.listened = make([]int64, n)
+	}
+	switch {
+	case e.cache != nil:
+		w.cached = make([]protocol.SnapshotValidator, n)
+	case cfg.Algorithm == protocol.RMatrix:
 		w.rmx = make([]protocol.RMatrixValidator, n)
-	} else {
+	default:
 		w.conj = make([]protocol.ConjunctiveValidator, n)
 	}
-	if cfg.CompactRNG {
+	switch {
+	case n == 1:
+		w.rands = []*rand.Rand{e.rng}
+	case cfg.CompactRNG:
 		w.compact = make([]compactSource, n)
 		for i := range w.compact {
 			w.compact[i].seed(cfg.Seed + int64(i+1)*1_000_003)
 		}
-	} else {
+	default:
 		w.rands = make([]*rand.Rand, n)
 		for i := range w.rands {
 			w.rands[i] = rand.New(rand.NewSource(cfg.Seed + int64(i+1)*1_000_003))
 		}
 	}
+	return w
+}
 
-	for i := 0; i < n; i++ {
+// runWheel executes the simulation on the event wheel.
+func (e *engine) runWheel() (*Result, error) {
+	cfg := e.cfg
+	res := &Result{Config: cfg, Layout: e.layout}
+	w := e.newWheel()
+	for i := range w.stats {
 		w.startTxn(i, 0)
 		w.push(w.scheduleRead(i, 0), i)
 	}
 
-	active := n
+	active := len(w.stats)
 	for active > 0 {
 		ev := w.wheel.pop()
 		if ev.time < w.lastTime || (ev.time == w.lastTime && ev.seq <= w.lastSeq) {
@@ -274,29 +310,18 @@ func (e *engine) runWheel() (*Result, error) {
 		w.lastTime, w.lastSeq = ev.time, ev.seq
 		i := int(ev.client)
 		if cfg.MaxTime > 0 && ev.time > cfg.MaxTime {
-			return nil, fmt.Errorf("%w: MaxTime=%g in multi-client run (client %d)", ErrMaxTime, cfg.MaxTime, i)
+			return nil, fmt.Errorf("%w: MaxTime=%g (client %d)", ErrMaxTime, cfg.MaxTime, i)
 		}
 		e.now = ev.time
 
 		switch mcAction(w.action[i]) {
 		case actRead:
-			obj := int(w.objRow(i)[w.idx[i]])
-			cycle := w.readCyc[i]
-			e.ensureSnapshot(cycle)
-			snap := e.snaps[cycle]
-			if snap == nil {
-				return nil, fmt.Errorf("sim: internal error: no snapshot for cycle %d", cycle)
+			ok, err := w.read(i)
+			if err != nil {
+				return nil, err
 			}
-			v := w.validator(i)
-			ok := v.TryRead(snap, obj, cycle)
-			e.recordRead(int32(i), cycle, 0, obj, ok)
 			if !ok {
-				// Abort: restart the same transaction program.
-				w.restarts[i]++
-				e.cRestarts.Inc()
-				v.Reset()
-				w.idx[i] = 0
-				w.push(w.scheduleRead(i, e.now+cfg.RestartDelay), i)
+				w.restart(i)
 				continue
 			}
 			w.idx[i]++
@@ -309,34 +334,75 @@ func (e *engine) runWheel() (*Result, error) {
 				w.push(e.now+cfg.UplinkLatency, i)
 				continue
 			}
-			if w.nextTxnOrStop(i, res) {
-				active--
-			}
 
 		case actCommit:
 			w.scratchWrite = w.scratchWrite[:0]
-			for _, o := range w.objRow(i)[:w.writes[i]] {
+			for _, o := range w.objRow(i)[:w.writes] {
 				w.scratchWrite = append(w.scratchWrite, int(o))
 			}
 			if !e.submitClientUpdate(w.validator(i).ReadSet(), w.scratchWrite) {
-				w.restarts[i]++
-				e.cRestarts.Inc()
-				w.validator(i).Reset()
-				w.idx[i] = 0
-				w.action[i] = uint8(actRead)
-				w.push(w.scheduleRead(i, e.now+cfg.RestartDelay), i)
+				w.restart(i)
 				continue
 			}
-			if w.nextTxnOrStop(i, res) {
-				active--
-			}
+		}
+		if w.nextTxnOrStop(i, res) {
+			active--
 		}
 	}
 
 	e.finalizeResult(res)
-	res.PerClient = make([]ClientStats, n)
-	copy(res.PerClient, w.stats)
+	res.PerClient = w.stats
 	return res, nil
+}
+
+// read performs client i's scheduled read at the current clock — off
+// the air against the control snapshot of the cycle it completed in, or
+// from the cache against the column kept with the entry — and reports
+// whether it passed validation.
+func (w *wheelEngine) read(i int) (bool, error) {
+	e := w.e
+	obj := int(w.objRow(i)[w.idx[i]])
+	cycle := w.readCyc[i]
+	snap, onAir := w.hit, w.hit == nil
+	w.hit = nil
+	// Cache hits are stamped frame -1: the value never crossed the air
+	// during this transaction, and the server is not pulled forward.
+	frame := int32(-1)
+	if onAir {
+		frame = 0
+		e.ensureSnapshot(cycle)
+		if snap = e.snaps[cycle]; snap == nil {
+			return false, fmt.Errorf("sim: internal error: no snapshot for cycle %d", cycle)
+		}
+		if e.cache != nil {
+			snap = protocol.ColumnOf(snap, obj, w.cfg.Objects)
+		}
+	}
+	ok := w.validator(i).TryRead(snap, obj, cycle)
+	e.recordRead(int32(i), cycle, frame, obj, ok)
+	if ok && onAir && e.cache != nil {
+		e.cache.Put(obj, nil, cycle, snap)
+	}
+	return ok, nil
+}
+
+// restart aborts client i's attempt (a failed read validation or a
+// rejected uplink commit) and re-executes the same transaction program
+// after the restart delay. The transaction's objects leave the cache:
+// an aborted attempt must not be replayed against the same stale
+// entries, or a long currency bound could starve it.
+func (w *wheelEngine) restart(i int) {
+	e := w.e
+	w.restarts[i]++
+	e.cRestarts.Inc()
+	w.validator(i).Reset()
+	w.idx[i] = 0
+	if e.cache != nil {
+		for _, o := range w.objRow(i) {
+			e.cache.Remove(int(o))
+		}
+	}
+	w.push(w.scheduleRead(i, e.now+w.cfg.RestartDelay), i)
 }
 
 func (w *wheelEngine) objRow(i int) []int32 {
@@ -344,7 +410,10 @@ func (w *wheelEngine) objRow(i int) []int32 {
 }
 
 func (w *wheelEngine) validator(i int) protocol.Validator {
-	if w.rmx != nil {
+	switch {
+	case w.cached != nil:
+		return &w.cached[i]
+	case w.rmx != nil:
 		return &w.rmx[i]
 	}
 	return &w.conj[i]
@@ -380,22 +449,14 @@ func (w *wheelEngine) startTxn(i int, submit float64) {
 		}
 	}
 	w.isUpdate[i] = cfg.ClientUpdateProb > 0 && upDraw < cfg.ClientUpdateProb
-	w.writes[i] = 0
-	if w.isUpdate[i] {
-		writes := cfg.ClientTxnWrites
-		if writes == 0 {
-			writes = 1
-		}
-		if writes > w.txnLen {
-			writes = w.txnLen
-		}
-		w.writes[i] = int8(writes)
-	}
 	w.validator(i).Reset()
 	w.idx[i] = 0
 	w.restarts[i] = 0
 	w.submit[i] = submit
-	w.action[i] = uint8(actRead)
+	w.access[i] = 0
+	if w.listened != nil {
+		w.listened[i] = 0
+	}
 }
 
 // pickObjects draws the transaction's distinct object set into the
@@ -442,22 +503,98 @@ func (w *wheelEngine) pickObjects(i int) {
 	}
 }
 
-// scheduleRead mirrors scheduleReadAt: think time from base, then the
-// object's next transmission, skipping cycles the client's tuner misses
-// (doze or frame loss). The read's cycle is recorded for validation at
-// fire time.
+// scheduleRead mirrors scheduleReadAt: think time from base, then either
+// a fresh cache entry (no wait: the read fires where the think time
+// ends) or the object's next transmission, skipping cycles the client's
+// tuner misses (doze or frame loss). The read's cycle is recorded for
+// validation at fire time.
 func (w *wheelEngine) scheduleRead(i int, base float64) float64 {
 	e := w.e
 	start := base + w.expDraw(i, w.cfg.MeanInterOpDelay)
 	obj := int(w.objRow(i)[w.idx[i]])
-	ready, cycle := e.nextReady(start, obj)
-	for e.faults != nil && e.faults.Missed(i, cycle) {
-		e.trace.Emit(obs.EvDoze, int32(i), int64(cycle), 0, 1)
-		ready, cycle = e.nextReady(float64(cycle)*e.cycleBits, obj)
+	w.action[i] = uint8(actRead)
+	if e.cache != nil {
+		// A stale entry is invalidated locally, no communication.
+		if _, cycle, snap, ok := e.cache.Get(obj, e.cycleOf(start)); ok {
+			e.cCacheHits.Inc()
+			w.readCyc[i], w.hit = cycle, snap
+			return start
+		}
+	}
+	var ready float64
+	var cycle cmatrix.Cycle
+	if e.timeline != nil {
+		ready, cycle = w.airRead(i, start, obj)
+	} else {
+		ready, cycle = e.nextReady(start, obj)
+		for e.faults != nil && e.faults.Missed(i, cycle) {
+			e.trace.Emit(obs.EvDoze, int32(i), int64(cycle), 0, 1)
+			ready, cycle = e.nextReady(float64(cycle)*e.cycleBits, obj)
+		}
 	}
 	w.readCyc[i] = cycle
-	w.action[i] = uint8(actRead)
+	w.access[i] += ready - start
 	return ready
+}
+
+// airRead waits out the airsched program for object j from instant at,
+// modelling the tuner: with a (1,m) index the client listens to a probe
+// frame, the next index segment, and the object's frame (dozing in
+// between); without an index it listens to every frame until the object
+// arrives. A fault-dropped cycle costs the listening but carries no
+// data, so the attempt repeats from the next cycle.
+func (w *wheelEngine) airRead(i int, at float64, j int) (float64, cmatrix.Cycle) {
+	e := w.e
+	tl := e.timeline
+	for {
+		var ready float64
+		var cycle int64
+		if w.cfg.IndexM > 0 {
+			listened := int64(1)
+			probeEnd := tl.NextFrameEnd(at)
+			direct, directCycle := tl.NextReady(at, j)
+			if direct == probeEnd {
+				// The probe frame happened to be the object itself.
+				ready, cycle = direct, directCycle
+			} else {
+				idxEnd, _ := tl.NextIndexEnd(at) // IndexM > 0: there is one
+				if idxEnd != probeEnd {
+					listened++ // a separate probe, then the index segment
+				}
+				ready, cycle = tl.NextReady(idxEnd, j)
+				listened++ // the object's data frame
+			}
+			w.listened[i] += listened
+			e.dozed += tl.FramesIn(at, ready) - listened
+		} else {
+			// No index: the tuner cannot doze, it decodes every frame
+			// until the object comes around.
+			ready, cycle = tl.NextReady(at, j)
+			w.listened[i] += tl.FramesIn(at, ready)
+		}
+		if e.faults == nil || !e.faults.Missed(i, cmatrix.Cycle(cycle)) {
+			return ready, cmatrix.Cycle(cycle)
+		}
+		at = e.retryAfter(cycle, j)
+		if w.cfg.MaxTime > 0 && at > w.cfg.MaxTime {
+			// Past the guard: stop waiting out faults; the event fires
+			// beyond MaxTime and the run ends there with ErrMaxTime.
+			return at, cmatrix.Cycle(cycle)
+		}
+	}
+}
+
+// retryAfter is the instant a read of object j that missed major cycle
+// c (1-based) tunes in again: the boundary that closes c. The timeline
+// counts an exact boundary into the cycle it ends, so when j's own frame
+// is the one that closes the cycle NextReady at the boundary would hand
+// the missed transmission back forever; that read resumes just past it.
+func (e *engine) retryAfter(c int64, j int) float64 {
+	at := float64(c) * e.cycleBits
+	if _, again := e.timeline.NextReady(at, j); again <= c {
+		at = math.Nextafter(at, math.Inf(1))
+	}
+	return at
 }
 
 // nextTxnOrStop mirrors the legacy transaction bookkeeping: record the
@@ -476,6 +613,10 @@ func (w *wheelEngine) nextTxnOrStop(i int, res *Result) (stopped bool) {
 			res.Restarts.Add(float64(w.restarts[i]))
 			w.stats[i].ResponseTime.Add(e.now - w.submit[i])
 			w.stats[i].Restarts.Add(float64(w.restarts[i]))
+		}
+		res.AccessTime.Add(w.access[i])
+		if w.listened != nil {
+			res.TuningFrames.Add(float64(w.listened[i]))
 		}
 	}
 	if cfg.Audit && !w.isUpdate[i] {

@@ -3,13 +3,17 @@
 
 GO ?= go
 
-.PHONY: build test race flake loc verify bench bench-e2e bench-figures bench-smoke figures-check conform fuzz-smoke obs-smoke udp-smoke shard-smoke quasi-smoke soak-smoke soak-nightly
+.PHONY: build test fmt race flake loc verify bench bench-e2e bench-figures bench-smoke figures-check conform fuzz-smoke obs-smoke udp-smoke shard-smoke quasi-smoke soak-smoke soak-nightly
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# gofmt -l prints the files it would rewrite; any name is a failure.
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l . >&2; exit 1; }
 
 # The worker-pool sweep harness and the copy-on-write column sharing in
 # cmatrix are concurrency/aliasing surface: run those packages (plus the
@@ -40,7 +44,7 @@ loc:
 	printf '%-24s %6d\n' . $$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	printf '%-24s %6d\n' 'roadmap scope' $$(find $(LOC_SCOPE) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 
-verify: build test race
+verify: build fmt test race
 
 # Differential soak of the acceptance lattice; violations shrink into
 # internal/conformance/corpus and fail the target.
@@ -59,9 +63,10 @@ fuzz-smoke:
 		done; \
 	done
 
-# Micro-benchmarks only (matrix apply/snapshot, wire codec, validator).
+# Micro-benchmarks only (matrix apply/snapshot, wire codec, validator,
+# StartCycle).
 bench:
-	$(GO) test -run '^$$' -bench 'Matrix|Snapshot|Validator|Wire' -benchtime 100x
+	$(GO) test -run '^$$' -bench 'Matrix|Snapshot|Validator|Wire|StartCycle' -benchtime 100x
 
 # The wall-clock benchmark (BENCHMARK.json, ~8 min) followed by its
 # regression table against the committed baseline. A report, not a

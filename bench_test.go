@@ -303,6 +303,7 @@ func BenchmarkWireEncodeCycle(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := wire.EncodeCycle(cb); err != nil {
@@ -325,6 +326,7 @@ func BenchmarkWireDecodeCycle(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := wire.DecodeCycle(data); err != nil {
@@ -412,6 +414,7 @@ func BenchmarkStartCycle(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer srv.Close()
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if srv.StartCycle() == nil {

@@ -17,6 +17,9 @@ import (
 type CycleBroadcast struct {
 	Number cmatrix.Cycle
 	Layout Layout
+	// Values are shared, never copied per listener: in process they are
+	// the server's committed slices, off a tuner windows onto the
+	// received frame. Read them; copy what must outlive the cycle.
 	Values [][]byte
 
 	Matrix  *cmatrix.Matrix

@@ -491,7 +491,11 @@ func (t *ReadTxn) Commit() ([]protocol.ReadAt, error) {
 
 // fetch resolves a read: cache first (when enabled and fresh), then the
 // current broadcast. Subset subscribers can only read subscribed
-// objects — the broadcast never carried the rest.
+// objects — the broadcast never carried the rest. The value returned is
+// the caller's own copy, and so is the one the cache keeps: a cycle's
+// Values are shared — with the server's committed state in process,
+// with the received frame off a tuner (wire.DecodeCycle) — so nothing
+// that outlives the cycle may alias them, and nothing may write them.
 func (c *Client) fetch(obj int) (value []byte, snap protocol.Snapshot, cycle cmatrix.Cycle, cacheHit bool, err error) {
 	if c.cur == nil {
 		return nil, nil, 0, false, ErrNoBroadcast
@@ -519,7 +523,7 @@ func (c *Client) fetch(obj int) (value []byte, snap protocol.Snapshot, cycle cma
 		if c.cur.Matrix != nil {
 			snap = c.cur.Column(obj)
 		}
-		c.cache.Put(obj, value, cycle, snap)
+		c.cache.Put(obj, append([]byte(nil), value...), cycle, snap)
 	}
 	return value, snap, cycle, false, nil
 }

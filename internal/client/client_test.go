@@ -601,3 +601,44 @@ func TestLiveRunInducedHistoryConsistent(t *testing.T) {
 		})
 	}
 }
+
+// TestReadReturnsPrivateCopy: what Read hands out is the caller's to
+// scribble on. A cycle's Values are shared (in process with the
+// server's committed state, off a tuner with the received frame), so
+// neither the cycle every other listener holds, nor the cache entry the
+// miss created, nor a later read may see the scribble.
+func TestReadReturnsPrivateCopy(t *testing.T) {
+	srv, c := newPair(t, protocol.FMatrix, 2, Config{CacheCurrency: 4})
+	commitWrite(t, srv, 0, "precious")
+	cb := srv.StartCycle()
+	c.AwaitCycle()
+	read := func() []byte {
+		t.Helper()
+		txn := c.BeginReadOnly()
+		v, err := txn.Read(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		txn.Commit()
+		return v
+	}
+	miss := read() // off the air, and into the cache
+	copy(miss, "SCRIBBLE")
+	if string(cb.Values[0]) != "precious" {
+		t.Fatalf("scribbling on a read changed the published cycle: %q", cb.Values[0])
+	}
+	hit := read()
+	if c.Stats().CacheHits != 1 || string(hit) != "precious" {
+		t.Fatalf("second read = %q with %d cache hits; the first read's buffer is the cache entry", hit, c.Stats().CacheHits)
+	}
+	copy(hit, "SCRIBBLE")
+	if again := read(); string(again) != "precious" {
+		t.Fatalf("third read = %q: a cache hit handed out the entry itself", again)
+	}
+	if v, err := srv.Begin().Read(0); err != nil || string(v) != "precious" {
+		t.Fatalf("the server's committed value is now %q, %v", v, err)
+	}
+	if next := srv.StartCycle(); string(next.Values[0]) != "precious" || string(cb.Values[0]) != "precious" {
+		t.Fatalf("cycle values %q then %q", cb.Values[0], next.Values[0])
+	}
+}

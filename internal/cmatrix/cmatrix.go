@@ -65,10 +65,17 @@ func (m *Matrix) At(i, j int) Cycle {
 // Column returns a copy of column j — the control information broadcast
 // immediately after object j in each cycle.
 func (m *Matrix) Column(j int) []Cycle {
+	return append([]Cycle(nil), m.Col(j)...)
+}
+
+// Col returns column j itself, Col(j)[i] = C(i, j), for readers that
+// walk a matrix without keeping anything (the wire encoder, a hash).
+// The slice belongs to the matrix and, copy-on-write, to its snapshots:
+// callers must not write to it, and keep it only as long as the matrix
+// is one nobody applies to (a published snapshot, a decoded cycle).
+func (m *Matrix) Col(j int) []Cycle {
 	m.check(j)
-	out := make([]Cycle, m.n)
-	copy(out, m.cols[j])
-	return out
+	return m.cols[j]
 }
 
 // Clone returns a deep copy sharing no storage with the receiver.
@@ -262,19 +269,29 @@ func (m *Matrix) String() string {
 
 // MatrixFromColumns reconstructs a matrix from per-column entries,
 // cols[j][i] = C(i, j) — the shape the broadcast wire format carries.
+// The matrix shares no storage with cols.
 func MatrixFromColumns(cols [][]Cycle) (*Matrix, error) {
+	m, err := MatrixOver(cols)
+	if err != nil {
+		return nil, err
+	}
+	return m.Clone(), nil
+}
+
+// MatrixOver is MatrixFromColumns without the copy: the matrix adopts
+// cols and every column in it, so a decoder that filled them off a
+// frame pays for the n² entries once. The caller gives cols up.
+func MatrixOver(cols [][]Cycle) (*Matrix, error) {
 	n := len(cols)
 	if n == 0 {
 		return nil, fmt.Errorf("cmatrix: no columns")
 	}
-	m := NewMatrix(n)
 	for j, col := range cols {
 		if len(col) != n {
 			return nil, fmt.Errorf("cmatrix: column %d has %d entries, want %d", j, len(col), n)
 		}
-		copy(m.cols[j], col)
 	}
-	return m, nil
+	return &Matrix{n: n, cols: cols, shared: make([]bool, n)}, nil
 }
 
 // Commit records one committed update transaction for FromLog.

@@ -168,6 +168,19 @@ func (g *Grouped) SparseRows() [][]GroupEntry {
 	return rows
 }
 
+// RowCounts reports, per object i, how many groups s have MC(i, s) > 0
+// — the length of SparseRows()[i], which is all the frame-size
+// arithmetic needs of a row — in one allocation. O(n + nnz).
+func (g *Grouped) RowCounts() []int32 {
+	counts := make([]int32, g.part.N())
+	for _, col := range g.cols {
+		for _, e := range col {
+			counts[e.Idx]++
+		}
+	}
+	return counts
+}
+
 // Nonzeros reports the number of stored (nonzero) entries — the
 // quantity the sparse wire encoding scales with.
 func (g *Grouped) Nonzeros() int64 {

@@ -39,9 +39,9 @@ func checkAirProgram(w *Workload, log []cmatrix.Commit, snaps []cycleSnap) ([]Vi
 	tl := airsched.NewTimeline(prog)
 	frames := tl.Frames()
 
-	seqs := make([]uint32, w.Objects)            // server-side occurrence counters
+	seqs := make([]uint32, w.Objects)              // server-side occurrence counters
 	prevCols := make([][]cmatrix.Cycle, w.Objects) // server-side delta bases
-	lastSeq := make([]uint32, w.Objects)         // client-side chain state
+	lastSeq := make([]uint32, w.Objects)           // client-side chain state
 	lastCol := make([][]cmatrix.Cycle, w.Objects)
 
 	var out []Violation

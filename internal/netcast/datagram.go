@@ -45,7 +45,8 @@ func NewFrameDecoder() *FrameDecoder {
 }
 
 // Decode consumes one wire frame, returning a completed cycle when the
-// frame finished one.
+// frame finished one. The cycle's Values alias frame (wire.DecodeCycle):
+// the caller gives the buffer up, as ReadFrame and dgram.Reassembler do.
 func (d *FrameDecoder) Decode(frame []byte) (*bcast.CycleBroadcast, error) {
 	switch kind := wire.KindOf(frame); kind {
 	case wire.KindIndex, wire.KindBucket:

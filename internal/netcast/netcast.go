@@ -52,7 +52,8 @@ func WriteFrame(w io.Writer, data []byte) error {
 }
 
 // ReadFrame reads one length-prefixed frame, rejecting frames above the
-// stream's size limit.
+// stream's size limit. The frame is a fresh buffer nobody else holds:
+// the caller may hand it on for good (FrameDecoder.Decode keeps it).
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -117,7 +117,12 @@ type Server struct {
 	partition *cmatrix.Partition
 	medium    *bcast.Medium
 
-	committed [][]byte        // latest committed value per object
+	// committed holds the latest committed value per object. A slice in
+	// it is never written once installed: installLocked replaces it, as
+	// Apply replaces a shared matrix column, so StartCycle publishes the
+	// slices themselves and every cycle that carries one keeps reading
+	// the bytes it was published with (TestStartCycleValuesImmutable).
+	committed [][]byte
 	version   []int64         // per-object commit sequence number
 	lastCycle []cmatrix.Cycle // per-object cycle of last committed write (the exact V)
 	// control is the representation the configured protocol maintains:
@@ -454,9 +459,7 @@ func (s *Server) StartCycle() *bcast.CycleBroadcast {
 		cb.Order = p.Slots()
 		cb.IndexM = p.IndexM()
 	}
-	for i, v := range s.committed {
-		cb.Values[i] = append([]byte(nil), v...)
-	}
+	copy(cb.Values, s.committed) // shared, not copied: see committed
 	switch c := s.control.(type) {
 	case *cmatrix.DenseControl:
 		// Copy-on-write: the published snapshot shares columns with the
@@ -469,7 +472,9 @@ func (s *Server) StartCycle() *bcast.CycleBroadcast {
 		cb.Grouped = c.Grouped()
 	}
 	s.cControlBytes.Add(s.controlBytesLocked(cb))
-	s.trace.Emit(obs.EvSnapshotPublish, obs.ActorServer, int64(s.cycle), 0, controlFingerprint(cb))
+	if s.trace != nil { // the hash walks all of the control state: only for a tracer
+		s.trace.Emit(obs.EvSnapshotPublish, obs.ActorServer, int64(s.cycle), 0, controlFingerprint(cb))
+	}
 	verify := s.cfg.VerifySample > 0 && s.cfg.Audit && int64(s.cycle)%int64(s.cfg.VerifySample) == 0
 	s.mu.Unlock()
 	if verify {
@@ -504,7 +509,7 @@ func controlFingerprint(cb *bcast.CycleBroadcast) int64 {
 		n := cb.Matrix.N()
 		mix(1)
 		for j := 0; j < n; j++ {
-			for _, c := range cb.Matrix.Column(j) {
+			for _, c := range cb.Matrix.Col(j) {
 				mix(uint64(c))
 			}
 		}

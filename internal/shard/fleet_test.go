@@ -300,7 +300,7 @@ func TestCrossShardAlignment(t *testing.T) {
 		}); err != nil {
 			return err
 		}
-		pump() // cycle 2 carries the overwrite
+		pump()                                 // cycle 2 carries the overwrite
 		if _, err := txn.Read(b); err != nil { // cycle 2 on shard 1
 			return err
 		}

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"broadcastcc/internal/bcast"
 	"broadcastcc/internal/cmatrix"
@@ -78,15 +79,16 @@ func (k Kind) String() string { return kinds[k].name }
 func (k Kind) magic() []byte { return kinds[k].magic[:] }
 
 // begin stamps the kind's magic and version on a filled-in header and
-// returns a writer that holds it.
-func (k Kind) begin(hdr []byte) *BitWriter {
+// returns a writer that holds it, with room for count records of
+// perRecord bytes — the length wantLen holds the decoder to, so the
+// frame is allocated once, and afresh: frames are shared read-only with
+// the datagram sender and every subscriber, never reused.
+func (k Kind) begin(hdr []byte, count, perRecord int64) *BitWriter {
 	copy(hdr, k.magic())
 	if v := kinds[k].version; v != 0 {
 		hdr[4] = v
 	}
-	w := NewBitWriter()
-	w.WriteBytes(hdr)
-	return w
+	return &BitWriter{buf: append(make([]byte, 0, int64(len(hdr))+count*perRecord), hdr...)}
 }
 
 // check is the guard every decoder opens with: the buffer reaches the
@@ -210,9 +212,7 @@ func Column(cb *bcast.CycleBroadcast, j int, buf []cmatrix.Cycle) ([]cmatrix.Cyc
 	l := cb.Layout
 	switch {
 	case l.Control == bcast.ControlMatrix && cb.Matrix != nil:
-		for i := 0; i < l.Objects; i++ {
-			buf = append(buf, cb.Matrix.At(i, j))
-		}
+		buf = append(buf, cb.Matrix.Col(j)...)
 	case l.Control == bcast.ControlVector && cb.Vector != nil:
 		buf = append(buf, cb.Vector.At(j))
 	case l.Control == bcast.ControlGrouped && cb.Grouped != nil:
@@ -233,22 +233,17 @@ func padSlot(dst []byte, obj int, v []byte, objBytes int) ([]byte, error) {
 		return nil, fmt.Errorf("wire: object %d value is %d bytes, slot holds %d", obj, len(v), objBytes)
 	}
 	n := len(dst)
-	dst = append(dst, make([]byte, objBytes)...) // grows in place, no temporary
-	copy(dst[n:], v)
+	dst = slices.Grow(dst, objBytes)[:n+objBytes]
+	clear(dst[n+copy(dst[n:], v):])
 	return dst, nil
 }
 
 // putSlot writes object obj's value slot, byte-aligned.
 func putSlot(w *BitWriter, obj int, v []byte, objBytes int) (err error) {
 	w.Align()
-	if w.buf, err = padSlot(w.buf, obj, v, objBytes); err == nil {
-		w.nbit = len(w.buf) * 8
-	}
+	w.buf, err = padSlot(w.buf, obj, v, objBytes)
 	return err
 }
-
-// getSlot reads a value slot into a buffer of its own.
-func getSlot(r *BitReader, objBytes int) ([]byte, error) { return r.ReadBytes(objBytes) }
 
 // putTS writes one commit cycle wrapped to tsBits.
 func putTS(w *BitWriter, c cmatrix.Cycle, tsBits int) {
@@ -265,28 +260,49 @@ func getTS(r *BitReader, tsBits int, number cmatrix.Cycle) (cmatrix.Cycle, error
 	if err != nil {
 		return 0, err
 	}
-	codec := cmatrix.Codec{Bits: tsBits}
-	ts := codec.Decode(uint32(raw), number-1)
+	ts := cmatrix.Codec{Bits: tsBits}.Decode(uint32(raw), number-1)
 	if ts < 0 {
-		return 0, fmt.Errorf("wire: timestamp %d decodes before cycle 0 (corrupt frame)", raw)
+		return 0, errBeforeCycle0(raw)
 	}
 	return ts, nil
 }
 
-// putColumn writes a control column and pads to the byte boundary.
+func errBeforeCycle0(raw uint64) error {
+	return fmt.Errorf("wire: timestamp %d decodes before cycle 0 (corrupt frame)", raw)
+}
+
+// putColumn writes a control column — putTS per entry, with the checks
+// a column shares made once — and pads to the byte boundary.
 func putColumn(w *BitWriter, col []cmatrix.Cycle, tsBits int) {
-	for _, c := range col {
-		putTS(w, c, tsBits)
+	if len(col) > 0 {
+		codec := cmatrix.Codec{Bits: tsBits}
+		mask := uint64(codec.Mod() - 1) // panics on a width outside [1,32]
+		for _, c := range col {
+			if c < 0 {
+				codec.Encode(c) // panics: a negative cycle is the caller's bug, in Encode's words
+			}
+			w.put(uint64(c)&mask, tsBits)
+		}
 	}
 	w.Align()
 }
 
-// getColumn fills col from the frame for cycle number and skips the
-// padding.
-func getColumn(r *BitReader, col []cmatrix.Cycle, tsBits int, number cmatrix.Cycle) (err error) {
-	for i := range col {
-		if col[i], err = getTS(r, tsBits, number); err != nil {
-			return err
+// getColumn fills col from the frame for cycle number — getTS per
+// entry, likewise — and skips the padding.
+func getColumn(r *BitReader, col []cmatrix.Cycle, tsBits int, number cmatrix.Cycle) error {
+	if len(col) > 0 {
+		codec, ref := cmatrix.Codec{Bits: tsBits}, number-1
+		codec.Decode(0, ref) // panics on a width outside [1,32] or a reference before cycle 0
+		mask := codec.Mod() - 1
+		fit := min(len(col), r.Remaining()/tsBits)
+		for i := range col[:fit] {
+			raw := r.get(tsBits)
+			if col[i] = ref - (ref-cmatrix.Cycle(raw))&mask; col[i] < 0 {
+				return errBeforeCycle0(raw)
+			}
+		}
+		if fit < len(col) {
+			return ErrShortBuffer
 		}
 	}
 	r.Align()

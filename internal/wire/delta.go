@@ -83,11 +83,9 @@ func EncodeCycleDelta(prev, cur *bcast.CycleBroadcast) ([]byte, error) {
 	putDims(hdr[20:], l, dimsMatrix)
 	binary.BigEndian.PutUint32(hdr[29:33], uint32(len(changedVals)))
 	binary.BigEndian.PutUint32(hdr[33:37], uint32(len(entries)))
-	w := KindDelta.begin(hdr[:])
+	w := KindDelta.begin(hdr[:], 1, (DeltaBits(l, len(changedVals), len(entries))+7)/8-deltaHeaderBytes)
 	for _, j := range changedVals {
-		var idx [4]byte
-		binary.BigEndian.PutUint32(idx[:], uint32(j))
-		w.WriteBytes(idx[:])
+		w.WriteBits(uint64(j), 32)
 		if err := putSlot(w, j, cur.Values[j], objBytes); err != nil {
 			return nil, err
 		}
@@ -108,7 +106,8 @@ func slotEqual(a, b []byte) bool {
 }
 
 // DecodeCycleDelta reconstructs the current cycle from a delta frame
-// and the previous reconstruction. prev is not modified.
+// and the previous reconstruction. prev is not modified. Changed values
+// alias data, as DecodeCycle's do.
 func DecodeCycleDelta(data []byte, prev *bcast.CycleBroadcast) (*bcast.CycleBroadcast, error) {
 	if err := KindDelta.check(data); err != nil {
 		return nil, err
@@ -153,15 +152,15 @@ func DecodeCycleDelta(data []byte, prev *bcast.CycleBroadcast) (*bcast.CycleBroa
 
 	r := NewBitReader(data[deltaHeaderBytes:])
 	for k := 0; k < nValues; k++ {
-		idx, err := r.ReadBytes(4)
+		idx, err := r.ReadBits(32)
 		if err != nil {
 			return nil, err
 		}
-		j := int(binary.BigEndian.Uint32(idx))
+		j := int(idx)
 		if j < 0 || j >= objects {
 			return nil, fmt.Errorf("wire: delta value index %d out of range", j)
 		}
-		if cb.Values[j], err = getSlot(r, objBytes); err != nil {
+		if cb.Values[j], err = r.ReadBytes(objBytes); err != nil {
 			return nil, err
 		}
 	}

@@ -115,7 +115,7 @@ func EncodeIndexFrame(f *IndexFrame) ([]byte, error) {
 	binary.BigEndian.PutUint32(hdr[25:29], uint32(len(f.Offsets)))
 	binary.BigEndian.PutUint32(hdr[29:33], uint32(f.NextIndex))
 	hdr[33] = byte(ob)
-	w := KindIndex.begin(hdr[:])
+	w := KindIndex.begin(hdr[:], 1, columnBytes(len(f.Offsets), ob))
 	for _, off := range f.Offsets {
 		w.WriteBits(uint64(off), ob)
 	}
@@ -249,11 +249,13 @@ func EncodeBucket(b *Bucket, prevColumn []cmatrix.Cycle) ([]byte, error) {
 	binary.BigEndian.PutUint32(hdr[14:18], uint32(b.Obj))
 	binary.BigEndian.PutUint32(hdr[18:22], b.Seq)
 	putDims(hdr[22:], l, dimsFull)
+	size := BucketBits(l, -1)
 	if delta {
 		binary.BigEndian.PutUint32(hdr[36:40], uint32(len(changed)))
+		size = BucketBits(l, len(changed))
 	}
 	binary.BigEndian.PutUint32(hdr[40:44], uint32(b.NextIndex))
-	w := KindBucket.begin(hdr[:])
+	w := KindBucket.begin(hdr[:], 1, size/8-bucketHeaderBytes)
 	if err := putSlot(w, b.Obj, b.Value, objBytesOf(l)); err != nil {
 		return nil, err
 	}
@@ -273,7 +275,8 @@ func EncodeBucket(b *Bucket, prevColumn []cmatrix.Cycle) ([]byte, error) {
 // supplies the column it holds from the object's previous occurrence
 // (sequence Seq-1); passing nil for a delta frame is an error — the
 // caller detects broken delta chains via the sequence number it tracks
-// per object and must wait for a full refresh instead.
+// per object and must wait for a full refresh instead. Value aliases
+// data, as DecodeCycle's values do.
 func DecodeBucket(data []byte, prevColumn []cmatrix.Cycle) (*Bucket, error) {
 	b := &Bucket{}
 	var err error
@@ -325,7 +328,7 @@ func DecodeBucket(data []byte, prevColumn []cmatrix.Cycle) (*Bucket, error) {
 	}
 
 	r := NewBitReader(data[bucketHeaderBytes:])
-	if b.Value, err = getSlot(r, objBytes); err != nil {
+	if b.Value, err = r.ReadBytes(objBytes); err != nil {
 		return nil, err
 	}
 	if b.Delta {

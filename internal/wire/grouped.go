@@ -98,7 +98,7 @@ func EncodeGroupedCycle(cb *bcast.CycleBroadcast, epoch uint64, includePartition
 	binary.BigEndian.PutUint64(hdr[5:13], uint64(cb.Number))
 	binary.BigEndian.PutUint64(hdr[13:21], epoch)
 	putDims(hdr[21:], l, dimsGrouped)
-	w := KindGrouped.begin(hdr[:])
+	w := KindGrouped.begin(hdr[:], 1, GroupedCycleBits(cb.Grouped, objBytes, l.TimestampBits, includePartition)/8-groupedHeaderBytes)
 
 	ib := indexBits(l.Groups)
 	if includePartition {
@@ -138,9 +138,9 @@ func EncodeGroupedCycle(cb *bcast.CycleBroadcast, epoch uint64, includePartition
 }
 
 // GroupedCycleBits reports the exact size in bits of the BCG1 frame
-// EncodeGroupedCycle would produce, without allocating it — the
-// server's control-bandwidth accounting and the bandwidth experiments
-// call this every cycle. O(n + nonzeros).
+// EncodeGroupedCycle would produce, from the rows' lengths alone — the
+// server's control-bandwidth accounting calls this every cycle, under
+// its mutex. One allocation (n counters), O(n + nonzeros).
 func GroupedCycleBits(g *cmatrix.Grouped, objBytes, tsBits int, includePartition bool) int64 {
 	n, groups := g.N(), g.Groups()
 	ib := indexBits(groups)
@@ -151,9 +151,9 @@ func GroupedCycleBits(g *cmatrix.Grouped, objBytes, tsBits int, includePartition
 		total += align8(int64(n) * int64(ib))
 	}
 	denseBits := int64(groups) * int64(tsBits)
-	for _, row := range g.SparseRows() {
-		body := int64(cw) + int64(len(row))*int64(ib+tsBits)
-		if len(row) == groups {
+	for _, count := range g.RowCounts() {
+		body := int64(cw) + int64(count)*int64(ib+tsBits)
+		if int(count) == groups {
 			body = denseBits
 		}
 		total += int64(objBytes)*8 + align8(1+body)
@@ -166,7 +166,7 @@ func GroupedCycleBits(g *cmatrix.Grouped, objBytes, tsBits int, includePartition
 // the epoch it came from; a mismatch (or nil) means the client must
 // wait for the next partition-bearing frame, reported as an error. The
 // returned epoch tells the caller which epoch to associate with the
-// frame's partition.
+// frame's partition. Values alias data, as DecodeCycle's do.
 func DecodeGroupedCycle(data []byte, prevPart *cmatrix.Partition, prevEpoch uint64) (cb *bcast.CycleBroadcast, epoch uint64, err error) {
 	if err := KindGrouped.check(data); err != nil {
 		return nil, 0, err
@@ -229,7 +229,7 @@ func DecodeGroupedCycle(data []byte, prevPart *cmatrix.Partition, prevEpoch uint
 	}
 	rows := make([][]cmatrix.GroupEntry, objects)
 	for i := 0; i < objects; i++ {
-		if cbOut.Values[i], err = getSlot(r, objBytes); err != nil {
+		if cbOut.Values[i], err = r.ReadBytes(objBytes); err != nil {
 			return nil, 0, err
 		}
 		mode, err := r.ReadBits(1)

@@ -279,7 +279,7 @@ func EncodeSubsetCycle(sc *SubsetCycle) ([]byte, error) {
 	binary.BigEndian.PutUint64(hdr[4:12], uint64(sc.Number))
 	putDims(hdr[12:], sc.layout(), dimsMatrix)
 	binary.BigEndian.PutUint32(hdr[21:25], uint32(len(sc.Objs)))
-	w := KindSubset.begin(hdr[:])
+	w := KindSubset.begin(hdr[:], int64(len(sc.Objs)), 4+int64(sc.ObjBytes)+columnBytes(sc.Objects, sc.TsBits))
 	for k, o := range sc.Objs {
 		if o < 0 || o >= sc.Objects {
 			return nil, fmt.Errorf("wire: subset object %d out of range [0,%d)", o, sc.Objects)
@@ -290,9 +290,7 @@ func EncodeSubsetCycle(sc *SubsetCycle) ([]byte, error) {
 		if len(sc.Columns[k]) != sc.Objects {
 			return nil, fmt.Errorf("wire: object %d column has %d entries, want %d", o, len(sc.Columns[k]), sc.Objects)
 		}
-		var ob [4]byte
-		binary.BigEndian.PutUint32(ob[:], uint32(o))
-		w.WriteBytes(ob[:])
+		w.WriteBits(uint64(o), 32)
 		if err := putSlot(w, o, sc.Values[k], sc.ObjBytes); err != nil {
 			return nil, err
 		}
@@ -302,7 +300,7 @@ func EncodeSubsetCycle(sc *SubsetCycle) ([]byte, error) {
 }
 
 // DecodeSubsetCycle parses a subset cycle frame; the frame length must
-// match the header exactly.
+// match the header exactly. Values alias data, as DecodeCycle's do.
 func DecodeSubsetCycle(data []byte) (*SubsetCycle, error) {
 	if err := KindSubset.check(data); err != nil {
 		return nil, err
@@ -327,18 +325,18 @@ func DecodeSubsetCycle(data []byte) (*SubsetCycle, error) {
 	}
 	r := NewBitReader(data[subsetHeaderBytes:])
 	for k := 0; k < count; k++ {
-		ob, err := r.ReadBytes(4)
+		ob, err := r.ReadBits(32)
 		if err != nil {
 			return nil, err
 		}
-		o := int(binary.BigEndian.Uint32(ob))
+		o := int(ob)
 		if o < 0 || o >= sc.Objects {
 			return nil, fmt.Errorf("wire: subset object %d out of range [0,%d)", o, sc.Objects)
 		}
 		if k > 0 && o <= sc.Objs[k-1] {
 			return nil, fmt.Errorf("wire: subset objects not strictly ascending at index %d", k)
 		}
-		v, err := getSlot(r, sc.ObjBytes)
+		v, err := r.ReadBytes(sc.ObjBytes)
 		if err != nil {
 			return nil, err
 		}

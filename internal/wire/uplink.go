@@ -24,10 +24,7 @@ const updateHeaderBytes = 4 + 4 + 4
 // EncodeUpdateRequest serializes a client update transaction for the
 // uplink.
 func EncodeUpdateRequest(req protocol.UpdateRequest) []byte {
-	size := updateHeaderBytes
-	for range req.Reads {
-		size += 12
-	}
+	size := updateHeaderBytes + 12*len(req.Reads)
 	for _, w := range req.Writes {
 		size += 8 + len(w.Value)
 	}

@@ -41,15 +41,15 @@ func EncodeCycle(cb *bcast.CycleBroadcast) ([]byte, error) {
 	if len(cb.Values) != l.Objects {
 		return nil, fmt.Errorf("wire: %d values for %d objects", len(cb.Values), l.Objects)
 	}
-	objBytes := objBytesOf(l)
+	objBytes, entries := objBytesOf(l), columnEntries(l)
 	var hdr [headerBytes]byte
 	binary.BigEndian.PutUint64(hdr[4:12], uint64(cb.Number))
 	putDims(hdr[12:], l, dimsFull)
-	w := KindCycle.begin(hdr[:])
+	w := KindCycle.begin(hdr[:], int64(l.Objects), int64(objBytes)+columnBytes(entries, l.TimestampBits))
 
 	// Under grouping the column after object j is its row of g entries
 	// MC(j, ·), from which clients reconstruct bounds for any (i, j) pair.
-	col := make([]cmatrix.Cycle, 0, columnEntries(l))
+	col := make([]cmatrix.Cycle, 0, entries)
 	for j, v := range cb.Values {
 		err := putSlot(w, j, v, objBytes)
 		if err == nil {
@@ -66,6 +66,10 @@ func EncodeCycle(cb *bcast.CycleBroadcast) ([]byte, error) {
 // DecodeCycle reconstructs a broadcast cycle from its encoding. The
 // returned broadcast's control structures hold unwrapped cycle numbers
 // (conservatively aliased when older than the codec window, see getTS).
+//
+// The returned Values alias data: the caller gives the buffer up — it
+// must not write to it or reuse it afterwards — and whoever keeps a
+// value beyond the cycle copies it out, or it pins the whole frame.
 func DecodeCycle(data []byte) (*bcast.CycleBroadcast, error) {
 	if err := KindCycle.check(data); err != nil {
 		return nil, err
@@ -78,25 +82,22 @@ func DecodeCycle(data []byte) (*bcast.CycleBroadcast, error) {
 	if err != nil {
 		return nil, err
 	}
-	entries, objBytes, tsBits := columnEntries(layout), objBytesOf(layout), layout.TimestampBits
-	if err := wantLen(data, headerBytes, int64(layout.Objects), int64(objBytes)+columnBytes(entries, tsBits)); err != nil {
+	n, entries, objBytes, tsBits := layout.Objects, columnEntries(layout), objBytesOf(layout), layout.TimestampBits
+	if err := wantLen(data, headerBytes, int64(n), int64(objBytes)+columnBytes(entries, tsBits)); err != nil {
 		return nil, err
 	}
 
-	cb := &bcast.CycleBroadcast{
-		Number: number,
-		Layout: layout,
-		Values: make([][]byte, layout.Objects),
-	}
+	cb := &bcast.CycleBroadcast{Number: number, Layout: layout, Values: make([][]byte, n)}
 	r := NewBitReader(data[headerBytes:])
-	perObject := make([][]cmatrix.Cycle, layout.Objects)
+	// Every column decodes into its place in one array, which the
+	// matrix then adopts as its columns.
+	flat := make([]cmatrix.Cycle, n*entries)
+	perObject := make([][]cmatrix.Cycle, n)
 	for j := range perObject {
-		if cb.Values[j], err = getSlot(r, objBytes); err != nil {
+		if cb.Values[j], err = r.ReadBytes(objBytes); err != nil {
 			return nil, err
 		}
-		if entries > 0 {
-			perObject[j] = make([]cmatrix.Cycle, entries)
-		}
+		perObject[j] = flat[j*entries : (j+1)*entries]
 		if err = getColumn(r, perObject[j], tsBits, number); err != nil {
 			return nil, err
 		}
@@ -104,17 +105,13 @@ func DecodeCycle(data []byte) (*bcast.CycleBroadcast, error) {
 
 	switch layout.Control {
 	case bcast.ControlMatrix:
-		cb.Matrix, err = cmatrix.MatrixFromColumns(perObject)
+		cb.Matrix, err = cmatrix.MatrixOver(perObject)
 	case bcast.ControlVector:
-		entries := make([]cmatrix.Cycle, layout.Objects)
-		for j, row := range perObject {
-			entries[j] = row[0]
-		}
-		cb.Vector, err = cmatrix.VectorFromEntries(entries)
+		cb.Vector, err = cmatrix.VectorFromEntries(flat)
 	case bcast.ControlGrouped:
 		// The wire format assumes the server's contiguous uniform
 		// partition; both ends derive it from (n, g).
-		cb.Grouped, err = cmatrix.GroupedFromRows(cmatrix.UniformPartition(layout.Objects, layout.Groups), perObject)
+		cb.Grouped, err = cmatrix.GroupedFromRows(cmatrix.UniformPartition(n, layout.Groups), perObject)
 	}
 	if err != nil {
 		return nil, err

@@ -64,9 +64,10 @@ fuzz-smoke:
 	done
 
 # Micro-benchmarks only (matrix apply/snapshot, wire codec, validator,
-# StartCycle).
+# StartCycle; the sparse and grouped control's commit and publish).
 bench:
 	$(GO) test -run '^$$' -bench 'Matrix|Snapshot|Validator|Wire|StartCycle' -benchtime 100x
+	$(GO) test -run '^$$' -bench 'Apply|Snapshot' -benchtime 100x ./internal/cmatrix
 
 # The wall-clock benchmark (BENCHMARK.json, ~8 min) followed by its
 # regression table against the committed baseline. A report, not a

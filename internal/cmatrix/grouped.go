@@ -13,19 +13,28 @@ import (
 //
 // Exact MC cannot be maintained from MC alone: Theorem 2's column
 // rewrites can *decrease* entries, so a group maximum may have to go
-// down, which requires knowing the other columns of the group. The
-// trick making exact maintenance cheap is the class-shared sparse C of
-// classMatrix: every group tracks a multiset of column classes, and a
-// commit recomputes only the MC columns of groups intersecting its
-// write set — a merge over the group's few distinct classes instead of
-// an O(n·|s|) projection.
+// down, which requires knowing the other columns of the group. Each
+// group therefore keeps the multiset of column classes its columns
+// share (the class-shared sparse C of classMatrix) and, beside every
+// stored MC(i, s), the number of its columns attaining that maximum. A
+// commit takes each write-set column's departing class out of the counts
+// (lower), folds the new class in with its multiplicity (raise), and
+// recomputes only the rows whose count reached 0 (repair): a row with a
+// positive count still has a column at the stored value and none above
+// it, so it is exact as it stands. That is O(nnz) per affected group —
+// two tandem walks and a few probes.
+//
+// Ownership: a column handed out by Grouped() belongs to that snapshot's
+// readers and is never written again — the first raise after a publish
+// rewrites it into fresh storage, later ones of the cycle go in place.
+// Only raise and repair write MC columns, and repair only follows a
+// raise; the counts are never published and always updated in place.
 
 // Grouped is the broadcastable n×g matrix MC. It is stored as one
 // sorted sparse column per group (only nonzero entries), which keeps
 // memory proportional to the live structure at n ≥ 10⁵ while the
 // public accessors stay those of the earlier dense representation.
-// A Grouped is immutable: GroupedControl publishes fresh columns
-// instead of mutating published ones.
+// A Grouped is immutable (GroupedControl's ownership rule, above).
 type Grouped struct {
 	part *Partition
 	cols [][]SparseEntry // cols[s] = sparse MC(·, s), sorted by row
@@ -197,35 +206,36 @@ func (g *Grouped) Nonzeros() int64 {
 // a deterministic epoch boundary — the heat-adaptive grouping driven by
 // the airsched EWMA estimator feeds it HeatPartition results.
 type GroupedControl struct {
-	cm   *classMatrix
-	part *Partition
-	// gcls[s] counts, per column class, how many of group s's columns
-	// currently share it. The MC column of s is the pointwise max over
-	// the distinct classes present.
-	gcls []map[*colClass]int
-	mc   [][]SparseEntry
-	// Scratch reused across applies.
-	affected   []int
-	inAffected []bool
-	mergeA     []SparseEntry
-	mergeB     []SparseEntry
-	clsList    []*colClass
+	cm     *classMatrix
+	part   *Partition
+	groups []group
+}
+
+// group is the maintained state of one MC column.
+type group struct {
+	classes map[*colClass]int32 // how many of the group's columns share each class
+	mc      []SparseEntry       // MC(·, s), sorted by row
+	cnt     []int32             // cnt[k]: how many of the columns attain mc[k].Val at row mc[k].Idx
+	shared  bool                // a published *Grouped may alias mc: the next write goes to fresh storage
+	writes  int32               // scratch: columns of this group in the write set being applied
+	zero    []int               // scratch: positions under repair
 }
 
 // NewGroupedControl returns the cycle-0 grouped control state under the
 // given partition.
 func NewGroupedControl(p *Partition) *GroupedControl {
-	g := &GroupedControl{
-		cm:         newClassMatrix(p.N()),
-		part:       p,
-		gcls:       make([]map[*colClass]int, p.Groups()),
-		mc:         make([][]SparseEntry, p.Groups()),
-		inAffected: make([]bool, p.Groups()),
-	}
-	for s := range g.gcls {
-		g.gcls[s] = map[*colClass]int{}
-	}
+	g := &GroupedControl{cm: newClassMatrix(p.N())}
+	g.reset(p)
 	return g
+}
+
+// reset installs partition p with every group empty.
+func (g *GroupedControl) reset(p *Partition) {
+	g.part = p
+	g.groups = make([]group, p.Groups())
+	for s := range g.groups {
+		g.groups[s].classes = map[*colClass]int32{}
+	}
 }
 
 // N implements Control.
@@ -244,45 +254,115 @@ func (g *GroupedControl) MC(i, s int) Cycle {
 	if s < 0 || s >= g.part.Groups() {
 		panic(fmt.Sprintf("cmatrix: group %d out of range [0,%d)", s, g.part.Groups()))
 	}
-	return lookupSparse(g.mc[s], i)
+	return lookupSparse(g.groups[s].mc, i)
 }
 
-// mergeGroup rebuilds group s's sparse MC column from its class
-// multiset into a freshly allocated slice (published columns are
-// immutable).
-func (g *GroupedControl) mergeGroup(s int) []SparseEntry {
-	classes := g.clsList[:0]
-	for c := range g.gcls[s] {
-		classes = append(classes, c)
+// lower takes one column of class col out of the counts. Every row of a
+// member class is stored, because MC ≥ C > 0 there.
+func (gs *group) lower(col []SparseEntry) {
+	k := 0
+	for _, e := range col {
+		for gs.mc[k].Idx < e.Idx {
+			k++
+		}
+		if gs.mc[k].Val == e.Val {
+			gs.cnt[k]--
+		}
 	}
-	g.clsList = classes
-	if len(classes) == 0 {
-		return nil
+}
+
+// raise folds class column col, carried by m of the group's columns,
+// into mc. The merge runs backwards, so an unshared column absorbs rows
+// it lacks in place; a shared one is rewritten at its exact new size.
+func (gs *group) raise(col []SparseEntry, m int32) {
+	mc := gs.mc
+	missing, k := 0, 0
+	for _, e := range col {
+		for k < len(mc) && mc[k].Idx < e.Idx {
+			k++
+		}
+		if k == len(mc) || mc[k].Idx != e.Idx {
+			missing++
+		}
 	}
-	acc := append(g.mergeA[:0], classes[0].col...)
-	for _, c := range classes[1:] {
-		merged := mergeMaxInto(g.mergeB[:0], acc, c.col)
-		g.mergeA, g.mergeB = merged, acc[:0]
-		acc = merged
+	dst := mc
+	if gs.shared {
+		dst = make([]SparseEntry, len(mc)+missing)
+	} else if missing > 0 {
+		dst = append(mc, make([]SparseEntry, missing)...)
 	}
-	g.mergeA = acc
-	if len(acc) == 0 {
-		return nil
+	cnt := append(gs.cnt, make([]int32, missing)...)
+	gs.mc, gs.cnt, gs.shared = dst, cnt, false
+	i, j := len(mc)-1, len(col)-1
+	for o := len(dst) - 1; j >= 0; o-- {
+		switch {
+		case i >= 0 && mc[i].Idx > col[j].Idx:
+			dst[o], cnt[o] = mc[i], cnt[i]
+			i--
+		case i < 0 || mc[i].Idx < col[j].Idx:
+			dst[o], cnt[o] = col[j], m
+			j--
+		default:
+			e, c := mc[i], cnt[i]
+			if col[j].Val > e.Val {
+				e.Val, c = col[j].Val, m
+			} else if col[j].Val == e.Val {
+				c += m
+			}
+			dst[o], cnt[o] = e, c
+			i, j = i-1, j-1
+		}
 	}
-	return append(make([]SparseEntry, 0, len(acc)), acc...)
+	copy(dst[:i+1], mc[:i+1]) // rows before col's first never move; a fresh dst still lacks them
+}
+
+// repair recomputes the rows left with no attaining column — their
+// stored maximum is stale-high — over the group's classes, and drops
+// those whose maximum fell to 0.
+func (gs *group) repair() {
+	mc, cnt, zero := gs.mc, gs.cnt, gs.zero[:0]
+	for k, c := range cnt {
+		if c == 0 {
+			mc[k].Val = 0
+			zero = append(zero, k)
+		}
+	}
+	gs.zero = zero
+	if len(zero) == 0 {
+		return
+	}
+	// Classes outside, rows inside: each class column is probed while hot.
+	for c, m := range gs.classes {
+		for _, k := range zero {
+			switch v := lookupSparse(c.col, mc[k].Idx); {
+			case v > mc[k].Val:
+				mc[k].Val, cnt[k] = v, m
+			case v == mc[k].Val:
+				cnt[k] += m
+			}
+		}
+	}
+	o := zero[0]
+	for k := o; k < len(mc); k++ {
+		if mc[k].Val > 0 {
+			mc[o], cnt[o] = mc[k], cnt[k]
+			o++
+		}
+	}
+	gs.mc, gs.cnt = mc[:o], cnt[:o]
 }
 
 // Apply implements Control: it advances the exact class-shared C and
-// recomputes the MC columns of exactly the groups intersecting the
-// write set.
+// updates the MC columns of exactly the groups intersecting the write
+// set.
 func (g *GroupedControl) Apply(readSet, writeSet []int, commitCycle Cycle) {
 	g.apply(readSet, writeSet, commitCycle, false)
 }
 
 // ApplyRemote implements Control with the conservative cross-shard rule
 // (see Control.ApplyRemote): the underlying class-shared C degrades the
-// write-set columns to the diagonal-bounded column and the affected
-// MC columns are rebuilt from it.
+// write-set columns to the diagonal-bounded column, which the affected
+// MC columns absorb like any other class.
 func (g *GroupedControl) ApplyRemote(writeSet []int, commitCycle Cycle) {
 	g.apply(nil, writeSet, commitCycle, true)
 }
@@ -292,20 +372,22 @@ func (g *GroupedControl) apply(readSet, writeSet []int, commitCycle Cycle, remot
 		return
 	}
 	ws := g.cm.distinctSorted(writeSet)
-	affected := g.affected[:0]
 	for _, j := range ws {
-		s := g.part.GroupOf(j)
-		if !g.inAffected[s] {
-			g.inAffected[s] = true
-			affected = append(affected, s)
+		gs := &g.groups[g.part.GroupOf(j)]
+		gs.writes++
+		old := g.cm.class[j]
+		if old == nil {
+			continue
 		}
-		if old := g.cm.class[j]; old != nil {
-			if g.gcls[s][old]--; g.gcls[s][old] == 0 {
-				delete(g.gcls[s], old)
-			}
+		if gs.classes[old]--; gs.classes[old] == 0 {
+			delete(gs.classes, old)
+		}
+		// Induced-bug hook (hooks.go): without lower no count reaches 0,
+		// nothing is repaired, and MC is the naive monotone max.
+		if !groupedStaleMC {
+			gs.lower(old.col)
 		}
 	}
-	g.affected = affected
 	var nc *colClass
 	if remote {
 		nc = g.cm.applyRemoteDistinct(ws, commitCycle)
@@ -313,34 +395,32 @@ func (g *GroupedControl) apply(readSet, writeSet []int, commitCycle Cycle, remot
 		nc = g.cm.applyDistinct(readSet, ws, commitCycle)
 	}
 	for _, j := range ws {
-		g.gcls[g.part.GroupOf(j)][nc]++
-	}
-	for _, s := range affected {
-		g.inAffected[s] = false
-		fresh := g.mergeGroup(s)
-		if groupedStaleMC {
-			// Induced-bug hook: the naive "monotone max" maintenance that
-			// forgets group maxima can decrease when Theorem 2 rewrites
-			// columns downward. See hooks.go.
-			fresh = mergeMaxInto(make([]SparseEntry, 0, len(fresh)+len(g.mc[s])), g.mc[s], fresh)
+		// The first write-set column of a group raises for all of them.
+		if gs := &g.groups[g.part.GroupOf(j)]; gs.writes > 0 {
+			gs.classes[nc] = gs.writes
+			gs.raise(nc.col, gs.writes)
+			gs.repair()
+			gs.writes = 0
 		}
-		g.mc[s] = fresh
 	}
 }
 
 // Grouped returns the immutable broadcast view of the live MC (O(g)).
+// Every column it hands out is shared from here on.
 func (g *GroupedControl) Grouped() *Grouped {
-	cols := make([][]SparseEntry, len(g.mc))
-	copy(cols, g.mc)
+	cols := make([][]SparseEntry, len(g.groups))
+	for s := range g.groups {
+		cols[s], g.groups[s].shared = g.groups[s].mc, true
+	}
 	return &Grouped{part: g.part, cols: cols}
 }
 
 // Snapshot implements Control.
 func (g *GroupedControl) Snapshot() ControlSnapshot { return g.Grouped() }
 
-// Regroup installs a new partition (a deterministic regroup epoch) and
-// rebuilds every group's class multiset and MC column. It reports the
-// churn: how many objects changed group. The exact C is untouched.
+// Regroup installs a new partition (a deterministic regroup epoch):
+// every group starts empty and raises each class it holds. It reports
+// the churn: how many objects changed group. The exact C is untouched.
 func (g *GroupedControl) Regroup(p *Partition) (churn int) {
 	if p.N() != g.cm.n {
 		panic(fmt.Sprintf("cmatrix: regroup partition covers %d objects, control has %d", p.N(), g.cm.n))
@@ -350,22 +430,16 @@ func (g *GroupedControl) Regroup(p *Partition) (churn int) {
 			churn++
 		}
 	}
-	g.part = p
-	g.gcls = make([]map[*colClass]int, p.Groups())
-	g.mc = make([][]SparseEntry, p.Groups())
-	if len(g.inAffected) < p.Groups() {
-		g.inAffected = make([]bool, p.Groups())
-	}
-	for s := range g.gcls {
-		g.gcls[s] = map[*colClass]int{}
-	}
+	g.reset(p)
 	for j, c := range g.cm.class {
 		if c != nil {
-			g.gcls[p.GroupOf(j)][c]++
+			g.groups[p.GroupOf(j)].classes[c]++
 		}
 	}
-	for s := range g.mc {
-		g.mc[s] = g.mergeGroup(s)
+	for s := range g.groups {
+		for c, m := range g.groups[s].classes {
+			g.groups[s].raise(c.col, m)
+		}
 	}
 	return churn
 }

@@ -4,9 +4,10 @@ package cmatrix
 // package-global toggles flipped by differential tests to prove the
 // harness catches the defect class, never set in production paths.
 
-// groupedStaleMC, when true, replaces GroupedControl's exact per-group
-// recomputation with the naive monotone update mc[s] = max(old, new) —
-// the "obvious" incremental maintenance that is wrong because Theorem
+// groupedStaleMC, when true, makes GroupedControl skip the lower step
+// of a commit: no count ever reaches 0, nothing is repaired, and each
+// MC column degrades to the naive monotone update mc[s] = max(old, new)
+// — the "obvious" incremental maintenance that is wrong because Theorem
 // 2's column rewrites can decrease a group maximum. The resulting MC is
 // a stale upper bound: still safe (it only over-rejects) but no longer
 // the matrix Theorem 2 defines, which the conformance harness must

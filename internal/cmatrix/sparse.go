@@ -15,11 +15,24 @@ type SparseEntry struct {
 }
 
 // lookupSparse returns the value at row i of a sorted sparse column
-// (0 when absent).
+// (0 when absent). Rows are distinct and non-negative, so col[k].Idx ≥ k:
+// row i sits at position ≤ i, and exactly at i when the column is filled
+// up to it — the steady state of a hot column, answered in one probe.
 func lookupSparse(col []SparseEntry, i int) Cycle {
-	k := sort.Search(len(col), func(k int) bool { return col[k].Idx >= i })
-	if k < len(col) && col[k].Idx == i {
-		return col[k].Val
+	if uint(i) < uint(len(col)) && col[i].Idx == i {
+		return col[i].Val
+	}
+	lo, hi := 0, min(len(col), i+1)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if col[mid].Idx < i {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(col) && col[lo].Idx == i {
+		return col[lo].Val
 	}
 	return 0
 }

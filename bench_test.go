@@ -312,6 +312,48 @@ func BenchmarkWireEncodeCycle(b *testing.B) {
 	}
 }
 
+// BenchmarkWirePatchCycle measures what a sender that kept its last
+// frame pays for the next one at the Table 1 layout: 8 update
+// transactions of 4 writes each commit per cycle, and each frame is the
+// one before it with those records rewritten.
+func BenchmarkWirePatchCycle(b *testing.B) {
+	srv, err := NewServer(ServerConfig{Objects: 300, ObjectBits: 8192, Algorithm: FMatrix})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	// A ring of consecutive cycles and their from-scratch frames: frame
+	// k-1 is a base PatchCycle accepts for cycle k.
+	const ring = 8
+	rng := rand.New(rand.NewSource(1))
+	cbs, frames := make([]*bcast.CycleBroadcast, ring), make([][]byte, ring)
+	for k := range cbs {
+		cbs[k] = srv.StartCycle()
+		if frames[k], err = wire.EncodeCycle(cbs[k]); err != nil {
+			b.Fatal(err)
+		}
+		for u := 0; u < 8; u++ {
+			req := protocol.UpdateRequest{Writes: make([]protocol.ObjectWrite, 4)}
+			for w, obj := range rng.Perm(300)[:4] {
+				req.Writes[w] = protocol.ObjectWrite{Obj: obj, Value: make([]byte, 1024)}
+				rng.Read(req.Writes[w].Value)
+			}
+			if err := srv.SubmitUpdate(req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.SetBytes(int64(len(frames[0])))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := 1 + i%(ring-1)
+		if _, patched, err := wire.PatchCycle(frames[k-1], cbs[k]); err != nil || !patched {
+			b.Fatalf("cycle %d: patched %v, err %v", cbs[k].Number, patched, err)
+		}
+	}
+}
+
 // BenchmarkWireDecodeCycle measures the client-side decode of a full
 // F-Matrix cycle frame.
 func BenchmarkWireDecodeCycle(b *testing.B) {

@@ -26,6 +26,14 @@ type CycleBroadcast struct {
 	Vector  *cmatrix.Vector
 	Grouped *cmatrix.Grouped
 
+	// Written lists, sorted and distinct, the objects written during the
+	// previous cycle: the only ones whose value and column (or vector
+	// entry) differ from that cycle's, which lets a sender patch its last
+	// frame (wire.PatchCycle). Nil is unknown — cycle 1, any decoded
+	// cycle — and empty that nothing moved. A superset is legal, a missing
+	// object puts stale bytes on the air, and readers never write it.
+	Written []int
+
 	// Order, when non-nil, is the data-slot object sequence of the
 	// broadcast program for this (major) cycle — hot objects appear more
 	// than once. Nil means the paper's flat cycle: every object once in

@@ -108,9 +108,10 @@ type Options struct {
 
 	// Obs receives the transmission metrics (netcast_full_bytes,
 	// netcast_delta_bytes, netcast_grouped_bytes, netcast_frames_sent,
-	// netcast_tx_bytes, netcast_overflow_reaps, subscriber churn and the
-	// netcast_subscribers gauge). Nil uses the broadcast server's
-	// registry, so one process naturally has one registry.
+	// netcast_frames_patched, netcast_tx_bytes, netcast_overflow_reaps,
+	// subscriber churn and the netcast_subscribers gauge). Nil uses the
+	// broadcast server's registry, so one process naturally has one
+	// registry.
 	Obs *obs.Registry
 }
 
@@ -150,6 +151,7 @@ type Server struct {
 	// delta base, which regroup epoch the last sparse-grouped frame
 	// named, and whether any partition-bearing frame has gone out yet.
 	prev         *bcast.CycleBroadcast
+	lastFull     []byte // the frame sent last, read-only: what wire.PatchCycle copies the next from
 	groupedEpoch uint64
 	sentPart     bool
 
@@ -161,6 +163,7 @@ type Server struct {
 	cDeltaBytes   *obs.Counter
 	cGroupedBytes *obs.Counter
 	cFramesSent   *obs.Counter
+	cPatched      *obs.Counter
 	cSubsAdded    *obs.Counter
 	cSubsDropped  *obs.Counter
 	cTxBytes      *obs.Counter
@@ -229,6 +232,7 @@ func ServeOptions(bsrv *server.Server, broadcastAddr, uplinkAddr string, opts Op
 	s.cDeltaBytes = reg.Counter("netcast_delta_bytes")
 	s.cGroupedBytes = reg.Counter("netcast_grouped_bytes")
 	s.cFramesSent = reg.Counter("netcast_frames_sent")
+	s.cPatched = reg.Counter("netcast_frames_patched")
 	s.cSubsAdded = reg.Counter("netcast_subs_added")
 	s.cSubsDropped = reg.Counter("netcast_subs_dropped")
 	s.cTxBytes = reg.Counter("netcast_tx_bytes")
@@ -318,7 +322,14 @@ func (s *Server) encodeCycle(cb *bcast.CycleBroadcast) (data []byte, err error) 
 		data, err = wire.EncodeCycleDelta(s.prev, cb)
 		kind = s.cDeltaBytes
 	default:
-		data, err = wire.EncodeCycle(cb)
+		var patched bool
+		if data, patched, err = wire.PatchCycle(s.lastFull, cb); patched {
+			s.cPatched.Inc()
+		}
+		// Kept where the next frame can be patched from it: no deltas, no grouped control.
+		if err == nil && s.opts.DeltaEvery == 0 && cb.Layout.Control != bcast.ControlGrouped {
+			s.lastFull = data
+		}
 	}
 	if err != nil {
 		return nil, err

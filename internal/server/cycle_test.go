@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"broadcastcc/internal/bcast"
 	"broadcastcc/internal/obs"
@@ -46,7 +48,9 @@ func TestStartCycleValuesImmutable(t *testing.T) {
 	}
 	defer s.Close()
 	sub := s.Subscribe(4)
-	s.StartCycle()
+	if first := s.StartCycle(); first.Written != nil {
+		t.Errorf("cycle 1: Written = %v, want nil: there is no cycle before it to differ from", first.Written)
+	}
 	if err := s.SubmitUpdate(protocol.UpdateRequest{
 		Reads:  []protocol.ReadAt{readAt(5, 1)},
 		Writes: []protocol.ObjectWrite{write(0, "first-0"), write(3, "first-3")},
@@ -108,6 +112,57 @@ func TestStartCycleValuesImmutable(t *testing.T) {
 	if cycleImage(k) != before {
 		t.Error("publishing the next cycle changed the previous one")
 	}
+	// Written names what each cycle's commits moved, whichever entrance
+	// they took: sorted, distinct, and empty — not nil — once nothing did.
+	quiet := s.StartCycle()
+	for _, c := range []struct {
+		cb   *bcast.CycleBroadcast
+		want []int
+	}{{k, []int{0, 3}}, {next, []int{0, 1, 2, 3, 4, 5}}, {quiet, []int{}}} {
+		if c.cb.Written == nil || !slices.Equal(c.cb.Written, c.want) {
+			t.Errorf("cycle %d: Written = %#v, want %#v", c.cb.Number, c.cb.Written, c.want)
+		}
+	}
+}
+
+// TestInitialValuesReleased: New copies the seed database and lets go of
+// it. The caller's slices are collectable while the server lives — they
+// were pinned for its lifetime, 308 KB at the Table 1 layout — and
+// writing to them afterwards never shows in a cycle.
+func TestInitialValuesReleased(t *testing.T) {
+	const n = 4
+	initial := make([][]byte, n)
+	freed := make(chan int, n)
+	for i := range initial {
+		initial[i] = bytes.Repeat([]byte{byte('a' + i)}, 64)
+		runtime.SetFinalizer(&initial[i][0], func(*byte) { freed <- 1 })
+	}
+	s, err := New(Config{Objects: n, ObjectBits: 512, Algorithm: protocol.RMatrix, InitialValues: initial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := range initial {
+		initial[i][0] = '!'
+	}
+	for j, v := range s.StartCycle().Values {
+		if want := bytes.Repeat([]byte{byte('a' + j)}, 64); !bytes.Equal(v, want) {
+			t.Errorf("object %d = %q after the caller wrote to its seed value, want %q", j, v, want)
+		}
+	}
+	initial = nil
+	for got, deadline := 0, time.Now().Add(5*time.Second); got < n; {
+		runtime.GC()
+		select {
+		case <-freed:
+			got++
+		case <-time.After(10 * time.Millisecond):
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d seed values collected with the server alive: New still holds Config.InitialValues", got, n)
+			}
+		}
+	}
+	runtime.KeepAlive(s)
 }
 
 // TestStartCycleAllocs bounds what an untraced StartCycle allocates at

@@ -255,6 +255,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.committed[i] = append([]byte(nil), v...)
 	}
+	s.cfg.InitialValues = nil // copied above: the seed database is the caller's to free
 	return s, nil
 }
 
@@ -460,6 +461,22 @@ func (s *Server) StartCycle() *bcast.CycleBroadcast {
 		cb.IndexM = p.IndexM()
 	}
 	copy(cb.Values, s.committed) // shared, not copied: see committed
+	if prev := s.cycle - 1; prev > 0 {
+		// The previous cycle's written objects in id order, out of lastCycle;
+		// counted first so the one allocation is exact (empty, not nil, when quiet).
+		n := 0
+		for _, c := range s.lastCycle {
+			if c == prev {
+				n++
+			}
+		}
+		cb.Written = make([]int, 0, n)
+		for obj, c := range s.lastCycle {
+			if c == prev {
+				cb.Written = append(cb.Written, obj)
+			}
+		}
+	}
 	switch c := s.control.(type) {
 	case *cmatrix.DenseControl:
 		// Copy-on-write: the published snapshot shares columns with the

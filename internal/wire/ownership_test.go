@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -86,35 +87,64 @@ func TestDecodeCycleAliasesFrame(t *testing.T) {
 
 // TestCycleCodecAllocs bounds what one Table 1 cycle costs the
 // allocator on each side of the air: the encoder makes the frame, once,
-// at its exact length, plus a scratch column; the decoder makes the
-// cycle, its value headers, one n² array and the matrix over it. (They
-// were 323 allocations / 2.28 MB and 608 / 1.86 MB when the frame grew
-// by doubling and every value and column was a slice of its own.)
+// at its exact length — from scratch or patched, a matrix column is
+// packed where it lies — and the decoder makes the cycle, its value
+// headers, one n² array and the matrix over it. (They were 323
+// allocations / 2.28 MB and 608 / 1.86 MB when the frame grew by
+// doubling and every value and column was a slice of its own.)
 func TestCycleCodecAllocs(t *testing.T) {
 	cb := table1Cycle(t)
 	frame, err := EncodeCycle(cb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const runs = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		if _, err := EncodeCycle(cb); err != nil {
-			t.Fatal(err)
-		}
+	// The next cycle, 8 × 4 objects written: what PatchCycle is for.
+	next := *cb
+	next.Number, next.Values = cb.Number+1, append([][]byte(nil), cb.Values...)
+	for j := 0; j < 300; j += 10 {
+		next.Values[j] = bytes.Repeat([]byte{byte(j)}, 1024)
+		next.Written = append(next.Written, j)
 	}
-	runtime.ReadMemStats(&after)
-	allocs, size := (after.Mallocs-before.Mallocs)/runs, (after.TotalAlloc-before.TotalAlloc)/runs
+	wantNext, err := EncodeCycle(&next)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The runtime rounds an allocation as large as the frame up to whole
-	// 8 KiB pages; the encoder asks for len(frame) exactly.
-	const page = 8 << 10
-	if limit := uint64((len(frame)+page-1)/page*page + 300*8 + 1024); allocs > 4 || size > limit {
-		t.Errorf("EncodeCycle: %d allocations, %d bytes; want <= 4 and <= %d (the frame in whole pages + one scratch column + 1 KiB)",
-			allocs, size, limit)
-	}
-	if again, _ := EncodeCycle(cb); cap(again) != len(again) {
-		t.Errorf("EncodeCycle sized its buffer at %d bytes for a frame of %d", cap(again), len(again))
+	// 8 KiB pages; the encoders ask for len(frame) exactly.
+	const page, runs = 8 << 10, 10
+	limit := uint64((len(frame)+page-1)/page*page + 256)
+	for _, enc := range []struct {
+		name   string
+		encode func() ([]byte, error)
+		want   []byte
+	}{
+		{"EncodeCycle", func() ([]byte, error) { return EncodeCycle(cb) }, frame},
+		{"PatchCycle", func() ([]byte, error) {
+			patched, ok, err := PatchCycle(frame, &next)
+			if err == nil && !ok {
+				err = errors.New("encoded from scratch")
+			}
+			return patched, err
+		}, wantNext},
+	} {
+		// The least of several runs: the collector's own allocations land
+		// in the same counters, and only ever add.
+		allocs, size := ^uint64(0), ^uint64(0)
+		for i := 0; i < runs; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := enc.encode(); err != nil {
+				t.Fatalf("%s: %v", enc.name, err)
+			}
+			runtime.ReadMemStats(&after)
+			allocs, size = min(allocs, after.Mallocs-before.Mallocs), min(size, after.TotalAlloc-before.TotalAlloc)
+		}
+		if allocs > 2 || size > limit {
+			t.Errorf("%s: %d allocations, %d bytes; want <= 2 and <= %d (the frame in whole pages + 256 B)", enc.name, allocs, size, limit)
+		}
+		if again, _ := enc.encode(); cap(again) != len(again) || !bytes.Equal(again, enc.want) {
+			t.Errorf("%s: a buffer of %d bytes for a frame of %d, the right bytes: %v", enc.name, cap(again), len(again), bytes.Equal(again, enc.want))
+		}
 	}
 	if got := testing.AllocsPerRun(20, func() {
 		if _, err := DecodeCycle(frame); err != nil {

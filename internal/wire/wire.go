@@ -26,9 +26,43 @@ import (
 //	  (padded to a byte boundary per object)
 //
 // Decoding unwraps each timestamp against the broadcast's cycle number
-// (getTS).
+// (getTS). Encoding never looks at it: a record's bytes are a function
+// of its object's value and control column alone (fixed-size,
+// byte-aligned, each timestamp its entry modulo 2^tsBits) and the cycle
+// number appears once, in the header. Outside grouped control a column
+// moves only when its object is written (Theorem 2), so an unwritten
+// object's record is the previous frame's byte for byte: what
+// PatchCycle rests on.
 
 const headerBytes = 4 + 8 + 4 + 4 + 1 + 1 + 4
+
+// cycleHeader is the BCC1 header of cycle number under layout l.
+func cycleHeader(number cmatrix.Cycle, l bcast.Layout) (hdr [headerBytes]byte) {
+	copy(hdr[:], KindCycle.magic())
+	binary.BigEndian.PutUint64(hdr[4:12], uint64(number))
+	putDims(hdr[12:], l, dimsFull)
+	return hdr
+}
+
+// recordBytes is the size of one object's record: slot, then column.
+func recordBytes(l bcast.Layout) int64 {
+	return int64(objBytesOf(l)) + columnBytes(columnEntries(l), l.TimestampBits)
+}
+
+// putRecord writes object j's record, for EncodeCycle and PatchCycle. A
+// matrix column is packed where it lies; other kinds gather into buf.
+func putRecord(w *BitWriter, cb *bcast.CycleBroadcast, j int, buf []cmatrix.Cycle) error {
+	err := putSlot(w, j, cb.Values[j], objBytesOf(cb.Layout))
+	if err == nil && cb.Layout.Control == bcast.ControlMatrix && cb.Matrix != nil {
+		buf = cb.Matrix.Col(j)
+	} else if err == nil {
+		buf, err = Column(cb, j, buf[:0])
+	}
+	if err == nil {
+		putColumn(w, buf, cb.Layout.TimestampBits)
+	}
+	return err
+}
 
 // EncodeCycle serializes a broadcast cycle. Object values longer than
 // the layout's object size are rejected; shorter ones are zero-padded
@@ -41,26 +75,46 @@ func EncodeCycle(cb *bcast.CycleBroadcast) ([]byte, error) {
 	if len(cb.Values) != l.Objects {
 		return nil, fmt.Errorf("wire: %d values for %d objects", len(cb.Values), l.Objects)
 	}
-	objBytes, entries := objBytesOf(l), columnEntries(l)
-	var hdr [headerBytes]byte
-	binary.BigEndian.PutUint64(hdr[4:12], uint64(cb.Number))
-	putDims(hdr[12:], l, dimsFull)
-	w := KindCycle.begin(hdr[:], int64(l.Objects), int64(objBytes)+columnBytes(entries, l.TimestampBits))
-
-	// Under grouping the column after object j is its row of g entries
-	// MC(j, ·), from which clients reconstruct bounds for any (i, j) pair.
-	col := make([]cmatrix.Cycle, 0, entries)
-	for j, v := range cb.Values {
-		err := putSlot(w, j, v, objBytes)
-		if err == nil {
-			col, err = Column(cb, j, col[:0])
-		}
-		if err != nil {
+	hdr := cycleHeader(cb.Number, l)
+	w := KindCycle.begin(hdr[:], int64(l.Objects), recordBytes(l))
+	var buf []cmatrix.Cycle
+	if l.Control != bcast.ControlMatrix {
+		buf = make([]cmatrix.Cycle, 0, columnEntries(l))
+	}
+	for j := range cb.Values {
+		if err := putRecord(w, cb, j, buf); err != nil {
 			return nil, err
 		}
-		putColumn(w, col, l.TimestampBits)
 	}
 	return w.Bytes(), nil
+}
+
+// PatchCycle is EncodeCycle for the sender that kept prev, the frame it
+// sent last: when prev is cycle cb.Number-1's frame under cb's layout
+// and cb.Written is known, the result is a copy of prev with the cycle
+// number and the written objects' records rewritten (patched true),
+// reading nothing else of cb. Otherwise — always under grouped control,
+// whose rows move with any column of a group — it encodes from scratch.
+// prev is only read; the result is a fresh buffer either way.
+func PatchCycle(prev []byte, cb *bcast.CycleBroadcast) (frame []byte, patched bool, err error) {
+	l, rec := cb.Layout, recordBytes(cb.Layout)
+	if cb.Written == nil || l.Control == bcast.ControlGrouped || l.Validate() != nil || len(cb.Values) != l.Objects ||
+		wantLen(prev, headerBytes, int64(l.Objects), rec) != nil || [headerBytes]byte(prev) != cycleHeader(cb.Number-1, l) {
+		frame, err = EncodeCycle(cb)
+		return frame, false, err
+	}
+	frame = make([]byte, len(prev))
+	copy(frame, prev)
+	binary.BigEndian.PutUint64(frame[4:12], uint64(cb.Number))
+	var w BitWriter
+	var one [1]cmatrix.Cycle // room for a vector record's column
+	for _, j := range cb.Written {
+		w.buf = frame[headerBytes+int64(j)*rec:][:0:rec] // appends within the record's capacity land in place
+		if err = putRecord(&w, cb, j, one[:]); err != nil {
+			return nil, false, err
+		}
+	}
+	return frame, true, nil
 }
 
 // DecodeCycle reconstructs a broadcast cycle from its encoding. The
@@ -83,7 +137,7 @@ func DecodeCycle(data []byte) (*bcast.CycleBroadcast, error) {
 		return nil, err
 	}
 	n, entries, objBytes, tsBits := layout.Objects, columnEntries(layout), objBytesOf(layout), layout.TimestampBits
-	if err := wantLen(data, headerBytes, int64(n), int64(objBytes)+columnBytes(entries, tsBits)); err != nil {
+	if err := wantLen(data, headerBytes, int64(n), recordBytes(layout)); err != nil {
 		return nil, err
 	}
 

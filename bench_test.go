@@ -377,6 +377,58 @@ func BenchmarkWireDecodeCycle(b *testing.B) {
 	}
 }
 
+// BenchmarkWireDecodeGroupedCycle measures the client-side decode of the
+// uplink-grouped frame (bench/e2e): n = 512, 64-byte objects and the
+// dense grouped layout with every one of the 512 × 16 MC entries set.
+func BenchmarkWireDecodeGroupedCycle(b *testing.B) {
+	srv, cb := uplinkGroupedServer(b)
+	defer srv.Close()
+	data, err := wire.EncodeCycle(cb)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := wire.DecodeCycle(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// uplinkGroupedServer returns a server of the uplink-grouped shape
+// (n = 512, 64-byte objects, g = 16) after 100 cycles of 56 accepted
+// 2-read 2-write commits — enough to fill every MC column — and the
+// cycle it last published.
+func uplinkGroupedServer(b *testing.B) (*Server, *CycleBroadcast) {
+	b.Helper()
+	const n = 512
+	srv, err := NewServer(ServerConfig{Objects: n, ObjectBits: 512, Algorithm: GroupedMatrix, Groups: 16})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cb := srv.StartCycle()
+	rng := rand.New(rand.NewSource(1))
+	for c := 0; c < 100; c++ {
+		p := rng.Perm(n)
+		for k := 0; k < 56; k++ {
+			o := p[4*k:]
+			if err := srv.SubmitUpdate(UpdateRequest{
+				Reads:  []ReadAt{{Obj: o[0], Cycle: cb.Number}, {Obj: o[1], Cycle: cb.Number}},
+				Writes: []ObjectWrite{{Obj: o[2], Value: make([]byte, 64)}, {Obj: o[3], Value: make([]byte, 64)}},
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		cb = srv.StartCycle()
+	}
+	if nnz := cb.Grouped.Nonzeros(); nnz != n*16 {
+		b.Fatalf("MC holds %d entries after the fill, want all %d", nnz, n*16)
+	}
+	return srv, cb
+}
+
 // BenchmarkWireDelta measures encoding an incremental frame carrying a
 // typical per-cycle change set (cf. bcbench -figure delta).
 func BenchmarkWireDelta(b *testing.B) {
@@ -447,22 +499,31 @@ func BenchmarkUpdateConsistentExact(b *testing.B) {
 }
 
 // BenchmarkStartCycle measures the per-cycle broadcast production cost
-// (snapshotting values and control information).
+// (snapshotting values and control information): at the Table 1 layout
+// for the vector and the full matrix, and at the uplink-grouped shape
+// with every MC column filled.
 func BenchmarkStartCycle(b *testing.B) {
+	run := func(b *testing.B, srv *Server) {
+		defer srv.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if srv.StartCycle() == nil {
+				b.Fatal("closed")
+			}
+		}
+	}
 	for _, alg := range []Algorithm{RMatrix, FMatrix} {
 		b.Run(alg.String(), func(b *testing.B) {
 			srv, err := NewServer(ServerConfig{Objects: 300, ObjectBits: 8192, Algorithm: alg})
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer srv.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if srv.StartCycle() == nil {
-					b.Fatal("closed")
-				}
-			}
+			run(b, srv)
 		})
 	}
+	b.Run("Grouped", func(b *testing.B) {
+		srv, _ := uplinkGroupedServer(b)
+		run(b, srv)
+	})
 }

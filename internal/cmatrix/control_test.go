@@ -3,6 +3,7 @@ package cmatrix
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -271,6 +272,16 @@ func FuzzGroupedControl(f *testing.F) {
 	f.Add([]byte{2, 1, 0, 0, 1, 4, 1, 4, 4, 0, 1, 4, 1, 8, 3, 0, 0, 4, 0, 8, 3, 0, 0})
 	// Remote applies, a publish between writes to one group, a regroup.
 	f.Add([]byte{6, 2, 1, 0, 0b11, 3, 0, 0, 4, 0b101, 0b110, 2, 3, 1, 5, 0, 0b11000011, 3, 0, 0})
+	// Full density (n = 8): one commit writing every object gives every
+	// column one class holding all 8 rows, so every MC column is full too;
+	// then read-all commits (which keep it full) around publishes, a
+	// write-only commit and a remote apply that leave it, a read-all
+	// write-all commit that comes back, and a regroup — over g = 4, 8, 1.
+	full := []byte{4, 0, 0xFF, 3, 0, 0, 4, 0xFF, 0b11, 0, 0x0F, 0b100001, 3, 0, 0, 4, 0, 0b10, 0, 0xFF, 0b1000,
+		3, 0, 0, 5, 0, 0b1100, 4, 0xFF, 0xFF, 0, 0b10000001, 0b01000010, 3, 0, 0, 2, 2, 0b1, 4, 0xF0, 0b11, 3, 0, 0}
+	for _, g := range []byte{3, 7, 0} {
+		f.Add(append([]byte{6, g}, full...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -321,39 +332,179 @@ func FuzzGroupedControl(f *testing.F) {
 
 // TestGroupedStaleMCHookDiverges proves the induced-bug hook produces a
 // state the projection check distinguishes — the defect class the
-// conformance harness must catch end to end.
+// conformance harness must catch end to end — from an empty start and
+// from full density, where every row sits at its own position and raise
+// folds in place.
 func TestGroupedStaleMCHookDiverges(t *testing.T) {
 	defer SetGroupedStaleMC(true)()
 	rng := rand.New(rand.NewSource(3))
-	diverged := false
-	for trial := 0; trial < 40 && !diverged; trial++ {
-		n := 3 + rng.Intn(8)
-		part := UniformPartition(n, 1+rng.Intn(n))
-		dense := NewMatrix(n)
-		gc := NewGroupedControl(part)
-		for c := Cycle(1); c <= 30; c++ {
-			cm := randomCommit(rng, n, c)
-			dense.Apply(cm.ReadSet, cm.WriteSet, c)
-			gc.Apply(cm.ReadSet, cm.WriteSet, c)
-			want := GroupedOf(dense, part)
-			got := gc.Grouped()
-			if !got.Equal(want) {
-				diverged = true
-				// Stale maintenance must only ever over-estimate.
+	for _, full := range []bool{false, true} {
+		diverged := false
+		for trial := 0; trial < 40 && !diverged; trial++ {
+			n := 3 + rng.Intn(8)
+			part := UniformPartition(n, 1+rng.Intn(n))
+			dense := NewMatrix(n)
+			gc := NewGroupedControl(part)
+			c := Cycle(1)
+			if full {
+				all := rng.Perm(n)
+				for _, cm := range []Commit{{WriteSet: all}, {ReadSet: all, WriteSet: all}} {
+					dense.Apply(cm.ReadSet, cm.WriteSet, c)
+					gc.Apply(cm.ReadSet, cm.WriteSet, c)
+					c++
+				}
+				if nnz := gc.Grouped().Nonzeros(); nnz != int64(n*part.Groups()) {
+					t.Fatalf("trial %d: %d MC entries after the fill, want all %d", trial, nnz, n*part.Groups())
+				}
+			}
+			for end := c + 30; c < end; c++ {
+				cm := randomCommit(rng, n, c)
+				dense.Apply(cm.ReadSet, cm.WriteSet, c)
+				gc.Apply(cm.ReadSet, cm.WriteSet, c)
+				want := GroupedOf(dense, part)
+				got := gc.Grouped()
+				if !got.Equal(want) {
+					diverged = true
+					// Stale maintenance must only ever over-estimate.
+					for i := 0; i < n; i++ {
+						for s := 0; s < part.Groups(); s++ {
+							if got.At(i, s) < want.At(i, s) {
+								t.Fatalf("stale MC(%d,%d) = %d below exact %d: hook is not the monotone bug",
+									i, s, got.At(i, s), want.At(i, s))
+							}
+						}
+					}
+					break
+				}
+			}
+		}
+		if !diverged {
+			t.Fatalf("stale-MC hook never diverged from the exact projection over 40 random streams (full density start: %v)", full)
+		}
+	}
+}
+
+// deepCopy returns a Grouped sharing no column storage with g.
+func deepCopy(g *Grouped) *Grouped {
+	c := &Grouped{part: g.part, cols: make([][]SparseEntry, len(g.cols))}
+	for s, col := range g.cols {
+		c.cols[s] = append([]SparseEntry(nil), col...)
+	}
+	return c
+}
+
+// TestGroupedControlFullDensity holds the commit path to the oracle
+// where uplink-grouped runs it: every class column and every MC column
+// holding all n rows, so each row is found at its own position and raise
+// folds in place. Each control is driven there first — one commit
+// writing every object, one reading and writing them all — and asserted
+// to have arrived; then a stream mixes commits that keep it there (reads
+// of full classes, duplicate writes, both written columns in one group)
+// with write-only commits and remote applies that leave it, regroups under
+// HeatPartition, and read-all commits that come back, with 0–5 commits
+// between publishes. Every publish is compared with GroupedOf over the
+// dense Theorem 2 matrix and every C(i, j) with the dense entry, and every
+// earlier snapshot with a deep copy taken when it was published.
+func TestGroupedControlFullDensity(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for _, n := range []int{8, 33, 64} {
+		for _, g := range []int{1, 3, n / 4, n} {
+			m := newGroupedModel(UniformPartition(n, g))
+			isFull := func() bool {
+				for s := range m.gc.groups {
+					if len(m.gc.groups[s].mc) != n {
+						return false
+					}
+				}
+				for _, c := range m.gc.cm.class {
+					if c == nil || len(c.col) != n {
+						return false
+					}
+				}
+				return true
+			}
+			all := rng.Perm(n)
+			m.apply(Commit{Cycle: 1, WriteSet: all}, false)
+			m.apply(Commit{Cycle: 2, ReadSet: all, WriteSet: all}, false)
+			if !isFull() {
+				t.Fatalf("n %d g %d: not at full density after the fill", n, g)
+			}
+			var copies []*Grouped
+			publish := func(when string) {
+				t.Helper()
+				m.publish()
+				p := m.pubs[len(m.pubs)-1]
+				if !p.got.Equal(p.want) {
+					t.Fatalf("n %d g %d %s: published MC differs from GroupedOf(dense)", n, g, when)
+				}
 				for i := 0; i < n; i++ {
-					for s := 0; s < part.Groups(); s++ {
-						if got.At(i, s) < want.At(i, s) {
-							t.Fatalf("stale MC(%d,%d) = %d below exact %d: hook is not the monotone bug",
-								i, s, got.At(i, s), want.At(i, s))
+					for j := 0; j < n; j++ {
+						if got, want := m.gc.At(i, j), m.dense.At(i, j); got != want {
+							t.Fatalf("n %d g %d %s: C(%d,%d) = %d, dense says %d", n, g, when, i, j, got, want)
 						}
 					}
 				}
-				break
+				m.check(t, "n %d g %d %s", n, g, when)
+				copies = append(copies, deepCopy(p.got))
+			}
+			publish("after the fill")
+			left, back := 0, 0
+			cycle, untilPublish := Cycle(3), rng.Intn(6)
+			for step := 0; step < 400; step++ {
+				if rng.Intn(3) == 0 {
+					cycle++
+				}
+				wasFull := isFull()
+				switch op := rng.Intn(20); {
+				case op == 0: // a sparse new class in full groups
+					m.apply(Commit{Cycle: cycle, WriteSet: rng.Perm(n)[:1+rng.Intn(2)]}, false)
+				case op == 1:
+					m.apply(Commit{Cycle: cycle, WriteSet: rng.Perm(n)[:1+rng.Intn(2)]}, true)
+				case op == 2:
+					w := make([]float64, n)
+					for j := range w {
+						w[j] = rng.Float64()
+					}
+					m.regroup(HeatPartition(w, g))
+				case op == 3: // back to full density
+					m.apply(Commit{Cycle: cycle, ReadSet: rng.Perm(n), WriteSet: rng.Perm(n)}, false)
+				default:
+					cm := Commit{Cycle: cycle, ReadSet: rng.Perm(n)[:1+rng.Intn(3)], WriteSet: rng.Perm(n)[:1+rng.Intn(2)]}
+					j0 := cm.WriteSet[0]
+					switch rng.Intn(3) {
+					case 0: // duplicate writes
+						cm.WriteSet = append(cm.WriteSet, j0, cm.WriteSet[len(cm.WriteSet)-1])
+					case 1: // both written columns in one group, when it has two
+						for _, j := range rng.Perm(n) {
+							if j != j0 && m.part.GroupOf(j) == m.part.GroupOf(j0) {
+								cm.WriteSet = []int{j0, j}
+								break
+							}
+						}
+					}
+					m.apply(cm, false)
+				}
+				switch nowFull := isFull(); {
+				case wasFull && !nowFull:
+					left++
+				case !wasFull && nowFull:
+					back++
+				}
+				if untilPublish--; untilPublish < 0 {
+					publish(fmt.Sprintf("step %d", step))
+					untilPublish = rng.Intn(6)
+				}
+			}
+			publish("end of stream")
+			if left == 0 || back == 0 {
+				t.Fatalf("n %d g %d: the stream left full density %d times and came back %d times; want both", n, g, left, back)
+			}
+			for k, p := range m.pubs {
+				if !p.got.Equal(copies[k]) {
+					t.Fatalf("n %d g %d: snapshot %d of %d changed after it was published", n, g, k, len(m.pubs))
+				}
 			}
 		}
-	}
-	if !diverged {
-		t.Fatal("stale-MC hook never diverged from the exact projection over 40 random streams")
 	}
 }
 
@@ -480,7 +631,9 @@ func heatedGrouped(rng *rand.Rand) *GroupedControl {
 
 // TestGroupedApplyAllocs pins the commit path's allocations: on columns
 // not published since their last write a commit allocates only its new
-// class column (every MC write goes in place, the counts are reused),
+// class column (every MC write goes in place, the counts are reused) at
+// exactly its size — a full column of 512 rows is one 8 KiB object, not
+// the 9,472-byte size class a reservation of |WS| + |dep| rows lands in —
 // and the first commit after a publish adds one clone per group its
 // write set touches.
 func TestGroupedApplyAllocs(t *testing.T) {
@@ -492,6 +645,16 @@ func TestGroupedApplyAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, commit); allocs > 2 {
 		t.Fatalf("GroupedControl.Apply on unpublished columns allocates %.0f objects per run, want 2 (the class and its column)", allocs)
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		commit()
+	}
+	runtime.ReadMemStats(&after)
+	if size, limit := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(gc.N()*16+32); size > limit {
+		t.Fatalf("GroupedControl.Apply on full unpublished columns allocates %d bytes per commit, want <= %d (one %d-row class column and its header)", size, limit, gc.N())
 	}
 	if allocs := testing.AllocsPerRun(100, func() { gc.Grouped(); commit() }); allocs > 2+2+2 {
 		t.Fatalf("publish + first commit allocates %.0f objects per run, want ≤ 6 (snapshot 2, class and column 2, one clone for each of 2 groups)", allocs)

@@ -2,6 +2,7 @@ package cmatrix
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -19,14 +20,18 @@ import (
 // stored MC(i, s), the number of its columns attaining that maximum. A
 // commit takes each write-set column's departing class out of the counts
 // (lower), folds the new class in with its multiplicity (raise), and
-// recomputes only the rows whose count reached 0 (repair): a row with a
+// recomputes only the rows lower left at count 0 (repair): a row with a
 // positive count still has a column at the stored value and none above
-// it, so it is exact as it stands. That is O(nnz) per affected group —
-// two tandem walks and a few probes.
+// it, so it is exact as it stands. That is O(nnz) per affected group.
+//
+// Every walk finds its rows through seek. At full density (uplink-grouped
+// from about cycle 50) row i is entry i, each lookup is one probe and no
+// MC column merges; only a column gaining rows — filling, regrouped, or
+// sparse at n ≥ 10⁵ — still does, on the same path (DESIGN.md §9).
 //
 // Ownership: a column handed out by Grouped() belongs to that snapshot's
 // readers and is never written again — the first raise after a publish
-// rewrites it into fresh storage, later ones of the cycle go in place.
+// copies it into fresh storage, later ones of the cycle go in place.
 // Only raise and repair write MC columns, and repair only follows a
 // raise; the counts are never published and always updated in place.
 
@@ -76,11 +81,19 @@ func GroupedFromRows(p *Partition, rows [][]Cycle) (*Grouped, error) {
 	if len(rows) != p.N() {
 		return nil, fmt.Errorf("cmatrix: %d rows for %d objects", len(rows), p.N())
 	}
-	g := &Grouped{part: p, cols: make([][]SparseEntry, p.Groups())}
+	counts := make([]int, p.Groups())
 	for i, row := range rows {
 		if len(row) != p.Groups() {
 			return nil, fmt.Errorf("cmatrix: row %d has %d entries, want %d", i, len(row), p.Groups())
 		}
+		for s, v := range row {
+			if v > 0 {
+				counts[s]++
+			}
+		}
+	}
+	g := carve(p, counts)
+	for i, row := range rows {
 		for s, v := range row {
 			if v > 0 {
 				g.cols[s] = append(g.cols[s], SparseEntry{Idx: i, Val: v})
@@ -105,7 +118,7 @@ func GroupedFromSparseRows(p *Partition, rows [][]GroupEntry) (*Grouped, error) 
 	if len(rows) != p.N() {
 		return nil, fmt.Errorf("cmatrix: %d sparse rows for %d objects", len(rows), p.N())
 	}
-	g := &Grouped{part: p, cols: make([][]SparseEntry, p.Groups())}
+	counts := make([]int, p.Groups())
 	for i, row := range rows {
 		prev := -1
 		for _, e := range row {
@@ -116,10 +129,29 @@ func GroupedFromSparseRows(p *Partition, rows [][]GroupEntry) (*Grouped, error) 
 				return nil, fmt.Errorf("cmatrix: row %d group %d carries non-positive sparse value %d", i, e.Group, e.Val)
 			}
 			prev = e.Group
+			counts[e.Group]++
+		}
+	}
+	g := carve(p, counts)
+	for i, row := range rows {
+		for _, e := range row {
 			g.cols[e.Group] = append(g.cols[e.Group], SparseEntry{Idx: i, Val: e.Val})
 		}
 	}
 	return g, nil
+}
+
+// carve returns an empty Grouped whose column s has room for exactly
+// counts[s] entries, all of them cut from one array.
+func carve(p *Partition, counts []int) *Grouped {
+	g, total := &Grouped{part: p, cols: make([][]SparseEntry, len(counts))}, 0
+	for _, c := range counts {
+		total += c
+	}
+	for s, all := 0, make([]SparseEntry, total); s < len(counts); s++ {
+		g.cols[s], all = all[:0:counts[s]], all[counts[s]:]
+	}
+	return g
 }
 
 // N reports the number of objects.
@@ -213,12 +245,19 @@ type GroupedControl struct {
 
 // group is the maintained state of one MC column.
 type group struct {
-	classes map[*colClass]int32 // how many of the group's columns share each class
-	mc      []SparseEntry       // MC(·, s), sorted by row
-	cnt     []int32             // cnt[k]: how many of the columns attain mc[k].Val at row mc[k].Idx
-	shared  bool                // a published *Grouped may alias mc: the next write goes to fresh storage
-	writes  int32               // scratch: columns of this group in the write set being applied
-	zero    []int               // scratch: positions under repair
+	classes []member      // the classes the group's columns share, each once
+	mc      []SparseEntry // MC(·, s), sorted by row
+	cnt     []int32       // cnt[k]: how many of the columns attain mc[k].Val at row mc[k].Idx
+	shared  bool          // a published *Grouped may alias mc: the next write goes to fresh storage
+	writes  int32         // scratch: columns of this group in the write set being applied
+	zero    []int         // scratch: rows lower left at count 0, for repair
+}
+
+// member is one class of a group with its multiplicity: how many of the
+// group's columns share it.
+type member struct {
+	c *colClass
+	m int32
 }
 
 // NewGroupedControl returns the cycle-0 grouped control state under the
@@ -233,9 +272,6 @@ func NewGroupedControl(p *Partition) *GroupedControl {
 func (g *GroupedControl) reset(p *Partition) {
 	g.part = p
 	g.groups = make([]group, p.Groups())
-	for s := range g.groups {
-		g.groups[s].classes = map[*colClass]int32{}
-	}
 }
 
 // N implements Control.
@@ -257,93 +293,98 @@ func (g *GroupedControl) MC(i, s int) Cycle {
 	return lookupSparse(g.groups[s].mc, i)
 }
 
-// lower takes one column of class col out of the counts. Every row of a
-// member class is stored, because MC ≥ C > 0 there.
+// lower takes one column of class col out of the counts and records the
+// rows it leaves with no attaining column. Every row of a member class is
+// stored, because MC ≥ C > 0 there.
 func (gs *group) lower(col []SparseEntry) {
-	k := 0
+	mc, cnt, skip := gs.mc, gs.cnt, 0
 	for _, e := range col {
-		for gs.mc[k].Idx < e.Idx {
-			k++
+		k, _ := seek(mc, skip, e.Idx)
+		attains, c := mc[k].Val == e.Val, cnt[k]
+		if attains { // branch-free, as in fold; mc may be published, so only read
+			c--
 		}
-		if gs.mc[k].Val == e.Val {
-			gs.cnt[k]--
+		if skip, cnt[k] = e.Idx-k, c; c == 0 && attains {
+			gs.zero = append(gs.zero, e.Idx)
 		}
 	}
 }
 
 // raise folds class column col, carried by m of the group's columns,
-// into mc. The merge runs backwards, so an unshared column absorbs rows
-// it lacks in place; a shared one is rewritten at its exact new size.
+// into mc (a copy of it, if published): every row mc stores — all of
+// them, once the group is full — is updated where seek finds it, and a
+// backward merge inserts the rest.
 func (gs *group) raise(col []SparseEntry, m int32) {
-	mc := gs.mc
-	missing, k := 0, 0
-	for _, e := range col {
-		for k < len(mc) && mc[k].Idx < e.Idx {
-			k++
-		}
-		if k == len(mc) || mc[k].Idx != e.Idx {
-			missing++
-		}
-	}
-	dst := mc
 	if gs.shared {
-		dst = make([]SparseEntry, len(mc)+missing)
-	} else if missing > 0 {
-		dst = append(mc, make([]SparseEntry, missing)...)
+		gs.mc, gs.shared = slices.Clone(gs.mc), false
 	}
-	cnt := append(gs.cnt, make([]int32, missing)...)
-	gs.mc, gs.cnt, gs.shared = dst, cnt, false
-	i, j := len(mc)-1, len(col)-1
-	for o := len(dst) - 1; j >= 0; o-- {
-		switch {
-		case i >= 0 && mc[i].Idx > col[j].Idx:
-			dst[o], cnt[o] = mc[i], cnt[i]
-			i--
-		case i < 0 || mc[i].Idx < col[j].Idx:
-			dst[o], cnt[o] = col[j], m
-			j--
-		default:
-			e, c := mc[i], cnt[i]
-			if col[j].Val > e.Val {
-				e.Val, c = col[j].Val, m
-			} else if col[j].Val == e.Val {
-				c += m
-			}
-			dst[o], cnt[o] = e, c
-			i, j = i-1, j-1
+	mc, cnt := gs.mc, gs.cnt
+	missing, skip := 0, 0
+	for _, e := range col {
+		k, ok := seek(mc, skip, e.Idx)
+		if skip = e.Idx - k; !ok {
+			missing++
+			continue
 		}
+		fold(&mc[k], &cnt[k], e.Val, m)
 	}
-	copy(dst[:i+1], mc[:i+1]) // rows before col's first never move; a fresh dst still lacks them
-}
-
-// repair recomputes the rows left with no attaining column — their
-// stored maximum is stale-high — over the group's classes, and drops
-// those whose maximum fell to 0.
-func (gs *group) repair() {
-	mc, cnt, zero := gs.mc, gs.cnt, gs.zero[:0]
-	for k, c := range cnt {
-		if c == 0 {
-			mc[k].Val = 0
-			zero = append(zero, k)
-		}
-	}
-	gs.zero = zero
-	if len(zero) == 0 {
+	if missing == 0 {
 		return
 	}
-	// Classes outside, rows inside: each class column is probed while hot.
-	for c, m := range gs.classes {
-		for _, k := range zero {
-			switch v := lookupSparse(c.col, mc[k].Idx); {
-			case v > mc[k].Val:
-				mc[k].Val, cnt[k] = v, m
-			case v == mc[k].Val:
-				cnt[k] += m
-			}
+	i := len(mc) - 1
+	mc = append(mc, make([]SparseEntry, missing)...)
+	cnt = append(cnt, make([]int32, missing)...)
+	gs.mc, gs.cnt = mc, cnt
+	// o - i rows are still to insert; rows before the first of them never move.
+	for j, o := len(col)-1, len(mc)-1; o > i; j-- {
+		for i >= 0 && mc[i].Idx > col[j].Idx {
+			mc[o], cnt[o] = mc[i], cnt[i]
+			i, o = i-1, o-1
+		}
+		if i < 0 || mc[i].Idx != col[j].Idx {
+			mc[o], cnt[o] = col[j], m
+			o--
 		}
 	}
-	o := zero[0]
-	for k := o; k < len(mc); k++ {
+}
+
+// fold folds value v, attained by m columns, into a stored maximum e.Val
+// and its count c. It is branch-free: whether v meets or passes the
+// maximum is a coin toss the predictor would lose.
+func fold(e *SparseEntry, c *int32, v Cycle, m int32) {
+	n := *c
+	if v == e.Val {
+		n += m
+	}
+	if v > e.Val {
+		n = m
+	}
+	e.Val, *c = max(e.Val, v), n
+}
+
+// repair recomputes the rows lower left with no attaining column — their
+// stored maximum is stale-high unless raise met it again — over the
+// group's classes, and drops those whose maximum fell to 0.
+func (gs *group) repair() {
+	mc, cnt, stale := gs.mc, gs.cnt, gs.zero[:0]
+	for _, r := range gs.zero { // rows to the positions still at count 0
+		if k, _ := seek(mc, 0, r); cnt[k] == 0 {
+			mc[k].Val = 0
+			stale = append(stale, k)
+		}
+	}
+	gs.zero = stale[:0]
+	// Classes outside, rows inside: each class column is probed while hot.
+	for _, c := range gs.classes {
+		for _, k := range stale {
+			fold(&mc[k], &cnt[k], lookupSparse(c.c.col, mc[k].Idx), c.m)
+		}
+	}
+	if !slices.ContainsFunc(stale, func(k int) bool { return mc[k].Val == 0 }) {
+		return
+	}
+	o := 0
+	for k := range mc {
 		if mc[k].Val > 0 {
 			mc[o], cnt[o] = mc[k], cnt[k]
 			o++
@@ -375,17 +416,19 @@ func (g *GroupedControl) apply(readSet, writeSet []int, commitCycle Cycle, remot
 	for _, j := range ws {
 		gs := &g.groups[g.part.GroupOf(j)]
 		gs.writes++
-		old := g.cm.class[j]
-		if old == nil {
-			continue
-		}
-		if gs.classes[old]--; gs.classes[old] == 0 {
-			delete(gs.classes, old)
-		}
-		// Induced-bug hook (hooks.go): without lower no count reaches 0,
-		// nothing is repaired, and MC is the naive monotone max.
-		if !groupedStaleMC {
-			gs.lower(old.col)
+		if old := g.cm.class[j]; old != nil {
+			k := 0
+			for gs.classes[k].c != old {
+				k++
+			}
+			if gs.classes[k].m--; gs.classes[k].m == 0 {
+				gs.classes = slices.Delete(gs.classes, k, k+1)
+			}
+			// Induced-bug hook (hooks.go): without lower no count reaches 0,
+			// nothing is repaired, and MC is the naive monotone max.
+			if !groupedStaleMC {
+				gs.lower(old.col)
+			}
 		}
 	}
 	var nc *colClass
@@ -397,7 +440,7 @@ func (g *GroupedControl) apply(readSet, writeSet []int, commitCycle Cycle, remot
 	for _, j := range ws {
 		// The first write-set column of a group raises for all of them.
 		if gs := &g.groups[g.part.GroupOf(j)]; gs.writes > 0 {
-			gs.classes[nc] = gs.writes
+			gs.classes = append(gs.classes, member{nc, gs.writes})
 			gs.raise(nc.col, gs.writes)
 			gs.repair()
 			gs.writes = 0
@@ -431,15 +474,20 @@ func (g *GroupedControl) Regroup(p *Partition) (churn int) {
 		}
 	}
 	g.reset(p)
+	type slot struct {
+		s int
+		c *colClass
+	}
+	members := map[slot]int32{}
 	for j, c := range g.cm.class {
 		if c != nil {
-			g.groups[p.GroupOf(j)].classes[c]++
+			members[slot{p.GroupOf(j), c}]++
 		}
 	}
-	for s := range g.groups {
-		for c, m := range g.groups[s].classes {
-			g.groups[s].raise(c.col, m)
-		}
+	for sl, m := range members { // any order: a maximum and its count do not depend on it
+		gs := &g.groups[sl.s]
+		gs.classes = append(gs.classes, member{sl.c, m})
+		gs.raise(sl.c.col, m)
 	}
 	return churn
 }

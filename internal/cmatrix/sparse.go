@@ -2,6 +2,7 @@ package cmatrix
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -14,25 +15,35 @@ type SparseEntry struct {
 	Val Cycle
 }
 
-// lookupSparse returns the value at row i of a sorted sparse column
-// (0 when absent). Rows are distinct and non-negative, so col[k].Idx ≥ k:
-// row i sits at position ≤ i, and exactly at i when the column is filled
-// up to it — the steady state of a hot column, answered in one probe.
-func lookupSparse(col []SparseEntry, i int) Cycle {
-	if uint(i) < uint(len(col)) && col[i].Idx == i {
-		return col[i].Val
+// seek returns where row i is in a sorted sparse column, or would be
+// inserted, and whether it is there. skip counts rows the column is known
+// to lack below i (a walk over ascending rows passes what it knew at its
+// last row: that row minus the position seek gave it). Rows are distinct
+// and non-negative, so row i sits at position ≤ i − skip, and exactly
+// there when no other row below it is missing — at i in a column filled
+// up to it, a hot column's steady state — which one probe checks.
+func seek(col []SparseEntry, skip, i int) (k int, ok bool) {
+	p := i - skip
+	if uint(p) < uint(len(col)) && col[p].Idx == i {
+		return p, true
 	}
-	lo, hi := 0, min(len(col), i+1)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
+	hi := min(len(col), p+1)
+	for k < hi {
+		mid := int(uint(k+hi) >> 1)
 		if col[mid].Idx < i {
-			lo = mid + 1
+			k = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(col) && col[lo].Idx == i {
-		return col[lo].Val
+	return k, k < len(col) && col[k].Idx == i
+}
+
+// lookupSparse returns the value at row i of a sorted sparse column
+// (0 when absent).
+func lookupSparse(col []SparseEntry, i int) Cycle {
+	if k, ok := seek(col, 0, i); ok {
+		return col[k].Val
 	}
 	return 0
 }
@@ -42,25 +53,21 @@ func lookupSparse(col []SparseEntry, i int) Cycle {
 func mergeMaxInto(dst, a, b []SparseEntry) []SparseEntry {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
+		e, f := a[i], b[j]
 		switch {
-		case a[i].Idx < b[j].Idx:
-			dst = append(dst, a[i])
-			i++
-		case a[i].Idx > b[j].Idx:
-			dst = append(dst, b[j])
-			j++
-		default:
-			e := a[i]
-			if b[j].Val > e.Val {
-				e.Val = b[j].Val
-			}
-			dst = append(dst, e)
+		case e.Idx == f.Idx:
+			e.Val = max(e.Val, f.Val)
 			i, j = i+1, j+1
+		case e.Idx < f.Idx:
+			i++
+		default:
+			e = f
+			j++
 		}
+		dst = append(dst, e)
 	}
 	dst = append(dst, a[i:]...)
-	dst = append(dst, b[j:]...)
-	return dst
+	return append(dst, b[j:]...)
 }
 
 // colClass is one equivalence class of identical C-matrix columns.
@@ -138,8 +145,9 @@ func (cm *classMatrix) distinctSorted(set []int) []int {
 }
 
 // depColumn computes dep[i] = max_{k∈RS} Cold(i,k) as a sparse column
-// over the distinct classes of the read columns. The result aliases a
-// scratch buffer (valid until the next apply).
+// over the distinct classes of the read columns: read-only, valid until
+// the next apply — a single class as it lies, a merge of several in
+// scratch.
 func (cm *classMatrix) depColumn(readSet []int) []SparseEntry {
 	classes := cm.clsScratch[:0]
 	for _, k := range readSet {
@@ -160,17 +168,16 @@ func (cm *classMatrix) depColumn(readSet []int) []SparseEntry {
 		}
 	}
 	cm.clsScratch = classes
-	dep := cm.mergeA[:0]
-	for idx, c := range classes {
-		if idx == 0 {
-			dep = append(dep, c.col...)
-			continue
-		}
-		merged := mergeMaxInto(cm.mergeB[:0], dep, c.col)
-		cm.mergeA, cm.mergeB = merged, dep[:0]
+	if len(classes) == 0 {
+		return nil
+	}
+	// dep lives in the class or in mergeB; mergeA is always free.
+	dep := classes[0].col
+	for _, c := range classes[1:] {
+		merged := mergeMaxInto(cm.mergeA[:0], dep, c.col)
+		cm.mergeA, cm.mergeB = cm.mergeB, merged
 		dep = merged
 	}
-	cm.mergeA = dep
 	return dep
 }
 
@@ -182,27 +189,21 @@ func (cm *classMatrix) applyDistinct(readSet, wsSorted []int, commitCycle Cycle)
 		return nil
 	}
 	dep := cm.depColumn(readSet)
-	// New column: commitCycle at every write-set row, dep elsewhere.
-	col := make([]SparseEntry, 0, len(wsSorted)+len(dep))
-	wi, di := 0, 0
-	for wi < len(wsSorted) || di < len(dep) {
-		switch {
-		case di == len(dep) || (wi < len(wsSorted) && wsSorted[wi] <= dep[di].Idx):
-			if wi < len(wsSorted) {
-				if di < len(dep) && dep[di].Idx == wsSorted[wi] {
-					di++ // the write-set value supersedes dep at this row
-				}
-				if commitCycle > 0 {
-					col = append(col, SparseEntry{Idx: wsSorted[wi], Val: commitCycle})
-				}
-				wi++
-			}
-		default:
-			col = append(col, dep[di])
-			di++
+	// New column: commitCycle at every write-set row, dep elsewhere, built
+	// in scratch from dep's runs between them; the class keeps a copy.
+	col, d := cm.mergeA[:0], 0
+	for _, j := range wsSorted {
+		k, ok := seek(dep, 0, j)
+		col = append(col, dep[d:k]...)
+		if commitCycle > 0 {
+			col = append(col, SparseEntry{Idx: j, Val: commitCycle})
+		}
+		if d = k; ok {
+			d++ // the write-set value supersedes dep at this row
 		}
 	}
-	nc := &colClass{col: col}
+	cm.mergeA = append(col, dep[d:]...)
+	nc := &colClass{col: slices.Clone(cm.mergeA)}
 	for _, j := range wsSorted {
 		cm.class[j] = nc
 		cm.lastWrite[j] = commitCycle

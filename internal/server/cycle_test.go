@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
@@ -165,12 +166,26 @@ func TestInitialValuesReleased(t *testing.T) {
 	runtime.KeepAlive(s)
 }
 
-// TestStartCycleAllocs bounds what an untraced StartCycle allocates at
+// TestStartCycleAllocs bounds what an untraced StartCycle allocates. At
 // the Table 1 layout (n = 300, 1 KiB objects): the cycle, its value and
 // column headers and the snapshot's marks — no value, no column, no
-// fingerprint. It was 605 allocations and 1.13 MB when every value was
-// copied and every column hashed.
+// fingerprint (it was 605 allocations and 1.13 MB when every value was
+// copied and every column hashed). At the uplink-grouped shape (n = 512,
+// g = 16) with every MC column filled: the cycle, its value headers and
+// the O(g) grouped view — nothing else that grows with n, such as the
+// walk over the n·g entries that priced a BCG1 frame nobody sent.
 func TestStartCycleAllocs(t *testing.T) {
+	perCycle := func(s *Server) (allocs, size uint64) {
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			s.StartCycle()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+
 	initial := make([][]byte, 300)
 	for i := range initial {
 		initial[i] = make([]byte, 1024)
@@ -181,16 +196,36 @@ func TestStartCycleAllocs(t *testing.T) {
 	}
 	defer s.Close()
 	s.StartCycle()
-	const runs = 100
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		s.StartCycle()
-	}
-	runtime.ReadMemStats(&after)
-	allocs, size := (after.Mallocs-before.Mallocs)/runs, (after.TotalAlloc-before.TotalAlloc)/runs
-	if allocs > 8 || size >= 32<<10 {
+	if allocs, size := perCycle(s); allocs > 8 || size >= 32<<10 {
 		t.Errorf("StartCycle with a nil tracer: %d allocations, %d bytes; want <= 8 and < 32 KiB", allocs, size)
+	}
+
+	const n, g = 512, 16
+	gs, err := New(Config{Objects: n, ObjectBits: 512, Algorithm: protocol.Grouped, Groups: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gs.Close()
+	cb := gs.StartCycle()
+	rng := rand.New(rand.NewSource(1))
+	for c := 0; c < 100; c++ {
+		p := rng.Perm(n)
+		for k := 0; k < 56; k++ {
+			o := p[4*k:]
+			if err := gs.SubmitUpdate(protocol.UpdateRequest{
+				Reads:  []protocol.ReadAt{readAt(o[0], int64(cb.Number)), readAt(o[1], int64(cb.Number))},
+				Writes: []protocol.ObjectWrite{write(o[2], "v"), write(o[3], "v")},
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cb = gs.StartCycle()
+	}
+	if nnz := cb.Grouped.Nonzeros(); nnz != n*g {
+		t.Fatalf("MC holds %d entries after the fill, want all %d", nnz, n*g)
+	}
+	if allocs, size := perCycle(gs); allocs > 5 || size > n*24+2<<10 {
+		t.Errorf("grouped StartCycle: %d allocations, %d bytes; want <= 5 and <= %d (the value headers + 2 KiB)", allocs, size, n*24+2<<10)
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"broadcastcc/internal/cmatrix"
 	"broadcastcc/internal/obs"
 	"broadcastcc/internal/protocol"
-	"broadcastcc/internal/wire"
 )
 
 // Errors returned by transaction processing.
@@ -77,7 +76,7 @@ type Config struct {
 	// Obs receives the server's metrics (server_cycles, server_commits,
 	// server_conflict_aborts, server_uplink_requests,
 	// server_control_cols_rewritten, server_commits_per_cycle,
-	// server_control_bytes, server_regroup_churn, server_verify_ns).
+	// server_regroup_churn, server_verify_ns).
 	// Nil uses a private registry; Stats() works either way as a view
 	// over it.
 	Obs *obs.Registry
@@ -132,11 +131,10 @@ type Server struct {
 	heat    *airsched.EWMA // write-heat estimate driving regrouping (nil unless RegroupEvery > 0)
 	seen    []bool         // shape's per-object dedupe scratch, all false between calls
 
-	cycle         cmatrix.Cycle // cycle currently on the air; 0 before the first broadcast
-	regroupEpoch  uint64        // bumped on every partition change
-	shipPartition bool          // next grouped frame should embed the partition
-	closed        bool
-	audit         []cmatrix.Commit
+	cycle        cmatrix.Cycle // cycle currently on the air; 0 before the first broadcast
+	regroupEpoch uint64        // bumped on every partition change
+	closed       bool
+	audit        []cmatrix.Commit
 	// Two-shot cross-shard commit state (see shard.go): in-flight
 	// prepares, the pins they hold, recently settled tokens, and the
 	// count of conservative ApplyRemote commits (any > 0 voids the
@@ -162,7 +160,6 @@ type Server struct {
 	cAborts        *obs.Counter
 	cUplink        *obs.Counter
 	cColsRewritten *obs.Counter
-	cControlBytes  *obs.Counter
 	cRegroupChurn  *obs.Counter
 	hCommitsCycle  *obs.Histogram
 	hVerifyNs      *obs.Histogram
@@ -239,7 +236,6 @@ func New(cfg Config) (*Server, error) {
 	s.cAborts = s.obs.Counter("server_conflict_aborts")
 	s.cUplink = s.obs.Counter("server_uplink_requests")
 	s.cColsRewritten = s.obs.Counter("server_control_cols_rewritten")
-	s.cControlBytes = s.obs.Counter("server_control_bytes")
 	s.cRegroupChurn = s.obs.Counter("server_regroup_churn")
 	s.cVerifyFail = s.obs.Counter("server_verify_failures")
 	s.hCommitsCycle = s.obs.Histogram("server_commits_per_cycle", obs.LinearBuckets(0, 1, 16))
@@ -488,7 +484,6 @@ func (s *Server) StartCycle() *bcast.CycleBroadcast {
 	case *cmatrix.GroupedControl:
 		cb.Grouped = c.Grouped()
 	}
-	s.cControlBytes.Add(s.controlBytesLocked(cb))
 	if s.trace != nil { // the hash walks all of the control state: only for a tracer
 		s.trace.Emit(obs.EvSnapshotPublish, obs.ActorServer, int64(s.cycle), 0, controlFingerprint(cb))
 	}
@@ -559,24 +554,9 @@ func (s *Server) regroupLocked() {
 	churn := c.Regroup(np)
 	s.partition = np
 	s.regroupEpoch++
-	s.shipPartition = true
 	s.verifyAllGroups = true
 	s.cRegroupChurn.Add(int64(churn))
 	s.trace.Emit(obs.EvCycleStart, obs.ActorServer, int64(s.cycle), 1, int64(churn))
-}
-
-// controlBytesLocked accounts the control-plane bytes this cycle puts
-// on the air: the analytic layout cost for the dense and vector
-// formats, and the exact BCG1 frame size (value slots excluded) for the
-// grouped format — partition included only on the first cycle and after
-// regroups, mirroring the netcast policy. Callers hold mu.
-func (s *Server) controlBytesLocked(cb *bcast.CycleBroadcast) int64 {
-	if cb.Grouped != nil {
-		withPart := s.shipPartition || s.cycle == 1
-		s.shipPartition = false
-		return (wire.GroupedCycleBits(cb.Grouped, 0, s.layout.TimestampBits, withPart) + 7) / 8
-	}
-	return (s.layout.ControlBitsPerObject()*int64(s.layout.Objects) + 7) / 8
 }
 
 // Partition reports the grouping in force (nil unless grouped).

@@ -139,8 +139,8 @@ func EncodeGroupedCycle(cb *bcast.CycleBroadcast, epoch uint64, includePartition
 
 // GroupedCycleBits reports the exact size in bits of the BCG1 frame
 // EncodeGroupedCycle would produce, from the rows' lengths alone — the
-// server's control-bandwidth accounting calls this every cycle, under
-// its mutex. One allocation (n counters), O(n + nonzeros).
+// encoder sizes its frame with it and the bandwidth studies price every
+// cycle with it. One allocation (n counters), O(n + nonzeros).
 func GroupedCycleBits(g *cmatrix.Grouped, objBytes, tsBits int, includePartition bool) int64 {
 	n, groups := g.N(), g.Groups()
 	ib := indexBits(groups)

@@ -109,10 +109,6 @@ func (p *Partition) N() int { return len(p.of) }
 // GroupOf reports the group that object j belongs to.
 func (p *Partition) GroupOf(j int) int { return p.of[j] }
 
-// Assignments returns a copy of the per-object group assignment —
-// what a partition-carrying wire frame transmits.
-func (p *Partition) Assignments() []int { return append([]int(nil), p.of...) }
-
 // Equal reports whether two partitions assign every object identically.
 func (p *Partition) Equal(o *Partition) bool {
 	if p.groups != o.groups || len(p.of) != len(o.of) {

@@ -197,53 +197,43 @@ func variantSweep(opt Options, f *Figure, variants []variant) (*Experiment, erro
 	results := make([]Metrics, len(runs))
 	errs := make([]error, len(runs))
 
-	if workers := min(opt.Parallelism, len(runs)); workers <= 1 {
-		for i, rn := range runs {
-			m, err := runOne(opt, f.ID, rn, variants, opt.Progress)
-			if err != nil {
-				return nil, err
-			}
-			results[i] = m
-		}
-	} else {
-		// Progress callbacks may not be goroutine-safe; serialize them.
-		var progressMu sync.Mutex
-		progress := func(format string, args ...any) {
-			progressMu.Lock()
-			defer progressMu.Unlock()
-			opt.Progress(format, args...)
-		}
-		var next atomic.Int64
-		var failed atomic.Bool
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(runs) || failed.Load() {
-						return
-					}
-					m, err := runOne(opt, f.ID, runs[i], variants, progress)
-					if err != nil {
-						errs[i] = err
-						failed.Store(true)
-						return
-					}
-					results[i] = m
+	// Progress callbacks may not be goroutine-safe; serialize them.
+	var progressMu sync.Mutex
+	progress := func(format string, args ...any) {
+		progressMu.Lock()
+		defer progressMu.Unlock()
+		opt.Progress(format, args...)
+	}
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < min(opt.Parallelism, len(runs)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(runs) || failed.Load() {
+					return
 				}
-			}()
-		}
-		wg.Wait()
-		// Workers claim indices in sweep order, so any run a sequential
-		// sweep would have reached before the first failure has either
-		// completed or recorded its own error; the earliest recorded
-		// error is the sequential one.
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
+				m, err := runOne(opt, f.ID, runs[i], variants, progress)
+				if err != nil {
+					errs[i] = err
+					failed.Store(true)
+					return
+				}
+				results[i] = m
 			}
+		}()
+	}
+	wg.Wait()
+	// Workers claim indices in sweep order, so any run a sequential
+	// sweep would have reached before the first failure has either
+	// completed or recorded its own error; the earliest recorded error
+	// is the sequential one. One worker is the sequential sweep.
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 

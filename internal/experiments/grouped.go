@@ -30,34 +30,26 @@ import (
 //     epochs, so hot objects get near-F-Matrix precision.
 
 // GroupedConfig shapes a GroupedBandwidth run. The zero value means the
-// paper-scale defaults (n = 10⁵, 400 cycles, zipf θ = 0.95); tests
-// shrink it.
+// paper-scale run (n = 10⁵, 400 cycles, 64 clients); tests shrink
+// Objects, Cycles, Clients and GroupCounts. The workload itself is fixed
+// by the replay constants (replay.go).
 type GroupedConfig struct {
 	// Objects is the database size n.
 	Objects int
 	// Cycles is the broadcast run length.
 	Cycles int
-	// CommitsPerCycle is the server update rate.
-	CommitsPerCycle int
 	// Clients is the number of independent read-only clients per series.
 	Clients int
-	// TxnReads is the reads per client transaction (one per cycle).
-	TxnReads int
-	// Theta is the zipf skew of both the update and the read access law.
-	Theta float64
 	// GroupCounts are the x-values g to sweep.
 	GroupCounts []int
-	// RegroupEvery is the adaptive series' regroup period in cycles.
-	RegroupEvery int
-	// MeasureFromCycle discards warmup: commits, restarts and control
-	// bits count only from this cycle on, once the adaptive partition
-	// has seen real heat (mirrors Options.MeasureFrom in the sim).
-	MeasureFromCycle int
-	// HeatAlpha is the EWMA smoothing factor of the heat estimator.
-	HeatAlpha float64
-	// TimestampBits prices each control entry on the wire.
-	TimestampBits int
 }
+
+// The adaptive series' regroup period in cycles and the EWMA smoothing
+// factor of its heat estimator.
+const (
+	groupedRegroupEvery = 25
+	groupedHeatAlpha    = 0.1
+)
 
 func (c GroupedConfig) normalized() GroupedConfig {
 	if c.Objects == 0 {
@@ -66,32 +58,11 @@ func (c GroupedConfig) normalized() GroupedConfig {
 	if c.Cycles == 0 {
 		c.Cycles = 400
 	}
-	if c.CommitsPerCycle == 0 {
-		c.CommitsPerCycle = 8
-	}
 	if c.Clients == 0 {
 		c.Clients = 64
 	}
-	if c.TxnReads == 0 {
-		c.TxnReads = 4
-	}
-	if c.Theta == 0 {
-		c.Theta = 0.95
-	}
 	if len(c.GroupCounts) == 0 {
 		c.GroupCounts = []int{256, 1024, 4096, 16384, 65536}
-	}
-	if c.RegroupEvery == 0 {
-		c.RegroupEvery = 25
-	}
-	if c.MeasureFromCycle == 0 {
-		c.MeasureFromCycle = c.Cycles / 4
-	}
-	if c.HeatAlpha == 0 {
-		c.HeatAlpha = 0.1
-	}
-	if c.TimestampBits == 0 {
-		c.TimestampBits = 16
 	}
 	return c
 }
@@ -136,9 +107,9 @@ type GroupedPoint struct {
 // representation.
 func planGrouped(cfg GroupedConfig, seed int64) *plan {
 	rng := rand.New(rand.NewSource(seed))
-	zipf := airsched.NewZipfPicker(cfg.Objects, cfg.Theta)
+	zipf := airsched.NewZipfPicker(cfg.Objects, replayTheta)
 	pick := func() int { return zipf.Pick(rng.Float64()) }
-	return newPlan(cfg.Cycles, cfg.CommitsPerCycle, cfg.Clients,
+	return newPlan(cfg.Cycles, replayCommitsPerCycle, cfg.Clients,
 		func() plannedCommit {
 			return plannedCommit{
 				writeSet: pickDistinct(2, pick),
@@ -146,7 +117,7 @@ func planGrouped(cfg GroupedConfig, seed int64) *plan {
 			}
 		},
 		func() func() []int {
-			return func() []int { return pickDistinct(cfg.TxnReads, pick) }
+			return func() []int { return pickDistinct(replayTxnReads, pick) }
 		})
 }
 
@@ -188,7 +159,7 @@ func runGroupedPass(cfg GroupedConfig, stream *plan, series string, groups int) 
 	var heat *airsched.EWMA
 	if series == GroupedSeriesAdaptive {
 		var err error
-		heat, err = airsched.NewEWMA(n, cfg.HeatAlpha)
+		heat, err = airsched.NewEWMA(n, groupedHeatAlpha)
 		if err != nil {
 			panic(err) // static config, cannot fail for normalized cfg
 		}
@@ -199,16 +170,18 @@ func runGroupedPass(cfg GroupedConfig, stream *plan, series string, groups int) 
 		clients[i] = &groupedClient{cursor: cursor{txns: stream.txns[i]}}
 	}
 
-	denseCycleBits := int64(n) * int64(n) * int64(cfg.TimestampBits)
+	denseCycleBits := int64(n) * int64(n) * int64(replayTimestampBits)
 	measuredCycles := 0
 	for c := 1; c <= cfg.Cycles; c++ {
 		cyc := cmatrix.Cycle(c)
-		measured := c >= cfg.MeasureFromCycle
+		// The first quarter is warmup: commits, restarts and control bits
+		// count only once the adaptive partition has seen real heat.
+		measured := c >= cfg.Cycles/4
 		if measured {
 			measuredCycles++
 		}
 		withPartition := c == 1
-		if heat != nil && c > 1 && (c-1)%cfg.RegroupEvery == 0 {
+		if heat != nil && c > 1 && (c-1)%groupedRegroupEvery == 0 {
 			np := cmatrix.HeatPartition(heat.Weights(), groups)
 			if !np.Equal(gc.Part()) {
 				churn := gc.Regroup(np)
@@ -230,7 +203,7 @@ func runGroupedPass(cfg GroupedConfig, stream *plan, series string, groups int) 
 		} else {
 			mc := gc.Grouped()
 			if measured {
-				cBits.Add(wire.GroupedCycleBits(mc, 0, cfg.TimestampBits, withPartition))
+				cBits.Add(wire.GroupedCycleBits(mc, 0, replayTimestampBits, withPartition))
 			}
 			snap = mc
 		}
@@ -279,7 +252,7 @@ func runGroupedPass(cfg GroupedConfig, stream *plan, series string, groups int) 
 func GroupedBandwidth(opt Options, cfg GroupedConfig) ([]*GroupedPoint, error) {
 	opt = opt.normalized()
 	cfg = cfg.normalized()
-	if err := checkReplayConfig(idGrouped, cfg, cfg.Objects, cfg.TxnReads, cfg.Clients); err != nil {
+	if err := checkReplayConfig(idGrouped, cfg, cfg.Objects, replayTxnReads, cfg.Clients); err != nil {
 		return nil, err
 	}
 	for _, g := range cfg.GroupCounts {

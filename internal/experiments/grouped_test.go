@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -165,13 +166,18 @@ func TestGroupedBench(t *testing.T) {
 
 // TestGroupedBandwidthRejectsBadConfig covers the validation edges.
 func TestGroupedBandwidthRejectsBadConfig(t *testing.T) {
-	for _, cfg := range []GroupedConfig{
-		{Objects: 100, GroupCounts: []int{0}},
-		{Objects: 100, GroupCounts: []int{101}},
-		{Objects: 4, TxnReads: 5},
+	for _, tc := range []struct {
+		cfg  GroupedConfig
+		want string
+	}{
+		{GroupedConfig{Objects: 100, GroupCounts: []int{0}}, "group count 0 out of range"},
+		{GroupedConfig{Objects: 100, GroupCounts: []int{101}}, "group count 101 out of range"},
+		// The workload's 4 reads per transaction exceed 3 objects.
+		{GroupedConfig{Objects: 3}, "degenerate grouped config"},
 	} {
-		if _, err := GroupedBandwidth(Options{Seed: 1}, cfg); err == nil {
-			t.Errorf("config %+v accepted, want error", cfg)
+		_, err := GroupedBandwidth(Options{Seed: 1}, tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("config %+v: got %v, want error containing %q", tc.cfg, err, tc.want)
 		}
 	}
 }

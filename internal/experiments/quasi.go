@@ -39,37 +39,34 @@ import (
 // revalidated after restart.
 
 // QuasiConfig shapes a QuasiCurrency run. The zero value means the
-// paper-scale defaults; tests shrink it.
+// full-size run (n = 256, 240 cycles, 24 clients); tests shrink
+// Objects, Cycles, Clients and CurrencyBounds. Every client is killed
+// (kill -9: no shutdown, no flush beyond the write-through) after cycle
+// Cycles/2 and restarted from its store, kept in a temp directory that
+// is removed when the run ends.
 type QuasiConfig struct {
 	// Objects is the database size n.
 	Objects int
 	// Cycles is the broadcast run length.
 	Cycles int
-	// CommitsPerCycle is the server update rate.
-	CommitsPerCycle int
 	// Clients is the number of independent read-only clients per pass.
 	Clients int
-	// TxnReads is the reads per client transaction (one per cycle, so a
-	// transaction spans TxnReads cycles and restarts are real).
-	TxnReads int
-	// Theta is the zipf skew of the read and the write access law. The
-	// two laws are mirrored — the read-hottest objects are the
-	// write-coldest — which is the regime quasi-caching targets: Section
-	// 3.3 tailors invalidation intervals per object precisely because
-	// caching pays off for popular items that change slowly, not for the
-	// fast-changing ones.
-	Theta float64
 	// CurrencyBounds are the x-values T to sweep; 0 is the no-cache
 	// floor and must be present for the restart-ratio comparison.
 	CurrencyBounds []int
-	// CrashAtCycle is the cycle after which every client is killed
-	// (kill -9: no shutdown, no flush beyond the write-through) and
-	// restarted from its store.
-	CrashAtCycle int
-	// Dir is the scratch directory for the persistent stores; empty
-	// means a fresh temp directory, removed when the run ends.
-	Dir string
 }
+
+// The server update rate and the reads per client transaction (one per
+// cycle, so a transaction spans quasiTxnReads cycles and restarts are
+// real). The read and the write access law share replayTheta but are
+// mirrored — the read-hottest objects are the write-coldest — which is
+// the regime quasi-caching targets: Section 3.3 tailors invalidation
+// intervals per object precisely because caching pays off for popular
+// items that change slowly, not for the fast-changing ones.
+const (
+	quasiCommitsPerCycle = 3
+	quasiTxnReads        = 3
+)
 
 func (c QuasiConfig) normalized() QuasiConfig {
 	if c.Objects == 0 {
@@ -78,23 +75,11 @@ func (c QuasiConfig) normalized() QuasiConfig {
 	if c.Cycles == 0 {
 		c.Cycles = 240
 	}
-	if c.CommitsPerCycle == 0 {
-		c.CommitsPerCycle = 3
-	}
 	if c.Clients == 0 {
 		c.Clients = 24
 	}
-	if c.TxnReads == 0 {
-		c.TxnReads = 3
-	}
-	if c.Theta == 0 {
-		c.Theta = 0.95
-	}
 	if len(c.CurrencyBounds) == 0 {
 		c.CurrencyBounds = []int{0, 1, 2, 4, 8, 16}
-	}
-	if c.CrashAtCycle == 0 {
-		c.CrashAtCycle = c.Cycles / 2
 	}
 	return c
 }
@@ -140,12 +125,12 @@ type QuasiPoint struct {
 // under the mirrored write law and each client's planned read sets.
 func planQuasi(cfg QuasiConfig, seed int64) *plan {
 	rng := rand.New(rand.NewSource(seed))
-	zipf := airsched.NewZipfPicker(cfg.Objects, cfg.Theta)
+	zipf := airsched.NewZipfPicker(cfg.Objects, replayTheta)
 	readPick := func() int { return zipf.Pick(rng.Float64()) }
 	// The mirrored write law: write heat concentrates on the tail of
 	// read popularity.
 	writePick := func() int { return cfg.Objects - 1 - zipf.Pick(rng.Float64()) }
-	return newPlan(cfg.Cycles, cfg.CommitsPerCycle, cfg.Clients,
+	return newPlan(cfg.Cycles, quasiCommitsPerCycle, cfg.Clients,
 		func() plannedCommit {
 			return plannedCommit{writeSet: pickDistinct(1+rng.Intn(2), writePick)}
 		},
@@ -155,9 +140,9 @@ func planQuasi(cfg QuasiConfig, seed int64) *plan {
 		// fast-changing item that sets the genuine restart floor and that
 		// the per-object currency tailoring serves fresh-only.
 		func() func() []int {
-			wset := pickDistinct(4*cfg.TxnReads, readPick)
+			wset := pickDistinct(4*quasiTxnReads, readPick)
 			return func() []int {
-				rest := pickDistinct(cfg.TxnReads-1, func() int { return wset[rng.Intn(len(wset))] })
+				rest := pickDistinct(quasiTxnReads-1, func() int { return wset[rng.Intn(len(wset))] })
 				// The volatile read comes first: under the pairwise read
 				// condition only an earlier-read object overwritten before a
 				// later read aborts, so a leading fast-changing read is what
@@ -309,7 +294,7 @@ func runQuasiPass(cfg QuasiConfig, stream *plan, series string, T int, dir strin
 		// is a restart), and are rebuilt from whatever their tier kept —
 		// the persistent series reopens its store and revalidates the
 		// recovered inventory off the air, the memory series starts cold.
-		if c == cfg.CrashAtCycle {
+		if c == cfg.Cycles/2 {
 			before := cRevalidated.Load()
 			for i, q := range clients {
 				if q.txn != nil {
@@ -368,21 +353,17 @@ func runQuasiPass(cfg QuasiConfig, stream *plan, series string, T int, dir strin
 func QuasiCurrency(opt Options, cfg QuasiConfig) ([]*QuasiPoint, error) {
 	opt = opt.normalized()
 	cfg = cfg.normalized()
-	if err := checkReplayConfig(idQuasi, cfg, cfg.Objects, cfg.TxnReads, cfg.Clients); err != nil {
+	if err := checkReplayConfig(idQuasi, cfg, cfg.Objects, quasiTxnReads, cfg.Clients); err != nil {
 		return nil, err
 	}
-	if cfg.CrashAtCycle < 1 || cfg.CrashAtCycle >= cfg.Cycles {
-		return nil, fmt.Errorf("experiments: crash cycle %d outside run of %d cycles", cfg.CrashAtCycle, cfg.Cycles)
+	if cfg.Cycles < 2 {
+		return nil, fmt.Errorf("experiments: crash cycle %d outside run of %d cycles", cfg.Cycles/2, cfg.Cycles)
 	}
-	dir := cfg.Dir
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "bcquasi-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
+	dir, err := os.MkdirTemp("", "bcquasi-*")
+	if err != nil {
+		return nil, err
 	}
+	defer os.RemoveAll(dir)
 
 	stream := planQuasi(cfg, opt.Seed)
 	var out []*QuasiPoint

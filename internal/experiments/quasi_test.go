@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -136,6 +138,50 @@ func TestQuasiBenchShape(t *testing.T) {
 	}
 	if back.ID != "quasi" || len(back.Points) != 2 {
 		t.Fatalf("round-trip lost the document: id=%q points=%d", back.ID, len(back.Points))
+	}
+}
+
+// TestQuasiRejectsBadConfig covers the validation edges: a run too short
+// to crash mid-way and a database smaller than one transaction's reads.
+func TestQuasiRejectsBadConfig(t *testing.T) {
+	short := quasiTestConfig()
+	short.Cycles = 1
+	tiny := quasiTestConfig()
+	tiny.Objects = 2
+	for _, tc := range []struct {
+		cfg  QuasiConfig
+		want string
+	}{
+		{short, "crash cycle 0 outside run of 1 cycles"},
+		{tiny, "degenerate quasi config"},
+	} {
+		_, err := QuasiCurrency(Options{}, tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("config %+v: got %v, want error containing %q", tc.cfg, err, tc.want)
+		}
+	}
+}
+
+// TestQuasiLeavesNoScratchDir: the persistent stores live in a temp
+// directory the run removes, crash and all.
+func TestQuasiLeavesNoScratchDir(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	cfg := quasiTestConfig()
+	cfg.CurrencyBounds = []int{0, 4}
+	points, err := QuasiCurrency(Options{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inv := points[1].Series[QuasiSeriesPersistent].PreCrashInventory; inv == 0 {
+		t.Fatal("persistent series stored nothing; the cleanup is untested")
+	}
+	left, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("run left %d entries in the temp directory, first %q", len(left), left[0].Name())
 	}
 }
 

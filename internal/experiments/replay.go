@@ -9,6 +9,17 @@ import "fmt"
 // deployment, so the workload is identical across passes and the only
 // varying factor is the thing under study.
 
+// The grouped and shard studies' fixed workload: the uplink commit rate,
+// the reads per client transaction (one per cycle), the zipf skew θ of
+// both the update and the read access law (quasi shares it), and the
+// timestamp width TS each control entry is priced at on the wire.
+const (
+	replayCommitsPerCycle = 8
+	replayTxnReads        = 4
+	replayTheta           = 0.95
+	replayTimestampBits   = 16
+)
+
 // plannedCommit is one committed server transaction of a plan.
 type plannedCommit struct {
 	readSet  []int

@@ -17,7 +17,8 @@ import (
 // modelled, not sampled.
 
 // ScaleConfig shapes a ScaleStudy run. The zero value means the
-// defaults; tests shrink it.
+// defaults; tests shrink every field. Each client's first transaction
+// is warmup and never measured.
 type ScaleConfig struct {
 	// Clients are the x-values of the sweep. Every count must be >= 1.
 	Clients []int
@@ -26,8 +27,6 @@ type ScaleConfig struct {
 	// Txns is the per-client transaction count (default 3 — at 10^6
 	// clients each extra transaction is five million more events).
 	Txns int
-	// MeasureFrom discards warmup transactions (default 1).
-	MeasureFrom int
 	// Objects is the database size (default 1000).
 	Objects int
 	// Seed seeds every run (default 1).
@@ -43,9 +42,6 @@ func (c ScaleConfig) normalized() ScaleConfig {
 	}
 	if c.Txns == 0 {
 		c.Txns = 3
-	}
-	if c.MeasureFrom == 0 {
-		c.MeasureFrom = 1
 	}
 	if c.Objects == 0 {
 		c.Objects = 1000
@@ -92,7 +88,7 @@ func ScaleStudy(sc ScaleConfig, progress func(format string, args ...any)) (Benc
 			cfg.Objects = sc.Objects
 			cfg.Clients = n
 			cfg.ClientTxns = sc.Txns
-			cfg.MeasureFrom = sc.MeasureFrom
+			cfg.MeasureFrom = 1
 			cfg.Seed = sc.Seed
 			cfg.CompactRNG = true
 			res, err := sim.Run(cfg)

@@ -23,7 +23,7 @@ import (
 // with the conservative diagonal-bounded rule — and read-only clients
 // validate against the per-shard snapshots plus the Router's
 // cross-shard cycle-alignment check. Placement hashes the key-prefix
-// entity (shard.NewPrefixMapping), so the Affinity fraction of
+// entity (shard.NewPrefixMapping), so the shardAffinity fraction of
 // transactions that confine themselves to one entity stay single-shard
 // at every k — the co-location a range-sharded deployment is built
 // around — while the scattered remainder pays the cross-shard
@@ -41,46 +41,37 @@ import (
 // application, no alignment, bit-identical to a single logical server.
 
 // ShardConfig shapes a ShardStudy run. The zero value means the
-// paper-scale defaults (n = 10⁵, 400 cycles, zipf θ = 0.95); tests
-// shrink it.
+// paper-scale run (n = 10⁵, 400 cycles, 64 clients); tests shrink
+// Objects, Cycles, Clients and ShardCounts. The workload itself is fixed
+// by the replay constants (replay.go) and the placement constants below.
 type ShardConfig struct {
 	// Objects is the global database size n.
 	Objects int
 	// Cycles is the broadcast run length.
 	Cycles int
-	// CommitsPerCycle is the uplink commit rate.
-	CommitsPerCycle int
 	// Clients is the number of independent read-only clients per pass.
 	Clients int
-	// TxnReads is the reads per client transaction (one per cycle).
-	TxnReads int
-	// Theta is the zipf skew of both the update and the read access law.
-	Theta float64
 	// ShardCounts are the x-values k to sweep; the first must be 1 (the
 	// unsharded floor every other point is normalized against).
 	ShardCounts []int
-	// Groups is the fleet-wide group budget g: each shard's channel
+}
+
+const (
+	// shardGroups is the fleet-wide group budget g: each shard's channel
 	// carries its proportional slice (g × n_s/n groups), keeping
 	// objects-per-group — the grouping tuning — constant across shard
 	// counts.
-	Groups int
-	// EntityObjects is the key-prefix entity size: the ring places
+	shardGroups = 256
+	// shardEntityObjects is the key-prefix entity size: the ring places
 	// contiguous runs of this many object ids together (see
 	// shard.NewPrefixMapping), so transactions confined to one entity
-	// stay single-shard at every k. 1 disables co-location.
-	EntityObjects int
-	// Affinity is the probability a transaction (uplink commit or
+	// stay single-shard at every k.
+	shardEntityObjects = 64
+	// shardAffinity is the probability a transaction (uplink commit or
 	// client read set) confines itself to a single entity; the rest
 	// scatter across the whole database and almost surely cross shards.
-	// Negative means 0.
-	Affinity float64
-	// MeasureFromCycle discards warmup, mirroring GroupedConfig.
-	MeasureFromCycle int
-	// TimestampBits prices each control entry on the wire.
-	TimestampBits int
-	// Vnodes is the hashring's virtual-node count (0 = default).
-	Vnodes int
-}
+	shardAffinity = 0.9
+)
 
 func (c ShardConfig) normalized() ShardConfig {
 	if c.Objects == 0 {
@@ -89,38 +80,11 @@ func (c ShardConfig) normalized() ShardConfig {
 	if c.Cycles == 0 {
 		c.Cycles = 400
 	}
-	if c.CommitsPerCycle == 0 {
-		c.CommitsPerCycle = 8
-	}
 	if c.Clients == 0 {
 		c.Clients = 64
 	}
-	if c.TxnReads == 0 {
-		c.TxnReads = 4
-	}
-	if c.Theta == 0 {
-		c.Theta = 0.95
-	}
 	if len(c.ShardCounts) == 0 {
 		c.ShardCounts = []int{1, 2, 4, 8}
-	}
-	if c.Groups == 0 {
-		c.Groups = 256
-	}
-	if c.EntityObjects == 0 {
-		c.EntityObjects = 64
-	}
-	if c.Affinity == 0 {
-		c.Affinity = 0.9
-	}
-	if c.Affinity < 0 {
-		c.Affinity = 0
-	}
-	if c.MeasureFromCycle == 0 {
-		c.MeasureFromCycle = c.Cycles / 4
-	}
-	if c.TimestampBits == 0 {
-		c.TimestampBits = 16
 	}
 	return c
 }
@@ -167,28 +131,27 @@ type ShardPoint struct {
 // the deployment.
 func planShard(cfg ShardConfig, seed int64) *plan {
 	rng := rand.New(rand.NewSource(seed))
-	zipf := airsched.NewZipfPicker(cfg.Objects, cfg.Theta)
-	// Entity-affine picks: with probability Affinity a transaction
+	zipf := airsched.NewZipfPicker(cfg.Objects, replayTheta)
+	// Entity-affine picks: with probability shardAffinity a transaction
 	// confines itself to one key-prefix entity (drawn zipf over full
 	// entities, members uniform within), so the same stream is
 	// single-shard for those transactions at every k under the prefix
 	// placement; the rest scatter zipf over the whole database.
-	entity := max(cfg.EntityObjects, 1)
-	fullEntities := cfg.Objects / entity
+	fullEntities := cfg.Objects / shardEntityObjects
 	var entityZipf *airsched.ZipfPicker
 	if fullEntities > 1 {
-		entityZipf = airsched.NewZipfPicker(fullEntities, cfg.Theta)
+		entityZipf = airsched.NewZipfPicker(fullEntities, replayTheta)
 	}
 	pickWithin := func(k int) []int {
-		base := entityZipf.Pick(rng.Float64()) * entity
-		return pickDistinct(k, func() int { return base + rng.Intn(entity) })
+		base := entityZipf.Pick(rng.Float64()) * shardEntityObjects
+		return pickDistinct(k, func() int { return base + rng.Intn(shardEntityObjects) })
 	}
 	pickScattered := func(k int) []int {
 		return pickDistinct(k, func() int { return zipf.Pick(rng.Float64()) })
 	}
-	return newPlan(cfg.Cycles, cfg.CommitsPerCycle, cfg.Clients,
+	return newPlan(cfg.Cycles, replayCommitsPerCycle, cfg.Clients,
 		func() plannedCommit {
-			if entityZipf != nil && rng.Float64() < cfg.Affinity {
+			if entityZipf != nil && rng.Float64() < shardAffinity {
 				// Affine commit: reads and writes inside one entity.
 				objs := pickWithin(4)
 				return plannedCommit{writeSet: objs[:2], readSet: objs[2:]}
@@ -203,10 +166,10 @@ func planShard(cfg ShardConfig, seed int64) *plan {
 		},
 		func() func() []int {
 			return func() []int {
-				if k := cfg.TxnReads; entityZipf != nil && k <= entity && rng.Float64() < cfg.Affinity {
-					return pickWithin(k)
+				if entityZipf != nil && rng.Float64() < shardAffinity {
+					return pickWithin(replayTxnReads)
 				}
-				return pickScattered(cfg.TxnReads)
+				return pickScattered(replayTxnReads)
 			}
 		})
 }
@@ -268,7 +231,7 @@ func (c *shardClient) step(snaps []*cmatrix.Grouped, cur cmatrix.Cycle) (committ
 // runShardPass replays the shared stream against one k-shard deployment
 // and returns the pass's measurements.
 func runShardPass(cfg ShardConfig, stream *plan, seed int64, k int) ShardMetrics {
-	m := shard.NewPrefixMapping(shard.NewRing(seed, k, cfg.Vnodes), cfg.Objects, cfg.EntityObjects)
+	m := shard.NewPrefixMapping(shard.NewRing(seed, k, shard.DefaultVnodes), cfg.Objects, shardEntityObjects)
 	reg := obs.NewRegistry()
 	cBits := reg.Counter("exp_shard_control_bits")
 	cCommits := reg.Counter("exp_shard_txn_commits")
@@ -286,7 +249,7 @@ func runShardPass(cfg ShardConfig, stream *plan, seed int64, k int) ShardMetrics
 		// the k = 1 group budget, so every pass compares the same
 		// control representation, just partitioned.
 		ns := m.Size(s)
-		gs := min(max(cfg.Groups*ns/cfg.Objects, 1), ns)
+		gs := min(max(shardGroups*ns/cfg.Objects, 1), ns)
 		controls[s] = cmatrix.NewGroupedControl(cmatrix.UniformPartition(ns, gs))
 	}
 
@@ -299,7 +262,7 @@ func runShardPass(cfg ShardConfig, stream *plan, seed int64, k int) ShardMetrics
 	measuredCycles := 0
 	for c := 1; c <= cfg.Cycles; c++ {
 		cyc := cmatrix.Cycle(c)
-		measured := c >= cfg.MeasureFromCycle
+		measured := c >= cfg.Cycles/4 // warmup, as in the grouped study
 		if measured {
 			measuredCycles++
 		}
@@ -309,7 +272,7 @@ func runShardPass(cfg ShardConfig, stream *plan, seed int64, k int) ShardMetrics
 		for s := 0; s < k; s++ {
 			snaps[s] = controls[s].Grouped()
 			if measured {
-				cBits.Add(wire.GroupedCycleBits(snaps[s], 0, cfg.TimestampBits, c == 1))
+				cBits.Add(wire.GroupedCycleBits(snaps[s], 0, replayTimestampBits, c == 1))
 			}
 		}
 
@@ -399,7 +362,7 @@ func runShardPass(cfg ShardConfig, stream *plan, seed int64, k int) ShardMetrics
 func ShardStudy(opt Options, cfg ShardConfig) ([]*ShardPoint, error) {
 	opt = opt.normalized()
 	cfg = cfg.normalized()
-	if err := checkReplayConfig(idShard, cfg, cfg.Objects, cfg.TxnReads, cfg.Clients); err != nil {
+	if err := checkReplayConfig(idShard, cfg, cfg.Objects, replayTxnReads, cfg.Clients); err != nil {
 		return nil, err
 	}
 	if cfg.ShardCounts[0] != 1 {

@@ -32,8 +32,8 @@ import (
 //     reconstruction over all loss-hit frames — is the figure the
 //     repair budget is sized by.
 
-// WireConfig shapes a WireStudy run. The zero value means the defaults;
-// tests shrink it.
+// WireConfig shapes a WireStudy run. The zero value means the full-size
+// run; tests shrink every field.
 type WireConfig struct {
 	// Objects is the database size n of the scaling study's server.
 	Objects int
@@ -47,10 +47,15 @@ type WireConfig struct {
 	LossRates []float64
 	// FramesPerCycle is the recovery study's synthetic frame count.
 	FramesPerCycle int
-	// MTU, FECData and FECRepair configure the datagram carrier
-	// (zero = dgram defaults: 1400-byte MTU, 4 data + 2 repair).
-	MTU, FECData, FECRepair int
 }
+
+// wireFECRepair is the carrier's repair packets per FEC group; the MTU
+// and the data packets per group are the dgram defaults (1400 bytes, 4).
+// The study's acceptance bar — recover >= 95% of loss-hit frames at 10%
+// packet loss — needs the full repair budget: with the carrier default
+// (4+2) a K-group survives two erasures and 10% loss kills ~9% of
+// loss-hit frames; 4+3 takes that under 2%.
+const wireFECRepair = 3
 
 func (c WireConfig) normalized() WireConfig {
 	if c.Objects == 0 {
@@ -71,18 +76,7 @@ func (c WireConfig) normalized() WireConfig {
 	if c.FramesPerCycle == 0 {
 		c.FramesPerCycle = 8
 	}
-	if c.FECRepair == 0 {
-		// The study's acceptance bar — recover >= 95% of loss-hit frames
-		// at 10% packet loss — needs the full repair budget: with the
-		// carrier default (4+2) a K-group survives two erasures and 10%
-		// loss kills ~9% of loss-hit frames; 4+3 takes that under 2%.
-		c.FECRepair = 3
-	}
 	return c
-}
-
-func (c WireConfig) dgramConfig(channel uint32) dgram.Config {
-	return dgram.Config{Channel: channel, MTU: c.MTU, FECData: c.FECData, FECRepair: c.FECRepair}
 }
 
 // Series labels of the wire figures.
@@ -155,7 +149,7 @@ func runWireScalingPoint(cfg WireConfig, seed int64, subs int) (WireScalingPoint
 	}
 	defer ns.Close()
 
-	dcfg := cfg.dgramConfig(1)
+	dcfg := dgram.Config{Channel: 1, FECRepair: wireFECRepair}
 	car := dgram.NewSimCarrier()
 	defer car.Close()
 	sender, err := dgram.NewSender(car, dcfg, reg)
@@ -227,7 +221,7 @@ func runWireScalingPoint(cfg WireConfig, seed int64, subs int) (WireScalingPoint
 // a lossy simulated medium and measures delivery with the configured
 // repair budget (fec) or with repair packets disabled (no-fec).
 func runWireFECPoint(cfg WireConfig, seed int64, loss float64, fec bool) (WireFECMetrics, error) {
-	dcfg := cfg.dgramConfig(2)
+	dcfg := dgram.Config{Channel: 2, FECRepair: wireFECRepair}
 	if !fec {
 		dcfg.FECRepair = -1
 	}

@@ -88,17 +88,11 @@ type Options struct {
 	// SparseGrouped switches grouped-layout servers to the sparse BCG1
 	// frame format: each object's MC row is encoded sparsely (or densely
 	// when that is smaller), and the partition travels only in
-	// partition-bearing frames — the first frame, every frame after a
-	// regroup epoch change, and every PartitionEvery cycles. Required
-	// when the server regroups (RegroupEvery > 0): only BCG1 can carry
-	// the resulting non-uniform partitions.
+	// partition-bearing frames — the first frame and every frame after a
+	// regroup epoch change. Required when the server regroups
+	// (RegroupEvery > 0): only BCG1 can carry the resulting non-uniform
+	// partitions.
 	SparseGrouped bool
-
-	// PartitionEvery, when positive with SparseGrouped, re-embeds the
-	// partition every PartitionEvery cycles so late tuners can decode
-	// without waiting for a regroup. Zero embeds it only on the first
-	// frame and at epoch changes.
-	PartitionEvery int
 
 	// WriteTimeout bounds each subscriber socket write; a subscriber
 	// that cannot drain a frame within it is reaped (the broadcast never
@@ -311,8 +305,7 @@ func (s *Server) encodeCycle(cb *bcast.CycleBroadcast) (data []byte, err error) 
 		// The epoch is stable between StartCycle calls, so reading it
 		// after StartCycle pairs it with cb's partition.
 		epoch := s.bsrv.RegroupEpoch()
-		withPart := !s.sentPart || epoch != s.groupedEpoch ||
-			(s.opts.PartitionEvery > 0 && cb.Number%cmatrix.Cycle(s.opts.PartitionEvery) == 0)
+		withPart := !s.sentPart || epoch != s.groupedEpoch
 		data, err = wire.EncodeGroupedCycle(cb, epoch, withPart)
 		if err == nil {
 			s.groupedEpoch, s.sentPart = epoch, true

@@ -109,9 +109,6 @@ func NewGadget(f *sat.Formula) (*Gadget, error) {
 	return g, nil
 }
 
-// Nodes reports the number of transactions in the gadget.
-func (g *Gadget) Nodes() int { return g.n }
-
 // Acyclic reports whether the polygraph family has an acyclic member —
 // i.e. whether the formula is satisfiable (Lemma 8 without the forced
 // variable).

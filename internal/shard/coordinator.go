@@ -167,12 +167,6 @@ func (c *Coordinator) submitTwoShot(perShard []protocol.UpdateRequest, involved 
 		prepared = append(prepared, s)
 	}
 	c.hPrepareNs.Observe(time.Since(t0).Nanoseconds())
-	if crashBetweenShots {
-		// Induced-fault hook (hooks.go): the coordinator "crashes" after
-		// shot one. Prepared shards are left pinned until their TTL
-		// aborts them; the caller sees an error, never a verdict.
-		return fmt.Errorf("shard: coordinator crashed between shots (induced)")
-	}
 	commit := firstErr == nil
 	t1 := time.Now()
 	for _, s := range involved {

@@ -19,8 +19,8 @@ type FleetConfig struct {
 	// database size n; per-shard servers inherit Algorithm, ObjectBits,
 	// TimestampBits, Audit, PrepareTTL, VerifySample and RegroupEvery /
 	// HeatAlpha, with Objects, InitialValues and Groups projected onto
-	// each shard. Base.Obs and Base.Trace are ignored — use Tracers and
-	// ObsSnapshot for fleet observability.
+	// each shard. Base.Obs and Base.Trace are ignored: fleet shards are
+	// untraced and ObsSnapshot is the fleet's observability.
 	Base server.Config
 	// Seed feeds the hashring placement.
 	Seed int64
@@ -30,10 +30,6 @@ type FleetConfig struct {
 	Vnodes int
 	// CallTimeout is passed to the coordinator (see CoordinatorConfig).
 	CallTimeout time.Duration
-	// Tracers, when non-nil, supplies one cycle-clock tracer per shard
-	// (len == Shards) so each shard's event stream stays independently
-	// byte-deterministic.
-	Tracers []*obs.Tracer
 }
 
 // Fleet is k per-shard servers behind one Mapping plus the coordinator
@@ -57,9 +53,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if cfg.Base.Objects < cfg.Shards {
 		return nil, fmt.Errorf("shard: %d objects cannot cover %d shards", cfg.Base.Objects, cfg.Shards)
 	}
-	if cfg.Tracers != nil && len(cfg.Tracers) != cfg.Shards {
-		return nil, fmt.Errorf("shard: %d tracers for %d shards", len(cfg.Tracers), cfg.Shards)
-	}
 	if cfg.Base.Program != nil {
 		return nil, fmt.Errorf("shard: airsched programs are per-shard; build them against each shard's layout instead of FleetConfig.Base")
 	}
@@ -70,9 +63,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		sc.Objects = m.Size(s)
 		sc.Obs = obs.NewRegistry()
 		sc.Trace = nil
-		if cfg.Tracers != nil {
-			sc.Trace = cfg.Tracers[s]
-		}
 		if sc.Groups > sc.Objects {
 			sc.Groups = sc.Objects
 		}

@@ -146,27 +146,36 @@ func TestFleetSingleShardFastPath(t *testing.T) {
 	}
 }
 
-// TestCoordinatorCrashBetweenShots: the induced coordinator crash
+// lostDecisions forwards every prepare to its shard but delivers no
+// decision: what the shards see of a coordinator that crashed between
+// shots.
+type lostDecisions struct {
+	protocol.Participant
+}
+
+func (lostDecisions) DecideUpdate(uint64, bool) error {
+	return errors.New("coordinator crashed between shots")
+}
+
+// TestCoordinatorCrashBetweenShots: a coordinator crash after shot one
 // leaves prepares pinned until each shard's TTL aborts them; no value
 // ever commits and the database stays writable afterwards.
 func TestCoordinatorCrashBetweenShots(t *testing.T) {
 	base := server.Config{Algorithm: protocol.FMatrix, ObjectBits: 64, TimestampBits: 32, PrepareTTL: 2}
-	f, r, pump := testFleet(t, 32, 2, base)
+	f, _, pump := testFleet(t, 32, 2, base)
+	coord, err := NewCoordinator(f.Mapping(),
+		[]protocol.Participant{lostDecisions{f.Node(0)}, lostDecisions{f.Node(1)}}, CoordinatorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	a := objOnShard(t, f.Mapping(), 0)
 	b := objOnShard(t, f.Mapping(), 1)
 	pump()
 
-	restore := SetCrashBetweenShots(true)
-	txn := r.BeginUpdate()
-	if err := txn.Write(a, []byte("lost")); err != nil {
-		t.Fatal(err)
-	}
-	if err := txn.Write(b, []byte("lost")); err != nil {
-		t.Fatal(err)
-	}
-	err := txn.Commit()
-	restore()
-	if err == nil {
+	if err := coord.SubmitUpdate(protocol.UpdateRequest{Writes: []protocol.ObjectWrite{
+		{Obj: a, Value: []byte("lost")},
+		{Obj: b, Value: []byte("lost")},
+	}}); err == nil {
 		t.Fatal("crashed coordinator reported a verdict")
 	}
 	la, lb := f.Mapping().Local(a), f.Mapping().Local(b)

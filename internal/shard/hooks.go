@@ -1,22 +1,8 @@
 package shard
 
-// Test hooks, following the server.SetTraceSkewVector idiom:
-// package-global toggles flipped by differential tests to prove the
+// Test hook, following the server.SetTraceSkewVector idiom: a
+// package-global toggle flipped by differential tests to prove the
 // harness catches the defect class, never set in production paths.
-
-// crashBetweenShots, when true, makes the coordinator return after
-// shot one of every two-shot commit without ever sending a decision —
-// the fault-matrix model of a coordinator crash between shots. The
-// prepared shards stay pinned until their prepare TTL aborts them.
-var crashBetweenShots bool
-
-// SetCrashBetweenShots toggles the coordinator-crash fault and returns
-// a restore function. Tests must call restore (typically via defer).
-func SetCrashBetweenShots(on bool) (restore func()) {
-	prev := crashBetweenShots
-	crashBetweenShots = on
-	return func() { crashBetweenShots = prev }
-}
 
 // alignmentSkip, when true, disables the cross-shard cycle-alignment
 // check on multi-shard read-only commits. The per-shard Theorem 1/2

@@ -377,6 +377,38 @@ func BenchmarkWireDecodeCycle(b *testing.B) {
 	}
 }
 
+// BenchmarkWireViewCycle is BenchmarkWireDecodeCycle as a tuner hears
+// the frame: wire.ViewCycle leaves the control in the frame, and the 16
+// Bound calls are what a read transaction of four objects asks of it.
+// At cycle 1000, past the first 2^8 cycles, where construction scans no
+// entry.
+func BenchmarkWireViewCycle(b *testing.B) {
+	layout := bcast.LayoutFor(protocol.FMatrix, 300, 8192, 8, 0)
+	data, err := wire.EncodeCycle(&bcast.CycleBroadcast{
+		Number: 1000, Layout: layout,
+		Values: make([][]byte, 300),
+		Matrix: cmatrix.NewMatrix(300),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cb, err := wire.ViewCycle(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		snap := cb.Snapshot()
+		for k := 0; k < 16; k++ {
+			if c := snap.Bound(k%4*75, k/4*75); c >= cb.Number {
+				b.Fatalf("C(i, j) = %d in cycle %d", c, cb.Number)
+			}
+		}
+	}
+}
+
 // BenchmarkWireDecodeGroupedCycle measures the client-side decode of the
 // uplink-grouped frame (bench/e2e): n = 512, 64-byte objects and the
 // dense grouped layout with every one of the 512 × 16 MC entries set.

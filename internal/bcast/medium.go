@@ -11,9 +11,10 @@ import (
 // CycleBroadcast is the content of one broadcast cycle as received by a
 // client: the committed values of every object as of the beginning of
 // the cycle plus the control information the configured protocol
-// requires. Exactly one of Matrix / Vector / Grouped is non-nil, except
-// for ControlNone layouts where Matrix carries the (free) F-Matrix-No
-// control information.
+// requires. Exactly one of Matrix / View / Vector / Grouped is non-nil,
+// except for ControlNone layouts where Matrix carries the (free)
+// F-Matrix-No control information. View is matrix control read in place
+// from a received frame (wire.ViewCycle).
 type CycleBroadcast struct {
 	Number cmatrix.Cycle
 	Layout Layout
@@ -23,6 +24,7 @@ type CycleBroadcast struct {
 	Values [][]byte
 
 	Matrix  *cmatrix.Matrix
+	View    MatrixView
 	Vector  *cmatrix.Vector
 	Grouped *cmatrix.Grouped
 
@@ -48,12 +50,21 @@ type CycleBroadcast struct {
 	IndexM int
 }
 
+// MatrixView is F-Matrix control read in place: Bound(i, j) is C(i, j),
+// and Col appends a copy of column j to buf.
+type MatrixView interface {
+	protocol.Snapshot
+	Col(j int, buf []cmatrix.Cycle) []cmatrix.Cycle
+}
+
 // Snapshot returns the protocol.Snapshot a validator should use for
 // reads performed during this cycle: the non-nil control value itself.
 func (cb *CycleBroadcast) Snapshot() protocol.Snapshot {
 	switch {
 	case cb.Matrix != nil:
 		return cb.Matrix
+	case cb.View != nil:
+		return cb.View
 	case cb.Vector != nil:
 		return cb.Vector
 	case cb.Grouped != nil:
@@ -63,14 +74,17 @@ func (cb *CycleBroadcast) Snapshot() protocol.Snapshot {
 	}
 }
 
-// Column returns the F-Matrix control column for object j — what a
-// caching client stores alongside a cached value (Section 3.3). It is
-// only available under matrix layouts.
+// Column returns a copy of the F-Matrix control column for object j —
+// what a caching client stores alongside a cached value (Section 3.3).
+// It is only available under matrix layouts.
 func (cb *CycleBroadcast) Column(j int) protocol.ColumnSnapshot {
-	if cb.Matrix == nil {
-		panic(fmt.Sprintf("bcast: no matrix column available under %v layout", cb.Layout.Control))
+	switch {
+	case cb.Matrix != nil:
+		return protocol.ColumnSnapshot{Obj: j, Col: cb.Matrix.Column(j)}
+	case cb.View != nil:
+		return protocol.ColumnSnapshot{Obj: j, Col: cb.View.Col(j, nil)}
 	}
-	return protocol.ColumnSnapshot{Obj: j, Col: cb.Matrix.Column(j)}
+	panic(fmt.Sprintf("bcast: no matrix column available under %v layout", cb.Layout.Control))
 }
 
 // Medium is the in-process broadcast channel: the server publishes each

@@ -494,7 +494,7 @@ func (t *ReadTxn) Commit() ([]protocol.ReadAt, error) {
 // objects — the broadcast never carried the rest. The value returned is
 // the caller's own copy, and so is the one the cache keeps: a cycle's
 // Values are shared — with the server's committed state in process,
-// with the received frame off a tuner (wire.DecodeCycle) — so nothing
+// with the received frame off a tuner (wire.ViewCycle) — so nothing
 // that outlives the cycle may alias them, and nothing may write them.
 func (c *Client) fetch(obj int) (value []byte, snap protocol.Snapshot, cycle cmatrix.Cycle, cacheHit bool, err error) {
 	if c.cur == nil {
@@ -518,9 +518,9 @@ func (c *Client) fetch(obj int) (value []byte, snap protocol.Snapshot, cycle cma
 	cycle, snap = c.cur.Number, c.cur.Snapshot()
 	if c.cache != nil {
 		// Retain only this object's control slice so the cache cost per
-		// entry matches Section 3.3: one matrix column, or under the
-		// vector layouts the whole (small) vector.
-		if c.cur.Matrix != nil {
+		// entry matches Section 3.3: a copy of one matrix column (never a
+		// view, which pins its frame), else the whole (small) control.
+		if l := c.cur.Layout.Control; l == bcast.ControlMatrix || l == bcast.ControlNone {
 			snap = c.cur.Column(obj)
 		}
 		c.cache.Put(obj, append([]byte(nil), value...), cycle, snap)

@@ -34,7 +34,8 @@ import (
 // Errors are terminal stream corruption.
 type FrameDecoder struct {
 	asm       assembler
-	last      *bcast.CycleBroadcast
+	last      *bcast.CycleBroadcast // a delta's base, or nil while it is lastFull
+	lastFull  []byte                // a BCC1 frame, decoded only if a delta follows
 	lastPart  *cmatrix.Partition
 	lastEpoch uint64
 }
@@ -45,7 +46,7 @@ func NewFrameDecoder() *FrameDecoder {
 }
 
 // Decode consumes one wire frame, returning a completed cycle when the
-// frame finished one. The cycle's Values alias frame (wire.DecodeCycle):
+// frame finished one. The cycle's Values alias frame (wire.ViewCycle):
 // the caller gives the buffer up, as ReadFrame and dgram.Reassembler do.
 func (d *FrameDecoder) Decode(frame []byte) (*bcast.CycleBroadcast, error) {
 	switch kind := wire.KindOf(frame); kind {
@@ -64,6 +65,10 @@ func (d *FrameDecoder) Decode(frame []byte) (*bcast.CycleBroadcast, error) {
 		d.lastPart, d.lastEpoch = cb.Grouped.Part(), epoch
 		return cb, nil
 	case wire.KindDelta:
+		if d.lastFull != nil {
+			d.last, _ = wire.DecodeCycle(d.lastFull) // ViewCycle accepted it
+			d.lastFull = nil
+		}
 		if d.last == nil {
 			return nil, nil // tuned in mid-stream: wait for the next full frame
 		}
@@ -83,14 +88,14 @@ func (d *FrameDecoder) Decode(frame []byte) (*bcast.CycleBroadcast, error) {
 		}
 		// A subset view cannot seed a delta chain: its unsubscribed
 		// columns are poison, not state.
-		d.last = nil
+		d.last, d.lastFull = nil, nil
 		return sc.Broadcast()
 	case wire.KindCycle:
-		cb, err := wire.DecodeCycle(frame)
+		cb, err := wire.ViewCycle(frame)
 		if err != nil {
 			return nil, err
 		}
-		d.last = cb
+		d.last, d.lastFull = nil, frame
 		return cb, nil
 	default:
 		return nil, fmt.Errorf("netcast: %v frame on the broadcast stream", kind)

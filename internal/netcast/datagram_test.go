@@ -257,8 +257,8 @@ func TestOverflowReapThenRetune(t *testing.T) {
 				for {
 					select {
 					case cb := <-sub.C:
-						if len(cb.Values) != n || cb.Matrix == nil {
-							t.Fatalf("cycle %d arrived incomplete: %d values, matrix %v", cb.Number, len(cb.Values), cb.Matrix != nil)
+						if len(cb.Values) != n || cb.Matrix == nil && cb.View == nil {
+							t.Fatalf("cycle %d arrived incomplete: %d values, matrix %v, view %v", cb.Number, len(cb.Values), cb.Matrix != nil, cb.View != nil)
 						}
 						if cb.Number > after {
 							return cb.Number

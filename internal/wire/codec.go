@@ -117,6 +117,19 @@ func getCycle(b []byte) (cmatrix.Cycle, error) {
 	return n, nil
 }
 
+// getHead is the guard the cycle-carrying kinds open with: check, then
+// the cycle number at cycleAt and the dimension run at dimsAt.
+func getHead(k Kind, data []byte, cycleAt, dimsAt, form int) (number cmatrix.Cycle, l bcast.Layout, err error) {
+	if err = k.check(data); err != nil {
+		return 0, l, err
+	}
+	if number, err = getCycle(data[cycleAt:]); err != nil {
+		return 0, l, err
+	}
+	l, err = getDims(data[dimsAt:], form)
+	return number, l, err
+}
+
 // The dimension run (objects 4 bytes, objBytes 4, tsBits 1) that five
 // frame kinds carry comes in three forms.
 const (
@@ -213,6 +226,8 @@ func Column(cb *bcast.CycleBroadcast, j int, buf []cmatrix.Cycle) ([]cmatrix.Cyc
 	switch {
 	case l.Control == bcast.ControlMatrix && cb.Matrix != nil:
 		buf = append(buf, cb.Matrix.Col(j)...)
+	case l.Control == bcast.ControlMatrix && cb.View != nil:
+		buf = append(buf, cb.View.Col(j, nil)...) // buf must not escape: PatchCycle's is on its stack
 	case l.Control == bcast.ControlVector && cb.Vector != nil:
 		buf = append(buf, cb.Vector.At(j))
 	case l.Control == bcast.ControlGrouped && cb.Grouped != nil:

@@ -109,18 +109,11 @@ func slotEqual(a, b []byte) bool {
 // and the previous reconstruction. prev is not modified. Changed values
 // alias data, as DecodeCycle's do.
 func DecodeCycleDelta(data []byte, prev *bcast.CycleBroadcast) (*bcast.CycleBroadcast, error) {
-	if err := KindDelta.check(data); err != nil {
-		return nil, err
-	}
-	number, err := getCycle(data[4:12])
+	number, layout, err := getHead(KindDelta, data, 4, 20, dimsMatrix)
 	if err != nil {
 		return nil, err
 	}
 	base := cmatrix.Cycle(binary.BigEndian.Uint64(data[12:20]))
-	layout, err := getDims(data[20:], dimsMatrix)
-	if err != nil {
-		return nil, err
-	}
 	objects, objBytes, tsBits := layout.Objects, objBytesOf(layout), layout.TimestampBits
 	nValues := int(binary.BigEndian.Uint32(data[29:33]))
 	nEntries := int(binary.BigEndian.Uint32(data[33:37]))

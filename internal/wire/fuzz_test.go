@@ -2,7 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"broadcastcc/internal/bcast"
@@ -50,6 +53,87 @@ func FuzzDecodeCycle(f *testing.F) {
 		}
 		if again.Number != decoded.Number || len(again.Values) != len(decoded.Values) {
 			t.Fatal("decode/encode/decode unstable")
+		}
+	})
+}
+
+// FuzzCycleView holds ViewCycle to its oracle, DecodeCycle: on every
+// input both refuse, with the same error, or both accept, and then the
+// view answers every Bound(i, j) and Col(j) as the decoded matrix does,
+// and the values are the same windows onto the frame.
+func FuzzCycleView(f *testing.F) {
+	mk := func(number cmatrix.Cycle, n, tsBits int) []byte {
+		cb := &bcast.CycleBroadcast{
+			Number: number, Layout: bcast.LayoutFor(protocol.FMatrix, n, 16, tsBits, 0),
+			Values: make([][]byte, n), Matrix: cmatrix.NewMatrix(n),
+		}
+		frame, err := EncodeCycle(cb)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return frame
+	}
+	for _, seed := range [][]byte{mk(7, 3, 8), {}, []byte("BCC1 garbage"), overflowCycleHeader()} {
+		f.Add(seed)
+	}
+	vec, err := EncodeCycle(&bcast.CycleBroadcast{
+		Number: 2, Layout: bcast.LayoutFor(protocol.RMatrix, 2, 8, 8, 0),
+		Values: [][]byte{{9}, {8}}, Vector: cmatrix.NewVector(2),
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(vec)
+	// C(1, 2) = 200 on the air: before cycle 0 at cycle 7 (refused), a
+	// real cycle at 300, past the first 2^8 cycles (accepted).
+	early := mk(7, 3, 8)
+	early[headerBytes+2*(2+3)+2+1] = 200
+	late := append([]byte(nil), early...)
+	binary.BigEndian.PutUint64(late[4:12], 300)
+	if _, err := DecodeCycle(early); err == nil {
+		f.Fatal("a timestamp before cycle 0 decoded")
+	}
+	if cb, err := DecodeCycle(late); err != nil || cb.Matrix.At(1, 2) != 200 {
+		f.Fatalf("cycle 300's C(1, 2): %v", err)
+	}
+	f.Add(early)
+	f.Add(late)
+	f.Add(mk(40, 5, 5))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, errD := DecodeCycle(data)
+		got, errV := ViewCycle(data)
+		if errD != nil || errV != nil {
+			if errD == nil || errV == nil || errD.Error() != errV.Error() {
+				t.Fatalf("DecodeCycle: %v; ViewCycle: %v", errD, errV)
+			}
+			return
+		}
+		if got.Number != want.Number || got.Layout != want.Layout || len(got.Values) != len(want.Values) {
+			t.Fatalf("view %d %+v %d values, decoded %d %+v %d", got.Number, got.Layout, len(got.Values), want.Number, want.Layout, len(want.Values))
+		}
+		for j, v := range got.Values {
+			if w := want.Values[j]; len(v) != len(w) || cap(v) != cap(w) || &v[0] != &w[0] {
+				t.Fatalf("value %d is not DecodeCycle's window onto the frame", j)
+			}
+		}
+		if want.Matrix == nil {
+			if got.View != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v layout: ViewCycle did not decode as DecodeCycle does", want.Layout.Control)
+			}
+			return
+		}
+		if got.Matrix != nil || got.View == nil {
+			t.Fatal("matrix layout without a view")
+		}
+		for j := range got.Values {
+			if col := got.View.Col(j, []cmatrix.Cycle{-1}); !slices.Equal(col[1:], want.Matrix.Col(j)) || col[0] != -1 {
+				t.Fatalf("Col(%d) = %v, want %v after the -1 it was given", j, col, want.Matrix.Col(j))
+			}
+			for i := range got.Values {
+				if b := got.View.Bound(i, j); b != want.Matrix.At(i, j) {
+					t.Fatalf("Bound(%d, %d) = %d, want %d", i, j, b, want.Matrix.At(i, j))
+				}
+			}
 		}
 	})
 }

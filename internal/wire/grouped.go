@@ -168,7 +168,8 @@ func GroupedCycleBits(g *cmatrix.Grouped, objBytes, tsBits int, includePartition
 // returned epoch tells the caller which epoch to associate with the
 // frame's partition. Values alias data, as DecodeCycle's do.
 func DecodeGroupedCycle(data []byte, prevPart *cmatrix.Partition, prevEpoch uint64) (cb *bcast.CycleBroadcast, epoch uint64, err error) {
-	if err := KindGrouped.check(data); err != nil {
+	number, layout, err := getHead(KindGrouped, data, 5, 21, dimsGrouped)
+	if err != nil {
 		return nil, 0, err
 	}
 	flags := data[4]
@@ -176,15 +177,7 @@ func DecodeGroupedCycle(data []byte, prevPart *cmatrix.Partition, prevEpoch uint
 		return nil, 0, fmt.Errorf("wire: unknown grouped flags %#x", flags)
 	}
 	hasPart := flags&groupedFlagPartition != 0
-	number, err := getCycle(data[5:13])
-	if err != nil {
-		return nil, 0, err
-	}
 	epoch = binary.BigEndian.Uint64(data[13:21])
-	layout, err := getDims(data[21:], dimsGrouped)
-	if err != nil {
-		return nil, 0, err
-	}
 	objects, objBytes, tsBits, groups := layout.Objects, objBytesOf(layout), layout.TimestampBits, layout.Groups
 	// Every object costs at least its value slot plus one aligned byte of
 	// control (mode bit + count); rejecting shorter frames up front bounds

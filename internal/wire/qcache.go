@@ -302,14 +302,7 @@ func EncodeSubsetCycle(sc *SubsetCycle) ([]byte, error) {
 // DecodeSubsetCycle parses a subset cycle frame; the frame length must
 // match the header exactly. Values alias data, as DecodeCycle's do.
 func DecodeSubsetCycle(data []byte) (*SubsetCycle, error) {
-	if err := KindSubset.check(data); err != nil {
-		return nil, err
-	}
-	number, err := getCycle(data[4:12])
-	if err != nil {
-		return nil, err
-	}
-	l, err := getDims(data[12:], dimsMatrix)
+	number, l, err := getHead(KindSubset, data, 4, 12, dimsMatrix)
 	if err != nil {
 		return nil, err
 	}
@@ -324,22 +317,15 @@ func DecodeSubsetCycle(data []byte) (*SubsetCycle, error) {
 		return nil, err
 	}
 	r := NewBitReader(data[subsetHeaderBytes:])
-	for k := 0; k < count; k++ {
-		ob, err := r.ReadBits(32)
-		if err != nil {
-			return nil, err
-		}
-		o := int(ob)
-		if o < 0 || o >= sc.Objects {
+	for k := 0; k < count; k++ { // wantLen: every read below is in bounds
+		o := int(r.get(32))
+		if o >= sc.Objects {
 			return nil, fmt.Errorf("wire: subset object %d out of range [0,%d)", o, sc.Objects)
 		}
 		if k > 0 && o <= sc.Objs[k-1] {
 			return nil, fmt.Errorf("wire: subset objects not strictly ascending at index %d", k)
 		}
-		v, err := r.ReadBytes(sc.ObjBytes)
-		if err != nil {
-			return nil, err
-		}
+		v, _ := r.ReadBytes(sc.ObjBytes)
 		col := make([]cmatrix.Cycle, sc.Objects)
 		if err := getColumn(r, col, sc.TsBits, number); err != nil {
 			return nil, err
@@ -357,22 +343,20 @@ func DecodeSubsetCycle(data []byte) (*SubsetCycle, error) {
 // validation that touches an unsubscribed object conservatively fails
 // (bound >= cycle) rather than silently accepting a read the frame
 // never carried. Unsubscribed value slots are nil — the client layer
-// must refuse to serve them (Config.Subset).
+// must refuse to serve them (Config.Subset). The matrix adopts
+// sc.Columns and shares one poison column, so it costs O(count·n).
 func (sc *SubsetCycle) Broadcast() (*bcast.CycleBroadcast, error) {
 	cols := make([][]cmatrix.Cycle, sc.Objects)
 	values := make([][]byte, sc.Objects)
 	poison := make([]cmatrix.Cycle, sc.Objects)
-	for i := range poison {
-		poison[i] = sc.Number
-	}
 	for j := range cols {
-		cols[j] = poison
+		poison[j], cols[j] = sc.Number, poison
 	}
 	for k, o := range sc.Objs {
 		cols[o] = sc.Columns[k]
 		values[o] = sc.Values[k]
 	}
-	m, err := cmatrix.MatrixFromColumns(cols)
+	m, err := cmatrix.MatrixOver(cols)
 	if err != nil {
 		return nil, err
 	}

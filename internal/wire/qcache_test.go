@@ -186,6 +186,46 @@ func TestSubsetBroadcastView(t *testing.T) {
 	}
 }
 
+// TestSubsetBroadcastAllocs: a BCQ3 frame of count objects costs its
+// tuner O(count·n), whatever n it claims. A 286-byte frame listing one
+// object of n = 2048 made Broadcast clone the full n × n matrix, 32 MiB;
+// now the matrix adopts the decoded column and one shared poison column.
+func TestSubsetBroadcastAllocs(t *testing.T) {
+	const n, count, number = 2048, 1, 5
+	col := make([]cmatrix.Cycle, n)
+	for i := range col {
+		col[i] = number - 1 // what 1-bit timestamps carry exactly
+	}
+	frame, err := EncodeSubsetCycle(&SubsetCycle{Number: number, Objects: n, ObjBytes: 1, TsBits: 1,
+		Objs: []int{7}, Values: [][]byte{{1}}, Columns: [][]cmatrix.Cycle{col}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cb *bcast.CycleBroadcast
+	size := allocatedBy(func() {
+		var sc *SubsetCycle
+		if sc, err = DecodeSubsetCycle(frame); err == nil {
+			cb, err = sc.Broadcast()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The columns with room for one more, two n-long header slices
+	// (values, columns), the matrix's shared marks and 4 KiB for the rest.
+	if limit := uint64((count+2)*n*8 + 2*n*24 + n + 4<<10); size > limit {
+		t.Errorf("a %d-byte frame of %d object(s) of %d allocated %d bytes; want <= %d", len(frame), count, n, size, limit)
+	}
+	for i := 0; i < n; i += 97 {
+		if got := cb.Matrix.At(i, 7); got != col[i] {
+			t.Fatalf("C(%d, 7) = %d, want %d", i, got, col[i])
+		}
+		if got := cb.Matrix.At(i, 8); got != number {
+			t.Fatalf("unsubscribed C(%d, 8) = %d, want the poison %d", i, got, number)
+		}
+	}
+}
+
 func FuzzCacheRecordCodec(f *testing.F) {
 	f.Add(EncodeCacheRecord(CacheRecord{Kind: CachePut, Obj: 1, Cycle: 5, Value: []byte("x"), Col: []cmatrix.Cycle{1, 2}}))
 	f.Add(EncodeCacheRecord(CacheRecord{Kind: CacheDelete, Obj: 0, Cycle: 2}))

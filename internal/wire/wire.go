@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"broadcastcc/internal/bcast"
 	"broadcastcc/internal/cmatrix"
@@ -117,6 +118,16 @@ func PatchCycle(prev []byte, cb *bcast.CycleBroadcast) (frame []byte, patched bo
 	return frame, true, nil
 }
 
+// cycleHead is the guard DecodeCycle and ViewCycle share: a BCC1
+// frame's header, and a length exactly what it describes.
+func cycleHead(data []byte) (cmatrix.Cycle, bcast.Layout, error) {
+	number, l, err := getHead(KindCycle, data, 4, 12, dimsFull)
+	if err == nil {
+		err = wantLen(data, headerBytes, int64(l.Objects), recordBytes(l))
+	}
+	return number, l, err
+}
+
 // DecodeCycle reconstructs a broadcast cycle from its encoding. The
 // returned broadcast's control structures hold unwrapped cycle numbers
 // (conservatively aliased when older than the codec window, see getTS).
@@ -125,21 +136,11 @@ func PatchCycle(prev []byte, cb *bcast.CycleBroadcast) (frame []byte, patched bo
 // must not write to it or reuse it afterwards — and whoever keeps a
 // value beyond the cycle copies it out, or it pins the whole frame.
 func DecodeCycle(data []byte) (*bcast.CycleBroadcast, error) {
-	if err := KindCycle.check(data); err != nil {
-		return nil, err
-	}
-	number, err := getCycle(data[4:12])
-	if err != nil {
-		return nil, err
-	}
-	layout, err := getDims(data[12:], dimsFull)
+	number, layout, err := cycleHead(data)
 	if err != nil {
 		return nil, err
 	}
 	n, entries, objBytes, tsBits := layout.Objects, columnEntries(layout), objBytesOf(layout), layout.TimestampBits
-	if err := wantLen(data, headerBytes, int64(n), recordBytes(layout)); err != nil {
-		return nil, err
-	}
 
 	cb := &bcast.CycleBroadcast{Number: number, Layout: layout, Values: make([][]byte, n)}
 	r := NewBitReader(data[headerBytes:])
@@ -171,4 +172,77 @@ func DecodeCycle(data []byte) (*bcast.CycleBroadcast, error) {
 		return nil, err
 	}
 	return cb, nil
+}
+
+// ViewCycle is DecodeCycle for a tuner, accepting exactly its frames.
+// Under matrix control the n² timestamps stay in the frame, read by the
+// cycle's View when asked, so a client pays for what it reads (Section
+// 3.2.1). Values and view alias data. Other layouts decode in full.
+func ViewCycle(data []byte) (*bcast.CycleBroadcast, error) {
+	number, l, err := cycleHead(data)
+	if err != nil || l.Control != bcast.ControlMatrix {
+		return DecodeCycle(data)
+	}
+	rec, objBytes := int(recordBytes(l)), objBytesOf(l)
+	v := &CycleView{frame: data, n: l.Objects, rec: rec, ctl: headerBytes + objBytes, tsBits: l.TimestampBits,
+		ref: number - 1, mask: cmatrix.Codec{Bits: l.TimestampBits}.Mod() - 1}
+	// An entry unwraps before cycle 0 iff it exceeds the reference, which
+	// a reference past the first 2^tsBits − 1 cycles never is.
+	for j := 0; j < v.n && v.ref < v.mask; j++ {
+		for i := 0; i < v.n; i++ {
+			if raw := v.raw(i, j); raw > v.ref {
+				return nil, errBeforeCycle0(uint64(raw))
+			}
+		}
+	}
+	cb := &bcast.CycleBroadcast{Number: number, Layout: l, Values: make([][]byte, l.Objects), View: v}
+	for j := range cb.Values {
+		cb.Values[j] = data[headerBytes+j*rec:][:objBytes:objBytes]
+	}
+	return cb, nil
+}
+
+// CycleView is the F-Matrix control of a BCC1 frame, read in place:
+// records are fixed-size and byte-aligned, so C(i, j) is the field at
+// bit i·tsBits of the column behind value j, unwrapped as getTS does.
+// It pins the whole frame; what outlives the cycle copies a column out.
+type CycleView struct {
+	frame               []byte
+	n, rec, ctl, tsBits int           // objects, record bytes, offset of column 0, width
+	ref, mask           cmatrix.Cycle // cycle number − 1, 2^tsBits − 1
+}
+
+// raw is the wrapped timestamp C(i, j) as it sits on the air.
+func (v *CycleView) raw(i, j int) cmatrix.Cycle {
+	col := v.frame[v.ctl+j*v.rec:]
+	if v.tsBits == 8 { // Table 1's width: one entry, one byte
+		return cmatrix.Cycle(col[i])
+	}
+	p := i * v.tsBits
+	r := BitReader{buf: col[p/8:]}
+	r.get(p % 8)
+	return cmatrix.Cycle(r.get(v.tsBits))
+}
+
+// Bound is C(i, j): CycleView implements protocol.Snapshot.
+func (v *CycleView) Bound(i, j int) cmatrix.Cycle {
+	if uint(i) >= uint(v.n) || uint(j) >= uint(v.n) {
+		panic(fmt.Sprintf("wire: C(%d, %d) outside a %d-object view", i, j, v.n))
+	}
+	return v.ref - (v.ref-v.raw(i, j))&v.mask
+}
+
+// Col appends a copy of column j, C(·, j), to buf.
+func (v *CycleView) Col(j int, buf []cmatrix.Cycle) []cmatrix.Cycle {
+	buf = slices.Grow(buf, v.n)
+	if v.tsBits == 8 {
+		for _, x := range v.frame[v.ctl+j*v.rec:][:v.n] {
+			buf = append(buf, v.ref-(v.ref-cmatrix.Cycle(x))&v.mask)
+		}
+		return buf
+	}
+	for i := 0; i < v.n; i++ {
+		buf = append(buf, v.ref-(v.ref-v.raw(i, j))&v.mask)
+	}
+	return buf
 }

@@ -64,10 +64,12 @@ fuzz-smoke:
 	done
 
 # Micro-benchmarks only (matrix apply/snapshot, wire codec, validator,
-# StartCycle; the sparse and grouped control's commit and publish).
+# StartCycle; the sparse and grouped control's commit and publish; one
+# cycle of cache traffic through the persistent store).
 bench:
 	$(GO) test -run '^$$' -bench 'Matrix|Snapshot|Validator|Wire|StartCycle' -benchtime 100x
 	$(GO) test -run '^$$' -bench 'Apply|Snapshot' -benchtime 100x ./internal/cmatrix
+	$(GO) test -run '^$$' -bench 'CacheCycle' -benchtime 100x ./internal/qcache
 
 # The wall-clock benchmark (BENCHMARK.json, ~8 min) followed by its
 # regression table against the committed baseline. A report, not a

@@ -2,6 +2,8 @@ package client
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -88,6 +90,50 @@ func TestPersistentCacheSurvivesRestart(t *testing.T) {
 		if c2.obs.Counter("client_cache_revalidated").Load() != 2 {
 			t.Fatalf("%v: revalidated = %d, want 2", alg, c2.obs.Counter("client_cache_revalidated").Load())
 		}
+	}
+}
+
+// TestCacheFlushesAtCycleEdge: misses inside a cycle only buffer their
+// records — the log on disk does not grow — and the next cycle's arrival
+// writes them, so a process abandoned after it recovers every entry.
+func TestCacheFlushesAtCycleEdge(t *testing.T) {
+	dir := t.TempDir()
+	srv, c, _ := newPersistentPair(t, protocol.FMatrix, 4, dir, Config{})
+	commitWrite(t, srv, 0, "alpha")
+	srv.StartCycle()
+	c.AwaitCycle()
+	logBytes := func() int64 {
+		segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.bcq"))
+		var n int64
+		for _, seg := range segs {
+			if st, err := os.Stat(seg); err == nil {
+				n += st.Size()
+			}
+		}
+		return n
+	}
+	before := logBytes()
+	txn := c.BeginReadOnly()
+	for _, obj := range []int{0, 1, 2} {
+		if _, err := txn.Read(obj); err != nil {
+			t.Fatalf("read %d: %v", obj, err)
+		}
+	}
+	txn.Commit()
+	if after := logBytes(); after != before {
+		t.Fatalf("the log grew from %d to %d bytes inside a cycle", before, after)
+	}
+	srv.StartCycle()
+	c.AwaitCycle()
+	// No Close: a cold open of the same directory sees what the cycle
+	// edge wrote.
+	re, err := qcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if inv := re.Inventory(); len(inv) != 3 || string(inv[0].Value) != "alpha" {
+		t.Fatalf("cold reopen after the cycle edge recovered %d entries (%v), want 3", len(inv), inv)
 	}
 }
 

@@ -12,10 +12,11 @@ import (
 // in and the control information retained to validate it, served while
 // the entry is within its currency bound. Eviction is
 // least-recently-cached. With a Store attached every mutation writes
-// through, so the on-disk inventory tracks the in-memory one record for
-// record. A snapshot handed to Put is never modified and is returned by
-// Get as the same interface value, so a validator may retain it and a
-// hit allocates nothing. Not safe for concurrent use.
+// through, so the store's inventory tracks the in-memory one record for
+// record, and the disk catches up at every Expire. A snapshot handed to
+// Put is never modified and is returned by Get as the same interface
+// value, so a validator may retain it and a hit allocates nothing. Not
+// safe for concurrent use.
 type Cache struct {
 	max        int
 	currencyOf func(obj int) cmatrix.Cycle
@@ -42,8 +43,9 @@ type cacheEntry struct {
 // Init configures an empty cache: at most max entries (0 = unlimited),
 // currencyOf(obj) the bound T in cycles an entry of obj may be served
 // for, store the optional write-through tier, and onStoreErr called
-// once per record the store failed to write (the in-memory cache stays
-// authoritative). It must be called once, before any other method.
+// once per record the store refused and once per failed flush (the
+// in-memory cache stays authoritative). It must be called once, before
+// any other method.
 func (c *Cache) Init(max int, currencyOf func(obj int) cmatrix.Cycle, store *Store, onStoreErr func()) {
 	*c = Cache{max: max, currencyOf: currencyOf, store: store, onStoreErr: onStoreErr, entries: map[int]*cacheEntry{}}
 	c.order.prev, c.order.next = &c.order, &c.order
@@ -149,7 +151,7 @@ func (c *Cache) Remove(obj int) {
 // how many were kept and dropped. It is both the per-cycle expiry and
 // the revalidation of a recovered inventory against the first cycle
 // heard: only genuinely stale entries go, however many cycles were
-// missed in between.
+// missed in between. It is also the cycle edge: it flushes the store.
 func (c *Cache) Expire(now cmatrix.Cycle) (kept, dropped int64) {
 	for e := c.order.next; e != &c.order; {
 		next := e.next
@@ -158,6 +160,9 @@ func (c *Cache) Expire(now cmatrix.Cycle) (kept, dropped int64) {
 			dropped++
 		}
 		e = next
+	}
+	if c.store != nil {
+		c.storeErr(c.store.Flush())
 	}
 	return int64(len(c.entries)), dropped
 }

@@ -255,12 +255,48 @@ func TestCacheRecoverKeepsNewest(t *testing.T) {
 	sameInventory(t, store.Inventory(), inv)
 }
 
+// BenchmarkCacheCycle is one read-cached cycle of cache traffic: 256
+// reads over 64 objects through a 48-entry currency-8 cache with a
+// store, every miss a Put of a 64-byte value and a 64-entry column (and
+// at the cap an eviction), then the cycle edge's Expire.
+func BenchmarkCacheCycle(b *testing.B) {
+	const objects, reads = 64, 256
+	store, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	bound := cmatrix.Cycle(8)
+	c := newTestCache(48, &bound, store, func() { b.Fatal("store write failed") })
+	value, col := make([]byte, 64), make([]cmatrix.Cycle, objects)
+	snaps := make([]protocol.Snapshot, objects)
+	for obj := range snaps {
+		snaps[obj] = colSnap(obj, col...)
+	}
+	rng := rand.New(rand.NewSource(7))
+	ids := make([]int, 64*reads)
+	for i := range ids {
+		ids[i] = rng.Intn(objects)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now := cmatrix.Cycle(i + 1)
+		for _, obj := range ids[i%64*reads:][:reads] {
+			if _, _, _, ok := c.Get(obj, now); !ok {
+				c.Put(obj, value, now, snaps[obj])
+			}
+		}
+		c.Expire(now)
+	}
+}
+
 // TestCacheFailingStore: once the store's write budget runs out, every
 // record it fails to write is reported exactly once and the in-memory
 // cache carries on unharmed.
 func TestCacheFailingStore(t *testing.T) {
 	value, col := []byte("value"), []cmatrix.Cycle{1, 2, 3}
-	recLen := int64(len(frameRecord(wire.CacheRecord{Kind: wire.CachePut, Obj: 0, Cycle: 1, Value: value, Col: col})))
+	recLen := int64(4 + wire.CacheRecordSize(wire.CacheRecord{Kind: wire.CachePut, Obj: 0, Cycle: 1, Value: value, Col: col}))
 	store, err := OpenOptions(t.TempDir(), Options{WriteBudget: 2*recLen + recLen/2})
 	if err != nil {
 		t.Fatal(err)

@@ -5,21 +5,25 @@
 // kill, revalidates its inventory against the next control snapshot it
 // hears instead of re-reading the database off the air.
 //
-// The store is an append-only log of checksummed BCQ1 records in
-// numbered segment files. Every mutation is a record append; recovery
-// replays segments in order, later records superseding earlier ones,
-// and truncates each segment at its first torn or corrupt record — the
-// recovered inventory is exactly the longest valid prefix of what was
-// durably written. Compaction writes the live inventory into a fresh
-// segment via tmp + fsync + rename (atomic on POSIX), then removes the
-// superseded segments; a crash at any point leaves either the old or
-// the new segment set, never a mix that decodes wrongly.
+// The store is an append-only log of length-framed, FNV-1a-checksummed
+// BCQ1 records in numbered segment files. A mutation encodes a record
+// into a buffer that Flush writes in one write: once per cycle (from
+// Cache.Expire), when full, and on rotate, Sync and Close. A crash loses
+// at most the records put since the last flush: recovery replays
+// segments in order, later records superseding earlier ones, and
+// truncates each at its first torn or corrupt record, so the recovered
+// inventory is a prefix of what was put. Compaction writes the live
+// inventory into a fresh segment via tmp + fsync + rename (atomic on
+// POSIX), then removes the superseded segments; a crash at any point
+// leaves either the old or the new segment set, never a mix.
 package qcache
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -41,6 +45,9 @@ var errFailpoint = errors.New("qcache: failpoint write budget exhausted")
 // larger in a segment is treated as corruption, not an allocation.
 const maxRecordBytes = 16 << 20
 
+// bufBytes is the capacity of the buffer records wait in for a flush.
+const bufBytes = 8 << 10
+
 // segPrefix/segSuffix name segment files: seg-000042.bcq.
 const (
 	segPrefix = "seg-"
@@ -61,10 +68,10 @@ type Options struct {
 	// this size (0 = default 4 MiB).
 	MaxSegmentBytes int64
 	// WriteBudget, when positive, is a failpoint: the store may write
-	// at most this many bytes in total, byte-exactly — the write that
-	// crosses the budget is truncated at the boundary and fails, and
-	// every later write fails immediately. It simulates a kill -9 at an
-	// arbitrary byte offset for the crash-recovery test matrix.
+	// at most this many bytes in total, byte-exactly — the record that
+	// crosses the budget is cut at the boundary and its mutation fails,
+	// and every later one fails immediately. It simulates a kill -9 at
+	// an arbitrary byte offset for the crash-recovery test matrix.
 	WriteBudget int64
 }
 
@@ -74,10 +81,11 @@ type Store struct {
 	dir    string
 	opts   Options
 	f      *os.File
-	seg    int   // active segment index
-	size   int64 // bytes appended to the active segment
+	seg    int    // active segment index
+	size   int64  // bytes appended to the active segment, buffered included
+	buf    []byte // framed records not yet written; cap bufBytes unless a larger record grew it
 	inv    map[int]Entry
-	budget int64 // remaining failpoint bytes (-1 = unlimited)
+	budget int64 // remaining failpoint bytes
 	closed bool
 }
 
@@ -92,7 +100,7 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("qcache: %w", err)
 	}
-	s := &Store{dir: dir, opts: opts, inv: map[int]Entry{}, budget: -1}
+	s := &Store{dir: dir, opts: opts, buf: make([]byte, 0, bufBytes), inv: map[int]Entry{}, budget: math.MaxInt64}
 	if opts.WriteBudget > 0 {
 		s.budget = opts.WriteBudget
 	}
@@ -213,46 +221,68 @@ func (s *Store) Delete(obj int) error {
 	return nil
 }
 
-// append frames and writes one record to the active segment, rotating
-// first when the segment is full.
+// append buffers one record for the active segment, rotating first
+// when the segment is full.
 func (s *Store) append(rec wire.CacheRecord) error {
 	if s.size >= s.opts.MaxSegmentBytes {
 		if err := s.rotate(); err != nil {
 			return err
 		}
 	}
-	n, err := s.write(s.f, frameRecord(rec))
+	n, err := s.add(s.f, rec)
 	s.size += int64(n)
 	return err
 }
 
-// frameRecord encodes one record as it lies in a segment: a 4-byte
-// big-endian payload length, then the BCQ1 payload.
-func frameRecord(rec wire.CacheRecord) []byte {
-	payload := wire.EncodeCacheRecord(rec)
-	buf := make([]byte, 0, 4+len(payload))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	return append(buf, payload...)
+// add frames rec into the buffer bound for f — a 4-byte big-endian
+// payload length, then the BCQ1 payload — writing the buffer out first
+// if it would not fit, and reports the bytes buffered. The failpoint
+// budget is charged here: the record that crosses it is cut at the
+// boundary, the buffer written, and add fails — a crash mid-record.
+func (s *Store) add(f *os.File, rec wire.CacheRecord) (int, error) {
+	n := 4 + wire.CacheRecordSize(rec)
+	if len(s.buf)+n > cap(s.buf) {
+		if err := s.write(f); err != nil {
+			return 0, err
+		}
+	}
+	start := len(s.buf)
+	s.buf = wire.AppendCacheRecord(binary.BigEndian.AppendUint32(s.buf, uint32(n-4)), rec)
+	if s.budget < int64(n) {
+		n, s.budget, s.buf = int(s.budget), 0, s.buf[:start+int(s.budget)]
+		return n, cmp.Or(s.write(f), errFailpoint)
+	}
+	s.budget -= int64(n)
+	return n, nil
 }
 
-// write is the failpoint-aware write: under a budget it writes exactly
-// the bytes that fit and then fails, modelling a crash mid-record.
-func (s *Store) write(f *os.File, p []byte) (int, error) {
-	if s.budget < 0 {
-		return f.Write(p)
+// write empties the buffer into f in one write — the only place bytes
+// reach a file.
+func (s *Store) write(f *os.File) error {
+	if len(s.buf) == 0 {
+		return nil
 	}
-	if s.budget >= int64(len(p)) {
-		n, err := f.Write(p)
-		s.budget -= int64(n)
-		return n, err
+	_, err := f.Write(s.buf)
+	s.buf = s.buf[:0]
+	return err
+}
+
+// Flush writes the records buffered since the last flush to the active
+// segment: the durability point, reached once per cycle by Cache.Expire.
+func (s *Store) Flush() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
 	}
-	n, _ := f.Write(p[:s.budget])
-	s.budget = 0
-	return n, errFailpoint
+	return s.write(s.f)
 }
 
 // rotate opens the next segment for appending.
 func (s *Store) rotate() error {
+	if err := s.write(s.f); err != nil {
+		return err
+	}
 	if err := s.f.Close(); err != nil {
 		return fmt.Errorf("qcache: %w", err)
 	}
@@ -309,6 +339,10 @@ func (s *Store) Compact() error {
 	if s.closed {
 		return ErrClosed
 	}
+	// Flush first: a failed compaction leaves the old segments complete.
+	if err := s.write(s.f); err != nil {
+		return err
+	}
 	next := s.seg + 1
 	tmpPath := filepath.Join(s.dir, segName(next)+".tmp")
 	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -321,26 +355,14 @@ func (s *Store) Compact() error {
 	}
 	sort.Ints(objs)
 	var size int64
-	for _, obj := range objs {
-		e := s.inv[obj]
-		n, err := s.write(tmp, frameRecord(wire.CacheRecord{
-			Kind: wire.CachePut, Obj: obj, Cycle: e.Cycle, Value: e.Value, Col: e.Col,
-		}))
+	for i := 0; err == nil && i < len(objs); i++ {
+		e, n := s.inv[objs[i]], 0
+		n, err = s.add(tmp, wire.CacheRecord{Kind: wire.CachePut, Obj: objs[i], Cycle: e.Cycle, Value: e.Value, Col: e.Col})
 		size += int64(n)
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return err
-		}
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
+	if err = cmp.Or(err, s.write(tmp), tmp.Sync(), tmp.Close()); err != nil {
 		os.Remove(tmpPath)
-		return fmt.Errorf("qcache: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("qcache: %w", err)
+		return err
 	}
 	if err := os.Rename(tmpPath, filepath.Join(s.dir, segName(next))); err != nil {
 		os.Remove(tmpPath)
@@ -364,18 +386,19 @@ func (s *Store) Compact() error {
 	return nil
 }
 
-// Sync flushes the active segment to stable storage.
+// Sync flushes the buffer and the active segment to stable storage.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	return s.f.Sync()
+	return cmp.Or(s.write(s.f), s.f.Sync())
 }
 
-// Close syncs and closes the store. The store stays recoverable — Close
-// is a convenience, not a durability requirement.
+// Close flushes, syncs and closes the store, reporting the first error:
+// a failed flush lost the buffered tail. The store stays recoverable —
+// Close is a convenience, not a durability requirement.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -383,8 +406,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.f.Sync()
-	return s.f.Close()
+	return cmp.Or(s.write(s.f), s.f.Sync(), s.f.Close())
 }
 
 // Dir returns the store's directory.

@@ -67,18 +67,22 @@ func apply(t *testing.T, s *Store, m mutation) error {
 
 func sameInventory(t *testing.T, got map[int]Entry, want map[int]Entry) {
 	t.Helper()
+	if !equalInventory(got, want) {
+		t.Fatalf("inventory %+v, want %+v", got, want)
+	}
+}
+
+func equalInventory(got, want map[int]Entry) bool {
 	if len(got) != len(want) {
-		t.Fatalf("inventory has %d entries, want %d", len(got), len(want))
+		return false
 	}
 	for obj, w := range want {
 		g, ok := got[obj]
-		if !ok {
-			t.Fatalf("object %d missing from inventory", obj)
-		}
-		if g.Cycle != w.Cycle || !bytes.Equal(g.Value, w.Value) || !reflect.DeepEqual(normCol(g.Col), normCol(w.Col)) {
-			t.Fatalf("object %d: got %+v want %+v", obj, g, w)
+		if !ok || g.Cycle != w.Cycle || !bytes.Equal(g.Value, w.Value) || !reflect.DeepEqual(normCol(g.Col), normCol(w.Col)) {
+			return false
 		}
 	}
+	return true
 }
 
 func normCol(c []cmatrix.Cycle) []cmatrix.Cycle {
@@ -116,7 +120,8 @@ func TestStoreRoundTrip(t *testing.T) {
 // TestCrashAtEveryByte is the crash-recovery matrix: the failpoint
 // writer kills the store at every byte boundary of the record stream,
 // and recovery must yield exactly the inventory of the longest valid
-// record prefix — never a torn record, never a lost durable one.
+// record prefix — never a torn record, never a lost durable one. Every
+// mutation is flushed, Flush being the durability point.
 func TestCrashAtEveryByte(t *testing.T) {
 	muts := script(2, 12, 5)
 	// First, measure each record's framed length by writing unbounded.
@@ -151,6 +156,9 @@ func TestCrashAtEveryByte(t *testing.T) {
 			if err := apply(t, s, m); err != nil {
 				break // the crash
 			}
+			if err := s.Flush(); err != nil {
+				t.Fatalf("budget %d: flush: %v", budget, err)
+			}
 		}
 		// No Close: the process died. Reopen cold.
 		re, err := Open(dir)
@@ -182,6 +190,126 @@ func TestCrashAtEveryByte(t *testing.T) {
 			t.Fatalf("budget %d: post-recovery put not durable", budget)
 		}
 		again.Close()
+	}
+}
+
+// TestCrashLosesOnlyUnflushedTail states the buffered contract: a store
+// abandoned without Close recovers the inventory of a prefix of what was
+// put that reaches at least the last Flush — exactly the last Flush
+// while the buffer never filled after it.
+func TestCrashLosesOnlyUnflushedTail(t *testing.T) {
+	exact, overflowed := 0, 0
+	for seed := int64(1); seed <= 20; seed++ {
+		// 5 columns keep a record near 80 bytes, 60 near 520: a gap of 16
+		// or more records between flushes overflows the buffer.
+		for _, objects := range []int{5, 60} {
+			muts := script(seed, 200, objects)
+			rng := rand.New(rand.NewSource(seed))
+			dir := t.TempDir()
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lastFlush, flushedSize := 0, int64(0)
+			for i, m := range muts {
+				if err := apply(t, s, m); err != nil {
+					t.Fatal(err)
+				}
+				if rng.Float64() < 0.05 {
+					if err := s.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					lastFlush, flushedSize = i+1, s.size
+				}
+			}
+			s.f.Close() // abandoned: no Close, no final flush
+			re, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := re.Inventory()
+			re.Close()
+			if s.size-flushedSize <= bufBytes {
+				exact++
+				sameInventory(t, got, replay(muts, lastFlush))
+				continue
+			}
+			overflowed++
+			k := lastFlush
+			for k <= len(muts) && !equalInventory(got, replay(muts, k)) {
+				k++
+			}
+			if k > len(muts) {
+				t.Fatalf("seed %d, %d objects: recovered inventory is no prefix from the last flush (%d) on", seed, objects, lastFlush)
+			}
+		}
+	}
+	if exact == 0 || overflowed == 0 {
+		t.Fatalf("degenerate schedule: %d runs without overflow, %d with", exact, overflowed)
+	}
+}
+
+// TestCloseReportsLostTail: Close performs the final flush, so a flush
+// that fails surfaces instead of silently dropping the buffered tail.
+func TestCloseReportsLostTail(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(1, []byte("tail"), 1, []cmatrix.Cycle{1}); err != nil {
+		t.Fatal(err)
+	}
+	s.f.Close() // the segment file goes away underneath the store
+	if err := s.Close(); err == nil {
+		t.Fatal("Close lost a buffered record and reported no error")
+	}
+}
+
+// TestStoreAppendAllocs pins the steady-state write path: a Put
+// allocates only the inventory's copies of value and column; a Delete,
+// a Flush and a Cache.Expire that evicts and flushes allocate nothing.
+func TestStoreAppendAllocs(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	value, col := make([]byte, 64), make([]cmatrix.Cycle, 64)
+	obj := 0
+	if allocs := testing.AllocsPerRun(200, func() {
+		s.Put(obj%48, value, 1, col)
+		obj++
+	}); allocs > 2 {
+		t.Fatalf("Put allocates %.1f times, want ≤ 2", allocs)
+	}
+	for obj := 0; obj < 400; obj++ {
+		s.Put(obj, value, 1, col)
+	}
+	obj = 0
+	if allocs := testing.AllocsPerRun(200, func() {
+		s.Delete(obj)
+		s.Flush()
+		obj++
+	}); allocs != 0 {
+		t.Fatalf("Delete + Flush allocates %.1f times", allocs)
+	}
+
+	// Entry i is cached at cycle i; at cycle 1001+k the currency bound
+	// 1000 expires exactly entry k.
+	bound := cmatrix.Cycle(1000)
+	c := newTestCache(0, &bound, s, func() { t.Error("store write failed") })
+	for obj := 1; obj <= 300; obj++ {
+		c.Put(obj, value, cmatrix.Cycle(obj), colSnap(obj, col...))
+	}
+	k := cmatrix.Cycle(0)
+	if allocs := testing.AllocsPerRun(200, func() {
+		k++
+		c.Expire(bound + 1 + k)
+	}); allocs != 0 {
+		t.Fatalf("Expire allocates %.1f times", allocs)
+	}
+	if c.Len() != 300-201 {
+		t.Fatalf("Expire left %d entries, want %d", c.Len(), 300-201)
 	}
 }
 

@@ -3,7 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"sort"
 
 	"broadcastcc/internal/bcast"
@@ -68,7 +67,18 @@ type CacheRecord struct {
 
 // EncodeCacheRecord serializes one cache record, checksummed.
 func EncodeCacheRecord(rec CacheRecord) []byte {
-	buf := make([]byte, 0, 26+len(rec.Value)+8*len(rec.Col)+8)
+	return AppendCacheRecord(make([]byte, 0, CacheRecordSize(rec)), rec)
+}
+
+// CacheRecordSize is the encoded length of rec.
+func CacheRecordSize(rec CacheRecord) int {
+	return cacheRecordMinBytes + len(rec.Value) + 8*len(rec.Col)
+}
+
+// AppendCacheRecord appends rec's encoding to buf; it allocates only if
+// buf lacks CacheRecordSize(rec) bytes of spare capacity.
+func AppendCacheRecord(buf []byte, rec CacheRecord) []byte {
+	start := len(buf)
 	buf = append(buf, KindCacheRecord.magic()...)
 	buf = append(buf, CacheRecordVersion, rec.Kind)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(rec.Obj))
@@ -79,9 +89,16 @@ func EncodeCacheRecord(rec CacheRecord) []byte {
 	for _, c := range rec.Col {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(c))
 	}
-	h := fnv.New64a()
-	h.Write(buf)
-	return h.Sum(buf)
+	return binary.BigEndian.AppendUint64(buf, fnv64a(buf[start:]))
+}
+
+// fnv64a is hash/fnv's FNV-1a 64 over p, without its allocation.
+func fnv64a(p []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, b := range p {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	return h
 }
 
 // DecodeCacheRecord parses one cache record, verifying version and
@@ -119,9 +136,7 @@ func DecodeCacheRecord(data []byte) (CacheRecord, error) {
 			off += 8
 		}
 	}
-	h := fnv.New64a()
-	h.Write(data[:off])
-	if binary.BigEndian.Uint64(data[off:off+8]) != h.Sum64() {
+	if binary.BigEndian.Uint64(data[off:off+8]) != fnv64a(data[:off]) {
 		return rec, fmt.Errorf("wire: cache record checksum mismatch")
 	}
 	if off+8 != len(data) {

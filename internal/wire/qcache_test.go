@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -232,6 +233,12 @@ func FuzzCacheRecordCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("BCQ1 garbage"))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The inline checksum is hash/fnv's FNV-1a 64.
+		h := fnv.New64a()
+		h.Write(data)
+		if got := fnv64a(data); got != h.Sum64() {
+			t.Fatalf("fnv64a = %#x, hash/fnv = %#x", got, h.Sum64())
+		}
 		rec, err := DecodeCacheRecord(data)
 		if err != nil {
 			return
@@ -244,6 +251,12 @@ func FuzzCacheRecordCodec(f *testing.F) {
 		if again.Kind != rec.Kind || again.Obj != rec.Obj || again.Cycle != rec.Cycle ||
 			!bytes.Equal(again.Value, rec.Value) || len(again.Col) != len(rec.Col) {
 			t.Fatal("cache record decode/encode/decode unstable")
+		}
+		// Appending after a prefix is the prefix followed by the encoding.
+		prefix := data[:len(data)/3]
+		want := append(append([]byte(nil), prefix...), re...)
+		if got := AppendCacheRecord(append([]byte(nil), prefix...), rec); !bytes.Equal(got, want) {
+			t.Fatal("AppendCacheRecord(prefix, rec) != prefix ‖ EncodeCacheRecord(rec)")
 		}
 	})
 }

@@ -1,13 +1,16 @@
 package netcast
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"broadcastcc/internal/protocol"
@@ -58,6 +61,101 @@ func TestWriteFrameExportedRoundTrip(t *testing.T) {
 	if err := WriteFrame(io.Discard, make([]byte, maxFrame+1)); err == nil {
 		t.Fatal("oversized WriteFrame must fail")
 	}
+}
+
+// FuzzReadFrame: the framing over a *bufio.Reader or *bufio.Writer —
+// header read and written inside the buffer — is the framing over the
+// plain stream. On any bytes, handed out in chunks of any size and
+// buffered down to bufio's 16-byte minimum so a header can straddle a
+// refill, ReadFrame returns the same frames and the same error either
+// way; WriteFrame of those frames produces the same bytes either way,
+// also starting with fewer than 4 bytes free in the writer.
+func FuzzReadFrame(f *testing.F) {
+	var two bytes.Buffer
+	WriteFrame(&two, []byte("first"))
+	WriteFrame(&two, []byte("second frame"))
+	for _, stream := range [][]byte{
+		{},                    // empty stream
+		{0, 0},                // torn header
+		{0, 0, 0, 9, 'x'},     // torn payload
+		{0x01, 0, 0, 1, 0, 0}, // length maxFrame+1
+		two.Bytes(),           // two back-to-back frames
+	} {
+		f.Add(stream, uint8(0), uint8(0), uint8(0))
+		f.Add(stream, uint8(1), uint8(3), uint8(2))
+	}
+	f.Fuzz(func(t *testing.T, stream []byte, chunk, size, free uint8) {
+		source := func() io.Reader {
+			var r io.Reader = bytes.NewReader(stream)
+			if chunk > 0 {
+				r = &chunkReader{r: r, n: int(chunk)}
+			}
+			if chunk%2 == 1 {
+				r = iotest.DataErrReader(r) // the last bytes arrive with io.EOF
+			}
+			return r
+		}
+		bufSize := 16 + int(size)
+		plain, plainErr := readFrames(source())
+		buffered, bufferedErr := readFrames(bufio.NewReaderSize(source(), bufSize))
+		if fmt.Sprint(plainErr) != fmt.Sprint(bufferedErr) {
+			t.Fatalf("plain reader ends with %v, buffered with %v", plainErr, bufferedErr)
+		}
+		if len(plain) != len(buffered) {
+			t.Fatalf("plain reader read %d frames, buffered %d", len(plain), len(buffered))
+		}
+		for i := range plain {
+			if !bytes.Equal(plain[i], buffered[i]) {
+				t.Fatalf("frame %d: plain %x, buffered %x", i, plain[i], buffered[i])
+			}
+		}
+
+		// The writer starts with all but free%5 bytes of its buffer taken.
+		var want, got bytes.Buffer
+		bw := bufio.NewWriterSize(&got, bufSize)
+		pad := make([]byte, bufSize-int(free%5))
+		want.Write(pad)
+		bw.Write(pad)
+		for _, frame := range append(plain, stream) {
+			if err := WriteFrame(&want, frame); err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteFrame(bw, frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want.Bytes(), got.Bytes()) {
+			t.Fatalf("buffered WriteFrame wrote %x, plain %x", got.Bytes(), want.Bytes())
+		}
+	})
+}
+
+// readFrames reads frames off r until the first error.
+func readFrames(r io.Reader) ([][]byte, error) {
+	var frames [][]byte
+	for {
+		frame, err := ReadFrame(r)
+		if err != nil {
+			return frames, err
+		}
+		frames = append(frames, frame)
+	}
+}
+
+// chunkReader hands its reader's bytes out at most n at a time.
+type chunkReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(p) > c.n {
+		p = p[:c.n]
+	}
+	return c.r.Read(p)
 }
 
 // A subscriber that disconnects outright (not merely stalls) must be

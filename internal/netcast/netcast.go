@@ -12,6 +12,7 @@
 package netcast
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -37,14 +38,19 @@ const maxFrame = 16 << 20
 // WriteFrame writes one length-prefixed frame in the broadcast stream's
 // wire format (4-byte big-endian length, then the payload). Exported so
 // frame-level middleboxes — the faultair proxy, capture tools — can
-// speak the stream format without decoding cycles.
+// speak the stream format without decoding cycles. Handed a
+// *bufio.Writer, it builds the header inside the buffer: nothing escapes.
 func WriteFrame(w io.Writer, data []byte) error {
 	if len(data) > maxFrame {
 		return fmt.Errorf("netcast: frame of %d bytes exceeds limit", len(data))
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(data)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	var hdr []byte
+	if bw, ok := w.(*bufio.Writer); ok {
+		hdr = bw.AvailableBuffer()
+	} else {
+		hdr = make([]byte, 0, 4)
+	}
+	if _, err := w.Write(binary.BigEndian.AppendUint32(hdr, uint32(len(data)))); err != nil {
 		return err
 	}
 	_, err := w.Write(data)
@@ -54,12 +60,25 @@ func WriteFrame(w io.Writer, data []byte) error {
 // ReadFrame reads one length-prefixed frame, rejecting frames above the
 // stream's size limit. The frame is a fresh buffer nobody else holds:
 // the caller may hand it on for good (FrameDecoder.Decode keeps it).
+// Handed a *bufio.Reader, it reads the header in place; the frames and
+// errors are those of the plain reader underneath.
 func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	var hdr []byte
+	var err error
+	if br, ok := r.(*bufio.Reader); ok {
+		if hdr, err = br.Peek(4); err == nil {
+			br.Discard(4) // cannot fail: Peek buffered them
+		} else if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF // as io.ReadFull reports a torn header
+		}
+	} else {
+		hdr = make([]byte, 4)
+		_, err = io.ReadFull(r, hdr)
+	}
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > maxFrame {
 		return nil, fmt.Errorf("netcast: frame of %d bytes exceeds limit", n)
 	}
@@ -634,6 +653,8 @@ func (t *Tuner) Close() error {
 type Uplink struct {
 	mu   sync.Mutex
 	conn net.Conn
+	br   *bufio.Reader
+	bw   *bufio.Writer
 }
 
 // DialUplink connects to a server's uplink address.
@@ -642,17 +663,20 @@ func DialUplink(addr string) (*Uplink, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Uplink{conn: conn}, nil
+	return &Uplink{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}, nil
 }
 
-// roundTrip sends one uplink frame and decodes the status reply.
+// roundTrip sends one uplink frame in one write and decodes the reply.
 func (u *Uplink) roundTrip(frame []byte) error {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if err := WriteFrame(u.conn, frame); err != nil {
+	if err := WriteFrame(u.bw, frame); err != nil {
 		return err
 	}
-	reply, err := ReadFrame(u.conn)
+	if err := u.bw.Flush(); err != nil {
+		return err
+	}
+	reply, err := ReadFrame(u.br)
 	if err != nil {
 		return err
 	}

@@ -65,12 +65,15 @@ fuzz-smoke:
 
 # Micro-benchmarks only (matrix apply/snapshot, wire codec, validator,
 # StartCycle; the sparse and grouped control's commit and publish; one
-# cycle of cache traffic through the persistent store; one uplink round
+# cycle of cache traffic through the persistent store, one cache record
+# through its codec and one cached read transaction; one uplink round
 # trip over loopback TCP).
 bench:
 	$(GO) test -run '^$$' -bench 'Matrix|Snapshot|Validator|Wire|StartCycle' -benchtime 100x
 	$(GO) test -run '^$$' -bench 'Apply|Snapshot' -benchtime 100x ./internal/cmatrix
 	$(GO) test -run '^$$' -bench 'CacheCycle' -benchtime 100x ./internal/qcache
+	$(GO) test -run '^$$' -bench 'CacheRecord' -benchtime 100x ./internal/wire
+	$(GO) test -run '^$$' -bench 'ReadTxn' -benchtime 100x ./internal/client
 	$(GO) test -run '^$$' -bench 'UplinkRoundTrip' -benchtime 100x ./internal/netcast
 
 # The wall-clock benchmark (BENCHMARK.json, ~8 min) followed by its

@@ -139,6 +139,10 @@ type Client struct {
 	// recorded while off the air, drained after retuning.
 	offline []offlineOp
 
+	// spare is the validator the last finished transaction handed back,
+	// already Reset: the next Begin takes it instead of building one.
+	spare protocol.Validator
+
 	// Observability: counters resolved once at New (the read path is a
 	// single atomic add per outcome), tracer nil-safe.
 	obs             *obs.Registry
@@ -387,31 +391,46 @@ func (c *Client) Retune(sub *bcast.Subscription) {
 // Cancel tunes the client out.
 func (c *Client) Cancel() { c.sub.Cancel() }
 
-// validatorFor builds the validator for one transaction attempt. With
+// validator returns the validator for one transaction attempt: the
+// spare one if a finished transaction left it, else a new one. With
 // caching enabled (or RetainSnapshots set), reads can be out of cycle
 // order, so the snapshot-retaining validator is used for every
 // algorithm (for the vector protocols this is conservative but sound;
 // without caching the exact paper validators apply, including
 // R-Matrix's disjunct).
-func (c *Client) validatorFor() protocol.Validator {
+func (c *Client) validator() protocol.Validator {
+	if v := c.spare; v != nil {
+		c.spare = nil
+		return v
+	}
 	if c.cache != nil || c.cfg.RetainSnapshots {
 		return &protocol.SnapshotValidator{}
 	}
 	return protocol.NewValidator(c.cfg.Algorithm)
 }
 
+// release finishes a transaction: its validator, if it still has one,
+// is Reset and kept for the next Begin, and *val becomes nil — the only
+// finished state, so a stale transaction can never reach the validator
+// another one now uses.
+func (c *Client) release(val *protocol.Validator) {
+	if *val != nil {
+		(*val).Reset()
+		c.spare, *val = *val, nil
+	}
+}
+
 // ReadTxn is a read-only transaction. Reads are validated against the
 // control information of the cycle (or cache entry) they come from; a
 // failed validation aborts the transaction with ErrInconsistentRead.
 type ReadTxn struct {
-	c    *Client
-	val  protocol.Validator
-	done bool
+	c   *Client
+	val protocol.Validator // nil once finished
 }
 
 // BeginReadOnly starts a read-only transaction.
 func (c *Client) BeginReadOnly() *ReadTxn {
-	return &ReadTxn{c: c, val: c.validatorFor()}
+	return &ReadTxn{c: c, val: c.validator()}
 }
 
 // Read returns the value of obj: from the local cache when a
@@ -420,33 +439,32 @@ func (c *Client) BeginReadOnly() *ReadTxn {
 // validation failure returns ErrInconsistentRead and finishes the
 // transaction.
 func (t *ReadTxn) Read(obj int) ([]byte, error) {
-	if t.done {
+	if t.val == nil {
 		return nil, ErrTxnFinished
 	}
-	value, err := t.c.read(t.val, obj)
-	t.done = errors.Is(err, ErrInconsistentRead)
-	return value, err
+	return t.c.read(&t.val, obj)
 }
 
 // read fetches obj and validates it against the transaction's previous
 // reads. A failed validation returns ErrInconsistentRead, which
-// finishes the transaction, and drops its objects from the cache so a
-// restart re-reads them off the air instead of replaying the same stale
-// entries into the same conflict.
-func (c *Client) read(val protocol.Validator, obj int) ([]byte, error) {
+// finishes the transaction (release), and drops its objects from the
+// cache so a restart re-reads them off the air instead of replaying the
+// same stale entries into the same conflict.
+func (c *Client) read(val *protocol.Validator, obj int) ([]byte, error) {
 	value, snap, cycle, hit, err := c.fetch(obj)
 	if err != nil {
 		return nil, err
 	}
-	ok := val.TryRead(snap, obj, cycle)
+	ok := (*val).TryRead(snap, obj, cycle)
 	c.recordRead(obj, cycle, hit, ok)
 	if !ok {
 		if c.cache != nil {
-			for _, r := range val.ReadSet() {
+			for _, r := range (*val).ReadSet() {
 				c.cache.Remove(r.Obj)
 			}
 			c.cache.Remove(obj)
 		}
+		c.release(val)
 		return nil, fmt.Errorf("%w: object %d at cycle %d", ErrInconsistentRead, obj, cycle)
 	}
 	return value, nil
@@ -482,11 +500,12 @@ func (c *Client) recordRead(obj int, cycle cmatrix.Cycle, hit, accepted bool) {
 // transactions never contact the server: if every Read succeeded the
 // transaction is correct by construction (Theorem 1).
 func (t *ReadTxn) Commit() ([]protocol.ReadAt, error) {
-	if t.done {
+	if t.val == nil {
 		return nil, ErrTxnFinished
 	}
-	t.done = true
-	return t.val.ReadSet(), nil
+	rs := t.val.ReadSet()
+	t.c.release(&t.val)
+	return rs, nil
 }
 
 // fetch resolves a read: cache first (when enabled and fresh), then the
@@ -560,35 +579,32 @@ func (c *Client) RunReadOnly(maxAttempts int, fn func(*ReadTxn) error) ([]protoc
 // read/write sets over the uplink for server-side validation.
 type UpdateTxn struct {
 	c      *Client
-	val    protocol.Validator
+	val    protocol.Validator // nil once finished
 	writes map[int][]byte
 	order  []int
-	done   bool
 }
 
 // BeginUpdate starts an update transaction.
 func (c *Client) BeginUpdate() *UpdateTxn {
-	return &UpdateTxn{c: c, val: c.validatorFor(), writes: map[int][]byte{}}
+	return &UpdateTxn{c: c, val: c.validator(), writes: map[int][]byte{}}
 }
 
 // Read returns the value of obj, validated against previous reads.
 // The transaction's own buffered writes are returned as-is.
 func (t *UpdateTxn) Read(obj int) ([]byte, error) {
-	if t.done {
+	if t.val == nil {
 		return nil, ErrTxnFinished
 	}
 	if v, ok := t.writes[obj]; ok {
 		return append([]byte(nil), v...), nil
 	}
-	value, err := t.c.read(t.val, obj)
-	t.done = errors.Is(err, ErrInconsistentRead)
-	return value, err
+	return t.c.read(&t.val, obj)
 }
 
 // Write buffers val as the new value of obj. No check is made (Section
 // 3.2.1: writes are local until commit).
 func (t *UpdateTxn) Write(obj int, val []byte) error {
-	if t.done {
+	if t.val == nil {
 		return ErrTxnFinished
 	}
 	if t.c.cur != nil && (obj < 0 || obj >= len(t.c.cur.Values)) {
@@ -621,11 +637,11 @@ func (t *UpdateTxn) Commit(uplink protocol.Uplink) error {
 // even a pure-reader shard's read set must travel (the coordinator
 // validates and pins reads at every participant).
 func (t *UpdateTxn) Finish() (protocol.UpdateRequest, error) {
-	if t.done {
+	if t.val == nil {
 		return protocol.UpdateRequest{}, ErrTxnFinished
 	}
-	t.done = true
 	req := protocol.UpdateRequest{Reads: t.val.ReadSet()}
+	t.c.release(&t.val)
 	for _, obj := range t.order {
 		req.Writes = append(req.Writes, protocol.ObjectWrite{Obj: obj, Value: t.writes[obj]})
 	}
@@ -633,4 +649,4 @@ func (t *UpdateTxn) Finish() (protocol.UpdateRequest, error) {
 }
 
 // Abort discards the transaction.
-func (t *UpdateTxn) Abort() { t.done = true }
+func (t *UpdateTxn) Abort() { t.c.release(&t.val) }

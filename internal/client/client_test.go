@@ -3,6 +3,7 @@ package client
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"broadcastcc/internal/cmatrix"
 	"broadcastcc/internal/core"
 	"broadcastcc/internal/protocol"
+	"broadcastcc/internal/qcache"
 	"broadcastcc/internal/server"
 )
 
@@ -640,5 +642,140 @@ func TestReadReturnsPrivateCopy(t *testing.T) {
 	}
 	if next := srv.StartCycle(); string(next.Values[0]) != "precious" || string(cb.Values[0]) != "precious" {
 		t.Fatalf("cycle values %q then %q", cb.Values[0], next.Values[0])
+	}
+}
+
+// TestReadTxnRecycle: a finished transaction hands its validator to the
+// next Begin, and keeps no way to reach it. A and B interleave with C,
+// which reuses A's validator; every read set holds its own reads only,
+// and A refuses further work. Every validator kind is recycled alike.
+func TestReadTxnRecycle(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		alg  protocol.Algorithm
+		cfg  Config
+	}{
+		{"fmatrix-cached", protocol.FMatrix, Config{CacheCurrency: 4}},
+		{"fmatrix", protocol.FMatrix, Config{}},
+		{"rmatrix", protocol.RMatrix, Config{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, c := newPair(t, tc.alg, 6, tc.cfg)
+			srv.StartCycle()
+			c.AwaitCycle()
+			read := func(txn *ReadTxn, objs ...int) {
+				t.Helper()
+				for _, obj := range objs {
+					if _, err := txn.Read(obj); err != nil {
+						t.Fatalf("read %d: %v", obj, err)
+					}
+				}
+			}
+			commit := func(txn *ReadTxn, want ...int) {
+				t.Helper()
+				rs, err := txn.Commit()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []int
+				for _, r := range rs {
+					got = append(got, r.Obj)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("read set %v, want %v", got, want)
+				}
+			}
+			a, b := c.BeginReadOnly(), c.BeginReadOnly()
+			read(a, 0, 1)
+			read(b, 2)
+			shared := a.val
+			commit(a, 0, 1)
+			cc := c.BeginReadOnly()
+			if cc.val != shared {
+				t.Fatal("C did not reuse A's validator")
+			}
+			if _, err := a.Read(3); !errors.Is(err, ErrTxnFinished) {
+				t.Fatalf("read on A after commit = %v, want ErrTxnFinished", err)
+			}
+			if _, err := a.Commit(); !errors.Is(err, ErrTxnFinished) {
+				t.Fatalf("commit on A after commit = %v, want ErrTxnFinished", err)
+			}
+			read(cc, 4)
+			read(b, 5)
+			commit(b, 2, 5)
+			commit(cc, 4)
+		})
+	}
+}
+
+// TestAbortedReadTxnRecycles: the read that fails validation finishes
+// its transaction, hands the validator on, and the transaction refuses
+// further reads.
+func TestAbortedReadTxnRecycles(t *testing.T) {
+	srv, c := newPair(t, protocol.Datacycle, 2, Config{})
+	srv.StartCycle()
+	c.AwaitCycle()
+	txn := c.BeginReadOnly()
+	if _, err := txn.Read(0); err != nil {
+		t.Fatal(err)
+	}
+	val := txn.val
+	commitWrite(t, srv, 0, "new") // overwrites the read object
+	srv.StartCycle()
+	c.AwaitCycle()
+	if _, err := txn.Read(1); !errors.Is(err, ErrInconsistentRead) {
+		t.Fatalf("Read = %v, want ErrInconsistentRead", err)
+	}
+	if _, err := txn.Read(1); !errors.Is(err, ErrTxnFinished) {
+		t.Fatalf("read after the abort = %v, want ErrTxnFinished", err)
+	}
+	next := c.BeginReadOnly()
+	if next.val != val {
+		t.Fatal("the aborted transaction's validator was not recycled")
+	}
+	if rs, err := next.Commit(); err != nil || len(rs) != 0 {
+		t.Fatalf("fresh transaction on the recycled validator commits %v, %v; want an empty read set", rs, err)
+	}
+}
+
+// BenchmarkReadTxn is one read-cached read transaction: 16 reads over
+// 64 objects through a currency-8, 48-entry cache with a store on the
+// in-process medium, a new cycle every 16 transactions.
+func BenchmarkReadTxn(b *testing.B) {
+	const objects, reads, perCycle = 64, 16, 16
+	srv, err := server.New(server.Config{Objects: objects, ObjectBits: 512, Algorithm: protocol.FMatrix})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	store, err := qcache.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer store.Close()
+	c := New(Config{Algorithm: protocol.FMatrix, CacheCurrency: 8, CacheSize: 48, Store: store}, srv.Subscribe(4))
+	rng := rand.New(rand.NewSource(7))
+	ids := make([]int, 64*reads)
+	for i := range ids {
+		ids[i] = rng.Intn(objects)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%perCycle == 0 {
+			b.StopTimer()
+			srv.StartCycle()
+			c.AwaitCycle()
+			b.StartTimer()
+		}
+		txn := c.BeginReadOnly()
+		for _, obj := range ids[i%64*reads:][:reads] {
+			if _, err := txn.Read(obj); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := txn.Commit(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -90,24 +90,12 @@ func (c *Client) DrainOffline(uplink protocol.Uplink) ([]OfflineResult, error) {
 	return results, nil
 }
 
-// runOffline executes one intent.
+// runOffline executes one intent. A read-only intent is an update
+// transaction that writes nothing: it validates its reads the same way
+// and never reaches the uplink.
 func (c *Client) runOffline(op offlineOp, uplink protocol.Uplink) OfflineResult {
 	res := OfflineResult{Reads: op.reads, Update: op.writes != nil}
-	if op.writes == nil {
-		txn := c.BeginReadOnly()
-		for _, obj := range op.reads {
-			v, err := txn.Read(obj)
-			if err != nil {
-				res.Err = err
-				return res
-			}
-			res.Values = append(res.Values, v)
-		}
-		rs, err := txn.Commit()
-		res.ReadSet, res.Err = rs, err
-		return res
-	}
-	if uplink == nil {
+	if res.Update && uplink == nil {
 		res.Err = errors.New("client: update intent needs an uplink")
 		return res
 	}
@@ -128,12 +116,8 @@ func (c *Client) runOffline(op offlineOp, uplink protocol.Uplink) OfflineResult 
 		}
 	}
 	req, err := txn.Finish()
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	res.ReadSet = req.Reads
-	if len(req.Writes) > 0 {
+	res.ReadSet, res.Err = req.Reads, err
+	if err == nil && len(req.Writes) > 0 {
 		res.Err = uplink.SubmitUpdate(req)
 	}
 	return res

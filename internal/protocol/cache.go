@@ -98,5 +98,10 @@ func (v *SnapshotValidator) ReadSet() []ReadAt {
 	return out
 }
 
-// Reset clears the validator for a fresh transaction attempt.
-func (v *SnapshotValidator) Reset() { v.reads = v.reads[:0] }
+// Reset clears the validator for a fresh transaction attempt. The old
+// reads' snapshots are dropped, not just sliced off: a reused validator
+// must not pin the frames and columns of a finished transaction.
+func (v *SnapshotValidator) Reset() {
+	clear(v.reads)
+	v.reads = v.reads[:0]
+}

@@ -468,6 +468,29 @@ func TestSnapshotValidatorOutOfOrderExact(t *testing.T) {
 	}
 }
 
+// TestSnapshotValidatorResetDropsSnapshots: after Reset no slot of the
+// read list, up to its capacity, still holds a snapshot — a recycled
+// validator pins nothing of the transactions it served before.
+func TestSnapshotValidatorResetDropsSnapshots(t *testing.T) {
+	v := &SnapshotValidator{}
+	for attempt, reads := range []int{5, 2, 7, 0} {
+		for obj := 0; obj < reads; obj++ {
+			if !v.TryRead(ColumnSnapshot{Obj: obj, Col: make([]cmatrix.Cycle, 8)}, obj, 1) {
+				t.Fatalf("attempt %d: read %d rejected", attempt, obj)
+			}
+		}
+		v.Reset()
+		if len(v.reads) != 0 {
+			t.Fatalf("attempt %d: Reset left %d reads", attempt, len(v.reads))
+		}
+		for i, r := range v.reads[:cap(v.reads)] {
+			if r.snap != nil || r.obj != 0 || r.cycle != 0 {
+				t.Fatalf("attempt %d: slot %d of %d still holds %+v", attempt, i, cap(v.reads), r)
+			}
+		}
+	}
+}
+
 // Prefix closure (the paper's Requirement 4, as realized by the
 // protocols): every prefix of an accepted read sequence is accepted and
 // induces an APPROX-consistent history.

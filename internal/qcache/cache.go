@@ -111,7 +111,8 @@ func (c *Cache) Get(obj int, now cmatrix.Cycle) (value []byte, cycle cmatrix.Cyc
 
 // Put caches obj as read in cycle with the control information snap,
 // making it the most recently cached entry; at the size cap the oldest
-// entry is evicted first. The cache keeps value and snap as given.
+// entry is evicted first. The cache, and its store, keep value and
+// snap as given: the caller must not modify them afterwards.
 func (c *Cache) Put(obj int, value []byte, cycle cmatrix.Cycle, snap protocol.Snapshot) {
 	c.put(obj, value, cycle, snap, true)
 }
@@ -135,7 +136,7 @@ func (c *Cache) put(obj int, value []byte, cycle cmatrix.Cycle, snap protocol.Sn
 	e.prev.next, c.order.prev = e, e
 	if persist && c.store != nil {
 		if col, ok := storedColumn(snap); ok {
-			c.storeErr(c.store.Put(obj, value, cycle, col))
+			c.storeErr(c.store.put(obj, value, cycle, col))
 		}
 	}
 }

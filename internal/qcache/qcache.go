@@ -5,7 +5,7 @@
 // kill, revalidates its inventory against the next control snapshot it
 // hears instead of re-reading the database off the air.
 //
-// The store is an append-only log of length-framed, FNV-1a-checksummed
+// The store is an append-only log of length-framed, CRC-32C-checksummed
 // BCQ1 records in numbered segment files. A mutation encodes a record
 // into a buffer that Flush writes in one write: once per cycle (from
 // Cache.Expire), when full, and on rotate, Sync and Close. A crash loses
@@ -183,24 +183,23 @@ func (s *Store) apply(rec wire.CacheRecord) {
 }
 
 // Put records obj as cached: value, caching cycle, and the control
-// column retained for validation.
+// column retained for validation. The store keeps copies of both.
 func (s *Store) Put(obj int, value []byte, cycle cmatrix.Cycle, col []cmatrix.Cycle) error {
+	return s.put(obj, append([]byte(nil), value...), cycle, append([]cmatrix.Cycle(nil), col...))
+}
+
+// put is Put keeping value and col themselves: the Cache hands over its
+// own, which nothing modifies.
+func (s *Store) put(obj int, value []byte, cycle cmatrix.Cycle, col []cmatrix.Cycle) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	rec := wire.CacheRecord{
-		Kind:  wire.CachePut,
-		Obj:   obj,
-		Cycle: cycle,
-		Value: append([]byte(nil), value...),
-		Col:   append([]cmatrix.Cycle(nil), col...),
-	}
-	if err := s.append(rec); err != nil {
+	if err := s.append(wire.CacheRecord{Kind: wire.CachePut, Obj: obj, Cycle: cycle, Value: value, Col: col}); err != nil {
 		return err
 	}
-	s.inv[obj] = Entry{Value: rec.Value, Cycle: rec.Cycle, Col: rec.Col}
+	s.inv[obj] = Entry{Value: value, Cycle: cycle, Col: col}
 	return nil
 }
 

@@ -3,6 +3,7 @@ package qcache
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"broadcastcc/internal/cmatrix"
+	"broadcastcc/internal/protocol"
 	"broadcastcc/internal/wire"
 )
 
@@ -265,9 +267,11 @@ func TestCloseReportsLostTail(t *testing.T) {
 	}
 }
 
-// TestStoreAppendAllocs pins the steady-state write path: a Put
-// allocates only the inventory's copies of value and column; a Delete,
-// a Flush and a Cache.Expire that evicts and flushes allocate nothing.
+// TestStoreAppendAllocs pins the steady-state write path: an exported
+// Put allocates only the inventory's copies of value and column; a miss
+// through Cache.Put, which hands the store the cache's own slices, a
+// Delete, a Flush and a Cache.Expire that evicts and flushes allocate
+// nothing.
 func TestStoreAppendAllocs(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -281,6 +285,21 @@ func TestStoreAppendAllocs(t *testing.T) {
 		obj++
 	}); allocs > 2 {
 		t.Fatalf("Put allocates %.1f times, want ≤ 2", allocs)
+	}
+	miss := cmatrix.Cycle(8)
+	mc := newTestCache(48, &miss, s, func() { t.Error("store write failed") })
+	snaps := make([]protocol.Snapshot, 64)
+	for o := range snaps {
+		snaps[o] = colSnap(o, col...)
+	}
+	for o := 0; o < 4*64; o++ {
+		mc.Put(o%64, value, 1, snaps[o%64])
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		mc.Put(obj%64, value, 1, snaps[obj%64]) // a miss: 48 entries over 64 objects
+		obj++
+	}); allocs != 0 {
+		t.Fatalf("a miss through Cache.Put allocates %.1f times, want 0", allocs)
 	}
 	for obj := 0; obj < 400; obj++ {
 		s.Put(obj, value, 1, col)
@@ -311,6 +330,65 @@ func TestStoreAppendAllocs(t *testing.T) {
 	if c.Len() != 300-201 {
 		t.Fatalf("Expire left %d entries, want %d", c.Len(), 300-201)
 	}
+}
+
+// TestStorePutCopies: Put keeps its own copies, so a caller that
+// reuses its value and column buffers leaves the inventory as it was.
+func TestStorePutCopies(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	value, col := []byte("first"), []cmatrix.Cycle{1, 2, 3}
+	if err := s.Put(4, value, 7, col); err != nil {
+		t.Fatal(err)
+	}
+	copy(value, "XXXXX")
+	col[0], col[2] = 99, 99
+	want := map[int]Entry{4: {Value: []byte("first"), Cycle: 7, Col: []cmatrix.Cycle{1, 2, 3}}}
+	sameInventory(t, s.Inventory(), want)
+}
+
+// TestOpenDropsOldCodecSegment: a segment of version 1 records (FNV-1a
+// 64 trailer) fails the version check at its first record, so the store
+// opens empty, truncates the file, and carries on from there.
+func TestOpenDropsOldCodecSegment(t *testing.T) {
+	dir := t.TempDir()
+	v1, err := hex.DecodeString("4243513101000000000500000000000000090000000376616c000000030000000000000001000000000000000000000000000000081a24233f462da821")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seg []byte
+	for i := 0; i < 3; i++ {
+		seg = append(binary.BigEndian.AppendUint32(seg, uint32(len(v1))), v1...)
+	}
+	path := filepath.Join(dir, segName(1))
+	if err := os.WriteFile(path, seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != 0 {
+		t.Fatalf("a version 1 segment recovered %d entries, want 0", s.Len())
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != 0 {
+		t.Fatalf("version 1 segment not truncated: %v, %v", st, err)
+	}
+	if err := s.Put(5, []byte("v2"), 11, []cmatrix.Cycle{1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	sameInventory(t, re.Inventory(), map[int]Entry{5: {Value: []byte("v2"), Cycle: 11, Col: []cmatrix.Cycle{1, 0}}})
 }
 
 // TestRecoverSegmentLongestPrefix drives the pure recovery function

@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"sort"
 
 	"broadcastcc/internal/bcast"
@@ -30,7 +31,7 @@ import (
 // Cache record layout:
 //
 //	magic    4 bytes  "BCQ1"
-//	version  1 byte   (currently 1)
+//	version  1 byte   (currently 2; version 1 ended in an FNV-1a 64)
 //	kind     1 byte   0 = put, 1 = delete
 //	obj      4 bytes
 //	cycle    8 bytes  caching cycle (unwrapped)
@@ -38,15 +39,21 @@ import (
 //	value    vlen bytes
 //	clen     4 bytes  control column entries (0 for deletes)
 //	column   8 bytes each, unwrapped cycles (disk pays no air bandwidth)
-//	hash     8 bytes  FNV-1a 64 over everything above
+//	crc      4 bytes  CRC-32C (Castagnoli) over everything above
 
 // CacheRecordVersion is the current record codec version; decoders
 // reject records from a future codec rather than misparse them.
-const CacheRecordVersion = 1
+const CacheRecordVersion = 2
 
 // cacheRecordMinBytes is an empty record: the fixed fields, a zero
-// value, a zero column, the hash.
-const cacheRecordMinBytes = 26 + 8
+// value, a zero column, the checksum.
+const cacheRecordMinBytes = 26 + 4
+
+// crc32c is the record checksum, CRC-32C, which hash/crc32 computes with
+// the CPU's CRC32 instruction where there is one. MakeTable hands back
+// the library's one Castagnoli table, built on first use, so a program
+// that never writes a record never pays for it.
+func crc32c(p []byte) uint32 { return crc32.Checksum(p, crc32.MakeTable(crc32.Castagnoli)) }
 
 // Cache record kinds.
 const (
@@ -89,16 +96,7 @@ func AppendCacheRecord(buf []byte, rec CacheRecord) []byte {
 	for _, c := range rec.Col {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(c))
 	}
-	return binary.BigEndian.AppendUint64(buf, fnv64a(buf[start:]))
-}
-
-// fnv64a is hash/fnv's FNV-1a 64 over p, without its allocation.
-func fnv64a(p []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, b := range p {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
-	return h
+	return binary.BigEndian.AppendUint32(buf, crc32c(buf[start:]))
 }
 
 // DecodeCacheRecord parses one cache record, verifying version and
@@ -126,7 +124,7 @@ func DecodeCacheRecord(data []byte) (CacheRecord, error) {
 	off += vlen
 	clen := int(binary.BigEndian.Uint32(data[off : off+4]))
 	off += 4
-	if err := minLen(data, int64(off)+8, int64(clen), 8); err != nil {
+	if err := minLen(data, int64(off)+4, int64(clen), 8); err != nil {
 		return rec, err
 	}
 	if clen > 0 {
@@ -136,11 +134,11 @@ func DecodeCacheRecord(data []byte) (CacheRecord, error) {
 			off += 8
 		}
 	}
-	if binary.BigEndian.Uint64(data[off:off+8]) != fnv64a(data[:off]) {
+	if binary.BigEndian.Uint32(data[off:off+4]) != crc32c(data[:off]) {
 		return rec, fmt.Errorf("wire: cache record checksum mismatch")
 	}
-	if off+8 != len(data) {
-		return rec, fmt.Errorf("wire: %d trailing bytes in cache record", len(data)-off-8)
+	if off+4 != len(data) {
+		return rec, fmt.Errorf("wire: %d trailing bytes in cache record", len(data)-off-4)
 	}
 	return rec, nil
 }

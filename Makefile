@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test fmt race flake loc verify bench bench-e2e bench-figures bench-smoke figures-check conform fuzz-smoke obs-smoke udp-smoke shard-smoke quasi-smoke soak-smoke soak-nightly
+.PHONY: build test fmt hooks-check race flake loc verify bench bench-e2e bench-figures bench-smoke figures-check conform fuzz-smoke obs-smoke udp-smoke shard-smoke quasi-smoke soak-smoke soak-nightly
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,14 @@ test:
 # gofmt -l prints the files it would rewrite; any name is a failure.
 fmt:
 	@test -z "$$(gofmt -l .)" || { gofmt -l . >&2; exit 1; }
+
+# An induced defect is a conformance.Defect the harness injects into one
+# run, never a process-global switch: no non-test file under internal/
+# may declare a `func Set…(on bool) (restore func())` toggle.
+hooks-check:
+	@! grep -rnE --include='*.go' --exclude='*_test.go' \
+		'func Set[A-Za-z0-9_]*\([a-z]+ bool\) \(restore func\(\)\)' internal/ || \
+		{ echo 'hooks-check: process-global fault hooks above; make them a conformance.Defect' >&2; exit 1; }
 
 # The worker-pool sweep harness and the copy-on-write column sharing in
 # cmatrix are concurrency/aliasing surface: run those packages (plus the
@@ -44,7 +52,7 @@ loc:
 	printf '%-24s %6d\n' . $$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	printf '%-24s %6d\n' 'roadmap scope' $$(find $(LOC_SCOPE) -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 
-verify: build fmt test race
+verify: build fmt hooks-check test race
 
 # Differential soak of the acceptance lattice; violations shrink into
 # internal/conformance/corpus and fail the target.

@@ -14,7 +14,6 @@ package client
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"broadcastcc/internal/bcast"
 	"broadcastcc/internal/cmatrix"
@@ -107,13 +106,8 @@ type Config struct {
 	ClientID int32
 }
 
-// currencyOf resolves the effective currency bound for one object. The
-// stale-serve hook lifts it out of reach — the conformance harness uses
-// that to prove the oracle notices.
+// currencyOf resolves the effective currency bound for one object.
 func (c Config) currencyOf(obj int) cmatrix.Cycle {
-	if cacheSkipRevalidate {
-		return math.MaxInt64
-	}
 	if c.CacheCurrencyOf != nil {
 		return c.CacheCurrencyOf(obj)
 	}

@@ -2,6 +2,7 @@ package client
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -240,12 +241,22 @@ func TestCurrencyBoundLoweredMidCycle(t *testing.T) {
 	}
 }
 
-// TestCacheSkipRevalidateHookServesStale pins the stale-serve hook the
-// conformance harness induces violations with: under the hook, the
-// read-time currency check and the cycle-boundary eviction are both
-// disabled, so a cached entry older than T keeps serving.
+// TestCacheSkipRevalidateHookServesStale pins what the conformance
+// harness's cache-skip defect models: with the currency bound lifted out
+// of reach (a CacheCurrencyOf returning MaxInt64), the read-time
+// currency check and the cycle-boundary eviction are both disabled, so
+// a cached entry older than T keeps serving.
 func TestCacheSkipRevalidateHookServesStale(t *testing.T) {
-	srv, c := newPair(t, protocol.FMatrix, 2, Config{CacheCurrency: 1})
+	skip := false
+	srv, c := newPair(t, protocol.FMatrix, 2, Config{
+		CacheCurrency: 1,
+		CacheCurrencyOf: func(int) cmatrix.Cycle {
+			if skip {
+				return math.MaxInt64
+			}
+			return 1
+		},
+	})
 	commitWrite(t, srv, 0, "v1")
 	srv.StartCycle() // cycle 1
 	c.AwaitCycle()
@@ -255,29 +266,28 @@ func TestCacheSkipRevalidateHookServesStale(t *testing.T) {
 	}
 	txn.Commit()
 
-	restore := SetCacheSkipRevalidate(true)
+	skip = true
 	srv.StartCycle() // 2
 	srv.StartCycle() // 3
 	c.AwaitCycle()
-	c.AwaitCycle() // entry age 2 > T=1, but the hook keeps it
+	c.AwaitCycle() // entry age 2 > T=1, but the lifted bound keeps it
 	txn = c.BeginReadOnly()
 	if _, err := txn.Read(0); err != nil {
 		t.Fatal(err)
 	}
 	txn.Commit()
 	if hits := c.Stats().CacheHits; hits != 1 {
-		restore()
-		t.Fatalf("hooked read should have served stale from cache (hits=%d)", hits)
+		t.Fatalf("read under the lifted bound should have served stale from cache (hits=%d)", hits)
 	}
-	restore()
-	// With the hook off, the same read re-fetches off the air.
+	skip = false
+	// With the bound back, the same read re-fetches off the air.
 	txn = c.BeginReadOnly()
 	if _, err := txn.Read(0); err != nil {
 		t.Fatal(err)
 	}
 	txn.Commit()
 	if hits := c.Stats().CacheHits; hits != 1 {
-		t.Fatalf("unhooked read served stale (hits=%d)", hits)
+		t.Fatalf("read under T=1 served stale (hits=%d)", hits)
 	}
 }
 

@@ -330,13 +330,12 @@ func FuzzGroupedControl(f *testing.F) {
 	})
 }
 
-// TestGroupedStaleMCHookDiverges proves the induced-bug hook produces a
-// state the projection check distinguishes — the defect class the
-// conformance harness must catch end to end — from an empty start and
-// from full density, where every row sits at its own position and raise
-// folds in place.
+// TestGroupedStaleMCHookDiverges proves the induced StaleMC defect
+// produces a state the projection check distinguishes — the defect
+// class the conformance harness must catch end to end — from an empty
+// start and from full density, where every row sits at its own
+// position and raise folds in place.
 func TestGroupedStaleMCHookDiverges(t *testing.T) {
-	defer SetGroupedStaleMC(true)()
 	rng := rand.New(rand.NewSource(3))
 	for _, full := range []bool{false, true} {
 		diverged := false
@@ -345,6 +344,7 @@ func TestGroupedStaleMCHookDiverges(t *testing.T) {
 			part := UniformPartition(n, 1+rng.Intn(n))
 			dense := NewMatrix(n)
 			gc := NewGroupedControl(part)
+			gc.StaleMC = true
 			c := Cycle(1)
 			if full {
 				all := rng.Perm(n)
@@ -369,7 +369,7 @@ func TestGroupedStaleMCHookDiverges(t *testing.T) {
 					for i := 0; i < n; i++ {
 						for s := 0; s < part.Groups(); s++ {
 							if got.At(i, s) < want.At(i, s) {
-								t.Fatalf("stale MC(%d,%d) = %d below exact %d: hook is not the monotone bug",
+								t.Fatalf("stale MC(%d,%d) = %d below exact %d: StaleMC is not the monotone bug",
 									i, s, got.At(i, s), want.At(i, s))
 							}
 						}
@@ -379,7 +379,7 @@ func TestGroupedStaleMCHookDiverges(t *testing.T) {
 			}
 		}
 		if !diverged {
-			t.Fatalf("stale-MC hook never diverged from the exact projection over 40 random streams (full density start: %v)", full)
+			t.Fatalf("StaleMC never diverged from the exact projection over 40 random streams (full density start: %v)", full)
 		}
 	}
 }

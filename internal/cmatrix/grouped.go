@@ -238,6 +238,16 @@ func (g *Grouped) Nonzeros() int64 {
 // a deterministic epoch boundary — the heat-adaptive grouping driven by
 // the airsched EWMA estimator feeds it HeatPartition results.
 type GroupedControl struct {
+	// StaleMC, when true, induces a known defect: a commit skips the
+	// lower step, so no count reaches 0, nothing is repaired, and each
+	// MC column degrades to the naive running max mc[s] = max(old, new).
+	// That is wrong because Theorem 2's column rewrites can decrease a
+	// group maximum; the resulting MC is a stale upper bound, still safe
+	// (it only over-rejects) but not the matrix Theorem 2 defines. It
+	// exists so the conformance harness can show the server's control
+	// verification catches the class; see server.Config.StaleGroupedMC.
+	StaleMC bool
+
 	cm     *classMatrix
 	part   *Partition
 	groups []group
@@ -424,9 +434,7 @@ func (g *GroupedControl) apply(readSet, writeSet []int, commitCycle Cycle, remot
 			if gs.classes[k].m--; gs.classes[k].m == 0 {
 				gs.classes = slices.Delete(gs.classes, k, k+1)
 			}
-			// Induced-bug hook (hooks.go): without lower no count reaches 0,
-			// nothing is repaired, and MC is the naive monotone max.
-			if !groupedStaleMC {
+			if !g.StaleMC {
 				gs.lower(old.col)
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"broadcastcc/internal/cmatrix"
-	"broadcastcc/internal/protocol"
 )
 
 // Every air-program workload over the correct implementations must pass
@@ -69,12 +68,10 @@ func TestAirRebroadcastDetectsStaleColumn(t *testing.T) {
 // the shrinker drops the airsched layer when it is not needed to
 // reproduce, so counterexamples name the layer actually at fault.
 func TestShrinkDropsIrrelevantAirProgram(t *testing.T) {
-	restore := protocol.SetLooseReadCondition(true)
-	defer restore()
-
+	t.Parallel()
 	p := DefaultParams()
 	p.Air = 1
-	_, rep, _, found, err := Soak(1, 500, p)
+	_, rep, found, err := soakWith(DefectLooseRead, 1, 500, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package conformance
 import (
 	"testing"
 
-	"broadcastcc/internal/client"
 	"broadcastcc/internal/cmatrix"
 )
 
@@ -101,25 +100,22 @@ func TestCachedCurrencyBoundHolds(t *testing.T) {
 }
 
 // The cached acceptance-criterion test: a client whose cache skips
-// revalidation (the client package's stale-serve hook) serves reads
-// staler than its currency bound. The harness model misbehaves
-// identically under the same hook, the staleness oracle catches it,
-// the shrinker reduces it with the cache profile intact (collapsing it
-// would lose the violation), and the corpus round-trip replays broken
-// under the hook and clean without it.
+// revalidation (DefectCacheSkip) serves reads staler than its currency
+// bound. The staleness oracle catches it, the shrinker reduces it to the
+// committed pin with the cache profile intact (collapsing it would lose
+// the violation), and the corpus round-trip replays broken under the
+// defect and clean without it.
 func TestStaleServeHookCaught(t *testing.T) {
-	restore := client.SetCacheSkipRevalidate(true)
-	defer restore()
-
-	seed, rep, _, found, err := Soak(1, 500, DefaultParams())
+	t.Parallel()
+	seed, rep, found, err := soakWith(DefectCacheSkip, 1, 500, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !found {
-		t.Fatal("stale-serve hook not caught within 500 seeds")
+		t.Fatal("skipped cache revalidation not caught within 500 seeds")
 	}
 	if rep.Violations[0].Kind != KindCacheStaleness {
-		t.Fatalf("hooked violation kind = %s, want %s", rep.Violations[0].Kind, KindCacheStaleness)
+		t.Fatalf("violation kind = %s, want %s", rep.Violations[0].Kind, KindCacheStaleness)
 	}
 
 	shrunk, srep := Shrink(rep.Workload)
@@ -135,42 +131,13 @@ func TestStaleServeHookCaught(t *testing.T) {
 	if err := shrunk.Validate(); err != nil {
 		t.Fatalf("shrunk workload no longer validates: %v", err)
 	}
-
-	dir := t.TempDir()
-	ce := &Counterexample{
+	assertMatchesPin(t, shrunk, "ce-7020fe7b0fb6.json")
+	roundTrip(t, &Counterexample{
 		Seed:      seed,
 		Note:      "cache revalidation skipped: a T-bounded cache serves entries past their currency bound",
 		Violation: srep.Violations[0].Kind,
 		Detail:    srep.Violations[0].Detail,
 		History:   srep.History,
 		Workload:  shrunk,
-	}
-	if _, err := WriteCounterexample(dir, ce); err != nil {
-		t.Fatal(err)
-	}
-	corpus, err := LoadCorpus(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, loaded := range corpus {
-		rrep, err := CheckWorkload(loaded.Workload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rrep.Violations) == 0 {
-			t.Fatal("replayed counterexample no longer violates under the hook")
-		}
-		if rrep.Violations[0].Kind != KindCacheStaleness {
-			t.Fatalf("replay violation kind = %s, want %s", rrep.Violations[0].Kind, KindCacheStaleness)
-		}
-		// With revalidation back on, the same workload is clean.
-		restore()
-		fixed, err := CheckWorkload(loaded.Workload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(fixed.Violations) != 0 {
-			t.Fatalf("counterexample still violates with revalidation on: %v", fixed.Violations[0])
-		}
-	}
+	})
 }

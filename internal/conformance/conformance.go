@@ -118,6 +118,9 @@ type Workload struct {
 	// Seed records the generator seed the workload came from (0 for
 	// hand-built or shrunk workloads); informational.
 	Seed int64 `json:"seed,omitempty"`
+	// Defect, when set, induces a known bug for this run (see Defect).
+	// Shrink never changes it.
+	Defect Defect `json:"defect,omitempty"`
 	// Objects is the database size n.
 	Objects int `json:"objects"`
 	// Cycles is how many broadcast cycles the run spans.
@@ -226,6 +229,8 @@ func checkObjSet(n int, what string, set []int, requireDistinct bool) error {
 // references outside the run, or sizes beyond the harness caps.
 func (w *Workload) Validate() error {
 	switch {
+	case w.Defect < 0 || w.Defect >= defectCount:
+		return fmt.Errorf("conformance: unknown defect %d", int(w.Defect))
 	case w.Objects < 1 || w.Objects > maxObjects:
 		return fmt.Errorf("conformance: Objects = %d, need [1,%d]", w.Objects, maxObjects)
 	case w.Cycles < 1 || w.Cycles > maxCycles:
@@ -344,7 +349,7 @@ func (w *Workload) Validate() error {
 // Clone returns a deep copy sharing no mutable state with w.
 func (w *Workload) Clone() *Workload {
 	c := &Workload{
-		Seed: w.Seed, Objects: w.Objects, Cycles: w.Cycles,
+		Seed: w.Seed, Defect: w.Defect, Objects: w.Objects, Cycles: w.Cycles,
 		Groups: w.Groups, RegroupEvery: w.RegroupEvery,
 		Shards: w.Shards, Faults: w.Faults,
 	}

@@ -1,6 +1,8 @@
 package conformance
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -11,6 +13,136 @@ import (
 	"broadcastcc/internal/protocol"
 	"broadcastcc/internal/server"
 )
+
+// soakWith is Soak with defect d induced in every generated workload: it
+// returns the first violating seed and its report.
+func soakWith(d Defect, base int64, n int, p Params) (seed int64, rep *Report, found bool, err error) {
+	for s := base; s < base+int64(n); s++ {
+		w := Generate(s, p)
+		w.Defect = d
+		r, err := CheckWorkload(w)
+		if err != nil {
+			return s, nil, false, err
+		}
+		if len(r.Violations) > 0 {
+			return s, r, true, nil
+		}
+	}
+	return 0, nil, false, nil
+}
+
+// roundTrip writes ce into a fresh corpus directory, loads it back and
+// replays it both ways: its violation under the defect, clean without.
+func roundTrip(t *testing.T, ce *Counterexample) {
+	t.Helper()
+	dir := t.TempDir()
+	if _, err := WriteCounterexample(dir, ce); err != nil {
+		t.Fatal(err)
+	}
+	corpus, err := LoadCorpus(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(corpus) != 1 {
+		t.Fatalf("corpus has %d entries, want 1", len(corpus))
+	}
+	for _, loaded := range corpus {
+		if loaded.Workload.Defect != ce.Workload.Defect {
+			t.Fatalf("defect %s decoded as %s", ce.Workload.Defect, loaded.Workload.Defect)
+		}
+		if err := Replay(loaded); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// assertMatchesPin requires w to encode byte for byte like the workload
+// of the committed corpus pin name.
+func assertMatchesPin(t *testing.T, w *Workload, name string) {
+	t.Helper()
+	corpus, err := LoadCorpus("corpus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin, ok := corpus[name]
+	if !ok {
+		t.Fatalf("corpus pin %s missing", name)
+	}
+	got, _ := json.MarshalIndent(w, "", "  ")
+	want, _ := json.MarshalIndent(pin.Workload, "", "  ")
+	if !bytes.Equal(got, want) {
+		t.Fatalf("shrunk workload differs from pin %s:\ngot  %s\nwant %s", name, got, want)
+	}
+}
+
+// TestInducedDefectsStayLocal runs every defect next to a clean twin of
+// the same workload, all in parallel: a defect is an input of one run,
+// so the twin must report nothing while the defect reports its kind.
+func TestInducedDefectsStayLocal(t *testing.T) {
+	cases := []struct {
+		d    Defect
+		kind string
+		w    *Workload
+	}{
+		{DefectLooseRead, KindFMatrixBeyondApprox, Generate(17, DefaultParams())},
+		{DefectStaleMC, KindTheorem2, Generate(4, DefaultParams())},
+		{DefectCacheSkip, KindCacheStaleness, Generate(5, DefaultParams())},
+		{DefectTraceSkew, KindTraceDiverged, traceWorkload()},
+		{DefectAlignmentSkip, KindShardBeyondFMatrix, forceShards(Generate(11, DefaultParams()), 4)},
+	}
+	for _, tc := range cases {
+		for _, d := range []Defect{tc.d, DefectNone} {
+			w := tc.w.Clone()
+			w.Defect = d
+			name := tc.d.String() + "/clean-twin"
+			if d != DefectNone {
+				name = tc.d.String() + "/defect"
+			}
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				rep, err := CheckWorkload(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case d == DefectNone && len(rep.Violations) > 0:
+					t.Fatalf("clean twin violates: %v", rep.Violations[0])
+				case d != DefectNone && (len(rep.Violations) == 0 || rep.Violations[0].Kind != tc.kind):
+					t.Fatalf("want first violation %s, got %v", tc.kind, rep.Violations)
+				}
+			})
+		}
+	}
+}
+
+// Defects travel by name; an unknown name or value is refused, and
+// Clone keeps the defect.
+func TestDefectEncoding(t *testing.T) {
+	for d := DefectNone; d < defectCount; d++ {
+		w := &Workload{Objects: 1, Cycles: 1, Defect: d}
+		b, err := json.Marshal(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Workload
+		if err := json.Unmarshal(b, &back); err != nil || back.Defect != d {
+			t.Fatalf("%s: round-trip gave %s, %v (%s)", d, back.Defect, err, b)
+		}
+		if (d == DefectNone) == bytes.Contains(b, []byte(`"defect"`)) {
+			t.Fatalf("%s: encoding %s", d, b)
+		}
+		if c := w.Clone(); c.Defect != d {
+			t.Fatalf("Clone dropped defect %s", d)
+		}
+	}
+	var w Workload
+	if err := json.Unmarshal([]byte(`{"objects":1,"cycles":1,"defect":"bogus"}`), &w); err == nil {
+		t.Fatal("unknown defect name decoded")
+	}
+	if err := (&Workload{Objects: 1, Cycles: 1, Defect: defectCount}).Validate(); err == nil {
+		t.Fatal("unknown defect value validated")
+	}
+}
 
 // The repo's correct implementations must survive a soak: every seeded
 // workload — faults, caches, uplink updates and all — conforms to the
@@ -103,14 +235,12 @@ func TestResolveReads(t *testing.T) {
 }
 
 // The acceptance-criterion test: an intentionally broken read-condition
-// (< flipped to <=, behind the protocol test hook) must be caught by the
-// soak, shrink to a tiny counterexample, round-trip through the corpus
-// encoding, and reproduce from the decoded workload alone.
+// (< flipped to <=, DefectLooseRead) must be caught by the soak, shrink
+// to a tiny counterexample, round-trip through the corpus encoding, and
+// replay broken under the defect and clean without it.
 func TestBrokenReadConditionCaught(t *testing.T) {
-	restore := protocol.SetLooseReadCondition(true)
-	defer restore()
-
-	seed, rep, _, found, err := Soak(1, 500, DefaultParams())
+	t.Parallel()
+	seed, rep, found, err := soakWith(DefectLooseRead, 1, 500, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,56 +252,23 @@ func TestBrokenReadConditionCaught(t *testing.T) {
 	if srep == nil || len(srep.Violations) == 0 {
 		t.Fatal("shrinking lost the violation")
 	}
+	if srep.Violations[0].Kind != KindFMatrixBeyondApprox {
+		t.Fatalf("loose read surfaced as %s, want %s", srep.Violations[0].Kind, KindFMatrixBeyondApprox)
+	}
 	if got := shrunk.TxnCount(); got > 4 {
 		t.Fatalf("shrunk counterexample has %d transactions, want <= 4", got)
 	}
 	if err := shrunk.Validate(); err != nil {
 		t.Fatalf("shrunk workload no longer validates: %v", err)
 	}
-
-	dir := t.TempDir()
-	ce := &Counterexample{
+	roundTrip(t, &Counterexample{
 		Seed:      seed,
 		Note:      "loosened read-condition (bound > cycle instead of >=)",
 		Violation: srep.Violations[0].Kind,
 		Detail:    srep.Violations[0].Detail,
 		History:   srep.History,
 		Workload:  shrunk,
-	}
-	path, err := WriteCounterexample(dir, ce)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpus, err := LoadCorpus(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(corpus) != 1 {
-		t.Fatalf("corpus has %d entries, want 1 (%s)", len(corpus), path)
-	}
-
-	// Replay from the decoded corpus entry: still broken under the hook...
-	for _, loaded := range corpus {
-		rrep, err := CheckWorkload(loaded.Workload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rrep.Violations) == 0 {
-			t.Fatal("replayed counterexample no longer violates under the broken condition")
-		}
-		if rrep.Violations[0].Kind != ce.Violation {
-			t.Fatalf("replay violation kind = %s, recorded %s", rrep.Violations[0].Kind, ce.Violation)
-		}
-		// ...and clean once the condition is fixed.
-		restore()
-		fixed, err := CheckWorkload(loaded.Workload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(fixed.Violations) != 0 {
-			t.Fatalf("counterexample still violates with the correct condition: %v", fixed.Violations[0])
-		}
-	}
+	})
 }
 
 // Satellite property: on a large batch of random histories, the grouped
@@ -208,17 +305,15 @@ func TestGroupedAcceptanceSandwiched(t *testing.T) {
 }
 
 // The grouped acceptance-criterion test: the naive monotone MC
-// maintenance (mc[s] = max(old, fresh), behind the cmatrix test hook)
-// is wrong because Theorem 2's column rewrites can decrease a group
-// maximum. The stale MC is still an upper bound — it can never violate
-// the acceptance lattice — so the harness must catch it through the
-// grouped server's control verification, shrink it, and round-trip it
+// maintenance (mc[s] = max(old, fresh), DefectStaleMC) is wrong because
+// Theorem 2's column rewrites can decrease a group maximum. The stale MC
+// is still an upper bound — it can never violate the acceptance lattice
+// — so the harness must catch it through the grouped server's control
+// verification, shrink it to the committed pin, and round-trip it
 // through the corpus encoding.
 func TestGroupedStaleMCCaught(t *testing.T) {
-	restore := cmatrix.SetGroupedStaleMC(true)
-	defer restore()
-
-	seed, rep, _, found, err := Soak(1, 500, DefaultParams())
+	t.Parallel()
+	seed, rep, found, err := soakWith(DefectStaleMC, 1, 500, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,47 +331,23 @@ func TestGroupedStaleMCCaught(t *testing.T) {
 	if srep.Violations[0].Kind != KindTheorem2 && srep.Violations[0].Kind != KindSnapshotStale {
 		t.Fatalf("stale MC surfaced as %s, want a Theorem-2/snapshot violation (the lattice cannot catch an over-estimate)", srep.Violations[0].Kind)
 	}
-
-	dir := t.TempDir()
-	ce := &Counterexample{
+	assertMatchesPin(t, shrunk, "ce-460515935f6a.json")
+	roundTrip(t, &Counterexample{
 		Seed:      seed,
 		Note:      "naive monotone grouped-MC maintenance (max(old,new) misses decreasing column rewrites)",
 		Violation: srep.Violations[0].Kind,
 		Detail:    srep.Violations[0].Detail,
 		History:   srep.History,
 		Workload:  shrunk,
-	}
-	if _, err := WriteCounterexample(dir, ce); err != nil {
-		t.Fatal(err)
-	}
-	corpus, err := LoadCorpus(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, loaded := range corpus {
-		rrep, err := CheckWorkload(loaded.Workload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rrep.Violations) == 0 {
-			t.Fatal("replayed counterexample no longer violates under the stale maintenance")
-		}
-		// With the exact maintenance back, the same workload is clean.
-		restore()
-		fixed, err := CheckWorkload(loaded.Workload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(fixed.Violations) != 0 {
-			t.Fatalf("counterexample still violates with exact maintenance: %v", fixed.Violations[0])
-		}
-	}
+	})
 }
 
-// TestCorpusReplay replays every committed counterexample in corpus/ and
-// expects zero violations — each entry pins a scenario that once (or
-// nearly) broke, so a regression flips this test. Clean pins also carry
-// a History golden asserting full trace determinism.
+// TestCorpusReplay replays every committed counterexample in corpus/.
+// A pin carrying a Defect must reproduce its pinned violation kind under
+// the defect and replay clean without it; every other pin must replay
+// clean — each pins a scenario that once (or nearly) broke, so a
+// regression flips this test. Clean pins also carry a History golden
+// asserting full trace determinism.
 func TestCorpusReplay(t *testing.T) {
 	corpus, err := LoadCorpus("corpus")
 	if err != nil {
@@ -286,16 +357,8 @@ func TestCorpusReplay(t *testing.T) {
 		t.Fatal("committed corpus is empty; expected seed entries in internal/conformance/corpus")
 	}
 	for name, ce := range corpus {
-		rep, err := CheckWorkload(ce.Workload)
-		if err != nil {
+		if err := Replay(ce); err != nil {
 			t.Errorf("%s: %v", name, err)
-			continue
-		}
-		for _, v := range rep.Violations {
-			t.Errorf("%s: replay violates conformance: %v", name, v)
-		}
-		if ce.Violation == "" && ce.History != "" && rep.History != ce.History {
-			t.Errorf("%s: induced history drifted from golden:\ngot  %s\nwant %s", name, rep.History, ce.History)
 		}
 	}
 }

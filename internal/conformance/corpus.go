@@ -116,3 +116,32 @@ func LoadCorpus(dir string) (map[string]*Counterexample, error) {
 	}
 	return out, nil
 }
+
+// Replay re-checks one corpus entry. Under its workload's Defect the run
+// must report the pinned Violation kind first; with the defect cleared
+// it must report none, and an entry pinning no violation must reproduce
+// its History golden. It returns the first mismatch, nil if it holds.
+func Replay(ce *Counterexample) error {
+	w := ce.Workload
+	if w.Defect != DefectNone {
+		rep, err := CheckWorkload(w)
+		if err == nil && (len(rep.Violations) == 0 || rep.Violations[0].Kind != ce.Violation) {
+			err = fmt.Errorf("under defect %s: want first violation %q, got %v", w.Defect, ce.Violation, rep.Violations)
+		}
+		if err != nil {
+			return err
+		}
+		w = w.Clone()
+		w.Defect = DefectNone
+	}
+	rep, err := CheckWorkload(w)
+	switch {
+	case err != nil:
+		return err
+	case len(rep.Violations) > 0:
+		return fmt.Errorf("replay violates conformance: %v", rep.Violations[0])
+	case ce.Violation == "" && ce.History != "" && rep.History != ce.History:
+		return fmt.Errorf("induced history drifted from golden:\ngot  %s\nwant %s", rep.History, ce.History)
+	}
+	return nil
+}

@@ -146,8 +146,8 @@ func Generate(seed int64, p Params) *Workload {
 				r := PlannedRead{Obj: obj, Step: rng.Intn(3)}
 				if p.Cache && ri > 0 && rng.Float64() < p.CacheProb {
 					// Ages deliberately overshoot small T bounds so the
-					// currency clamp (and the staleness oracle under the
-					// stale-serve hook) actually gets exercised.
+					// currency clamp (and the staleness oracle under
+					// DefectCacheSkip) actually gets exercised.
 					r.CacheAge = 1 + rng.Intn(4)
 				}
 				txn.Reads = append(txn.Reads, r)

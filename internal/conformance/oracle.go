@@ -117,49 +117,26 @@ func CheckWorkload(w *Workload) (*Report, error) {
 	}
 	rep.Violations = append(rep.Violations, shardViolations...)
 
+	// The validators see each cycle's snapshot through the workload's
+	// defect (DefectLooseRead lowers every bound by one).
+	view := w.Defect.validatorSnapshot
 	vecAt := func(c cmatrix.Cycle) protocol.Snapshot {
-		return tr.snaps[c].vec
+		return view(tr.snaps[c].vec)
 	}
 	matAt := func(c cmatrix.Cycle) protocol.Snapshot {
-		return tr.snaps[c].mat
+		return view(tr.snaps[c].mat)
 	}
 	grpAt := func(c cmatrix.Cycle) protocol.Snapshot {
-		return tr.snaps[c].grp
+		return view(tr.snaps[c].grp)
 	}
 	// Cached reads carry per-cycle control columns instead of whole
-	// snapshots: column j of the C matrix under F-Matrix, and the
-	// vector read as a (j-independent) column under Datacycle.
-	vecColAt := func(obj int) func(cmatrix.Cycle) protocol.Snapshot {
-		return func(c cmatrix.Cycle) protocol.Snapshot {
-			col := make([]cmatrix.Cycle, w.Objects)
-			for i := range col {
-				col[i] = tr.snaps[c].vec.At(i)
-			}
-			return protocol.ColumnSnapshot{Obj: obj, Col: col}
-		}
-	}
-	matColAt := func(obj int) func(cmatrix.Cycle) protocol.Snapshot {
-		return func(c cmatrix.Cycle) protocol.Snapshot {
-			col := make([]cmatrix.Cycle, w.Objects)
-			for i := range col {
-				col[i] = tr.snaps[c].mat.At(i, obj)
-			}
-			return protocol.ColumnSnapshot{Obj: obj, Col: col}
-		}
-	}
-	grpColAt := func(obj int) func(cmatrix.Cycle) protocol.Snapshot {
-		return func(c cmatrix.Cycle) protocol.Snapshot {
-			col := make([]cmatrix.Cycle, w.Objects)
-			for i := range col {
-				col[i] = tr.snaps[c].grp.Bound(i, obj)
-			}
-			return protocol.ColumnSnapshot{Obj: obj, Col: col}
-		}
-	}
-	runCached := func(reads []protocol.ReadAt, colAt func(int) func(cmatrix.Cycle) protocol.Snapshot) bool {
+	// snapshots: column j of the C matrix under F-Matrix, its grouped
+	// MC image under the grouped protocol, and the vector read as a
+	// (j-independent) column under Datacycle.
+	runCached := func(reads []protocol.ReadAt, snapAt func(cmatrix.Cycle) protocol.Snapshot) bool {
 		v := &protocol.SnapshotValidator{}
 		for _, r := range reads {
-			if !v.TryRead(colAt(r.Obj)(r.Cycle), r.Obj, r.Cycle) {
+			if !v.TryRead(protocol.ColumnOf(snapAt(r.Cycle), r.Obj, w.Objects), r.Obj, r.Cycle) {
 				return false
 			}
 		}
@@ -200,9 +177,9 @@ func CheckWorkload(w *Workload) (*Report, error) {
 			// bidirectional SnapshotValidator (R-Matrix's disjunct is
 			// unsound here), so the lattice narrows to Datacycle-over-
 			// columns ⊆ F-Matrix-over-columns ⊆ APPROX.
-			tv.Datacycle = runCached(rt.reads, vecColAt)
-			tv.Grouped = runCached(rt.reads, grpColAt)
-			tv.FMatrix = runCached(rt.reads, matColAt)
+			tv.Datacycle = runCached(rt.reads, vecAt)
+			tv.Grouped = runCached(rt.reads, grpAt)
+			tv.FMatrix = runCached(rt.reads, matAt)
 			if tv.Datacycle && !tv.FMatrix {
 				addViolation(rt, KindCachedDCBeyondFMatrix,
 					fmt.Sprintf("cached reads %v: Datacycle columns accept but F-Matrix columns reject", rt.reads), "")

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 
-	"broadcastcc/internal/client"
 	"broadcastcc/internal/cmatrix"
 	"broadcastcc/internal/faultair"
 	"broadcastcc/internal/obs"
@@ -158,10 +157,9 @@ func compareTraces(nameA string, a []obs.Event, nameB string, b []obs.Event) (Vi
 // When the workload assigns the client a cache profile, the model
 // enforces it exactly like the real client does: T = 0 turns every read
 // fresh, T > 0 clamps the cache age to T, and a Size bound degrades
-// excess cached reads to fresh ones. Under the client package's
-// stale-serve hook (SetCacheSkipRevalidate) the currency enforcement is
-// skipped — the model then misbehaves identically to the hooked client,
-// and the oracle's staleness check must catch it.
+// excess cached reads to fresh ones. Under DefectCacheSkip the currency
+// enforcement is skipped, and the oracle's staleness check must catch
+// the stale serves.
 //
 // The returned ages slice parallels reads: how many cycles stale each
 // read was served (0 for fresh reads).
@@ -187,7 +185,7 @@ func resolveReads(w *Workload, sched *faultair.Schedule, cli int, txn PlannedTxn
 	fresh := false
 	for _, r := range txn.Reads {
 		age := r.CacheAge
-		if prof != nil && !client.CacheSkipRevalidate() {
+		if prof != nil && w.Defect != DefectCacheSkip {
 			switch {
 			case prof.T == 0:
 				age = 0 // caching disabled: every read is fresh
@@ -259,14 +257,15 @@ func runAir(w *Workload) (*airTrace, error) {
 	// round-trip check below is exact (workload cycles can exceed the
 	// default 8-bit wrap window).
 	grpSrv, err := server.New(server.Config{
-		Objects:       w.Objects,
-		ObjectBits:    64,
-		TimestampBits: 32,
-		Algorithm:     protocol.Grouped,
-		Groups:        w.GroupsOrDefault(),
-		RegroupEvery:  w.RegroupEvery,
-		Audit:         true,
-		Trace:         grpTr,
+		Objects:        w.Objects,
+		ObjectBits:     64,
+		TimestampBits:  32,
+		Algorithm:      protocol.Grouped,
+		Groups:         w.GroupsOrDefault(),
+		StaleGroupedMC: w.Defect == DefectStaleMC,
+		RegroupEvery:   w.RegroupEvery,
+		Audit:          true,
+		Trace:          grpTr,
 	})
 	if err != nil {
 		return nil, err
@@ -421,6 +420,7 @@ func runAir(w *Workload) (*airTrace, error) {
 	if d := vecTr.Dropped() + matTr.Dropped() + grpTr.Dropped(); d > 0 {
 		return nil, fmt.Errorf("conformance: trace ring overflowed (%d events dropped; capacity %d)", d, traceCap)
 	}
+	w.Defect.skewTrace(tr.vecTrace)
 	if v, ok := compareTraces("vector", tr.vecTrace, "matrix", tr.matTrace); !ok {
 		tr.violations = append(tr.violations, v)
 	}

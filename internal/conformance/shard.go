@@ -178,9 +178,9 @@ func runShard(w *Workload, tr *airTrace) ([]Violation, error) {
 			continue
 		}
 		refAccept := runValidator(&protocol.ConjunctiveValidator{}, rt.reads, func(c cmatrix.Cycle) protocol.Snapshot {
-			return snaps[c].ref
+			return w.Defect.validatorSnapshot(snaps[c].ref)
 		})
-		shardAccept := shardVerdict(m, rt.reads, snaps)
+		shardAccept := shardVerdict(m, rt.reads, snaps, w.Defect)
 		if shardAccept && !refAccept {
 			violations = append(violations, Violation{
 				Kind: KindShardBeyondFMatrix, Client: rt.client, Txn: rt.index,
@@ -203,9 +203,9 @@ func runShard(w *Workload, tr *airTrace) ([]Violation, error) {
 // additionally passes the cycle-alignment check — at c* (the newest
 // read cycle), every older read's object must be unwritten since it was
 // read, so one serialization point at c* admits all shards' snapshots.
-// The alignment clause honors the shard.SetAlignmentSkip fault hook so
-// the oracle judges exactly the rule the Router would apply.
-func shardVerdict(m *shard.Mapping, reads []protocol.ReadAt, snaps []shardCycle) bool {
+// Defect d reaches the validators' snapshots (DefectLooseRead) and can
+// drop the alignment clause (DefectAlignmentSkip).
+func shardVerdict(m *shard.Mapping, reads []protocol.ReadAt, snaps []shardCycle, d Defect) bool {
 	perShard := map[int][]protocol.ReadAt{}
 	cstar := cmatrix.Cycle(0)
 	for _, r := range reads {
@@ -215,12 +215,12 @@ func shardVerdict(m *shard.Mapping, reads []protocol.ReadAt, snaps []shardCycle)
 	}
 	for s, rs := range perShard {
 		if !runValidator(&protocol.ConjunctiveValidator{}, rs, func(c cmatrix.Cycle) protocol.Snapshot {
-			return snaps[c].mats[s]
+			return d.validatorSnapshot(snaps[c].mats[s])
 		}) {
 			return false
 		}
 	}
-	if len(perShard) > 1 && !shard.AlignmentSkipped() {
+	if len(perShard) > 1 && d != DefectAlignmentSkip {
 		for s, rs := range perShard {
 			snap := snaps[cstar].mats[s]
 			for _, r := range rs {

@@ -1,11 +1,6 @@
 package conformance
 
-import (
-	"testing"
-
-	"broadcastcc/internal/protocol"
-	"broadcastcc/internal/shard"
-)
+import "testing"
 
 // forceShards pins the sharded participant's shard count, clamped so
 // the workload stays valid (a shard cannot be empty of objects).
@@ -39,10 +34,10 @@ func TestShardLockstepSweep(t *testing.T) {
 	}
 }
 
-// Every committed corpus pin must also replay clean through the sharded
-// participant at every k in {1, 2, 4} — the pins predate sharding, so
-// this is the regression gate for re-driving old counterexamples
-// through the fleet.
+// Every committed corpus pin, its defect cleared, must also replay clean
+// through the sharded participant at every k in {1, 2, 4} — most pins
+// predate sharding, so this is the regression gate for re-driving old
+// counterexamples through the fleet.
 func TestCorpusReplayShardForced(t *testing.T) {
 	corpus, err := LoadCorpus("corpus")
 	if err != nil {
@@ -53,34 +48,31 @@ func TestCorpusReplayShardForced(t *testing.T) {
 	}
 	for name, ce := range corpus {
 		for _, k := range []int{1, 2, 4} {
-			rep, err := CheckWorkload(forceShards(ce.Workload, k))
-			if err != nil {
+			forced := *ce
+			forced.Workload = forceShards(ce.Workload, k)
+			forced.Workload.Defect = DefectNone
+			if err := Replay(&forced); err != nil {
 				t.Errorf("%s at %d shards: %v", name, k, err)
-				continue
-			}
-			for _, v := range rep.Violations {
-				t.Errorf("%s at %d shards: replay violates conformance: %v", name, k, v)
 			}
 		}
 	}
 }
 
-// The sharded acceptance-criterion test: with the Router's cross-shard
-// cycle-alignment check disabled (the shard.SetAlignmentSkip fault
-// hook), each shard's reads stay individually consistent but no single
-// serialization point admits them all — the exact defect class the
-// check exists to stop. The soak must catch the escape from the
-// F-Matrix lattice, the shrinker must keep the multi-shard deployment
-// (collapsing to k <= 1 makes the fault vanish), and the counterexample
-// must replay broken under the hook and clean without it.
+// The sharded acceptance-criterion test: with the cross-shard
+// cycle-alignment check dropped (DefectAlignmentSkip), each shard's
+// reads stay individually consistent but no single serialization point
+// admits them all — the exact defect class the check exists to stop.
+// The soak must catch the escape from the F-Matrix lattice, the
+// shrinker must keep the multi-shard deployment (collapsing to k <= 1
+// makes the fault vanish), and the counterexample must replay broken
+// under the defect and clean without it.
 func TestShardAlignmentSkipCaught(t *testing.T) {
-	restore := shard.SetAlignmentSkip(true)
-	defer restore()
-
+	t.Parallel()
 	var rep *Report
 	var seed int64
 	for s := int64(1); s <= 2000; s++ {
 		w := forceShards(Generate(s, DefaultParams()), []int{2, 4}[s%2])
+		w.Defect = DefectAlignmentSkip
 		r, err := CheckWorkload(w)
 		if err != nil {
 			t.Fatal(err)
@@ -107,52 +99,23 @@ func TestShardAlignmentSkipCaught(t *testing.T) {
 	if got := shrunk.TxnCount(); got > 4 {
 		t.Fatalf("shrunk counterexample has %d transactions, want <= 4", got)
 	}
-
-	dir := t.TempDir()
-	ce := &Counterexample{
+	roundTrip(t, &Counterexample{
 		Seed:      seed,
 		Note:      "cross-shard cycle-alignment check skipped (per-shard validation alone admits no single serialization point)",
 		Violation: srep.Violations[0].Kind,
 		Detail:    srep.Violations[0].Detail,
 		History:   srep.History,
 		Workload:  shrunk,
-	}
-	if _, err := WriteCounterexample(dir, ce); err != nil {
-		t.Fatal(err)
-	}
-	corpus, err := LoadCorpus(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, loaded := range corpus {
-		rrep, err := CheckWorkload(loaded.Workload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rrep.Violations) == 0 {
-			t.Fatal("replayed counterexample no longer violates under the skipped alignment check")
-		}
-		// With the alignment check back on, the same workload is clean.
-		restore()
-		fixed, err := CheckWorkload(loaded.Workload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(fixed.Violations) != 0 {
-			t.Fatalf("counterexample still violates with the alignment check on: %v", fixed.Violations[0])
-		}
-	}
+	})
 }
 
 // The shrinker collapses the shard count before anything else: a
-// violation that has nothing to do with sharding (here the loosened
-// read-condition hook) must shrink to Shards = 0 even when the found
-// workload carried a fleet.
+// violation that has nothing to do with sharding (here DefectLooseRead)
+// must shrink to Shards = 0 even when the found workload carried a
+// fleet.
 func TestShrinkCollapsesShardsFirst(t *testing.T) {
-	restore := protocol.SetLooseReadCondition(true)
-	defer restore()
-
-	seed, rep, _, found, err := Soak(1, 500, DefaultParams())
+	t.Parallel()
+	seed, rep, found, err := soakWith(DefectLooseRead, 1, 500, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}

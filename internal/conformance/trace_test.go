@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"broadcastcc/internal/obs"
-	"broadcastcc/internal/server"
 )
 
 // traceWorkload is a hand-built scenario with background commits and an
@@ -55,16 +54,14 @@ func TestLockstepTracesAgree(t *testing.T) {
 }
 
 // TestTraceSkewCaughtAndShrunk: an intentionally corrupted uplink
-// verdict on the vector server (behind the server test hook — a pure
-// trace divergence, no data-plane change, so nothing else in the
-// oracle can catch it) must surface as a cycle-trace-divergence
-// violation, survive shrinking, and disappear once the hook is
-// restored.
+// verdict in the vector server's trace (DefectTraceSkew — a pure trace
+// divergence, no data-plane change, so nothing else in the oracle can
+// catch it) must surface as a cycle-trace-divergence violation, survive
+// shrinking, and disappear once the defect is cleared.
 func TestTraceSkewCaughtAndShrunk(t *testing.T) {
-	restore := server.SetTraceSkewVector(true)
-	defer restore()
-
+	t.Parallel()
 	w := traceWorkload()
+	w.Defect = DefectTraceSkew
 	rep, err := CheckWorkload(w)
 	if err != nil {
 		t.Fatal(err)
@@ -96,14 +93,8 @@ func TestTraceSkewCaughtAndShrunk(t *testing.T) {
 	if err := shrunk.Validate(); err != nil {
 		t.Fatalf("shrunk workload no longer validates: %v", err)
 	}
-
-	restore()
-	fixed, err := CheckWorkload(shrunk)
-	if err != nil {
+	if err := Replay(&Counterexample{Violation: KindTraceDiverged, Workload: shrunk}); err != nil {
 		t.Fatal(err)
-	}
-	if len(fixed.Violations) != 0 {
-		t.Fatalf("counterexample still violates with the hook off: %v", fixed.Violations[0])
 	}
 }
 

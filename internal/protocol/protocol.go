@@ -131,6 +131,12 @@ func NewValidator(alg Algorithm) Validator {
 	return &ConjunctiveValidator{}
 }
 
+// violates reports whether a control bound invalidates a read performed
+// at the given cycle: the read-condition accepts iff bound < cycle.
+func violates(bound, cycle cmatrix.Cycle) bool {
+	return bound >= cycle
+}
+
 // ConjunctiveValidator implements the read-condition
 // ∀(ob_i, cycle) ∈ R_t: Bound(i, j) < cycle — F-Matrix with a matrix
 // snapshot (Theorem 1), Datacycle with a vector snapshot, the grouped

@@ -46,6 +46,12 @@ type Config struct {
 	Algorithm protocol.Algorithm
 	// Groups is the partition size for protocol.Grouped.
 	Groups int
+	// StaleGroupedMC induces a known defect under protocol.Grouped: the
+	// grouped control keeps each MC column as the naive running max
+	// (cmatrix.GroupedControl.StaleMC). The published MC is then a stale
+	// upper bound, which VerifyControl reports. Only the conformance
+	// harness sets it, to show that check catches the class.
+	StaleGroupedMC bool
 	// InitialValues optionally seeds the database; missing entries
 	// default to nil.
 	InitialValues [][]byte
@@ -213,7 +219,9 @@ func New(cfg Config) (*Server, error) {
 	switch layout.Control {
 	case bcast.ControlGrouped:
 		s.partition = cmatrix.UniformPartition(cfg.Objects, cfg.Groups)
-		s.control = cmatrix.NewGroupedControl(s.partition)
+		gc := cmatrix.NewGroupedControl(s.partition)
+		gc.StaleMC = cfg.StaleGroupedMC
+		s.control = gc
 		if cfg.RegroupEvery > 0 {
 			heat, err := airsched.NewEWMA(cfg.Objects, cfg.HeatAlpha)
 			if err != nil {
@@ -740,13 +748,8 @@ func (s *Server) SubmitUpdate(req protocol.UpdateRequest) error {
 }
 
 // emitVerdict traces an uplink decision (1 accept, 0 reject) at the
-// current cycle. Callers hold mu. The traceSkewVector test hook (see
-// hooks.go) deliberately corrupts the Arg on vector-control servers so
-// the conformance trace comparison and shrinker can be exercised.
+// current cycle. Callers hold mu.
 func (s *Server) emitVerdict(verdict int64) {
-	if traceSkewVector && s.layout.Control == bcast.ControlVector {
-		verdict ^= 1
-	}
 	s.trace.Emit(obs.EvUplinkVerdict, obs.ActorServer, int64(s.cycle), 0, verdict)
 }
 

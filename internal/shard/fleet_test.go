@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -289,8 +290,9 @@ func TestDuplicateDecisionFrames(t *testing.T) {
 
 // TestCrossShardAlignment: a multi-shard read-only transaction whose
 // early read is overwritten before its latest read cannot align on any
-// serialization point and must abort; the SetAlignmentSkip hook — and
-// only the hook — lets it slip through.
+// serialization point and must abort — and the abort must be the
+// alignment clause's: each shard's own validation passed, and the
+// cross-shard check rejected.
 func TestCrossShardAlignment(t *testing.T) {
 	base := server.Config{Algorithm: protocol.FMatrix, ObjectBits: 64, TimestampBits: 32}
 	f, r, pump := testFleet(t, 32, 2, base)
@@ -318,12 +320,8 @@ func TestCrossShardAlignment(t *testing.T) {
 	}
 	if err := run(); !errors.Is(err, client.ErrInconsistentRead) {
 		t.Fatalf("misaligned reads committed: %v", err)
-	}
-	restore := SetAlignmentSkip(true)
-	err := run()
-	restore()
-	if err != nil {
-		t.Fatalf("alignment-skip hook did not bypass the check: %v", err)
+	} else if !strings.Contains(err.Error(), "cannot align") {
+		t.Fatalf("misaligned reads aborted before the alignment check: %v", err)
 	}
 
 	// The benign schedule — no intervening write — aligns fine.

@@ -134,7 +134,7 @@ func (t *ReadTxn) Commit() ([]protocol.ReadAt, error) {
 			all = append(all, protocol.ReadAt{Obj: globals[rd.Obj], Cycle: rd.Cycle})
 		}
 	}
-	if len(t.used) > 1 && !alignmentSkip {
+	if len(t.used) > 1 {
 		for _, s := range t.used {
 			if err := t.r.awaitShardCycle(s, cstar); err != nil {
 				return nil, err

@@ -178,7 +178,8 @@ type ObjectWrite = protocol.ObjectWrite
 type UpdateRequest = protocol.UpdateRequest
 
 // Uplink is the client-to-server commit channel; *Server and *NetUplink
-// both implement it.
+// both implement it. A handler served by ServeUplink gets requests valid
+// only for the duration of the call and copies whatever it keeps.
 type Uplink = protocol.Uplink
 
 // ColumnSnapshot is the control information of a single object under

@@ -68,18 +68,25 @@ func TestWriteFrameExportedRoundTrip(t *testing.T) {
 // plain stream. On any bytes, handed out in chunks of any size and
 // buffered down to bufio's 16-byte minimum so a header can straddle a
 // refill, ReadFrame returns the same frames and the same error either
-// way; WriteFrame of those frames produces the same bytes either way,
-// also starting with fewer than 4 bytes free in the writer.
+// way, and so does nextFrame, in the buffer or, for a frame larger than
+// it, in its scratch; WriteFrame of those frames produces the same
+// bytes either way, also starting with fewer than 4 bytes free in the
+// writer.
 func FuzzReadFrame(f *testing.F) {
-	var two bytes.Buffer
+	var two, big bytes.Buffer
 	WriteFrame(&two, []byte("first"))
 	WriteFrame(&two, []byte("second frame"))
+	WriteFrame(&big, bytes.Repeat([]byte("large "), 50))
+	WriteFrame(&big, []byte("small"))
+	WriteFrame(&big, bytes.Repeat([]byte("larger "), 50))
 	for _, stream := range [][]byte{
 		{},                    // empty stream
 		{0, 0},                // torn header
 		{0, 0, 0, 9, 'x'},     // torn payload
 		{0x01, 0, 0, 1, 0, 0}, // length maxFrame+1
 		two.Bytes(),           // two back-to-back frames
+		big.Bytes(),           // frames above and below the buffer size
+		big.Bytes()[:400],     // ... the last one torn
 	} {
 		f.Add(stream, uint8(0), uint8(0), uint8(0))
 		f.Add(stream, uint8(1), uint8(3), uint8(2))
@@ -97,16 +104,24 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		bufSize := 16 + int(size)
 		plain, plainErr := readFrames(source())
-		buffered, bufferedErr := readFrames(bufio.NewReaderSize(source(), bufSize))
-		if fmt.Sprint(plainErr) != fmt.Sprint(bufferedErr) {
-			t.Fatalf("plain reader ends with %v, buffered with %v", plainErr, bufferedErr)
-		}
-		if len(plain) != len(buffered) {
-			t.Fatalf("plain reader read %d frames, buffered %d", len(plain), len(buffered))
-		}
-		for i := range plain {
-			if !bytes.Equal(plain[i], buffered[i]) {
-				t.Fatalf("frame %d: plain %x, buffered %x", i, plain[i], buffered[i])
+		for _, way := range []string{"buffered", "in place"} {
+			var frames [][]byte
+			var err error
+			if br := bufio.NewReaderSize(source(), bufSize); way == "buffered" {
+				frames, err = readFrames(br)
+			} else {
+				frames, err = nextFrames(br)
+			}
+			if fmt.Sprint(plainErr) != fmt.Sprint(err) {
+				t.Fatalf("plain reader ends with %v, %s with %v", plainErr, way, err)
+			}
+			if len(plain) != len(frames) {
+				t.Fatalf("plain reader read %d frames, %s %d", len(plain), way, len(frames))
+			}
+			for i := range plain {
+				if !bytes.Equal(plain[i], frames[i]) {
+					t.Fatalf("frame %d: plain %x, %s %x", i, plain[i], way, frames[i])
+				}
 			}
 		}
 
@@ -142,6 +157,20 @@ func readFrames(r io.Reader) ([][]byte, error) {
 			return frames, err
 		}
 		frames = append(frames, frame)
+	}
+}
+
+// nextFrames reads frames off br with nextFrame until the first error,
+// copying each out before the next read reuses its memory.
+func nextFrames(br *bufio.Reader) ([][]byte, error) {
+	var frames [][]byte
+	var scratch []byte
+	for {
+		frame, err := nextFrame(br, &scratch)
+		if err != nil {
+			return frames, err
+		}
+		frames = append(frames, bytes.Clone(frame))
 	}
 }
 

@@ -63,30 +63,59 @@ func WriteFrame(w io.Writer, data []byte) error {
 // Handed a *bufio.Reader, it reads the header in place; the frames and
 // errors are those of the plain reader underneath.
 func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr []byte
-	var err error
-	if br, ok := r.(*bufio.Reader); ok {
-		if hdr, err = br.Peek(4); err == nil {
-			br.Discard(4) // cannot fail: Peek buffered them
-		} else if err == io.EOF && len(hdr) > 0 {
-			err = io.ErrUnexpectedEOF // as io.ReadFull reports a torn header
-		}
-	} else {
-		hdr = make([]byte, 4)
-		_, err = io.ReadFull(r, hdr)
-	}
+	n, err := readHeader(r)
 	if err != nil {
 		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr)
-	if n > maxFrame {
-		return nil, fmt.Errorf("netcast: frame of %d bytes exceeds limit", n)
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
 	return buf, nil
+}
+
+// nextFrame is ReadFrame into memory it does not own — br's buffer when
+// the frame fits there, else *scratch — valid until the next read.
+func nextFrame(br *bufio.Reader, scratch *[]byte) ([]byte, error) {
+	n, err := readHeader(br)
+	if err != nil {
+		return nil, err
+	}
+	return readIn(br, n, scratch)
+}
+
+// readHeader reads a frame's length and holds it to the size limit.
+func readHeader(r io.Reader) (int, error) {
+	var hdr []byte
+	hdr, err := readIn(r, 4, &hdr)
+	if err != nil {
+		return 0, err
+	}
+	n := binary.BigEndian.Uint32(hdr)
+	if n > maxFrame {
+		return 0, fmt.Errorf("netcast: frame of %d bytes exceeds limit", n)
+	}
+	return int(n), nil
+}
+
+// readIn reads the next n bytes of r: in place when r is a *bufio.Reader
+// that holds them, else into *scratch, regrown as needed. Anything short
+// of that — a torn stream, an error — is left to io.ReadFull to report.
+func readIn(r io.Reader, n int, scratch *[]byte) ([]byte, error) {
+	if br, ok := r.(*bufio.Reader); ok {
+		if b, err := br.Peek(n); err == nil {
+			br.Discard(n) // cannot fail: Peek buffered them
+			return b, nil
+		}
+	}
+	if cap(*scratch) < n {
+		*scratch = make([]byte, n)
+	}
+	b := (*scratch)[:n]
+	if _, err := io.ReadFull(r, b); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // Options tune the network server.
@@ -655,6 +684,7 @@ type Uplink struct {
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
+	buf  []byte // the request being sent, then a reply too large for br
 }
 
 // DialUplink connects to a server's uplink address.
@@ -666,17 +696,19 @@ func DialUplink(addr string) (*Uplink, error) {
 	return &Uplink{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}, nil
 }
 
-// roundTrip sends one uplink frame in one write and decodes the reply.
-func (u *Uplink) roundTrip(frame []byte) error {
+// roundTrip encodes one uplink frame into the Uplink's buffer, sends it
+// in one write and decodes the reply.
+func (u *Uplink) roundTrip(encode func(dst []byte) []byte) error {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if err := WriteFrame(u.bw, frame); err != nil {
+	u.buf = encode(u.buf[:0])
+	if err := WriteFrame(u.bw, u.buf); err != nil {
 		return err
 	}
 	if err := u.bw.Flush(); err != nil {
 		return err
 	}
-	reply, err := ReadFrame(u.br)
+	reply, err := nextFrame(u.br, &u.buf)
 	if err != nil {
 		return err
 	}
@@ -689,18 +721,18 @@ func (u *Uplink) roundTrip(frame []byte) error {
 
 // SubmitUpdate implements protocol.Uplink over the wire.
 func (u *Uplink) SubmitUpdate(req protocol.UpdateRequest) error {
-	return u.roundTrip(wire.EncodeUpdateRequest(req))
+	return u.roundTrip(func(dst []byte) []byte { return wire.AppendUpdateRequest(dst, req) })
 }
 
 // PrepareUpdate sends shot one of the cross-shard commit, making
 // *Uplink a shard coordinator participant over TCP.
 func (u *Uplink) PrepareUpdate(token uint64, req protocol.UpdateRequest, remote bool) error {
-	return u.roundTrip(wire.EncodePrepare(token, req, remote))
+	return u.roundTrip(func([]byte) []byte { return wire.EncodePrepare(token, req, remote) })
 }
 
 // DecideUpdate sends shot two.
 func (u *Uplink) DecideUpdate(token uint64, commit bool) error {
-	return u.roundTrip(wire.EncodeDecision(token, commit))
+	return u.roundTrip(func([]byte) []byte { return wire.EncodeDecision(token, commit) })
 }
 
 // Close closes the uplink connection.

@@ -87,10 +87,10 @@ func TestStrayFramesRejectedAsWrongKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := &UplinkServer{uplink: bsrv} // a participant: it would act on a decision
-	if err := u.dispatch(delta); err == nil || !strings.Contains(err.Error(), "cycle-delta frame on the uplink") {
+	if err := u.dispatch(delta, new(protocol.UpdateRequest)); err == nil || !strings.Contains(err.Error(), "cycle-delta frame on the uplink") {
 		t.Fatalf("cycle-delta frame fed to the uplink dispatch: %v", err)
 	}
-	if err := u.dispatch(nil); err == nil || !strings.Contains(err.Error(), "unknown frame on the uplink") {
+	if err := u.dispatch(nil, new(protocol.UpdateRequest)); err == nil || !strings.Contains(err.Error(), "unknown frame on the uplink") {
 		t.Fatalf("empty frame fed to the uplink dispatch: %v", err)
 	}
 }

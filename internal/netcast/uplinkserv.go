@@ -120,7 +120,8 @@ func (u *UplinkServer) accept() {
 // each reply as it is written, so the loop never blocks in a read while
 // holding an unflushed reply. A request still in the read buffer when
 // the server closes is not dispatched: the socket's read deadline
-// cannot stop it.
+// cannot stop it. Each request is decoded where its frame lies into
+// one the connection reuses: it lives only as long as its dispatch.
 func (u *UplinkServer) serve(conn net.Conn) {
 	defer u.wg.Done()
 	defer func() {
@@ -130,16 +131,19 @@ func (u *UplinkServer) serve(conn net.Conn) {
 		conn.Close()
 	}()
 	br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
+	var scratch, reply []byte
+	var req protocol.UpdateRequest
 	for {
-		frame, err := ReadFrame(br)
+		frame, err := nextFrame(br, &scratch)
 		if err != nil || u.isClosed() {
 			return
 		}
 		u.cRequests.Inc()
 		start := time.Now()
-		verdict := u.dispatch(frame)
+		verdict := u.dispatch(frame, &req)
 		u.hUplinkNs.Observe(time.Since(start).Nanoseconds())
-		if WriteFrame(bw, wire.EncodeUpdateReply(verdict)) != nil || bw.Flush() != nil {
+		reply = wire.AppendUpdateReply(reply[:0], verdict)
+		if WriteFrame(bw, reply) != nil || bw.Flush() != nil {
 			return
 		}
 	}
@@ -154,15 +158,14 @@ func (u *UplinkServer) isClosed() bool {
 
 // dispatch decodes and executes one uplink frame, multiplexing the
 // three frame kinds by magic: BCU1 submissions always, the BCP1/BCT1
-// shots only when the handler is a participant.
-func (u *UplinkServer) dispatch(frame []byte) error {
+// shots only when the handler is a participant; BCU1 decodes into req.
+func (u *UplinkServer) dispatch(frame []byte, req *protocol.UpdateRequest) error {
 	switch kind := wire.KindOf(frame); kind {
 	case wire.KindUpdate:
-		req, err := wire.DecodeUpdateRequest(frame)
-		if err != nil {
+		if err := wire.DecodeUpdateRequestInto(req, frame); err != nil {
 			return err
 		}
-		return u.uplink.SubmitUpdate(req)
+		return u.uplink.SubmitUpdate(*req)
 	case wire.KindPrepare, wire.KindDecision:
 		p, ok := u.uplink.(protocol.Participant)
 		if !ok {

@@ -6,12 +6,15 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"broadcastcc/internal/client"
+	"broadcastcc/internal/cmatrix"
 	"broadcastcc/internal/protocol"
 	"broadcastcc/internal/server"
 	"broadcastcc/internal/shard"
@@ -433,58 +436,204 @@ func TestCloseDropsReadAheadRequests(t *testing.T) {
 	}
 }
 
+// uplinkShapes are the uplink requests of two benchmark workloads:
+// uplink-grouped's, whose frame fits the 4 KiB read buffer, and
+// air-table1's, four reads and four 1 KiB writes, whose frame does not
+// and takes nextFrame's scratch path.
+var uplinkShapes = []struct {
+	name string
+	req  protocol.UpdateRequest
+}{
+	{"grouped", groupedShapeRequest(0)},
+	{"table1", table1ShapeRequest()},
+}
+
+// table1ShapeRequest is one request of the air-table1 workload.
+func table1ShapeRequest() protocol.UpdateRequest {
+	var req protocol.UpdateRequest
+	for obj := 0; obj < 4; obj++ {
+		req.Reads = append(req.Reads, protocol.ReadAt{Obj: obj, Cycle: 1})
+		req.Writes = append(req.Writes, protocol.ObjectWrite{Obj: 4 + obj, Value: make([]byte, 1024)})
+	}
+	return req
+}
+
 // uplinkRoundTripAllocs is the whole process's heap allocations per
-// SubmitUpdate of a grouped-shape request to a no-op handler over
-// loopback TCP: request encode and reply decode at the client, frame
-// read, request decode and reply encode at the server. The framing
-// itself allocates only the payload buffers ReadFrame hands out; with
-// a 4-byte header array escaping per read and per write at each end it
-// was 14.
-const uplinkRoundTripAllocs = 10
+// SubmitUpdate to a no-op handler over loopback TCP, in steady state:
+// request encode and reply decode at the client, frame read, request
+// decode and reply encode at the server. The request is encoded into
+// the Uplink's buffer and decoded where its frame lies into a request
+// the connection reuses; it was 10 while each frame, request and reply
+// was a fresh buffer, and 14 with a 4-byte header array escaping per
+// read and per write at each end.
+const uplinkRoundTripAllocs = 0
 
 func TestUplinkRoundTripAllocs(t *testing.T) {
-	us, err := ServeUplink("127.0.0.1:0", uplinkFunc(func(protocol.UpdateRequest) error { return nil }), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer us.Close()
-	up, err := DialUplink(us.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer up.Close()
-	req := groupedShapeRequest(0)
-	got := testing.AllocsPerRun(500, func() {
-		if err := up.SubmitUpdate(req); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if got != uplinkRoundTripAllocs {
-		t.Fatalf("%.0f allocs per uplink round trip, want %d", got, uplinkRoundTripAllocs)
+	for _, shape := range uplinkShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			up := noopUplink(t)
+			got := testing.AllocsPerRun(500, func() {
+				if err := up.SubmitUpdate(shape.req); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if got != uplinkRoundTripAllocs {
+				t.Fatalf("%.0f allocs per uplink round trip, want %d", got, uplinkRoundTripAllocs)
+			}
+		})
 	}
 }
 
-// BenchmarkUplinkRoundTrip is one uplink-grouped commit's trip over
-// loopback TCP — encode, write, the server's read, decode and reply,
-// the client's read — with the server's handler reduced to a no-op, so
-// what it times is the transport.
-func BenchmarkUplinkRoundTrip(b *testing.B) {
+// noopUplink dials an uplink port whose handler accepts every request
+// and does nothing, so what a round trip costs is the transport.
+func noopUplink(t testing.TB) *Uplink {
 	us, err := ServeUplink("127.0.0.1:0", uplinkFunc(func(protocol.UpdateRequest) error { return nil }), nil)
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
+	}
+	t.Cleanup(us.Close)
+	up, err := DialUplink(us.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { up.Close() })
+	return up
+}
+
+// BenchmarkUplinkRoundTrip is one commit's trip over loopback TCP —
+// encode, write, the server's read, decode and reply, the client's
+// read — with the server's handler reduced to a no-op, so what it times
+// is the transport; one sub-benchmark per request shape.
+func BenchmarkUplinkRoundTrip(b *testing.B) {
+	for _, shape := range uplinkShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			up := noopUplink(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := up.SubmitUpdate(shape.req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestUplinkFrameReuseKeepsState: the uplink port decodes every request
+// into memory it reuses for the next, so what the server keeps must be
+// its own. Over one socket to a real server, shot one of a two-shot
+// commit is followed by a stream of submits, each frame laid over the
+// prepare's in the read buffer, before shot two installs it: the
+// committed values, the prepared writes and the audit log are what was
+// sent.
+func TestUplinkFrameReuseKeepsState(t *testing.T) {
+	const n = 16
+	srv, err := server.New(server.Config{Objects: n, ObjectBits: 64, Algorithm: protocol.FMatrix, Audit: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.StartCycle()
+	us, err := ServeUplink("127.0.0.1:0", srv, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	defer us.Close()
 	up, err := DialUplink(us.Addr())
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
 	defer up.Close()
-	req := groupedShapeRequest(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := up.SubmitUpdate(req); err != nil {
-			b.Fatal(err)
+
+	// Every request reads object n-1, which nothing writes, and writes
+	// values that name their object and round.
+	want := make([][]byte, n)
+	var wantLog []cmatrix.Commit
+	request := func(round int, objs ...int) protocol.UpdateRequest {
+		req := protocol.UpdateRequest{Reads: []protocol.ReadAt{{Obj: n - 1, Cycle: 1}}}
+		for _, obj := range objs {
+			v := []byte(fmt.Sprintf("o%02d r%d", obj, round))
+			req.Writes = append(req.Writes, protocol.ObjectWrite{Obj: obj, Value: v})
+			want[obj] = v
 		}
+		wantLog = append(wantLog, cmatrix.Commit{ReadSet: []int{n - 1}, WriteSet: objs, Cycle: 1})
+		return req
+	}
+	const token = 7
+	prep := request(0, 0, 1)
+	prepLog := wantLog[0]
+	wantLog = wantLog[:0] // the prepare commits last, at its decision
+	if err := up.PrepareUpdate(token, prep, false); err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	for round := 1; round <= 3; round++ {
+		for obj := 2; obj+4 <= n-1; obj += 4 {
+			if err := up.SubmitUpdate(request(round, obj, obj+1, obj+2, obj+3)); err != nil {
+				t.Fatalf("round %d, objects %d..: %v", round, obj, err)
+			}
+		}
+	}
+	if err := up.DecideUpdate(token, true); err != nil {
+		t.Fatalf("decide: %v", err)
+	}
+	wantLog = append(wantLog, prepLog)
+
+	cb := srv.StartCycle()
+	for obj, v := range want {
+		if !bytes.Equal(cb.Values[obj], v) {
+			t.Errorf("object %d committed %q, sent %q", obj, cb.Values[obj], v)
+		}
+	}
+	if got := srv.AuditLog(); !reflect.DeepEqual(got, wantLog) {
+		t.Errorf("audit log:\n got %v\nwant %v", got, wantLog)
+	}
+}
+
+// stallingParticipant holds every submit until release closes, then
+// reports the first value it was handed.
+type stallingParticipant struct {
+	protocol.Participant
+	release chan struct{}
+	seen    chan []byte
+}
+
+func (p *stallingParticipant) SubmitUpdate(req protocol.UpdateRequest) error {
+	<-p.release
+	p.seen <- bytes.Clone(req.Writes[0].Value)
+	return nil
+}
+
+// TestCoordinatorTimeoutKeepsRequest: a coordinator behind an uplink
+// port answers a call that times out while its participant still holds
+// the request, and the port then reads the next frame over the last.
+// The participant must still see the value its request carried.
+func TestCoordinatorTimeoutKeepsRequest(t *testing.T) {
+	m := shard.NewMapping(shard.NewRing(1, 1, 0), 4)
+	p := &stallingParticipant{release: make(chan struct{}), seen: make(chan []byte, 2)} // one per submit
+	coord, err := shard.NewCoordinator(m, []protocol.Participant{p}, shard.CoordinatorConfig{CallTimeout: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	us, err := ServeUplink("127.0.0.1:0", coord, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer us.Close()
+	up, err := DialUplink(us.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer up.Close()
+	for _, v := range []string{"first", "other"} {
+		req := protocol.UpdateRequest{Writes: []protocol.ObjectWrite{{Obj: 0, Value: []byte(v)}}}
+		if err := up.SubmitUpdate(req); err == nil || !strings.Contains(err.Error(), shard.ErrPrepareTimeout.Error()) {
+			t.Fatalf("submit %q: %v, want the participant timeout", v, err)
+		}
+	}
+	close(p.release)
+	got := []string{string(<-p.seen), string(<-p.seen)}
+	slices.Sort(got)
+	if got[0] != "first" || got[1] != "other" {
+		t.Fatalf("participant saw %q, want each value once", got)
 	}
 }

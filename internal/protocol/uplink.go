@@ -20,8 +20,33 @@ type UpdateRequest struct {
 // Uplink is the client-to-server channel for update transactions. The
 // server validates the request and either commits it (nil) or rejects
 // it with an error, in which case the client transaction aborts.
+//
+// A request is valid for the duration of the call: a netcast uplink
+// port decodes each one into memory it reuses for the next, so an
+// implementation that keeps any part of it past its return — values,
+// Reads, Writes — keeps a copy (CloneWrites). The same holds for
+// Participant.PrepareUpdate.
 type Uplink interface {
 	SubmitUpdate(UpdateRequest) error
+}
+
+// CloneWrites copies ws into memory it shares with nothing: one array
+// holds every value, each capped at its own length; an empty value is
+// nil.
+func CloneWrites(ws []ObjectWrite) []ObjectWrite {
+	n := 0
+	for _, w := range ws {
+		n += len(w.Value)
+	}
+	vals, out := make([]byte, 0, n), make([]ObjectWrite, len(ws))
+	for i, w := range ws {
+		out[i].Obj = w.Obj
+		if len(w.Value) > 0 {
+			vals = append(vals, w.Value...)
+			out[i].Value = vals[len(vals)-len(w.Value) : len(vals) : len(vals)]
+		}
+	}
+	return out
 }
 
 // Participant is one shard's uplink as the cross-shard two-shot commit

@@ -591,7 +591,8 @@ func (s *Server) RegroupEpoch() uint64 {
 // read and written, in first-occurrence order, and the writes as
 // submitted — installed in that order, so the last value written to an
 // object wins. Nothing changes it once built, so the prepare table and
-// the audit log keep its slices.
+// the audit log keep its sets; writes is the request's own slice,
+// valid for the call, and the prepare table keeps a copy.
 type update struct {
 	readSet  []int
 	writeSet []int

@@ -48,10 +48,11 @@ type prepared struct {
 // shape and admit over the shard-local projection of an update
 // transaction, with the install left to DecideUpdate. Until that
 // decision (or the TTL) the objects read and written stay pinned, so no
-// interleaved commit can invalidate what was admitted, and req.Writes
-// is held: the caller must leave it alone. remote marks a transaction
-// whose global read set is not fully local (see prepared.remote).
-// Duplicate prepares of a live token are idempotent.
+// interleaved commit can invalidate what was admitted. req is valid for
+// the duration of the call (protocol.Uplink): the prepare keeps a copy
+// of its writes. remote marks a transaction whose global read set is
+// not fully local (see prepared.remote). Duplicate prepares of a live
+// token are idempotent.
 func (s *Server) PrepareUpdate(token uint64, req protocol.UpdateRequest, remote bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -79,6 +80,7 @@ func (s *Server) PrepareUpdate(token uint64, req protocol.UpdateRequest, remote 
 		s.pinned = map[int]uint64{}
 		s.decided = map[uint64]decision{}
 	}
+	u.writes = protocol.CloneWrites(u.writes)
 	s.prepares[token] = &prepared{update: u, remote: remote, expires: s.cycle + cmatrix.Cycle(s.cfg.PrepareTTL)}
 	for _, set := range [][]int{u.readSet, u.writeSet} {
 		for _, obj := range set {

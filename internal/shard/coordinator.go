@@ -81,7 +81,10 @@ func (c *Coordinator) Mapping() *Mapping { return c.m }
 
 // split projects a global update request onto the fleet: per-shard
 // requests in shard-local object ids, plus the ascending list of
-// participating shards (any shard holding a read or a write).
+// participating shards (any shard holding a read or a write). The
+// written values are copied: a call that times out leaves its
+// participant running after SubmitUpdate has returned, and req is
+// valid only until then.
 func (c *Coordinator) split(req protocol.UpdateRequest) (perShard []protocol.UpdateRequest, involved []int) {
 	perShard = make([]protocol.UpdateRequest, c.m.Shards())
 	touched := make([]bool, c.m.Shards())
@@ -90,7 +93,7 @@ func (c *Coordinator) split(req protocol.UpdateRequest) (perShard []protocol.Upd
 		perShard[s].Reads = append(perShard[s].Reads, protocol.ReadAt{Obj: c.m.Local(r.Obj), Cycle: r.Cycle})
 		touched[s] = true
 	}
-	for _, w := range req.Writes {
+	for _, w := range protocol.CloneWrites(req.Writes) {
 		s := c.m.ShardOf(w.Obj)
 		perShard[s].Writes = append(perShard[s].Writes, protocol.ObjectWrite{Obj: c.m.Local(w.Obj), Value: w.Value})
 		touched[s] = true

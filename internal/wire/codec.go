@@ -56,7 +56,7 @@ var kinds = [...]struct {
 	KindSubsetSubscribe: {[4]byte{'B', 'C', 'Q', '2'}, "subset-subscribe", subscribeHeaderBytes, 0},
 	KindSubset:          {[4]byte{'B', 'C', 'Q', '3'}, "subset-cycle", subsetHeaderBytes, 0},
 	KindUpdate:          {[4]byte{'B', 'C', 'U', '1'}, "update", updateHeaderBytes, 0},
-	KindPrepare:         {[4]byte{'B', 'C', 'P', '1'}, "prepare", shotBytes, 0},
+	KindPrepare:         {[4]byte{'B', 'C', 'P', '1'}, "prepare", shotBytes + 8, 0},
 	KindDecision:        {[4]byte{'B', 'C', 'T', '1'}, "decision", shotBytes, 0},
 }
 

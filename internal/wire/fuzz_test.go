@@ -139,19 +139,42 @@ func FuzzCycleView(f *testing.F) {
 }
 
 // FuzzDecodeUpdateRequest checks the uplink request decoder against
-// arbitrary input.
+// arbitrary input: an accepted request survives a round trip, and a
+// decode into a request that already holds an earlier, larger one —
+// the uplink port's reused request — is the fresh decode, error for
+// error.
 func FuzzDecodeUpdateRequest(f *testing.F) {
 	good := EncodeUpdateRequest(protocol.UpdateRequest{
 		Reads:  []protocol.ReadAt{{Obj: 1, Cycle: 3}},
 		Writes: []protocol.ObjectWrite{{Obj: 0, Value: []byte("v")}},
 	})
+	var larger protocol.UpdateRequest
+	for i := 0; i < 8; i++ {
+		larger.Reads = append(larger.Reads, protocol.ReadAt{Obj: i, Cycle: 9})
+		larger.Writes = append(larger.Writes, protocol.ObjectWrite{Obj: i, Value: []byte("earlier")})
+	}
+	earlier := EncodeUpdateRequest(larger)
 	f.Add(good)
 	f.Add([]byte{})
 	f.Add([]byte("BCU1"))
+	f.Add(EncodeUpdateRequest(protocol.UpdateRequest{Writes: []protocol.ObjectWrite{{Obj: 2}}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeUpdateRequest(data)
+		var reused protocol.UpdateRequest
+		if err := DecodeUpdateRequestInto(&reused, earlier); err != nil {
+			t.Fatal(err)
+		}
+		if reusedErr := DecodeUpdateRequestInto(&reused, data); fmt.Sprint(reusedErr) != fmt.Sprint(err) {
+			t.Fatalf("fresh decode fails with %v, reused with %v", err, reusedErr)
+		}
 		if err != nil {
 			return
+		}
+		sameWrite := func(a, b protocol.ObjectWrite) bool {
+			return a.Obj == b.Obj && bytes.Equal(a.Value, b.Value) && (a.Value == nil) == (b.Value == nil)
+		}
+		if !slices.Equal(req.Reads, reused.Reads) || !slices.EqualFunc(req.Writes, reused.Writes, sameWrite) {
+			t.Fatalf("reused decode %+v, fresh %+v", reused, req)
 		}
 		round, err := DecodeUpdateRequest(EncodeUpdateRequest(req))
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -202,4 +203,44 @@ func groupedCycle(t testing.TB) *bcast.CycleBroadcast {
 		t.Fatal(err)
 	}
 	return cb
+}
+
+// TestDecodeUpdateRequestInto pins the uplink request's ownership
+// contract: each written value is a window onto the frame, capped at its
+// own length, an empty value is nil, and a decode into a request warmed
+// by an earlier one allocates nothing.
+func TestDecodeUpdateRequestInto(t *testing.T) {
+	sent := protocol.UpdateRequest{
+		Reads:  []protocol.ReadAt{{Obj: 3, Cycle: 17}, {Obj: 0, Cycle: 1}},
+		Writes: []protocol.ObjectWrite{{Obj: 5, Value: []byte("hello")}, {Obj: 6}, {Obj: 7, Value: []byte("bye")}},
+	}
+	frame := EncodeUpdateRequest(sent)
+	var req protocol.UpdateRequest
+	if err := DecodeUpdateRequestInto(&req, frame); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(req, sent) {
+		t.Fatalf("decoded %+v, sent %+v", req, sent)
+	}
+	for i, w := range req.Writes {
+		if w.Value == nil {
+			continue
+		}
+		if cap(w.Value) != len(w.Value) {
+			t.Errorf("write %d: cap %d past its length %d", i, cap(w.Value), len(w.Value))
+		}
+		if off := bytes.Index(frame, w.Value); off < 0 || &frame[off] != &w.Value[0] {
+			t.Errorf("write %d: value is not a window onto the frame", i)
+		}
+	}
+	if req.Writes[1].Value != nil {
+		t.Errorf("empty value decoded as %#v, want nil", req.Writes[1].Value)
+	}
+	if got := testing.AllocsPerRun(20, func() {
+		if err := DecodeUpdateRequestInto(&req, frame); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Fatalf("%.0f allocs per decode into a warmed request, want 0", got)
+	}
 }

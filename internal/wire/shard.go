@@ -23,30 +23,23 @@ const shotBytes = 4 + 8 + 1
 // EncodePrepare serializes shot one for one write-shard: the shard's
 // projection of the transaction plus the token naming it fleet-wide.
 func EncodePrepare(token uint64, req protocol.UpdateRequest, remote bool) []byte {
-	body := EncodeUpdateRequest(req)
-	buf := make([]byte, 0, shotBytes+len(body)-4)
-	buf = append(buf, KindPrepare.magic()...)
-	buf = append(binary.BigEndian.AppendUint64(buf, token), flagByte(remote))
-	return append(buf, body[4:]...) // BCU1 body sans magic
+	var head [shotBytes]byte
+	copy(head[:], KindPrepare.magic())
+	binary.BigEndian.PutUint64(head[4:12], token)
+	head[12] = flagByte(remote)
+	return appendUpdate(nil, head[:], req)
 }
 
-// DecodePrepare parses shot one.
+// DecodePrepare parses shot one. As with DecodeUpdateRequest, the
+// written values are windows onto data.
 func DecodePrepare(data []byte) (token uint64, req protocol.UpdateRequest, remote bool, err error) {
-	if err := KindPrepare.check(data); err != nil {
-		return 0, req, false, err
+	if err = decodeUpdate(&req, data, KindPrepare); err == nil {
+		remote, err = getFlag(data[12])
 	}
-	token = binary.BigEndian.Uint64(data[4:12])
-	if remote, err = getFlag(data[12]); err != nil {
-		return 0, req, false, err
-	}
-	body := make([]byte, 0, 4+len(data)-shotBytes)
-	body = append(body, KindUpdate.magic()...)
-	body = append(body, data[shotBytes:]...)
-	req, err = DecodeUpdateRequest(body)
 	if err != nil {
 		return 0, protocol.UpdateRequest{}, false, err
 	}
-	return token, req, remote, nil
+	return binary.BigEndian.Uint64(data[4:12]), req, remote, nil
 }
 
 // EncodeDecision serializes shot two.

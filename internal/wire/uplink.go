@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"broadcastcc/internal/cmatrix"
 	"broadcastcc/internal/protocol"
@@ -22,44 +23,68 @@ import (
 const updateHeaderBytes = 4 + 4 + 4
 
 // EncodeUpdateRequest serializes a client update transaction for the
-// uplink.
-func EncodeUpdateRequest(req protocol.UpdateRequest) []byte {
-	size := updateHeaderBytes + 12*len(req.Reads)
+// uplink into a fresh buffer.
+func EncodeUpdateRequest(req protocol.UpdateRequest) []byte { return AppendUpdateRequest(nil, req) }
+
+// AppendUpdateRequest appends req's uplink frame to dst.
+func AppendUpdateRequest(dst []byte, req protocol.UpdateRequest) []byte {
+	return appendUpdate(dst, KindUpdate.magic(), req)
+}
+
+// appendUpdate appends head and then the BCU1 body of req — counts and
+// entries, the part BCU1 and BCP1 share — growing dst at most once.
+func appendUpdate(dst, head []byte, req protocol.UpdateRequest) []byte {
+	size := len(head) + 8 + 12*len(req.Reads)
 	for _, w := range req.Writes {
 		size += 8 + len(w.Value)
 	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, KindUpdate.magic()...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(req.Reads)))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(req.Writes)))
+	dst = append(slices.Grow(dst, size), head...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(req.Reads)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(req.Writes)))
 	for _, r := range req.Reads {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(r.Obj))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(r.Cycle))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(r.Obj))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(r.Cycle))
 	}
 	for _, w := range req.Writes {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(w.Obj))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(w.Value)))
-		buf = append(buf, w.Value...)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(w.Obj))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(w.Value)))
+		dst = append(dst, w.Value...)
 	}
-	return buf
+	return dst
 }
 
-// DecodeUpdateRequest parses an uplink frame.
-func DecodeUpdateRequest(data []byte) (protocol.UpdateRequest, error) {
-	var req protocol.UpdateRequest
-	if err := KindUpdate.check(data); err != nil {
-		return req, err
+// DecodeUpdateRequest parses an uplink frame. Each written value is a
+// window onto data, capped at its own length (an empty one is nil): the
+// request is valid while data is, and whoever keeps a value copies it.
+func DecodeUpdateRequest(data []byte) (req protocol.UpdateRequest, err error) {
+	err = DecodeUpdateRequestInto(&req, data)
+	return req, err
+}
+
+// DecodeUpdateRequestInto is DecodeUpdateRequest into req, reusing its
+// Reads and Writes: with room enough it allocates nothing.
+func DecodeUpdateRequestInto(req *protocol.UpdateRequest, data []byte) error {
+	return decodeUpdate(req, data, KindUpdate)
+}
+
+// decodeUpdate checks a frame of kind k, BCU1 or BCP1, and decodes into
+// req its BCU1 body: the counts that end k's header, then the entries.
+func decodeUpdate(req *protocol.UpdateRequest, data []byte, k Kind) error {
+	req.Reads, req.Writes = req.Reads[:0], req.Writes[:0]
+	if err := k.check(data); err != nil {
+		return err
 	}
-	nReads := int(binary.BigEndian.Uint32(data[4:8]))
-	nWrites := int(binary.BigEndian.Uint32(data[8:12]))
+	off := kinds[k].header - 8
+	nReads := int(binary.BigEndian.Uint32(data[off : off+4]))
+	nWrites := int(binary.BigEndian.Uint32(data[off+4 : off+8]))
+	off += 8
 	// Bound both counts by what the buffer can hold (a write is at
 	// least its 8-byte prefix) before allocating.
-	off := updateHeaderBytes
 	if err := minLen(data, int64(off), int64(nReads), 12); err != nil {
-		return req, err
+		return err
 	}
 	if err := minLen(data, int64(off+12*nReads), int64(nWrites), 8); err != nil {
-		return req, err
+		return err
 	}
 	for i := 0; i < nReads; i++ {
 		req.Reads = append(req.Reads, protocol.ReadAt{
@@ -70,39 +95,40 @@ func DecodeUpdateRequest(data []byte) (protocol.UpdateRequest, error) {
 	}
 	for i := 0; i < nWrites; i++ {
 		if off+8 > len(data) {
-			return req, ErrShortBuffer
+			return ErrShortBuffer
 		}
-		obj := int(binary.BigEndian.Uint32(data[off : off+4]))
+		w := protocol.ObjectWrite{Obj: int(binary.BigEndian.Uint32(data[off : off+4]))}
 		vlen := int(binary.BigEndian.Uint32(data[off+4 : off+8]))
 		off += 8
 		if vlen > len(data)-off {
-			return req, ErrShortBuffer
+			return ErrShortBuffer
 		}
-		req.Writes = append(req.Writes, protocol.ObjectWrite{
-			Obj:   obj,
-			Value: append([]byte(nil), data[off:off+vlen]...),
-		})
+		if vlen > 0 {
+			w.Value = data[off : off+vlen : off+vlen]
+		}
+		req.Writes = append(req.Writes, w)
 		off += vlen
 	}
 	if off != len(data) {
-		return req, fmt.Errorf("wire: %d trailing bytes in uplink frame", len(data)-off)
+		return fmt.Errorf("wire: %d trailing bytes in uplink frame", len(data)-off)
 	}
-	return req, nil
+	return nil
 }
 
-// EncodeUpdateReply serializes the server's verdict.
-func EncodeUpdateReply(err error) []byte {
+// EncodeUpdateReply serializes the server's verdict into a fresh buffer.
+func EncodeUpdateReply(err error) []byte { return AppendUpdateReply(nil, err) }
+
+// AppendUpdateReply appends the server's verdict to dst.
+func AppendUpdateReply(dst []byte, err error) []byte {
 	if err == nil {
-		return []byte{0}
+		return append(dst, 0)
 	}
 	reason := err.Error()
 	if len(reason) > 0xffff {
 		reason = reason[:0xffff]
 	}
-	buf := make([]byte, 0, 3+len(reason))
-	buf = append(buf, 1)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(reason)))
-	return append(buf, reason...)
+	dst = binary.BigEndian.AppendUint16(append(dst, 1), uint16(len(reason)))
+	return append(dst, reason...)
 }
 
 // DecodeUpdateReply parses the server's verdict: nil means committed;

@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"testing"
 
+	"broadcastcc/internal/airsched"
 	"broadcastcc/internal/bcast"
 	"broadcastcc/internal/cmatrix"
 	"broadcastcc/internal/experiments"
@@ -488,28 +489,19 @@ func BenchmarkWireDelta(b *testing.B) {
 }
 
 // BenchmarkScheduleNextReady measures the broadcast-program lookup used
-// on every simulated client read.
+// on every simulated client read: Timeline.NextReady on the 3-disk
+// airsched program of the "disks" figure (zipf θ=0.95, no index).
 func BenchmarkScheduleNextReady(b *testing.B) {
 	layout := bcast.LayoutFor(protocol.RMatrix, 300, 8192, 8, 0)
-	hot := make([]int, 30)
-	for i := range hot {
-		hot[i] = i
-	}
-	cold := make([]int, 270)
-	for i := range cold {
-		cold[i] = 30 + i
-	}
-	s, err := bcast.NewSchedule(layout, []bcast.Disk{
-		{Objects: hot, Speed: 3},
-		{Objects: cold, Speed: 1},
-	})
+	p, err := airsched.Build(layout, airsched.ZipfWeights(300, 0.95), 3, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	major := float64(s.MajorCycleBits())
+	tl := airsched.NewTimeline(p)
+	major := float64(tl.MajorBits())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.NextReady(float64(i%1000)*major/1000, i%300)
+		tl.NextReady(float64(i%1000)*major/1000, i%300)
 	}
 }
 

@@ -42,9 +42,8 @@ func main() {
 	flag.IntVar(&cfg.Groups, "groups", 10, "groups for -alg grouped")
 	flag.Int64Var(&cfg.CacheCurrency, "cache-currency", cfg.CacheCurrency, "client cache currency bound in cycles (0 = no cache)")
 	flag.IntVar(&cfg.CacheSize, "cache-size", cfg.CacheSize, "client cache entry cap (0 = unlimited)")
-	flag.IntVar(&cfg.HotDiskSpeed, "hot-speed", 0, "hot disk relative speed (two-disk broadcast program; 0/1 = flat)")
-	flag.IntVar(&cfg.HotSetSize, "hot-set", 0, "hot set size (first N objects)")
-	flag.Float64Var(&cfg.HotAccessProb, "hot-access", 0, "probability a client read targets the hot set")
+	flag.IntVar(&cfg.Disks, "disks", 0, "broadcast disks of the airsched program (0/1 = the paper's flat disk)")
+	flag.Float64Var(&cfg.ZipfTheta, "zipf", 0, "zipf θ of the client access skew and of the estimate driving the disk partition")
 	flag.Float64Var(&cfg.ClientUpdateProb, "update-prob", 0, "probability a client transaction is an update")
 	flag.IntVar(&cfg.ClientTxnWrites, "update-writes", 1, "writes per client update transaction")
 	flag.Float64Var(&cfg.UplinkLatency, "uplink-latency", 0, "uplink commit round trip (bit-units)")

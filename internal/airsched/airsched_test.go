@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"broadcastcc/internal/bcast"
+	"broadcastcc/internal/protocol"
 )
 
 func testLayout(n int) bcast.Layout {
@@ -380,6 +381,76 @@ func TestTimelineNextReady(t *testing.T) {
 	}
 	if hotWait >= coldWait {
 		t.Fatalf("hot object waits longer than cold: %v vs %v", hotWait/probes, coldWait/probes)
+	}
+}
+
+// The simulator waits every read out on a Timeline; at one disk with no
+// index that must be the paper's flat bcast.Schedule, answer for answer,
+// at random instants, at every slot end and around the major-cycle
+// boundaries. The one difference is an exact boundary, which the
+// timeline counts into the cycle it closes: the object whose frame ends
+// there is ready at that very instant, where the schedule already looks
+// into the next cycle.
+func TestFlatTimelineMatchesSchedule(t *testing.T) {
+	algs := []protocol.Algorithm{protocol.Datacycle, protocol.RMatrix, protocol.FMatrix, protocol.FMatrixNo, protocol.Grouped}
+	rng := rand.New(rand.NewSource(5))
+	for _, alg := range algs {
+		for _, n := range []int{1, 3, 40, 300} {
+			for _, theta := range []float64{0, 0.95} {
+				layout := bcast.LayoutFor(alg, n, 8192, 8, min(n, 8))
+				p, err := Build(layout, ZipfWeights(n, theta), 1, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tl := NewTimeline(p)
+				ref, err := bcast.SingleDiskSchedule(layout)
+				if err != nil {
+					t.Fatal(err)
+				}
+				major := float64(tl.MajorBits())
+				if !p.Flat() || major != float64(ref.MajorCycleBits()) {
+					t.Fatalf("%v n=%d θ=%v: program %v, major %v vs %d", alg, n, theta, p, major, ref.MajorCycleBits())
+				}
+				var probes []float64
+				for range 200 {
+					probes = append(probes, rng.Float64()*50*major)
+				}
+				for c := range 3 {
+					// The last frame ends on a boundary, probed below.
+					for f := range tl.FrameCount() - 1 {
+						probes = append(probes, float64(c)*major+float64(tl.FrameEnd(f)))
+					}
+				}
+				for c := 1; c <= 5; c++ {
+					at := float64(c) * major
+					probes = append(probes, math.Nextafter(at, 0), math.Nextafter(at, math.Inf(1)))
+				}
+				for j := range n {
+					for _, at := range append(probes, 0) {
+						gr, gc := tl.NextReady(at, j)
+						wr, wc := ref.NextReady(at, j)
+						if gr != wr || gc != wc {
+							t.Fatalf("%v n=%d θ=%v: object %d at %v: timeline (%v, %d), schedule (%v, %d)",
+								alg, n, theta, j, at, gr, gc, wr, wc)
+						}
+					}
+					last := j == p.Slots()[n-1]
+					for c := int64(1); c <= 5; c++ {
+						at := float64(c) * major
+						gr, gc := tl.NextReady(at, j)
+						wr, wc := ref.NextReady(at, j)
+						if last && (gr != at || gc != c || wr != at+major || wc != c+1) {
+							t.Fatalf("%v n=%d: closing object %d at boundary %v: timeline (%v, %d), schedule (%v, %d)",
+								alg, n, j, at, gr, gc, wr, wc)
+						}
+						if !last && (gr != wr || gc != wc) {
+							t.Fatalf("%v n=%d: object %d at boundary %v: timeline (%v, %d), schedule (%v, %d)",
+								alg, n, j, at, gr, gc, wr, wc)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -148,9 +148,6 @@ type Client struct {
 	cCacheHits      *obs.Counter
 	cReadAborts     *obs.Counter
 	cRestarts       *obs.Counter
-	cFramesListened *obs.Counter
-	cFramesDozed    *obs.Counter
-	cIndexMisses    *obs.Counter
 	cRevalidated    *obs.Counter
 	cRevalDropped   *obs.Counter
 	cStoreErrors    *obs.Counter
@@ -168,15 +165,6 @@ type Stats struct {
 	Reads        int64 // successful validated reads
 	CacheHits    int64 // reads served from the local cache
 	ReadAborts   int64 // reads rejected by the read-condition
-
-	// Air-tuning counters, fed by the tuner layer (netcast selective
-	// tuner, or the simulator's timeline accounting) via AddFrameStats.
-	// Tuning time — the battery cost — is FramesListened; access time is
-	// unchanged by selective tuning, which only converts listening into
-	// dozing.
-	FramesListened int64 // frames received and decoded
-	FramesDozed    int64 // frames skipped while dozing between wakeups
-	IndexMisses    int64 // wakeups that found no decodable frame (broken delta chain, lost index)
 }
 
 // New builds a client over an existing subscription (obtain one from
@@ -203,9 +191,6 @@ func New(cfg Config, sub *bcast.Subscription) *Client {
 	c.cCacheHits = c.obs.Counter("client_cache_hits")
 	c.cReadAborts = c.obs.Counter("client_read_aborts")
 	c.cRestarts = c.obs.Counter("client_restarts")
-	c.cFramesListened = c.obs.Counter("client_frames_listened")
-	c.cFramesDozed = c.obs.Counter("client_frames_dozed")
-	c.cIndexMisses = c.obs.Counter("client_index_misses")
 	c.cRevalidated = c.obs.Counter("client_cache_revalidated")
 	c.cRevalDropped = c.obs.Counter("client_cache_dropped")
 	c.cStoreErrors = c.obs.Counter("client_cache_store_errors")
@@ -334,28 +319,12 @@ func (c *Client) Current() *bcast.CycleBroadcast { return c.cur }
 // registry.
 func (c *Client) Stats() Stats {
 	return Stats{
-		CyclesSeen:     c.cCyclesSeen.Load(),
-		Gaps:           c.cGaps.Load(),
-		CyclesMissed:   c.cCyclesMissed.Load(),
-		Reads:          c.cReads.Load(),
-		CacheHits:      c.cCacheHits.Load(),
-		ReadAborts:     c.cReadAborts.Load(),
-		FramesListened: c.cFramesListened.Load(),
-		FramesDozed:    c.cFramesDozed.Load(),
-		IndexMisses:    c.cIndexMisses.Load(),
-	}
-}
-
-// AddFrameStats accumulates air-tuning counters measured below the
-// cycle layer — the netcast selective tuner and the simulator's
-// timeline accounting report how many frames the client actually
-// listened to, dozed through, and how many wakeups missed.
-func (c *Client) AddFrameStats(listened, dozed, indexMisses int64) {
-	c.cFramesListened.Add(listened)
-	c.cFramesDozed.Add(dozed)
-	c.cIndexMisses.Add(indexMisses)
-	if dozed > 0 && c.cur != nil {
-		c.trace.Emit(obs.EvDoze, c.cfg.ClientID, int64(c.cur.Number), 0, dozed)
+		CyclesSeen:   c.cCyclesSeen.Load(),
+		Gaps:         c.cGaps.Load(),
+		CyclesMissed: c.cCyclesMissed.Load(),
+		Reads:        c.cReads.Load(),
+		CacheHits:    c.cCacheHits.Load(),
+		ReadAborts:   c.cReadAborts.Load(),
 	}
 }
 
@@ -468,8 +437,7 @@ func (c *Client) read(val *protocol.Validator, obj int) ([]byte, error) {
 // notifies the instrumentation hook when one is installed. Cache hits
 // are stamped frame -1 (the value never crossed the air this cycle);
 // off-the-air reads use frame 0, since the flat client layer has no
-// sub-cycle frame position (the selective tuner accounts frames via
-// AddFrameStats).
+// sub-cycle frame position (the selective tuner counts its own frames).
 func (c *Client) recordRead(obj int, cycle cmatrix.Cycle, hit, accepted bool) {
 	kind, frame := obs.EvReadAbort, int32(0)
 	if hit {

@@ -146,20 +146,16 @@ var figures = []Figure{
 			cfg.CacheCurrency = int64(x)
 			cfg.Objects = 100 // hotter object set so the cache can hit
 		}},
-	// The hot-disk speed of a two-disk broadcast program under a
-	// hot-skewed client (beyond the paper, which restricts itself to
-	// single-speed disks): 30 hot objects out of 300, 80% of client
-	// reads hot.
+	// The disk count of the airsched broadcast program under a
+	// Zipf-skewed client (beyond the paper, which restricts itself to
+	// single-speed disks): hot objects spin on faster disks, no index.
 	{ID: "disks",
-		title:  "Response time vs hot-disk speed (two-disk broadcast program, 80% hot access)",
-		xlabel: "hot disk relative speed (1 = the paper's flat disk)",
-		xs:     []float64{1, 2, 3, 5, 9},
+		title:  "Response time vs broadcast disks (airsched program, zipf θ=0.95)",
+		xlabel: "broadcast disks (1 = the paper's flat disk)",
+		xs:     []float64{1, 2, 3, 4},
 		apply: func(cfg *sim.Config, x float64) {
-			cfg.HotSetSize = 30
-			cfg.HotAccessProb = 0.8
-			if x > 1 {
-				cfg.HotDiskSpeed = int(x) // cold set 270 divisible by 2,3,5,9
-			}
+			cfg.ZipfTheta = 0.95
+			cfg.Disks = int(x)
 		}},
 	// The fraction of client transactions that are updates committed
 	// over the uplink (the paper's future-work direction). Reported

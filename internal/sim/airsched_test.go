@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -91,12 +92,10 @@ func TestAirschedFlatDegenerate(t *testing.T) {
 
 func TestAirschedConfigValidation(t *testing.T) {
 	bad := []func(*Config){
-		func(c *Config) { c.IndexM = 4 },                                                // index without a program
-		func(c *Config) { c.Disks = -1 },                                                // negative disks
-		func(c *Config) { c.ZipfTheta = -0.5 },                                          // negative skew
-		func(c *Config) { c.Disks = 2; c.HotDiskSpeed = 3; c.HotSetSize = 30 },          // legacy conflict
-		func(c *Config) { c.Disks = 2; c.Clients = 4 },                                  // multi-client
-		func(c *Config) { c.ZipfTheta = 0.5; c.HotAccessProb = 0.5; c.HotSetSize = 30 }, // two skews
+		func(c *Config) { c.IndexM = 4 },       // index without a program
+		func(c *Config) { c.Disks = -1 },       // negative disks
+		func(c *Config) { c.Disks = 301 },      // more disks than objects
+		func(c *Config) { c.ZipfTheta = -0.5 }, // negative skew
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig()
@@ -111,6 +110,40 @@ func TestAirschedConfigValidation(t *testing.T) {
 	good.IndexM = 8
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid airsched config rejected: %v", err)
+	}
+}
+
+// The wheel keeps tuning per client and applies faults per client, so
+// an airsched program runs at any client count: deterministically, with
+// the indexed tuner dozing, and listening to fewer frames per
+// transaction than the same clients on the flat one-disk program.
+func TestAirschedMultiClient(t *testing.T) {
+	shape := func(disks, indexM int) Config {
+		cfg := airschedConfig(disks, indexM, 0.95)
+		cfg.Clients = 4
+		cfg.ClientTxns, cfg.MeasureFrom = 100, 25
+		return cfg
+	}
+	a, err := Run(shape(3, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(shape(3, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("two runs of one multi-client airsched config differ")
+	}
+	if a.DozedFrames == 0 {
+		t.Error("an indexed multi-client run must doze")
+	}
+	flat, err := Run(shape(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at, ft := a.TuningFrames.Mean(), flat.TuningFrames.Mean(); !(at > 0 && at < ft) {
+		t.Errorf("tuning per transaction: 3 disks + (1,8) index %.2f frames, flat %.2f — want fewer, and measured", at, ft)
 	}
 }
 

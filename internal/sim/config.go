@@ -72,9 +72,9 @@ type Config struct {
 	// single client is its client 0 drawing from the run's own stream, so
 	// the x = 1 point of a client sweep comes from the same code as the
 	// rest. Each client executes ClientTxns transactions and metrics are
-	// pooled (plus reported per client). The client cache and the
-	// airsched program are single-client only. Bounded above by
-	// MaxClients (clients are int32 cursors into flat state arrays).
+	// pooled (plus reported per client). The client cache is
+	// single-client only. Bounded above by MaxClients (clients are int32
+	// cursors into flat state arrays).
 	Clients int
 
 	// CompactRNG replaces the per-client math/rand lagged-Fibonacci
@@ -92,29 +92,17 @@ type Config struct {
 	// the paper measures the last 500 of 1000 (default 500).
 	MeasureFrom int
 
-	// HotDiskSpeed, when above 1, replaces the paper's single-speed disk
-	// with a two-disk broadcast program: the first HotSetSize objects
-	// spin HotDiskSpeed times per major cycle (an extension the paper
-	// explicitly leaves out of scope).
-	HotDiskSpeed int
-	// HotSetSize is the size of the hot disk (required when
-	// HotDiskSpeed > 1; the cold set size must be divisible by
-	// HotDiskSpeed for the chunked broadcast program).
-	HotSetSize int
-	// HotAccessProb skews client reads: each read targets the hot set
-	// with this probability (0 keeps the paper's uniform access).
-	HotAccessProb float64
-
 	// ZipfTheta, when positive, skews client object selection with a
 	// Zipf(θ) distribution over object ids (0 hottest) and supplies the
 	// access-frequency estimate an airsched broadcast program is built
 	// from. 0 keeps the paper's uniform access.
 	ZipfTheta float64
-	// Disks, when positive, replaces the flat broadcast with an airsched
-	// multi-disk program built from the Zipf weights (square-root rule):
-	// hot objects repeat every minor cycle, cold ones rotate. 1 is the
-	// degenerate flat program (useful as an identically-measured
-	// baseline). Mutually exclusive with the legacy HotDiskSpeed knob.
+	// Disks is the disk count of the airsched broadcast program every
+	// read waits out, built from the Zipf weights (square-root rule):
+	// hot objects repeat every minor cycle, cold ones rotate. 0 and 1
+	// both run the paper's flat one-disk program; 1 also reports tuning
+	// time (Result.TuningFrames), which makes it the identically-measured
+	// baseline of the multi-disk runs.
 	Disks int
 	// IndexM, when positive, interleaves a (1,m) air index into the
 	// broadcast program and the client tunes selectively: each read
@@ -222,8 +210,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: Groups = %d, need [1,%d]", c.Groups, c.Objects)
 	case c.CacheCurrency < 0:
 		return fmt.Errorf("sim: CacheCurrency = %d, need >= 0", c.CacheCurrency)
-	case c.HotAccessProb < 0 || c.HotAccessProb > 1:
-		return fmt.Errorf("sim: HotAccessProb = %v, need [0,1]", c.HotAccessProb)
 	case c.ClientUpdateProb < 0 || c.ClientUpdateProb > 1:
 		return fmt.Errorf("sim: ClientUpdateProb = %v, need [0,1]", c.ClientUpdateProb)
 	case c.ClientTxnWrites < 0:
@@ -242,47 +228,15 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: FaultDoze = %v, need [0,1) (at 1 no read ever completes)", c.FaultDoze)
 	case c.FaultDozeLen < 0:
 		return fmt.Errorf("sim: FaultDozeLen = %d, need >= 0", c.FaultDozeLen)
-	}
-	if c.ZipfTheta < 0 {
+	case c.ZipfTheta < 0:
 		return fmt.Errorf("sim: ZipfTheta = %v, need >= 0", c.ZipfTheta)
-	}
-	if c.Disks < 0 || c.Disks > c.Objects {
+	case c.Disks < 0 || c.Disks > c.Objects:
 		return fmt.Errorf("sim: Disks = %d, need [0,%d]", c.Disks, c.Objects)
-	}
-	if c.IndexM < 0 {
+	case c.IndexM < 0:
 		return fmt.Errorf("sim: IndexM = %d, need >= 0", c.IndexM)
-	}
-	if c.IndexM > 0 && c.Disks < 1 {
+	case c.IndexM > 0 && c.Disks < 1:
 		return fmt.Errorf("sim: IndexM = %d needs an airsched program (Disks >= 1)", c.IndexM)
-	}
-	if c.Disks > 0 {
-		if c.HotDiskSpeed > 1 || c.HotAccessProb > 0 {
-			return fmt.Errorf("sim: the airsched program (Disks) and the legacy hot-disk knobs are mutually exclusive")
-		}
-		if c.Clients > 1 {
-			return fmt.Errorf("sim: the airsched program is single-client only")
-		}
-	}
-	if c.ZipfTheta > 0 && c.HotAccessProb > 0 {
-		return fmt.Errorf("sim: ZipfTheta and HotAccessProb are mutually exclusive access skews")
-	}
-	if c.HotDiskSpeed > 1 {
-		if c.HotSetSize < 1 || c.HotSetSize >= c.Objects {
-			return fmt.Errorf("sim: HotSetSize = %d, need [1,%d) when HotDiskSpeed > 1", c.HotSetSize, c.Objects)
-		}
-		if (c.Objects-c.HotSetSize)%c.HotDiskSpeed != 0 {
-			return fmt.Errorf("sim: cold set size %d not divisible by HotDiskSpeed %d (chunked broadcast program)", c.Objects-c.HotSetSize, c.HotDiskSpeed)
-		}
-	} else if c.HotDiskSpeed < 0 {
-		return fmt.Errorf("sim: HotDiskSpeed = %d, need >= 0", c.HotDiskSpeed)
-	}
-	if c.HotAccessProb > 0 && c.HotSetSize < 1 {
-		return fmt.Errorf("sim: HotAccessProb needs HotSetSize >= 1")
-	}
-	if c.HotAccessProb == 1 && c.HotSetSize < c.ClientTxnLength {
-		return fmt.Errorf("sim: HotAccessProb = 1 needs HotSetSize >= ClientTxnLength (distinct reads)")
-	}
-	if c.TimestampBits < 1 || c.TimestampBits > 32 {
+	case c.TimestampBits < 1 || c.TimestampBits > 32:
 		return fmt.Errorf("sim: TimestampBits = %d, need [1,32]", c.TimestampBits)
 	}
 	return nil

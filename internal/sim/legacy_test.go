@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"broadcastcc/internal/bcast"
 	"broadcastcc/internal/cmatrix"
 	"broadcastcc/internal/obs"
 	"broadcastcc/internal/protocol"
@@ -26,8 +27,9 @@ import (
 
 // mcClient is one simulated client's state machine.
 type mcClient struct {
-	id  int
-	rng *rand.Rand
+	id    int
+	rng   *rand.Rand
+	sched *bcast.Schedule // the engine's flat program, shared
 
 	validator protocol.Validator
 	objs      []int
@@ -76,11 +78,19 @@ func (e *engine) runMulti() (*Result, error) {
 		seq++
 		heap.Push(&events, mcEvent{time: t, seq: seq, client: c})
 	}
+	// The oracle waits on its own flat bcast.Schedule, not on the
+	// engine's timeline, so the differential checks the wheel's wait too
+	// (TestFlatTimelineMatchesSchedule pins the two against each other).
+	sched, err := bcast.SingleDiskSchedule(e.layout)
+	if err != nil {
+		return nil, err
+	}
 
 	for i := range clients {
 		c := &mcClient{
-			id:  i,
-			rng: rand.New(rand.NewSource(cfg.Seed + int64(i+1)*1_000_003)),
+			id:    i,
+			rng:   rand.New(rand.NewSource(cfg.Seed + int64(i+1)*1_000_003)),
+			sched: sched,
 		}
 		clients[i] = c
 		e.startTxnAt(c, 0)
@@ -190,18 +200,23 @@ func (e *engine) startTxnAt(c *mcClient, submit float64) {
 // is recorded on the client for validation at fire time.
 func (e *engine) scheduleReadAt(c *mcClient, base float64) float64 {
 	start := base + e.clientExp(c, e.cfg.MeanInterOpDelay)
-	ready, cycle := e.nextReady(start, c.objs[c.idx])
+	ready, cycle := c.nextReady(start, c.objs[c.idx])
 	// Skip cycles this client's tuner misses (doze or frame loss); the
 	// read completes at the object's next transmission in a received
 	// cycle. The MaxTime guard fires in runMulti when the event pops.
 	for e.faults != nil && e.faults.Missed(c.id, cycle) {
 		e.trace.Emit(obs.EvDoze, int32(c.id), int64(cycle), 0, 1)
-		ready, cycle = e.nextReady(float64(cycle)*e.cycleBits, c.objs[c.idx])
+		ready, cycle = c.nextReady(float64(cycle)*e.cycleBits, c.objs[c.idx])
 	}
 	c.readCycle = cycle
 	c.access += ready - start
 	c.action = actRead
 	return ready
+}
+
+func (c *mcClient) nextReady(t float64, j int) (float64, cmatrix.Cycle) {
+	ready, cycle := c.sched.NextReady(t, j)
+	return ready, cmatrix.Cycle(cycle)
 }
 
 // nextTxnOrStop records the completed transaction and either schedules

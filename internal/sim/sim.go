@@ -39,10 +39,9 @@ type Result struct {
 	// on the air).
 	AccessTime stats.Sample
 	// TuningFrames aggregates per-transaction frames listened to (the
-	// paper's tuning time, the battery cost). Tracked only when an
-	// airsched program drives the broadcast (Config.Disks > 0): 3 frames
-	// per read on an indexed program, every frame passing by while
-	// waiting on an unindexed one.
+	// paper's tuning time, the battery cost). Tracked only when
+	// Config.Disks > 0: 3 frames per read on an indexed program, every
+	// frame passing by while waiting on an unindexed one.
 	TuningFrames stats.Sample
 	// DozedFrames counts frames the selective tuner slept through in
 	// total (airsched programs with IndexM > 0 only).
@@ -142,10 +141,9 @@ type engine struct {
 
 	now       float64
 	cycleBits float64
-	schedule  *bcast.Schedule
-	// timeline drives multi-disk, (1,m)-indexed broadcasts
-	// (cfg.Disks > 0); nil keeps the flat schedule path bit-identical to
-	// the paper's study.
+	// timeline is the broadcast program every read waits out (airRead):
+	// the paper's flat disk at Disks <= 1 and IndexM = 0, a multi-disk,
+	// (1,m)-indexed program otherwise.
 	timeline *airsched.Timeline
 	zipf     *airsched.ZipfPicker
 
@@ -195,51 +193,21 @@ type engine struct {
 
 func newEngine(cfg Config) (*engine, error) {
 	layout := bcast.LayoutFor(cfg.Algorithm, cfg.Objects, cfg.ObjectBits, cfg.TimestampBits, cfg.Groups)
-	if err := layout.Validate(); err != nil {
-		return nil, err
-	}
-	var schedule *bcast.Schedule
-	var timeline *airsched.Timeline
-	var err error
-	if cfg.Disks > 0 {
-		program, err := airsched.Build(layout, airsched.ZipfWeights(cfg.Objects, cfg.ZipfTheta), cfg.Disks, cfg.IndexM)
-		if err != nil {
-			return nil, err
-		}
-		timeline = airsched.NewTimeline(program)
-		schedule = program.Schedule()
-	} else if cfg.HotDiskSpeed > 1 {
-		hot := make([]int, cfg.HotSetSize)
-		for i := range hot {
-			hot[i] = i
-		}
-		cold := make([]int, cfg.Objects-cfg.HotSetSize)
-		for i := range cold {
-			cold[i] = cfg.HotSetSize + i
-		}
-		schedule, err = bcast.NewSchedule(layout, []bcast.Disk{
-			{Objects: hot, Speed: cfg.HotDiskSpeed},
-			{Objects: cold, Speed: 1},
-		})
-	} else {
-		schedule, err = bcast.SingleDiskSchedule(layout)
-	}
+	// Every run waits out one airsched program (Build validates the
+	// layout); Disks <= 1 without an index is the paper's flat disk.
+	// Index segments consume airtime too, so the major cycle is the
+	// timeline's, not the data slots'.
+	program, err := airsched.Build(layout, airsched.ZipfWeights(cfg.Objects, cfg.ZipfTheta), max(cfg.Disks, 1), cfg.IndexM)
 	if err != nil {
 		return nil, err
 	}
-	cycleBits := float64(schedule.MajorCycleBits())
-	if timeline != nil {
-		// Index segments consume airtime too: the program's major cycle
-		// is longer than the data slots alone.
-		cycleBits = float64(timeline.MajorBits())
-	}
+	timeline := airsched.NewTimeline(program)
 	e := &engine{
 		cfg:            cfg,
 		layout:         layout,
-		schedule:       schedule,
 		timeline:       timeline,
 		rng:            rand.New(rand.NewSource(cfg.Seed)),
-		cycleBits:      cycleBits,
+		cycleBits:      float64(timeline.MajorBits()),
 		lastWrite:      make([]cmatrix.Cycle, cfg.Objects),
 		nextCommitTime: cfg.ServerTxnInterval,
 		snaps:          map[cmatrix.Cycle]protocol.Snapshot{},
@@ -296,15 +264,6 @@ func (e *engine) exp(mean float64) float64 {
 // cycleOf reports the cycle containing time t (cycle 1 starts at 0).
 func (e *engine) cycleOf(t float64) cmatrix.Cycle {
 	return cmatrix.Cycle(math.Floor(t/e.cycleBits)) + 1
-}
-
-// nextReady reports the earliest instant >= t at which object j,
-// together with its control information, has been fully broadcast on
-// the flat schedule, and the (major) cycle that broadcast belongs to.
-// (An airsched program is waited out by the tuner model, airRead.)
-func (e *engine) nextReady(t float64, j int) (float64, cmatrix.Cycle) {
-	ready, cycle := e.schedule.NextReady(t, j)
-	return ready, cmatrix.Cycle(cycle)
 }
 
 // applyNextCommit generates the next server update transaction and
@@ -378,27 +337,17 @@ func (e *engine) ensureSnapshot(c cmatrix.Cycle) {
 	}
 }
 
-// pickObjectsFrom draws a transaction's distinct object set: uniform,
-// Zipf-skewed, or skewed to the hot set when HotAccessProb is set.
+// pickObjectsFrom draws a transaction's distinct object set, uniform
+// or Zipf-skewed.
 func (e *engine) pickObjectsFrom(rng *rand.Rand) []int {
 	cfg := e.cfg
-	if e.zipf == nil && cfg.HotAccessProb == 0 {
+	if e.zipf == nil {
 		return rng.Perm(cfg.Objects)[:cfg.ClientTxnLength]
 	}
-	coldSize := cfg.Objects - cfg.HotSetSize
 	seen := make(map[int]bool, cfg.ClientTxnLength)
 	out := make([]int, 0, cfg.ClientTxnLength)
 	for len(out) < cfg.ClientTxnLength {
-		var j int
-		switch {
-		case e.zipf != nil:
-			j = e.zipf.Pick(rng.Float64())
-		case coldSize == 0 || rng.Float64() < cfg.HotAccessProb:
-			j = rng.Intn(cfg.HotSetSize)
-		default:
-			j = cfg.HotSetSize + rng.Intn(coldSize)
-		}
-		if !seen[j] {
+		if j := e.zipf.Pick(rng.Float64()); !seen[j] {
 			seen[j] = true
 			out = append(out, j)
 		}

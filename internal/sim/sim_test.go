@@ -395,54 +395,27 @@ func TestAuditDisabledByDefault(t *testing.T) {
 	}
 }
 
-// A hot disk spinning faster must cut response times for a hot-skewed
-// client (the multi-speed extension the paper leaves out of scope).
+// A multi-disk program must cut response times for a Zipf-skewed
+// client against the paper's flat disk (the multi-speed extension the
+// paper leaves out of scope).
 func TestMultiDiskHelpsHotSkew(t *testing.T) {
 	base := smallConfig(protocol.RMatrix)
 	base.Objects = 40
-	base.HotSetSize = 8
-	base.HotAccessProb = 0.9
+	base.ZipfTheta = 0.95
+	base.Disks = 1
 	flat, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	multi := base
-	multi.HotDiskSpeed = 4 // cold set 32 divisible by 4
+	multi.Disks = 3
 	fast, err := Run(multi)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !(fast.ResponseTime.Mean() < flat.ResponseTime.Mean()) {
-		t.Errorf("hot disk should cut response time: %.0f vs flat %.0f",
+		t.Errorf("3 disks should cut response time: %.0f vs flat %.0f",
 			fast.ResponseTime.Mean(), flat.ResponseTime.Mean())
-	}
-}
-
-func TestMultiDiskValidation(t *testing.T) {
-	cfg := smallConfig(protocol.RMatrix)
-	cfg.HotDiskSpeed = 3
-	cfg.HotSetSize = 0
-	if err := cfg.Validate(); err == nil {
-		t.Error("hot disk without hot set should fail")
-	}
-	cfg.HotSetSize = 7 // cold = 33, divisible by 3: fine
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("divisible cold set rejected: %v", err)
-	}
-	cfg.HotDiskSpeed = 4 // cold = 33, not divisible by 4
-	if err := cfg.Validate(); err == nil {
-		t.Error("indivisible cold set should fail")
-	}
-	cfg = smallConfig(protocol.RMatrix)
-	cfg.HotAccessProb = 1.5
-	if err := cfg.Validate(); err == nil {
-		t.Error("bad HotAccessProb should fail")
-	}
-	cfg = smallConfig(protocol.RMatrix)
-	cfg.HotAccessProb = 1
-	cfg.HotSetSize = cfg.ClientTxnLength - 1
-	if err := cfg.Validate(); err == nil {
-		t.Error("hot set smaller than txn length with p=1 should fail")
 	}
 }
 

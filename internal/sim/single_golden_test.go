@@ -60,11 +60,6 @@ func singleClientConfigs() (names []string, cfgs []Config) {
 			c.FaultSeed = 11
 			c.RestartDelay = 10000
 		})
-		row("hot-disk", func(c *Config) {
-			c.HotDiskSpeed = 2
-			c.HotSetSize = 10
-			c.HotAccessProb = 0.8
-		})
 		row("zipf", func(c *Config) { c.ZipfTheta = 0.9 })
 
 		for _, currency := range []int64{1, 4, 16} {
@@ -131,8 +126,8 @@ func resultDigest(t *testing.T, res *Result) string {
 
 func TestSingleClientGolden(t *testing.T) {
 	names, cfgs := singleClientConfigs()
-	if len(cfgs) != 120 {
-		t.Fatalf("matrix has %d configs, want 120", len(cfgs))
+	if len(cfgs) != 115 {
+		t.Fatalf("matrix has %d configs, want 115", len(cfgs))
 	}
 	var got bytes.Buffer
 	for i, cfg := range cfgs {

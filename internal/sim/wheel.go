@@ -20,8 +20,8 @@ import (
 //
 // It is the only execution path. The paper's single client is client 0
 // of a one-client wheel drawing from the engine's own stream; what only
-// it may use (the §3.3 cache, the airsched tuner) costs the multi-client
-// runs a nil check. Its oracle is testdata/single.golden.
+// it may use (the §3.3 cache) costs the multi-client runs a nil check.
+// Its oracle is testdata/single.golden.
 //
 // For Clients > 1 the engine is an exact behavioural mirror of the
 // legacy heap engine, which survives as the test-only differential
@@ -213,8 +213,8 @@ type wheelEngine struct {
 	action   []uint8
 	submit   []float64
 	readCyc  []cmatrix.Cycle
-	// Per-transaction broadcast wait (bit-units) and, under an airsched
-	// program only, frames listened to.
+	// Per-transaction broadcast wait (bit-units) and, when Disks > 0,
+	// frames listened to.
 	access   []float64
 	listened []int64
 
@@ -262,7 +262,7 @@ func (e *engine) newWheel() *wheelEngine {
 		access:   make([]float64, n),
 		stats:    make([]ClientStats, n),
 	}
-	if e.timeline != nil {
+	if cfg.Disks > 0 {
 		w.listened = make([]int64, n)
 	}
 	switch {
@@ -472,22 +472,13 @@ func (w *wheelEngine) pickObjects(i int) {
 		}
 		return
 	}
-	cfg := w.cfg
 	src := &w.compact[i]
 	for k := 0; k < len(row); {
 		var j int
-		switch {
-		case w.e.zipf != nil:
+		if w.e.zipf != nil {
 			j = w.e.zipf.Pick(src.float64())
-		case cfg.HotAccessProb > 0:
-			coldSize := cfg.Objects - cfg.HotSetSize
-			if coldSize == 0 || src.float64() < cfg.HotAccessProb {
-				j = src.intn(cfg.HotSetSize)
-			} else {
-				j = cfg.HotSetSize + src.intn(coldSize)
-			}
-		default:
-			j = src.intn(cfg.Objects)
+		} else {
+			j = src.intn(w.cfg.Objects)
 		}
 		dup := false
 		for _, prev := range row[:k] {
@@ -521,28 +512,20 @@ func (w *wheelEngine) scheduleRead(i int, base float64) float64 {
 			return start
 		}
 	}
-	var ready float64
-	var cycle cmatrix.Cycle
-	if e.timeline != nil {
-		ready, cycle = w.airRead(i, start, obj)
-	} else {
-		ready, cycle = e.nextReady(start, obj)
-		for e.faults != nil && e.faults.Missed(i, cycle) {
-			e.trace.Emit(obs.EvDoze, int32(i), int64(cycle), 0, 1)
-			ready, cycle = e.nextReady(float64(cycle)*e.cycleBits, obj)
-		}
-	}
+	ready, cycle := w.airRead(i, start, obj)
 	w.readCyc[i] = cycle
 	w.access[i] += ready - start
 	return ready
 }
 
-// airRead waits out the airsched program for object j from instant at,
-// modelling the tuner: with a (1,m) index the client listens to a probe
-// frame, the next index segment, and the object's frame (dozing in
-// between); without an index it listens to every frame until the object
-// arrives. A fault-dropped cycle costs the listening but carries no
-// data, so the attempt repeats from the next cycle.
+// airRead waits out the broadcast program for object j from instant at
+// — the one place a simulated read waits for the air — modelling the
+// tuner: with a (1,m) index the client listens to a probe frame, the
+// next index segment, and the object's frame (dozing in between);
+// without an index it listens to every frame until the object arrives
+// (counted only when Disks > 0 reports tuning). A fault-dropped cycle
+// costs the listening but carries no data: it is traced as a doze and
+// the attempt repeats from the next cycle.
 func (w *wheelEngine) airRead(i int, at float64, j int) (float64, cmatrix.Cycle) {
 	e := w.e
 	tl := e.timeline
@@ -570,11 +553,14 @@ func (w *wheelEngine) airRead(i int, at float64, j int) (float64, cmatrix.Cycle)
 			// No index: the tuner cannot doze, it decodes every frame
 			// until the object comes around.
 			ready, cycle = tl.NextReady(at, j)
-			w.listened[i] += tl.FramesIn(at, ready)
+			if w.listened != nil {
+				w.listened[i] += tl.FramesIn(at, ready)
+			}
 		}
 		if e.faults == nil || !e.faults.Missed(i, cmatrix.Cycle(cycle)) {
 			return ready, cmatrix.Cycle(cycle)
 		}
+		e.trace.Emit(obs.EvDoze, int32(i), cycle, 0, 1)
 		at = e.retryAfter(cycle, j)
 		if w.cfg.MaxTime > 0 && at > w.cfg.MaxTime {
 			// Past the guard: stop waiting out faults; the event fires

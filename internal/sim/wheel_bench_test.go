@@ -27,8 +27,8 @@ func benchWheelConfig(n int) Config {
 // number that must stay pinned near zero for 10^6 clients to be
 // affordable; what remains is setup (flat arrays, one read-set backing
 // array per client) and per-cycle snapshot publication, never per-event
-// garbage. Not part of CI's bench smoke (that covers
-// internal/experiments); run it with:
+// garbage. CI's bench smoke runs the clients=10000 point once; all
+// three with:
 //
 //	go test -run '^$' -bench EventWheel -benchtime 1x ./internal/sim/
 func BenchmarkEventWheel(b *testing.B) {

@@ -139,14 +139,6 @@ func wheelDiffConfigs() map[string]Config {
 	zipf.ZipfTheta = 0.9
 	cfgs["zipf"] = zipf
 
-	hot := smallConfig(protocol.FMatrix)
-	hot.Clients = 4
-	hot.ClientTxns = 40
-	hot.MeasureFrom = 10
-	hot.HotAccessProb = 0.8
-	hot.HotSetSize = 10
-	cfgs["hot-access"] = hot
-
 	audit := smallConfig(protocol.FMatrix)
 	audit.Clients = 4
 	audit.ClientTxns = 30

@@ -30,10 +30,11 @@ type CycleBroadcast struct {
 
 	// Written lists, sorted and distinct, the objects written during the
 	// previous cycle: the only ones whose value and column (or vector
-	// entry) differ from that cycle's, which lets a sender patch its last
-	// frame (wire.PatchCycle). Nil is unknown — cycle 1, any decoded
-	// cycle — and empty that nothing moved. A superset is legal, a missing
-	// object puts stale bytes on the air, and readers never write it.
+	// entry) differ from that cycle's, which lets a sender rewrite just
+	// those records of its last frame, in place (wire.PatchCycle). Nil is
+	// unknown — cycle 1, any decoded cycle — and empty that nothing moved.
+	// A superset is legal; a missing object leaves the previous cycle's
+	// record on the air, stale. Readers never write it.
 	Written []int
 
 	// Order, when non-nil, is the data-slot object sequence of the

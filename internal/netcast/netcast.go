@@ -41,16 +41,18 @@ const maxFrame = 16 << 20
 // speak the stream format without decoding cycles. Handed a
 // *bufio.Writer, it builds the header inside the buffer: nothing escapes.
 func WriteFrame(w io.Writer, data []byte) error {
+	if bw, ok := w.(*bufio.Writer); ok {
+		return writeFrame(w, bw.AvailableBuffer(), data)
+	}
+	return writeFrame(w, nil, data)
+}
+
+// writeFrame is WriteFrame building the length prefix in hdr's storage.
+func writeFrame(w io.Writer, hdr, data []byte) error {
 	if len(data) > maxFrame {
 		return fmt.Errorf("netcast: frame of %d bytes exceeds limit", len(data))
 	}
-	var hdr []byte
-	if bw, ok := w.(*bufio.Writer); ok {
-		hdr = bw.AvailableBuffer()
-	} else {
-		hdr = make([]byte, 0, 4)
-	}
-	if _, err := w.Write(binary.BigEndian.AppendUint32(hdr, uint32(len(data)))); err != nil {
+	if _, err := w.Write(binary.BigEndian.AppendUint32(hdr[:0], uint32(len(data)))); err != nil {
 		return err
 	}
 	_, err := w.Write(data)
@@ -157,6 +159,12 @@ type Options struct {
 	Obs *obs.Registry
 }
 
+// target is one subscriber as fanOut's snapshot holds it.
+type target struct {
+	conn   net.Conn
+	filter subFilter
+}
+
 // subFilter is a subset subscriber's normalized object filter plus the
 // key subscribers with equal filters share one BCQ3 encode under. The
 // zero value is the full feed.
@@ -184,18 +192,23 @@ type Server struct {
 	mu sync.Mutex
 	// subs maps each broadcast connection to its filter. A filter is set
 	// when the subscriber's BCQ2 frame is accepted; entries vanish with
-	// the connection.
+	// the connection. Every change marks fanOut's snapshot stale.
 	subs   map[net.Conn]subFilter
+	stale  bool
 	closed bool
 	wg     sync.WaitGroup
 
-	// Classic-mode transmission state (Step only, not concurrent): the
-	// delta base, which regroup epoch the last sparse-grouped frame
-	// named, and whether any partition-bearing frame has gone out yet.
+	// Transmission state (Step only, not concurrent): the delta base, the
+	// one buffer every classic frame is built in, which regroup epoch the
+	// last sparse-grouped frame named, whether any partition-bearing
+	// frame has gone out yet, then fanOut's subscriber snapshot (rebuilt
+	// when subs is stale) and a frame's length prefix.
 	prev         *bcast.CycleBroadcast
-	lastFull     []byte // the frame sent last, read-only: what wire.PatchCycle copies the next from
+	frame        []byte
 	groupedEpoch uint64
 	sentPart     bool
+	targets      []target
+	lenHdr       [4]byte
 
 	// Transmission accounting (bytes of cycle payload, framing
 	// excluded) for the delta-bandwidth analysis, plus subscriber
@@ -310,7 +323,8 @@ func (s *Server) UplinkAddr() string { return s.uplink.Addr() }
 // as one frame (full, delta or sparse-grouped); program mode sends the
 // timeline's individual index and bucket frames, where every occurrence
 // of an object within the cycle carries the cycle-start control column,
-// so validation is identical wherever a client tunes in.
+// so validation is identical wherever a client tunes in. A classic frame
+// is valid until the next Step builds its own in the same storage.
 func (s *Server) Step() (int, error) {
 	cb := s.bsrv.StartCycle()
 	if cb == nil {
@@ -354,24 +368,21 @@ func (s *Server) encodeCycle(cb *bcast.CycleBroadcast) (data []byte, err error) 
 		// after StartCycle pairs it with cb's partition.
 		epoch := s.bsrv.RegroupEpoch()
 		withPart := !s.sentPart || epoch != s.groupedEpoch
-		data, err = wire.EncodeGroupedCycle(cb, epoch, withPart)
+		data, err = wire.AppendGroupedCycle(s.frame[:0], cb, epoch, withPart)
 		if err == nil {
 			s.groupedEpoch, s.sentPart = epoch, true
 		}
 		kind = s.cGroupedBytes
 	case s.opts.DeltaEvery > 0 && s.prev != nil && cb.Number%cmatrix.Cycle(s.opts.DeltaEvery) != 0:
-		data, err = wire.EncodeCycleDelta(s.prev, cb)
+		data, err = wire.AppendCycleDelta(s.frame[:0], s.prev, cb)
 		kind = s.cDeltaBytes
 	default:
 		var patched bool
-		if data, patched, err = wire.PatchCycle(s.lastFull, cb); patched {
+		if data, patched, err = wire.PatchCycle(s.frame, cb); patched {
 			s.cPatched.Inc()
 		}
-		// Kept where the next frame can be patched from it: no deltas, no grouped control.
-		if err == nil && s.opts.DeltaEvery == 0 && cb.Layout.Control != bcast.ControlGrouped {
-			s.lastFull = data
-		}
 	}
+	s.frame = data // on error what PatchCycle left intact, or nothing
 	if err != nil {
 		return nil, err
 	}
@@ -390,14 +401,13 @@ func (s *Server) encodeCycle(cb *bcast.CycleBroadcast) (data []byte, err error) 
 // only accepted in classic matrix mode, so the substitution never meets
 // a multi-frame cycle.
 func (s *Server) fanOut(cb *bcast.CycleBroadcast, frames [][]byte) int {
-	type target struct {
-		conn   net.Conn
-		filter subFilter
-	}
 	s.mu.Lock()
-	targets := make([]target, 0, len(s.subs))
-	for c, f := range s.subs {
-		targets = append(targets, target{c, f})
+	if s.stale {
+		s.targets = make([]target, 0, len(s.subs))
+		for c, f := range s.subs {
+			s.targets = append(s.targets, target{c, f})
+		}
+		s.stale = false
 	}
 	s.mu.Unlock()
 	timeout := s.opts.WriteTimeout
@@ -410,7 +420,7 @@ func (s *Server) fanOut(cb *bcast.CycleBroadcast, frames [][]byte) int {
 	subsetFrames := map[string][]byte{}
 	var subsetOut [1][]byte
 	delivered := 0
-	for _, tg := range targets {
+	for _, tg := range s.targets { // only Step writes the snapshot
 		out := frames
 		if tg.filter.objs != nil {
 			f, ok := subsetFrames[tg.filter.key]
@@ -432,7 +442,7 @@ func (s *Server) fanOut(cb *bcast.CycleBroadcast, frames [][]byte) int {
 		tg.conn.SetWriteDeadline(time.Now().Add(timeout))
 		ok := true
 		for _, data := range out {
-			if err := WriteFrame(tg.conn, data); err != nil {
+			if err := writeFrame(tg.conn, s.lenHdr[:], data); err != nil {
 				s.reapSub(tg.conn, cb.Number)
 				ok = false
 				break
@@ -456,6 +466,7 @@ func (s *Server) reapSub(c net.Conn, cycle cmatrix.Cycle) {
 	_, reaped := s.subs[c]
 	if reaped {
 		delete(s.subs, c)
+		s.stale = true
 		c.Close()
 		s.cSubsDropped.Inc()
 		s.cReaps.Inc()
@@ -504,7 +515,7 @@ func (s *Server) Close() {
 		s.mu.Unlock()
 		return
 	}
-	s.closed = true
+	s.closed, s.stale = true, true
 	for c := range s.subs {
 		c.Close()
 		delete(s.subs, c)
@@ -530,7 +541,7 @@ func (s *Server) acceptBroadcast() {
 			conn.Close()
 			return
 		}
-		s.subs[conn] = subFilter{}
+		s.subs[conn], s.stale = subFilter{}, true
 		s.cSubsAdded.Inc()
 		s.gSubs.Set(int64(len(s.subs)))
 		s.mu.Unlock()
@@ -566,7 +577,7 @@ func (s *Server) readSubscriber(conn net.Conn) {
 		filter := subFilter{objs: objs, key: fmt.Sprint(objs)}
 		s.mu.Lock()
 		if _, ok := s.subs[conn]; ok {
-			s.subs[conn] = filter
+			s.subs[conn], s.stale = filter, true
 		}
 		s.mu.Unlock()
 		s.cSubsetSubs.Inc()

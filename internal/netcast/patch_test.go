@@ -105,10 +105,11 @@ func TestStepPatchesFullFrames(t *testing.T) {
 	}
 }
 
-// TestStepKeepsNoFrameItCannotPatch: grouped control (dense or sparse
+// TestStepReusesFrameItCannotPatch: grouped control (dense or sparse
 // frames), delta transmission and program mode encode from scratch as
-// they always did, and hold on to no frame.
-func TestStepKeepsNoFrameItCannotPatch(t *testing.T) {
+// they always did. The classic ones still build every frame in the one
+// kept buffer, there for reuse, not for patching.
+func TestStepReusesFrameItCannotPatch(t *testing.T) {
 	serve := func(cfg server.Config, opts Options) (*server.Server, *Server) {
 		cfg.ObjectBits, cfg.Audit = 64, true
 		bsrv, err := server.New(cfg)
@@ -147,8 +148,11 @@ func TestStepKeepsNoFrameItCannotPatch(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if got := patchedFrames(ns); got != 0 || ns.lastFull != nil {
-				t.Errorf("netcast_frames_patched = %d with a %d-byte frame kept, want neither", got, len(ns.lastFull))
+			if got := patchedFrames(ns); got != 0 {
+				t.Errorf("netcast_frames_patched = %d, want 0", got)
+			}
+			if kept := len(ns.frame) > 0; kept != (name != "program") {
+				t.Errorf("a %d-byte frame kept; program mode keeps none, the rest their last", len(ns.frame))
 			}
 		})
 	}
@@ -162,7 +166,7 @@ func TestFailedEncodeKeepsLastFrame(t *testing.T) {
 	tap := newAirTap(t, bsrv, ns)
 	tap.step(1)
 	_, kept := tap.step(2)
-	if !bytes.Equal(ns.lastFull, kept) {
+	if !bytes.Equal(ns.frame, kept) {
 		t.Fatal("the sender does not hold the frame it sent last")
 	}
 
@@ -174,7 +178,7 @@ func TestFailedEncodeKeepsLastFrame(t *testing.T) {
 	if _, err := ns.encodeCycle(&bad); err == nil || fmt.Sprint(err) != fmt.Sprint(wantErr) {
 		t.Fatalf("encodeCycle = %v, want EncodeCycle's %v", err, wantErr)
 	}
-	if !bytes.Equal(ns.lastFull, kept) {
+	if !bytes.Equal(ns.frame, kept) {
 		t.Fatal("a failed encode replaced the kept frame")
 	}
 	good := bad
@@ -183,5 +187,37 @@ func TestFailedEncodeKeepsLastFrame(t *testing.T) {
 	want, _ := wire.EncodeCycle(&good)
 	if err != nil || !bytes.Equal(frame, want) || patchedFrames(ns) != 2 {
 		t.Errorf("after the failure: err %v, right bytes %v, %d frames patched (want 2)", err, bytes.Equal(frame, want), patchedFrames(ns))
+	}
+}
+
+// TestFailedScratchEncodeKeepsNoFrame: an encode from scratch that
+// fails has written part of its frame over the kept one, so the sender
+// keeps nothing, and the next cycle is encoded from scratch rather than
+// patched from the half-written frame.
+func TestFailedScratchEncodeKeepsNoFrame(t *testing.T) {
+	bsrv, ns := newNetServer(t, protocol.FMatrix, 6)
+	tap := newAirTap(t, bsrv, ns)
+	tap.step(1)
+	// Cycle 2, which this sender never sends, carries a commit to object
+	// 5: record 5 of cycle 1's frame is stale from then on.
+	if err := bsrv.SubmitUpdate(protocol.UpdateRequest{Writes: []protocol.ObjectWrite{{Obj: 5, Value: []byte("moved")}}}); err != nil {
+		t.Fatal(err)
+	}
+	bsrv.StartCycle()
+	<-tap.sub.C
+	bad := *bsrv.StartCycle() // cycle 3, after a gap: from scratch, refused at object 4
+	<-tap.sub.C
+	bad.Values = slices.Clone(bad.Values)
+	bad.Values[4] = make([]byte, 9)
+	if _, err := ns.encodeCycle(&bad); err == nil {
+		t.Fatal("encodeCycle took a value wider than its slot")
+	}
+	if len(ns.frame) != 0 {
+		t.Fatalf("a failed encode from scratch left a %d-byte frame kept", len(ns.frame))
+	}
+	cb, frame := tap.step() // cycle 4: nothing written, one frame to build from scratch
+	want, err := wire.EncodeCycle(cb)
+	if err != nil || !bytes.Equal(frame, want) || patchedFrames(ns) != 0 {
+		t.Errorf("cycle %d: err %v, right bytes %v, %d frames patched (want 0)", cb.Number, err, bytes.Equal(frame, want), patchedFrames(ns))
 	}
 }

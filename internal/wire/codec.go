@@ -79,16 +79,20 @@ func (k Kind) String() string { return kinds[k].name }
 func (k Kind) magic() []byte { return kinds[k].magic[:] }
 
 // begin stamps the kind's magic and version on a filled-in header and
-// returns a writer that holds it, with room for count records of
-// perRecord bytes — the length wantLen holds the decoder to, so the
-// frame is allocated once, and afresh: frames are shared read-only with
-// the datagram sender and every subscriber, never reused.
-func (k Kind) begin(hdr []byte, count, perRecord int64) *BitWriter {
+// returns a writer that appends it to dst, with room for count records
+// of perRecord bytes — the length wantLen holds the decoder to — in
+// dst's storage, or else in one allocation of exactly that length. A
+// frame netcast's Step builds in the storage of the one before is valid
+// until the next Step: every reader of it is done before Step returns.
+func (k Kind) begin(dst, hdr []byte, count, perRecord int64) *BitWriter {
 	copy(hdr, k.magic())
 	if v := kinds[k].version; v != 0 {
 		hdr[4] = v
 	}
-	return &BitWriter{buf: append(make([]byte, 0, int64(len(hdr))+count*perRecord), hdr...)}
+	if need := int64(len(hdr)) + count*perRecord; int64(cap(dst)-len(dst)) < need {
+		dst = append(make([]byte, 0, int64(len(dst))+need), dst...)
+	}
+	return &BitWriter{buf: append(dst, hdr...)}
 }
 
 // check is the guard every decoder opens with: the buffer reaches the

@@ -115,7 +115,7 @@ func EncodeIndexFrame(f *IndexFrame) ([]byte, error) {
 	binary.BigEndian.PutUint32(hdr[25:29], uint32(len(f.Offsets)))
 	binary.BigEndian.PutUint32(hdr[29:33], uint32(f.NextIndex))
 	hdr[33] = byte(ob)
-	w := KindIndex.begin(hdr[:], 1, columnBytes(len(f.Offsets), ob))
+	w := KindIndex.begin(nil, hdr[:], 1, columnBytes(len(f.Offsets), ob))
 	for _, off := range f.Offsets {
 		w.WriteBits(uint64(off), ob)
 	}
@@ -255,7 +255,7 @@ func EncodeBucket(b *Bucket, prevColumn []cmatrix.Cycle) ([]byte, error) {
 		size = BucketBits(l, len(changed))
 	}
 	binary.BigEndian.PutUint32(hdr[40:44], uint32(b.NextIndex))
-	w := KindBucket.begin(hdr[:], 1, size/8-bucketHeaderBytes)
+	w := KindBucket.begin(nil, hdr[:], 1, size/8-bucketHeaderBytes)
 	if err := putSlot(w, b.Obj, b.Value, objBytesOf(l)); err != nil {
 		return nil, err
 	}

@@ -71,6 +71,11 @@ func countBits(g int) int { return bits.Len(uint(g)) }
 // includePartition embeds the assignment so cold-start clients (and
 // clients that missed a regroup) can decode.
 func EncodeGroupedCycle(cb *bcast.CycleBroadcast, epoch uint64, includePartition bool) ([]byte, error) {
+	return AppendGroupedCycle(nil, cb, epoch, includePartition)
+}
+
+// AppendGroupedCycle is EncodeGroupedCycle appending to dst (nil on error).
+func AppendGroupedCycle(dst []byte, cb *bcast.CycleBroadcast, epoch uint64, includePartition bool) ([]byte, error) {
 	l := cb.Layout
 	if l.Control != bcast.ControlGrouped {
 		return nil, fmt.Errorf("wire: grouped frames require the grouped layout, got %v", l.Control)
@@ -98,7 +103,7 @@ func EncodeGroupedCycle(cb *bcast.CycleBroadcast, epoch uint64, includePartition
 	binary.BigEndian.PutUint64(hdr[5:13], uint64(cb.Number))
 	binary.BigEndian.PutUint64(hdr[13:21], epoch)
 	putDims(hdr[21:], l, dimsGrouped)
-	w := KindGrouped.begin(hdr[:], 1, GroupedCycleBits(cb.Grouped, objBytes, l.TimestampBits, includePartition)/8-groupedHeaderBytes)
+	w := KindGrouped.begin(dst, hdr[:], 1, GroupedCycleBits(cb.Grouped, objBytes, l.TimestampBits, includePartition)/8-groupedHeaderBytes)
 
 	ib := indexBits(l.Groups)
 	if includePartition {

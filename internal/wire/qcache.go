@@ -292,7 +292,7 @@ func EncodeSubsetCycle(sc *SubsetCycle) ([]byte, error) {
 	binary.BigEndian.PutUint64(hdr[4:12], uint64(sc.Number))
 	putDims(hdr[12:], sc.layout(), dimsMatrix)
 	binary.BigEndian.PutUint32(hdr[21:25], uint32(len(sc.Objs)))
-	w := KindSubset.begin(hdr[:], int64(len(sc.Objs)), 4+int64(sc.ObjBytes)+columnBytes(sc.Objects, sc.TsBits))
+	w := KindSubset.begin(nil, hdr[:], int64(len(sc.Objs)), 4+int64(sc.ObjBytes)+columnBytes(sc.Objects, sc.TsBits))
 	for k, o := range sc.Objs {
 		if o < 0 || o >= sc.Objects {
 			return nil, fmt.Errorf("wire: subset object %d out of range [0,%d)", o, sc.Objects)

@@ -50,7 +50,7 @@ func recordBytes(l bcast.Layout) int64 {
 	return int64(objBytesOf(l)) + columnBytes(columnEntries(l), l.TimestampBits)
 }
 
-// putRecord writes object j's record, for EncodeCycle and PatchCycle. A
+// putRecord writes object j's record, for AppendCycle and PatchCycle. A
 // matrix column is packed where it lies; other kinds gather into buf.
 func putRecord(w *BitWriter, cb *bcast.CycleBroadcast, j int, buf []cmatrix.Cycle) error {
 	err := putSlot(w, j, cb.Values[j], objBytesOf(cb.Layout))
@@ -65,10 +65,11 @@ func putRecord(w *BitWriter, cb *bcast.CycleBroadcast, j int, buf []cmatrix.Cycl
 	return err
 }
 
-// EncodeCycle serializes a broadcast cycle. Object values longer than
-// the layout's object size are rejected; shorter ones are zero-padded
-// (their length is not preserved — broadcast slots are fixed-width).
-func EncodeCycle(cb *bcast.CycleBroadcast) ([]byte, error) {
+// AppendCycle appends cb's BCC1 frame to dst and returns the extended
+// slice, or nil and the error. Object values longer than the layout's
+// object size are rejected; shorter ones are zero-padded (their length
+// is not preserved — broadcast slots are fixed-width).
+func AppendCycle(dst []byte, cb *bcast.CycleBroadcast) ([]byte, error) {
 	l := cb.Layout
 	if err := l.Validate(); err != nil {
 		return nil, err
@@ -77,7 +78,7 @@ func EncodeCycle(cb *bcast.CycleBroadcast) ([]byte, error) {
 		return nil, fmt.Errorf("wire: %d values for %d objects", len(cb.Values), l.Objects)
 	}
 	hdr := cycleHeader(cb.Number, l)
-	w := KindCycle.begin(hdr[:], int64(l.Objects), recordBytes(l))
+	w := KindCycle.begin(dst, hdr[:], int64(l.Objects), recordBytes(l))
 	var buf []cmatrix.Cycle
 	if l.Control != bcast.ControlMatrix {
 		buf = make([]cmatrix.Cycle, 0, columnEntries(l))
@@ -90,32 +91,45 @@ func EncodeCycle(cb *bcast.CycleBroadcast) ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// PatchCycle is EncodeCycle for the sender that kept prev, the frame it
-// sent last: when prev is cycle cb.Number-1's frame under cb's layout
-// and cb.Written is known, the result is a copy of prev with the cycle
-// number and the written objects' records rewritten (patched true),
-// reading nothing else of cb. Otherwise — always under grouped control,
-// whose rows move with any column of a group — it encodes from scratch.
-// prev is only read; the result is a fresh buffer either way.
+// EncodeCycle serializes a broadcast cycle into a fresh frame.
+func EncodeCycle(cb *bcast.CycleBroadcast) ([]byte, error) { return AppendCycle(nil, cb) }
+
+// PatchCycle is AppendCycle for the sender that kept prev, the frame it
+// sent last, building the next where prev lies, so a frame is valid
+// until the next PatchCycle on its storage (netcast: the next Step).
+// When prev is cycle cb.Number-1's frame under cb's layout and
+// cb.Written is known, it rewrites the cycle number and the written
+// records in place (patched true), reading nothing else of cb; else —
+// always under grouped control, whose rows move with any column of a
+// group — it encodes from scratch into prev's storage. On error the
+// frame is what is left to keep: prev as it was when cb was patchable
+// (every written record is checked first), nil otherwise.
 func PatchCycle(prev []byte, cb *bcast.CycleBroadcast) (frame []byte, patched bool, err error) {
 	l, rec := cb.Layout, recordBytes(cb.Layout)
 	if cb.Written == nil || l.Control == bcast.ControlGrouped || l.Validate() != nil || len(cb.Values) != l.Objects ||
 		wantLen(prev, headerBytes, int64(l.Objects), rec) != nil || [headerBytes]byte(prev) != cycleHeader(cb.Number-1, l) {
-		frame, err = EncodeCycle(cb)
+		frame, err = AppendCycle(prev[:0], cb)
 		return frame, false, err
 	}
-	frame = make([]byte, len(prev))
-	copy(frame, prev)
-	binary.BigEndian.PutUint64(frame[4:12], uint64(cb.Number))
-	var w BitWriter
 	var one [1]cmatrix.Cycle // room for a vector record's column
-	for _, j := range cb.Written {
-		w.buf = frame[headerBytes+int64(j)*rec:][:0:rec] // appends within the record's capacity land in place
-		if err = putRecord(&w, cb, j, one[:]); err != nil {
-			return nil, false, err
+	if cb.Matrix == nil {    // a missing control structure is refused for any object
+		_, err = Column(cb, 0, one[:0])
+	}
+	for _, j := range cb.Written { // every written record checked before a byte is written
+		if v := cb.Values[j]; err == nil && len(v) > objBytesOf(l) {
+			_, err = padSlot(nil, j, v, objBytesOf(l)) // its refusal, in AppendCycle's words
 		}
 	}
-	return frame, true, nil
+	if err != nil {
+		return prev, false, err
+	}
+	binary.BigEndian.PutUint64(prev[4:12], uint64(cb.Number))
+	var w BitWriter
+	for _, j := range cb.Written {
+		w.buf = prev[headerBytes+int64(j)*rec:][:0:rec] // appends within the record's capacity land in place
+		putRecord(&w, cb, j, one[:])                    // checked above: cannot fail
+	}
+	return prev, true, nil
 }
 
 // cycleHead is the guard DecodeCycle and ViewCycle share: a BCC1

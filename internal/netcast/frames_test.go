@@ -1,7 +1,6 @@
 package netcast
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -36,6 +35,11 @@ func TestReadFrameTruncated(t *testing.T) {
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated payload: err = %v, want io.ErrUnexpectedEOF", err)
 	}
+	// A whole header with no payload behind it is a torn frame too.
+	_, err = ReadFrame(bytes.NewReader([]byte{0, 0, 0, 9}))
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("header without payload: err = %v, want io.ErrUnexpectedEOF", err)
+	}
 	// Header itself cut short mid-way.
 	_, err = ReadFrame(bytes.NewReader([]byte{0, 0}))
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
@@ -63,126 +67,127 @@ func TestWriteFrameExportedRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzReadFrame: the framing over a *bufio.Reader or *bufio.Writer —
-// header read and written inside the buffer — is the framing over the
-// plain stream. On any bytes, handed out in chunks of any size and
-// buffered down to bufio's 16-byte minimum so a header can straddle a
-// refill, ReadFrame returns the same frames and the same error either
-// way, and so does nextFrame, in the buffer or, for a frame larger than
-// it, in its scratch; WriteFrame of those frames produces the same
-// bytes either way, also starting with fewer than 4 bytes free in the
-// writer.
+// TestTunerReceiveAllocs: a tuner reads each frame's length prefix
+// into storage it owns, so a receive allocates the frame and nothing
+// else; ReadFrame, whose prefix escapes from its own frame, allocates
+// one more.
+func TestTunerReceiveAllocs(t *testing.T) {
+	var stream bytes.Buffer
+	if err := WriteFrame(&stream, []byte("a cycle frame")); err != nil {
+		t.Fatal(err)
+	}
+	r, tn := bytes.NewReader(stream.Bytes()), new(Tuner)
+	for _, read := range []struct {
+		name   string
+		allocs float64
+		read   func() ([]byte, error)
+	}{
+		{"tuner", 1, func() ([]byte, error) { return readFrame(r, &tn.hdr) }},
+		{"ReadFrame", 2, func() ([]byte, error) { return ReadFrame(r) }},
+	} {
+		got := testing.AllocsPerRun(100, func() {
+			r.Reset(stream.Bytes())
+			if _, err := read.read(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != read.allocs {
+			t.Errorf("%s: %.0f allocations per frame, want %.0f", read.name, got, read.allocs)
+		}
+	}
+}
+
+// FuzzReadFrame: the connection's frameReader reads the frames
+// ReadFrame reads and ends with the same error — io.EOF at a frame
+// boundary, io.ErrUnexpectedEOF inside a frame, the limit error on an
+// oversized prefix — on any bytes, whatever sizes the reads come in:
+// one byte at a time, a length prefix split across reads, frames larger
+// than the reader's starting buffer, the last bytes arriving with
+// io.EOF. sendFrame of those frames writes WriteFrame's bytes.
 func FuzzReadFrame(f *testing.F) {
 	var two, big bytes.Buffer
 	WriteFrame(&two, []byte("first"))
 	WriteFrame(&two, []byte("second frame"))
-	WriteFrame(&big, bytes.Repeat([]byte("large "), 50))
+	WriteFrame(&big, bytes.Repeat([]byte("large "), 1000))
 	WriteFrame(&big, []byte("small"))
-	WriteFrame(&big, bytes.Repeat([]byte("larger "), 50))
+	WriteFrame(&big, bytes.Repeat([]byte("larger "), 1000))
 	for _, stream := range [][]byte{
 		{},                    // empty stream
 		{0, 0},                // torn header
+		{0, 0, 0, 9},          // header, no payload
 		{0, 0, 0, 9, 'x'},     // torn payload
 		{0x01, 0, 0, 1, 0, 0}, // length maxFrame+1
 		two.Bytes(),           // two back-to-back frames
-		big.Bytes(),           // frames above and below the buffer size
-		big.Bytes()[:400],     // ... the last one torn
+		big.Bytes(),           // frames above and below the starting buffer
+		big.Bytes()[:7000],    // ... the first one torn
 	} {
-		f.Add(stream, uint8(0), uint8(0), uint8(0))
-		f.Add(stream, uint8(1), uint8(3), uint8(2))
+		f.Add(stream, []byte{}, false)
+		f.Add(stream, []byte{1}, true)
+		f.Add(stream, []byte{3, 200, 2}, false)
 	}
-	f.Fuzz(func(t *testing.T, stream []byte, chunk, size, free uint8) {
+	f.Fuzz(func(t *testing.T, stream, sizes []byte, dataErr bool) {
 		source := func() io.Reader {
-			var r io.Reader = bytes.NewReader(stream)
-			if chunk > 0 {
-				r = &chunkReader{r: r, n: int(chunk)}
-			}
-			if chunk%2 == 1 {
-				r = iotest.DataErrReader(r) // the last bytes arrive with io.EOF
+			var r io.Reader = &chunkReader{r: bytes.NewReader(stream), sizes: sizes}
+			if dataErr {
+				r = iotest.DataErrReader(r)
 			}
 			return r
 		}
-		bufSize := 16 + int(size)
-		plain, plainErr := readFrames(source())
-		for _, way := range []string{"buffered", "in place"} {
-			var frames [][]byte
-			var err error
-			if br := bufio.NewReaderSize(source(), bufSize); way == "buffered" {
-				frames, err = readFrames(br)
-			} else {
-				frames, err = nextFrames(br)
+		var plain [][]byte
+		var plainErr error
+		for r, used := source(), 0; plainErr == nil; {
+			frame, err := ReadFrame(r)
+			if plainErr = err; err == nil {
+				plain = append(plain, frame)
+				used += 4 + len(frame)
+			} else if (err == io.EOF) != (used == len(stream)) {
+				t.Fatalf("ReadFrame ends with %v after %d of %d bytes", err, used, len(stream))
 			}
-			if fmt.Sprint(plainErr) != fmt.Sprint(err) {
-				t.Fatalf("plain reader ends with %v, %s with %v", plainErr, way, err)
-			}
-			if len(plain) != len(frames) {
-				t.Fatalf("plain reader read %d frames, %s %d", len(plain), way, len(frames))
-			}
-			for i := range plain {
-				if !bytes.Equal(plain[i], frames[i]) {
-					t.Fatalf("frame %d: plain %x, %s %x", i, plain[i], way, frames[i])
+		}
+		fr := frameReader{r: source()}
+		for i := 0; ; i++ {
+			frame, err := fr.next()
+			if err != nil {
+				if i != len(plain) || err != plainErr && fmt.Sprint(err) != fmt.Sprint(plainErr) {
+					t.Fatalf("frameReader ends with %v after %d frames, ReadFrame with %v after %d", err, i, plainErr, len(plain))
 				}
+				break
+			}
+			if i == len(plain) || !bytes.Equal(frame, plain[i]) {
+				t.Fatalf("frame %d: frameReader %x, ReadFrame %x", i, frame, plain[i:min(i+1, len(plain))])
 			}
 		}
 
-		// The writer starts with all but free%5 bytes of its buffer taken.
 		var want, got bytes.Buffer
-		bw := bufio.NewWriterSize(&got, bufSize)
-		pad := make([]byte, bufSize-int(free%5))
-		want.Write(pad)
-		bw.Write(pad)
 		for _, frame := range append(plain, stream) {
 			if err := WriteFrame(&want, frame); err != nil {
 				t.Fatal(err)
 			}
-			if err := WriteFrame(bw, frame); err != nil {
+			if err := sendFrame(&got, append(make([]byte, 4), frame...)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := bw.Flush(); err != nil {
-			t.Fatal(err)
-		}
 		if !bytes.Equal(want.Bytes(), got.Bytes()) {
-			t.Fatalf("buffered WriteFrame wrote %x, plain %x", got.Bytes(), want.Bytes())
+			t.Fatalf("sendFrame wrote %x, WriteFrame %x", got.Bytes(), want.Bytes())
 		}
 	})
 }
 
-// readFrames reads frames off r until the first error.
-func readFrames(r io.Reader) ([][]byte, error) {
-	var frames [][]byte
-	for {
-		frame, err := ReadFrame(r)
-		if err != nil {
-			return frames, err
-		}
-		frames = append(frames, frame)
-	}
-}
-
-// nextFrames reads frames off br with nextFrame until the first error,
-// copying each out before the next read reuses its memory.
-func nextFrames(br *bufio.Reader) ([][]byte, error) {
-	var frames [][]byte
-	var scratch []byte
-	for {
-		frame, err := nextFrame(br, &scratch)
-		if err != nil {
-			return frames, err
-		}
-		frames = append(frames, bytes.Clone(frame))
-	}
-}
-
-// chunkReader hands its reader's bytes out at most n at a time.
+// chunkReader hands its reader's bytes out in reads of sizes[0],
+// sizes[1], ... in turn, round and round; a size of 0, or no sizes, is
+// as much as the caller asks for.
 type chunkReader struct {
-	r io.Reader
-	n int
+	r     io.Reader
+	sizes []byte
+	i     int
 }
 
 func (c *chunkReader) Read(p []byte) (int, error) {
-	if len(p) > c.n {
-		p = p[:c.n]
+	if len(c.sizes) > 0 {
+		if n := int(c.sizes[c.i%len(c.sizes)]); n > 0 && len(p) > n {
+			p = p[:n]
+		}
+		c.i++
 	}
 	return c.r.Read(p)
 }

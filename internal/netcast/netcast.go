@@ -12,7 +12,6 @@
 package netcast
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -32,25 +31,23 @@ import (
 )
 
 // maxFrame bounds accepted frame sizes (16 MiB is far above any real
-// cycle or uplink request).
+// cycle or uplink request); errFrameSize refuses a frame of n bytes.
 const maxFrame = 16 << 20
+
+func errFrameSize(n int) error { return fmt.Errorf("netcast: frame of %d bytes exceeds limit", n) }
 
 // WriteFrame writes one length-prefixed frame in the broadcast stream's
 // wire format (4-byte big-endian length, then the payload). Exported so
 // frame-level middleboxes — the faultair proxy, capture tools — can
-// speak the stream format without decoding cycles. Handed a
-// *bufio.Writer, it builds the header inside the buffer: nothing escapes.
+// speak the stream format without decoding cycles.
 func WriteFrame(w io.Writer, data []byte) error {
-	if bw, ok := w.(*bufio.Writer); ok {
-		return writeFrame(w, bw.AvailableBuffer(), data)
-	}
 	return writeFrame(w, nil, data)
 }
 
 // writeFrame is WriteFrame building the length prefix in hdr's storage.
 func writeFrame(w io.Writer, hdr, data []byte) error {
 	if len(data) > maxFrame {
-		return fmt.Errorf("netcast: frame of %d bytes exceeds limit", len(data))
+		return errFrameSize(len(data))
 	}
 	if _, err := w.Write(binary.BigEndian.AppendUint32(hdr[:0], uint32(len(data)))); err != nil {
 		return err
@@ -59,65 +56,87 @@ func writeFrame(w io.Writer, hdr, data []byte) error {
 	return err
 }
 
+// sendFrame writes frame, its first 4 bytes set to the length prefix, in one Write.
+func sendFrame(w io.Writer, frame []byte) error {
+	n := len(frame) - 4
+	if n > maxFrame {
+		return errFrameSize(n)
+	}
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	_, err := w.Write(frame)
+	return err
+}
+
 // ReadFrame reads one length-prefixed frame, rejecting frames above the
 // stream's size limit. The frame is a fresh buffer nobody else holds:
 // the caller may hand it on for good (FrameDecoder.Decode keeps it).
-// Handed a *bufio.Reader, it reads the header in place; the frames and
-// errors are those of the plain reader underneath.
+// A stream torn inside a frame ends in io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader) ([]byte, error) {
-	n, err := readHeader(r)
-	if err != nil {
+	return readFrame(r, new([4]byte))
+}
+
+// readFrame is ReadFrame reading the length prefix into hdr.
+func readFrame(r io.Reader, hdr *[4]byte) ([]byte, error) {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
+	}
+	n := int(binary.BigEndian.Uint32(hdr[:]))
+	if n > maxFrame {
+		return nil, errFrameSize(n)
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
 	return buf, nil
 }
 
-// nextFrame is ReadFrame into memory it does not own — br's buffer when
-// the frame fits there, else *scratch — valid until the next read.
-func nextFrame(br *bufio.Reader, scratch *[]byte) ([]byte, error) {
-	n, err := readHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	return readIn(br, n, scratch)
+// frameReader reads frames off one connection into a buffer it owns, 4
+// KiB at first and grown to the largest frame announced, each Read into
+// all its free space: a frame that has arrived whole takes one read.
+// next hands out a frame where it lies, valid until the next call.
+type frameReader struct {
+	r          io.Reader
+	buf        []byte
+	start, end int // buf[start:end] is read but not yet handed out
 }
 
-// readHeader reads a frame's length and holds it to the size limit.
-func readHeader(r io.Reader) (int, error) {
-	var hdr []byte
-	hdr, err := readIn(r, 4, &hdr)
-	if err != nil {
-		return 0, err
+// next returns the next frame, with ReadFrame's errors.
+func (f *frameReader) next() ([]byte, error) {
+	if err := f.fill(4); err != nil {
+		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr)
+	n := int(binary.BigEndian.Uint32(f.buf[f.start:]))
 	if n > maxFrame {
-		return 0, fmt.Errorf("netcast: frame of %d bytes exceeds limit", n)
+		return nil, errFrameSize(n)
 	}
-	return int(n), nil
-}
-
-// readIn reads the next n bytes of r: in place when r is a *bufio.Reader
-// that holds them, else into *scratch, regrown as needed. Anything short
-// of that — a torn stream, an error — is left to io.ReadFull to report.
-func readIn(r io.Reader, n int, scratch *[]byte) ([]byte, error) {
-	if br, ok := r.(*bufio.Reader); ok {
-		if b, err := br.Peek(n); err == nil {
-			br.Discard(n) // cannot fail: Peek buffered them
-			return b, nil
-		}
-	}
-	if cap(*scratch) < n {
-		*scratch = make([]byte, n)
-	}
-	b := (*scratch)[:n]
-	if _, err := io.ReadFull(r, b); err != nil {
+	if err := f.fill(4 + n); err != nil {
 		return nil, err
 	}
-	return b, nil
+	f.start += 4 + n
+	return f.buf[f.start-n : f.start : f.start], nil
+}
+
+// fill reads until n unread bytes are buffered, first moving them to the
+// front, into a larger buffer when n would not fit in this one.
+func (f *frameReader) fill(n int) error {
+	if f.end-f.start >= n {
+		return nil
+	}
+	buf := f.buf
+	if n > len(buf) {
+		buf = make([]byte, max(n, 4096))
+	}
+	f.end = copy(buf, f.buf[f.start:f.end])
+	f.buf, f.start = buf, 0
+	m, err := io.ReadAtLeast(f.r, f.buf[f.end:], n-f.end)
+	if f.end += m; err == io.EOF && f.end > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // Options tune the network server.
@@ -631,6 +650,7 @@ func (r *receiver) Subscribe(buffer int) *bcast.Subscription {
 // Tuner is a client's receiver on the TCP broadcast stream.
 type Tuner struct {
 	conn net.Conn
+	hdr  [4]byte // the length prefix of the frame being read
 	receiver
 }
 
@@ -672,7 +692,7 @@ func tune(addr string, subset []int) (*Tuner, error) {
 
 func (t *Tuner) loop() {
 	for {
-		frame, err := ReadFrame(t.conn)
+		frame, err := readFrame(t.conn, &t.hdr)
 		if err != nil || !t.deliver(frame) {
 			t.stop(err)
 			return
@@ -693,9 +713,8 @@ func (t *Tuner) Close() error {
 type Uplink struct {
 	mu   sync.Mutex
 	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-	buf  []byte // the request being sent, then a reply too large for br
+	fr   frameReader
+	buf  []byte // the frame being sent: 4 bytes for its length, then the request
 }
 
 // DialUplink connects to a server's uplink address.
@@ -704,22 +723,19 @@ func DialUplink(addr string) (*Uplink, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Uplink{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}, nil
+	return &Uplink{conn: conn, fr: frameReader{r: conn}}, nil
 }
 
-// roundTrip encodes one uplink frame into the Uplink's buffer, sends it
-// in one write and decodes the reply.
+// roundTrip encodes one uplink frame into the Uplink's buffer behind
+// its length prefix, sends it in one write and decodes the reply.
 func (u *Uplink) roundTrip(encode func(dst []byte) []byte) error {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	u.buf = encode(u.buf[:0])
-	if err := WriteFrame(u.bw, u.buf); err != nil {
+	u.buf = encode(append(u.buf[:0], 0, 0, 0, 0))
+	if err := sendFrame(u.conn, u.buf); err != nil {
 		return err
 	}
-	if err := u.bw.Flush(); err != nil {
-		return err
-	}
-	reply, err := nextFrame(u.br, &u.buf)
+	reply, err := u.fr.next()
 	if err != nil {
 		return err
 	}
@@ -738,12 +754,12 @@ func (u *Uplink) SubmitUpdate(req protocol.UpdateRequest) error {
 // PrepareUpdate sends shot one of the cross-shard commit, making
 // *Uplink a shard coordinator participant over TCP.
 func (u *Uplink) PrepareUpdate(token uint64, req protocol.UpdateRequest, remote bool) error {
-	return u.roundTrip(func([]byte) []byte { return wire.EncodePrepare(token, req, remote) })
+	return u.roundTrip(func(dst []byte) []byte { return wire.AppendPrepare(dst, token, req, remote) })
 }
 
 // DecideUpdate sends shot two.
 func (u *Uplink) DecideUpdate(token uint64, commit bool) error {
-	return u.roundTrip(func([]byte) []byte { return wire.EncodeDecision(token, commit) })
+	return u.roundTrip(func(dst []byte) []byte { return wire.AppendDecision(dst, token, commit) })
 }
 
 // Close closes the uplink connection.

@@ -1,7 +1,6 @@
 package netcast
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -115,13 +114,11 @@ func (u *UplinkServer) accept() {
 	}
 }
 
-// serve answers one connection's requests in arrival order until it
-// drops or the server closes. It reads through a buffer and flushes
-// each reply as it is written, so the loop never blocks in a read while
-// holding an unflushed reply. A request still in the read buffer when
-// the server closes is not dispatched: the socket's read deadline
-// cannot stop it. Each request is decoded where its frame lies into
-// one the connection reuses: it lives only as long as its dispatch.
+// serve answers one connection's requests in arrival order, each reply
+// in one write before the next read, until it drops or the server
+// closes. A request still in the read buffer at Close is not
+// dispatched: the socket's read deadline cannot stop it. Each request
+// is decoded where its frame lies into one the connection reuses.
 func (u *UplinkServer) serve(conn net.Conn) {
 	defer u.wg.Done()
 	defer func() {
@@ -130,11 +127,10 @@ func (u *UplinkServer) serve(conn net.Conn) {
 		u.mu.Unlock()
 		conn.Close()
 	}()
-	br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
-	var scratch, reply []byte
+	fr, reply := frameReader{r: conn}, make([]byte, 4, 64)
 	var req protocol.UpdateRequest
 	for {
-		frame, err := nextFrame(br, &scratch)
+		frame, err := fr.next()
 		if err != nil || u.isClosed() {
 			return
 		}
@@ -142,8 +138,8 @@ func (u *UplinkServer) serve(conn net.Conn) {
 		start := time.Now()
 		verdict := u.dispatch(frame, &req)
 		u.hUplinkNs.Observe(time.Since(start).Nanoseconds())
-		reply = wire.AppendUpdateReply(reply[:0], verdict)
-		if WriteFrame(bw, reply) != nil || bw.Flush() != nil {
+		reply = wire.AppendUpdateReply(reply[:4], verdict)
+		if sendFrame(conn, reply) != nil {
 			return
 		}
 	}

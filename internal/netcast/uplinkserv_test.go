@@ -437,9 +437,9 @@ func TestCloseDropsReadAheadRequests(t *testing.T) {
 }
 
 // uplinkShapes are the uplink requests of two benchmark workloads:
-// uplink-grouped's, whose frame fits the 4 KiB read buffer, and
-// air-table1's, four reads and four 1 KiB writes, whose frame does not
-// and takes nextFrame's scratch path.
+// uplink-grouped's, whose frame fits the frame reader's starting 4 KiB
+// buffer, and air-table1's, four reads and four 1 KiB writes, whose
+// frame does not: the server's reader grows to it on the first.
 var uplinkShapes = []struct {
 	name string
 	req  protocol.UpdateRequest
@@ -462,10 +462,11 @@ func table1ShapeRequest() protocol.UpdateRequest {
 // SubmitUpdate to a no-op handler over loopback TCP, in steady state:
 // request encode and reply decode at the client, frame read, request
 // decode and reply encode at the server. The request is encoded into
-// the Uplink's buffer and decoded where its frame lies into a request
-// the connection reuses; it was 10 while each frame, request and reply
-// was a fresh buffer, and 14 with a 4-byte header array escaping per
-// read and per write at each end.
+// the Uplink's buffer behind its length prefix and decoded where its
+// frame lies, in the connection's frame reader, into a request the
+// connection reuses; it was 10 while each frame, request and reply was
+// a fresh buffer, and 14 with a 4-byte header array escaping per read
+// and per write at each end.
 const uplinkRoundTripAllocs = 0
 
 func TestUplinkRoundTripAllocs(t *testing.T) {
@@ -484,10 +485,18 @@ func TestUplinkRoundTripAllocs(t *testing.T) {
 	}
 }
 
+// noopParticipant accepts every request and both shots and does
+// nothing.
+type noopParticipant struct{}
+
+func (noopParticipant) SubmitUpdate(protocol.UpdateRequest) error                { return nil }
+func (noopParticipant) PrepareUpdate(uint64, protocol.UpdateRequest, bool) error { return nil }
+func (noopParticipant) DecideUpdate(uint64, bool) error                          { return nil }
+
 // noopUplink dials an uplink port whose handler accepts every request
 // and does nothing, so what a round trip costs is the transport.
 func noopUplink(t testing.TB) *Uplink {
-	us, err := ServeUplink("127.0.0.1:0", uplinkFunc(func(protocol.UpdateRequest) error { return nil }), nil)
+	us, err := ServeUplink("127.0.0.1:0", noopParticipant{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,16 +512,85 @@ func noopUplink(t testing.TB) *Uplink {
 // BenchmarkUplinkRoundTrip is one commit's trip over loopback TCP —
 // encode, write, the server's read, decode and reply, the client's
 // read — with the server's handler reduced to a no-op, so what it times
-// is the transport; one sub-benchmark per request shape.
+// is the transport; one sub-benchmark per request shape, and "prepare",
+// a two-shot commit's BCP1 and BCT1 pair of the grouped shape.
 func BenchmarkUplinkRoundTrip(b *testing.B) {
-	for _, shape := range uplinkShapes {
-		b.Run(shape.name, func(b *testing.B) {
+	bench := func(name string, commit func(up *Uplink) error) {
+		b.Run(name, func(b *testing.B) {
 			up := noopUplink(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := up.SubmitUpdate(shape.req); err != nil {
+				if err := commit(up); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+	for _, shape := range uplinkShapes {
+		bench(shape.name, func(up *Uplink) error { return up.SubmitUpdate(shape.req) })
+	}
+	req := groupedShapeRequest(0)
+	bench("prepare", func(up *Uplink) error {
+		if err := up.PrepareUpdate(1, req, false); err != nil {
+			return err
+		}
+		return up.DecideUpdate(1, true)
+	})
+}
+
+// countingConn counts the Writes made on a connection and the Reads
+// that have returned.
+type countingConn struct {
+	net.Conn
+	reads, writes atomic.Int32
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.reads.Add(1)
+	return n, err
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// TestUplinkOneSyscallPerFrame: over a synchronous in-memory pipe, a
+// steady-state SubmitUpdate of either shape is one Write at the client,
+// then one Read and one Write at the server, and one Read at the
+// client; a Table 1 request, larger than the reader's starting buffer,
+// included. A Read counts when it returns and a Write when it starts,
+// so each count is settled when SubmitUpdate returns.
+func TestUplinkOneSyscallPerFrame(t *testing.T) {
+	for _, shape := range uplinkShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			us, err := ServeUplink("127.0.0.1:0", noopParticipant{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer us.Close()
+			c, s := net.Pipe()
+			cc, sc := &countingConn{Conn: c}, &countingConn{Conn: s}
+			us.mu.Lock()
+			us.conns[sc] = struct{}{}
+			us.wg.Add(1)
+			us.mu.Unlock()
+			go us.serve(sc)
+			up := &Uplink{conn: cc, fr: frameReader{r: cc}}
+			defer up.Close()
+			for round := 0; round < 4; round++ {
+				before := [4]int32{cc.writes.Load(), sc.reads.Load(), sc.writes.Load(), cc.reads.Load()}
+				if err := up.SubmitUpdate(shape.req); err != nil {
+					t.Fatal(err)
+				}
+				after := [4]int32{cc.writes.Load(), sc.reads.Load(), sc.writes.Load(), cc.reads.Load()}
+				for i := range after {
+					after[i] -= before[i]
+				}
+				if round > 0 && after != [4]int32{1, 1, 1, 1} {
+					t.Fatalf("round %d: client writes, server reads, server writes, client reads = %v, want 1 each", round, after)
 				}
 			}
 		})

@@ -23,11 +23,16 @@ const shotBytes = 4 + 8 + 1
 // EncodePrepare serializes shot one for one write-shard: the shard's
 // projection of the transaction plus the token naming it fleet-wide.
 func EncodePrepare(token uint64, req protocol.UpdateRequest, remote bool) []byte {
+	return AppendPrepare(nil, token, req, remote)
+}
+
+// AppendPrepare appends shot one to dst.
+func AppendPrepare(dst []byte, token uint64, req protocol.UpdateRequest, remote bool) []byte {
 	var head [shotBytes]byte
 	copy(head[:], KindPrepare.magic())
 	binary.BigEndian.PutUint64(head[4:12], token)
 	head[12] = flagByte(remote)
-	return appendUpdate(nil, head[:], req)
+	return appendUpdate(dst, head[:], req)
 }
 
 // DecodePrepare parses shot one. As with DecodeUpdateRequest, the
@@ -44,9 +49,12 @@ func DecodePrepare(data []byte) (token uint64, req protocol.UpdateRequest, remot
 
 // EncodeDecision serializes shot two.
 func EncodeDecision(token uint64, commit bool) []byte {
-	buf := make([]byte, 0, shotBytes)
-	buf = append(buf, KindDecision.magic()...)
-	return append(binary.BigEndian.AppendUint64(buf, token), flagByte(commit))
+	return AppendDecision(make([]byte, 0, shotBytes), token, commit)
+}
+
+// AppendDecision appends shot two to dst.
+func AppendDecision(dst []byte, token uint64, commit bool) []byte {
+	return append(binary.BigEndian.AppendUint64(append(dst, KindDecision.magic()...), token), flagByte(commit))
 }
 
 // flagByte and getFlag code a shot's one-byte flag: 1 set, 0 clear.

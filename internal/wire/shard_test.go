@@ -37,6 +37,33 @@ func TestShardFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestShardFrameAppend: both shots append to a buffer the bytes their
+// Encode function returns (the golden frames pin those), behind what
+// it already holds, and into a buffer with room they allocate nothing.
+func TestShardFrameAppend(t *testing.T) {
+	req := protocol.UpdateRequest{
+		Reads:  []protocol.ReadAt{{Obj: 3, Cycle: 17}},
+		Writes: []protocol.ObjectWrite{{Obj: 1, Value: make([]byte, 1024)}},
+	}
+	prefix := []byte{9, 9, 9, 9}
+	buf := make([]byte, 0, 2048)
+	for _, shot := range []struct {
+		name   string
+		want   []byte
+		append func(dst []byte) []byte
+	}{
+		{"prepare", EncodePrepare(7, req, true), func(dst []byte) []byte { return AppendPrepare(dst, 7, req, true) }},
+		{"decision", EncodeDecision(7, false), func(dst []byte) []byte { return AppendDecision(dst, 7, false) }},
+	} {
+		if got := shot.append(append(buf[:0], prefix...)); !bytes.Equal(got, append(prefix, shot.want...)) {
+			t.Errorf("%s: appended %x, want %x behind the prefix", shot.name, got, shot.want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { buf = shot.append(buf[:0]) }); allocs != 0 {
+			t.Errorf("%s: %.0f allocations appending into a buffer with room", shot.name, allocs)
+		}
+	}
+}
+
 func TestShardFrameRejectsBadInput(t *testing.T) {
 	req := protocol.UpdateRequest{Writes: []protocol.ObjectWrite{{Obj: 1, Value: []byte("v")}}}
 	good := EncodePrepare(7, req, true)

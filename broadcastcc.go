@@ -37,9 +37,9 @@
 //     transactions — measuring transaction response times and restart
 //     ratios in bit-units.
 //
-//   - The experiment harness (RunFigure, RunAllFigures) that
-//     regenerates every figure of the paper's evaluation plus the
-//     ablations and analyses documented in EXPERIMENTS.md.
+//   - The experiment harness (cmd/bcbench) that regenerates every
+//     figure of the paper's evaluation plus the ablations and analyses
+//     documented in EXPERIMENTS.md.
 //
 // The four algorithms compared throughout are Datacycle (serializable,
 // the baseline from Herman et al.), R-Matrix, F-Matrix, and the ideal
@@ -55,7 +55,6 @@ import (
 	"broadcastcc/internal/cmatrix"
 	"broadcastcc/internal/core"
 	"broadcastcc/internal/dgram"
-	"broadcastcc/internal/experiments"
 	"broadcastcc/internal/faultair"
 	"broadcastcc/internal/history"
 	"broadcastcc/internal/netcast"
@@ -178,8 +177,8 @@ type ObjectWrite = protocol.ObjectWrite
 type UpdateRequest = protocol.UpdateRequest
 
 // Uplink is the client-to-server commit channel; *Server and *NetUplink
-// both implement it. A handler served by ServeUplink gets requests valid
-// only for the duration of the call and copies whatever it keeps.
+// both implement it. A handler gets requests valid only for the
+// duration of the call and copies whatever it keeps.
 type Uplink = protocol.Uplink
 
 // ColumnSnapshot is the control information of a single object under
@@ -250,21 +249,6 @@ func BuildProgram(cfg ServerConfig, weights []float64, disks, indexM int) (*Broa
 // over n objects (object 0 hottest); θ = 0 is uniform.
 func ZipfWeights(n int, theta float64) []float64 { return airsched.ZipfWeights(n, theta) }
 
-// AccessEstimator produces per-object access-frequency weights for
-// BuildProgram; EWMAEstimator learns them online from uplink read-sets.
-type AccessEstimator = airsched.Estimator
-
-// EWMAEstimator is an online access-frequency estimate: feed it
-// observed read-sets and rebuild the program from its Weights
-// periodically.
-type EWMAEstimator = airsched.EWMA
-
-// NewEWMAEstimator builds an exponentially weighted moving-average
-// estimator over n objects with smoothing factor alpha in (0,1).
-func NewEWMAEstimator(n int, alpha float64) (*EWMAEstimator, error) {
-	return airsched.NewEWMA(n, alpha)
-}
-
 // ---- Network runtime (TCP) ----
 
 // NetServer exposes a broadcast server over TCP: a one-way broadcast
@@ -276,16 +260,6 @@ type NetServer = netcast.Server
 // RunTicker.
 func ServeBroadcast(srv *Server, broadcastAddr, uplinkAddr string) (*NetServer, error) {
 	return netcast.Serve(srv, broadcastAddr, uplinkAddr)
-}
-
-// NetcastOptions tune a network server: DeltaEvery enables cycle-level
-// delta frames (flat matrix broadcasts), RefreshEvery enables
-// per-object delta control columns (program mode).
-type NetcastOptions = netcast.Options
-
-// ServeBroadcastOptions is ServeBroadcast with explicit options.
-func ServeBroadcastOptions(srv *Server, broadcastAddr, uplinkAddr string, opts NetcastOptions) (*NetServer, error) {
-	return netcast.ServeOptions(srv, broadcastAddr, uplinkAddr, opts)
 }
 
 // Tuner receives a TCP broadcast stream and re-publishes decoded cycles
@@ -326,17 +300,6 @@ type NetUplink = netcast.Uplink
 // DialUplink connects to a server's uplink port.
 func DialUplink(addr string) (*NetUplink, error) { return netcast.DialUplink(addr) }
 
-// UplinkServer serves an uplink port over any Uplink handler with no
-// broadcast side — the fleet coordinator's global-id commit endpoint
-// in a sharded deployment.
-type UplinkServer = netcast.UplinkServer
-
-// ServeUplink listens on addr and dispatches uplink frames to the
-// handler. reg (nil = private) receives the endpoint's metrics.
-func ServeUplink(addr string, uplink Uplink, reg *ObsRegistry) (*UplinkServer, error) {
-	return netcast.ServeUplink(addr, uplink, reg)
-}
-
 // ---- Cluster sharding (hashring-partitioned channels) ----
 
 // ShardRing is a deterministic hashring over k shards: placements are
@@ -356,13 +319,6 @@ type ShardMapping = shard.Mapping
 // NewShardMapping places n objects on the ring by hashing each object
 // id.
 func NewShardMapping(r *ShardRing, n int) *ShardMapping { return shard.NewMapping(r, n) }
-
-// NewShardPrefixMapping places n objects by hashing the key prefix
-// obj/entity, co-locating each contiguous entity of `entity` objects
-// on one shard at every shard count.
-func NewShardPrefixMapping(r *ShardRing, n, entity int) *ShardMapping {
-	return shard.NewPrefixMapping(r, n, entity)
-}
 
 // Fleet is k per-shard broadcast servers behind one mapping plus the
 // coordinator that runs the two-shot commit for cross-shard update
@@ -396,7 +352,7 @@ type ShardRouter = shard.Router
 
 // NewShardRouter wires per-shard clients (index = shard id) to the
 // fleet's commit uplink — a ShardCoordinator in process, or a
-// DialUplink connection to a ServeUplink coordinator endpoint.
+// DialUplink connection to bcserver's coordinator endpoint.
 func NewShardRouter(m *ShardMapping, clients []*Client, uplink Uplink) (*ShardRouter, error) {
 	return shard.NewRouter(m, clients, uplink)
 }
@@ -416,8 +372,7 @@ type ShardUpdateTxn = shard.UpdateTxn
 type DatagramConfig = dgram.Config
 
 // DatagramCarrier is anything the datagram sender can transmit on: a
-// real UDP socket (DialUDPCarrier) or the in-process simulated medium
-// (NewSimCarrier).
+// real UDP socket (DialUDPCarrier) or an in-process simulated medium.
 type DatagramCarrier = dgram.Carrier
 
 // DatagramSource is the receive side of a carrier: a bound UDP socket
@@ -441,15 +396,6 @@ func DialUDPCarrier(dest string) (*dgram.UDPCarrier, error) { return dgram.DialU
 // ListenUDPSource binds a UDP receive socket on addr, joining the
 // group when addr is a multicast address.
 func ListenUDPSource(addr string) (*dgram.UDPSource, error) { return dgram.ListenUDP(addr) }
-
-// SimDatagramCarrier is the loopback-simulated broadcast medium: every
-// tap sees every packet, subject to an optional per-tap fate schedule
-// (loss, duplication, reorder) and a bounded buffer whose overflow
-// models a dozing receiver.
-type SimDatagramCarrier = dgram.SimCarrier
-
-// NewSimDatagramCarrier builds an in-process simulated medium.
-func NewSimDatagramCarrier() *SimDatagramCarrier { return dgram.NewSimCarrier() }
 
 // DatagramTuner receives a datagram broadcast, reassembles frames
 // through the stateless ingress filter and FEC, and re-publishes
@@ -493,16 +439,6 @@ func ListenLossy(src faultair.Source, sched *FaultSchedule, clientID, buffer int
 	return faultair.Listen(src, sched, clientID, buffer)
 }
 
-// FaultProxy injects faults into a real TCP broadcast stream; tuners
-// dial the proxy instead of the server.
-type FaultProxy = faultair.Proxy
-
-// NewFaultProxy relays the broadcast stream from upstreamAddr through
-// the fault schedule, listening on listenAddr.
-func NewFaultProxy(listenAddr, upstreamAddr string, sched *FaultSchedule) (*FaultProxy, error) {
-	return faultair.NewProxy(listenAddr, upstreamAddr, sched)
-}
-
 // ---- Simulation and experiments ----
 
 // SimConfig holds the Table 1 simulation parameters.
@@ -516,24 +452,6 @@ func DefaultSimConfig() SimConfig { return sim.DefaultConfig() }
 
 // RunSim executes one simulation run.
 func RunSim(cfg SimConfig) (*SimResult, error) { return sim.Run(cfg) }
-
-// Experiment is one completed figure reproduction.
-type Experiment = experiments.Experiment
-
-// ExperimentOptions control figure reproductions.
-type ExperimentOptions = experiments.Options
-
-// RunFigure reproduces one figure by id: 2a, 2b, 3a, 3b, 4a, 4b, or an
-// ablation ("groups", "caching", "disks", "updates", "clients",
-// "faults").
-func RunFigure(id string, opt ExperimentOptions) (*Experiment, error) {
-	return experiments.ByID(id, opt)
-}
-
-// RunAllFigures reproduces the paper's whole evaluation.
-func RunAllFigures(opt ExperimentOptions) ([]*Experiment, error) {
-	return experiments.All(opt)
-}
 
 // ---- Observability ----
 

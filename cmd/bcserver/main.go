@@ -221,10 +221,10 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	close(stop)
-	st := srv.Stats()
-	log.Printf("shutting down: %d cycles, %d commits, %d conflicts, %d uplink requests",
-		st.Cycles, st.Commits, st.ConflictAborts, st.UplinkRequests)
-	if snap := srv.Obs().Snapshot(); snap.Counters["netcast_subset_subs"] > 0 {
+	snap := srv.Obs().Snapshot()
+	log.Printf("shutting down: %d cycles, %d commits, %d conflicts, %d uplink requests", snap.Counters["server_cycles"],
+		snap.Counters["server_commits"], snap.Counters["server_conflict_aborts"], snap.Counters["server_uplink_requests"])
+	if snap.Counters["netcast_subset_subs"] > 0 {
 		log.Printf("partial replicas: %d subset subscriptions served, %d subset bytes",
 			snap.Counters["netcast_subset_subs"], snap.Counters["netcast_subset_bytes"])
 	}

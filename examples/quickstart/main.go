@@ -80,7 +80,7 @@ func main() {
 	read2.Commit()
 	fmt.Printf("next cycle broadcasts obj2=%q\n", v2)
 
-	stats := srv.Stats()
-	fmt.Printf("server: %d cycles, %d commits, %d uplink requests\n",
-		stats.Cycles, stats.Commits, stats.UplinkRequests)
+	reg := srv.Obs()
+	fmt.Printf("server: %d cycles, %d commits, %d uplink requests\n", reg.Counter("server_cycles").Load(),
+		reg.Counter("server_commits").Load(), reg.Counter("server_uplink_requests").Load())
 }

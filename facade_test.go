@@ -2,7 +2,6 @@ package broadcastcc
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"time"
 )
@@ -103,23 +102,6 @@ func TestFacadeSimulation(t *testing.T) {
 	}
 }
 
-func TestFacadeFigures(t *testing.T) {
-	opt := ExperimentOptions{Txns: 30, MeasureFrom: 5, Seed: 2, MaxTime: 1e11}
-	e, err := RunFigure("3b", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.ID != "3b" || len(e.Points) == 0 {
-		t.Fatalf("figure = %+v", e)
-	}
-	if !strings.Contains(e.Table(e.Metric()), "F-Matrix") {
-		t.Error("table missing series")
-	}
-	if _, err := RunFigure("bogus", opt); err == nil {
-		t.Error("unknown figure should fail")
-	}
-}
-
 func TestFacadeNetworkRuntime(t *testing.T) {
 	srv, err := NewServer(ServerConfig{Objects: 3, ObjectBits: 64, Algorithm: RMatrix})
 	if err != nil {
@@ -166,7 +148,7 @@ func TestFacadeNetworkRuntime(t *testing.T) {
 	if err := txn.Commit(uplink); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Stats().Commits != 1 {
+	if srv.Obs().Counter("server_commits").Load() != 1 {
 		t.Fatal("uplink commit did not land")
 	}
 }

@@ -196,11 +196,11 @@ func TestClientUpdateTxn(t *testing.T) {
 	if _, err := txn3.Read(2); err != nil {
 		t.Fatal(err)
 	}
-	before := srv.Stats().UplinkRequests
+	before := srv.Obs().Counter("server_uplink_requests").Load()
 	if err := txn3.Commit(srv); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Stats().UplinkRequests != before {
+	if srv.Obs().Counter("server_uplink_requests").Load() != before {
 		t.Error("read-only update txn must not use the uplink")
 	}
 }
@@ -558,7 +558,7 @@ func TestLiveRunInducedHistoryConsistent(t *testing.T) {
 					default:
 					}
 					srv.StartCycle()
-					if srv.Stats().Commits >= maxCommits {
+					if srv.Obs().Counter("server_commits").Load() >= maxCommits {
 						continue
 					}
 					for k := 0; k < rng.Intn(3); k++ {

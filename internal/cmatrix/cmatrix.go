@@ -33,10 +33,9 @@ type Matrix struct {
 	// shared[j] marks cols[j] as aliased by a Snapshot (or, within a
 	// snapshot, by the live matrix): it must be replaced, never written.
 	shared []bool
-	// Scratch buffers reused across Apply calls; owned exclusively by
-	// this matrix (Clone and Snapshot never carry them over).
-	dep  []Cycle
-	inWS []bool
+	// Scratch buffer reused across Apply calls; owned exclusively by
+	// this matrix (Clone and Snapshot never carry it over).
+	dep []Cycle
 }
 
 // NewMatrix returns the cycle-0 matrix over n objects (all entries 0).
@@ -138,39 +137,17 @@ func (m *Matrix) Apply(readSet, writeSet []int, commitCycle Cycle) {
 	if len(writeSet) == 0 {
 		return // read-only transactions never touch the matrix
 	}
-	if m.dep == nil {
-		m.dep = make([]Cycle, m.n)
-		m.inWS = make([]bool, m.n)
-	}
-	for _, j := range writeSet {
-		m.check(j)
-		m.inWS[j] = true
-	}
 	// dep[i] = max_{k∈RS} Cold(i,k), computed against the old matrix
 	// before any column is overwritten.
-	dep := m.dep
+	dep := m.scratch()
 	clear(dep)
 	for _, k := range readSet {
 		m.check(k)
 		for i, v := range m.cols[k] {
-			if v > dep[i] {
-				dep[i] = v
-			}
+			dep[i] = max(dep[i], v)
 		}
 	}
-	for _, j := range writeSet {
-		col := m.mutableColumn(j, true)
-		for i := range col {
-			if m.inWS[i] {
-				col[i] = commitCycle
-			} else {
-				col[i] = dep[i]
-			}
-		}
-	}
-	for _, j := range writeSet {
-		m.inWS[j] = false
-	}
+	m.writeColumns(dep, writeSet, commitCycle)
 }
 
 // ApplyRemote folds one committed transaction whose read set is not
@@ -187,28 +164,32 @@ func (m *Matrix) ApplyRemote(writeSet []int, commitCycle Cycle) {
 	if len(writeSet) == 0 {
 		return
 	}
+	// dep[i] = Cold(i,i), read before any column is overwritten.
+	dep := m.scratch()
+	for i := range dep {
+		dep[i] = m.cols[i][i]
+	}
+	m.writeColumns(dep, writeSet, commitCycle)
+}
+
+// scratch returns the matrix's own length-n Apply buffer.
+func (m *Matrix) scratch() []Cycle {
 	if m.dep == nil {
 		m.dep = make([]Cycle, m.n)
-		m.inWS = make([]bool, m.n)
+	}
+	return m.dep
+}
+
+// writeColumns sets every write-set column to dep, except at the
+// write-set rows, which take commitCycle. It overwrites dep's entries
+// at those rows.
+func (m *Matrix) writeColumns(dep []Cycle, writeSet []int, commitCycle Cycle) {
+	for _, i := range writeSet {
+		m.check(i)
+		dep[i] = commitCycle
 	}
 	for _, j := range writeSet {
-		m.check(j)
-		m.inWS[j] = true
-	}
-	for _, j := range writeSet {
-		col := m.mutableColumn(j, true)
-		for i := range col {
-			if m.inWS[i] {
-				col[i] = commitCycle
-			} else {
-				// Column i is not being rewritten (i ∉ WS), so its
-				// diagonal is the pre-apply Cold(i,i).
-				col[i] = m.cols[i][i]
-			}
-		}
-	}
-	for _, j := range writeSet {
-		m.inWS[j] = false
+		copy(m.mutableColumn(j, true), dep)
 	}
 }
 

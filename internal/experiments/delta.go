@@ -5,9 +5,9 @@ import (
 	"math/rand"
 	"strings"
 
-	"broadcastcc/internal/bcast"
 	"broadcastcc/internal/cmatrix"
 	"broadcastcc/internal/protocol"
+	"broadcastcc/internal/server"
 	"broadcastcc/internal/sim"
 	"broadcastcc/internal/wire"
 )
@@ -45,20 +45,22 @@ type DeltaPoint struct {
 
 // DeltaAnalysis measures incremental-transmission savings across server
 // commit rates at the Table 1 layout: it replays the simulator's server
-// workload, snapshots the matrix at every cycle boundary, and prices
-// each cycle's delta with the real wire format.
+// workload on a server.Server, publishes every cycle, and prices each
+// cycle's delta over the one before with the real wire format.
 func DeltaAnalysis(opt Options) ([]*DeltaPoint, error) {
 	opt = opt.normalized()
 	base := sim.DefaultConfig()
-	layout := bcast.LayoutFor(protocol.FMatrix, base.Objects, base.ObjectBits, base.TimestampBits, 0)
 	const cycles = 300
 	intervals := []float64{62500, 125000, 250000, 500000, 1000000}
 	var out []*DeltaPoint
 	for _, interval := range intervals {
+		srv, err := server.New(server.Config{Objects: base.Objects, ObjectBits: base.ObjectBits, TimestampBits: base.TimestampBits, Algorithm: protocol.FMatrix})
+		if err != nil {
+			return nil, err
+		}
+		layout := srv.Layout()
 		rng := rand.New(rand.NewSource(opt.Seed))
-		m := cmatrix.NewMatrix(base.Objects)
-		prev := m.Clone()
-		writtenThisCycle := map[int]bool{}
+		prev := cmatrix.NewMatrix(base.Objects)
 		nextCommit := interval
 		cycleBits := float64(layout.CycleBits())
 
@@ -74,22 +76,31 @@ func DeltaAnalysis(opt Options) ([]*DeltaPoint, error) {
 						rs = append(rs, obj)
 					} else {
 						ws = append(ws, obj)
-						writtenThisCycle[obj] = true
 					}
 				}
-				m.Apply(rs, ws, cmatrix.Cycle(int64(nextCommit/cycleBits))+1)
+				// Reads first, as the simulator's server issues them.
+				txn := srv.Begin()
+				for _, obj := range rs {
+					_, _ = txn.Read(obj) // in range on an open server: cannot fail
+				}
+				for _, obj := range ws {
+					_ = txn.Write(obj, nil) // in range, and nil fits any slot
+				}
+				if err := txn.Commit(); err != nil {
+					return nil, err
+				}
 				nextCommit += interval
 			}
-			entries, err := cmatrix.Diff(prev, m)
+			cb := srv.StartCycle()
+			entries, err := cmatrix.Diff(prev, cb.Matrix)
 			if err != nil {
 				return nil, err
 			}
-			totalBits += float64(wire.DeltaBits(layout, len(writtenThisCycle), len(entries)))
+			totalBits += float64(wire.DeltaBits(layout, len(cb.Written), len(entries)))
 			controlBits += float64(wire.DeltaBits(layout, 0, len(entries)))
 			totalEntries += int64(len(entries))
-			totalValues += int64(len(writtenThisCycle))
-			prev = m.Clone()
-			writtenThisCycle = map[int]bool{}
+			totalValues += int64(len(cb.Written))
+			prev = cb.Matrix
 		}
 		fullCtrl := int64(layout.Objects) * layout.ControlBitsPerObject()
 		pt := &DeltaPoint{

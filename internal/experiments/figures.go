@@ -334,27 +334,6 @@ func (f *Figure) Run(opt Options, clients []int) (exp *Experiment, table string,
 	return exp, table, []BenchExperiment{exp.Bench()}, nil
 }
 
-// All runs every sweep of the "all" selection — the paper's figures plus
-// the ablations. Figures run in sequence, but each figure's sweep fans
-// its independent simulation runs out across the Options.Parallelism
-// worker pool, so All saturates the machine while producing tables
-// byte-identical to a fully sequential reproduction.
-func All(opt Options) ([]*Experiment, error) {
-	figs, _ := Select("all")
-	var out []*Experiment
-	for _, f := range figs {
-		if !f.IsSweep() {
-			continue
-		}
-		e, err := f.sweep(opt)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}
-
 // ByID runs one sweep by its identifier (case-insensitive).
 func ByID(id string, opt Options) (*Experiment, error) {
 	figs, err := Select(id)

@@ -120,16 +120,17 @@ func TestEverySweepRowRuns(t *testing.T) {
 		}
 	}
 
-	opt.Txns, opt.MeasureFrom = 30, 10
-	all, err := All(opt)
+	all, err := Select("all")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []string
-	for _, e := range all {
-		got = append(got, e.ID)
+	for _, f := range all {
+		if f.IsSweep() {
+			got = append(got, f.ID)
+		}
 	}
 	if !reflect.DeepEqual(got, wantSweeps) {
-		t.Errorf("All ran %v, want %v", got, wantSweeps)
+		t.Errorf("the all selection's sweeps are %v, want %v", got, wantSweeps)
 	}
 }

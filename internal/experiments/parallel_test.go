@@ -21,6 +21,27 @@ func parallelQuick() Options {
 	}
 }
 
+// allSweeps runs every sweep of the "all" selection — the paper's
+// figures plus the ablations — in table order.
+func allSweeps(opt Options) ([]*Experiment, error) {
+	figs, err := Select("all")
+	if err != nil {
+		return nil, err
+	}
+	var out []*Experiment
+	for _, f := range figs {
+		if !f.IsSweep() {
+			continue
+		}
+		e, err := f.sweep(opt)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, e)
+	}
+	return out, nil
+}
+
 // TestAllSequentialVsParallel verifies the seed-derivation scheme: a
 // fully sequential reproduction and a worker-pool reproduction of
 // every figure produce identical Experiment tables, byte for byte.
@@ -33,11 +54,11 @@ func TestAllSequentialVsParallel(t *testing.T) {
 	parOpt := parallelQuick()
 	parOpt.Parallelism = 4
 
-	seq, err := All(seqOpt)
+	seq, err := allSweeps(seqOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := All(parOpt)
+	par, err := allSweeps(parOpt)
 	if err != nil {
 		t.Fatal(err)
 	}

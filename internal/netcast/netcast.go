@@ -487,9 +487,11 @@ func (s *Server) reapSub(c net.Conn, cycle cmatrix.Cycle) {
 		delete(s.subs, c)
 		s.stale = true
 		c.Close()
-		s.cSubsDropped.Inc()
 		s.cReaps.Inc()
-		s.gSubs.Set(int64(len(s.subs)))
+		s.reg.Update(func() {
+			s.cSubsDropped.Inc()
+			s.gSubs.Set(int64(len(s.subs)))
+		})
 	}
 	left := len(s.subs)
 	s.mu.Unlock()
@@ -535,12 +537,14 @@ func (s *Server) Close() {
 		return
 	}
 	s.closed, s.stale = true, true
+	s.reg.Update(func() {
+		s.cSubsDropped.Add(int64(len(s.subs)))
+		s.gSubs.Set(0)
+	})
 	for c := range s.subs {
 		c.Close()
 		delete(s.subs, c)
-		s.cSubsDropped.Inc()
 	}
-	s.gSubs.Set(0)
 	s.mu.Unlock()
 	s.broadcastLn.Close()
 	s.uplink.Close()
@@ -561,8 +565,10 @@ func (s *Server) acceptBroadcast() {
 			return
 		}
 		s.subs[conn], s.stale = subFilter{}, true
-		s.cSubsAdded.Inc()
-		s.gSubs.Set(int64(len(s.subs)))
+		s.reg.Update(func() {
+			s.cSubsAdded.Inc()
+			s.gSubs.Set(int64(len(s.subs)))
+		})
 		s.mu.Unlock()
 		// Per-connection reader: the broadcast stream is one-way for
 		// plain tuners (they never write, so this read blocks until the

@@ -3,6 +3,7 @@ package netcast
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -150,7 +151,7 @@ func TestUplinkOverTCP(t *testing.T) {
 	if err := upd.Commit(uplink); err != nil {
 		t.Fatal(err)
 	}
-	if got := bsrv.Stats().Commits; got != 1 {
+	if got := bsrv.Obs().Counter("server_commits").Load(); got != 1 {
 		t.Fatalf("server commits = %d", got)
 	}
 
@@ -478,7 +479,7 @@ func TestNetworkRunConsistent(t *testing.T) {
 			if _, err := ns.Step(); err != nil {
 				return
 			}
-			if i%2 == 0 && bsrv.Stats().Commits < 200 {
+			if i%2 == 0 && bsrv.Obs().Counter("server_commits").Load() < 200 {
 				txn := bsrv.Begin()
 				txn.Read(i % 5)
 				txn.Write((i+1)%5, []byte{byte(i)})
@@ -503,4 +504,61 @@ func TestNetworkRunConsistent(t *testing.T) {
 	if len(readSets) != clients*txnsPerClient {
 		t.Fatalf("committed %d, want %d", len(readSets), clients*txnsPerClient)
 	}
+}
+
+// TestSubscriberInstrumentsAgreeInEverySnapshot scrapes the registry
+// while several tuners join and are dropped: every snapshot must show
+// netcast_subs_added − netcast_subs_dropped equal to the
+// netcast_subscribers gauge. The three move in one registry update; a
+// scrape landing between the counter and the gauge used to break the
+// balance bcsoak checks.
+func TestSubscriberInstrumentsAgreeInEverySnapshot(t *testing.T) {
+	_, ns := newNetServer(t, protocol.FMatrix, 4)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				c, err := net.Dial("tcp", ns.BroadcastAddr())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				// A malformed subset frame gets the connection dropped;
+				// the read returns once the server has closed it.
+				if err := WriteFrame(c, []byte("junk")); err == nil {
+					io.Copy(io.Discard, c)
+				}
+				c.Close()
+			}
+		}()
+	}
+	const snapshots = 100_000
+	mismatches, churned := 0, int64(0)
+	var first error
+	for i := 0; i < snapshots; i++ {
+		s := ns.Obs().Snapshot()
+		if err := bctest.CheckSubscriberBalance(s, 1<<20); err != nil {
+			if mismatches++; first == nil {
+				first = err
+			}
+		}
+		churned = s.Counters["netcast_subs_dropped"]
+	}
+	close(stop)
+	wg.Wait()
+	if mismatches > 0 {
+		t.Fatalf("%d of %d snapshots out of balance; first: %v", mismatches, snapshots, first)
+	}
+	if churned == 0 {
+		t.Fatal("no subscriber was dropped while the snapshots ran")
+	}
+	t.Logf("%d snapshots, %d subscribers dropped meanwhile", snapshots, churned)
 }

@@ -162,6 +162,17 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
+// Update runs f under the registry's lock, so a Snapshot sees either
+// none or all of the updates f makes: instruments that must agree in
+// every scrape (a churn counter pair and the level gauge they move)
+// change together. f must not call the registry's own methods. Lone
+// hot-path updates never take the lock.
+func (r *Registry) Update(f func()) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f()
+}
+
 // Histogram returns the named histogram, creating it with bounds on
 // first use. Re-registering an existing name with different bounds
 // panics: bucket layouts are part of the metric's identity.
@@ -246,8 +257,9 @@ type Snapshot struct {
 }
 
 // Snapshot copies the registry's current state. Safe to call
-// concurrently with hot-path updates (values are read atomically;
-// cross-instrument consistency is not promised).
+// concurrently with hot-path updates: each value is read atomically,
+// and the updates of one Update call are seen all or not at all. Lone
+// updates are seen one by one.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -85,7 +85,7 @@ func (v *SnapshotValidator) TryRead(snap Snapshot, obj int, cur cmatrix.Cycle) b
 			return false
 		}
 	}
-	v.reads = append(v.reads, recordedRead{obj: obj, cycle: cur, snap: snap})
+	v.reads = appendRead(v.reads, recordedRead{obj: obj, cycle: cur, snap: snap})
 	return true
 }
 

@@ -137,6 +137,17 @@ func violates(bound, cycle cmatrix.Cycle) bool {
 	return bound >= cycle
 }
 
+// appendRead records one read in a validator's read set. A validator's
+// first read sizes the set for the paper's four-read transaction, so a
+// validator reused across transactions allocates once up to that
+// length instead of once per doubling.
+func appendRead[R any](reads []R, r R) []R {
+	if reads == nil {
+		reads = make([]R, 0, 4)
+	}
+	return append(reads, r)
+}
+
 // ConjunctiveValidator implements the read-condition
 // ∀(ob_i, cycle) ∈ R_t: Bound(i, j) < cycle — F-Matrix with a matrix
 // snapshot (Theorem 1), Datacycle with a vector snapshot, the grouped
@@ -152,7 +163,7 @@ func (v *ConjunctiveValidator) TryRead(snap Snapshot, obj int, cur cmatrix.Cycle
 			return false
 		}
 	}
-	v.reads = append(v.reads, ReadAt{Obj: obj, Cycle: cur})
+	v.reads = appendRead(v.reads, ReadAt{Obj: obj, Cycle: cur})
 	return true
 }
 
@@ -195,7 +206,7 @@ func (v *RMatrixValidator) TryRead(snap Snapshot, obj int, cur cmatrix.Cycle) bo
 	if !okAll && violates(vs.At(obj), v.first) {
 		return false
 	}
-	v.reads = append(v.reads, ReadAt{Obj: obj, Cycle: cur})
+	v.reads = appendRead(v.reads, ReadAt{Obj: obj, Cycle: cur})
 	return true
 }
 

@@ -83,8 +83,7 @@ type Config struct {
 	// server_conflict_aborts, server_uplink_requests,
 	// server_control_cols_rewritten, server_commits_per_cycle,
 	// server_regroup_churn, server_verify_ns).
-	// Nil uses a private registry; Stats() works either way as a view
-	// over it.
+	// Nil uses a private registry; Obs() returns it either way.
 	Obs *obs.Registry
 	// Trace, when non-nil, receives cycle-clock events (cycle start,
 	// snapshot publish, uplink verdicts) stamped with the broadcast
@@ -101,16 +100,6 @@ type Config struct {
 	// the registry only — it never enters the cycle-clock trace, which
 	// must remain deterministic.
 	VerifySample int
-}
-
-// Stats are cumulative server counters. They are a view over the
-// server's obs registry (the registry is the single source of truth;
-// see Config.Obs), kept for callers that want a plain struct.
-type Stats struct {
-	Cycles         int64 // broadcast cycles published
-	Commits        int64 // update transactions committed
-	ConflictAborts int64 // update transactions rejected by validation
-	UplinkRequests int64 // client update requests received
 }
 
 // Server is the broadcast server. All methods are safe for concurrent
@@ -275,17 +264,6 @@ func (s *Server) CurrentCycle() cmatrix.Cycle {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.cycle
-}
-
-// Stats returns the cumulative counters as a struct view over the obs
-// registry.
-func (s *Server) Stats() Stats {
-	return Stats{
-		Cycles:         s.cCycles.Load(),
-		Commits:        s.cCommits.Load(),
-		ConflictAborts: s.cAborts.Load(),
-		UplinkRequests: s.cUplink.Load(),
-	}
 }
 
 // Obs returns the server's metrics registry (Config.Obs, or the

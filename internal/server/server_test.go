@@ -76,8 +76,8 @@ func TestInitialValuesAndLocalTxn(t *testing.T) {
 	if v, _ := txn2.Read(1); string(v) != "b2" {
 		t.Errorf("committed value = %q", v)
 	}
-	if s.Stats().Commits != 1 {
-		t.Errorf("Commits = %d, want 1", s.Stats().Commits)
+	if got := s.cCommits.Load(); got != 1 {
+		t.Errorf("server_commits = %d, want 1", got)
 	}
 }
 
@@ -103,8 +103,8 @@ func TestLocalTxnConflict(t *testing.T) {
 	if err := t2.Commit(); !errors.Is(err, ErrConflict) {
 		t.Fatalf("Commit = %v, want ErrConflict", err)
 	}
-	if s.Stats().ConflictAborts != 1 {
-		t.Errorf("ConflictAborts = %d, want 1", s.Stats().ConflictAborts)
+	if got := s.cAborts.Load(); got != 1 {
+		t.Errorf("server_conflict_aborts = %d, want 1", got)
 	}
 	// Write-only transactions never conflict (no reads to validate).
 	t3 := s.Begin()
@@ -268,8 +268,8 @@ func TestSubmitUpdateValidation(t *testing.T) {
 	if err := s.SubmitUpdate(protocol.UpdateRequest{Writes: []protocol.ObjectWrite{{Obj: -2}}}); err == nil {
 		t.Error("bad write object should fail")
 	}
-	if got := s.Stats().UplinkRequests; got != 5 {
-		t.Errorf("UplinkRequests = %d, want 5 (every received request counts)", got)
+	if got := s.cUplink.Load(); got != 5 {
+		t.Errorf("server_uplink_requests = %d, want 5 (every received request counts)", got)
 	}
 }
 
@@ -380,13 +380,13 @@ func TestConcurrentLocalTxns(t *testing.T) {
 			t.Fatalf("goroutine %d: %v", g, err)
 		}
 	}
-	stats := s.Stats()
-	if stats.Commits == 0 {
+	commits := s.cCommits.Load()
+	if commits == 0 {
 		t.Fatal("no transactions committed")
 	}
 	// The audit log length matches the commit counter.
-	if int64(len(s.AuditLog())) != stats.Commits {
-		t.Errorf("audit entries %d != commits %d", len(s.AuditLog()), stats.Commits)
+	if int64(len(s.AuditLog())) != commits {
+		t.Errorf("audit entries %d != commits %d", len(s.AuditLog()), commits)
 	}
 }
 
@@ -478,8 +478,8 @@ func TestWriteFreeSubmitIsNotACommit(t *testing.T) {
 		t.Fatalf("write-free request with current reads: %v", err)
 	}
 	s.StartCycle()
-	if st := s.Stats(); st.Commits != 0 || st.UplinkRequests != 1 || st.ConflictAborts != 0 {
-		t.Fatalf("stats = %+v, want 0 commits, 1 uplink request, 0 aborts", st)
+	if c, u, a := s.cCommits.Load(), s.cUplink.Load(), s.cAborts.Load(); c != 0 || u != 1 || a != 0 {
+		t.Fatalf("%d commits, %d uplink requests, %d aborts; want 0, 1, 0", c, u, a)
 	}
 	if log := s.AuditLog(); len(log) != 0 {
 		t.Fatalf("audit log = %v, want empty", log)

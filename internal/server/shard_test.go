@@ -182,7 +182,7 @@ func TestPrepareValidationMatchesSubmit(t *testing.T) {
 			if a, b := single.AuditLog(), twoShot.AuditLog(); !reflect.DeepEqual(a, b) {
 				t.Fatalf("audit logs differ:\n single  %v\n two-shot %v", a, b)
 			}
-			if a, b := single.Stats().Commits, twoShot.Stats().Commits; a != b || a != 3 {
+			if a, b := single.cCommits.Load(), twoShot.cCommits.Load(); a != b || a != 3 {
 				t.Fatalf("server_commits = %d single-shot, %d two-shot, want 3 on both", a, b)
 			}
 			a, b := single.StartCycle(), twoShot.StartCycle()
@@ -353,9 +353,9 @@ func TestMalformedFirst(t *testing.T) {
 			if err == nil || err.Error() != tc.text || errors.Is(err, ErrConflict) || errors.Is(err, ErrPinned) {
 				t.Fatalf("%s (two-shot %v): got %v, want %q", tc.name, twoShot, err, tc.text)
 			}
-			if st := s.Stats(); st.Commits != 1 || st.ConflictAborts != 0 || s.cShardPrepareRefused.Load() != 0 {
+			if c, a := s.cCommits.Load(), s.cAborts.Load(); c != 1 || a != 0 || s.cShardPrepareRefused.Load() != 0 {
 				t.Fatalf("%s (two-shot %v): commits %d, aborts %d, refused prepares %d; want 1, 0, 0",
-					tc.name, twoShot, st.Commits, st.ConflictAborts, s.cShardPrepareRefused.Load())
+					tc.name, twoShot, c, a, s.cShardPrepareRefused.Load())
 			}
 			for obj := 0; obj < 4; obj++ {
 				if owner, held := s.PinnedBy(obj); held && owner != 900 {

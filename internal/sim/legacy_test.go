@@ -70,7 +70,7 @@ func (h *mcHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = o
 // runMulti executes the event-driven multi-client simulation.
 func (e *engine) runMulti() (*Result, error) {
 	cfg := e.cfg
-	res := &Result{Config: cfg, Layout: e.layout}
+	res := &Result{Config: cfg, Layout: e.srv.Layout()}
 	clients := make([]*mcClient, cfg.Clients)
 	var events mcHeap
 	var seq int64
@@ -81,7 +81,7 @@ func (e *engine) runMulti() (*Result, error) {
 	// The oracle waits on its own flat bcast.Schedule, not on the
 	// engine's timeline, so the differential checks the wheel's wait too
 	// (TestFlatTimelineMatchesSchedule pins the two against each other).
-	sched, err := bcast.SingleDiskSchedule(e.layout)
+	sched, err := bcast.SingleDiskSchedule(e.srv.Layout())
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +140,15 @@ func (e *engine) runMulti() (*Result, error) {
 			}
 
 		case actCommit:
-			if !e.submitClientUpdate(c.validator.ReadSet(), c.objs[:c.writes]) {
+			writes := make([]int32, c.writes)
+			for k, o := range c.objs[:c.writes] {
+				writes[k] = int32(o)
+			}
+			ok, err := e.submitClientUpdate(c.validator.ReadSet(), writes)
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
 				c.restarts++
 				e.cRestarts.Inc()
 				c.validator.Reset()

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 
@@ -12,6 +13,7 @@ import (
 	"broadcastcc/internal/obs"
 	"broadcastcc/internal/protocol"
 	"broadcastcc/internal/qcache"
+	"broadcastcc/internal/server"
 	"broadcastcc/internal/stats"
 )
 
@@ -74,7 +76,9 @@ type Result struct {
 	// rejected (each causes a restart).
 	UplinkRejects int64
 
-	// AuditLog is the server's committed-update log (Config.Audit only).
+	// AuditLog is the server's committed-update log (Config.Audit only):
+	// server.AuditLog, which has no entry for a transaction that wrote
+	// nothing.
 	AuditLog []cmatrix.Commit
 	// CommittedReadSets holds every committed client transaction's
 	// read-set (Config.Audit only).
@@ -127,11 +131,10 @@ func Run(cfg Config) (*Result, error) {
 // program, the server and the run's observability. The server's commit
 // stream is a deterministic function of time generated lazily in time
 // order; the clients on the event wheel (wheel.go) drive the clock
-// forward through their reads, pulling the server state and per-cycle
-// control snapshots along.
+// forward through their reads, pulling the server's commits and cycle
+// publications along.
 type engine struct {
-	cfg    Config
-	layout bcast.Layout
+	cfg Config
 	// rng drives the server workload. The paper's single client
 	// (Clients <= 1) draws from it too, which is what keeps every
 	// published single-client figure byte-identical; with more clients
@@ -154,11 +157,13 @@ type engine struct {
 	// parallelism.
 	faults *faultair.Schedule
 
-	// Server state: the control representation the live server would
-	// maintain for cfg.Algorithm (see server.New).
-	control        cmatrix.Control
-	lastWrite      []cmatrix.Cycle // per-object last committed-write cycle
+	// srv is the run's server: every commit, uplink verdict and cycle
+	// publication goes through it. It keeps a private registry and no
+	// tracer; the counters and trace events below are the run's record.
+	srv            *server.Server
 	nextCommitTime float64
+	reads, writes  []int                  // one server transaction's operations
+	req            protocol.UpdateRequest // one client update
 
 	// Observability: the registry is the single store for the run's
 	// counters (Result's counter fields are filled from it), the tracer
@@ -175,7 +180,7 @@ type engine struct {
 	cReadAborts    *obs.Counter
 	cRestarts      *obs.Counter
 	hRestartsTxn   *obs.Histogram
-	cycleCommits   int64 // commits folded in since the last snapshot
+	cycleCommits   int64 // transactions committed since the last snapshot
 
 	// Per-cycle control snapshots, pruned as the clock advances.
 	snaps          map[cmatrix.Cycle]protocol.Snapshot
@@ -186,29 +191,30 @@ type engine struct {
 	// the caching cycle and the control column only.
 	cache *qcache.Cache
 
-	// Audit trail (cfg.Audit only).
-	auditLog      []cmatrix.Commit
+	// Committed client read-sets (cfg.Audit only).
 	auditReadSets [][]protocol.ReadAt
 }
 
 func newEngine(cfg Config) (*engine, error) {
-	layout := bcast.LayoutFor(cfg.Algorithm, cfg.Objects, cfg.ObjectBits, cfg.TimestampBits, cfg.Groups)
-	// Every run waits out one airsched program (Build validates the
-	// layout); Disks <= 1 without an index is the paper's flat disk.
-	// Index segments consume airtime too, so the major cycle is the
-	// timeline's, not the data slots'.
-	program, err := airsched.Build(layout, airsched.ZipfWeights(cfg.Objects, cfg.ZipfTheta), max(cfg.Disks, 1), cfg.IndexM)
+	srv, err := server.New(server.Config{Objects: cfg.Objects, ObjectBits: cfg.ObjectBits,
+		TimestampBits: cfg.TimestampBits, Algorithm: cfg.Algorithm, Groups: cfg.Groups, Audit: cfg.Audit})
+	if err != nil {
+		return nil, err
+	}
+	// Every run waits out one airsched program; Disks <= 1 without an
+	// index is the paper's flat disk. Index segments consume airtime
+	// too, so the major cycle is the timeline's, not the data slots'.
+	program, err := airsched.Build(srv.Layout(), airsched.ZipfWeights(cfg.Objects, cfg.ZipfTheta), max(cfg.Disks, 1), cfg.IndexM)
 	if err != nil {
 		return nil, err
 	}
 	timeline := airsched.NewTimeline(program)
 	e := &engine{
 		cfg:            cfg,
-		layout:         layout,
 		timeline:       timeline,
 		rng:            rand.New(rand.NewSource(cfg.Seed)),
 		cycleBits:      float64(timeline.MajorBits()),
-		lastWrite:      make([]cmatrix.Cycle, cfg.Objects),
+		srv:            srv,
 		nextCommitTime: cfg.ServerTxnInterval,
 		snaps:          map[cmatrix.Cycle]protocol.Snapshot{},
 	}
@@ -237,14 +243,6 @@ func newEngine(cfg Config) (*engine, error) {
 	if cfg.ServerIntervalExponential {
 		e.nextCommitTime = e.exp(cfg.ServerTxnInterval)
 	}
-	switch layout.Control {
-	case bcast.ControlGrouped:
-		e.control = cmatrix.NewGroupedControl(cmatrix.UniformPartition(cfg.Objects, cfg.Groups))
-	case bcast.ControlVector:
-		e.control = cmatrix.NewVectorControl(cfg.Objects)
-	default: // ControlMatrix and ControlNone both keep the full matrix
-		e.control = cmatrix.NewDenseControl(cfg.Objects)
-	}
 	if cfg.CacheCurrency > 0 {
 		e.cache = new(qcache.Cache)
 		e.cache.Init(cfg.CacheSize, func(int) cmatrix.Cycle { return cmatrix.Cycle(cfg.CacheCurrency) }, nil, nil)
@@ -267,50 +265,40 @@ func (e *engine) cycleOf(t float64) cmatrix.Cycle {
 }
 
 // applyNextCommit generates the next server update transaction and
-// commits it, stamping it with the cycle its completion time falls in.
+// commits it on the server, in the cycle its completion time falls in:
+// the one on the air, since ensureSnapshot publishes a cycle only after
+// every commit that precedes it. Its reads go first, then its writes,
+// so the read and write sets are the distinct objects of each in
+// drawing order (a Txn records no read of an object it has written).
 // Server transactions execute serially (the paper's commit-order
 // serialization), so conflict serializability of H_update holds by
-// construction.
+// construction and only a bug can make the server refuse one.
 func (e *engine) applyNextCommit() {
-	commitCycle := e.cycleOf(e.nextCommitTime)
-	var readSet, writeSet []int
-	seenR := map[int]bool{}
-	seenW := map[int]bool{}
+	e.reads, e.writes = e.reads[:0], e.writes[:0]
 	for op := 0; op < e.cfg.ServerTxnLength; op++ {
 		obj := e.rng.Intn(e.cfg.Objects)
 		if e.rng.Float64() < e.cfg.ServerReadProb {
-			if !seenR[obj] {
-				seenR[obj] = true
-				readSet = append(readSet, obj)
-			}
-		} else if !seenW[obj] {
-			seenW[obj] = true
-			writeSet = append(writeSet, obj)
+			e.reads = append(e.reads, obj)
+		} else {
+			e.writes = append(e.writes, obj)
 		}
 	}
-	e.install(readSet, writeSet, commitCycle)
+	txn := e.srv.Begin()
+	for _, obj := range e.reads {
+		_, _ = txn.Read(obj) // in range on an open server: cannot fail
+	}
+	for _, obj := range e.writes {
+		_ = txn.Write(obj, nil) // in range, and nil fits any slot
+	}
+	if err := txn.Commit(); err != nil {
+		panic("sim: internal error: server transaction: " + err.Error())
+	}
+	e.cycleCommits++
 	e.cServerCommits.Inc()
 	if e.cfg.ServerIntervalExponential {
 		e.nextCommitTime += e.exp(e.cfg.ServerTxnInterval)
 	} else {
 		e.nextCommitTime += e.cfg.ServerTxnInterval
-	}
-}
-
-// install is the one place a transaction (server- or client-
-// originated) becomes committed: it folds it into the control state and
-// the audit trail. The wheel reuses its write-set buffer, so the audit
-// entry takes a copy.
-func (e *engine) install(readSet, writeSet []int, commitCycle cmatrix.Cycle) {
-	e.control.Apply(readSet, writeSet, commitCycle)
-	for _, obj := range writeSet {
-		e.lastWrite[obj] = commitCycle
-	}
-	e.cycleCommits++
-	if e.cfg.Audit {
-		e.auditLog = append(e.auditLog, cmatrix.Commit{
-			ReadSet: readSet, WriteSet: append([]int(nil), writeSet...), Cycle: commitCycle,
-		})
 	}
 }
 
@@ -327,10 +315,7 @@ func (e *engine) ensureSnapshot(c cmatrix.Cycle) {
 		e.cCycles.Inc()
 		e.trace.Emit(obs.EvCycleStart, obs.ActorServer, int64(next), 0, e.cycleCommits)
 		e.cycleCommits = 0
-		// Dense snapshots are copy-on-write: they share unchanged columns
-		// with the live matrix (O(n) per cycle) and later Applies replace
-		// the columns they write instead of mutating them.
-		e.snaps[next] = e.control.Snapshot()
+		e.snaps[next] = e.srv.StartCycle().Snapshot()
 		e.trace.Emit(obs.EvSnapshotPublish, obs.ActorServer, int64(next), 0, 0)
 		e.snappedThrough = next
 		delete(e.snaps, next-8) // keep a short window of recent cycles
@@ -355,35 +340,35 @@ func (e *engine) pickObjectsFrom(rng *rand.Rand) []int {
 	return out
 }
 
-// submitClientUpdate performs the server-side validation and commit of
-// a client update transaction at the current clock: every read must
-// still be current (no committed write to the object during or after
-// the cycle it was read in), exactly the live server's rule. On success
-// the transaction is installed at the current cycle.
-func (e *engine) submitClientUpdate(reads []protocol.ReadAt, writeSet []int) bool {
+// submitClientUpdate ships a client update transaction — every read
+// with the cycle it was made in, and the objects it writes — to the
+// server at the current clock, and reports whether the server committed
+// it.
+func (e *engine) submitClientUpdate(reads []protocol.ReadAt, writeSet []int32) (bool, error) {
 	// Every server commit completed strictly before now comes first,
 	// after any crossed cycle-boundary snapshots so those never leak
 	// later commits.
-	commitCycle := e.cycleOf(e.now)
-	e.ensureSnapshot(commitCycle)
+	e.ensureSnapshot(e.cycleOf(e.now))
 	for e.nextCommitTime < e.now {
 		e.applyNextCommit()
 	}
-	for _, r := range reads {
-		if e.lastWrite[r.Obj] >= r.Cycle {
-			e.cUplinkRejects.Inc()
-			e.trace.Emit(obs.EvUplinkVerdict, obs.ActorServer, int64(commitCycle), 0, 0)
-			return false
-		}
+	e.req.Reads, e.req.Writes = reads, e.req.Writes[:0]
+	for _, obj := range writeSet {
+		e.req.Writes = append(e.req.Writes, protocol.ObjectWrite{Obj: int(obj)})
 	}
-	readSet := make([]int, 0, len(reads))
-	for _, r := range reads {
-		readSet = append(readSet, r.Obj)
+	err := e.srv.SubmitUpdate(e.req)
+	switch {
+	case errors.Is(err, server.ErrConflict):
+		e.cUplinkRejects.Inc()
+		e.trace.Emit(obs.EvUplinkVerdict, obs.ActorServer, int64(e.snappedThrough), 0, 0)
+		return false, nil
+	case err != nil:
+		return false, fmt.Errorf("sim: internal error: uplink commit: %w", err)
 	}
-	e.install(readSet, writeSet, commitCycle)
+	e.cycleCommits++
 	e.cClientCommits.Inc()
-	e.trace.Emit(obs.EvUplinkVerdict, obs.ActorServer, int64(commitCycle), 0, 1)
-	return true
+	e.trace.Emit(obs.EvUplinkVerdict, obs.ActorServer, int64(e.snappedThrough), 0, 1)
+	return true, nil
 }
 
 // recordRead counts and traces one read validation outcome for the
@@ -403,7 +388,9 @@ func (e *engine) finalizeResult(res *Result) {
 	res.CyclesSimulated = int64(e.snappedThrough)
 	res.DozedFrames = e.dozed
 	res.SimulatedTime = e.now
-	res.AuditLog = e.auditLog
+	if e.cfg.Audit {
+		res.AuditLog = e.srv.AuditLog()
+	}
 	res.CommittedReadSets = e.auditReadSets
 	// Counter fields are views over the registry — the same numbers a
 	// live run would expose on /metrics under the same names.

@@ -498,3 +498,38 @@ func TestDefaultConfigMatchesTable1(t *testing.T) {
 		t.Errorf("DefaultConfig = %+v, want Table 1 values %+v", cfg, want)
 	}
 }
+
+// TestServerControlMatchesRebuild checks the control the simulated
+// server maintains against the definition-based rebuild of its own
+// commit log (server.VerifyControl), for every algorithm: an audited
+// run with client updates, and the same run through the §3.3 cache.
+func TestServerControlMatchesRebuild(t *testing.T) {
+	for _, alg := range []protocol.Algorithm{protocol.Datacycle, protocol.RMatrix, protocol.FMatrix, protocol.FMatrixNo, protocol.Grouped} {
+		for _, currency := range []int64{0, 4} {
+			cfg := smallConfig(alg)
+			if alg == protocol.Grouped {
+				cfg.Groups = 8
+			}
+			cfg.Audit = true
+			cfg.ClientUpdateProb = 0.4
+			cfg.ClientTxnWrites = 2
+			cfg.UplinkLatency = 4096
+			cfg.CacheCurrency, cfg.CacheSize = currency, 10
+			e, err := newEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.runWheel()
+			if err != nil {
+				t.Fatalf("%v cache=%d: %v", alg, currency, err)
+			}
+			if res.ClientCommits == 0 || res.UplinkRejects == 0 || len(res.AuditLog) <= int(res.ClientCommits) {
+				t.Fatalf("%v cache=%d: degenerate run: %d client commits, %d rejects, %d audited commits",
+					alg, currency, res.ClientCommits, res.UplinkRejects, len(res.AuditLog))
+			}
+			if err := e.srv.VerifyControl(); err != nil {
+				t.Errorf("%v cache=%d: %v", alg, currency, err)
+			}
+		}
+	}
+}

@@ -231,9 +231,6 @@ type wheelEngine struct {
 
 	stats []ClientStats
 
-	// Scratch for uplink write-sets (the server copies what it keeps).
-	scratchWrite []int
-
 	// Pop-order watchdog: the wheel must reproduce the legacy heap's
 	// global (time, seq) order.
 	lastTime float64
@@ -293,7 +290,7 @@ func (e *engine) newWheel() *wheelEngine {
 // runWheel executes the simulation on the event wheel.
 func (e *engine) runWheel() (*Result, error) {
 	cfg := e.cfg
-	res := &Result{Config: cfg, Layout: e.layout}
+	res := &Result{Config: cfg, Layout: e.srv.Layout()}
 	w := e.newWheel()
 	for i := range w.stats {
 		w.startTxn(i, 0)
@@ -336,11 +333,11 @@ func (e *engine) runWheel() (*Result, error) {
 			}
 
 		case actCommit:
-			w.scratchWrite = w.scratchWrite[:0]
-			for _, o := range w.objRow(i)[:w.writes] {
-				w.scratchWrite = append(w.scratchWrite, int(o))
+			ok, err := e.submitClientUpdate(w.validator(i).ReadSet(), w.objRow(i)[:w.writes])
+			if err != nil {
+				return nil, err
 			}
-			if !e.submitClientUpdate(w.validator(i).ReadSet(), w.scratchWrite) {
+			if !ok {
 				w.restart(i)
 				continue
 			}

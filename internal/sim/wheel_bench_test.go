@@ -26,8 +26,8 @@ func benchWheelConfig(n int) Config {
 // uplink arrival) and allocs/event measured with AllocsPerRun — the
 // number that must stay pinned near zero for 10^6 clients to be
 // affordable; what remains is setup (flat arrays, one read-set backing
-// array per client) and per-cycle snapshot publication, never per-event
-// garbage. CI's bench smoke runs the clients=10000 point once; all
+// array per client), the server's transactions and per-cycle
+// publication, never per-event garbage. CI's bench smoke runs the clients=10000 point once; all
 // three with:
 //
 //	go test -run '^$' -bench EventWheel -benchtime 1x ./internal/sim/

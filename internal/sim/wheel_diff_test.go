@@ -345,10 +345,10 @@ func TestCompactRNGDeterminism(t *testing.T) {
 // flat arrays, a fixed number per run), one read-set backing array per
 // client, and per-cycle snapshots — never per-event garbage. Doubling
 // the clients cancels the setup out of the difference quotient, which
-// leaves the read-set array's four growth steps over a client's 18
-// events (0.2230 to 0.2233 over repeated runs, before the wheel also ran
-// the single client and after). One more allocation per client would
-// read 0.278, so the cache and tuner state are setup-only when unused.
+// leaves the read-set array's two allocations (room for four reads,
+// then eight) over a client's 18 events: 0.1119. One more allocation
+// per client would read 0.167, so the cache and tuner state are
+// setup-only when unused.
 func TestWheelAllocsPerEvent(t *testing.T) {
 	measure := func(n int) (allocs, events float64) {
 		cfg := smallConfig(protocol.FMatrix)

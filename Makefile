@@ -72,11 +72,11 @@ fuzz-smoke:
 	done
 
 # Micro-benchmarks only (matrix apply/snapshot, wire codec, validator,
-# StartCycle; the sparse and grouped control's commit and publish; one
-# cycle of cache traffic through the persistent store, one cache record
-# through its codec and one cached read transaction; one uplink round
-# trip over loopback TCP; one server Step, frame built in place, at the
-# Table 1 and dense grouped shapes).
+# StartCycle; the grouped control's commit and publish, singleton groups
+# included; one cycle of cache traffic through the persistent store, one
+# cache record through its codec and one cached read transaction; one
+# uplink round trip over loopback TCP; one server Step, frame built in
+# place, at the Table 1 and dense grouped shapes).
 bench:
 	$(GO) test -run '^$$' -bench 'Matrix|Snapshot|Validator|Wire|StartCycle' -benchtime 100x
 	$(GO) test -run '^$$' -bench 'Apply|Snapshot' -benchtime 100x ./internal/cmatrix

@@ -2,10 +2,10 @@ package cmatrix
 
 // Control is the mutable server-side control-information state behind a
 // representation-independent interface: the dense n×n matrix, the
-// length-n vector, the exact sparse matrix and the grouped n×g matrix
-// are swappable. Apply folds one committed update transaction (Theorem
-// 2); Snapshot returns an immutable view of the state as of this
-// instant, cheap enough to take every broadcast cycle.
+// length-n vector and the grouped n×g matrix (the exact C at singleton
+// groups) are swappable. Apply folds one committed update transaction
+// (Theorem 2); Snapshot returns an immutable view of the state as of
+// this instant, cheap enough to take every broadcast cycle.
 type Control interface {
 	// N reports the number of objects.
 	N() int

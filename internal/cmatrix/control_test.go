@@ -46,33 +46,46 @@ func randomPartition(rng *rand.Rand, n int) *Partition {
 	}
 }
 
-// TestSparseControlMatchesDense drives the class-shared sparse C and
-// the dense Theorem 2 matrix with identical random commit streams and
+// exactC materializes the exact C behind a grouped control through At
+// (small-n tests only).
+func exactC(g *GroupedControl) *Matrix {
+	m := NewMatrix(g.N())
+	for j, col := range m.cols {
+		for i := range col {
+			col[i] = g.At(i, j)
+		}
+	}
+	return m
+}
+
+// TestSingletonGroupedMatchesDense drives the grouped control over
+// singleton groups — the exact-C floor of the grouped figure — and the
+// dense Theorem 2 matrix with identical random commit streams, and
 // requires every entry to agree after every commit.
-func TestSparseControlMatchesDense(t *testing.T) {
+func TestSingletonGroupedMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(10)
 		dense := NewMatrix(n)
-		sparse := NewSparseControl(n)
+		exact := NewGroupedControl(UniformPartition(n, n))
 		for c := Cycle(1); c <= 30; c++ {
 			cm := randomCommit(rng, n, c)
 			dense.Apply(cm.ReadSet, cm.WriteSet, c)
-			sparse.Apply(cm.ReadSet, cm.WriteSet, c)
-			if !sparse.Dense().Equal(dense) {
-				t.Fatalf("trial %d cycle %d: sparse C diverged from dense\nsparse:\n%swant:\n%s",
-					trial, c, sparse.Dense(), dense)
+			exact.Apply(cm.ReadSet, cm.WriteSet, c)
+			if !exactC(exact).Equal(dense) {
+				t.Fatalf("trial %d cycle %d: singleton-group C diverged from dense\ngot:\n%swant:\n%s",
+					trial, c, exactC(exact), dense)
 			}
 		}
-		// Snapshots must be stable under later applies.
-		snap := sparse.Snapshot().(*SparseSnapshot)
-		ref := sparse.Dense()
+		// Snapshots publish C itself and must be stable under later applies.
+		snap := exact.Snapshot()
+		ref := exactC(exact)
 		extra := randomCommit(rng, n, 31)
-		sparse.Apply(extra.ReadSet, extra.WriteSet, 31)
+		exact.Apply(extra.ReadSet, extra.WriteSet, 31)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if snap.Bound(i, j) != ref.At(i, j) {
-					t.Fatalf("trial %d: snapshot entry (%d,%d) mutated by a later apply: %d, want %d",
+					t.Fatalf("trial %d: snapshot entry (%d,%d) is %d, want C = %d before the later apply",
 						trial, i, j, snap.Bound(i, j), ref.At(i, j))
 				}
 			}
@@ -773,20 +786,21 @@ func BenchmarkGroupedSnapshot(b *testing.B) {
 	}
 }
 
-// BenchmarkSparseApply tracks the exact class-shared C at the same
-// scale, for comparison against the dense Matrix.Apply benchmarks.
-func BenchmarkSparseApply(b *testing.B) {
+// BenchmarkGroupedApplySingleton tracks the exact C at the same scale
+// (singleton groups, the grouped figure's floor), for comparison against
+// the dense Matrix.Apply benchmarks.
+func BenchmarkGroupedApplySingleton(b *testing.B) {
 	const n = 100000
-	sc := NewSparseControl(n)
+	gc := NewGroupedControl(UniformPartition(n, n))
 	rng := rand.New(rand.NewSource(1))
 	for c := Cycle(1); c <= 2000; c++ {
 		obj := rng.Intn(n)
-		sc.Apply([]int{(obj + 1) % n}, []int{obj}, c)
+		gc.Apply([]int{(obj + 1) % n}, []int{obj}, c)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		obj := rng.Intn(n)
-		sc.Apply([]int{(obj + 1) % n}, []int{obj}, Cycle(2000+i))
+		gc.Apply([]int{(obj + 1) % n}, []int{obj}, Cycle(2000+i))
 	}
 }

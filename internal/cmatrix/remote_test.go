@@ -17,7 +17,7 @@ func TestApplyRemoteDominatesExact(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		exact := NewMatrix(n)
 		dense := NewDenseControl(n)
-		sparse := NewSparseControl(n)
+		exactG := NewGroupedControl(UniformPartition(n, n))
 		grouped := NewGroupedControl(UniformPartition(n, 4))
 		anyRemote := false
 		for c := 1; c <= commits; c++ {
@@ -27,33 +27,33 @@ func TestApplyRemoteDominatesExact(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				anyRemote = true
 				dense.ApplyRemote(ws, Cycle(c))
-				sparse.ApplyRemote(ws, Cycle(c))
+				exactG.ApplyRemote(ws, Cycle(c))
 				grouped.ApplyRemote(ws, Cycle(c))
 			} else {
 				dense.Apply(rs, ws, Cycle(c))
-				sparse.Apply(rs, ws, Cycle(c))
+				exactG.Apply(rs, ws, Cycle(c))
 				grouped.Apply(rs, ws, Cycle(c))
 			}
 		}
 		if !anyRemote {
 			t.Fatalf("seed %d: stream drew no remote commits", seed)
 		}
-		ds, ss, gs := dense.Snapshot(), sparse.Snapshot(), grouped.Snapshot()
+		ds, es, gs := dense.Snapshot(), exactG.Snapshot(), grouped.Snapshot()
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				want := exact.At(i, j)
 				if got := ds.Bound(i, j); got < want {
 					t.Fatalf("seed %d: dense Bound(%d,%d)=%d < exact %d", seed, i, j, got, want)
 				}
-				if got := ss.Bound(i, j); got < want {
-					t.Fatalf("seed %d: sparse Bound(%d,%d)=%d < exact %d", seed, i, j, got, want)
+				if got := es.Bound(i, j); got < want {
+					t.Fatalf("seed %d: singleton-group Bound(%d,%d)=%d < exact %d", seed, i, j, got, want)
 				}
 				if got := gs.Bound(i, j); got < want {
 					t.Fatalf("seed %d: grouped Bound(%d,%d)=%d < exact %d", seed, i, j, got, want)
 				}
-				if ds.Bound(i, j) != ss.Bound(i, j) {
-					t.Fatalf("seed %d: dense %d != sparse %d at (%d,%d)",
-						seed, ds.Bound(i, j), ss.Bound(i, j), i, j)
+				if ds.Bound(i, j) != es.Bound(i, j) {
+					t.Fatalf("seed %d: dense %d != singleton-group %d at (%d,%d)",
+						seed, ds.Bound(i, j), es.Bound(i, j), i, j)
 				}
 			}
 		}
@@ -68,15 +68,15 @@ func TestApplyRemoteDominatesExact(t *testing.T) {
 func TestApplyRemoteDiagonalColumn(t *testing.T) {
 	const n = 6
 	dense := NewDenseControl(n)
-	sparse := NewSparseControl(n)
+	exactG := NewGroupedControl(UniformPartition(n, n))
 	dense.Apply([]int{1}, []int{0, 2}, 3)
-	sparse.Apply([]int{1}, []int{0, 2}, 3)
+	exactG.Apply([]int{1}, []int{0, 2}, 3)
 	before := make([]Cycle, n)
 	for i := range before {
 		before[i] = dense.Matrix().At(i, 2)
 	}
 	dense.ApplyRemote([]int{4, 4, 1}, 7) // duplicates must collapse
-	sparse.ApplyRemote([]int{4, 4, 1}, 7)
+	exactG.ApplyRemote([]int{4, 4, 1}, 7)
 	// Diagonals before the remote apply: objects 0 and 2 last written at
 	// cycle 3, everything else never written.
 	want := []Cycle{3, 7, 3, 0, 7, 0}
@@ -85,8 +85,11 @@ func TestApplyRemoteDiagonalColumn(t *testing.T) {
 			if got := dense.Matrix().At(i, j); got != want[i] {
 				t.Fatalf("dense C(%d,%d)=%d, want %d", i, j, got, want[i])
 			}
-			if got := sparse.At(i, j); got != want[i] {
-				t.Fatalf("sparse C(%d,%d)=%d, want %d", i, j, got, want[i])
+			if got := exactG.At(i, j); got != want[i] {
+				t.Fatalf("singleton-group C(%d,%d)=%d, want %d", i, j, got, want[i])
+			}
+			if got := exactG.Snapshot().Bound(i, j); got != want[i] {
+				t.Fatalf("singleton-group published C(%d,%d)=%d, want %d", i, j, got, want[i])
 			}
 		}
 		if got := dense.Matrix().At(i, 2); got != before[i] {
@@ -120,9 +123,9 @@ func TestApplyRemoteVectorCoincides(t *testing.T) {
 func TestApplyRemoteSnapshotStable(t *testing.T) {
 	const n = 5
 	dense := NewDenseControl(n)
-	sparse := NewSparseControl(n)
+	exactG := NewGroupedControl(UniformPartition(n, n))
 	grouped := NewGroupedControl(UniformPartition(n, 2))
-	for _, ctl := range []Control{dense, sparse, grouped} {
+	for _, ctl := range []Control{dense, exactG, grouped} {
 		ctl.Apply([]int{0}, []int{1, 3}, 2)
 		snap := ctl.Snapshot()
 		want := make([][]Cycle, n)

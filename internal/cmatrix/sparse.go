@@ -83,8 +83,8 @@ type colClass struct {
 // columns: class[j] is the column of object j's last writer (nil for
 // the all-zero t0 column). Memory is O(n + Σ nnz over live classes)
 // instead of O(n²), and Apply costs O(|RS ∪ WS| column merges) instead
-// of O(|WS|·n) — the representation that makes F-Matrix semantics
-// feasible at n ≥ 10⁵.
+// of O(|WS|·n) — the representation under GroupedControl that makes
+// F-Matrix semantics feasible at n ≥ 10⁵.
 type classMatrix struct {
 	n     int
 	class []*colClass
@@ -238,86 +238,4 @@ func (cm *classMatrix) applyRemoteDistinct(wsSorted []int, commitCycle Cycle) *c
 		cm.class[j] = nc
 	}
 	return nc
-}
-
-// SparseControl is the exact F-Matrix control state in the class-shared
-// sparse representation: read-condition semantics identical to *Matrix,
-// memory and maintenance cost proportional to the live nonzero
-// structure. It implements Control.
-type SparseControl struct {
-	cm *classMatrix
-}
-
-// NewSparseControl returns the cycle-0 sparse C matrix over n objects.
-func NewSparseControl(n int) *SparseControl {
-	return &SparseControl{cm: newClassMatrix(n)}
-}
-
-// N implements Control.
-func (s *SparseControl) N() int { return s.cm.n }
-
-// At returns C(i, j).
-func (s *SparseControl) At(i, j int) Cycle { return s.cm.at(i, j) }
-
-// Bound implements ControlSnapshot semantics on the live state (tests
-// and single-threaded replay use it directly).
-func (s *SparseControl) Bound(i, j int) Cycle { return s.cm.at(i, j) }
-
-// Apply implements Control per Theorem 2's incremental rule.
-func (s *SparseControl) Apply(readSet, writeSet []int, commitCycle Cycle) {
-	if len(writeSet) == 0 {
-		return
-	}
-	s.cm.applyDistinct(readSet, s.cm.distinctSorted(writeSet), commitCycle)
-}
-
-// ApplyRemote implements Control with the conservative cross-shard rule.
-func (s *SparseControl) ApplyRemote(writeSet []int, commitCycle Cycle) {
-	if len(writeSet) == 0 {
-		return
-	}
-	s.cm.applyRemoteDistinct(s.cm.distinctSorted(writeSet), commitCycle)
-}
-
-// Snapshot implements Control: an O(n) copy of the class pointers.
-// Classes are immutable after construction, so the snapshot is stable
-// under later applies.
-func (s *SparseControl) Snapshot() ControlSnapshot {
-	classes := make([]*colClass, s.cm.n)
-	copy(classes, s.cm.class)
-	return &SparseSnapshot{n: s.cm.n, class: classes}
-}
-
-// Dense materializes the full matrix (small-n tests only).
-func (s *SparseControl) Dense() *Matrix {
-	m := NewMatrix(s.cm.n)
-	for j, c := range s.cm.class {
-		if c == nil {
-			continue
-		}
-		for _, e := range c.col {
-			m.cols[j][e.Idx] = e.Val
-		}
-	}
-	return m
-}
-
-// SparseSnapshot is an immutable point-in-time view of a SparseControl.
-type SparseSnapshot struct {
-	n     int
-	class []*colClass
-}
-
-// N implements ControlSnapshot.
-func (s *SparseSnapshot) N() int { return s.n }
-
-// Bound implements ControlSnapshot with the exact entry C(i, j).
-func (s *SparseSnapshot) Bound(i, j int) Cycle {
-	if i < 0 || i >= s.n || j < 0 || j >= s.n {
-		panic(fmt.Sprintf("cmatrix: entry (%d,%d) out of range for n=%d", i, j, s.n))
-	}
-	if c := s.class[j]; c != nil {
-		return lookupSparse(c.col, i)
-	}
-	return 0
 }

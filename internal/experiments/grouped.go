@@ -9,25 +9,27 @@ import (
 	"broadcastcc/internal/cmatrix"
 	"broadcastcc/internal/obs"
 	"broadcastcc/internal/protocol"
+	"broadcastcc/internal/server"
 	"broadcastcc/internal/wire"
 )
 
 // The grouped-bandwidth study: at database sizes where the full n×n
 // F-Matrix is unbroadcastable (n ≥ 10⁵ means n²·TS ≈ 20 Gbit of
 // control per cycle at TS=16), how much concurrency does the n×g
-// grouped matrix of Section 3.2.2 give back per control bit? The
-// analysis replays one committed update stream through the real
-// GroupedControl maintenance (Theorem 2 incremental rule), prices every
-// cycle's control with the exact BCG1 frame size, and measures client
-// restart ratios with the same conjunctive validators the runtime uses.
-// Three series:
+// grouped matrix of Section 3.2.2 give back per control bit? Each pass
+// replays one committed update stream through a grouped server.Server
+// — its Txns commit the stream, StartCycle publishes MC, and the
+// server's own heat policy regroups — prices every cycle's control with
+// the exact BCG1 frame size, and measures client restart ratios with
+// the same conjunctive validators the runtime uses. Three series:
 //
 //   - fmatrix-dense: validation against the exact C(i,j) — the restart
-//     floor — priced at the analytic n²·TS dense broadcast;
+//     floor — published by a server over singleton groups (g = n, where
+//     MC is C) and priced at the analytic n²·TS dense broadcast;
 //   - grouped-static: a fixed uniform partition into g groups;
-//   - grouped-adaptive: the same g, but the partition follows the write
-//     heat (EWMA estimator + HeatPartition) with deterministic regroup
-//     epochs, so hot objects get near-F-Matrix precision.
+//   - grouped-adaptive: the same g, but the server regroups by write
+//     heat (Config.RegroupEvery, HeatAlpha) at deterministic epochs, so
+//     hot objects get near-F-Matrix precision.
 
 // GroupedConfig shapes a GroupedBandwidth run. The zero value means the
 // paper-scale run (n = 10⁵, 400 cycles, 64 clients); tests shrink
@@ -135,9 +137,9 @@ func (c *groupedClient) step(snap protocol.Snapshot, cur cmatrix.Cycle) (committ
 		c.v.Reset)
 }
 
-// runGroupedPass replays the shared stream against one control
-// representation and returns the pass's measurements.
-func runGroupedPass(cfg GroupedConfig, stream *plan, series string, groups int) GroupedMetrics {
+// runGroupedPass replays the shared stream through one grouped server
+// and returns the pass's measurements.
+func runGroupedPass(cfg GroupedConfig, stream *plan, series string, groups int) (GroupedMetrics, error) {
 	n := cfg.Objects
 	reg := obs.NewRegistry()
 	cBits := reg.Counter("exp_grouped_control_bits")
@@ -146,24 +148,19 @@ func runGroupedPass(cfg GroupedConfig, stream *plan, series string, groups int) 
 	cCommits := reg.Counter("exp_grouped_commits")
 	cRestarts := reg.Counter("exp_grouped_restarts")
 
-	// The dense series validates against the exact C (the class-shared
-	// sparse representation, so n = 10⁵ never materializes n² entries);
-	// the grouped series maintain the n×g MC incrementally.
-	var gc *cmatrix.GroupedControl
-	var sc *cmatrix.SparseControl
-	if series == GroupedSeriesDense {
-		sc = cmatrix.NewSparseControl(n)
-	} else {
-		gc = cmatrix.NewGroupedControl(cmatrix.UniformPartition(n, groups))
-	}
-	var heat *airsched.EWMA
+	// The dense series runs over singleton groups, whose published MC is
+	// the exact C; the adaptive series lets the server regroup by heat.
+	scfg := server.Config{Objects: n, ObjectBits: 64, TimestampBits: replayTimestampBits,
+		Algorithm: protocol.Grouped, Groups: groups}
 	if series == GroupedSeriesAdaptive {
-		var err error
-		heat, err = airsched.NewEWMA(n, groupedHeatAlpha)
-		if err != nil {
-			panic(err) // static config, cannot fail for normalized cfg
-		}
+		scfg.RegroupEvery, scfg.HeatAlpha = groupedRegroupEvery, groupedHeatAlpha
 	}
+	srv, err := server.New(scfg)
+	if err != nil {
+		return GroupedMetrics{}, err
+	}
+	defer srv.Close()
+	srvChurn := srv.Obs().Counter("server_regroup_churn")
 
 	clients := make([]*groupedClient, cfg.Clients)
 	for i := range clients {
@@ -172,46 +169,38 @@ func runGroupedPass(cfg GroupedConfig, stream *plan, series string, groups int) 
 
 	denseCycleBits := int64(n) * int64(n) * int64(replayTimestampBits)
 	measuredCycles := 0
+	epoch := srv.RegroupEpoch()
 	for c := 1; c <= cfg.Cycles; c++ {
-		cyc := cmatrix.Cycle(c)
 		// The first quarter is warmup: commits, restarts and control bits
 		// count only once the adaptive partition has seen real heat.
 		measured := c >= cfg.Cycles/4
 		if measured {
 			measuredCycles++
 		}
+		churn := srvChurn.Load()
+		cb := srv.StartCycle()
 		withPartition := c == 1
-		if heat != nil && c > 1 && (c-1)%groupedRegroupEvery == 0 {
-			np := cmatrix.HeatPartition(heat.Weights(), groups)
-			if !np.Equal(gc.Part()) {
-				churn := gc.Regroup(np)
-				if measured {
-					cChurn.Add(int64(churn))
-					cRegroups.Inc()
-				}
-				withPartition = true
+		if e := srv.RegroupEpoch(); e != epoch {
+			epoch, withPartition = e, true
+			if measured {
+				cChurn.Add(srvChurn.Load() - churn)
+				cRegroups.Inc()
 			}
 		}
 
-		// Publish the cycle-start control and price it on the wire.
-		var snap protocol.Snapshot
-		if series == GroupedSeriesDense {
-			if measured {
+		// Price the published cycle-start control on the wire.
+		if measured {
+			if series == GroupedSeriesDense {
 				cBits.Add(denseCycleBits)
+			} else {
+				cBits.Add(wire.GroupedCycleBits(cb.Grouped, 0, replayTimestampBits, withPartition))
 			}
-			snap = sc
-		} else {
-			mc := gc.Grouped()
-			if measured {
-				cBits.Add(wire.GroupedCycleBits(mc, 0, replayTimestampBits, withPartition))
-			}
-			snap = mc
 		}
 
 		// Clients read against the published control, then the cycle's
 		// commits take effect for the next cycle.
 		for _, cl := range clients {
-			committed, restarted := cl.step(snap, cyc)
+			committed, restarted := cl.step(cb.Grouped, cb.Number)
 			if committed && measured {
 				cCommits.Inc()
 			}
@@ -220,13 +209,15 @@ func runGroupedPass(cfg GroupedConfig, stream *plan, series string, groups int) 
 			}
 		}
 		for _, cm := range stream.commits[c-1] {
-			if sc != nil {
-				sc.Apply(cm.readSet, cm.writeSet, cyc)
-			} else {
-				gc.Apply(cm.readSet, cm.writeSet, cyc)
+			txn := srv.Begin()
+			for _, obj := range cm.readSet {
+				_, _ = txn.Read(obj) // in range on an open server: cannot fail
 			}
-			if heat != nil {
-				heat.Observe(cm.writeSet)
+			for _, obj := range cm.writeSet {
+				_ = txn.Write(obj, nil) // in range, and nil fits any slot
+			}
+			if err := txn.Commit(); err != nil {
+				return GroupedMetrics{}, fmt.Errorf("experiments: grouped replay cycle %d: %w", c, err)
 			}
 		}
 	}
@@ -242,13 +233,14 @@ func runGroupedPass(cfg GroupedConfig, stream *plan, series string, groups int) 
 	if m.Commits > 0 {
 		m.RestartRatio = float64(m.Restarts) / float64(m.Commits)
 	}
-	return m
+	return m, nil
 }
 
 // GroupedBandwidth runs the restart-ratio-vs-control-bandwidth
 // analysis. The dense series is group-count independent, so it runs
-// once (over a single-group control, whose exact C is identical) and is
-// repeated into every point for side-by-side reading.
+// once (over singleton groups, whose MC is the exact C) and is repeated
+// into every point for side-by-side reading. A replay commit the server
+// refuses is a bug, returned as the error.
 func GroupedBandwidth(opt Options, cfg GroupedConfig) ([]*GroupedPoint, error) {
 	opt = opt.normalized()
 	cfg = cfg.normalized()
@@ -262,27 +254,29 @@ func GroupedBandwidth(opt Options, cfg GroupedConfig) ([]*GroupedPoint, error) {
 	}
 
 	stream := planGrouped(cfg, opt.Seed)
-	dense := runGroupedPass(cfg, stream, GroupedSeriesDense, 1)
+	dense, err := runGroupedPass(cfg, stream, GroupedSeriesDense, cfg.Objects)
+	if err != nil {
+		return nil, err
+	}
 	dense.BandwidthRatio = 1
 	opt.Progress("grouped: n=%d dense floor restart=%.4f at %.3g bits/cycle",
 		cfg.Objects, dense.RestartRatio, dense.ControlBitsPerCycle)
 
 	var out []*GroupedPoint
 	for _, g := range cfg.GroupCounts {
-		static := runGroupedPass(cfg, stream, GroupedSeriesStatic, g)
-		adaptive := runGroupedPass(cfg, stream, GroupedSeriesAdaptive, g)
-		if dense.ControlBitsPerCycle > 0 {
-			static.BandwidthRatio = static.ControlBitsPerCycle / dense.ControlBitsPerCycle
-			adaptive.BandwidthRatio = adaptive.ControlBitsPerCycle / dense.ControlBitsPerCycle
+		p := &GroupedPoint{Groups: g, Series: map[string]GroupedMetrics{GroupedSeriesDense: dense}}
+		for _, series := range []string{GroupedSeriesStatic, GroupedSeriesAdaptive} {
+			m, err := runGroupedPass(cfg, stream, series, g)
+			if err != nil {
+				return nil, err
+			}
+			if dense.ControlBitsPerCycle > 0 {
+				m.BandwidthRatio = m.ControlBitsPerCycle / dense.ControlBitsPerCycle
+			}
+			p.Series[series] = m
 		}
-		out = append(out, &GroupedPoint{
-			Groups: g,
-			Series: map[string]GroupedMetrics{
-				GroupedSeriesStatic:   static,
-				GroupedSeriesAdaptive: adaptive,
-				GroupedSeriesDense:    dense,
-			},
-		})
+		out = append(out, p)
+		static, adaptive := p.Series[GroupedSeriesStatic], p.Series[GroupedSeriesAdaptive]
 		opt.Progress("grouped: g=%d static restart=%.4f (%.2e of dense bits) adaptive restart=%.4f (%.2e, %d regroups, churn %d)",
 			g, static.RestartRatio, static.BandwidthRatio,
 			adaptive.RestartRatio, adaptive.BandwidthRatio,

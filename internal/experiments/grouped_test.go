@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"broadcastcc/internal/cmatrix"
 )
 
 // TestGroupedBandwidthCriterion checks the headline claim of the
@@ -112,6 +114,56 @@ func TestGroupedBandwidthDeterministic(t *testing.T) {
 	}
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical measurements")
+	}
+}
+
+// TestGroupedDenseFloorIsExactC: the dense series runs a grouped server
+// over singleton groups, so its clients must fare exactly as they do
+// against the F-Matrix C itself — the dense Matrix maintained by Apply
+// over the same planned stream, its Snapshot published each cycle.
+func TestGroupedDenseFloorIsExactC(t *testing.T) {
+	cfg := GroupedConfig{
+		Objects:     500,
+		Cycles:      80,
+		Clients:     8,
+		GroupCounts: []int{16},
+	}
+	const seed = 7
+	points, err := GroupedBandwidth(Options{Seed: seed}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stream := planGrouped(cfg, seed)
+	c := cmatrix.NewMatrix(cfg.Objects)
+	clients := make([]*groupedClient, cfg.Clients)
+	for i := range clients {
+		clients[i] = &groupedClient{cursor: cursor{txns: stream.txns[i]}}
+	}
+	var commits, restarts int64
+	for cyc := 1; cyc <= cfg.Cycles; cyc++ {
+		measured := cyc >= cfg.Cycles/4
+		snap := c.Snapshot()
+		for _, cl := range clients {
+			committed, restarted := cl.step(snap, cmatrix.Cycle(cyc))
+			if committed && measured {
+				commits++
+			}
+			if restarted && measured {
+				restarts++
+			}
+		}
+		for _, cm := range stream.commits[cyc-1] {
+			c.Apply(cm.readSet, cm.writeSet, cmatrix.Cycle(cyc))
+		}
+	}
+	if restarts == 0 {
+		t.Fatal("the exact-C replay saw no restarts: nothing to compare")
+	}
+	dense := points[0].Series[GroupedSeriesDense]
+	if dense.Commits != commits || dense.Restarts != restarts {
+		t.Fatalf("dense series: %d commits, %d restarts; exact-C replay: %d commits, %d restarts",
+			dense.Commits, dense.Restarts, commits, restarts)
 	}
 }
 

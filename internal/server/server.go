@@ -11,6 +11,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -736,19 +737,17 @@ func (s *Server) emitVerdict(verdict int64) {
 // committed values and buffers writes; Commit validates optimistically
 // (each read version must still be current) and installs atomically.
 // A Txn is not safe for concurrent use, but any number of Txns may run
-// concurrently against the server.
+// concurrently against the server. A transaction touches a handful of
+// objects, so it finds them by scanning its sets.
 type Txn struct {
-	s     *Server
-	reads map[int]int64 // object -> version read
-	u     update        // reads in first-read order, buffered writes (one per object)
-	wpos  map[int]int   // object -> position in u.writes
-	done  bool
+	s    *Server
+	u    update  // reads in first-read order, buffered writes (one per object, parallel to writeSet)
+	vers []int64 // vers[k] = version of u.readSet[k] when it was read
+	done bool
 }
 
 // Begin starts a server-local update transaction.
-func (s *Server) Begin() *Txn {
-	return &Txn{s: s, reads: map[int]int64{}, wpos: map[int]int{}}
-}
+func (s *Server) Begin() *Txn { return &Txn{s: s} }
 
 // Read returns the latest committed value of obj (its own buffered write
 // if it wrote obj earlier), recording the version for commit-time
@@ -760,7 +759,7 @@ func (t *Txn) Read(obj int) ([]byte, error) {
 	if err := t.s.checkObj(obj); err != nil {
 		return nil, err
 	}
-	if i, ok := t.wpos[obj]; ok {
+	if i := slices.Index(t.u.writeSet, obj); i >= 0 {
 		return append([]byte(nil), t.u.writes[i].Value...), nil
 	}
 	t.s.mu.Lock()
@@ -768,9 +767,9 @@ func (t *Txn) Read(obj int) ([]byte, error) {
 	if t.s.closed {
 		return nil, ErrClosed
 	}
-	if _, seen := t.reads[obj]; !seen {
-		t.reads[obj] = t.s.version[obj]
+	if !slices.Contains(t.u.readSet, obj) {
 		t.u.readSet = append(t.u.readSet, obj)
+		t.vers = append(t.vers, t.s.version[obj])
 	}
 	return append([]byte(nil), t.s.committed[obj]...), nil
 }
@@ -783,10 +782,9 @@ func (t *Txn) Write(obj int, val []byte) error {
 	if err := t.s.checkWrite(obj, val); err != nil {
 		return err
 	}
-	i, seen := t.wpos[obj]
-	if !seen {
+	i := slices.Index(t.u.writeSet, obj)
+	if i < 0 {
 		i = len(t.u.writes)
-		t.wpos[obj] = i
 		t.u.writeSet = append(t.u.writeSet, obj)
 		t.u.writes = append(t.u.writes, protocol.ObjectWrite{Obj: obj})
 	}
@@ -795,9 +793,10 @@ func (t *Txn) Write(obj int, val []byte) error {
 }
 
 // Commit validates and installs the transaction. ErrConflict means a
-// read was stale and the transaction aborted; the caller may Begin a new
-// attempt. Versions are finer than the cycle stamps an uplink request
-// carries; pins and installation are the uplink path's.
+// read was stale (the first in read order is named) and the transaction
+// aborted; the caller may Begin a new attempt. Versions are finer than
+// the cycle stamps an uplink request carries; pins and installation are
+// the uplink path's.
 func (t *Txn) Commit() error {
 	if t.done {
 		return ErrTxnFinished
@@ -808,8 +807,8 @@ func (t *Txn) Commit() error {
 	if t.s.closed {
 		return ErrClosed
 	}
-	for obj, ver := range t.reads {
-		if t.s.version[obj] != ver {
+	for k, obj := range t.u.readSet {
+		if t.s.version[obj] != t.vers[k] {
 			t.s.cAborts.Inc()
 			return fmt.Errorf("%w: object %d changed since it was read", ErrConflict, obj)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -111,6 +112,33 @@ func TestLocalTxnConflict(t *testing.T) {
 	t3.Write(0, []byte("z"))
 	if err := t3.Commit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTxnConflictNamesFirstStaleRead: Commit validates reads in the
+// order they were made, so with every read stale the error names the
+// first one, every time.
+func TestTxnConflictNamesFirstStaleRead(t *testing.T) {
+	s := newTestServer(t, protocol.FMatrix, 4)
+	for rep := 0; rep < 20; rep++ {
+		txn := s.Begin()
+		for _, obj := range []int{2, 0, 3, 1} {
+			if _, err := txn.Read(obj); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w := s.Begin()
+		for obj := 0; obj < 4; obj++ {
+			w.Write(obj, []byte{byte(rep)})
+		}
+		if err := w.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		txn.Write(0, nil)
+		err := txn.Commit()
+		if !errors.Is(err, ErrConflict) || !strings.Contains(err.Error(), "object 2 changed") {
+			t.Fatalf("rep %d: Commit = %v, want ErrConflict naming object 2", rep, err)
+		}
 	}
 }
 

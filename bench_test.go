@@ -287,30 +287,66 @@ func BenchmarkServerCommitPath(b *testing.B) {
 	}
 }
 
-// BenchmarkWireEncodeCycle measures serializing one F-Matrix broadcast
-// cycle at the Table 1 layout into its bitstream.
+// BenchmarkWireEncodeCycle measures serializing one broadcast cycle into
+// its bitstream: an F-Matrix cycle at the Table 1 layout, the dense
+// grouped cycle of uplink-grouped (bench/e2e), read off its MC columns,
+// and a sparse BCG1 frame with many groups (n = 10⁴, g = 256).
 func BenchmarkWireEncodeCycle(b *testing.B) {
 	layout := bcast.LayoutFor(protocol.FMatrix, 300, 8192, 8, 0)
-	cb := &bcast.CycleBroadcast{
+	table1 := &bcast.CycleBroadcast{
 		Number: 100, Layout: layout,
 		Values: make([][]byte, 300),
 		Matrix: cmatrix.NewMatrix(300),
 	}
+	for j := range table1.Values {
+		table1.Values[j] = make([]byte, 1024)
+	}
+	srv, grouped := uplinkGroupedServer(b)
+	defer srv.Close()
+	bcg1 := func(cb *bcast.CycleBroadcast) ([]byte, error) { return wire.EncodeGroupedCycle(cb, 1, false) }
+	for _, c := range []struct {
+		name   string
+		cb     *bcast.CycleBroadcast
+		encode func(*bcast.CycleBroadcast) ([]byte, error)
+	}{
+		{"table1", table1, wire.EncodeCycle},
+		{"grouped", grouped, wire.EncodeCycle},
+		{"grouped-sparse", sparseGroupedCycle(10000, 256), bcg1},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			data, err := c.encode(c.cb)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.encode(c.cb); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// sparseGroupedCycle is a grouped cycle over a uniform n × g partition
+// after n/2 commits of one read and one write each: most rows hold a few
+// MC entries, so a row costs its entries rather than g.
+func sparseGroupedCycle(n, g int) *bcast.CycleBroadcast {
+	gc := cmatrix.NewGroupedControl(cmatrix.UniformPartition(n, g))
+	rng := rand.New(rand.NewSource(1))
+	for c := 1; c <= n/2; c++ {
+		gc.Apply([]int{rng.Intn(n)}, []int{rng.Intn(n)}, cmatrix.Cycle(c))
+	}
+	cb := &bcast.CycleBroadcast{
+		Number: cmatrix.Cycle(n/2 + 1), Layout: bcast.LayoutFor(protocol.Grouped, n, 512, 16, g),
+		Values: make([][]byte, n), Grouped: gc.Grouped(),
+	}
 	for j := range cb.Values {
-		cb.Values[j] = make([]byte, 1024)
+		cb.Values[j] = make([]byte, 64)
 	}
-	data, err := wire.EncodeCycle(cb)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := wire.EncodeCycle(cb); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return cb
 }
 
 // BenchmarkWirePatchCycle measures what a sender that kept its last
@@ -387,33 +423,46 @@ func BenchmarkWireDecodeCycle(b *testing.B) {
 
 // BenchmarkWireViewCycle is BenchmarkWireDecodeCycle as a tuner hears
 // the frame: wire.ViewCycle leaves the control in the frame, and the 16
-// Bound calls are what a read transaction of four objects asks of it.
+// Bound calls are what a read transaction of four objects asks of it —
+// at the Table 1 layout, and on uplink-grouped's dense grouped frame.
 // At cycle 1000, past the first 2^8 cycles, where construction scans no
 // entry.
 func BenchmarkWireViewCycle(b *testing.B) {
-	layout := bcast.LayoutFor(protocol.FMatrix, 300, 8192, 8, 0)
-	data, err := wire.EncodeCycle(&bcast.CycleBroadcast{
-		Number: 1000, Layout: layout,
+	table1 := &bcast.CycleBroadcast{
+		Number: 1000, Layout: bcast.LayoutFor(protocol.FMatrix, 300, 8192, 8, 0),
 		Values: make([][]byte, 300),
 		Matrix: cmatrix.NewMatrix(300),
-	})
-	if err != nil {
-		b.Fatal(err)
 	}
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cb, err := wire.ViewCycle(data)
-		if err != nil {
-			b.Fatal(err)
-		}
-		snap := cb.Snapshot()
-		for k := 0; k < 16; k++ {
-			if c := snap.Bound(k%4*75, k/4*75); c >= cb.Number {
-				b.Fatalf("C(i, j) = %d in cycle %d", c, cb.Number)
+	srv, cb := uplinkGroupedServer(b)
+	defer srv.Close()
+	grouped := *cb
+	grouped.Number = 1000
+	for _, c := range []struct {
+		name string
+		cb   *bcast.CycleBroadcast
+	}{{"table1", table1}, {"grouped", &grouped}} {
+		b.Run(c.name, func(b *testing.B) {
+			data, err := wire.EncodeCycle(c.cb)
+			if err != nil {
+				b.Fatal(err)
 			}
-		}
+			n := c.cb.Layout.Objects
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cb, err := wire.ViewCycle(data)
+				if err != nil {
+					b.Fatal(err)
+				}
+				snap := cb.Snapshot()
+				for k := 0; k < 16; k++ {
+					if c := snap.Bound(k%4*n/4, k/4*n/4); c >= cb.Number {
+						b.Fatalf("C(i, j) = %d in cycle %d", c, cb.Number)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // the cycle plus the control information the configured protocol
 // requires. Exactly one of Matrix / View / Vector / Grouped is non-nil,
 // except for ControlNone layouts where Matrix carries the (free)
-// F-Matrix-No control information. View is matrix control read in place
-// from a received frame (wire.ViewCycle).
+// F-Matrix-No control information. View is matrix or grouped control
+// read in place from a received frame (wire.ViewCycle).
 type CycleBroadcast struct {
 	Number cmatrix.Cycle
 	Layout Layout
@@ -51,8 +51,8 @@ type CycleBroadcast struct {
 	IndexM int
 }
 
-// MatrixView is F-Matrix control read in place: Bound(i, j) is C(i, j),
-// and Col appends a copy of column j to buf.
+// MatrixView is control read in place: Bound(i, j) is C(i, j) or, under
+// a grouped layout, MC(i, group(j)); Col (matrix only) copies column j.
 type MatrixView interface {
 	protocol.Snapshot
 	Col(j int, buf []cmatrix.Cycle) []cmatrix.Cycle
@@ -82,7 +82,7 @@ func (cb *CycleBroadcast) Column(j int) protocol.ColumnSnapshot {
 	switch {
 	case cb.Matrix != nil:
 		return protocol.ColumnSnapshot{Obj: j, Col: cb.Matrix.Column(j)}
-	case cb.View != nil:
+	case cb.View != nil && cb.Layout.Control == ControlMatrix:
 		return protocol.ColumnSnapshot{Obj: j, Col: cb.View.Col(j, nil)}
 	}
 	panic(fmt.Sprintf("bcast: no matrix column available under %v layout", cb.Layout.Control))

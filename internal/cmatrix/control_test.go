@@ -97,12 +97,14 @@ func TestSingletonGroupedMatchesDense(t *testing.T) {
 // with the same operations. GroupedOf over the dense matrix is the
 // from-scratch oracle; every published *Grouped is kept beside the
 // oracle's answer at that instant, so a later in-place write through a
-// column a snapshot still aliases shows up in checkPublished.
+// column a snapshot still aliases shows up in checkPublished. peak is
+// the most live C-column classes seen after any apply.
 type groupedModel struct {
 	gc    *GroupedControl
 	dense *Matrix
 	part  *Partition
 	pubs  []publishedGrouped
+	peak  int
 }
 
 type publishedGrouped struct{ got, want *Grouped }
@@ -115,10 +117,22 @@ func (m *groupedModel) apply(cm Commit, remote bool) {
 	if remote {
 		m.dense.ApplyRemote(cm.WriteSet, cm.Cycle)
 		m.gc.ApplyRemote(cm.WriteSet, cm.Cycle)
-		return
+	} else {
+		m.dense.Apply(cm.ReadSet, cm.WriteSet, cm.Cycle)
+		m.gc.Apply(cm.ReadSet, cm.WriteSet, cm.Cycle)
 	}
-	m.dense.Apply(cm.ReadSet, cm.WriteSet, cm.Cycle)
-	m.gc.Apply(cm.ReadSet, cm.WriteSet, cm.Cycle)
+	m.peak = max(m.peak, len(m.classRefs()))
+}
+
+// classRefs counts, per live class, the columns of C sharing it.
+func (m *groupedModel) classRefs() map[*colClass]int {
+	refs := map[*colClass]int{}
+	for _, cls := range m.gc.cm.class {
+		if cls != nil {
+			refs[cls]++
+		}
+	}
+	return refs
 }
 
 func (m *groupedModel) regroup(p *Partition) {
@@ -130,11 +144,14 @@ func (m *groupedModel) publish() {
 	m.pubs = append(m.pubs, publishedGrouped{m.gc.Grouped(), GroupedOf(m.dense, m.part)})
 }
 
-// check requires the live MC to equal the projection of the exact C and
-// the private counts to equal a recount from it: cnt[s][k] is the number
-// of group s's columns attaining mc[s][k], and no stored row has count 0
-// or value 0. It reads the live columns directly — publishing here would
-// mark them shared and keep the in-place write path from ever running.
+// check requires the class-shared C to equal the dense matrix, the live
+// MC to equal its projection and the private counts to equal a recount
+// from it: cnt[s][k] is the number of group s's columns attaining
+// mc[s][k], and no stored row has count 0 or value 0. It reads the live
+// columns directly — publishing here would mark them shared and keep the
+// in-place write path from ever running. Recycled classes: each class's
+// refs is the number of columns sharing it, no live class is on the free
+// list, and the free list never passes the peak live count + 1.
 func (m *groupedModel) check(t testing.TB, whenFormat string, whenArgs ...any) {
 	t.Helper()
 	fatalf := func(format string, args ...any) {
@@ -142,12 +159,25 @@ func (m *groupedModel) check(t testing.TB, whenFormat string, whenArgs ...any) {
 		t.Fatalf(fmt.Sprintf(whenFormat, whenArgs...)+": "+format, args...)
 	}
 	gc, n := m.gc, m.part.N()
-	want := GroupedOf(m.dense, m.part)
-	live := &Grouped{part: gc.part, cols: make([][]SparseEntry, len(gc.groups))}
-	for s := range gc.groups {
-		live.cols[s] = gc.groups[s].mc
+	if !exactC(gc).Equal(m.dense) {
+		fatalf("class-shared C diverged from the dense matrix")
 	}
-	if !live.Equal(want) {
+	refs := m.classRefs()
+	for cls, r := range refs {
+		if cls.refs != r {
+			fatalf("a class shared by %d columns counts %d", r, cls.refs)
+		}
+	}
+	for _, cls := range gc.cm.free {
+		if refs[cls] > 0 {
+			fatalf("a class of %d columns is on the free list", refs[cls])
+		}
+	}
+	if len(gc.cm.free) > m.peak+1 {
+		fatalf("%d free classes, peak live count %d", len(gc.cm.free), m.peak)
+	}
+	want := GroupedOf(m.dense, m.part)
+	if !m.live().Equal(want) {
 		for i := 0; i < n; i++ {
 			for s := 0; s < m.part.Groups(); s++ {
 				if gc.MC(i, s) != want.At(i, s) {
@@ -174,6 +204,15 @@ func (m *groupedModel) check(t testing.TB, whenFormat string, whenArgs ...any) {
 			}
 		}
 	}
+}
+
+// live is the live MC, read without publishing.
+func (m *groupedModel) live() *Grouped {
+	live := &Grouped{part: m.gc.part, cols: make([][]SparseEntry, len(m.gc.groups))}
+	for s := range m.gc.groups {
+		live.cols[s] = m.gc.groups[s].mc
+	}
+	return live
 }
 
 // checkPublished requires every snapshot ever published to still read
@@ -643,12 +682,11 @@ func heatedGrouped(rng *rand.Rand) *GroupedControl {
 }
 
 // TestGroupedApplyAllocs pins the commit path's allocations: on columns
-// not published since their last write a commit allocates only its new
-// class column (every MC write goes in place, the counts are reused) at
-// exactly its size — a full column of 512 rows is one 8 KiB object, not
-// the 9,472-byte size class a reservation of |WS| + |dep| rows lands in —
-// and the first commit after a publish adds one clone per group its
-// write set touches.
+// not published since their last write, a steady-state commit allocates
+// nothing — every MC write goes in place, the counts are reused, and the
+// new class is built in the storage of the one the previous commit
+// killed — and the first commit after a publish adds one clone per
+// group its write set touches.
 func TestGroupedApplyAllocs(t *testing.T) {
 	gc := heatedGrouped(rand.New(rand.NewSource(1)))
 	c := Cycle(5000)
@@ -656,8 +694,9 @@ func TestGroupedApplyAllocs(t *testing.T) {
 		c++
 		gc.Apply([]int{3, 200}, []int{0, 100}, c) // groups 0 and 3
 	}
-	if allocs := testing.AllocsPerRun(100, commit); allocs > 2 {
-		t.Fatalf("GroupedControl.Apply on unpublished columns allocates %.0f objects per run, want 2 (the class and its column)", allocs)
+	commit() // warm the free list: the class of 0 and 100 dies from here on
+	if allocs := testing.AllocsPerRun(100, commit); allocs != 0 {
+		t.Fatalf("GroupedControl.Apply on unpublished columns allocates %.0f objects per run, want 0", allocs)
 	}
 	const runs = 100
 	var before, after runtime.MemStats
@@ -666,11 +705,11 @@ func TestGroupedApplyAllocs(t *testing.T) {
 		commit()
 	}
 	runtime.ReadMemStats(&after)
-	if size, limit := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(gc.N()*16+32); size > limit {
-		t.Fatalf("GroupedControl.Apply on full unpublished columns allocates %d bytes per commit, want <= %d (one %d-row class column and its header)", size, limit, gc.N())
+	if size := (after.TotalAlloc - before.TotalAlloc) / runs; size != 0 {
+		t.Fatalf("GroupedControl.Apply on a warm free list allocates %d bytes per commit, want no column bytes", size)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { gc.Grouped(); commit() }); allocs > 2+2+2 {
-		t.Fatalf("publish + first commit allocates %.0f objects per run, want ≤ 6 (snapshot 2, class and column 2, one clone for each of 2 groups)", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { gc.Grouped(); commit() }); allocs > 2+2 {
+		t.Fatalf("publish + first commit allocates %.0f objects per run, want ≤ 4 (snapshot 2, one clone for each of 2 groups)", allocs)
 	}
 }
 

@@ -183,35 +183,19 @@ func (g *Grouped) Equal(o *Grouped) bool {
 		return false
 	}
 	for s, col := range g.cols {
-		ocol := o.cols[s]
-		if len(col) != len(ocol) {
+		if !slices.Equal(col, o.cols[s]) {
 			return false
-		}
-		for k, e := range col {
-			if ocol[k] != e {
-				return false
-			}
 		}
 	}
 	return true
 }
 
-// SparseRows transposes the per-group columns into per-object sparse
-// rows (ascending group ids), the shape the sparse wire encoder walks.
-// O(n + nnz).
-func (g *Grouped) SparseRows() [][]GroupEntry {
-	rows := make([][]GroupEntry, g.part.N())
-	for s, col := range g.cols {
-		for _, e := range col {
-			rows[e.Idx] = append(rows[e.Idx], GroupEntry{Group: s, Val: e.Val})
-		}
-	}
-	return rows
-}
+// Col returns MC(·, s) itself, sorted by row; callers must not write to it.
+func (g *Grouped) Col(s int) []SparseEntry { return g.cols[s] }
 
 // RowCounts reports, per object i, how many groups s have MC(i, s) > 0
-// — the length of SparseRows()[i], which is all the frame-size
-// arithmetic needs of a row — in one allocation. O(n + nnz).
+// — all the frame-size arithmetic needs of a row — in one allocation.
+// O(n + nnz).
 func (g *Grouped) RowCounts() []int32 {
 	counts := make([]int32, g.part.N())
 	for _, col := range g.cols {

@@ -73,10 +73,11 @@ func mergeMaxInto(dst, a, b []SparseEntry) []SparseEntry {
 // colClass is one equivalence class of identical C-matrix columns.
 // Theorem 2 rewrites every column of a committing transaction's write
 // set to the same values, so all columns last written by the same
-// commit share one immutable sparse column; the class is never mutated
-// after apply builds it, which makes snapshots of class pointers stable.
+// commit share one sparse column, unchanged while refs (the columns
+// sharing it) > 0; never published, a dead class is rebuilt later.
 type colClass struct {
-	col []SparseEntry
+	col  []SparseEntry
+	refs int
 }
 
 // classMatrix is the exact C matrix stored as class-shared sparse
@@ -100,6 +101,7 @@ type classMatrix struct {
 	mergeA, mergeB []SparseEntry
 	clsScratch     []*colClass
 	wsScratch      []int
+	free           []*colClass // dead classes, for install to rebuild
 }
 
 func newClassMatrix(n int) *classMatrix {
@@ -152,18 +154,7 @@ func (cm *classMatrix) depColumn(readSet []int) []SparseEntry {
 	classes := cm.clsScratch[:0]
 	for _, k := range readSet {
 		cm.check(k)
-		c := cm.class[k]
-		if c == nil {
-			continue
-		}
-		seen := false
-		for _, have := range classes {
-			if have == c {
-				seen = true
-				break
-			}
-		}
-		if !seen {
+		if c := cm.class[k]; c != nil && !slices.Contains(classes, c) {
 			classes = append(classes, c)
 		}
 	}
@@ -203,10 +194,29 @@ func (cm *classMatrix) applyDistinct(readSet, wsSorted []int, commitCycle Cycle)
 		}
 	}
 	cm.mergeA = append(col, dep[d:]...)
-	nc := &colClass{col: slices.Clone(cm.mergeA)}
+	return cm.install(wsSorted, cm.mergeA, commitCycle)
+}
+
+// install gives the write-set columns a new class holding col, reusing
+// the last freed one, and frees each class losing its last column — last
+// in the commit, as depColumn and lower may still read a dying class.
+func (cm *classMatrix) install(wsSorted []int, col []SparseEntry, commitCycle Cycle) *colClass {
+	if len(cm.free) == 0 {
+		cm.free = append(cm.free, &colClass{})
+	}
+	nc := cm.free[len(cm.free)-1]
+	cm.free = cm.free[:len(cm.free)-1]
+	if cap(nc.col) < len(col) {
+		nc.col = make([]SparseEntry, 0, len(col))
+	}
+	nc.col, nc.refs = append(nc.col[:0], col...), len(wsSorted)
 	for _, j := range wsSorted {
-		cm.class[j] = nc
-		cm.lastWrite[j] = commitCycle
+		if old := cm.class[j]; old != nil {
+			if old.refs--; old.refs == 0 {
+				cm.free = append(cm.free, old)
+			}
+		}
+		cm.class[j], cm.lastWrite[j] = nc, commitCycle
 	}
 	return nc
 }
@@ -227,15 +237,12 @@ func (cm *classMatrix) applyRemoteDistinct(wsSorted []int, commitCycle Cycle) *c
 	for _, j := range wsSorted {
 		cm.lastWrite[j] = commitCycle
 	}
-	var col []SparseEntry
+	col := cm.mergeA[:0]
 	for i, v := range cm.lastWrite {
 		if v > 0 {
 			col = append(col, SparseEntry{Idx: i, Val: v})
 		}
 	}
-	nc := &colClass{col: col}
-	for _, j := range wsSorted {
-		cm.class[j] = nc
-	}
-	return nc
+	cm.mergeA = col
+	return cm.install(wsSorted, col, commitCycle)
 }

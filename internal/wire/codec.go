@@ -244,6 +244,25 @@ func Column(cb *bcast.CycleBroadcast, j int, buf []cmatrix.Cycle) ([]cmatrix.Cyc
 	return buf, nil
 }
 
+// putMC writes MC into recs, the records of a grouped BCC1 frame with
+// every control field zero: MC(i, s) is field s of record i, where
+// CycleView reads it, written MSB first as BitWriter writes. O(nnz).
+func putMC(recs []byte, mc *cmatrix.Grouped, l bcast.Layout) {
+	rec, ctl, tsBits := uint(recordBytes(l))*8, uint(objBytesOf(l))*8, uint(l.TimestampBits)
+	mask := uint64(cmatrix.Codec{Bits: l.TimestampBits}.Mod() - 1)
+	for s := range uint(mc.Groups()) {
+		for _, e := range mc.Col(int(s)) {
+			p, v := uint(e.Idx)*rec+ctl+s*tsBits, uint64(e.Val)&mask
+			for width := tsBits; width > 0; { // the bits that fit in byte p/8
+				k := min(8-p%8, width)
+				width -= k
+				recs[p/8] |= byte(v>>width) << (8 - p%8 - k)
+				p += k
+			}
+		}
+	}
+}
+
 // padSlot appends object obj's value to dst, zero-padded to the fixed
 // objBytes slot (the length is not preserved); a longer value is
 // rejected.

@@ -59,8 +59,9 @@ func FuzzDecodeCycle(f *testing.F) {
 
 // FuzzCycleView holds ViewCycle to its oracle, DecodeCycle: on every
 // input both refuse, with the same error, or both accept, and then the
-// view answers every Bound(i, j) and Col(j) as the decoded matrix does,
-// and the values are the same windows onto the frame.
+// view answers every Bound(i, j) (and, for a matrix, Col(j)) as the
+// decoded matrix or grouped matrix does, and the values are the same
+// windows onto the frame.
 func FuzzCycleView(f *testing.F) {
 	mk := func(number cmatrix.Cycle, n, tsBits int) []byte {
 		cb := &bcast.CycleBroadcast{
@@ -99,6 +100,36 @@ func FuzzCycleView(f *testing.F) {
 	f.Add(early)
 	f.Add(late)
 	f.Add(mk(40, 5, 5))
+	grouped := func(number cmatrix.Cycle, g, tsBits int) []byte {
+		frame, err := EncodeCycle(groupedFixture(f, cmatrix.UniformPartition(8, g), number, tsBits))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return frame
+	}
+	for _, g := range []int{1, 4, 8} {
+		f.Add(grouped(40, g, 8))
+	}
+	f.Add(grouped(40, 3, 5))
+	// MC(1, 2) = 200 on the air (record 1, field 2 at g = 4): refused at
+	// cycle 7, accepted at 300.
+	early = grouped(7, 4, 8)
+	early[headerBytes+(2+4)+2+2] = 200
+	late = append([]byte(nil), early...)
+	binary.BigEndian.PutUint64(late[4:12], 300)
+	edge := append([]byte(nil), early...) // raw 7 at cycle 7: the first value past the reference
+	edge[headerBytes+(2+4)+2+2] = 7
+	for _, frame := range [][]byte{early, edge} {
+		if _, err := DecodeCycle(frame); err == nil {
+			f.Fatal("a grouped timestamp before cycle 0 decoded")
+		}
+	}
+	f.Add(edge)
+	if cb, err := DecodeCycle(late); err != nil || cb.Grouped.At(1, 2) != 200 {
+		f.Fatalf("cycle 300's MC(1, 2): %v", err)
+	}
+	f.Add(early)
+	f.Add(late)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, errD := DecodeCycle(data)
 		got, errV := ViewCycle(data)
@@ -115,6 +146,25 @@ func FuzzCycleView(f *testing.F) {
 			if w := want.Values[j]; len(v) != len(w) || cap(v) != cap(w) || &v[0] != &w[0] {
 				t.Fatalf("value %d is not DecodeCycle's window onto the frame", j)
 			}
+		}
+		if want.Grouped != nil {
+			if got.Grouped != nil || got.View == nil {
+				t.Fatal("grouped layout without a view")
+			}
+			for i := range got.Values {
+				for j := range got.Values {
+					if b := got.View.Bound(i, j); b != want.Grouped.Bound(i, j) {
+						t.Fatalf("Bound(%d, %d) = %d, want MC(%d, group %d) = %d", i, j, b, i, want.Grouped.Part().GroupOf(j), want.Grouped.Bound(i, j))
+					}
+				}
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("Col of a grouped view returned")
+				}
+			}()
+			got.View.Col(0, nil) // a grouped record holds no column
+			return
 		}
 		if want.Matrix == nil {
 			if got.View != nil || !reflect.DeepEqual(got, want) {

@@ -114,10 +114,14 @@ func AppendGroupedCycle(dst []byte, cb *bcast.CycleBroadcast, epoch uint64, incl
 	}
 
 	cw := countBits(l.Groups)
-	for i, row := range cb.Grouped.SparseRows() {
+	end, entries := rowsOf(cb.Grouped)
+	var from int32 // row i starts where row i-1 ends
+	for i := range cb.Values {
 		if err := putSlot(w, i, cb.Values[i], objBytes); err != nil {
 			return nil, err
 		}
+		row := entries[from:end[i]]
+		from = end[i]
 		// A dense row cannot represent a zero (never-written) entry once
 		// the cycle number passes the codec window: Encode(0) is raw 0,
 		// which decodes to the newest cycle ≡ 0 mod 2^TS, not back to 0.
@@ -140,6 +144,25 @@ func AppendGroupedCycle(dst []byte, cb *bcast.CycleBroadcast, epoch uint64, incl
 		w.Align()
 	}
 	return w.Bytes(), nil
+}
+
+// rowsOf transposes MC for the BCG1 encoder in O(n + nnz) and two
+// allocations: row i is entries[end[i-1]:end[i]] (end[-1] = 0), its
+// groups ascending.
+func rowsOf(mc *cmatrix.Grouped) (end []int32, entries []cmatrix.GroupEntry) {
+	end = mc.RowCounts()
+	var sum int32
+	for i, count := range end {
+		end[i], sum = sum, sum+count // row i's start, until the fill moves it to its end
+	}
+	entries = make([]cmatrix.GroupEntry, mc.Nonzeros())
+	for s := range mc.Groups() {
+		for _, e := range mc.Col(s) {
+			entries[end[e.Idx]] = cmatrix.GroupEntry{Group: s, Val: e.Val}
+			end[e.Idx]++
+		}
+	}
+	return end, entries
 }
 
 // GroupedCycleBits reports the exact size in bits of the BCG1 frame

@@ -50,12 +50,18 @@ func recordBytes(l bcast.Layout) int64 {
 	return int64(objBytesOf(l)) + columnBytes(columnEntries(l), l.TimestampBits)
 }
 
-// putRecord writes object j's record, for AppendCycle and PatchCycle. A
-// matrix column is packed where it lies; other kinds gather into buf.
+// putRecord writes object j's record (AppendCycle, PatchCycle): a matrix
+// column packed where it lies, a grouped row as zeros for AppendCycle's
+// putMC to fill, others via buf.
 func putRecord(w *BitWriter, cb *bcast.CycleBroadcast, j int, buf []cmatrix.Cycle) error {
 	err := putSlot(w, j, cb.Values[j], objBytesOf(cb.Layout))
 	if err == nil && cb.Layout.Control == bcast.ControlMatrix && cb.Matrix != nil {
 		buf = cb.Matrix.Col(j)
+	} else if l := cb.Layout; err == nil && l.Control == bcast.ControlGrouped && cb.Grouped != nil {
+		n := int(columnBytes(l.Groups, l.TimestampBits))
+		w.buf = slices.Grow(w.buf, n)[:len(w.buf)+n]
+		clear(w.buf[len(w.buf)-n:])
+		return nil
 	} else if err == nil {
 		buf, err = Column(cb, j, buf[:0])
 	}
@@ -77,6 +83,9 @@ func AppendCycle(dst []byte, cb *bcast.CycleBroadcast) ([]byte, error) {
 	if len(cb.Values) != l.Objects {
 		return nil, fmt.Errorf("wire: %d values for %d objects", len(cb.Values), l.Objects)
 	}
+	if g := cb.Grouped; l.Control == bcast.ControlGrouped && g != nil && (g.N() != l.Objects || g.Groups() != l.Groups) {
+		return nil, fmt.Errorf("wire: grouped matrix is %d×%d but layout says %d×%d", g.N(), g.Groups(), l.Objects, l.Groups)
+	}
 	hdr := cycleHeader(cb.Number, l)
 	w := KindCycle.begin(dst, hdr[:], int64(l.Objects), recordBytes(l))
 	var buf []cmatrix.Cycle
@@ -88,7 +97,11 @@ func AppendCycle(dst []byte, cb *bcast.CycleBroadcast) ([]byte, error) {
 			return nil, err
 		}
 	}
-	return w.Bytes(), nil
+	frame := w.Bytes()
+	if l.Control == bcast.ControlGrouped && cb.Grouped != nil {
+		putMC(frame[len(frame)-l.Objects*int(recordBytes(l)):], cb.Grouped, l)
+	}
+	return frame, nil
 }
 
 // EncodeCycle serializes a broadcast cycle into a fresh frame.
@@ -189,23 +202,31 @@ func DecodeCycle(data []byte) (*bcast.CycleBroadcast, error) {
 }
 
 // ViewCycle is DecodeCycle for a tuner, accepting exactly its frames.
-// Under matrix control the n² timestamps stay in the frame, read by the
-// cycle's View when asked, so a client pays for what it reads (Section
+// Under matrix and grouped control the timestamps stay in the frame for
+// the cycle's View to read, so a client pays for what it reads (Section
 // 3.2.1). Values and view alias data. Other layouts decode in full.
 func ViewCycle(data []byte) (*bcast.CycleBroadcast, error) {
 	number, l, err := cycleHead(data)
-	if err != nil || l.Control != bcast.ControlMatrix {
+	if err != nil || (l.Control != bcast.ControlMatrix && l.Control != bcast.ControlGrouped) {
 		return DecodeCycle(data)
 	}
 	rec, objBytes := int(recordBytes(l)), objBytesOf(l)
 	v := &CycleView{frame: data, n: l.Objects, rec: rec, ctl: headerBytes + objBytes, tsBits: l.TimestampBits,
 		ref: number - 1, mask: cmatrix.Codec{Bits: l.TimestampBits}.Mod() - 1}
-	// An entry unwraps before cycle 0 iff it exceeds the reference, which
-	// a reference past the first 2^tsBits − 1 cycles never is.
-	for j := 0; j < v.n && v.ref < v.mask; j++ {
-		for i := 0; i < v.n; i++ {
-			if raw := v.raw(i, j); raw > v.ref {
-				return nil, errBeforeCycle0(uint64(raw))
+	if l.Control == bcast.ControlGrouped {
+		v.g = l.Groups
+	}
+	// An entry unwraps before cycle 0 iff it exceeds the reference (never,
+	// past the first 2^tsBits − 1 cycles); scanned in DecodeCycle's order.
+	for j, entries := 0, columnEntries(l); j < v.n && v.ref < v.mask; j++ {
+		ctl := data[v.ctl+j*rec:][:columnBytes(entries, v.tsBits)]
+		if v.tsBits == 8 && slices.Max(ctl) <= byte(v.ref) {
+			continue
+		}
+		r := BitReader{buf: ctl}
+		for range entries {
+			if raw := r.get(v.tsBits); cmatrix.Cycle(raw) > v.ref {
+				return nil, errBeforeCycle0(raw)
 			}
 		}
 	}
@@ -216,38 +237,44 @@ func ViewCycle(data []byte) (*bcast.CycleBroadcast, error) {
 	return cb, nil
 }
 
-// CycleView is the F-Matrix control of a BCC1 frame, read in place:
-// records are fixed-size and byte-aligned, so C(i, j) is the field at
-// bit i·tsBits of the column behind value j, unwrapped as getTS does.
+// CycleView is the matrix or grouped control of a BCC1 frame, read in
+// place: records are fixed-size and byte-aligned, so C(i, j) is field i
+// of record j and MC(i, s) field s of record i, unwrapped as getTS does.
 // It pins the whole frame; what outlives the cycle copies a column out.
 type CycleView struct {
-	frame               []byte
-	n, rec, ctl, tsBits int           // objects, record bytes, offset of column 0, width
-	ref, mask           cmatrix.Cycle // cycle number − 1, 2^tsBits − 1
+	frame                  []byte
+	n, rec, ctl, tsBits, g int           // objects, record bytes, offset of column 0, width, groups (0: matrix)
+	ref, mask              cmatrix.Cycle // cycle number − 1, 2^tsBits − 1
 }
 
-// raw is the wrapped timestamp C(i, j) as it sits on the air.
-func (v *CycleView) raw(i, j int) cmatrix.Cycle {
+// raw is field k of record j's control column as it sits on the air.
+func (v *CycleView) raw(k, j int) cmatrix.Cycle {
 	col := v.frame[v.ctl+j*v.rec:]
 	if v.tsBits == 8 { // Table 1's width: one entry, one byte
-		return cmatrix.Cycle(col[i])
+		return cmatrix.Cycle(col[k])
 	}
-	p := i * v.tsBits
+	p := k * v.tsBits
 	r := BitReader{buf: col[p/8:]}
 	r.get(p % 8)
 	return cmatrix.Cycle(r.get(v.tsBits))
 }
 
-// Bound is C(i, j): CycleView implements protocol.Snapshot.
+// Bound is C(i, j), or MC(i, j·g/n) (the uniform partition): a Snapshot.
 func (v *CycleView) Bound(i, j int) cmatrix.Cycle {
 	if uint(i) >= uint(v.n) || uint(j) >= uint(v.n) {
 		panic(fmt.Sprintf("wire: C(%d, %d) outside a %d-object view", i, j, v.n))
 	}
+	if v.g > 0 {
+		i, j = j*v.g/v.n, i
+	}
 	return v.ref - (v.ref-v.raw(i, j))&v.mask
 }
 
-// Col appends a copy of column j, C(·, j), to buf.
+// Col appends a copy of column j, C(·, j), to buf; a grouped view has none.
 func (v *CycleView) Col(j int, buf []cmatrix.Cycle) []cmatrix.Cycle {
+	if v.g > 0 {
+		panic("wire: Col of a grouped view")
+	}
 	buf = slices.Grow(buf, v.n)
 	if v.tsBits == 8 {
 		for _, x := range v.frame[v.ctl+j*v.rec:][:v.n] {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -197,6 +198,62 @@ func TestCycleRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGroupedCycleEncodeByColumn holds the grouped BCC1 encoder, which
+// reads MC off its columns, to the per-entry walk it replaced: every
+// record packed from Column's Grouped.At lookups, byte for byte — on
+// random full rows and on the sparse, partly empty MC of a commit stream
+// at g = 1, 4 and n. The same streams' BCG1 frames, whose sparse rows
+// list their groups ascending, must decode back to MC.
+func TestGroupedCycleEncodeByColumn(t *testing.T) {
+	perEntry := func(cb *bcast.CycleBroadcast) []byte {
+		hdr := cycleHeader(cb.Number, cb.Layout)
+		w := &BitWriter{buf: hdr[:]}
+		for j, v := range cb.Values {
+			if err := putSlot(w, j, v, objBytesOf(cb.Layout)); err != nil {
+				t.Fatal(err)
+			}
+			col, err := Column(cb, j, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			putColumn(w, col, cb.Layout.TimestampBits)
+		}
+		return w.Bytes()
+	}
+	rng := rand.New(rand.NewSource(38))
+	var cycles []*bcast.CycleBroadcast
+	for trial := 0; trial < 100; trial++ {
+		cycles = append(cycles, randomCycleBroadcast(rng, bcast.ControlGrouped))
+	}
+	for _, g := range []int{1, 4, 40} {
+		for _, number := range []cmatrix.Cycle{1, 5, 30, 300} {
+			cycles = append(cycles, groupedFixture(t, cmatrix.UniformPartition(40, g), number, 6))
+		}
+	}
+	for k, cb := range cycles {
+		got, err := EncodeCycle(cb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := perEntry(cb); !bytes.Equal(got, want) {
+			t.Fatalf("cycle %d (%d objects, %d groups): column walk encodes\n%x\nper-entry walk\n%x", k, cb.Layout.Objects, cb.Layout.Groups, got, want)
+		}
+	}
+	for _, g := range []int{1, 4, 40} {
+		for _, number := range []cmatrix.Cycle{5, 300} {
+			cb := groupedFixture(t, cmatrix.UniformPartition(40, g), number, 16)
+			frame, err := EncodeGroupedCycle(cb, 1, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := DecodeGroupedCycle(frame, nil, 1)
+			if err != nil || !got.Grouped.Equal(cb.Grouped) {
+				t.Fatalf("g %d cycle %d: BCG1 frame decodes to a different MC (err %v)", g, number, err)
+			}
+		}
+	}
+}
+
 // The encoded size must match the analytical bcast.Layout accounting
 // (up to per-object byte alignment and the frame header).
 func TestEncodedSizeMatchesLayout(t *testing.T) {
@@ -242,6 +299,14 @@ func TestEncodeCycleErrors(t *testing.T) {
 	badLayout.Layout.Objects = 0
 	if _, err := EncodeCycle(&badLayout); err == nil {
 		t.Error("invalid layout should fail")
+	}
+	// MC is written where the layout places it, so its shape must match.
+	for _, part := range []*cmatrix.Partition{cmatrix.UniformPartition(3, 2), cmatrix.UniformPartition(4, 3)} {
+		cb := &bcast.CycleBroadcast{Number: 1, Layout: bcast.LayoutFor(protocol.Grouped, 4, 8, 8, 2),
+			Values: make([][]byte, 4), Grouped: cmatrix.NewGroupedControl(part).Grouped()}
+		if _, err := EncodeCycle(cb); err == nil {
+			t.Errorf("a %d×%d grouped matrix under a 4×2 layout should fail", part.N(), part.Groups())
+		}
 	}
 }
 

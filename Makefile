@@ -72,13 +72,14 @@ fuzz-smoke:
 	done
 
 # Micro-benchmarks only (matrix apply/snapshot, wire codec, validator,
+# the APPROX and exact update-consistency checkers,
 # StartCycle; the grouped control's commit and publish, singleton groups
 # included; one cycle of cache traffic through the persistent store, one
 # cache record through its codec and one cached read transaction; one
 # uplink round trip over loopback TCP; one server Step, frame built in
 # place, at the Table 1 and dense grouped shapes).
 bench:
-	$(GO) test -run '^$$' -bench 'Matrix|Snapshot|Validator|Wire|StartCycle' -benchtime 100x
+	$(GO) test -run '^$$' -bench 'Matrix|Snapshot|Validator|Wire|StartCycle|Approx|UpdateConsistentExact' -benchtime 100x
 	$(GO) test -run '^$$' -bench 'Apply|Snapshot' -benchtime 100x ./internal/cmatrix
 	$(GO) test -run '^$$' -bench 'CacheCycle' -benchtime 100x ./internal/qcache
 	$(GO) test -run '^$$' -bench 'CacheRecord' -benchtime 100x ./internal/wire

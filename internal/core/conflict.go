@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"broadcastcc/internal/graph"
 	"broadcastcc/internal/history"
 )
 
@@ -26,29 +27,41 @@ func reject(format string, args ...any) Verdict {
 	return Verdict{Reason: fmt.Sprintf(format, args...)}
 }
 
+// The rejection reasons of the two whole-history checks.
+const (
+	csrReason = "serialization graph has a cycle"
+	vsrReason = "polygraph is not acyclic: no view-equivalent serial order exists"
+)
+
+// decide turns the constraint graph p over m into a verdict. An
+// acceptance carries, when ordered, the serial order p admits with T0
+// and tFinal dropped. A rejection carries the Reason format describes
+// and a cycle of p's fixed arcs, when they have one.
+func decide(p *graph.Polygraph, m *NodeMap, ordered bool, format string, args ...any) Verdict {
+	order, ok := p.Order()
+	if !ok {
+		v := reject(format, args...)
+		for _, i := range p.Base().FindCycle() {
+			v.Cycle = append(v.Cycle, m.ID(i))
+		}
+		return v
+	}
+	v := Verdict{OK: true}
+	for _, i := range order {
+		if id := m.ID(i); ordered && id != history.T0 && id != tFinal {
+			v.Order = append(v.Order, id)
+		}
+	}
+	return v
+}
+
 // ConflictSerializable reports whether the committed projection of h is
 // conflict serializable, via serialization-graph testing. On acceptance
 // the verdict carries a witness serial order.
 func ConflictSerializable(h *history.History) Verdict {
 	committed := h.CommittedProjection()
-	nodes := map[history.TxnID]bool{}
-	for _, t := range committed.Transactions() {
-		nodes[t] = true
-	}
-	g, m := conflictGraph(committed, nodes)
-	if order, ok := g.TopoSort(); ok {
-		out := Verdict{OK: true}
-		for _, i := range order {
-			out.Order = append(out.Order, m.ID(i))
-		}
-		return out
-	}
-	cyc := g.FindCycle()
-	v := reject("serialization graph has a cycle")
-	for _, i := range cyc {
-		v.Cycle = append(v.Cycle, m.ID(i))
-	}
-	return v
+	p, m := constraints(committed, nil, true)
+	return decide(p, m, true, csrReason)
 }
 
 // SerializableReadOnly reports whether read-only transaction t is
@@ -57,15 +70,5 @@ func ConflictSerializable(h *history.History) Verdict {
 // S_H(t) is acyclic (Definition 9). This is APPROX condition 2 for a
 // single transaction.
 func SerializableReadOnly(h *history.History, t history.TxnID) Verdict {
-	committed := h.CommittedProjection()
-	g, m := SerializationGraph(committed, t)
-	if _, ok := g.TopoSort(); ok {
-		return Verdict{OK: true}
-	}
-	cyc := g.FindCycle()
-	v := reject("S(t%d) has a cycle", t)
-	for _, i := range cyc {
-		v.Cycle = append(v.Cycle, m.ID(i))
-	}
-	return v
+	return liveCheck(h.CommittedProjection(), t, true)
 }

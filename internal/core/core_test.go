@@ -194,6 +194,49 @@ func TestConflictWitnessOrderIsViewEquivalent(t *testing.T) {
 	}
 }
 
+// A rejection names the same cycle on every call, and every cycle it
+// names is a closed walk over arcs of the conflict graph.
+func TestConflictCycleIsStableWitness(t *testing.T) {
+	h := history.MustParse("r8(x3) c8 r7(x1) w2(x0) r5(x1) w2(x1) w1(x3) c2 r5(x0) w3(x0) r6(x3) r4(x0) r4(x1) w1(x1) c1 w5(x3) c6 w5(x2) w4(x1) c5 w3(x3) w4(x2) r7(x3) r7(x2) c3 c4 c7")
+	first := ConflictSerializable(h)
+	if first.OK {
+		t.Fatal("history must not be conflict serializable")
+	}
+	for range 50 {
+		v := ConflictSerializable(h)
+		if !reflect.DeepEqual(v.Cycle, first.Cycle) {
+			t.Fatalf("cycle %v, earlier call %v", v.Cycle, first.Cycle)
+		}
+	}
+	cfg := history.DefaultGenConfig()
+	cfg.UpdateTxns, cfg.ReadsFirst = 5, false
+	for _, h := range append(randomHistories(5, 300, cfg), h) {
+		v := ConflictSerializable(h)
+		if v.OK {
+			continue
+		}
+		cyc, ops := v.Cycle, h.CommittedProjection().Ops()
+		if len(cyc) < 3 || cyc[0] != cyc[len(cyc)-1] {
+			t.Fatalf("%v: cycle %v is not closed", h, cyc)
+		}
+		conflict := func(a, b history.TxnID) bool {
+			for i, x := range ops {
+				for _, y := range ops[i+1:] {
+					if x.Txn == a && y.Txn == b && y.Obj == x.Obj && (x.Kind == history.OpWrite || y.Kind == history.OpWrite) {
+						return true
+					}
+				}
+			}
+			return false
+		}
+		for k := 0; k+1 < len(cyc); k++ {
+			if !conflict(cyc[k], cyc[k+1]) {
+				t.Fatalf("%v: cycle %v has no conflict arc t%d -> t%d", h, cyc, cyc[k], cyc[k+1])
+			}
+		}
+	}
+}
+
 func TestSerializationGraphNodeMap(t *testing.T) {
 	g, m := SerializationGraph(example1.CommittedProjection(), 1)
 	// LIVE(t1) = {t1, t4, T0}.

@@ -17,6 +17,6 @@
 //     P_H(t_R) with the serialization graph S_H(t_R): it accepts a
 //     proper subset of the update-consistent histories (Theorem 6).
 //
-// All checkers operate on the committed projection of the history they
-// are given, matching the paper's formal treatment.
+// The graph checkers share one constraint builder and one decision, and
+// all checkers operate on the committed projection, as the paper does.
 package core

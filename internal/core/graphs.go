@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"broadcastcc/internal/graph"
@@ -45,109 +46,106 @@ func (m *NodeMap) IDs() []history.TxnID {
 	return append([]history.TxnID(nil), m.ids...)
 }
 
-// conflictGraph builds the serialization (conflict) graph of h over the
-// transactions in nodes: an edge t' -> t” for each pair of conflicting
-// operations (same object, at least one write, distinct transactions)
-// where t”s operation comes first. The implicit initial transaction T0
-// is treated, when present in nodes, as writing every object before the
-// history begins.
-func conflictGraph(h *history.History, nodes map[history.TxnID]bool) (*graph.Digraph, *NodeMap) {
-	m := newNodeMap(nodes)
-	g := graph.NewDigraph(m.Len())
-	addEdge := func(from, to history.TxnID) {
-		if from == to {
-			return
-		}
-		fi, ok1 := m.Index(from)
-		ti, ok2 := m.Index(to)
-		if ok1 && ok2 {
-			g.AddEdge(fi, ti)
+// constraints builds the constraint graph of h over the transactions in
+// nodes, nil meaning all of h's plus T0 and tFinal; only the node
+// transactions' operations count. T0 and tFinal join only when they are
+// in nodes, pinned before and after every other node. With conflicts
+// the graph is the serialization graph: an arc a -> b for each pair of
+// conflicting operations (same object, distinct transactions, at least
+// one write) where a's comes first. Without, it is Papadimitriou's
+// polygraph: an arc w -> r whenever r reads from w, tFinal reading each
+// object from its final writer, and for each reads-from (w, ob, r) and
+// each other writer t of ob a bipath with alternatives r -> t or
+// t -> w. Objects are walked in first-access order, so the arc lists,
+// and with them FindCycle's witness, are the same from call to call.
+func constraints(h *history.History, nodes map[history.TxnID]bool, conflicts bool) (*graph.Polygraph, *NodeMap) {
+	if nodes == nil {
+		nodes = map[history.TxnID]bool{history.T0: true, tFinal: true}
+		for _, t := range h.Transactions() {
+			nodes[t] = true
 		}
 	}
-	// Group data operations by object so conflict detection costs the
-	// sum of squared per-object op counts rather than the square of the
-	// whole history.
+	m := newNodeMap(nodes)
+	p := graph.NewPolygraph(m.Len())
+	arc := func(from, to history.TxnID) {
+		if from != to && nodes[from] && nodes[to] {
+			p.AddArc(m.index[from], m.index[to])
+		}
+	}
+	var objs []string
 	perObject := map[string][]history.Op{}
-	t0, hasT0 := m.Index(history.T0)
-	for _, op := range h.Ops() {
-		if op.Kind != history.OpRead && op.Kind != history.OpWrite {
+	writers := map[string][]history.TxnID{} // polygraph only; first-write order
+	for i := range h.Len() {
+		op := h.At(i)
+		if op.Kind != history.OpRead && op.Kind != history.OpWrite || !nodes[op.Txn] {
 			continue
 		}
-		if !nodes[op.Txn] {
-			continue
-		}
-		// T0 writes everything first: edge T0 -> t for every accessor.
-		if hasT0 {
-			if ai, ok := m.Index(op.Txn); ok && ai != t0 {
-				g.AddEdge(t0, ai)
-			}
+		if perObject[op.Obj] == nil {
+			objs = append(objs, op.Obj)
 		}
 		perObject[op.Obj] = append(perObject[op.Obj], op)
+		if !conflicts && op.Kind == history.OpWrite && !slices.Contains(writers[op.Obj], op.Txn) {
+			writers[op.Obj] = append(writers[op.Obj], op.Txn)
+		}
 	}
-	for _, ops := range perObject {
-		for i, a := range ops {
-			for _, b := range ops[i+1:] {
-				if b.Txn == a.Txn {
-					continue
-				}
-				if a.Kind == history.OpWrite || b.Kind == history.OpWrite {
-					addEdge(a.Txn, b.Txn)
+	for _, t := range m.ids {
+		arc(history.T0, t)
+		arc(t, tFinal)
+	}
+	if conflicts {
+		for _, obj := range objs {
+			ops := perObject[obj]
+			for i, a := range ops {
+				ai := m.index[a.Txn]
+				for _, b := range ops[i+1:] {
+					if b.Txn != a.Txn && (a.Kind == history.OpWrite || b.Kind == history.OpWrite) {
+						p.AddArc(ai, m.index[b.Txn])
+					}
 				}
 			}
 		}
+		return p, m
 	}
-	return g, m
+	last := map[string]history.TxnID{} // an absent writer is T0
+	readFrom := func(r history.TxnID, obj string) {
+		w := last[obj]
+		arc(w, r)
+		for _, other := range writers[obj] {
+			if other != w && other != r {
+				p.AddBipath(m.index[r], m.index[other], m.index[w])
+			}
+		}
+	}
+	for i := range h.Len() {
+		switch op := h.At(i); {
+		case !nodes[op.Txn]:
+		case op.Kind == history.OpWrite:
+			last[op.Obj] = op.Txn
+		case op.Kind == history.OpRead:
+			readFrom(op.Txn, op.Obj)
+		}
+	}
+	if nodes[tFinal] {
+		for _, obj := range objs {
+			readFrom(tFinal, obj)
+		}
+	}
+	return p, m
 }
 
 // SerializationGraph builds S_H(t) per Definition 9: the conflict graph
 // of h restricted to LIVE_H(t). The returned NodeMap translates node
 // indices back to transaction ids.
 func SerializationGraph(h *history.History, t history.TxnID) (*graph.Digraph, *NodeMap) {
-	return conflictGraph(h, h.Live(t))
+	p, m := constraints(h, h.Live(t), true)
+	return p.Base(), m
 }
 
 // TransactionPolygraph builds P_H(t) per Definition 6: nodes are
-// LIVE_H(t); there is an arc t' -> t” whenever t” reads some object
-// from t'; and for every reads-from triple (t”, ob, t”') and every
-// other live transaction t' that writes ob there is a bipath with
-// alternatives t”' -> t' or t' -> t”.
+// LIVE_H(t); there is an arc w -> r whenever r reads some object from
+// w; and for every such reads-from on object ob and every other live
+// transaction t that writes ob there is a bipath with alternatives
+// r -> t or t -> w.
 func TransactionPolygraph(h *history.History, t history.TxnID) (*graph.Polygraph, *NodeMap) {
-	live := h.Live(t)
-	m := newNodeMap(live)
-	p := graph.NewPolygraph(m.Len())
-
-	rf := h.ReadsFrom()
-	for _, r := range rf {
-		wi, okW := m.Index(r.Writer)
-		ri, okR := m.Index(r.Reader)
-		if okW && okR && wi != ri {
-			p.AddArc(wi, ri)
-		}
-	}
-	// T0 writes every object before the history: it can never follow
-	// another transaction, so pin it first.
-	if t0, ok := m.Index(history.T0); ok {
-		for i := 0; i < m.Len(); i++ {
-			if i != t0 {
-				p.AddArc(t0, i)
-			}
-		}
-	}
-	for _, r := range rf {
-		if !live[r.Writer] || !live[r.Reader] {
-			continue
-		}
-		for _, other := range h.Writers(r.Obj) {
-			if other == r.Writer || other == r.Reader || !live[other] {
-				continue
-			}
-			ri, _ := m.Index(r.Reader)
-			oi, _ := m.Index(other)
-			wi, _ := m.Index(r.Writer)
-			// Either the reader precedes the other writer, or the other
-			// writer precedes the writer read from.
-			p.AddBipath(ri, oi, wi)
-		}
-	}
-	return p, m
+	return constraints(h, h.Live(t), false)
 }

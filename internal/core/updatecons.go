@@ -15,18 +15,7 @@ import "broadcastcc/internal/history"
 // for the polynomial-time recognizer that the F-Matrix and R-Matrix
 // protocols implement.
 func UpdateConsistent(h *history.History) Verdict {
-	committed := h.CommittedProjection()
-	upd := committed.UpdateSubhistory()
-	if v := ViewSerializable(upd); !v.OK {
-		return reject("update sub-history is not view serializable: %s", v.Reason)
-	}
-	for _, t := range committed.ReadOnlyTransactions() {
-		p, _ := TransactionPolygraph(committed, t)
-		if ok, _ := p.AcyclicExact(); !ok {
-			return reject("P(t%d) is not acyclic: read-only transaction t%d is not serializable with respect to the update transactions it reads from", t, t)
-		}
-	}
-	return Verdict{OK: true}
+	return criterion(h, false, "update sub-history is not view serializable: "+vsrReason, "")
 }
 
 // Approx is the paper's polynomial-time approximation algorithm
@@ -40,19 +29,39 @@ func UpdateConsistent(h *history.History) Verdict {
 // some update-consistent histories are rejected: the inclusion is
 // proper.
 func Approx(h *history.History) Verdict {
+	return criterion(h, true, "update sub-history is not conflict serializable: "+csrReason, "APPROX condition 2 fails: ")
+}
+
+// criterion is the walk UpdateConsistent and Approx share over the
+// committed projection of h: H_update as a whole, then each read-only
+// transaction against its live set, on polygraphs or, with conflicts,
+// on serialization graphs. whole is the first step's Reason, and each
+// prefixes the second's.
+func criterion(h *history.History, conflicts bool, whole, each string) Verdict {
 	committed := h.CommittedProjection()
 	upd := committed.UpdateSubhistory()
-	if v := ConflictSerializable(upd); !v.OK {
-		v.Reason = "update sub-history is not conflict serializable: " + v.Reason
+	p, m := constraints(upd, nil, conflicts)
+	if v := decide(p, m, false, "%s", whole); !v.OK {
 		return v
 	}
 	for _, t := range committed.ReadOnlyTransactions() {
-		if v := SerializableReadOnly(committed, t); !v.OK {
-			v.Reason = "APPROX condition 2 fails: " + v.Reason
+		if v := liveCheck(committed, t, conflicts); !v.OK {
+			v.Reason = each + v.Reason
 			return v
 		}
 	}
 	return Verdict{OK: true}
+}
+
+// liveCheck checks read-only transaction t of the committed history
+// against LIVE(t): S(t) with conflicts, P(t) without.
+func liveCheck(committed *history.History, t history.TxnID, conflicts bool) Verdict {
+	p, m := constraints(committed, committed.Live(t), conflicts)
+	format := "P(t%[1]d) is not acyclic: read-only transaction t%[1]d is not serializable with respect to the update transactions it reads from"
+	if conflicts {
+		format = "S(t%d) has a cycle"
+	}
+	return decide(p, m, false, format, t)
 }
 
 // Serializable reports whether the committed projection of h — update

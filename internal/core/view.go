@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 
-	"broadcastcc/internal/graph"
 	"broadcastcc/internal/history"
 )
 
@@ -23,72 +22,8 @@ const tFinal history.TxnID = -1
 // synthetic final transaction omitted).
 func ViewSerializable(h *history.History) Verdict {
 	committed := h.CommittedProjection()
-	txns := committed.Transactions()
-
-	nodes := map[history.TxnID]bool{history.T0: true, tFinal: true}
-	for _, t := range txns {
-		nodes[t] = true
-	}
-	m := newNodeMap(nodes)
-	p := graph.NewPolygraph(m.Len())
-
-	t0, _ := m.Index(history.T0)
-	tf, _ := m.Index(tFinal)
-	for i := 0; i < m.Len(); i++ {
-		if i != t0 {
-			p.AddArc(t0, i)
-		}
-		if i != tf {
-			p.AddArc(i, tf)
-		}
-	}
-
-	// Reads-from arcs, including the synthetic final reads.
-	rf := committed.ReadsFrom()
-	for _, obj := range committed.Objects() {
-		final := history.T0
-		for _, op := range committed.Ops() {
-			if op.Kind == history.OpWrite && op.Obj == obj {
-				final = op.Txn
-			}
-		}
-		rf = append(rf, history.ReadFrom{Reader: tFinal, Obj: obj, Writer: final})
-	}
-	for _, r := range rf {
-		wi, _ := m.Index(r.Writer)
-		ri, _ := m.Index(r.Reader)
-		if wi != ri {
-			p.AddArc(wi, ri)
-		}
-	}
-
-	// Bipaths: for each reads-from (writer, obj, reader) and each other
-	// committed writer t' of obj, either reader -> t' or t' -> writer.
-	for _, r := range rf {
-		ri, _ := m.Index(r.Reader)
-		wi, _ := m.Index(r.Writer)
-		for _, other := range committed.Writers(r.Obj) {
-			if other == r.Writer || other == r.Reader {
-				continue
-			}
-			oi, _ := m.Index(other)
-			p.AddBipath(ri, oi, wi)
-		}
-	}
-
-	ok, witness := p.AcyclicExact()
-	if !ok {
-		return reject("polygraph is not acyclic: no view-equivalent serial order exists")
-	}
-	order, _ := witness.TopoSort()
-	out := Verdict{OK: true}
-	for _, i := range order {
-		id := m.ID(i)
-		if id != history.T0 && id != tFinal {
-			out.Order = append(out.Order, id)
-		}
-	}
-	return out
+	p, m := constraints(committed, nil, false)
+	return decide(p, m, true, vsrReason)
 }
 
 // ViewEquivalent reports whether two histories over the same committed

@@ -24,12 +24,6 @@ func NewDigraph(n int) *Digraph {
 // N reports the number of nodes.
 func (g *Digraph) N() int { return len(g.adj) }
 
-// AddNode appends a new node and returns its id.
-func (g *Digraph) AddNode() int {
-	g.adj = append(g.adj, nil)
-	return len(g.adj) - 1
-}
-
 // AddEdge inserts the directed edge u -> v. Self-loops are allowed
 // (they make the graph cyclic). Duplicate edges are ignored.
 func (g *Digraph) AddEdge(u, v int) {

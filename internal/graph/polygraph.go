@@ -36,9 +36,6 @@ func (p *Polygraph) N() int { return p.n }
 // AddArc adds the fixed arc u -> v to the digraph part.
 func (p *Polygraph) AddArc(u, v int) { p.base.AddEdge(u, v) }
 
-// HasArc reports whether the fixed arc u -> v is present.
-func (p *Polygraph) HasArc(u, v int) bool { return p.base.HasEdge(u, v) }
-
 // AddBipath adds the bipath ((v,u),(u,w)): at least one of v->u, u->w
 // must appear in any digraph of the family.
 func (p *Polygraph) AddBipath(v, u, w int) {
@@ -90,6 +87,21 @@ func (p *Polygraph) AcyclicExact() (bool, *Digraph) {
 		return true, g
 	}
 	return false, nil
+}
+
+// Order returns a topological order of some acyclic digraph in the
+// polygraph's family and true, or (nil, false) when the family has none.
+// Without bipaths the family is the fixed digraph alone, which is sorted
+// in place; otherwise the order sorts AcyclicExact's witness.
+func (p *Polygraph) Order() ([]int, bool) {
+	if len(p.bipaths) == 0 {
+		return p.base.TopoSort()
+	}
+	ok, w := p.AcyclicExact()
+	if !ok {
+		return nil, false
+	}
+	return w.TopoSort()
 }
 
 // addTracked inserts an arc (if absent) and records it on the trail.

@@ -106,15 +106,12 @@ func TestPolygraphAccessors(t *testing.T) {
 	if p.N() != 3 {
 		t.Errorf("N = %d", p.N())
 	}
-	if !p.HasArc(0, 1) || p.HasArc(1, 0) {
-		t.Error("HasArc wrong")
-	}
 	if got := p.Bipaths(); len(got) != 1 || got[0].A != [2]int{1, 2} || got[0].B != [2]int{2, 0} {
 		t.Errorf("Bipaths = %v", got)
 	}
 	base := p.Base()
 	base.AddEdge(2, 0)
-	if p.HasArc(2, 0) {
+	if p.Base().HasEdge(2, 0) {
 		t.Error("Base must return a copy")
 	}
 }
@@ -170,6 +167,27 @@ func TestPolygraphMatchesBruteForce(t *testing.T) {
 				if !witness.HasEdge(bp.A[0], bp.A[1]) && !witness.HasEdge(bp.B[0], bp.B[1]) {
 					t.Fatalf("trial %d: witness violates bipath %v", trial, bp)
 				}
+			}
+		}
+		// Order agrees, and its order satisfies every fixed arc and one
+		// alternative of every bipath.
+		order, ok := p.Order()
+		if ok != got || ok && len(order) != n {
+			t.Fatalf("trial %d: Order = %v, %v; AcyclicExact says %v", trial, order, ok, got)
+		}
+		pos := make([]int, n)
+		for i, v := range order {
+			pos[v] = i
+		}
+		before := func(arc [2]int) bool { return pos[arc[0]] < pos[arc[1]] }
+		for _, e := range p.Base().Edges() {
+			if ok && !before(e) {
+				t.Fatalf("trial %d: order %v violates arc %v", trial, order, e)
+			}
+		}
+		for _, bp := range p.Bipaths() {
+			if ok && !before(bp.A) && !before(bp.B) {
+				t.Fatalf("trial %d: order %v violates bipath %v", trial, order, bp)
 			}
 		}
 	}

@@ -42,7 +42,7 @@ type FrameDecoder struct {
 
 // NewFrameDecoder builds a decoder in the "just tuned in" state.
 func NewFrameDecoder() *FrameDecoder {
-	return &FrameDecoder{asm: assembler{chain: bucketChain{}}}
+	return &FrameDecoder{asm: assembler{chain: BucketChain{}}}
 }
 
 // Decode consumes one wire frame, returning a completed cycle when the

@@ -20,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"broadcastcc/internal/airsched"
 	"broadcastcc/internal/bcast"
 	"broadcastcc/internal/cmatrix"
 	"broadcastcc/internal/dgram"
@@ -200,13 +199,9 @@ type Server struct {
 	broadcastLn net.Listener
 	uplink      *UplinkServer
 
-	// Program-mode transmission state (nil timeline = classic
-	// one-frame-per-cycle mode). seqs and prevCols track each object's
-	// occurrence count and last transmitted column for delta chaining;
-	// they are touched only from Step, which is not concurrent.
-	timeline *airsched.Timeline
-	seqs     []uint32
-	prevCols [][]cmatrix.Cycle
+	// The program-mode transmitter (nil = classic one-frame-per-cycle
+	// mode), touched only from Step, which is not concurrent.
+	program *ProgramEncoder
 
 	mu sync.Mutex
 	// subs maps each broadcast connection to its filter. A filter is set
@@ -315,9 +310,7 @@ func ServeOptions(bsrv *server.Server, broadcastAddr, uplinkAddr string, opts Op
 	s.cSubsetSubs = reg.Counter("netcast_subset_subs")
 	s.gSubs = reg.Gauge("netcast_subscribers")
 	if prog != nil {
-		s.timeline = airsched.NewTimeline(prog)
-		s.seqs = make([]uint32, bsrv.Layout().Objects)
-		s.prevCols = make([][]cmatrix.Cycle, bsrv.Layout().Objects)
+		s.program = NewProgramEncoder(prog, opts.RefreshEvery)
 	}
 	s.wg.Add(1)
 	go s.acceptBroadcast()
@@ -352,8 +345,11 @@ func (s *Server) Step() (int, error) {
 	var frames [][]byte
 	var one [1][]byte // a classic cycle's frame list, kept off the heap
 	var err error
-	if s.timeline != nil {
-		frames, err = s.encodeProgram(cb)
+	if s.program != nil {
+		var full, delta int64
+		frames, full, delta, err = s.program.Encode(cb)
+		s.cFullBytes.Add(full)
+		s.cDeltaBytes.Add(delta)
 	} else {
 		one[0], err = s.encodeCycle(cb)
 		frames = one[:]
@@ -432,7 +428,7 @@ func (s *Server) fanOut(cb *bcast.CycleBroadcast, frames [][]byte) int {
 	timeout := s.opts.WriteTimeout
 	if timeout <= 0 {
 		timeout = 2 * time.Second
-		if s.timeline != nil {
+		if s.program != nil {
 			timeout = 10 * time.Second
 		}
 	}
@@ -595,7 +591,7 @@ func (s *Server) readSubscriber(conn net.Conn) {
 		objs, err := wire.DecodeSubsetSubscribe(frame)
 		layout := s.bsrv.Layout()
 		if err != nil || len(objs) == 0 || objs[len(objs)-1] >= layout.Objects ||
-			s.timeline != nil || layout.Control != bcast.ControlMatrix {
+			s.program != nil || layout.Control != bcast.ControlMatrix {
 			s.reapSub(conn, 0)
 			return
 		}

@@ -13,29 +13,44 @@ import (
 	"broadcastcc/internal/wire"
 )
 
-// Program-mode transmission: when the underlying server carries an
-// airsched program, Step transmits one whole major cycle as the
-// timeline's frame sequence — (1,m) index segments interleaved with
-// per-object bucket frames — instead of one monolithic cycle frame.
-// Control columns ride as deltas against the object's previous
-// broadcast occurrence (chained by per-object sequence numbers), with
-// a full refresh every Options.RefreshEvery occurrences so late tuners
-// and clients that missed frames can resynchronize.
+// ProgramEncoder is the program-mode transmitter. It encodes each major
+// cycle as the airsched timeline's frame sequence — (1,m) index
+// segments interleaved with per-object bucket frames — instead of one
+// monolithic cycle frame. Control columns ride as deltas against the
+// object's previous broadcast occurrence (chained by per-object
+// sequence numbers), with a full refresh every refreshEvery occurrences
+// so late tuners and clients that missed frames can resynchronize; at
+// refreshEvery 0 every column is full. It needs no socket: Server.Step
+// holds one, and the conformance oracle drives another.
+type ProgramEncoder struct {
+	tl           *airsched.Timeline
+	refreshEvery int
+	seqs         []uint32          // occurrences sent, per object
+	prevCols     [][]cmatrix.Cycle // the last column sent, per object
+}
 
-// encodeProgram encodes one major cycle of the broadcast program as its
-// individual frames and accounts them as full or delta payload.
-func (s *Server) encodeProgram(cb *bcast.CycleBroadcast) ([][]byte, error) {
-	tl := s.timeline
-	layout := s.bsrv.Layout()
-	frames := tl.Frames()
-	payloads := make([][]byte, 0, len(frames))
-	var fullB, deltaB int64
-	for i, f := range frames {
+// NewProgramEncoder returns the transmitter of program p, before its
+// first cycle.
+func NewProgramEncoder(p *airsched.Program, refreshEvery int) *ProgramEncoder {
+	n := p.Layout().Objects
+	return &ProgramEncoder{
+		tl:           airsched.NewTimeline(p),
+		refreshEvery: refreshEvery,
+		seqs:         make([]uint32, n),
+		prevCols:     make([][]cmatrix.Cycle, n),
+	}
+}
+
+// Encode encodes cb as the program's frames, one per timeline frame,
+// and reports the bytes that went out as full and as delta payload.
+func (e *ProgramEncoder) Encode(cb *bcast.CycleBroadcast) (frames [][]byte, fullBytes, deltaBytes int64, err error) {
+	tl := e.tl
+	frames = make([][]byte, 0, tl.FrameCount())
+	for i, f := range tl.Frames() {
 		var data []byte
-		var err error
 		switch f.Kind {
 		case airsched.FrameIndex:
-			offs := make([]int, layout.Objects)
+			offs := make([]int, cb.Layout.Objects)
 			for obj := range offs {
 				offs[obj] = tl.NextOccurrence(i, obj)
 			}
@@ -47,51 +62,50 @@ func (s *Server) encodeProgram(cb *bcast.CycleBroadcast) ([][]byte, error) {
 				NextIndex: tl.NextIndexDistance(i),
 				Offsets:   offs,
 			})
-			fullB += int64(len(data))
+			fullBytes += int64(len(data))
 		case airsched.FrameData:
 			obj := f.Obj
-			s.seqs[obj]++
+			e.seqs[obj]++
 			col, cerr := wire.Column(cb, obj, nil)
 			if cerr != nil {
-				return nil, cerr
+				return nil, 0, 0, cerr
 			}
 			var prev []cmatrix.Cycle
-			if s.opts.RefreshEvery > 0 && (s.seqs[obj]-1)%uint32(s.opts.RefreshEvery) != 0 {
-				prev = s.prevCols[obj]
+			if e.refreshEvery > 0 && (e.seqs[obj]-1)%uint32(e.refreshEvery) != 0 {
+				prev = e.prevCols[obj]
 			}
 			data, err = wire.EncodeBucket(&wire.Bucket{
 				Number:    cb.Number,
-				Layout:    layout,
+				Layout:    cb.Layout,
 				Obj:       obj,
-				Seq:       s.seqs[obj],
+				Seq:       e.seqs[obj],
 				NextIndex: tl.NextIndexDistance(i),
 				Value:     cb.Values[obj],
 				Column:    col,
 			}, prev)
 			if prev != nil {
-				deltaB += int64(len(data))
+				deltaBytes += int64(len(data))
 			} else {
-				fullB += int64(len(data))
+				fullBytes += int64(len(data))
 			}
-			s.prevCols[obj] = col
+			e.prevCols[obj] = col
 		}
 		if err != nil {
-			return nil, err
+			return nil, 0, 0, err
 		}
-		payloads = append(payloads, data)
+		frames = append(frames, data)
 	}
-	s.cFullBytes.Add(fullB)
-	s.cDeltaBytes.Add(deltaB)
-	return payloads, nil
+	return frames, fullBytes, deltaBytes, nil
 }
 
-// errBrokenChain marks a delta bucket whose base occurrence the
+// ErrBrokenChain marks a delta bucket whose base occurrence the
 // receiver never heard.
-var errBrokenChain = errors.New("netcast: delta chain broken")
+var ErrBrokenChain = errors.New("netcast: delta chain broken")
 
-// bucketChain follows the per-object delta chains of a program-mode
+// BucketChain follows the per-object delta chains of a program-mode
 // stream: for each object, the last occurrence this receiver decoded.
-type bucketChain map[int]occurrence
+// A nil chain cannot record; start one as BucketChain{}.
+type BucketChain map[int]occurrence
 
 // occurrence is a decoded bucket's sequence number and reconstructed
 // control column.
@@ -100,10 +114,10 @@ type occurrence struct {
 	col []cmatrix.Cycle
 }
 
-// decode decodes a bucket frame, resolving a delta column against the
-// object's previous occurrence. errBrokenChain means that occurrence
+// Decode decodes a bucket frame, resolving a delta column against the
+// object's previous occurrence. ErrBrokenChain means that occurrence
 // was missed; the object's next full refresh restores the chain.
-func (c bucketChain) decode(frame []byte) (*wire.Bucket, error) {
+func (c BucketChain) Decode(frame []byte) (*wire.Bucket, error) {
 	_, obj, seq, delta, _, err := wire.BucketInfo(frame)
 	if err != nil {
 		return nil, err
@@ -112,7 +126,7 @@ func (c bucketChain) decode(frame []byte) (*wire.Bucket, error) {
 	if delta {
 		last := c[obj]
 		if last.seq+1 != seq || last.col == nil {
-			return nil, errBrokenChain
+			return nil, ErrBrokenChain
 		}
 		prev = last.col
 	}
@@ -140,7 +154,7 @@ type assembler struct {
 	nSeen     int
 	indexM    int
 
-	chain bucketChain
+	chain BucketChain
 }
 
 // begin resets per-cycle state for major cycle number.
@@ -172,8 +186,8 @@ func (a *assembler) feed(frame []byte) (*bcast.CycleBroadcast, error) {
 	default:
 		return nil, fmt.Errorf("netcast: %v frame in a program-mode stream", kind)
 	}
-	b, err := a.chain.decode(frame)
-	if errors.Is(err, errBrokenChain) {
+	b, err := a.chain.Decode(frame)
+	if errors.Is(err, ErrBrokenChain) {
 		// Skip the occurrence; a full refresh will restore the chain.
 		return nil, nil
 	}
@@ -257,7 +271,7 @@ type SelectiveTuner struct {
 	// on queue overflow while ReadObject runs.
 	listened, dozed, misses atomic.Int64
 
-	chain bucketChain
+	chain BucketChain
 }
 
 // TuneSelective connects a selective tuner to a broadcast address. The
@@ -271,7 +285,7 @@ func TuneSelective(addr string) (*SelectiveTuner, error) {
 		conn:   conn,
 		frames: make(chan []byte, 4096),
 		done:   make(chan struct{}),
-		chain:  bucketChain{},
+		chain:  BucketChain{},
 	}
 	go t.pump()
 	return t, nil
@@ -362,7 +376,7 @@ func (t *SelectiveTuner) ReadObject(obj int) (*wire.Bucket, error) {
 		}
 		switch wire.KindOf(frame) {
 		case wire.KindBucket:
-			b, derr := t.chain.decode(frame)
+			b, derr := t.chain.Decode(frame)
 			if derr == nil && b.Obj == obj {
 				return b, nil // lucky probe
 			}
@@ -401,9 +415,9 @@ func (t *SelectiveTuner) ReadObject(obj int) (*wire.Bucket, error) {
 			t.misses.Add(1)
 			continue
 		}
-		b, err := t.chain.decode(frame)
+		b, err := t.chain.Decode(frame)
 		if err != nil {
-			if errors.Is(err, errBrokenChain) {
+			if errors.Is(err, ErrBrokenChain) {
 				t.misses.Add(1) // wait for the object's next full refresh
 				continue
 			}

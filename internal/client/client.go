@@ -60,7 +60,8 @@ type Config struct {
 	// Eviction is least-recently-cached.
 	CacheSize int
 	// Store, when non-nil, is the persistent quasi-cache tier (DESIGN.md
-	// §13): every cache mutation writes through to it, and at New the
+	// §13): every cache mutation reaches its inventory, logged at each
+	// cycle edge (AwaitCycle's expiry flushes it), and at New the
 	// store's recovered inventory seeds the cache — revalidated against
 	// the first control snapshot heard off the air before anything is
 	// served. Requires CacheCurrency > 0. Under grouped control, entries

@@ -12,6 +12,7 @@ import (
 	"broadcastcc/internal/protocol"
 	"broadcastcc/internal/qcache"
 	"broadcastcc/internal/server"
+	"broadcastcc/internal/wire"
 )
 
 // newPersistentPair builds a server and a caching client backed by a
@@ -94,12 +95,15 @@ func TestPersistentCacheSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestCacheFlushesAtCycleEdge: misses inside a cycle only buffer their
-// records — the log on disk does not grow — and the next cycle's arrival
-// writes them, so a process abandoned after it recovers every entry.
+// TestCacheFlushesAtCycleEdge: a cycle's misses and evictions only
+// reach the store's inventory — the log on disk does not grow, though
+// their records would fill the store's 8 KiB buffer several times over —
+// and the next cycle's arrival logs them, so a process abandoned after
+// it recovers exactly the cache's inventory at that edge.
 func TestCacheFlushesAtCycleEdge(t *testing.T) {
+	const n, size = 64, 48
 	dir := t.TempDir()
-	srv, c, _ := newPersistentPair(t, protocol.FMatrix, 4, dir, Config{})
+	srv, c, _ := newPersistentPair(t, protocol.FMatrix, n, dir, Config{CacheSize: size})
 	commitWrite(t, srv, 0, "alpha")
 	srv.StartCycle()
 	c.AwaitCycle()
@@ -114,27 +118,48 @@ func TestCacheFlushesAtCycleEdge(t *testing.T) {
 		return n
 	}
 	before := logBytes()
-	txn := c.BeginReadOnly()
-	for _, obj := range []int{0, 1, 2} {
-		if _, err := txn.Read(obj); err != nil {
-			t.Fatalf("read %d: %v", obj, err)
+	// Two passes in object order through a least-recently-cached cache
+	// smaller than the database miss on every read.
+	for pass := 0; pass < 2; pass++ {
+		for lo := 0; lo < n; lo += 16 {
+			txn := c.BeginReadOnly()
+			for obj := lo; obj < lo+16; obj++ {
+				if _, err := txn.Read(obj); err != nil {
+					t.Fatalf("read %d: %v", obj, err)
+				}
+			}
+			txn.Commit()
 		}
 	}
-	txn.Commit()
+	st := c.Stats()
+	misses := st.Reads - st.CacheHits
+	put := 4 + wire.CacheRecordSize(wire.CacheRecord{Kind: wire.CachePut, Value: make([]byte, 8), Col: make([]cmatrix.Cycle, n)})
+	del := 4 + wire.CacheRecordSize(wire.CacheRecord{Kind: wire.CacheDelete})
+	if encoded := misses*int64(put) + (misses-size)*int64(del); misses < 100 || encoded < 40<<10 {
+		t.Fatalf("degenerate cycle: %d misses, %d bytes of records", misses, encoded)
+	}
 	if after := logBytes(); after != before {
 		t.Fatalf("the log grew from %d to %d bytes inside a cycle", before, after)
 	}
 	srv.StartCycle()
 	c.AwaitCycle()
 	// No Close: a cold open of the same directory sees what the cycle
-	// edge wrote.
+	// edge wrote, which is what the cache holds.
 	re, err := qcache.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if inv := re.Inventory(); len(inv) != 3 || string(inv[0].Value) != "alpha" {
-		t.Fatalf("cold reopen after the cycle edge recovered %d entries (%v), want 3", len(inv), inv)
+	inv := re.Inventory()
+	if len(inv) != size || c.cache.Len() != size {
+		t.Fatalf("cold reopen after the cycle edge recovered %d entries, the cache holds %d; want %d", len(inv), c.cache.Len(), size)
+	}
+	for obj := n - size; obj < n; obj++ {
+		value, cycle, snap, ok := c.cache.Get(obj, c.Current().Number)
+		col, isCol := snap.(protocol.ColumnSnapshot)
+		if e, found := inv[obj]; !ok || !found || !isCol || e.Cycle != cycle || string(e.Value) != string(value) || !reflect.DeepEqual(e.Col, col.Col) {
+			t.Fatalf("object %d: recovered %+v (%v), the cache holds %q @%d %v (%v)", obj, e, found, value, cycle, snap, ok)
+		}
 	}
 }
 

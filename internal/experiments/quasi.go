@@ -27,8 +27,8 @@ import (
 //   - memory-cache: the in-memory quasi-cache alone. A mid-run kill -9
 //     loses the whole inventory; the restarted client re-listens for
 //     everything.
-//   - persistent-cache: the same cache write-through to the qcache disk
-//     tier. After the same kill -9 the restarted client revalidates its
+//   - persistent-cache: the same cache backed by the qcache disk tier.
+//     After the same kill -9 the restarted client revalidates its
 //     recovered inventory off the air — no data frame is re-listened
 //     for an entry that is still within its bound.
 //
@@ -41,9 +41,9 @@ import (
 // QuasiConfig shapes a QuasiCurrency run. The zero value means the
 // full-size run (n = 256, 240 cycles, 24 clients); tests shrink
 // Objects, Cycles, Clients and CurrencyBounds. Every client is killed
-// (kill -9: no shutdown, no flush beyond the write-through) after cycle
-// Cycles/2 and restarted from its store, kept in a temp directory that
-// is removed when the run ends.
+// (no shutdown; its store is closed, which logs what the next cycle
+// edge would have) after cycle Cycles/2 and restarted from its store,
+// kept in a temp directory that is removed when the run ends.
 type QuasiConfig struct {
 	// Objects is the database size n.
 	Objects int

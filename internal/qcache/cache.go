@@ -11,9 +11,9 @@ import (
 // client and the simulator: per object a value, the cycle it was cached
 // in and the control information retained to validate it, served while
 // the entry is within its currency bound. Eviction is
-// least-recently-cached. With a Store attached every mutation writes
-// through, so the store's inventory tracks the in-memory one record for
-// record, and the disk catches up at every Expire. A snapshot handed to
+// least-recently-cached. With a Store attached every mutation reaches
+// the store's inventory, which tracks the in-memory one entry for entry;
+// the store logs them behind, at every Expire. A snapshot handed to
 // Put is never modified and is returned by Get as the same interface
 // value, so a validator may retain it and a hit allocates nothing. Not
 // safe for concurrent use.
@@ -42,8 +42,8 @@ type cacheEntry struct {
 
 // Init configures an empty cache: at most max entries (0 = unlimited),
 // currencyOf(obj) the bound T in cycles an entry of obj may be served
-// for, store the optional write-through tier, and onStoreErr called
-// once per record the store refused and once per failed flush (the
+// for, store the optional persistent tier, and onStoreErr called once
+// per record the store refused, at the flush that failed to log it (the
 // in-memory cache stays authoritative). It must be called once, before
 // any other method.
 func (c *Cache) Init(max int, currencyOf func(obj int) cmatrix.Cycle, store *Store, onStoreErr func()) {
@@ -136,7 +136,7 @@ func (c *Cache) put(obj int, value []byte, cycle cmatrix.Cycle, snap protocol.Sn
 	e.prev.next, c.order.prev = e, e
 	if persist && c.store != nil {
 		if col, ok := storedColumn(snap); ok {
-			c.storeErr(c.store.put(obj, value, cycle, col))
+			c.storeErr(c.store.set(obj, Entry{Value: value, Cycle: cycle, Col: col}, true))
 		}
 	}
 }
@@ -163,7 +163,10 @@ func (c *Cache) Expire(now cmatrix.Cycle) (kept, dropped int64) {
 		e = next
 	}
 	if c.store != nil {
-		c.storeErr(c.store.Flush())
+		lost, _ := c.store.flush() // lost covers the error; ErrClosed was counted per mutation
+		for ; lost > 0 && c.onStoreErr != nil; lost-- {
+			c.onStoreErr()
+		}
 	}
 	return int64(len(c.entries)), dropped
 }

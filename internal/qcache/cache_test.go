@@ -153,7 +153,7 @@ func TestCacheSnapshotNotReboxed(t *testing.T) {
 }
 
 // TestCacheTracksStore runs a seeded random operation sequence against
-// a write-through cache and requires the store's inventory to equal the
+// a cache with a store and requires the store's inventory to equal the
 // cache's contents record for record throughout, and a reopened store
 // to recover the same set.
 func TestCacheTracksStore(t *testing.T) {
@@ -292,12 +292,14 @@ func BenchmarkCacheCycle(b *testing.B) {
 }
 
 // TestCacheFailingStore: once the store's write budget runs out, every
-// record it fails to write is reported exactly once and the in-memory
-// cache carries on unharmed.
+// record a flush fails to log is reported exactly once, at that flush;
+// the in-memory cache, and the store's inventory that tracks it, carry
+// on unharmed, and a cold open recovers exactly what was written whole.
 func TestCacheFailingStore(t *testing.T) {
 	value, col := []byte("value"), []cmatrix.Cycle{1, 2, 3}
 	recLen := int64(4 + wire.CacheRecordSize(wire.CacheRecord{Kind: wire.CachePut, Obj: 0, Cycle: 1, Value: value, Col: col}))
-	store, err := OpenOptions(t.TempDir(), Options{WriteBudget: 2*recLen + recLen/2})
+	dir := t.TempDir()
+	store, err := OpenOptions(dir, Options{WriteBudget: 2*recLen + recLen/2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,15 +311,21 @@ func TestCacheFailingStore(t *testing.T) {
 	for obj := 0; obj < 5; obj++ {
 		c.Put(obj, value, 1, colSnap(obj, col...))
 	}
+	if failed != 0 {
+		t.Fatalf("store errors before the cycle edge = %d, want 0", failed)
+	}
+	c.Expire(1)
 	if failed != 3 { // record 2 torn at the budget, 3 and 4 refused
-		t.Fatalf("store errors after 5 puts = %d, want 3", failed)
+		t.Fatalf("store errors after the first flush = %d, want 3", failed)
 	}
 	c.Remove(0) // its tombstone cannot be written either
-	c.Remove(4) // never reached the store: nothing to write, nothing to fail
+	c.Remove(4) // never reached the log: nothing to write, nothing to fail
+	c.Expire(1)
 	if failed != 4 {
-		t.Fatalf("store errors after the removes = %d, want 4", failed)
+		t.Fatalf("store errors after the removes' flush = %d, want 4", failed)
 	}
-	if got, _ := contents(t, c); !reflect.DeepEqual(got, []int{1, 2, 3}) {
+	got, inv := contents(t, c)
+	if !reflect.DeepEqual(got, []int{1, 2, 3}) {
 		t.Fatalf("in-memory cache holds %v, want [1 2 3]", got)
 	}
 	for _, obj := range []int{1, 2, 3} {
@@ -325,7 +333,12 @@ func TestCacheFailingStore(t *testing.T) {
 			t.Fatalf("object %d: Get = %q @%d %v", obj, v, cycle, ok)
 		}
 	}
-	if inv := store.Inventory(); len(inv) != 2 {
-		t.Fatalf("store inventory has %d entries, want the 2 that were durably written", len(inv))
+	sameInventory(t, store.Inventory(), inv)
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer re.Close()
+	durable := Entry{Value: value, Cycle: 1, Col: col}
+	sameInventory(t, re.Inventory(), map[int]Entry{0: durable, 1: durable})
 }

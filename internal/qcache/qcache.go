@@ -6,16 +6,18 @@
 // hears instead of re-reading the database off the air.
 //
 // The store is an append-only log of length-framed, CRC-32C-checksummed
-// BCQ1 records in numbered segment files. A mutation encodes a record
-// into a buffer that Flush writes in one write: once per cycle (from
-// Cache.Expire), when full, and on rotate, Sync and Close. A crash loses
-// at most the records put since the last flush: recovery replays
-// segments in order, later records superseding earlier ones, and
-// truncates each at its first torn or corrupt record, so the recovered
-// inventory is a prefix of what was put. Compaction writes the live
-// inventory into a fresh segment via tmp + fsync + rename (atomic on
-// POSIX), then removes the superseded segments; a crash at any point
-// leaves either the old or the new segment set, never a mix.
+// BCQ1 records in numbered segment files, written behind: a mutation
+// only updates the in-memory inventory and marks its object dirty, and
+// Flush logs each dirty object's final state once, in first-mutation
+// order — once per cycle (from Cache.Expire), and in Sync, Close and
+// Compact. A crash loses at most what was mutated since the last flush:
+// recovery replays segments in order, later records superseding earlier
+// ones, and truncates each at its first torn or corrupt record, so the
+// recovered inventory is the last flush's, updated by a prefix of the
+// next batch. Compaction writes the live inventory into a fresh segment
+// via tmp + fsync + rename (atomic on POSIX), then removes the
+// superseded segments; a crash at any point leaves either the old or the
+// new segment set, never a mix.
 package qcache
 
 import (
@@ -69,9 +71,9 @@ type Options struct {
 	MaxSegmentBytes int64
 	// WriteBudget, when positive, is a failpoint: the store may write
 	// at most this many bytes in total, byte-exactly — the record that
-	// crosses the budget is cut at the boundary and its mutation fails,
-	// and every later one fails immediately. It simulates a kill -9 at
-	// an arbitrary byte offset for the crash-recovery test matrix.
+	// crosses the budget is cut at the boundary, the flush logging it
+	// fails, and every later record is refused. It simulates a kill -9
+	// at an arbitrary byte offset for the crash-recovery test matrix.
 	WriteBudget int64
 }
 
@@ -84,9 +86,20 @@ type Store struct {
 	seg    int    // active segment index
 	size   int64  // bytes appended to the active segment, buffered included
 	buf    []byte // framed records not yet written; cap bufBytes unless a larger record grew it
-	inv    map[int]Entry
-	budget int64 // remaining failpoint bytes
+	inv    map[int]*slot
+	dirty  []*slot // slots mutated since the last flush, in first-mutation order
+	budget int64   // remaining failpoint bytes
 	closed bool
+}
+
+// slot is one object's place in the inventory. It outlives its entry
+// until the next Compact, so an object that returns allocates nothing.
+type slot struct {
+	Entry
+	obj    int
+	live   bool // the inventory holds Entry for obj
+	logged bool // the log, replayed, holds a put for obj
+	dirty  bool // on Store.dirty
 }
 
 // Open recovers (or creates) a store in dir with default options.
@@ -100,7 +113,7 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("qcache: %w", err)
 	}
-	s := &Store{dir: dir, opts: opts, buf: make([]byte, 0, bufBytes), inv: map[int]Entry{}, budget: math.MaxInt64}
+	s := &Store{dir: dir, opts: opts, buf: make([]byte, 0, bufBytes), inv: map[int]*slot{}, budget: math.MaxInt64}
 	if opts.WriteBudget > 0 {
 		s.budget = opts.WriteBudget
 	}
@@ -130,7 +143,7 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 				return nil, fmt.Errorf("qcache: truncating torn tail: %w", err)
 			}
 		}
-		s.seg = seg
+		s.seg, s.size = seg, int64(valid)
 	}
 	if len(segs) == 0 {
 		s.seg = 1
@@ -139,12 +152,7 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("qcache: %w", err)
 	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("qcache: %w", err)
-	}
-	s.f, s.size = f, st.Size()
+	s.f = f
 	return s, nil
 }
 
@@ -176,7 +184,7 @@ func RecoverSegment(data []byte) (recs []wire.CacheRecord, valid int) {
 func (s *Store) apply(rec wire.CacheRecord) {
 	switch rec.Kind {
 	case wire.CachePut:
-		s.inv[rec.Obj] = Entry{Value: rec.Value, Cycle: rec.Cycle, Col: rec.Col}
+		s.inv[rec.Obj] = &slot{Entry: Entry{Value: rec.Value, Cycle: rec.Cycle, Col: rec.Col}, obj: rec.Obj, live: true, logged: true}
 	case wire.CacheDelete:
 		delete(s.inv, rec.Obj)
 	}
@@ -185,39 +193,68 @@ func (s *Store) apply(rec wire.CacheRecord) {
 // Put records obj as cached: value, caching cycle, and the control
 // column retained for validation. The store keeps copies of both.
 func (s *Store) Put(obj int, value []byte, cycle cmatrix.Cycle, col []cmatrix.Cycle) error {
-	return s.put(obj, append([]byte(nil), value...), cycle, append([]cmatrix.Cycle(nil), col...))
-}
-
-// put is Put keeping value and col themselves: the Cache hands over its
-// own, which nothing modifies.
-func (s *Store) put(obj int, value []byte, cycle cmatrix.Cycle, col []cmatrix.Cycle) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if err := s.append(wire.CacheRecord{Kind: wire.CachePut, Obj: obj, Cycle: cycle, Value: value, Col: col}); err != nil {
-		return err
-	}
-	s.inv[obj] = Entry{Value: value, Cycle: cycle, Col: col}
-	return nil
+	return s.set(obj, Entry{Value: append([]byte(nil), value...), Cycle: cycle, Col: append([]cmatrix.Cycle(nil), col...)}, true)
 }
 
 // Delete records obj as evicted.
-func (s *Store) Delete(obj int) error {
+func (s *Store) Delete(obj int) error { return s.set(obj, Entry{}, false) }
+
+// set makes e obj's entry, keeping e's slices themselves (the Cache
+// hands over its own, which nothing modifies), or drops obj's entry if
+// !live, and marks obj for the next flush. It encodes and writes nothing.
+func (s *Store) set(obj int, e Entry, live bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if _, ok := s.inv[obj]; !ok {
+	sl := s.inv[obj]
+	if sl == nil && live {
+		sl = &slot{obj: obj}
+		s.inv[obj] = sl
+	}
+	if sl == nil || !sl.live && !live {
 		return nil
 	}
-	if err := s.append(wire.CacheRecord{Kind: wire.CacheDelete, Obj: obj}); err != nil {
-		return err
+	sl.Entry, sl.live = e, live
+	if !sl.dirty {
+		sl.dirty, s.dirty = true, append(s.dirty, sl)
 	}
-	delete(s.inv, obj)
 	return nil
+}
+
+// drain logs the final state of every object mutated since the last
+// drain, in first-mutation order — a put if it is live, a delete if it
+// is gone and the log holds a put for it, nothing if it came and went —
+// and writes the buffer out. It reports the first error and how many
+// records it refused: the one it failed on and each one after it, not
+// retried, or 1 if only the last write failed.
+func (s *Store) drain() (lost int, err error) {
+	for _, sl := range s.dirty {
+		sl.dirty = false
+		if !sl.live && !sl.logged {
+			continue // came and went
+		}
+		rec := wire.CacheRecord{Kind: wire.CacheDelete, Obj: sl.obj}
+		if sl.live {
+			rec = wire.CacheRecord{Kind: wire.CachePut, Obj: sl.obj, Cycle: sl.Cycle, Value: sl.Value, Col: sl.Col}
+		}
+		if err == nil {
+			err = s.append(rec)
+		}
+		if err != nil {
+			lost++
+			continue
+		}
+		sl.logged = sl.live
+	}
+	s.dirty = s.dirty[:0]
+	if err == nil {
+		if err = s.write(s.f); err != nil {
+			lost++
+		}
+	}
+	return lost, err
 }
 
 // append buffers one record for the active segment, rotating first
@@ -266,15 +303,18 @@ func (s *Store) write(f *os.File) error {
 	return err
 }
 
-// Flush writes the records buffered since the last flush to the active
+// Flush logs what was mutated since the last flush to the active
 // segment: the durability point, reached once per cycle by Cache.Expire.
-func (s *Store) Flush() error {
+func (s *Store) Flush() error { _, err := s.flush(); return err }
+
+// flush is Flush reporting, too, how many records it failed to log.
+func (s *Store) flush() (lost int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return ErrClosed
+		return 0, ErrClosed
 	}
-	return s.write(s.f)
+	return s.drain()
 }
 
 // rotate opens the next segment for appending.
@@ -298,8 +338,10 @@ func (s *Store) rotate() error {
 func (s *Store) Get(obj int) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.inv[obj]
-	return e, ok
+	if sl := s.inv[obj]; sl != nil && sl.live {
+		return sl.Entry, true
+	}
+	return Entry{}, false
 }
 
 // Inventory returns a copy of the live entries keyed by object id.
@@ -307,18 +349,16 @@ func (s *Store) Inventory() map[int]Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make(map[int]Entry, len(s.inv))
-	for obj, e := range s.inv {
-		out[obj] = e
+	for obj, sl := range s.inv {
+		if sl.live {
+			out[obj] = sl.Entry
+		}
 	}
 	return out
 }
 
 // Len reports the number of live entries.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.inv)
-}
+func (s *Store) Len() int { return len(s.Inventory()) }
 
 // Segments reports the number of segment files (for tests and
 // compaction heuristics).
@@ -339,18 +379,20 @@ func (s *Store) Compact() error {
 		return ErrClosed
 	}
 	// Flush first: a failed compaction leaves the old segments complete.
-	if err := s.write(s.f); err != nil {
+	if _, err := s.drain(); err != nil {
 		return err
 	}
 	next := s.seg + 1
-	tmpPath := filepath.Join(s.dir, segName(next)+".tmp")
-	tmp, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	path := filepath.Join(s.dir, segName(next))
+	tmp, err := os.OpenFile(path+".tmp", os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("qcache: %w", err)
 	}
 	objs := make([]int, 0, len(s.inv))
-	for obj := range s.inv {
-		objs = append(objs, obj)
+	for obj, sl := range s.inv {
+		if sl.live {
+			objs = append(objs, obj)
+		}
 	}
 	sort.Ints(objs)
 	var size int64
@@ -359,45 +401,48 @@ func (s *Store) Compact() error {
 		n, err = s.add(tmp, wire.CacheRecord{Kind: wire.CachePut, Obj: objs[i], Cycle: e.Cycle, Value: e.Value, Col: e.Col})
 		size += int64(n)
 	}
-	if err = cmp.Or(err, s.write(tmp), tmp.Sync(), tmp.Close()); err != nil {
-		os.Remove(tmpPath)
-		return err
+	if err = cmp.Or(err, s.write(tmp), tmp.Sync()); err == nil {
+		err = os.Rename(path+".tmp", path)
 	}
-	if err := os.Rename(tmpPath, filepath.Join(s.dir, segName(next))); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("qcache: %w", err)
-	}
-	old, err := listSegments(s.dir)
 	if err != nil {
+		tmp.Close()
+		os.Remove(path + ".tmp")
 		return err
 	}
+	// The compaction file's own descriptor is the active segment from
+	// here on: nothing reopens after the rename, so no failure can leave
+	// appends going to a superseded segment, which Open replays first.
+	// Removing those is best-effort.
 	s.f.Close()
+	s.f, s.seg, s.size = tmp, next, size
+	for obj, sl := range s.inv {
+		if sl.logged = sl.live; !sl.live {
+			delete(s.inv, obj)
+		}
+	}
+	old, _ := listSegments(s.dir)
 	for _, seg := range old {
 		if seg < next {
 			os.Remove(filepath.Join(s.dir, segName(seg)))
 		}
 	}
-	f, err := os.OpenFile(filepath.Join(s.dir, segName(next)), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("qcache: %w", err)
-	}
-	s.f, s.seg, s.size = f, next, size
 	return nil
 }
 
-// Sync flushes the buffer and the active segment to stable storage.
+// Sync flushes the store and syncs the active segment to stable storage.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	return cmp.Or(s.write(s.f), s.f.Sync())
+	_, err := s.drain()
+	return cmp.Or(err, s.f.Sync())
 }
 
 // Close flushes, syncs and closes the store, reporting the first error:
-// a failed flush lost the buffered tail. The store stays recoverable —
-// Close is a convenience, not a durability requirement.
+// a failed flush lost (part of) the last batch. The store stays
+// recoverable — Close is a convenience, not a durability requirement.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -405,7 +450,8 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	return cmp.Or(s.write(s.f), s.f.Sync(), s.f.Close())
+	_, err := s.drain()
+	return cmp.Or(err, s.f.Sync(), s.f.Close())
 }
 
 // Dir returns the store's directory.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -123,7 +124,8 @@ func TestStoreRoundTrip(t *testing.T) {
 // writer kills the store at every byte boundary of the record stream,
 // and recovery must yield exactly the inventory of the longest valid
 // record prefix — never a torn record, never a lost durable one. Every
-// mutation is flushed, Flush being the durability point.
+// mutation is flushed, Flush being the durability point — and the call
+// the crash surfaces in, since a mutation writes nothing.
 func TestCrashAtEveryByte(t *testing.T) {
 	muts := script(2, 12, 5)
 	// First, measure each record's framed length by writing unbounded.
@@ -135,6 +137,9 @@ func TestCrashAtEveryByte(t *testing.T) {
 	var prev int64
 	for i, m := range muts {
 		if err := apply(t, full, m); err != nil {
+			t.Fatal(err)
+		}
+		if err := full.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		sizes[i] = full.size - prev
@@ -156,10 +161,10 @@ func TestCrashAtEveryByte(t *testing.T) {
 		}
 		for _, m := range muts {
 			if err := apply(t, s, m); err != nil {
-				break // the crash
+				t.Fatalf("budget %d: mutation: %v", budget, err)
 			}
 			if err := s.Flush(); err != nil {
-				t.Fatalf("budget %d: flush: %v", budget, err)
+				break // the crash
 			}
 		}
 		// No Close: the process died. Reopen cold.
@@ -195,59 +200,163 @@ func TestCrashAtEveryByte(t *testing.T) {
 	}
 }
 
-// TestCrashLosesOnlyUnflushedTail states the buffered contract: a store
-// abandoned without Close recovers the inventory of a prefix of what was
-// put that reaches at least the last Flush — exactly the last Flush
-// while the buffer never filled after it.
+// flushBatch models what a flush logs for the mutations made since the
+// previous one, flushed being that flush's inventory: one record per
+// object the mutations changed, in first-mutation order — its final
+// entry if it is cached, a delete if it is gone but was flushed, nothing
+// if it came and went.
+func flushBatch(flushed map[int]Entry, muts []mutation) []wire.CacheRecord {
+	cur := maps.Clone(flushed)
+	var order []int
+	seen := map[int]bool{}
+	for _, m := range muts {
+		if _, ok := cur[m.obj]; m.del && !ok {
+			continue // deleting an absent object changes nothing
+		}
+		if m.del {
+			delete(cur, m.obj)
+		} else {
+			cur[m.obj] = Entry{Value: m.value, Cycle: m.cycle, Col: m.col}
+		}
+		if !seen[m.obj] {
+			seen[m.obj] = true
+			order = append(order, m.obj)
+		}
+	}
+	var recs []wire.CacheRecord
+	for _, obj := range order {
+		if e, ok := cur[obj]; ok {
+			recs = append(recs, wire.CacheRecord{Kind: wire.CachePut, Obj: obj, Cycle: e.Cycle, Value: e.Value, Col: e.Col})
+		} else if _, ok := flushed[obj]; ok {
+			recs = append(recs, wire.CacheRecord{Kind: wire.CacheDelete, Obj: obj})
+		}
+	}
+	return recs
+}
+
+// crashRun applies muts to a fresh store with the given failpoint budget
+// (0 = none), flushing after each mutation count listed in flushes until
+// a flush fails, and abandons the store without Close. It returns what a
+// cold open recovers, how many flushes succeeded, and the bytes the
+// segments held when the store was abandoned.
+func crashRun(t *testing.T, muts []mutation, flushes []int, budget int64) (map[int]Entry, int, int64) {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := OpenOptions(dir, Options{WriteBudget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := 0
+	for i, m := range muts {
+		if err := apply(t, s, m); err != nil {
+			t.Fatal(err)
+		}
+		if done < len(flushes) && flushes[done] == i+1 {
+			if s.Flush() != nil {
+				break // the crash
+			}
+			done++
+		}
+	}
+	s.f.Close() // abandoned: no Close, no final flush
+	var logged int64
+	segs, _ := filepath.Glob(filepath.Join(dir, segPrefix+"*"))
+	for _, seg := range segs {
+		if st, err := os.Stat(seg); err == nil {
+			logged += st.Size()
+		}
+	}
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	return re.Inventory(), done, logged
+}
+
+// TestCrashLosesOnlyUnflushedTail states the write-behind contract. A
+// store abandoned between flushes recovers exactly the inventory of its
+// last flush. A store torn inside a flush's batch — a WriteBudget cut at
+// a random byte of it — recovers the last flush's inventory updated by
+// the batch's records that fit the budget whole, in batch order.
 func TestCrashLosesOnlyUnflushedTail(t *testing.T) {
-	exact, overflowed := 0, 0
+	lostTail, torn := 0, 0
 	for seed := int64(1); seed <= 20; seed++ {
-		// 5 columns keep a record near 80 bytes, 60 near 520: a gap of 16
-		// or more records between flushes overflows the buffer.
+		// 5 columns keep a record near 80 bytes, 60 near 520: a batch of
+		// 16 or more records spills the buffer in the middle of its flush.
 		for _, objects := range []int{5, 60} {
 			muts := script(seed, 200, objects)
 			rng := rand.New(rand.NewSource(seed))
-			dir := t.TempDir()
-			s, err := Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lastFlush, flushedSize := 0, int64(0)
-			for i, m := range muts {
-				if err := apply(t, s, m); err != nil {
-					t.Fatal(err)
-				}
+			var flushes []int // mutation counts after which the schedule flushes
+			for i := range muts {
 				if rng.Float64() < 0.05 {
-					if err := s.Flush(); err != nil {
-						t.Fatal(err)
-					}
-					lastFlush, flushedSize = i+1, s.size
+					flushes = append(flushes, i+1)
 				}
 			}
-			s.f.Close() // abandoned: no Close, no final flush
-			re, err := Open(dir)
-			if err != nil {
-				t.Fatal(err)
+			// The model: each flush's records and their framed sizes.
+			batches, sizes := make([][]wire.CacheRecord, len(flushes)), make([][]int64, len(flushes))
+			last, total := 0, int64(0)
+			for k, f := range flushes {
+				batches[k] = flushBatch(replay(muts, last), muts[last:f])
+				for _, rec := range batches[k] {
+					sizes[k] = append(sizes[k], int64(4+wire.CacheRecordSize(rec)))
+					total += sizes[k][len(sizes[k])-1]
+				}
+				last = f
 			}
-			got := re.Inventory()
-			re.Close()
-			if s.size-flushedSize <= bufBytes {
-				exact++
-				sameInventory(t, got, replay(muts, lastFlush))
-				continue
+
+			got, done, logged := crashRun(t, muts, flushes, 0)
+			if done != len(flushes) || logged != total {
+				t.Fatalf("seed %d, %d objects: %d of %d flushes logged %d bytes, the batches hold %d", seed, objects, done, len(flushes), logged, total)
 			}
-			overflowed++
-			k := lastFlush
-			for k <= len(muts) && !equalInventory(got, replay(muts, k)) {
-				k++
+			sameInventory(t, got, replay(muts, last))
+			if !equalInventory(got, replay(muts, len(muts))) {
+				lostTail++
 			}
-			if k > len(muts) {
-				t.Fatalf("seed %d, %d objects: recovered inventory is no prefix from the last flush (%d) on", seed, objects, lastFlush)
+
+			// Tear one flush that logs two or more records, from a random
+			// one on, at a random byte inside its batch.
+			var written int64
+			for k := range flushes {
+				var batch int64
+				for _, n := range sizes[k] {
+					batch += n
+				}
+				if len(batches[k]) < 2 || k < rng.Intn(len(flushes)) {
+					written += batch
+					continue
+				}
+				cut := 1 + rng.Int63n(batch-1)
+				want, whole := map[int]Entry{}, 0
+				if k > 0 {
+					want = replay(muts, flushes[k-1])
+				}
+				for used := sizes[k][0]; used <= cut; used += sizes[k][whole] {
+					rec := batches[k][whole]
+					if rec.Kind == wire.CacheDelete {
+						delete(want, rec.Obj)
+					} else {
+						want[rec.Obj] = Entry{Value: rec.Value, Cycle: rec.Cycle, Col: rec.Col}
+					}
+					whole++
+				}
+				got, done, _ := crashRun(t, muts, flushes, written+cut)
+				if done != k {
+					t.Fatalf("seed %d, %d objects: the cut in flush %d failed flush %d", seed, objects, k, done)
+				}
+				if !equalInventory(got, want) {
+					t.Fatalf("seed %d, %d objects, cut %d of %d batch bytes: recovered %+v, want the last flush's inventory plus the first %d of %d records: %+v",
+						seed, objects, cut, batch, got, whole, len(batches[k]), want)
+				}
+				if whole > 0 {
+					torn++
+				}
+				break
 			}
 		}
 	}
-	if exact == 0 || overflowed == 0 {
-		t.Fatalf("degenerate schedule: %d runs without overflow, %d with", exact, overflowed)
+	if lostTail == 0 || torn == 0 {
+		t.Fatalf("degenerate schedule: %d abandoned runs lost an unflushed tail, %d torn runs kept part of their batch", lostTail, torn)
 	}
 }
 
@@ -267,11 +376,12 @@ func TestCloseReportsLostTail(t *testing.T) {
 	}
 }
 
-// TestStoreAppendAllocs pins the steady-state write path: an exported
-// Put allocates only the inventory's copies of value and column; a miss
-// through Cache.Put, which hands the store the cache's own slices, a
-// Delete, a Flush and a Cache.Expire that evicts and flushes allocate
-// nothing.
+// TestStoreAppendAllocs pins the write-behind path: a mutation through
+// Cache.Put (a miss, evicting at the cap, which hands the store the
+// cache's own slices) or Store.Delete allocates nothing, nor does a
+// steady-state Flush — the dirty list is reused — or a Cache.Expire
+// that evicts and flushes; an exported Put allocates only the
+// inventory's copies of value and column.
 func TestStoreAppendAllocs(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -279,6 +389,10 @@ func TestStoreAppendAllocs(t *testing.T) {
 	}
 	defer s.Close()
 	value, col := make([]byte, 64), make([]cmatrix.Cycle, 64)
+	for obj := 0; obj < 48; obj++ {
+		s.Put(obj, value, 1, col)
+	}
+	s.Flush()
 	obj := 0
 	if allocs := testing.AllocsPerRun(200, func() {
 		s.Put(obj%48, value, 1, col)
@@ -295,22 +409,35 @@ func TestStoreAppendAllocs(t *testing.T) {
 	for o := 0; o < 4*64; o++ {
 		mc.Put(o%64, value, 1, snaps[o%64])
 	}
+	s.Flush()
 	if allocs := testing.AllocsPerRun(200, func() {
 		mc.Put(obj%64, value, 1, snaps[obj%64]) // a miss: 48 entries over 64 objects
 		obj++
 	}); allocs != 0 {
 		t.Fatalf("a miss through Cache.Put allocates %.1f times, want 0", allocs)
 	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		for i := 0; i < 32; i++ {
+			mc.Put(obj%64, value, 1, snaps[obj%64])
+			obj++
+		}
+		s.Flush()
+	}); allocs != 0 {
+		t.Fatalf("32 misses and a Flush allocate %.1f times, want 0", allocs)
+	}
 	for obj := 0; obj < 400; obj++ {
 		s.Put(obj, value, 1, col)
 	}
+	s.Flush()
 	obj = 0
-	if allocs := testing.AllocsPerRun(200, func() {
-		s.Delete(obj)
+	if allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 20; i++ {
+			s.Delete(obj)
+			obj++
+		}
 		s.Flush()
-		obj++
 	}); allocs != 0 {
-		t.Fatalf("Delete + Flush allocates %.1f times", allocs)
+		t.Fatalf("20 deletes and their Flush allocate %.1f times", allocs)
 	}
 
 	// Entry i is cached at cycle i; at cycle 1001+k the currency bound
@@ -434,6 +561,9 @@ func TestRecoverSegmentLongestPrefix(t *testing.T) {
 	}
 }
 
+// TestSegmentRotationAndCompaction: a batch writes nothing until its
+// flush, which rotates the active segment as it drains; compaction
+// folds every segment into one, which later appends extend.
 func TestSegmentRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenOptions(dir, Options{MaxSegmentBytes: 256})
@@ -446,8 +576,14 @@ func TestSegmentRotationAndCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if n, _ := s.Segments(); n != 1 || s.size != 0 {
+		t.Fatalf("before the flush: %d segments, %d bytes; want 1 empty segment", n, s.size)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	if n, _ := s.Segments(); n < 2 {
-		t.Fatalf("expected rotation to produce multiple segments, got %d", n)
+		t.Fatalf("expected the flush to rotate into multiple segments, got %d", n)
 	}
 	want := replay(muts, len(muts))
 	if err := s.Compact(); err != nil {
@@ -469,6 +605,57 @@ func TestSegmentRotationAndCompaction(t *testing.T) {
 	defer re.Close()
 	want[42] = Entry{Value: []byte("after"), Cycle: 99}
 	sameInventory(t, re.Inventory(), want)
+}
+
+// TestCompactLeavesNewestSegmentActive: after Compact the store appends
+// to the compacted segment through the descriptor it wrote it with —
+// the highest-numbered segment, never a superseded one, which Open would
+// replay first and so undo later puts and deletes — and what is mutated
+// and flushed afterwards, across rotations and a second compaction,
+// survives a cold reopen.
+func TestCompactLeavesNewestSegmentActive(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenOptions(dir, Options{MaxSegmentBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := int64(0); round < 3; round++ {
+		for i, m := range script(4+round, 80, 12) {
+			if err := apply(t, s, m); err != nil {
+				t.Fatal(err)
+			}
+			if i%10 == 9 {
+				if err := s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if round == 2 {
+			break
+		}
+		if err := s.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		segs, err := listSegments(dir)
+		if err != nil || len(segs) != 1 || segs[0] != s.seg {
+			t.Fatalf("round %d: segments %v (%v) after Compact, active segment %d", round, segs, err, s.seg)
+		}
+		active, err1 := s.f.Stat()
+		newest, err2 := os.Stat(filepath.Join(dir, segName(segs[0])))
+		if err1 != nil || err2 != nil || !os.SameFile(active, newest) {
+			t.Fatalf("round %d: the active descriptor is not the compacted segment (%v, %v)", round, err1, err2)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	sameInventory(t, re.Inventory(), s.Inventory())
+	s.Close()
 }
 
 // TestOpenIgnoresCompactionTemporaries pins the crash-mid-compaction

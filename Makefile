@@ -25,7 +25,7 @@ hooks-check:
 
 # The worker-pool sweep harness and the copy-on-write column sharing in
 # cmatrix are concurrency/aliasing surface: run those packages (plus the
-# TCP broadcast runtime, the fault layer's listener/proxy goroutines, the
+# TCP broadcast runtime, the fault layer's listener goroutines, the
 # client recovery path, the triple-server conformance harness, the wire
 # codecs the broadcast loop encodes concurrently, the datagram
 # carrier/reassembler goroutines, and the server/protocol state it
@@ -129,7 +129,10 @@ obs-smoke:
 # Boot bcserver with the connectionless datapath, tune one datagram
 # client against it, and assert the client actually received packets
 # (its /metrics shows dgram_packets_rx > 0); catches -udp wiring rot on
-# both binaries end to end over a real UDP socket.
+# both binaries end to end over a real UDP socket. A second, lossy
+# client (-loss/-doze over the datagram tuner) must then finish all its
+# transactions while its /metrics shows client_cycles_missed > 0: the
+# doze path recovers on the next cycle it hears.
 udp-smoke:
 	$(GO) build -o /tmp/bcserver-udp-smoke ./cmd/bcserver
 	$(GO) build -o /tmp/bcclient-udp-smoke ./cmd/bcclient
@@ -145,13 +148,33 @@ udp-smoke:
 			sed -n 's/.*"dgram_packets_rx": \([0-9]*\).*/\1/p'); \
 		if [ -n "$$rx" ] && [ "$$rx" -gt 0 ]; then break; fi; \
 	done; \
-	kill $$cpid $$spid 2>/dev/null; \
+	kill $$cpid 2>/dev/null; wait $$cpid 2>/dev/null; \
+	/tmp/bcclient-udp-smoke -udp 127.0.0.1:17272 -read 0,1 -txns 100 \
+		-loss 0.2 -doze 0.1 -fault-seed 7 -obs-addr 127.0.0.1:17274 >/dev/null & \
+	lpid=$$!; missed=; \
+	for i in $$(seq 1 50); do \
+		sleep 0.2; \
+		m=$$(curl -sf http://127.0.0.1:17274/metrics | \
+			sed -n 's/.*"client_cycles_missed": \([0-9]*\).*/\1/p'); \
+		if [ -n "$$m" ]; then missed=$$m; fi; \
+		kill -0 $$lpid 2>/dev/null || break; \
+	done; \
+	if kill $$lpid 2>/dev/null; then lrc=timeout; else wait $$lpid; lrc=$$?; fi; \
+	kill $$spid 2>/dev/null; \
 	rm -f /tmp/bcserver-udp-smoke /tmp/bcclient-udp-smoke; \
 	if [ -z "$$rx" ] || [ "$$rx" -eq 0 ]; then \
 		echo "udp-smoke: client never saw a datagram (dgram_packets_rx $${rx:-missing})" >&2; \
 		exit 1; \
 	fi; \
-	echo "udp-smoke: ok ($$rx packets received)"
+	if [ "$$lrc" != 0 ]; then \
+		echo "udp-smoke: lossy client did not finish its transactions (exit $$lrc)" >&2; \
+		exit 1; \
+	fi; \
+	if [ -z "$$missed" ] || [ "$$missed" -eq 0 ]; then \
+		echo "udp-smoke: lossy client missed no cycle (client_cycles_missed $${missed:-missing})" >&2; \
+		exit 1; \
+	fi; \
+	echo "udp-smoke: ok ($$rx packets received; lossy client finished, $$missed cycles missed)"
 
 # Boot a 2-shard bcserver fleet, commit a cross-shard write through the
 # coordinator uplink with bcclient -shards, and read it back off both

@@ -194,8 +194,8 @@ func main() {
 	defer tuner.Close()
 
 	// With faults configured, interpose the lossy air between the tuner
-	// and the client; the client recovers by retuning and re-validating
-	// (RetainSnapshots keeps per-read control snapshots across gaps).
+	// and the client. After a gap the next cycle heard is all it needs:
+	// each read is judged by its own cycle's control (R-Matrix included).
 	profile := broadcastcc.FaultProfile{Loss: *loss, Doze: *doze, DozeLen: *dozeLen, Seed: *faultSeed}
 	if err := profile.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -212,10 +212,9 @@ func main() {
 		sub = tuner.Subscribe(64)
 	}
 	ccfg := broadcastcc.ClientConfig{
-		Algorithm:       alg,
-		CacheCurrency:   broadcastcc.Cycle(*cacheT),
-		RetainSnapshots: faulty,
-		Subset:          subset,
+		Algorithm:     alg,
+		CacheCurrency: broadcastcc.Cycle(*cacheT),
+		Subset:        subset,
 	}
 	// The persistent cache tier: recovered inventory seeds the cache and
 	// is revalidated against the first cycle heard off the air, so a

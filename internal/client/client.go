@@ -74,17 +74,6 @@ type Config struct {
 	// their values. The tuner layer is expected to deliver subset cycle
 	// views (wire.SubsetCycle.Broadcast) matching this filter.
 	Subset []int
-	// RetainSnapshots forces the snapshot-retaining validator for every
-	// transaction even without a cache — the doze-recovery mode: a
-	// transaction that spans a reception gap keeps the control snapshot
-	// of each read it performed, so when the client retunes after
-	// missing whole cycles its in-progress read set is re-validated
-	// exactly (in both cycle directions) instead of conservatively.
-	// The transaction aborts only when the read-condition actually
-	// fails, never silently reads stale data, and never aborts merely
-	// because cycles were missed. Enabled automatically when a cache is
-	// configured.
-	RetainSnapshots bool
 	// ObserveRead, when set, is called after every read validation with
 	// the object, the cycle the read was performed in (the cache entry's
 	// cycle for cache hits), whether it was served from the cache, and
@@ -95,8 +84,8 @@ type Config struct {
 	// Obs receives the client's metrics (client_cycles_seen,
 	// client_gaps, client_cycles_missed, client_reads,
 	// client_cache_hits, client_read_aborts, client_restarts and the
-	// client_frames_* tuning counters). Nil uses a private registry;
-	// Stats() is a view over it either way.
+	// client_cache_* revalidation and store counters). Nil uses a
+	// private registry; Stats() is a view over it either way.
 	Obs *obs.Registry
 	// Trace, when non-nil, receives cycle-clock events for this
 	// client's reads, aborts and retunes, with Actor = ClientID.
@@ -130,31 +119,24 @@ type Client struct {
 	// control snapshot; the first received cycle revalidates it.
 	pendingRevalidate bool
 
-	// offline is the disconnected-operation queue: transaction intents
-	// recorded while off the air, drained after retuning.
-	offline []offlineOp
-
 	// spare is the validator the last finished transaction handed back,
 	// already Reset: the next Begin takes it instead of building one.
 	spare protocol.Validator
 
 	// Observability: counters resolved once at New (the read path is a
 	// single atomic add per outcome), tracer nil-safe.
-	obs             *obs.Registry
-	trace           *obs.Tracer
-	cCyclesSeen     *obs.Counter
-	cGaps           *obs.Counter
-	cCyclesMissed   *obs.Counter
-	cReads          *obs.Counter
-	cCacheHits      *obs.Counter
-	cReadAborts     *obs.Counter
-	cRestarts       *obs.Counter
-	cRevalidated    *obs.Counter
-	cRevalDropped   *obs.Counter
-	cStoreErrors    *obs.Counter
-	cOfflineQueued  *obs.Counter
-	cOfflineOK      *obs.Counter
-	cOfflineAborted *obs.Counter
+	obs           *obs.Registry
+	trace         *obs.Tracer
+	cCyclesSeen   *obs.Counter
+	cGaps         *obs.Counter
+	cCyclesMissed *obs.Counter
+	cReads        *obs.Counter
+	cCacheHits    *obs.Counter
+	cReadAborts   *obs.Counter
+	cRestarts     *obs.Counter
+	cRevalidated  *obs.Counter
+	cRevalDropped *obs.Counter
+	cStoreErrors  *obs.Counter
 }
 
 // Stats are cumulative client counters — a view over the client's obs
@@ -195,9 +177,6 @@ func New(cfg Config, sub *bcast.Subscription) *Client {
 	c.cRevalidated = c.obs.Counter("client_cache_revalidated")
 	c.cRevalDropped = c.obs.Counter("client_cache_dropped")
 	c.cStoreErrors = c.obs.Counter("client_cache_store_errors")
-	c.cOfflineQueued = c.obs.Counter("client_offline_queued")
-	c.cOfflineOK = c.obs.Counter("client_offline_committed")
-	c.cOfflineAborted = c.obs.Counter("client_offline_aborted")
 	if cfg.CacheCurrency > 0 {
 		c.cache = new(qcache.Cache)
 		c.cache.Init(cfg.CacheSize, cfg.currencyOf, cfg.Store, c.cStoreErrors.Inc)
@@ -217,7 +196,10 @@ func (c *Client) Obs() *obs.Registry { return c.obs }
 // AwaitCycle blocks until the next broadcast cycle arrives and makes it
 // current. Stale redeliveries (a lossy tuner retuning can replay the
 // cycle already current) are skipped. It reports false when the
-// subscription is closed.
+// subscription is closed. It is also the whole of recovery from a
+// doze or lost frames: an in-progress transaction continues, each later
+// read judged by the control information of the cycle it is made in,
+// and the gap is counted in Stats().CyclesMissed.
 func (c *Client) AwaitCycle() (*bcast.CycleBroadcast, bool) {
 	for {
 		cb, ok := <-c.sub.C
@@ -247,33 +229,6 @@ func (c *Client) PollCycle() bool {
 			return advanced
 		}
 	}
-}
-
-// AwaitRetune is the doze-recovery entry point: it blocks for the next
-// broadcast cycle, drains to the newest one already delivered, and
-// reports how many whole cycles the client missed since its previous
-// current cycle. A client waking from a doze calls AwaitRetune and then
-// simply continues: an in-progress transaction stays valid — each of
-// its later reads is validated against the control information of the
-// cycle it happens in, which carries the full dependency history, so
-// the transaction aborts only if the read-condition actually fails
-// across the gap (never merely because cycles were missed).
-func (c *Client) AwaitRetune() (cb *bcast.CycleBroadcast, missed int64, ok bool) {
-	var prev cmatrix.Cycle
-	if c.cur != nil {
-		prev = c.cur.Number
-	}
-	if _, ok := c.AwaitCycle(); !ok {
-		return nil, 0, false
-	}
-	c.PollCycle()
-	if prev > 0 {
-		missed = int64(c.cur.Number - prev - 1)
-		if missed < 0 {
-			missed = 0
-		}
-	}
-	return c.cur, missed, true
 }
 
 // setCurrent installs a received cycle, reporting whether it advanced
@@ -357,17 +312,18 @@ func (c *Client) Cancel() { c.sub.Cancel() }
 
 // validator returns the validator for one transaction attempt: the
 // spare one if a finished transaction left it, else a new one. With
-// caching enabled (or RetainSnapshots set), reads can be out of cycle
-// order, so the snapshot-retaining validator is used for every
-// algorithm (for the vector protocols this is conservative but sound;
-// without caching the exact paper validators apply, including
-// R-Matrix's disjunct).
+// caching enabled, reads can be out of cycle order, so the
+// snapshot-retaining validator is used for every algorithm (for the
+// vector protocols this is conservative but sound). Without a cache
+// every read comes off the current cycle, in non-decreasing cycle
+// order even across reception gaps, and the exact paper validators
+// apply, including R-Matrix's disjunct.
 func (c *Client) validator() protocol.Validator {
 	if v := c.spare; v != nil {
 		c.spare = nil
 		return v
 	}
-	if c.cache != nil || c.cfg.RetainSnapshots {
+	if c.cache != nil {
 		return &protocol.SnapshotValidator{}
 	}
 	return protocol.NewValidator(c.cfg.Algorithm)

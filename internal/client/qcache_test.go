@@ -331,94 +331,45 @@ func TestSubsetSubscriptionRefusesOutsideReads(t *testing.T) {
 	}
 }
 
-// TestOfflineQueueDrains: intents queued before any cycle was heard
-// run once the client tunes in — reads serve and validate, updates
-// commit through the uplink, and one genuine failure doesn't poison
-// the rest.
-func TestOfflineQueueDrains(t *testing.T) {
-	srv, c := newPair(t, protocol.FMatrix, 4, Config{CacheCurrency: 8})
-	commitWrite(t, srv, 0, "zero")
-	commitWrite(t, srv, 1, "one")
-
-	c.QueueRead(0, 1)
-	c.QueueUpdate([]int{0}, []protocol.ObjectWrite{{Obj: 2, Value: []byte("two")}})
-	if _, err := c.DrainOffline(srv); !errors.Is(err, ErrOffline) {
-		t.Fatalf("drain before tuning = %v, want ErrOffline", err)
-	}
-	if c.OfflineQueueLen() != 2 {
-		t.Fatalf("queue len = %d, want 2", c.OfflineQueueLen())
-	}
-
-	srv.StartCycle()
-	if _, _, ok := c.AwaitRetune(); !ok {
-		t.Fatal("tuned out")
-	}
-	results, err := c.DrainOffline(srv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("got %d results, want 2", len(results))
-	}
-	if results[0].Err != nil || string(results[0].Values[0]) != "zero" || string(results[0].Values[1]) != "one" {
-		t.Fatalf("read intent: %+v", results[0])
-	}
-	if results[1].Err != nil {
-		t.Fatalf("update intent: %v", results[1].Err)
-	}
-	if c.OfflineQueueLen() != 0 {
-		t.Fatal("queue not drained")
-	}
-	// The committed write is visible on the next cycle.
-	srv.StartCycle()
-	c.AwaitCycle()
-	txn := c.BeginReadOnly()
-	if v, err := txn.Read(2); err != nil || string(v) != "two" {
-		t.Fatalf("post-drain read = %q, %v", v, err)
-	}
-	if got := c.obs.Counter("client_offline_committed").Load(); got != 2 {
-		t.Fatalf("offline committed = %d, want 2", got)
-	}
-}
-
-// TestOfflineUpdateGenuineConflictAborts: an update intent whose read
-// was genuinely overwritten during the disconnection aborts at the
-// server, while an independent intent still commits.
-func TestOfflineUpdateGenuineConflictAborts(t *testing.T) {
+// TestCachedReadUpdateRejectedByServer: an update transaction reads an
+// object from the cache, still within its currency bound T, after the
+// server overwrote it. The client's read-condition has no later read to
+// hold it against, so the read passes; the server's validation at
+// commit sees the conflicting write and rejects the update, while an
+// independent update still commits.
+func TestCachedReadUpdateRejectedByServer(t *testing.T) {
 	srv, c := newPair(t, protocol.FMatrix, 4, Config{CacheCurrency: 2})
 	commitWrite(t, srv, 0, "before")
 	srv.StartCycle() // cycle 1
 	c.AwaitCycle()
-	// Cache obj 0 at cycle 1.
-	txn := c.BeginReadOnly()
-	if _, err := txn.Read(0); err != nil {
+	warm := c.BeginReadOnly() // caches obj 0 at cycle 1
+	if _, err := warm.Read(0); err != nil {
 		t.Fatal(err)
 	}
-	txn.Commit()
-	// Disconnect. Queue an update that reads the cached obj 0; while
-	// away, obj 0 is overwritten, so the server must reject the commit.
-	c.QueueUpdate([]int{0}, []protocol.ObjectWrite{{Obj: 1, Value: []byte("dep")}})
-	c.QueueUpdate(nil, []protocol.ObjectWrite{{Obj: 3, Value: []byte("indep")}})
+	warm.Commit()
 	commitWrite(t, srv, 0, "after")
 	srv.StartCycle() // cycle 2
-	if _, _, ok := c.AwaitRetune(); !ok {
-		t.Fatal("tuned out")
+	c.AwaitCycle()
+
+	txn := c.BeginUpdate()
+	if v, err := txn.Read(0); err != nil || string(v) != "before" {
+		t.Fatalf("cached read = %q, %v; want the cycle-1 value", v, err)
 	}
-	results, err := c.DrainOffline(srv)
-	if err != nil {
+	if hits := c.Stats().CacheHits; hits != 1 {
+		t.Fatalf("cache hits = %d, want 1", hits)
+	}
+	if err := txn.Write(1, []byte("dep")); err != nil {
 		t.Fatal(err)
 	}
-	// The cached read of obj 0 is still within T=2, so the client-side
-	// validation passes; the server's update-consistency check sees the
-	// conflicting write and rejects.
-	if results[0].Err == nil {
-		t.Fatal("conflicting update intent committed")
+	if err := txn.Commit(srv); !errors.Is(err, server.ErrConflict) {
+		t.Fatalf("update over a stale cached read = %v, want server.ErrConflict", err)
 	}
-	if results[1].Err != nil {
-		t.Fatalf("independent intent aborted: %v", results[1].Err)
+	indep := c.BeginUpdate()
+	if err := indep.Write(3, []byte("indep")); err != nil {
+		t.Fatal(err)
 	}
-	if got := c.obs.Counter("client_offline_aborted").Load(); got != 1 {
-		t.Fatalf("offline aborted = %d, want 1", got)
+	if err := indep.Commit(srv); err != nil {
+		t.Fatalf("independent update: %v", err)
 	}
 }
 

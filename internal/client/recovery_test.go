@@ -34,7 +34,7 @@ func dozeSetup(t *testing.T, alg protocol.Algorithm, win faultair.Window, cfg cl
 func TestDozeRecoveryCommits(t *testing.T) {
 	srv, lis, c := dozeSetup(t, protocol.FMatrix,
 		faultair.Window{Client: 0, From: 2, To: 3},
-		client.Config{Algorithm: protocol.FMatrix, RetainSnapshots: true})
+		client.Config{Algorithm: protocol.FMatrix})
 
 	// Cycle 1 on the air; the transaction reads obj 0 from it.
 	srv.StartCycle()
@@ -59,13 +59,13 @@ func TestDozeRecoveryCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Wake up: the tuner delivers cycle 4 next; AwaitRetune reports the
+	// Wake up: the tuner delivers cycle 4 next; the client counts the
 	// gap and the transaction simply continues.
-	cb, missed, ok := c.AwaitRetune()
+	cb, ok := c.AwaitCycle()
 	if !ok {
 		t.Fatal("tuned out during doze")
 	}
-	if cb.Number != 4 || missed != 2 {
+	if missed := c.Stats().CyclesMissed; cb.Number != 4 || missed != 2 {
 		t.Fatalf("retuned at cycle %d with %d missed, want cycle 4 with 2 missed", cb.Number, missed)
 	}
 
@@ -105,7 +105,7 @@ func TestDozeRecoveryCommits(t *testing.T) {
 func TestDozeRecoveryAborts(t *testing.T) {
 	srv, _, c := dozeSetup(t, protocol.FMatrix,
 		faultair.Window{Client: 0, From: 2, To: 3},
-		client.Config{Algorithm: protocol.FMatrix, RetainSnapshots: true})
+		client.Config{Algorithm: protocol.FMatrix})
 
 	srv.StartCycle()
 	txnUp := srv.Begin()
@@ -129,8 +129,8 @@ func TestDozeRecoveryAborts(t *testing.T) {
 	if _, err := txn.Read(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, missed, ok := c.AwaitRetune(); !ok || missed != 2 {
-		t.Fatalf("retune: missed=%d ok=%v", missed, ok)
+	if _, ok := c.AwaitCycle(); !ok || c.Stats().CyclesMissed != 2 {
+		t.Fatalf("retune: missed=%d ok=%v", c.Stats().CyclesMissed, ok)
 	}
 	if _, err := txn.Read(2); !errors.Is(err, client.ErrInconsistentRead) {
 		t.Fatalf("Read(2) = %v, want ErrInconsistentRead: the client read obj 0 "+
@@ -171,8 +171,8 @@ func TestDozeRecoveryDatacycle(t *testing.T) {
 		if _, err := txn.Read(0); err != nil {
 			t.Fatal(err)
 		}
-		if _, missed, ok := c.AwaitRetune(); !ok || missed != 1 {
-			t.Fatalf("retune: missed=%d ok=%v", missed, ok)
+		if _, ok := c.AwaitCycle(); !ok || c.Stats().CyclesMissed != 1 {
+			t.Fatalf("retune: missed=%d ok=%v", c.Stats().CyclesMissed, ok)
 		}
 		if _, err := txn.Read(1); err != nil {
 			return err, nil, srv

@@ -5,8 +5,8 @@
 // they disconnect, doze and miss broadcast cycles; this package turns
 // the perfect in-process medium (internal/bcast) and the TCP stream
 // (internal/netcast) into the lossy air those clients actually live on,
-// so the recovery path — retune, detect the cycle gap, re-validate the
-// in-progress read set — can be exercised and measured.
+// so the recovery path — count the cycle gap, judge the next read by
+// the next cycle heard — can be exercised and measured.
 //
 // Every fault decision is a pure function of (Seed, client, cycle):
 // there is no mutable generator state, so the same seed reproduces the
@@ -57,29 +57,11 @@ type Profile struct {
 }
 
 // Window is one scripted doze window: client Client receives nothing
-// during cycles From..To inclusive. To == OpenEnd makes the window
-// open-ended: the client goes off the air at From and stays off for the
-// rest of the run — the schedule for a disconnected client whose
-// persistent cache comes back in a later process (DESIGN.md §13).
+// during cycles From..To inclusive.
 type Window struct {
 	Client   int
 	From, To cmatrix.Cycle
 }
-
-// OpenEnd, as a Window.To, marks a window with no scripted end: the
-// client is off the air from Window.From onwards. Because schedules are
-// pure functions of the profile, the same open-ended window consulted
-// by a restarted run reproduces the same off-air span.
-const OpenEnd cmatrix.Cycle = 1<<62 - 1
-
-// OffAir builds the open-ended window taking client off the air from
-// the given cycle onwards.
-func OffAir(client int, from cmatrix.Cycle) Window {
-	return Window{Client: client, From: from, To: OpenEnd}
-}
-
-// Open reports whether the window is open-ended.
-func (w Window) Open() bool { return w.To == OpenEnd }
 
 // Validate reports the first problem with the profile.
 func (p Profile) Validate() error {
@@ -140,12 +122,13 @@ const (
 	saltDelay
 )
 
-// u64 is the pure-function PRNG behind every decision: a splitmix64
-// finalization of (seed, client, cycle, salt). Uniform, stateless, and
-// independent across salts.
-func (s *Schedule) u64(client int, cycle cmatrix.Cycle, salt uint64) uint64 {
-	x := uint64(s.prof.Seed) ^ 0x9e3779b97f4a7c15
-	for _, v := range [...]uint64{uint64(client) + 1, uint64(cycle), salt} {
+// mix is the pure-function PRNG behind every decision of both
+// schedules: a splitmix64 finalization of (seed, client, index, salt),
+// where the index is a cycle here and a packet index in PacketSchedule.
+// Uniform, stateless, and independent across salts.
+func mix(seed int64, client int, idx, salt uint64) uint64 {
+	x := uint64(seed) ^ 0x9e3779b97f4a7c15
+	for _, v := range [...]uint64{uint64(client) + 1, idx, salt} {
 		x += v
 		x ^= x >> 30
 		x *= 0xbf58476d1ce4e5b9
@@ -158,7 +141,7 @@ func (s *Schedule) u64(client int, cycle cmatrix.Cycle, salt uint64) uint64 {
 
 // unit maps a decision to [0, 1).
 func (s *Schedule) unit(client int, cycle cmatrix.Cycle, salt uint64) float64 {
-	return float64(s.u64(client, cycle, salt)>>11) / (1 << 53)
+	return float64(mix(s.prof.Seed, client, uint64(cycle), salt)>>11) / (1 << 53)
 }
 
 // Dropped reports whether client's frame for the given cycle is lost in
@@ -221,7 +204,7 @@ func (s *Schedule) Delay(client int, cycle cmatrix.Cycle) int {
 	if s.prof.DelayMax == 0 {
 		return 0
 	}
-	return int(s.u64(client, cycle, saltDelay) % uint64(s.prof.DelayMax+1))
+	return int(mix(s.prof.Seed, client, uint64(cycle), saltDelay) % uint64(s.prof.DelayMax+1))
 }
 
 // Fate is the scheduled outcome for one (client, cycle) pair.

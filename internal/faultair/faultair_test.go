@@ -174,32 +174,6 @@ func TestScriptedWindows(t *testing.T) {
 	}
 }
 
-func TestOpenEndedWindow(t *testing.T) {
-	s := NewSchedule(Profile{Windows: []Window{OffAir(1, 7)}})
-	if s.Dozing(1, 6) {
-		t.Error("client 1 dozing before its off-air point")
-	}
-	for _, c := range []cmatrix.Cycle{7, 8, 100, 1 << 40} {
-		if !s.Dozing(1, c) {
-			t.Errorf("client 1 cycle %d: open-ended window not covering", c)
-		}
-	}
-	if s.Dozing(0, 1<<40) {
-		t.Error("other clients unaffected by an open-ended window")
-	}
-	if _, ok := s.NextReceived(1, 7, 1<<20); ok {
-		t.Error("an off-air client never receives again within the run")
-	}
-	w := OffAir(1, 7)
-	if !w.Open() || (Window{Client: 1, From: 3, To: 5}).Open() {
-		t.Error("Open misreports")
-	}
-	// Open-ended windows are valid profiles.
-	if err := (Profile{Windows: []Window{w}}).Validate(); err != nil {
-		t.Fatalf("open-ended window rejected: %v", err)
-	}
-}
-
 func TestFormatTrace(t *testing.T) {
 	fates := []Fate{
 		{Cycle: 1},

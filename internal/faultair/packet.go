@@ -73,23 +73,8 @@ func NewPacketSchedule(p PacketProfile) *PacketSchedule {
 // Profile returns the profile the schedule was built from.
 func (s *PacketSchedule) Profile() PacketProfile { return s.prof }
 
-// u64 is the same splitmix64 finalization the per-cycle schedule uses,
-// over (seed, client, packet index, salt).
-func (s *PacketSchedule) u64(client int, idx uint64, salt uint64) uint64 {
-	x := uint64(s.prof.Seed) ^ 0x9e3779b97f4a7c15
-	for _, v := range [...]uint64{uint64(client) + 1, idx, salt} {
-		x += v
-		x ^= x >> 30
-		x *= 0xbf58476d1ce4e5b9
-		x ^= x >> 27
-		x *= 0x94d049bb133111eb
-		x ^= x >> 31
-	}
-	return x
-}
-
 func (s *PacketSchedule) unit(client int, idx uint64, salt uint64) float64 {
-	return float64(s.u64(client, idx, salt)>>11) / (1 << 53)
+	return float64(mix(s.prof.Seed, client, idx, salt)>>11) / (1 << 53)
 }
 
 // Dropped reports whether the client's copy of the idx-th transmitted
@@ -112,7 +97,7 @@ func (s *PacketSchedule) Lag(client int, idx uint64) int {
 	if s.prof.ReorderMax == 0 {
 		return 0
 	}
-	return int(s.u64(client, idx, saltPktLag) % uint64(s.prof.ReorderMax+1))
+	return int(mix(s.prof.Seed, client, idx, saltPktLag) % uint64(s.prof.ReorderMax+1))
 }
 
 // PacketFate is the scheduled outcome for one (client, packet) pair.

@@ -2,8 +2,6 @@ package netcast
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"broadcastcc/internal/bcast"
 	"broadcastcc/internal/cmatrix"
@@ -116,19 +114,12 @@ func (s *Server) AttachDatagram(sender *dgram.Sender) {
 // it pulls datagrams from a PacketSource, reassembles frames
 // (internal/dgram: ingress filter, dedup, FEC repair) and hands them to
 // the same receiver (FrameDecoder + local medium) the TCP tuner uses.
-//
-// Unlike the TCP tuner, dozing here is genuinely not receiving: Doze
-// makes the receive loop stop calling Recv for the window, so the
-// source's buffer (sim tap or kernel socket buffer) overflows and the
-// missed packets are simply gone — a powered-down radio, not
-// consume-undecoded.
+// Packets the source lost are simply gone; the tuner resynchronizes on
+// the next frame it reassembles whole.
 type DatagramTuner struct {
 	src   dgram.PacketSource
 	reasm *dgram.Reassembler
 	receiver
-
-	mu        sync.Mutex
-	dozeUntil time.Time
 }
 
 // TuneDatagram starts receiving from src. reg (may be nil) receives the
@@ -145,14 +136,6 @@ func TuneDatagram(src dgram.PacketSource, cfg dgram.Config, reg *obs.Registry) (
 
 func (t *DatagramTuner) loop() {
 	for {
-		// A doze window is an actual non-read: sleep it out without
-		// touching the source, letting its buffer overflow.
-		t.mu.Lock()
-		until := t.dozeUntil
-		t.mu.Unlock()
-		if d := time.Until(until); d > 0 {
-			time.Sleep(d)
-		}
 		pkt, err := t.src.Recv()
 		if err != nil {
 			// End of stream: emit what the reorder gate was still
@@ -177,16 +160,6 @@ func (t *DatagramTuner) publish(frames []dgram.Frame) bool {
 		}
 	}
 	return true
-}
-
-// Doze powers the receiver down for the duration: the loop stops
-// reading, and whatever the medium delivers meanwhile overflows the
-// source buffer and is lost. Calling Doze again extends or shortens the
-// window.
-func (t *DatagramTuner) Doze(d time.Duration) {
-	t.mu.Lock()
-	t.dozeUntil = time.Now().Add(d)
-	t.mu.Unlock()
 }
 
 // Close tears the tuner down and waits for its receive loop.

@@ -86,11 +86,22 @@ func TestDatagramBroadcastEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDatagramDozeMissesTraffic pins that a DatagramTuner's doze window
-// is an actual non-read: cycles broadcast while the tuner sleeps
-// overflow its (tiny) tap buffer and are gone, and the tuner
-// resynchronizes on the traffic after it wakes.
-func TestDatagramDozeMissesTraffic(t *testing.T) {
+// eraseWindow is a dgram.PacketFates that erases every packet whose
+// transmit index lies in [from, to) and delivers the rest once, in
+// order. The carrier consults it inside Send, on the goroutine that
+// calls Step, so a test that steps the server itself may move the
+// bounds between steps.
+type eraseWindow struct{ from, to uint64 }
+
+func (w *eraseWindow) Dropped(_ int, idx uint64) bool { return idx >= w.from && idx < w.to }
+func (w *eraseWindow) Duplicated(int, uint64) bool    { return false }
+func (w *eraseWindow) Lag(int, uint64) int            { return 0 }
+
+// TestDatagramResyncsAfterLostBurst: every packet of cycles 2-6 is
+// erased in the air, and the datagram tuner resynchronizes on the
+// traffic after the burst — full frames are self-contained, so the
+// next cycle whose packets arrive decodes.
+func TestDatagramResyncsAfterLostBurst(t *testing.T) {
 	bsrv, ns := newNetServer(t, protocol.FMatrix, 4)
 	car := dgram.NewSimCarrier()
 	defer car.Close()
@@ -100,10 +111,13 @@ func TestDatagramDozeMissesTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	ns.AttachDatagram(sender)
+	sent := func() uint64 {
+		snap := ns.Obs().Snapshot()
+		return uint64(snap.Counters[dgram.CtrPacketsTx] + snap.Counters[dgram.CtrRepairTx])
+	}
 
-	// A one-packet buffer: anything broadcast during the doze overflows.
-	tap := car.Tap(0, nil, 1)
-	dt, err := TuneDatagram(tap, cfg, nil)
+	fates := new(eraseWindow)
+	dt, err := TuneDatagram(car.Tap(0, fates, 0), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +136,9 @@ func TestDatagramDozeMissesTraffic(t *testing.T) {
 		t.Fatal("cycle 1 never arrived")
 	}
 
-	// Power down, then broadcast a burst the radio cannot hear.
-	dt.Doze(500 * time.Millisecond)
-	time.Sleep(50 * time.Millisecond) // let the loop park in the doze branch
+	// Erase the whole burst: the window opens at the first packet of
+	// cycle 2 and closes after the last packet of cycle 6.
+	fates.from, fates.to = sent(), ^uint64(0)
 	for c := 2; c <= 6; c++ {
 		txn := bsrv.Begin()
 		txn.Write(0, []byte{byte(c)})
@@ -135,26 +149,28 @@ func TestDatagramDozeMissesTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tap.Overflow() == 0 {
-		t.Fatal("doze window lost no packets: the tuner was still reading")
+	if fates.to = sent(); fates.to <= fates.from {
+		t.Fatal("the burst sent no packets")
 	}
 
-	// After waking, later cycles must still decode (full frames are
-	// self-contained, so resync is immediate).
+	// The reassembler holds cycle 7 back until the erased packets are
+	// stale enough to count as lost (dgram's reorder window), so keep
+	// broadcasting until it lets go; the first cycle out is 7.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if time.Now().After(deadline) {
-			t.Fatal("tuner never resynchronized after dozing")
+			t.Fatal("tuner never resynchronized after the lost burst")
 		}
 		if _, err := ns.Step(); err != nil {
 			t.Fatal(err)
 		}
 		select {
 		case cb := <-sub.C:
-			if cb.Number > 6 {
-				return // decoded a post-doze cycle: resynchronized
+			if cb.Number != 7 {
+				t.Fatalf("first cycle after the lost burst = %d, want 7", cb.Number)
 			}
-		case <-time.After(20 * time.Millisecond):
+			return
+		case <-time.After(5 * time.Millisecond):
 		}
 	}
 }

@@ -37,8 +37,8 @@ func errFrameSize(n int) error { return fmt.Errorf("netcast: frame of %d bytes e
 
 // WriteFrame writes one length-prefixed frame in the broadcast stream's
 // wire format (4-byte big-endian length, then the payload). Exported so
-// frame-level middleboxes — the faultair proxy, capture tools — can
-// speak the stream format without decoding cycles.
+// frame-level tools — capture tools, socket benchmarks — can speak the
+// stream format without decoding cycles.
 func WriteFrame(w io.Writer, data []byte) error {
 	return writeFrame(w, nil, data)
 }

@@ -558,3 +558,90 @@ func TestGroupedSpectrum(t *testing.T) {
 		}
 	}
 }
+
+// A cache-free client reads in non-decreasing cycle order, gaps or not.
+// On such reads SnapshotValidator's backward clause is vacuous, so it
+// must give the paper validator's verdict read by read under every
+// conjunctive protocol, and under R-Matrix (where its forward clause is
+// Datacycle's) accept a subset of what the first-read disjunct accepts.
+// The commit streams run through the three server-side control states.
+func TestSnapshotValidatorInOrderMatchesPaperValidators(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	accepted := map[Algorithm]int{}
+	rejected := map[Algorithm]int{}
+	onlyR := 0
+	for trial := 0; trial < 1200; trial++ {
+		n := 2 + rng.Intn(5)
+		dense := cmatrix.NewDenseControl(n)
+		vector := cmatrix.NewVectorControl(n)
+		grouped := cmatrix.NewGroupedControl(cmatrix.UniformPartition(n, 1+rng.Intn(n)))
+		// snaps[alg][c-1] is alg's control snapshot at the start of cycle c.
+		snaps := map[Algorithm][]Snapshot{}
+		cycles := 1 + rng.Intn(6)
+		for c := 1; c <= cycles; c++ {
+			snaps[FMatrix] = append(snaps[FMatrix], dense.Snapshot())
+			snaps[Datacycle] = append(snaps[Datacycle], vector.Snapshot())
+			snaps[Grouped] = append(snaps[Grouped], grouped.Snapshot())
+			for k := rng.Intn(4); k > 0; k-- {
+				rs := rng.Perm(n)[:rng.Intn(n)]
+				ws := rng.Perm(n)[:1+rng.Intn(2)]
+				for _, ctl := range []cmatrix.Control{dense, vector, grouped} {
+					ctl.Apply(rs, ws, cmatrix.Cycle(c))
+				}
+			}
+		}
+		snaps[FMatrixNo], snaps[RMatrix] = snaps[FMatrix], snaps[Datacycle]
+
+		reads := make([]ReadAt, 1+rng.Intn(5))
+		cycle := 1 + rng.Intn(cycles)
+		for i := range reads {
+			reads[i] = ReadAt{Obj: rng.Intn(n), Cycle: cmatrix.Cycle(cycle)}
+			cycle += rng.Intn(cycles - cycle + 1)
+		}
+
+		// verdicts replays reads through v until the first rejection:
+		// one entry per read attempted.
+		verdicts := func(v Validator, alg Algorithm) []bool {
+			var out []bool
+			for _, r := range reads {
+				ok := v.TryRead(snaps[alg][r.Cycle-1], r.Obj, r.Cycle)
+				out = append(out, ok)
+				if !ok {
+					break
+				}
+			}
+			return out
+		}
+		for _, alg := range []Algorithm{FMatrix, FMatrixNo, Datacycle, Grouped} {
+			got, want := verdicts(&SnapshotValidator{}, alg), verdicts(NewValidator(alg), alg)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("trial %d %v: snapshot validator %v, paper validator %v\nreads=%v",
+					trial, alg, got, want, reads)
+			}
+			if got[len(got)-1] {
+				accepted[alg]++
+			} else {
+				rejected[alg]++
+			}
+		}
+		snap, r := verdicts(&SnapshotValidator{}, RMatrix), verdicts(NewValidator(RMatrix), RMatrix)
+		for i, ok := range snap {
+			if ok && !r[i] {
+				t.Fatalf("trial %d: snapshot validator accepts read %d, R-Matrix rejects\nreads=%v",
+					trial, i, reads)
+			}
+		}
+		if len(r) == len(reads) && r[len(r)-1] && !snap[len(snap)-1] {
+			onlyR++
+		}
+	}
+	for _, alg := range []Algorithm{FMatrix, FMatrixNo, Datacycle, Grouped} {
+		if accepted[alg] == 0 || rejected[alg] == 0 {
+			t.Errorf("%v degenerate: accepted=%d rejected=%d", alg, accepted[alg], rejected[alg])
+		}
+	}
+	if onlyR == 0 {
+		t.Error("no stream where only R-Matrix's disjunct accepts")
+	}
+	t.Logf("accepted %v, rejected %v, R-Matrix only %d", accepted, rejected, onlyR)
+}

@@ -17,10 +17,9 @@ import (
 // conditions plus the cross-shard cycle-alignment check; update
 // transactions commit through the coordinator's two-shot protocol.
 //
-// The per-shard clients must be cache-free (CacheCurrency 0 and no
-// RetainSnapshots): the router stamps each read with the shard's
-// current cycle, which only holds when every read comes off the
-// current broadcast. A Router is not safe for concurrent use; open one
+// The per-shard clients must be cache-free (CacheCurrency 0): the
+// router stamps each read with the shard's current cycle, which only
+// holds when every read comes off the current broadcast. A Router is not safe for concurrent use; open one
 // per logical client.
 type Router struct {
 	m       *Mapping

@@ -72,15 +72,15 @@ fuzz-smoke:
 	done
 
 # Micro-benchmarks only (matrix apply/snapshot, wire codec, validator,
-# the APPROX and exact update-consistency checkers,
-# StartCycle; the grouped control's commit and publish, singleton groups
-# included; one cycle of cache traffic through the persistent store, one
+# the APPROX and exact update-consistency checkers, StartCycle, the
+# broadcast-program lookup Timeline.NextReady; the grouped control's
+# commit and publish, singleton groups included; one cycle of cache traffic through the persistent store, one
 # cache record through its codec, one cached read transaction and one
 # whole cached client cycle; one uplink round trip over loopback TCP;
 # one server Step, frame built in place, at the Table 1 and dense
 # grouped shapes).
 bench:
-	$(GO) test -run '^$$' -bench 'Matrix|Snapshot|Validator|Wire|StartCycle|Approx|UpdateConsistentExact' -benchtime 100x
+	$(GO) test -run '^$$' -bench 'Matrix|Snapshot|Validator|Wire|StartCycle|Approx|UpdateConsistentExact|ScheduleNextReady' -benchtime 100x
 	$(GO) test -run '^$$' -bench 'Apply|Snapshot' -benchtime 100x ./internal/cmatrix
 	$(GO) test -run '^$$' -bench 'CacheCycle' -benchtime 100x ./internal/qcache
 	$(GO) test -run '^$$' -bench 'CacheRecord' -benchtime 100x ./internal/wire

@@ -235,14 +235,9 @@ type BroadcastProgram = airsched.Program
 // partitioned across up to disks power-of-two-speed broadcast disks by
 // the square-root rule, with indexM (1,m) index segments per major
 // cycle (0 = no index). disks = 1 with no index reproduces the flat
-// broadcast. The returned program matches the layout NewServer will
-// compute for cfg.
+// broadcast. The returned program has the layout NewServer gives cfg.
 func BuildProgram(cfg ServerConfig, weights []float64, disks, indexM int) (*BroadcastProgram, error) {
-	if cfg.TimestampBits == 0 {
-		cfg.TimestampBits = 8 // mirror NewServer's default
-	}
-	layout := bcast.LayoutFor(cfg.Algorithm, cfg.Objects, cfg.ObjectBits, cfg.TimestampBits, cfg.Groups)
-	return airsched.Build(layout, weights, disks, indexM)
+	return airsched.Build(server.LayoutOf(cfg), weights, disks, indexM)
 }
 
 // ZipfWeights returns the static zipf(θ) access-frequency estimate

@@ -188,3 +188,23 @@ func TestFacadeErrorsExposed(t *testing.T) {
 		t.Fatalf("Read = %v, want ErrInconsistentRead", err)
 	}
 }
+
+// BuildProgram must predict the layout NewServer checks a program
+// against, default timestamp width included.
+func TestBuildProgramMatchesServer(t *testing.T) {
+	for _, alg := range []Algorithm{Datacycle, RMatrix, FMatrix, FMatrixNo, GroupedMatrix} {
+		for _, ts := range []int{0, 16} {
+			cfg := ServerConfig{Objects: 12, ObjectBits: 256, TimestampBits: ts, Algorithm: alg, Groups: 3}
+			prog, err := BuildProgram(cfg, ZipfWeights(12, 0.95), 3, 2)
+			if err != nil {
+				t.Fatalf("%v TS=%d: %v", alg, ts, err)
+			}
+			cfg.Program = prog
+			srv, err := NewServer(cfg)
+			if err != nil {
+				t.Fatalf("%v TS=%d: NewServer refused BuildProgram's program: %v", alg, ts, err)
+			}
+			srv.Close()
+		}
+	}
+}

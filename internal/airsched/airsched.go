@@ -9,10 +9,11 @@
 //   - Multi-disk broadcast programs (Acharya et al.'s broadcast disks):
 //     hot objects spin on fast disks and repeat every minor cycle, cold
 //     objects rotate across the major cycle. Disk membership comes from
-//     pluggable access-frequency estimates — static zipf weights or an
-//     online EWMA fed by uplink read-sets — through the square-root
-//     rule (optimal spacing ∝ 1/√frequency). The flat program is the
-//     degenerate one-disk configuration.
+//     per-object access weights (ZipfWeights everywhere a program is
+//     built) through the square-root rule (optimal spacing ∝
+//     1/√frequency). The flat program is the degenerate one-disk
+//     configuration. Build owns the whole program and the Timeline is
+//     its only clock.
 //
 //   - A (1,m) air index (Imielinski, Viswanathan, Badrinath): the full
 //     object→offset-to-next-occurrence index is interleaved m times per
@@ -34,24 +35,10 @@ import (
 	"sort"
 )
 
-// Estimator supplies per-object access weights — relative frequencies,
-// any positive scale — that drive disk assignment.
-type Estimator interface {
-	// Weights returns one non-negative weight per object. Callers must
-	// not mutate the result.
-	Weights() []float64
-}
-
-// StaticWeights is a fixed weight table.
-type StaticWeights []float64
-
-// Weights implements Estimator.
-func (w StaticWeights) Weights() []float64 { return w }
-
 // ZipfWeights returns the zipf access law over n objects with skew
 // theta: object i is accessed proportionally to 1/(i+1)^theta, object 0
 // hottest. theta = 0 is the paper's uniform access.
-func ZipfWeights(n int, theta float64) StaticWeights {
+func ZipfWeights(n int, theta float64) []float64 {
 	w := make([]float64, n)
 	for i := range w {
 		w[i] = math.Pow(float64(i+1), -theta)
@@ -92,16 +79,17 @@ func (z *ZipfPicker) Pick(u float64) int {
 	return i
 }
 
-// EWMA is an online access-frequency estimator fed by uplink read-sets
-// (or any observed access stream): each observed batch decays all
-// weights by (1-Alpha) and credits the accessed objects, so the
-// estimate tracks a drifting workload. The decay is O(batch) amortized
-// via a running scale factor, not O(n) per observation.
+// EWMA is an online access-frequency estimator fed by an observed
+// access stream (the server's write heat, which drives grouped
+// regrouping; no broadcast program is built from it): each observed
+// batch decays all weights by (1-Alpha) and credits the accessed
+// objects, so the estimate tracks a drifting workload. The decay is
+// O(batch) amortized via a running scale factor, not O(n) per
+// observation.
 type EWMA struct {
 	alpha float64
 	w     []float64
 	scale float64
-	seen  int64
 }
 
 // NewEWMA builds an estimator over n objects with smoothing factor
@@ -121,8 +109,8 @@ func NewEWMA(n int, alpha float64) (*EWMA, error) {
 	return e, nil
 }
 
-// Observe credits one access batch (e.g. an uplink transaction's
-// read-set). Out-of-range ids are ignored.
+// Observe credits one access batch (e.g. a committed transaction's
+// write set). Out-of-range ids are ignored.
 func (e *EWMA) Observe(objs []int) {
 	if len(objs) == 0 {
 		return
@@ -140,16 +128,12 @@ func (e *EWMA) Observe(objs []int) {
 	for _, obj := range objs {
 		if obj >= 0 && obj < len(e.w) {
 			e.w[obj] += e.alpha * e.scale
-			e.seen++
 		}
 	}
 }
 
-// Observations reports how many accesses have been credited.
-func (e *EWMA) Observations() int64 { return e.seen }
-
-// Weights implements Estimator with the current (scale-normalized)
-// estimate.
+// Weights returns the current (scale-normalized) estimate, one weight
+// per object.
 func (e *EWMA) Weights() []float64 {
 	out := make([]float64, len(e.w))
 	for i, x := range e.w {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"broadcastcc/internal/bcast"
@@ -12,6 +13,16 @@ import (
 
 func testLayout(n int) bcast.Layout {
 	return bcast.Layout{Objects: n, ObjectBits: 8000, TimestampBits: 16, Control: bcast.ControlMatrix}
+}
+
+// appearances counts each object's data slots per major cycle: its
+// disk's speed.
+func appearances(p *Program) []int {
+	c := make([]int, p.Layout().Objects)
+	for _, obj := range p.Slots() {
+		c[obj]++
+	}
+	return c
 }
 
 func TestZipfWeightsShape(t *testing.T) {
@@ -88,13 +99,12 @@ func TestEWMATracksDrift(t *testing.T) {
 	if w[3] <= w[0] {
 		t.Fatalf("EWMA did not track drift to object 3: %v", w)
 	}
-	if e.Observations() != 200*3+400 {
-		t.Fatalf("Observations = %d", e.Observations())
-	}
-	// Out-of-range ids are ignored, not counted.
+	// Out-of-range ids are ignored: the batch only decays every weight.
 	e.Observe([]int{-1, 99})
-	if e.Observations() != 200*3+400 {
-		t.Fatalf("out-of-range ids counted: %d", e.Observations())
+	for i, x := range e.Weights() {
+		if want := w[i] * 0.9; math.Abs(x-want) > 1e-9*want {
+			t.Fatalf("out-of-range batch moved weight %d: %v, want %v", i, x, want)
+		}
 	}
 }
 
@@ -135,22 +145,13 @@ func TestBuildFlatDegenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Flat() {
-		t.Fatalf("1 disk + no index should be flat: %v", p)
+	// One disk always holds every object at speed 1 — the paper's flat
+	// cycle, in hot-first order.
+	if got := NewTimeline(p).MajorBits(); got != l.CycleBits() {
+		t.Fatalf("flat program cycle %d bits, want %d", got, l.CycleBits())
 	}
-	// One disk always holds every object at speed 1 — same slot
-	// multiset as the paper's flat cycle; hot-first order.
-	flat, err := bcast.SingleDiskSchedule(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Schedule().MajorCycleBits() != flat.MajorCycleBits() {
-		t.Fatalf("flat program cycle %d bits, want %d", p.Schedule().MajorCycleBits(), flat.MajorCycleBits())
-	}
-	for obj := 0; obj < 6; obj++ {
-		if p.Speed(obj) != 1 {
-			t.Fatalf("flat program speed(%d) = %d", obj, p.Speed(obj))
-		}
+	if !reflect.DeepEqual(p.Slots(), []int{0, 1, 2, 3, 4, 5}) {
+		t.Fatalf("flat program slots %v", p.Slots())
 	}
 }
 
@@ -166,40 +167,21 @@ func TestBuildPartitionProperties(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d disks=%d theta=%v: %v", tc.n, tc.disks, tc.theta, err)
 		}
-		// Every object exactly once across disks (NewSchedule enforces
-		// this too, but check the partition directly).
-		seen := make([]bool, tc.n)
-		for _, d := range p.Disks() {
-			for _, obj := range d.Objects {
-				if seen[obj] {
-					t.Fatalf("n=%d disks=%d: object %d twice", tc.n, tc.disks, obj)
-				}
-				seen[obj] = true
+		// Every object is on the air; speeds are powers of two, the
+		// slowest normalized to 1.
+		speed := appearances(p)
+		for obj, s := range speed {
+			if s < 1 || s&(s-1) != 0 {
+				t.Fatalf("n=%d disks=%d: object %d appears %d times", tc.n, tc.disks, obj, s)
 			}
 		}
-		for obj, ok := range seen {
-			if !ok {
-				t.Fatalf("n=%d disks=%d: object %d unassigned", tc.n, tc.disks, obj)
-			}
-		}
-		// Speeds strictly decreasing hot→cold, slowest normalized to 1,
-		// all powers of two.
-		ds := p.Disks()
-		for i, d := range ds {
-			if d.Speed&(d.Speed-1) != 0 {
-				t.Fatalf("speed %d not a power of two", d.Speed)
-			}
-			if i > 0 && d.Speed >= ds[i-1].Speed {
-				t.Fatalf("speeds not strictly decreasing: %v then %v", ds[i-1].Speed, d.Speed)
-			}
-		}
-		if ds[len(ds)-1].Speed != 1 {
-			t.Fatalf("slowest speed %d, want 1", ds[len(ds)-1].Speed)
+		if slices.Min(speed) != 1 {
+			t.Fatalf("n=%d disks=%d: slowest speed %d, want 1", tc.n, tc.disks, slices.Min(speed))
 		}
 		// Monotone: a hotter object never spins slower.
 		w := ZipfWeights(tc.n, tc.theta)
 		for i := 1; i < tc.n; i++ {
-			if w[i-1] > w[i] && p.Speed(i-1) < p.Speed(i) {
+			if w[i-1] > w[i] && speed[i-1] < speed[i] {
 				t.Fatalf("hotter object %d slower than %d", i-1, i)
 			}
 		}
@@ -211,7 +193,7 @@ func TestBuildUniformIsOneDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Disks()) != 1 || p.Disks()[0].Speed != 1 {
+	if slices.Max(appearances(p)) != 1 {
 		t.Fatalf("uniform weights should collapse to one disk, got %v", p)
 	}
 }
@@ -227,7 +209,7 @@ func TestBuildDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a.Disks(), b.Disks()) || !reflect.DeepEqual(a.Slots(), b.Slots()) {
+	if !reflect.DeepEqual(a.Slots(), b.Slots()) {
 		t.Fatal("Build is not deterministic")
 	}
 }
@@ -243,13 +225,13 @@ func TestBuildRejects(t *testing.T) {
 	if _, err := Build(l, ZipfWeights(4, 0.5), 1, -1); err == nil {
 		t.Fatal("negative indexM accepted")
 	}
-	if _, err := Build(l, StaticWeights{0, 0, 0, 0}, 2, 0); err == nil {
+	if _, err := Build(l, []float64{0, 0, 0, 0}, 2, 0); err == nil {
 		t.Fatal("all-zero weights accepted")
 	}
-	if _, err := Build(l, StaticWeights{1, math.NaN(), 1, 1}, 2, 0); err == nil {
+	if _, err := Build(l, []float64{1, math.NaN(), 1, 1}, 2, 0); err == nil {
 		t.Fatal("NaN weight accepted")
 	}
-	if _, err := Build(l, StaticWeights{1, -2, 1, 1}, 2, 0); err == nil {
+	if _, err := Build(l, []float64{1, -2, 1, 1}, 2, 0); err == nil {
 		t.Fatal("negative weight accepted")
 	}
 }
@@ -259,16 +241,170 @@ func TestHotObjectsRepeat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Speed(0) < 2 {
-		t.Fatalf("hottest object speed %d, want >= 2 on a 3-disk program", p.Speed(0))
+	speed := appearances(p)
+	if speed[0] < 2 {
+		t.Fatalf("hottest object speed %d, want >= 2 on a 3-disk program", speed[0])
 	}
-	if p.Speed(299) != 1 {
-		t.Fatalf("coldest object speed %d, want 1", p.Speed(299))
+	if speed[299] != 1 {
+		t.Fatalf("coldest object speed %d, want 1", speed[299])
 	}
-	// Schedule appearances agree with disk speeds.
+	// The timeline carries each object once per appearance.
+	tl := NewTimeline(p)
 	for _, obj := range []int{0, 50, 299} {
-		if got := p.Schedule().Appearances(obj); got != p.Speed(obj) {
-			t.Fatalf("object %d: %d appearances vs speed %d", obj, got, p.Speed(obj))
+		n := 0
+		for _, f := range tl.Frames() {
+			if f.Kind == FrameData && f.Obj == obj {
+				n++
+			}
+		}
+		if n != speed[obj] {
+			t.Fatalf("object %d: %d data frames vs speed %d", obj, n, speed[obj])
+		}
+	}
+}
+
+// twoSpeed is a hand-built program: hot disk {0,1} at speed 2, cold
+// disk {2,3,4,5} at speed 1, so 2 minor cycles and the cold disk in 2
+// chunks.
+func twoSpeed() *Program {
+	return &Program{
+		layout: bcast.LayoutFor(protocol.RMatrix, 6, 64, 8, 0),
+		slots:  interleave([]disk{{objects: []int{0, 1}, speed: 2}, {objects: []int{2, 3, 4, 5}, speed: 1}}),
+	}
+}
+
+func TestTwoSpeedSchedule(t *testing.T) {
+	p := twoSpeed()
+	if want := []int{0, 1, 2, 3, 0, 1, 4, 5}; !reflect.DeepEqual(p.Slots(), want) {
+		t.Fatalf("slots = %v, want %v", p.Slots(), want)
+	}
+	if a := appearances(p); a[0] != 2 || a[4] != 1 {
+		t.Errorf("appearances: hot %d cold %d", a[0], a[4])
+	}
+	if got := NewTimeline(p).MajorBits(); got != 8*p.Layout().SlotBits() {
+		t.Errorf("major cycle %d bits, want %d", got, 8*p.Layout().SlotBits())
+	}
+}
+
+// assignDisks must always hand interleave a valid geometry, whatever
+// the weights: every object on exactly one non-empty disk, speeds
+// powers of two, strictly decreasing to 1, each dividing the fastest,
+// and every disk splitting evenly into its chunks.
+func TestAssignDisksGeometry(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{1, 2, 3, 5, 7, 16, 64, 100, 300, 1000} {
+		for _, theta := range []float64{-1, 0, 0.5, 0.95, 1.2, 2, 4} {
+			for disks := 1; disks <= min(n, 8); disks++ {
+				w := ZipfWeights(n, theta)
+				if theta < 0 { // random weights, random order
+					for i := range w {
+						w[i] = rng.Float64()
+					}
+				}
+				ds := assignDisks(hotToCold(w), w, disks)
+				seen := make([]bool, n)
+				for i, d := range ds {
+					if len(d.objects) == 0 || d.speed < 1 || d.speed&(d.speed-1) != 0 ||
+						ds[0].speed%d.speed != 0 || (i > 0 && d.speed >= ds[i-1].speed) {
+						t.Fatalf("n=%d θ=%v disks=%d: disk %d has %d objects at speed %d", n, theta, disks, i, len(d.objects), d.speed)
+					}
+					if len(d.objects)%(ds[0].speed/d.speed) != 0 {
+						t.Fatalf("n=%d θ=%v disks=%d: disk %d of %d objects not in %d chunks", n, theta, disks, i, len(d.objects), ds[0].speed/d.speed)
+					}
+					for _, obj := range d.objects {
+						if seen[obj] {
+							t.Fatalf("n=%d θ=%v disks=%d: object %d twice", n, theta, disks, obj)
+						}
+						seen[obj] = true
+					}
+				}
+				if slices.Contains(seen, false) || ds[len(ds)-1].speed != 1 {
+					t.Fatalf("n=%d θ=%v disks=%d: an object unassigned or slowest speed %d", n, theta, disks, ds[len(ds)-1].speed)
+				}
+			}
+		}
+	}
+}
+
+func TestTimelineTwoSpeedNextReady(t *testing.T) {
+	p := twoSpeed()
+	tl := NewTimeline(p)
+	slot, major := float64(p.Layout().SlotBits()), float64(tl.MajorBits())
+	for _, c := range []struct {
+		at        float64
+		obj       int
+		ready     float64
+		cycle     int64
+		situation string
+	}{
+		{0, 0, slot, 1, "first appearance"},
+		{slot + 1, 0, 5 * slot, 1, "second appearance, same major cycle"},
+		{5*slot + 1, 0, major + slot, 2, "after the last appearance"},
+		{0, 5, 8 * slot, 1, "cold object"},
+	} {
+		if ready, cycle := tl.NextReady(c.at, c.obj); ready != c.ready || cycle != c.cycle {
+			t.Errorf("%s: NextReady(%v, %d) = %v, %d; want %v, %d", c.situation, c.at, c.obj, ready, cycle, c.ready, c.cycle)
+		}
+	}
+}
+
+// Hot objects wait strictly less on average than on the flat disk;
+// cold objects somewhat more.
+func TestHotObjectsWaitLess(t *testing.T) {
+	l := bcast.LayoutFor(protocol.RMatrix, 8, 64, 8, 0)
+	multi := NewTimeline(&Program{layout: l, slots: interleave([]disk{
+		{objects: []int{0, 1}, speed: 3},
+		{objects: []int{2, 3, 4, 5, 6, 7}, speed: 1},
+	})})
+	rng := rand.New(rand.NewSource(81))
+	meanWait := func(nextReady func(float64, int) (float64, int64), obj int) float64 {
+		span := float64(multi.MajorBits()) * 10
+		total := 0.0
+		const samples = 2000
+		for i := 0; i < samples; i++ {
+			at := rng.Float64() * span
+			ready, _ := nextReady(at, obj)
+			if ready < at {
+				t.Fatalf("NextReady went backwards: %v < %v", ready, at)
+			}
+			total += ready - at
+		}
+		return total / samples
+	}
+	if hot, flat := meanWait(multi.NextReady, 0), meanWait(l.NextReady, 0); hot >= flat {
+		t.Errorf("hot object waits %.0f under multi-disk, %.0f flat", hot, flat)
+	}
+	if cold, flat := meanWait(multi.NextReady, 7), meanWait(l.NextReady, 7); cold <= flat {
+		t.Errorf("cold object should wait more under multi-disk: %.0f vs %.0f", cold, flat)
+	}
+}
+
+// Property: NextReady always returns a time >= t that ends one of the
+// object's data frames in the major cycle it names.
+func TestTimelineNextReadyConsistency(t *testing.T) {
+	p, err := Build(testLayout(60), ZipfWeights(60, 0.95), 3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl := NewTimeline(p)
+	rng := rand.New(rand.NewSource(82))
+	major := float64(tl.MajorBits())
+	for trial := 0; trial < 3000; trial++ {
+		obj := rng.Intn(60)
+		at := rng.Float64() * major * 7
+		ready, cycle := tl.NextReady(at, obj)
+		if ready < at || ready-at > major {
+			t.Fatalf("obj %d at %v: ready %v", obj, at, ready)
+		}
+		within := ready - float64(cycle-1)*major
+		found := false
+		for f, fr := range tl.Frames() {
+			if fr.Kind == FrameData && fr.Obj == obj && float64(tl.FrameEnd(f)) == within {
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("obj %d at %v: ready %v (cycle %d, within %v) is not a transmission end", obj, at, ready, cycle, within)
 		}
 	}
 }
@@ -313,7 +449,7 @@ func TestTimelineIndexInterleave(t *testing.T) {
 		}
 	}
 	// Major cycle length = data bits + m index segments.
-	wantBits := p.Schedule().MajorCycleBits() + 8*p.IndexSegmentBits()
+	wantBits := int64(slots)*p.Layout().SlotBits() + 8*p.IndexSegmentBits()
 	if tl.MajorBits() != wantBits {
 		t.Fatalf("major bits %d, want %d", tl.MajorBits(), wantBits)
 	}
@@ -334,8 +470,8 @@ func TestTimelineNoIndex(t *testing.T) {
 	if d := tl.NextIndexDistance(0); d != 0 {
 		t.Fatalf("NextIndexDistance = %d on unindexed program", d)
 	}
-	if tl.MajorBits() != p.Schedule().MajorCycleBits() {
-		t.Fatalf("unindexed timeline %d bits, schedule %d", tl.MajorBits(), p.Schedule().MajorCycleBits())
+	if want := int64(len(p.Slots())) * p.Layout().SlotBits(); tl.MajorBits() != want {
+		t.Fatalf("unindexed timeline %d bits, slots %d", tl.MajorBits(), want)
 	}
 }
 
@@ -385,12 +521,12 @@ func TestTimelineNextReady(t *testing.T) {
 }
 
 // The simulator waits every read out on a Timeline; at one disk with no
-// index that must be the paper's flat bcast.Schedule, answer for answer,
-// at random instants, at every slot end and around the major-cycle
-// boundaries. The one difference is an exact boundary, which the
-// timeline counts into the cycle it closes: the object whose frame ends
-// there is ready at that very instant, where the schedule already looks
-// into the next cycle.
+// index that must be the paper's flat clock, bcast.Layout.NextReady,
+// answer for answer, at random instants, at every slot end and around
+// the major-cycle boundaries. The one difference is an exact boundary,
+// which the timeline counts into the cycle it closes: the object whose
+// frame ends there is ready at that very instant, where the flat clock
+// already looks into the next cycle.
 func TestFlatTimelineMatchesSchedule(t *testing.T) {
 	algs := []protocol.Algorithm{protocol.Datacycle, protocol.RMatrix, protocol.FMatrix, protocol.FMatrixNo, protocol.Grouped}
 	rng := rand.New(rand.NewSource(5))
@@ -403,13 +539,10 @@ func TestFlatTimelineMatchesSchedule(t *testing.T) {
 					t.Fatal(err)
 				}
 				tl := NewTimeline(p)
-				ref, err := bcast.SingleDiskSchedule(layout)
-				if err != nil {
-					t.Fatal(err)
-				}
+				ref := layout // the flat clock
 				major := float64(tl.MajorBits())
-				if !p.Flat() || major != float64(ref.MajorCycleBits()) {
-					t.Fatalf("%v n=%d θ=%v: program %v, major %v vs %d", alg, n, theta, p, major, ref.MajorCycleBits())
+				if p.Slots()[0] != 0 || !slices.IsSorted(p.Slots()) || major != float64(ref.CycleBits()) {
+					t.Fatalf("%v n=%d θ=%v: program %v, major %v vs %d", alg, n, theta, p, major, ref.CycleBits())
 				}
 				var probes []float64
 				for range 200 {

@@ -4,20 +4,28 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
+	"strings"
 
 	"broadcastcc/internal/bcast"
 )
 
-// Program is a complete broadcast program: the disk partition, the
-// flattened slot schedule of one major cycle, and the (1,m) index
-// configuration. Programs are immutable after Build.
+// Program is a complete broadcast program: the data-slot sequence of
+// one major cycle, in which an object on a disk of speed s appears s
+// times, and the (1,m) index configuration. Programs are immutable
+// after Build.
 type Program struct {
-	layout   bcast.Layout
-	disks    []bcast.Disk
-	schedule *bcast.Schedule
-	indexM   int
-	speedOf  []int // per-object disk speed (appearances per major cycle)
+	layout bcast.Layout
+	slots  []int
+	indexM int
+}
+
+// disk is one spinning disk of the program: a set of objects broadcast
+// speed times per major cycle.
+type disk struct {
+	objects []int
+	speed   int
 }
 
 // Build constructs a multi-disk broadcast program over the layout's
@@ -34,6 +42,7 @@ type Program struct {
 //     chunks, so its size is rounded down to a multiple of 2^d by
 //     promoting its hottest leftovers to the next faster disk — a
 //     conservative move (objects only ever spin faster than ideal).
+//  4. The disks are flattened by the chunked interleave (interleave).
 //
 // disks = 1 (or uniform weights) yields the paper's flat program.
 // indexM ≥ 1 interleaves that many full index segments per major
@@ -71,9 +80,13 @@ func Build(layout bcast.Layout, weights []float64, disks, indexM int) (*Program,
 		disks = n
 	}
 
-	// Hot-to-cold object order; ties break toward lower ids so the
-	// partition is a pure function of the weights.
-	order := make([]int, n)
+	return &Program{layout: layout, slots: interleave(assignDisks(hotToCold(weights), weights, disks)), indexM: indexM}, nil
+}
+
+// hotToCold orders the objects by descending weight; ties break toward
+// lower ids so the partition is a pure function of the weights.
+func hotToCold(weights []float64) []int {
+	order := make([]int, len(weights))
 	for i := range order {
 		order[i] = i
 	}
@@ -83,30 +96,35 @@ func Build(layout bcast.Layout, weights []float64, disks, indexM int) (*Program,
 		}
 		return order[a] < order[b]
 	})
+	return order
+}
 
-	assign := assignDisks(order, weights, disks)
-	dl := make([]bcast.Disk, 0, len(assign))
-	speedOf := make([]int, n)
-	for _, d := range assign {
-		for _, obj := range d.Objects {
-			speedOf[obj] = d.Speed
+// interleave flattens disks (fastest first, as assignDisks returns
+// them) into one major cycle by the classic chunked interleave: with S
+// the fastest speed, the major cycle is S minor cycles; a disk of speed
+// s splits into S/s equal chunks and minor cycle m carries chunk
+// m mod (S/s) of every disk, hot to cold.
+func interleave(disks []disk) []int {
+	maxSpeed := disks[0].speed
+	var slots []int
+	for minor := 0; minor < maxSpeed; minor++ {
+		for _, d := range disks {
+			chunks := maxSpeed / d.speed
+			size := len(d.objects) / chunks
+			k := minor % chunks
+			slots = append(slots, d.objects[k*size:(k+1)*size]...)
 		}
-		dl = append(dl, d)
 	}
-	sched, err := bcast.NewSchedule(layout, dl)
-	if err != nil {
-		return nil, fmt.Errorf("airsched: assembling schedule: %w", err)
-	}
-	return &Program{layout: layout, disks: dl, schedule: sched, indexM: indexM, speedOf: speedOf}, nil
+	return slots
 }
 
 // assignDisks partitions the hot-to-cold object order across up to
-// disks power-of-two-speed disks, returning only non-empty disks with
-// speeds normalized so the slowest is 1.
-func assignDisks(order []int, weights []float64, disks int) []bcast.Disk {
+// disks power-of-two-speed disks, returning only non-empty disks,
+// fastest first, with speeds normalized so the slowest is 1.
+func assignDisks(order []int, weights []float64, disks int) []disk {
 	n := len(order)
 	if disks == 1 {
-		return []bcast.Disk{{Objects: append([]int(nil), order...), Speed: 1}}
+		return []disk{{objects: append([]int(nil), order...), speed: 1}}
 	}
 	maxSpeed := 1 << (disks - 1)
 	maxW := weights[order[0]]
@@ -146,24 +164,24 @@ func assignDisks(order []int, weights []float64, disks int) []bcast.Disk {
 		sizes[d-1] += r
 	}
 
-	var out []bcast.Disk
+	var out []disk
 	at := 0
 	for d := 0; d < disks; d++ {
 		if sizes[d] == 0 {
 			continue
 		}
-		out = append(out, bcast.Disk{
-			Objects: append([]int(nil), order[at:at+sizes[d]]...),
-			Speed:   1 << (disks - 1 - d),
+		out = append(out, disk{
+			objects: append([]int(nil), order[at:at+sizes[d]]...),
+			speed:   1 << (disks - 1 - d),
 		})
 		at += sizes[d]
 	}
 	// Normalize speeds so the slowest disk spins once per major cycle;
 	// powers of two keep dividing each other after the shift.
-	minSpeed := out[len(out)-1].Speed
+	minSpeed := out[len(out)-1].speed
 	if minSpeed > 1 {
 		for i := range out {
-			out[i].Speed /= minSpeed
+			out[i].speed /= minSpeed
 		}
 	}
 	return out
@@ -172,52 +190,42 @@ func assignDisks(order []int, weights []float64, disks int) []bcast.Disk {
 // Layout reports the per-slot broadcast layout.
 func (p *Program) Layout() bcast.Layout { return p.layout }
 
-// Disks returns the disk partition (hot to cold). Callers must not
-// mutate the result.
-func (p *Program) Disks() []bcast.Disk { return p.disks }
-
-// Schedule returns the flattened data-slot schedule.
-func (p *Program) Schedule() *bcast.Schedule { return p.schedule }
-
 // IndexM reports the number of (1,m) index segments per major cycle
 // (0 = no air index).
 func (p *Program) IndexM() int { return p.indexM }
 
-// Speed reports how many times obj is broadcast per major cycle.
-func (p *Program) Speed(obj int) int { return p.speedOf[obj] }
-
-// Slots returns the data-slot object sequence of one major cycle.
-func (p *Program) Slots() []int { return p.schedule.Slots() }
-
-// Flat reports whether the program degenerates to the paper's flat
-// broadcast: one disk, no index.
-func (p *Program) Flat() bool { return len(p.disks) == 1 && p.indexM == 0 }
-
-// IndexOffsetBits is the width of one index offset entry: enough for
-// any frame distance within a major cycle (data slots plus index
-// segments).
-func (p *Program) IndexOffsetBits() int {
-	total := len(p.schedule.Slots()) + p.indexM
-	return bits.Len(uint(total)) + 1
-}
+// Slots returns a copy of the data-slot object sequence of one major
+// cycle.
+func (p *Program) Slots() []int { return append([]int(nil), p.slots...) }
 
 // IndexSegmentBits models the air cost of one index segment: an
 // offset entry per object plus a fixed header (cycle number, segment
-// ordinal, next-index pointer). The wire codec's byte framing differs
-// slightly; timing uses this bit-exact account.
+// ordinal, next-index pointer). An offset entry is wide enough for any
+// frame distance within a major cycle (data slots plus index
+// segments). The wire codec's byte framing differs slightly; timing
+// uses this bit-exact account.
 func (p *Program) IndexSegmentBits() int64 {
-	return 64 + int64(p.layout.Objects)*int64(p.IndexOffsetBits())
+	offsetBits := bits.Len(uint(len(p.slots)+p.indexM)) + 1
+	return 64 + int64(p.layout.Objects)*int64(offsetBits)
 }
 
-// String summarizes the program.
+// String summarizes the program: per disk, fastest first, its object
+// count and speed (appearances per major cycle).
 func (p *Program) String() string {
-	s := fmt.Sprintf("airsched: %d objects on %d disk(s) [", p.layout.Objects, len(p.disks))
-	for i, d := range p.disks {
-		if i > 0 {
-			s += " "
-		}
-		s += fmt.Sprintf("%d@%dx", len(d.Objects), d.Speed)
+	speed := make([]int, p.layout.Objects)
+	for _, obj := range p.slots {
+		speed[obj]++
 	}
-	s += fmt.Sprintf("], (1,%d) index", p.indexM)
-	return s
+	size := make([]int, slices.Max(speed)+1) // objects per speed
+	for _, s := range speed {
+		size[s]++
+	}
+	var disks []string
+	for s := len(size) - 1; s >= 1; s-- {
+		if size[s] > 0 {
+			disks = append(disks, fmt.Sprintf("%d@%dx", size[s], s))
+		}
+	}
+	return fmt.Sprintf("airsched: %d objects on %d disk(s) [%s], (1,%d) index",
+		p.layout.Objects, len(disks), strings.Join(disks, " "), p.indexM)
 }

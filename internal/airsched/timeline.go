@@ -28,8 +28,8 @@ type Frame struct {
 // evenly — and answers the timing queries clients and the simulator
 // need: when an object is next fully received, when the next index
 // segment lands, and how many frames fall in an interval (the tuning
-// cost of continuous listening). All times are in bit-units, matching
-// bcast.Schedule; frames are heterogeneous (index segments are usually
+// cost of continuous listening). All times are in bit-units, as in
+// bcast.Layout; frames are heterogeneous (index segments are usually
 // much smaller than data slots), so the timeline keeps a cumulative
 // frame-end table rather than assuming fixed slot widths.
 type Timeline struct {
@@ -47,7 +47,7 @@ type Timeline struct {
 // the data slot at position ⌊k·S/m⌋, spreading the m segments evenly
 // over the S data slots.
 func NewTimeline(p *Program) *Timeline {
-	slots := p.schedule.Slots()
+	slots := p.slots
 	s, m := len(slots), p.indexM
 	segBits := p.IndexSegmentBits()
 	slotBits := p.layout.SlotBits()
@@ -155,8 +155,10 @@ func nextEnd(ends []int64, from float64) (int64, bool) {
 
 // NextReady reports the earliest absolute time ≥ at which obj is fully
 // received, with the 1-based major-cycle number of that transmission —
-// the same contract as bcast.Schedule.NextReady, shifted by the index
-// segments sharing the air.
+// the contract of the flat clock bcast.Layout.NextReady, over the
+// program's own slots and shifted by the index segments sharing the air,
+// except that an exact cycle boundary belongs to the cycle it closes
+// (cycleOf).
 func (t *Timeline) NextReady(at float64, obj int) (float64, int64) {
 	ends := t.objEnds[obj]
 	c, within := t.cycleOf(at)

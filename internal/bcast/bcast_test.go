@@ -2,6 +2,7 @@ package bcast
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"broadcastcc/internal/cmatrix"
@@ -72,6 +73,69 @@ func TestObjectReadyOffset(t *testing.T) {
 		}
 	}()
 	l.ObjectReadyOffset(4)
+}
+
+// The flat clock: every object once per cycle in id order, ready at its
+// ObjectReadyOffset, one cycle per CycleBits.
+func TestSingleDiskSchedule(t *testing.T) {
+	l := LayoutFor(protocol.RMatrix, 4, 64, 8, 0)
+	for j := 0; j < 4; j++ {
+		ready, cycle := l.NextReady(0, j)
+		if ready != float64(l.ObjectReadyOffset(j)) || cycle != 1 {
+			t.Errorf("NextReady(0, %d) = %v, %d; want %d, 1", j, ready, cycle, l.ObjectReadyOffset(j))
+		}
+		ready, cycle = l.NextReady(float64(3*l.CycleBits()), j)
+		if ready != float64(3*l.CycleBits()+l.ObjectReadyOffset(j)) || cycle != 4 {
+			t.Errorf("NextReady(3 cycles, %d) = %v, %d", j, ready, cycle)
+		}
+	}
+}
+
+func TestNextReadyAcrossCycles(t *testing.T) {
+	l := LayoutFor(protocol.RMatrix, 6, 64, 8, 0)
+	slot, major := l.SlotBits(), l.CycleBits()
+	// Idempotent at the ready instant itself.
+	if ready, cycle := l.NextReady(float64(2*slot), 1); ready != float64(2*slot) || cycle != 1 {
+		t.Errorf("NextReady at the ready instant = %v, %d", ready, cycle)
+	}
+	// Just after its slot, object 1 waits for the next cycle.
+	if ready, cycle := l.NextReady(float64(2*slot)+1, 1); ready != float64(major+2*slot) || cycle != 2 {
+		t.Errorf("wrap = %v, %d", ready, cycle)
+	}
+	// An exact cycle boundary already belongs to the next cycle, even for
+	// the last object, whose frame ends there.
+	for c := int64(1); c <= 3; c++ {
+		at := float64(c * major)
+		if ready, cycle := l.NextReady(at, 5); ready != at+float64(major) || cycle != c+1 {
+			t.Errorf("last object at boundary %v = %v, %d", at, ready, cycle)
+		}
+		if ready, cycle := l.NextReady(at, 0); ready != at+float64(slot) || cycle != c+1 {
+			t.Errorf("first object at boundary %v = %v, %d", at, ready, cycle)
+		}
+	}
+	// Before time 0 the first cycle still serves.
+	if ready, cycle := l.NextReady(-5, 3); ready != float64(4*slot) || cycle != 1 {
+		t.Errorf("NextReady(-5, 3) = %v, %d", ready, cycle)
+	}
+}
+
+// Property: NextReady returns a time >= t that ends one of the object's
+// transmissions in the cycle it names, at most one cycle away.
+func TestNextReadyConsistency(t *testing.T) {
+	l := LayoutFor(protocol.FMatrix, 6, 1000, 8, 0)
+	rng := rand.New(rand.NewSource(82))
+	major := float64(l.CycleBits())
+	for trial := 0; trial < 3000; trial++ {
+		obj := rng.Intn(6)
+		at := rng.Float64() * major * 7
+		ready, cycle := l.NextReady(at, obj)
+		if ready < at || ready-at > major {
+			t.Fatalf("obj %d at %v: ready %v", obj, at, ready)
+		}
+		if within := ready - float64(cycle-1)*major; within != float64(l.ObjectReadyOffset(obj)) {
+			t.Fatalf("obj %d at %v: ready %v (cycle %d, within %v) is not a transmission end", obj, at, ready, cycle, within)
+		}
+	}
 }
 
 func TestLayoutValidateErrors(t *testing.T) {

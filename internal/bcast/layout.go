@@ -2,7 +2,10 @@
 // layout of a broadcast cycle — every object followed by its control
 // information — with all timing in bit-units (the time to broadcast one
 // bit, the paper's unit of time), and the live in-process medium that
-// fans completed cycles out to subscribed clients.
+// fans completed cycles out to subscribed clients. It owns no broadcast
+// program: multi-disk programs and the (1,m) air index are
+// internal/airsched's, and Layout.NextReady, the flat cycle's clock, is
+// the reference their timeline is checked against.
 package bcast
 
 import (
@@ -135,6 +138,26 @@ func (l Layout) ObjectReadyOffset(j int) int64 {
 		panic(fmt.Sprintf("bcast: object %d out of range [0,%d)", j, l.Objects))
 	}
 	return int64(j+1) * l.SlotBits()
+}
+
+// NextReady reports the earliest absolute time ≥ t at which object j is
+// fully received on the paper's flat cycle, with the 1-based number of
+// the cycle that carries it (cycle 1 starts at time 0). An exact cycle
+// boundary already belongs to the next cycle. This is the reference
+// clock the airsched timeline is checked against.
+func (l Layout) NextReady(t float64, j int) (float64, int64) {
+	major := l.CycleBits()
+	cycle := int64(0)
+	if t > 0 {
+		cycle = int64(t) / major
+	}
+	off := float64(l.ObjectReadyOffset(j))
+	if off >= t-float64(cycle)*float64(major) {
+		if ready := float64(cycle)*float64(major) + off; ready >= t {
+			return ready, cycle + 1
+		}
+	}
+	return float64(cycle+1)*float64(major) + off, cycle + 2
 }
 
 // ControlOverhead reports the fraction of cycle bandwidth spent on

@@ -36,19 +36,6 @@ type CycleBroadcast struct {
 	// A superset is legal; a missing object leaves the previous cycle's
 	// record on the air, stale. Readers never write it.
 	Written []int
-
-	// Order, when non-nil, is the data-slot object sequence of the
-	// broadcast program for this (major) cycle — hot objects appear more
-	// than once. Nil means the paper's flat cycle: every object once in
-	// id order. Every occurrence of an object carries the same Values
-	// entry and control column (the state as of the beginning of the
-	// major cycle), so protocol read-conditions are unaffected by where
-	// in the cycle the object was heard.
-	Order []int
-	// IndexM is the number of (1,m) air-index segments interleaved into
-	// the cycle (0 = no air index). Kept as a primitive so bcast stays
-	// free of the airsched dependency.
-	IndexM int
 }
 
 // MatrixView is control read in place: Bound(i, j) is C(i, j) or, under

@@ -27,6 +27,7 @@ type ProgramEncoder struct {
 	refreshEvery int
 	seqs         []uint32          // occurrences sent, per object
 	prevCols     [][]cmatrix.Cycle // the last column sent, per object
+	offs         []int             // an index segment's offsets, rewritten per segment
 }
 
 // NewProgramEncoder returns the transmitter of program p, before its
@@ -38,6 +39,7 @@ func NewProgramEncoder(p *airsched.Program, refreshEvery int) *ProgramEncoder {
 		refreshEvery: refreshEvery,
 		seqs:         make([]uint32, n),
 		prevCols:     make([][]cmatrix.Cycle, n),
+		offs:         make([]int, n),
 	}
 }
 
@@ -50,9 +52,8 @@ func (e *ProgramEncoder) Encode(cb *bcast.CycleBroadcast) (frames [][]byte, full
 		var data []byte
 		switch f.Kind {
 		case airsched.FrameIndex:
-			offs := make([]int, cb.Layout.Objects)
-			for obj := range offs {
-				offs[obj] = tl.NextOccurrence(i, obj)
+			for obj := range e.offs {
+				e.offs[obj] = tl.NextOccurrence(i, obj)
 			}
 			data, err = wire.EncodeIndexFrame(&wire.IndexFrame{
 				Number:    cb.Number,
@@ -60,7 +61,7 @@ func (e *ProgramEncoder) Encode(cb *bcast.CycleBroadcast) (frames [][]byte, full
 				M:         tl.Program().IndexM(),
 				Frames:    tl.FrameCount(),
 				NextIndex: tl.NextIndexDistance(i),
-				Offsets:   offs,
+				Offsets:   e.offs, // copied into the frame
 			})
 			fullBytes += int64(len(data))
 		case airsched.FrameData:
@@ -152,7 +153,6 @@ type assembler struct {
 	cols      [][]cmatrix.Cycle
 	seen      []bool
 	nSeen     int
-	indexM    int
 
 	chain BucketChain
 }
@@ -166,7 +166,6 @@ func (a *assembler) begin(number cmatrix.Cycle, layout bcast.Layout) {
 	a.cols = make([][]cmatrix.Cycle, layout.Objects)
 	a.seen = make([]bool, layout.Objects)
 	a.nSeen = 0
-	a.indexM = 0
 }
 
 // feed consumes one program-mode frame, returning a completed cycle
@@ -174,14 +173,10 @@ func (a *assembler) begin(number cmatrix.Cycle, layout bcast.Layout) {
 func (a *assembler) feed(frame []byte) (*bcast.CycleBroadcast, error) {
 	switch kind := wire.KindOf(frame); kind {
 	case wire.KindIndex:
-		idx, err := wire.DecodeIndexFrame(frame)
-		if err != nil {
-			return nil, err
-		}
-		if a.haveStart && idx.Number == a.number {
-			a.indexM = idx.M
-		}
-		return nil, nil
+		// Only a selective tuner follows the index; decoding it still
+		// rejects a malformed one.
+		_, err := wire.DecodeIndexFrame(frame)
+		return nil, err
 	case wire.KindBucket:
 	default:
 		return nil, fmt.Errorf("netcast: %v frame in a program-mode stream", kind)
@@ -218,7 +213,6 @@ func (a *assembler) build() (*bcast.CycleBroadcast, error) {
 		Number: a.number,
 		Layout: a.layout,
 		Values: a.values,
-		IndexM: a.indexM,
 	}
 	var err error
 	switch a.layout.Control {

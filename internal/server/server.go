@@ -61,12 +61,12 @@ type Config struct {
 	// tools can reconstruct and check the induced history.
 	Audit bool
 	// Program, when non-nil, replaces the flat broadcast with an
-	// airsched multi-disk program: StartCycle publishes each cycle with
-	// the program's slot order and (1,m) index configuration, and every
-	// occurrence of an object within the major cycle carries the
-	// cycle-start value and control column (so Theorem 1/2 validation of
-	// a mid-cycle re-broadcast is identical to the first copy). The
-	// program's layout must equal the server's.
+	// airsched multi-disk program, which the transmitter (netcast) lays
+	// out on the air: every occurrence of an object within the major
+	// cycle carries the cycle-start value and control column StartCycle
+	// publishes (so Theorem 1/2 validation of a mid-cycle re-broadcast is
+	// identical to the first copy). The program's layout must equal
+	// LayoutOf(cfg).
 	Program *airsched.Program
 	// RegroupEvery, when > 0 under protocol.Grouped, re-derives the
 	// partition from the write-heat EWMA every RegroupEvery cycles (a
@@ -169,13 +169,20 @@ type Server struct {
 	cShardExpired        *obs.Counter
 }
 
+// LayoutOf is the broadcast layout of a server configured by cfg;
+// TimestampBits 0 selects 8.
+func LayoutOf(cfg Config) bcast.Layout {
+	ts := cfg.TimestampBits
+	if ts == 0 {
+		ts = 8
+	}
+	return bcast.LayoutFor(cfg.Algorithm, cfg.Objects, cfg.ObjectBits, ts, cfg.Groups)
+}
+
 // New builds a server. The configuration must describe a valid broadcast
 // layout.
 func New(cfg Config) (*Server, error) {
-	if cfg.TimestampBits == 0 {
-		cfg.TimestampBits = 8
-	}
-	layout := bcast.LayoutFor(cfg.Algorithm, cfg.Objects, cfg.ObjectBits, cfg.TimestampBits, cfg.Groups)
+	layout := LayoutOf(cfg)
 	if err := layout.Validate(); err != nil {
 		return nil, err
 	}
@@ -438,10 +445,6 @@ func (s *Server) StartCycle() *bcast.CycleBroadcast {
 		Number: s.cycle,
 		Layout: s.layout,
 		Values: make([][]byte, len(s.committed)),
-	}
-	if p := s.cfg.Program; p != nil {
-		cb.Order = p.Slots()
-		cb.IndexM = p.IndexM()
 	}
 	copy(cb.Values, s.committed) // shared, not copied: see committed
 	if prev := s.cycle - 1; prev > 0 {

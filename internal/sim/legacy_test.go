@@ -27,9 +27,9 @@ import (
 
 // mcClient is one simulated client's state machine.
 type mcClient struct {
-	id    int
-	rng   *rand.Rand
-	sched *bcast.Schedule // the engine's flat program, shared
+	id   int
+	rng  *rand.Rand
+	flat bcast.Layout // the paper's flat disk, the oracle's own clock
 
 	validator protocol.Validator
 	objs      []int
@@ -78,19 +78,16 @@ func (e *engine) runMulti() (*Result, error) {
 		seq++
 		heap.Push(&events, mcEvent{time: t, seq: seq, client: c})
 	}
-	// The oracle waits on its own flat bcast.Schedule, not on the
-	// engine's timeline, so the differential checks the wheel's wait too
-	// (TestFlatTimelineMatchesSchedule pins the two against each other).
-	sched, err := bcast.SingleDiskSchedule(e.srv.Layout())
-	if err != nil {
-		return nil, err
-	}
+	// The oracle waits on the flat clock bcast.Layout.NextReady, not on
+	// the engine's timeline, so the differential checks the wheel's wait
+	// too (TestFlatTimelineMatchesSchedule pins the two against each
+	// other).
 
 	for i := range clients {
 		c := &mcClient{
-			id:    i,
-			rng:   rand.New(rand.NewSource(cfg.Seed + int64(i+1)*1_000_003)),
-			sched: sched,
+			id:   i,
+			rng:  rand.New(rand.NewSource(cfg.Seed + int64(i+1)*1_000_003)),
+			flat: e.srv.Layout(),
 		}
 		clients[i] = c
 		e.startTxnAt(c, 0)
@@ -223,7 +220,7 @@ func (e *engine) scheduleReadAt(c *mcClient, base float64) float64 {
 }
 
 func (c *mcClient) nextReady(t float64, j int) (float64, cmatrix.Cycle) {
-	ready, cycle := c.sched.NextReady(t, j)
+	ready, cycle := c.flat.NextReady(t, j)
 	return ready, cmatrix.Cycle(cycle)
 }
 

@@ -131,8 +131,9 @@ obs-smoke:
 # (its /metrics shows dgram_packets_rx > 0); catches -udp wiring rot on
 # both binaries end to end over a real UDP socket. A second, lossy
 # client (-loss/-doze over the datagram tuner) must then finish all its
-# transactions while its /metrics shows client_cycles_missed > 0: the
-# doze path recovers on the next cycle it hears.
+# transactions while its /metrics shows faultair_frames_dropped > 0 (the
+# injected loss happened) and client_cycles_missed > 0: the doze path
+# recovers on the next cycle it hears.
 udp-smoke:
 	$(GO) build -o /tmp/bcserver-udp-smoke ./cmd/bcserver
 	$(GO) build -o /tmp/bcclient-udp-smoke ./cmd/bcclient
@@ -151,12 +152,14 @@ udp-smoke:
 	kill $$cpid 2>/dev/null; wait $$cpid 2>/dev/null; \
 	/tmp/bcclient-udp-smoke -udp 127.0.0.1:17272 -read 0,1 -txns 100 \
 		-loss 0.2 -doze 0.1 -fault-seed 7 -obs-addr 127.0.0.1:17274 >/dev/null & \
-	lpid=$$!; missed=; \
+	lpid=$$!; missed=; dropped=; \
 	for i in $$(seq 1 50); do \
 		sleep 0.2; \
-		m=$$(curl -sf http://127.0.0.1:17274/metrics | \
-			sed -n 's/.*"client_cycles_missed": \([0-9]*\).*/\1/p'); \
+		body=$$(curl -sf http://127.0.0.1:17274/metrics); \
+		m=$$(echo "$$body" | sed -n 's/.*"client_cycles_missed": \([0-9]*\).*/\1/p'); \
 		if [ -n "$$m" ]; then missed=$$m; fi; \
+		d=$$(echo "$$body" | sed -n 's/.*"faultair_frames_dropped": \([0-9]*\).*/\1/p'); \
+		if [ -n "$$d" ]; then dropped=$$d; fi; \
 		kill -0 $$lpid 2>/dev/null || break; \
 	done; \
 	if kill $$lpid 2>/dev/null; then lrc=timeout; else wait $$lpid; lrc=$$?; fi; \
@@ -170,11 +173,15 @@ udp-smoke:
 		echo "udp-smoke: lossy client did not finish its transactions (exit $$lrc)" >&2; \
 		exit 1; \
 	fi; \
+	if [ -z "$$dropped" ] || [ "$$dropped" -eq 0 ]; then \
+		echo "udp-smoke: lossy client dropped no frame (faultair_frames_dropped $${dropped:-missing})" >&2; \
+		exit 1; \
+	fi; \
 	if [ -z "$$missed" ] || [ "$$missed" -eq 0 ]; then \
 		echo "udp-smoke: lossy client missed no cycle (client_cycles_missed $${missed:-missing})" >&2; \
 		exit 1; \
 	fi; \
-	echo "udp-smoke: ok ($$rx packets received; lossy client finished, $$missed cycles missed)"
+	echo "udp-smoke: ok ($$rx packets received; lossy client finished, $$dropped frames dropped, $$missed cycles missed)"
 
 # Boot a 2-shard bcserver fleet, commit a cross-shard write through the
 # coordinator uplink with bcclient -shards, and read it back off both

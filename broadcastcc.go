@@ -408,8 +408,8 @@ func TuneDatagram(src DatagramSource, cfg DatagramConfig, reg *ObsRegistry) (*Da
 // ---- Fault injection (the lossy air) ----
 
 // FaultProfile parameterizes reception faults: per-client frame loss,
-// doze windows, disconnects, bounded delivery delay and scripted doze
-// windows. The zero value injects nothing.
+// random doze windows and scripted doze windows. The zero value injects
+// nothing.
 type FaultProfile = faultair.Profile
 
 // FaultWindow is one scripted doze window of a FaultProfile.
@@ -429,9 +429,10 @@ type LossyListener = faultair.Listener
 
 // ListenLossy interposes the fault schedule between a broadcast source
 // (a *Server or a *Tuner) and one client: subscribe the client to the
-// returned listener instead of the source.
-func ListenLossy(src faultair.Source, sched *FaultSchedule, clientID, buffer int) *LossyListener {
-	return faultair.Listen(src, sched, clientID, buffer)
+// returned listener instead of the source. reg (may be nil) receives the
+// faultair_frames_{delivered,dozed,dropped} counters.
+func ListenLossy(src faultair.Source, sched *FaultSchedule, clientID, buffer int, reg *ObsRegistry) *LossyListener {
+	return faultair.Listen(src, sched, clientID, buffer, reg)
 }
 
 // ---- Simulation and experiments ----

@@ -6,7 +6,10 @@
 //	bcclient -broadcast 127.0.0.1:7070 -uplink 127.0.0.1:7071 -write 3=hello
 //
 // With -loss/-doze the client listens through a simulated lossy air
-// (seeded by -fault-seed) and recovers from the induced reception gaps:
+// (seeded by -fault-seed): each cycle is lost or dozed through, or
+// delivered whole. The client recovers from the induced reception gaps
+// and prints a faults: line (frames delivered, dozed and dropped — the
+// faultair_frames_* counters -obs-addr also serves):
 //
 //	bcclient -broadcast 127.0.0.1:7070 -read 0,1 -txns 20 -loss 0.2 -fault-seed 7
 //
@@ -136,13 +139,11 @@ func main() {
 		return
 	}
 
-	// A -obs-addr registry is created up front so the datagram tuner's
-	// reception counters (dgram_packets_rx, dgram_frames_repaired, ...)
-	// land on the same /metrics document as the client's.
-	var reg *broadcastcc.ObsRegistry
-	if *obsAddr != "" {
-		reg = broadcastcc.NewObsRegistry()
-	}
+	// One registry, created up front, so the datagram tuner's reception
+	// counters (dgram_packets_rx, dgram_frames_repaired, ...) and the
+	// lossy air's (faultair_frames_dropped, ...) land on the same
+	// /metrics document as the client's.
+	reg := broadcastcc.NewObsRegistry()
 
 	// The broadcast source: a TCP tuner by default, or the datagram
 	// tuner (ingress filter + FEC reassembly) with -udp. Both publish
@@ -202,10 +203,9 @@ func main() {
 		os.Exit(2)
 	}
 	faulty := !profile.Zero()
-	var lossy *broadcastcc.LossyListener
 	var sub *broadcastcc.Subscription
 	if faulty {
-		lossy = broadcastcc.ListenLossy(tuner, broadcastcc.NewFaultSchedule(profile), 0, 64)
+		lossy := broadcastcc.ListenLossy(tuner, broadcastcc.NewFaultSchedule(profile), 0, 64, reg)
 		defer lossy.Close()
 		sub = lossy.Subscribe(64)
 	} else {
@@ -215,6 +215,7 @@ func main() {
 		Algorithm:     alg,
 		CacheCurrency: broadcastcc.Cycle(*cacheT),
 		Subset:        subset,
+		Obs:           reg,
 	}
 	// The persistent cache tier: recovered inventory seeds the cache and
 	// is revalidated against the first cycle heard off the air, so a
@@ -231,7 +232,6 @@ func main() {
 		log.Printf("cache store %s: %d entries recovered, pending revalidation", *cacheDir, store.Len())
 	}
 	if *obsAddr != "" {
-		ccfg.Obs = reg
 		ccfg.Trace = broadcastcc.NewObsTracer(4096)
 		ln, err := broadcastcc.ServeObs(*obsAddr, ccfg.Obs, ccfg.Trace)
 		if err != nil {
@@ -310,15 +310,15 @@ func main() {
 	st := cli.Stats()
 	fmt.Printf("stats: %d validated reads, %d cache hits, %d aborts (%d observed here)\n",
 		st.Reads, st.CacheHits, st.ReadAborts, aborts)
+	snap := reg.Snapshot()
 	if store != nil {
-		snap := cli.Obs().Snapshot()
 		fmt.Printf("cache store: %d revalidated, %d dropped on revalidation, %d entries persisted\n",
 			snap.Counters["client_cache_revalidated"], snap.Counters["client_cache_dropped"], store.Len())
 	}
 	if faulty {
-		ls := lossy.Stats()
-		fmt.Printf("faults: %d delivered, %d dozed, %d dropped, %d delayed, %d disconnects; %d cycle gaps (%d cycles missed)\n",
-			ls.Delivered, ls.Dozed, ls.Dropped, ls.Delayed, ls.Disconnects, st.Gaps, st.CyclesMissed)
+		fmt.Printf("faults: %d delivered, %d dozed, %d dropped; %d cycle gaps (%d cycles missed)\n",
+			snap.Counters["faultair_frames_delivered"], snap.Counters["faultair_frames_dozed"],
+			snap.Counters["faultair_frames_dropped"], st.Gaps, st.CyclesMissed)
 	}
 }
 

@@ -73,7 +73,6 @@ func main() {
 	groups := flag.Int("groups", 8, "groups for -alg grouped")
 	sparseGrouped := flag.Bool("sparse-grouped", false, "broadcast grouped control as sparse BCG1 frames (requires -alg grouped)")
 	regroupEvery := flag.Int("regroup-every", 0, "re-derive the grouped partition from write heat every N cycles (implies -sparse-grouped; 0 = fixed uniform partition)")
-	heatAlpha := flag.Float64("heat-alpha", 0, "EWMA decay of the regrouping heat estimator (0 = server default)")
 	interval := flag.Duration("interval", 100*time.Millisecond, "broadcast cycle interval")
 	workload := flag.Float64("workload", 0, "synthetic update transactions per second (0 = none)")
 	workloadLen := flag.Int("workload-len", 8, "operations per synthetic transaction")
@@ -109,7 +108,6 @@ func main() {
 		Algorithm:     alg,
 		Groups:        *groups,
 		RegroupEvery:  *regroupEvery,
-		HeatAlpha:     *heatAlpha,
 		Obs:           broadcastcc.NewObsRegistry(),
 		VerifySample:  *verifySample,
 		// VerifyControl rebuilds from the audit log, so sampling it

@@ -78,8 +78,8 @@ type Config struct {
 	// the object, the cycle the read was performed in (the cache entry's
 	// cycle for cache hits), whether it was served from the cache, and
 	// whether the read-condition accepted it. It instruments the read
-	// path for the conformance harness's live-stack audits; production
-	// clients leave it nil.
+	// path: the conformance harness's live-stack audits and the quasi
+	// study's staleness measure set it; nil costs nothing.
 	ObserveRead func(obj int, cycle cmatrix.Cycle, cacheHit, accepted bool)
 	// Obs receives the client's metrics (client_cycles_seen,
 	// client_gaps, client_cycles_missed, client_reads,

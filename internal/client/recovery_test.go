@@ -8,23 +8,26 @@ import (
 	"broadcastcc/internal/client"
 	"broadcastcc/internal/core"
 	"broadcastcc/internal/faultair"
+	"broadcastcc/internal/obs"
 	"broadcastcc/internal/protocol"
 	"broadcastcc/internal/server"
 )
 
 // dozeSetup wires a server (auditing commits) to a client whose tuner
-// dozes through the scripted cycle window.
-func dozeSetup(t *testing.T, alg protocol.Algorithm, win faultair.Window, cfg client.Config) (*server.Server, *faultair.Listener, *client.Client) {
+// dozes through the scripted cycle window; the tuner counts into the
+// returned registry.
+func dozeSetup(t *testing.T, alg protocol.Algorithm, win faultair.Window, cfg client.Config) (*server.Server, *obs.Registry, *client.Client) {
 	t.Helper()
 	srv, err := server.New(server.Config{Objects: 4, ObjectBits: 64, Algorithm: alg, Audit: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sched := faultair.NewSchedule(faultair.Profile{Windows: []faultair.Window{win}})
-	lis := faultair.Listen(srv, sched, win.Client, 64)
+	reg := obs.NewRegistry()
+	lis := faultair.Listen(srv, sched, win.Client, 64, reg)
 	c := client.New(cfg, lis.Subscribe(64))
 	t.Cleanup(func() { lis.Close(); srv.Close() })
-	return srv, lis, c
+	return srv, reg, c
 }
 
 // TestDozeRecoveryCommits: a client dozes through two full cycles in the
@@ -32,7 +35,7 @@ func dozeSetup(t *testing.T, alg protocol.Algorithm, win faultair.Window, cfg cl
 // retune the transaction continues, reads the fresh post-doze value, and
 // commits; the induced history passes the update-consistency checker.
 func TestDozeRecoveryCommits(t *testing.T) {
-	srv, lis, c := dozeSetup(t, protocol.FMatrix,
+	srv, reg, c := dozeSetup(t, protocol.FMatrix,
 		faultair.Window{Client: 0, From: 2, To: 3},
 		client.Config{Algorithm: protocol.FMatrix})
 
@@ -92,8 +95,8 @@ func TestDozeRecoveryCommits(t *testing.T) {
 	if st.Gaps != 1 || st.CyclesMissed != 2 {
 		t.Errorf("stats = %+v, want Gaps=1 CyclesMissed=2", st)
 	}
-	if ls := lis.Stats(); ls.Dozed != 2 {
-		t.Errorf("listener stats = %+v, want Dozed=2", ls)
+	if dozed := reg.Counter(faultair.CtrDozed).Load(); dozed != 2 {
+		t.Errorf("%s = %d, want 2", faultair.CtrDozed, dozed)
 	}
 }
 

@@ -340,6 +340,115 @@ func TestSenderReassemblerAllFaults(t *testing.T) {
 	}
 }
 
+// TestLostShardReleasesLaterFrames: a frame that lost a packet beyond
+// FEC's reach never completes, and the frame behind it leaves as soon
+// as the lost packet can no longer arrive — reorderSlack packets past
+// the end of its group — not once it is a whole reorderWindow stale.
+func TestLostShardReleasesLaterFrames(t *testing.T) {
+	cfg := Config{Channel: 1, FECRepair: -1}
+	car := NewSimCarrier()
+	tap := car.Tap(0, nil, 0)
+	reg := obs.NewRegistry()
+	s, err := NewSender(car, cfg, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ra, err := NewReassembler(cfg, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cycle 1 is one group (packets 0-3): a three-shard frame, then a
+	// one-shard frame. Every later cycle is one one-shard packet.
+	chunk := s.Config().MTU - headerLen - shardHeaderLen
+	if err := s.SendCycle(1, [][]byte{make([]byte, 3*chunk), {1}}); err != nil {
+		t.Fatal(err)
+	}
+	for c := int64(2); c <= 40; c++ {
+		if err := s.SendCycle(c, [][]byte{{byte(c)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	car.Close()
+	const lost, groupEnd = 1, 3 // the middle shard of frame 1/0
+	var got []Frame
+	released := -1
+	for idx := 0; ; idx++ {
+		pkt, err := tap.Recv()
+		if err != nil {
+			break
+		}
+		if idx == lost {
+			continue
+		}
+		got = append(got, ra.Ingest(pkt)...)
+		if released < 0 && len(got) > 0 {
+			released = idx
+		}
+	}
+	got = append(got, ra.Flush()...)
+	if want := groupEnd + reorderSlack + 1; released != want {
+		t.Fatalf("first frame released at packet %d, want %d", released, want)
+	}
+	if len(got) != 40 || got[0].Cycle != 1 || got[0].Seq != 1 {
+		t.Fatalf("delivered %d frames starting at %d/%d, want 40 starting at 1/1", len(got), got[0].Cycle, got[0].Seq)
+	}
+	for i, f := range got[1:] {
+		if f.Cycle != int64(i+2) || f.Seq != 0 {
+			t.Fatalf("frame %d is %d/%d, want %d/0", i+1, f.Cycle, f.Seq, i+2)
+		}
+	}
+	if n := reg.Counter(CtrFramesLost).Load(); n != 1 {
+		t.Errorf("frames_lost = %d, want 1", n)
+	}
+}
+
+// TestReorderWithinSlackWithoutFEC: with no repair packets to rebuild a
+// late shard, reorder up to the tested lag (7 transmit slots) must still
+// lose and misorder nothing — reorderSlack must cover it.
+func TestReorderWithinSlackWithoutFEC(t *testing.T) {
+	cfg := Config{Channel: 1, FECRepair: -1}
+	for seed := int64(1); seed <= 8; seed++ {
+		car := NewSimCarrier()
+		tap := car.Tap(0, testFates{reorderMax: 7, seed: seed}, 1<<16)
+		s, err := NewSender(car, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ra, err := NewReassembler(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunk := s.Config().MTU - headerLen - shardHeaderLen
+		rng := rand.New(rand.NewSource(seed))
+		var sent [][]byte
+		for cycle := int64(1); cycle <= 10; cycle++ {
+			frames := frameBatch(rng, chunk)
+			sent = append(sent, frames...)
+			if err := s.SendCycle(cycle, frames); err != nil {
+				t.Fatal(err)
+			}
+		}
+		car.Settle()
+		car.Close()
+		var got []Frame
+		for {
+			pkt, err := tap.Recv()
+			if err != nil {
+				break
+			}
+			got = append(got, ra.Ingest(pkt)...)
+		}
+		if len(got) != len(sent) {
+			t.Fatalf("seed %d: delivered %d frames before the stream ended, sent %d", seed, len(got), len(sent))
+		}
+		for i, f := range got {
+			if !bytes.Equal(f.Data, sent[i]) {
+				t.Fatalf("seed %d: frame %d differs", seed, i)
+			}
+		}
+	}
+}
+
 func TestSimReplayDeterminism(t *testing.T) {
 	run := func() string {
 		_, got, _ := runLossy(t, testFates{loss: 0.1, dup: 0.1, reorderMax: 5, seed: 99}, 10)

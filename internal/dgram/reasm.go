@@ -17,16 +17,18 @@ const (
 	// within which duplicates are detected; packets older than the window
 	// are dropped as stale.
 	dedupWindow = 4096
-	// reorderWindow bounds how far (in packet sequence) a missing packet
-	// may trail the newest one before it is declared lost: sequence gaps
-	// older than this stop holding back in-order emission, and frames or
-	// groups that made no progress for this long are abandoned. Reorder
-	// on a broadcast medium is shallow — anything this stale is loss,
-	// not lateness — and a small window bounds how long one
-	// unrecoverable frame can delay the frames behind it. It must exceed
-	// the widest FEC group (maxFECShards + maxFECRepair packets) so a
-	// group is never declared dead while still arriving.
+	// reorderWindow bounds how long (in packet sequence) an incomplete
+	// frame or FEC group may make no progress before it is abandoned.
+	// It must exceed the widest FEC group (maxFECShards + maxFECRepair
+	// packets) so a group is never dropped while still arriving.
 	reorderWindow = 128
+	// reorderSlack is how far (in packet sequence) a packet may still
+	// arrive behind a newer one. Reorder on a broadcast medium is
+	// shallow; the slack exceeds the deepest lag the datapath is tested
+	// against (7 transmit slots). A missing packet stops holding back
+	// in-order emission once it can no longer arrive or be rebuilt (see
+	// seqAccounted).
+	reorderSlack = 8
 )
 
 type frameKey struct {
@@ -46,14 +48,16 @@ type frameState struct {
 }
 
 type groupState struct {
-	k, r    int
-	data    [][]byte
-	parity  [][]byte
-	have    int
-	size    int // max region length seen, the FEC padding width
-	lastSeq uint64
-	minSeq  uint64
-	done    bool
+	k, r int
+	// start..end is the group's packet span: data shards, then repair.
+	start, end uint64
+	data       [][]byte
+	parity     [][]byte
+	have       int
+	size       int // max region length seen, the FEC padding width
+	lastSeq    uint64
+	minSeq     uint64
+	done       bool
 }
 
 // Reassembler turns an unordered, lossy, duplicated stream of datagrams
@@ -66,12 +70,12 @@ type Reassembler struct {
 	code map[int]*fecCode
 
 	// Packet-sequence dedup: a sliding bitmap over the last dedupWindow
-	// sequence numbers.
+	// sequence numbers (the received packets).
 	started bool
 	maxSeq  uint64
 	seen    [dedupWindow / 64]uint64
 	// contig is the highest sequence number up to which every packet is
-	// accounted for — received, or stale enough to be declared lost. A
+	// accounted for — received, or unable to arrive or be rebuilt. A
 	// complete frame is held back while packets before its first shard
 	// are unaccounted: they may carry an earlier frame still in flight.
 	contig uint64
@@ -201,7 +205,12 @@ func (r *Reassembler) markSeq(seq uint64) {
 func (r *Reassembler) ingestGroup(h header) {
 	g, ok := r.groups[h.Group]
 	if !ok {
-		g = &groupState{k: h.GData, r: h.GRepair, minSeq: h.PktSeq, lastSeq: h.PktSeq}
+		start := h.PktSeq - uint64(h.GIdx)
+		if h.Repair {
+			start -= uint64(h.GData)
+		}
+		g = &groupState{k: h.GData, r: h.GRepair, start: start, end: start + uint64(h.GData+h.GRepair) - 1,
+			minSeq: h.PktSeq, lastSeq: h.PktSeq}
 		g.data = make([][]byte, g.k)
 		g.parity = make([][]byte, g.r)
 		r.groups[h.Group] = g
@@ -355,13 +364,20 @@ func (r *Reassembler) evictStale() {
 	}
 }
 
-// seqAccounted reports whether packet s has been received or is stale
-// enough to be declared lost.
+// seqAccounted reports whether packet s has been received or can no
+// longer arrive or be rebuilt: its FEC group is done, or the newest
+// packet has passed the end of its group — or, when nothing of its group
+// was heard, s itself — by more than reorderSlack.
 func (r *Reassembler) seqAccounted(s uint64) bool {
-	if r.maxSeq-s > reorderWindow {
+	if r.maxSeq-s > reorderWindow || r.seen[(s%dedupWindow)/64]&(1<<(s%64)) != 0 {
 		return true
 	}
-	return r.seen[(s%dedupWindow)/64]&(1<<(s%64)) != 0
+	for _, g := range r.groups {
+		if s >= g.start && s <= g.end {
+			return g.done || r.maxSeq > g.end+reorderSlack
+		}
+	}
+	return r.maxSeq-s > reorderSlack
 }
 
 // advanceContig walks the accounted-for frontier forward.
@@ -395,14 +411,14 @@ func (r *Reassembler) Flush() []Frame {
 }
 
 // drain emits completed frames in transmission order. A complete frame
-// leaves once nothing transmitted before it can still show up: no
-// incomplete frame with a smaller (cycle, seq) is pending, and every
+// leaves once nothing transmitted before it can still show up: every
 // packet before the frame's first shard is accounted for (data shards
 // are transmitted in frame order, so an unaccounted earlier packet
-// could carry an earlier frame still in flight). A frame whose packets
-// are genuinely gone stops blocking once the reorder window slides past
-// it — the decoder above treats the hole like any other missed
-// broadcast.
+// could carry an earlier frame still in flight). An earlier frame still
+// incomplete then can never complete — its missing packets can neither
+// arrive nor be rebuilt — so it does not hold the frame back; the
+// decoder above treats the hole like any other missed broadcast, and
+// evictStale abandons it.
 func (r *Reassembler) drain() []Frame {
 	r.advanceContig()
 	r.scratch = r.scratch[:0]
@@ -424,16 +440,6 @@ func (r *Reassembler) drain() []Frame {
 		// first shard are accounted for (the +1 wraps ^0 to 0 before
 		// anything is).
 		if bestState.minPktSeq > r.contig+1 {
-			break
-		}
-		blocked := false
-		for key, f := range r.frames {
-			if !f.complete && key.less(best) {
-				blocked = true
-				break
-			}
-		}
-		if blocked {
 			break
 		}
 		delete(r.frames, best)

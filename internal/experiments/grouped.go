@@ -28,7 +28,7 @@ import (
 //     MC is C) and priced at the analytic n²·TS dense broadcast;
 //   - grouped-static: a fixed uniform partition into g groups;
 //   - grouped-adaptive: the same g, but the server regroups by write
-//     heat (Config.RegroupEvery, HeatAlpha) at deterministic epochs, so
+//     heat (Config.RegroupEvery) at deterministic epochs, so
 //     hot objects get near-F-Matrix precision.
 
 // GroupedConfig shapes a GroupedBandwidth run. The zero value means the
@@ -46,12 +46,8 @@ type GroupedConfig struct {
 	GroupCounts []int
 }
 
-// The adaptive series' regroup period in cycles and the EWMA smoothing
-// factor of its heat estimator.
-const (
-	groupedRegroupEvery = 25
-	groupedHeatAlpha    = 0.1
-)
+// The adaptive series' regroup period in cycles.
+const groupedRegroupEvery = 25
 
 func (c GroupedConfig) normalized() GroupedConfig {
 	if c.Objects == 0 {
@@ -153,7 +149,7 @@ func runGroupedPass(cfg GroupedConfig, stream *plan, series string, groups int) 
 	scfg := server.Config{Objects: n, ObjectBits: 64, TimestampBits: replayTimestampBits,
 		Algorithm: protocol.Grouped, Groups: groups}
 	if series == GroupedSeriesAdaptive {
-		scfg.RegroupEvery, scfg.HeatAlpha = groupedRegroupEvery, groupedHeatAlpha
+		scfg.RegroupEvery = groupedRegroupEvery
 	}
 	srv, err := server.New(scfg)
 	if err != nil {

@@ -1,19 +1,22 @@
 // Package faultair injects reception faults into the broadcast "air":
-// per-client frame loss, doze windows (whole missed cycles), subscriber
-// disconnects and bounded delivery delay. The paper's whole premise is
-// that mobile clients validate reads autonomously precisely because
-// they disconnect, doze and miss broadcast cycles; this package turns
-// the perfect in-process medium (internal/bcast) and the TCP stream
-// (internal/netcast) into the lossy air those clients actually live on,
-// so the recovery path — count the cycle gap, judge the next read by
-// the next cycle heard — can be exercised and measured.
+// per-client frame loss and doze windows (whole missed cycles). The
+// paper's whole premise is that mobile clients validate reads
+// autonomously precisely because they doze and miss broadcast cycles;
+// this package turns the perfect in-process medium (internal/bcast) and
+// the TCP stream (internal/netcast) into the lossy air those clients
+// actually live on, so the recovery path — count the cycle gap, judge
+// the next read by the next cycle heard — can be exercised and
+// measured.
 //
 // Every fault decision is a pure function of (Seed, client, cycle):
 // there is no mutable generator state, so the same seed reproduces the
 // identical per-client drop/doze trace no matter in what order — or
 // from how many goroutines — the schedule is consulted. That property
 // is what keeps the simulator's experiment tables byte-identical at any
-// parallelism setting.
+// parallelism setting. The live Listener is a filter over the same
+// schedule: of the cycles it hears it delivers exactly those Missed
+// does not name, the definition the simulator and the conformance
+// harness also use.
 package faultair
 
 import (
@@ -24,7 +27,7 @@ import (
 )
 
 // Profile parameterizes the fault model. The zero value injects no
-// faults at all (every frame is delivered immediately).
+// faults at all (every frame is delivered).
 type Profile struct {
 	// Loss is the per-client per-cycle probability that the cycle's
 	// frame is lost in transit (tuner briefly out of range, corrupted
@@ -37,15 +40,6 @@ type Profile struct {
 	// DozeLen is the length of each doze window in cycles. Defaults to
 	// 1 when Doze > 0 and DozeLen is 0.
 	DozeLen int
-	// Disconnect is the per-client per-cycle probability that the
-	// subscription itself is torn down; the listener retunes (
-	// resubscribes) immediately, losing the triggering frame.
-	Disconnect float64
-	// DelayMax, when positive, delays delivery of each surviving frame
-	// by a uniform 0..DelayMax cycles. Frames are never reordered: a
-	// delayed frame holds back the frames behind it (a decode backlog),
-	// and delivery stays in cycle order.
-	DelayMax int
 	// Seed selects the fault schedule. Two profiles that differ only in
 	// Seed inject the same *rates* but different traces.
 	Seed int64
@@ -70,12 +64,8 @@ func (p Profile) Validate() error {
 		return fmt.Errorf("faultair: Loss = %v, need [0,1]", p.Loss)
 	case p.Doze < 0 || p.Doze > 1:
 		return fmt.Errorf("faultair: Doze = %v, need [0,1]", p.Doze)
-	case p.Disconnect < 0 || p.Disconnect > 1:
-		return fmt.Errorf("faultair: Disconnect = %v, need [0,1]", p.Disconnect)
 	case p.DozeLen < 0:
 		return fmt.Errorf("faultair: DozeLen = %d, need >= 0", p.DozeLen)
-	case p.DelayMax < 0:
-		return fmt.Errorf("faultair: DelayMax = %d, need >= 0", p.DelayMax)
 	}
 	for _, w := range p.Windows {
 		if w.To < w.From {
@@ -87,7 +77,7 @@ func (p Profile) Validate() error {
 
 // Zero reports whether the profile injects no faults at all.
 func (p Profile) Zero() bool {
-	return p.Loss == 0 && p.Doze == 0 && p.Disconnect == 0 && p.DelayMax == 0 && len(p.Windows) == 0
+	return p.Loss == 0 && p.Doze == 0 && len(p.Windows) == 0
 }
 
 // Schedule answers fault questions for a profile. It is immutable and
@@ -110,16 +100,11 @@ func NewSchedule(p Profile) *Schedule {
 	return &Schedule{prof: p}
 }
 
-// Profile returns the (normalized) profile the schedule was built from.
-func (s *Schedule) Profile() Profile { return s.prof }
-
 // Decision salts: each fault kind draws from its own independent
 // hash stream so e.g. raising Loss never perturbs the doze trace.
 const (
 	saltLoss uint64 = iota + 1
 	saltDozeStart
-	saltDisconnect
-	saltDelay
 )
 
 // mix is the pure-function PRNG behind every decision of both
@@ -192,52 +177,28 @@ func (s *Schedule) NextReceived(client int, from, limit cmatrix.Cycle) (cmatrix.
 	return 0, false
 }
 
-// Disconnected reports whether the client's subscription is torn down
-// on receiving the given cycle.
-func (s *Schedule) Disconnected(client int, cycle cmatrix.Cycle) bool {
-	return s.prof.Disconnect > 0 && s.unit(client, cycle, saltDisconnect) < s.prof.Disconnect
-}
-
-// Delay reports how many cycles delivery of the client's frame for the
-// given cycle is delayed (0..DelayMax).
-func (s *Schedule) Delay(client int, cycle cmatrix.Cycle) int {
-	if s.prof.DelayMax == 0 {
-		return 0
-	}
-	return int(mix(s.prof.Seed, client, uint64(cycle), saltDelay) % uint64(s.prof.DelayMax+1))
-}
-
 // Fate is the scheduled outcome for one (client, cycle) pair.
 type Fate struct {
-	Cycle        cmatrix.Cycle
-	Dozing       bool
-	Dropped      bool
-	Disconnected bool
-	Delay        int
+	Cycle   cmatrix.Cycle
+	Dozing  bool
+	Dropped bool
 }
 
 // Delivered reports whether the frame reaches the client at all.
-func (f Fate) Delivered() bool { return !f.Dozing && !f.Dropped && !f.Disconnected }
+func (f Fate) Delivered() bool { return !f.Dozing && !f.Dropped }
 
 // Trace enumerates the client's fates for cycles from..to inclusive —
 // the reproducible per-client drop/doze trace a seed pins down.
 func (s *Schedule) Trace(client int, from, to cmatrix.Cycle) []Fate {
 	var out []Fate
 	for c := from; c <= to; c++ {
-		out = append(out, Fate{
-			Cycle:        c,
-			Dozing:       s.Dozing(client, c),
-			Dropped:      s.Dropped(client, c),
-			Disconnected: s.Disconnected(client, c),
-			Delay:        s.Delay(client, c),
-		})
+		out = append(out, Fate{Cycle: c, Dozing: s.Dozing(client, c), Dropped: s.Dropped(client, c)})
 	}
 	return out
 }
 
 // FormatTrace renders a trace compactly: one rune per cycle
-// ('.' delivered, 'z' dozing, 'x' dropped, 'D' disconnected,
-// digits 1-9 for delay).
+// ('.' delivered, 'z' dozing, 'x' dropped).
 func FormatTrace(fates []Fate) string {
 	var b strings.Builder
 	for _, f := range fates {
@@ -246,14 +207,6 @@ func FormatTrace(fates []Fate) string {
 			b.WriteByte('z')
 		case f.Dropped:
 			b.WriteByte('x')
-		case f.Disconnected:
-			b.WriteByte('D')
-		case f.Delay > 0:
-			d := f.Delay
-			if d > 9 {
-				d = 9
-			}
-			b.WriteByte(byte('0' + d))
 		default:
 			b.WriteByte('.')
 		}

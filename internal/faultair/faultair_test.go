@@ -14,9 +14,7 @@ func TestProfileValidate(t *testing.T) {
 		{Loss: -0.1},
 		{Loss: 1.5},
 		{Doze: 2},
-		{Disconnect: -1},
 		{DozeLen: -1},
-		{DelayMax: -3},
 		{Windows: []Window{{Client: 0, From: 5, To: 4}}},
 	}
 	for _, p := range bad {
@@ -27,7 +25,7 @@ func TestProfileValidate(t *testing.T) {
 	good := []Profile{
 		{},
 		{Loss: 1},
-		{Loss: 0.3, Doze: 0.1, DozeLen: 4, Disconnect: 0.01, DelayMax: 2, Seed: 9},
+		{Loss: 0.3, Doze: 0.1, DozeLen: 4, Seed: 9},
 		{Windows: []Window{{Client: 1, From: 2, To: 2}}},
 	}
 	for _, p := range good {
@@ -41,14 +39,8 @@ func TestZeroProfileInjectsNothing(t *testing.T) {
 	s := NewSchedule(Profile{Seed: 123})
 	for client := 0; client < 3; client++ {
 		for c := cmatrix.Cycle(1); c <= 200; c++ {
-			f := Fate{
-				Cycle:        c,
-				Dozing:       s.Dozing(client, c),
-				Dropped:      s.Dropped(client, c),
-				Disconnected: s.Disconnected(client, c),
-				Delay:        s.Delay(client, c),
-			}
-			if !f.Delivered() || f.Delay != 0 {
+			f := Fate{Cycle: c, Dozing: s.Dozing(client, c), Dropped: s.Dropped(client, c)}
+			if !f.Delivered() {
 				t.Fatalf("zero profile produced fault at client=%d cycle=%d: %+v", client, c, f)
 			}
 		}
@@ -59,7 +51,7 @@ func TestZeroProfileInjectsNothing(t *testing.T) {
 // (seed, client, cycle) — identical across schedule instances, query
 // orders, and concurrent queriers.
 func TestScheduleDeterministic(t *testing.T) {
-	p := Profile{Loss: 0.2, Doze: 0.05, DozeLen: 3, Disconnect: 0.02, DelayMax: 2, Seed: 42}
+	p := Profile{Loss: 0.2, Doze: 0.05, DozeLen: 3, Seed: 42}
 	a, b := NewSchedule(p), NewSchedule(p)
 	ta := a.Trace(1, 1, 400)
 	// Query b backwards first to show order independence.
@@ -179,11 +171,8 @@ func TestFormatTrace(t *testing.T) {
 		{Cycle: 1},
 		{Cycle: 2, Dozing: true},
 		{Cycle: 3, Dropped: true},
-		{Cycle: 4, Disconnected: true},
-		{Cycle: 5, Delay: 2},
-		{Cycle: 6, Delay: 12},
 	}
-	if got, want := FormatTrace(fates), ".zxD29"; got != want {
+	if got, want := FormatTrace(fates), ".zx"; got != want {
 		t.Errorf("FormatTrace = %q, want %q", got, want)
 	}
 }

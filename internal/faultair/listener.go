@@ -1,10 +1,8 @@
 package faultair
 
 import (
-	"math"
-	"sync"
-
 	"broadcastcc/internal/bcast"
+	"broadcastcc/internal/obs"
 )
 
 // Source is anything a client can tune to: bcast.Medium, server.Server
@@ -13,71 +11,56 @@ type Source interface {
 	Subscribe(buffer int) *bcast.Subscription
 }
 
-// ListenStats count what the fault layer did to one client's stream.
-type ListenStats struct {
-	Delivered   int64 // frames republished to the client
-	Dozed       int64 // frames missed because the receiver was powered down
-	Dropped     int64 // frames lost in transit
-	Disconnects int64 // subscription teardowns (each followed by a retune)
-	Delayed     int64 // frames delivered late (held back >= 1 cycle)
-}
+// Listener counters, registered on the registry Listen is given.
+const (
+	CtrDelivered = "faultair_frames_delivered" // frames republished to the client
+	CtrDozed     = "faultair_frames_dozed"     // frames missed because the receiver was powered down
+	CtrDropped   = "faultair_frames_dropped"   // frames lost in transit
+)
 
 // Listener is one client's lossy tuner: it subscribes to a perfect
-// source, applies the fault schedule, and republishes the surviving
-// frames — in cycle order — into a private medium the client subscribes
-// to. The client runtime (internal/client) works unchanged on top.
+// source, drops every cycle the fault schedule says the client misses,
+// and republishes the rest — in cycle order — into a private medium the
+// client subscribes to. The client runtime (internal/client) works
+// unchanged on top.
 type Listener struct {
 	sched  *Schedule
 	client int
-	src    Source
-	buffer int
 	out    *bcast.Medium
 	stop   chan struct{}
 	done   chan struct{}
 
-	mu    sync.Mutex
-	stats ListenStats
-}
-
-// held is a frame waiting out its delivery delay.
-type held struct {
-	cb      *bcast.CycleBroadcast
-	release int64 // deliver once a frame of this cycle (or later) has arrived
+	delivered, dozed, dropped *obs.Counter
 }
 
 // Listen starts a lossy tuner for the given client id. buffer is the
 // upstream subscription depth (as in Source.Subscribe); use a generous
 // buffer unless the point is to also model receiver backlog overflow.
-func Listen(src Source, sched *Schedule, client, buffer int) *Listener {
+// reg (may be nil) receives the faultair_* counters.
+func Listen(src Source, sched *Schedule, client, buffer int, reg *obs.Registry) *Listener {
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	l := &Listener{
-		sched:  sched,
-		client: client,
-		src:    src,
-		buffer: buffer,
-		out:    bcast.NewMedium(),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		sched:     sched,
+		client:    client,
+		out:       bcast.NewMedium(),
+		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
+		delivered: reg.Counter(CtrDelivered),
+		dozed:     reg.Counter(CtrDozed),
+		dropped:   reg.Counter(CtrDropped),
 	}
 	// Subscribe before returning so no frame published after Listen can
 	// be missed for lack of a subscription.
-	sub := src.Subscribe(buffer)
-	go l.loop(sub)
+	go l.loop(src.Subscribe(buffer))
 	return l
 }
 
 func (l *Listener) loop(sub *bcast.Subscription) {
 	defer close(l.done)
 	defer l.out.Close()
-	defer func() { sub.Cancel() }()
-	var retunedAt int64 // newest cycle a disconnect was already charged for
-	var queue []held
-	flush := func(upTo int64) {
-		for len(queue) > 0 && queue[0].release <= upTo {
-			l.out.Publish(queue[0].cb)
-			l.count(func(st *ListenStats) { st.Delivered++ })
-			queue = queue[1:]
-		}
-	}
+	defer sub.Cancel()
 	for {
 		var cb *bcast.CycleBroadcast
 		var ok bool
@@ -87,48 +70,18 @@ func (l *Listener) loop(sub *bcast.Subscription) {
 		case cb, ok = <-sub.C:
 		}
 		if !ok {
-			// Source gone: whatever is still held has, by now, "arrived"
-			// — flush it in order before closing the client's channel.
-			flush(math.MaxInt64)
 			return
 		}
-		cycle := cb.Number
 		switch {
-		case int64(cycle) > retunedAt && l.sched.Disconnected(l.client, cycle):
-			// The subscription dies mid-cycle; the triggering frame is
-			// lost and anything held with it. The listener retunes
-			// immediately — the medium redelivers the newest cycle on
-			// subscribe, exactly like a tuner locking back on. The
-			// retunedAt watermark charges at most one disconnect per
-			// cycle, so the replayed frame is not torn down again.
-			l.count(func(st *ListenStats) { st.Disconnects++ })
-			retunedAt = int64(cycle)
-			sub.Cancel()
-			queue = nil
-			sub = l.src.Subscribe(l.buffer)
-			continue
-		case l.sched.Dozing(l.client, cycle):
-			l.count(func(st *ListenStats) { st.Dozed++ })
-			continue
-		case l.sched.Dropped(l.client, cycle):
-			l.count(func(st *ListenStats) { st.Dropped++ })
-			continue
+		case l.sched.Dozing(l.client, cb.Number):
+			l.dozed.Inc()
+		case l.sched.Dropped(l.client, cb.Number):
+			l.dropped.Inc()
+		default:
+			l.out.Publish(cb)
+			l.delivered.Inc()
 		}
-		d := l.sched.Delay(l.client, cycle)
-		if d > 0 {
-			l.count(func(st *ListenStats) { st.Delayed++ })
-		}
-		queue = append(queue, held{cb: cb, release: int64(cycle) + int64(d)})
-		// Delivery is strictly in cycle order: a delayed frame holds
-		// back everything behind it until its release cycle arrives.
-		flush(int64(cycle))
 	}
-}
-
-func (l *Listener) count(f func(*ListenStats)) {
-	l.mu.Lock()
-	f(&l.stats)
-	l.mu.Unlock()
 }
 
 // Subscribe returns a subscription carrying the faulted stream.
@@ -136,19 +89,9 @@ func (l *Listener) Subscribe(buffer int) *bcast.Subscription {
 	return l.out.Subscribe(buffer)
 }
 
-// Stats returns a copy of the listener's counters.
-func (l *Listener) Stats() ListenStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.stats
-}
-
 // Close tears the listener down: the receive loop exits, its upstream
 // subscription is cancelled, and the client-facing medium is closed
-// (clients see their subscription end). Held (delayed) frames that have
-// not reached their release cycle are discarded — the tuner was turned
-// off before they decoded. Close is idempotent only per listener; call
-// it once.
+// (clients see their subscription end). Call it once.
 func (l *Listener) Close() {
 	close(l.stop)
 	<-l.done

@@ -70,9 +70,6 @@ func NewPacketSchedule(p PacketProfile) *PacketSchedule {
 	return &PacketSchedule{prof: p}
 }
 
-// Profile returns the profile the schedule was built from.
-func (s *PacketSchedule) Profile() PacketProfile { return s.prof }
-
 func (s *PacketSchedule) unit(client int, idx uint64, salt uint64) float64 {
 	return float64(mix(s.prof.Seed, client, idx, salt)>>11) / (1 << 53)
 }

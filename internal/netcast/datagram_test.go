@@ -100,7 +100,9 @@ func (w *eraseWindow) Lag(int, uint64) int            { return 0 }
 // TestDatagramResyncsAfterLostBurst: every packet of cycles 2-6 is
 // erased in the air, and the datagram tuner resynchronizes on the
 // traffic after the burst — full frames are self-contained, so the
-// next cycle whose packets arrive decodes.
+// next cycle whose packets arrive decodes, and it leaves as soon as the
+// erased packets can no longer arrive (dgram's reorder slack), not once
+// they are a whole reorder window stale.
 func TestDatagramResyncsAfterLostBurst(t *testing.T) {
 	bsrv, ns := newNetServer(t, protocol.FMatrix, 4)
 	car := dgram.NewSimCarrier()
@@ -153,16 +155,17 @@ func TestDatagramResyncsAfterLostBurst(t *testing.T) {
 		t.Fatal("the burst sent no packets")
 	}
 
-	// The reassembler holds cycle 7 back until the erased packets are
-	// stale enough to count as lost (dgram's reorder window), so keep
-	// broadcasting until it lets go; the first cycle out is 7.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("tuner never resynchronized after the lost burst")
-		}
+	// The reassembler holds cycle 7 back only until the newest packet
+	// has passed the erased ones by the reorder slack: at 3 packets a
+	// cycle that is a few Steps, and the first cycle out is 7.
+	const maxSteps = 4
+	for step := 1; step <= maxSteps; step++ {
 		if _, err := ns.Step(); err != nil {
 			t.Fatal(err)
+		}
+		wait := 5 * time.Millisecond
+		if step == maxSteps {
+			wait = 5 * time.Second
 		}
 		select {
 		case cb := <-sub.C:
@@ -170,9 +173,10 @@ func TestDatagramResyncsAfterLostBurst(t *testing.T) {
 				t.Fatalf("first cycle after the lost burst = %d, want 7", cb.Number)
 			}
 			return
-		case <-time.After(5 * time.Millisecond):
+		case <-time.After(wait):
 		}
 	}
+	t.Fatalf("tuner did not resynchronize within %d Steps after the lost burst", maxSteps)
 }
 
 // TestOverflowReapThenRetune is the regression for the slow-subscriber

@@ -34,6 +34,10 @@ var (
 	ErrTxnFinished = errors.New("server: transaction already finished")
 )
 
+// heatAlpha is the EWMA smoothing factor of the regrouping heat
+// estimator (Config.RegroupEvery).
+const heatAlpha = 0.1
+
 // Config parameterizes a server.
 type Config struct {
 	// Objects is the database size n.
@@ -77,9 +81,6 @@ type Config struct {
 	// incompatible with Program (program-mode buckets assume the uniform
 	// partition).
 	RegroupEvery int
-	// HeatAlpha is the EWMA decay for the regrouping heat estimator
-	// (default 0.1; only used when RegroupEvery > 0).
-	HeatAlpha float64
 	// Obs receives the server's metrics (server_cycles, server_commits,
 	// server_conflict_aborts, server_uplink_requests,
 	// server_control_cols_rewritten, server_commits_per_cycle,
@@ -90,11 +91,6 @@ type Config struct {
 	// snapshot publish, uplink verdicts) stamped with the broadcast
 	// cycle, never wall time.
 	Trace *obs.Tracer
-	// PrepareTTL bounds, in broadcast cycles on this server's own cycle
-	// clock, how long a cross-shard prepare (PrepareUpdate) may stay
-	// undecided before the server unilaterally aborts it and releases
-	// its pins. 0 selects DefaultPrepareTTL.
-	PrepareTTL int
 	// VerifySample, when > 0, runs VerifyControl every VerifySample-th
 	// StartCycle and records its wall-clock cost in the
 	// server_verify_ns histogram (requires Audit). Wall time stays in
@@ -197,12 +193,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, errors.New("server: RegroupEvery is incompatible with Program (buckets assume the uniform partition)")
 		}
 	}
-	if cfg.HeatAlpha == 0 {
-		cfg.HeatAlpha = 0.1
-	}
-	if cfg.PrepareTTL <= 0 {
-		cfg.PrepareTTL = DefaultPrepareTTL
-	}
 	s := &Server{
 		cfg:             cfg,
 		layout:          layout,
@@ -220,7 +210,7 @@ func New(cfg Config) (*Server, error) {
 		gc.StaleMC = cfg.StaleGroupedMC
 		s.control = gc
 		if cfg.RegroupEvery > 0 {
-			heat, err := airsched.NewEWMA(cfg.Objects, cfg.HeatAlpha)
+			heat, err := airsched.NewEWMA(cfg.Objects, heatAlpha)
 			if err != nil {
 				return nil, err
 			}

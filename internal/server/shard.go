@@ -25,13 +25,13 @@ var (
 	ErrAlreadyDecided = errors.New("server: decision contradicts the one already applied")
 )
 
-// DefaultPrepareTTL is the number of broadcast cycles a prepared
-// cross-shard transaction may stay undecided before the shard aborts it
-// unilaterally (Config.PrepareTTL = 0 selects it). The timeout is
-// counted on the shard's own cycle clock, so a dead coordinator cannot
-// wedge the shard: its pins evaporate and a late commit decision fails
-// loudly with ErrUnknownPrepare.
-const DefaultPrepareTTL = 4
+// PrepareTTL is the number of broadcast cycles a prepared cross-shard
+// transaction may stay undecided before the shard aborts it
+// unilaterally and releases its pins. The timeout is counted on the
+// shard's own cycle clock, so a dead coordinator cannot wedge the
+// shard: its pins evaporate and a late commit decision fails loudly
+// with ErrUnknownPrepare.
+const PrepareTTL = 4
 
 // prepared is shot one of the two-shot commit: an admitted, pinned, but
 // not yet installed cross-shard update transaction.
@@ -81,7 +81,7 @@ func (s *Server) PrepareUpdate(token uint64, req protocol.UpdateRequest, remote 
 		s.decided = map[uint64]decision{}
 	}
 	u.writes = protocol.CloneWrites(u.writes)
-	s.prepares[token] = &prepared{update: u, remote: remote, expires: s.cycle + cmatrix.Cycle(s.cfg.PrepareTTL)}
+	s.prepares[token] = &prepared{update: u, remote: remote, expires: s.cycle + PrepareTTL}
 	for _, set := range [][]int{u.readSet, u.writeSet} {
 		for _, obj := range set {
 			s.pinned[obj] = token

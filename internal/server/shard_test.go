@@ -203,7 +203,7 @@ func TestPrepareValidationMatchesSubmit(t *testing.T) {
 // cycle clock, its pins released, and a late commit decision fails
 // loudly while a late abort is a clean no-op.
 func TestPrepareTTLExpiry(t *testing.T) {
-	s, err := New(Config{Objects: 3, ObjectBits: 64, Algorithm: protocol.FMatrix, PrepareTTL: 2})
+	s, err := New(Config{Objects: 3, ObjectBits: 64, Algorithm: protocol.FMatrix})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,12 +212,13 @@ func TestPrepareTTLExpiry(t *testing.T) {
 	if err := s.PrepareUpdate(11, req, true); err != nil {
 		t.Fatal(err)
 	}
-	s.StartCycle() // cycle 2: still within TTL
-	s.StartCycle() // cycle 3: expires == 3, still live
+	for i := 0; i < PrepareTTL; i++ { // cycles 2..1+PrepareTTL == expires: still live
+		s.StartCycle()
+	}
 	if _, ok := s.PinnedBy(0); !ok {
 		t.Fatal("prepare expired before its TTL")
 	}
-	s.StartCycle() // cycle 4 > expires: timeout-abort
+	s.StartCycle() // cycle 2+PrepareTTL > expires: timeout-abort
 	if _, ok := s.PinnedBy(0); ok {
 		t.Fatal("pins survived the TTL")
 	}

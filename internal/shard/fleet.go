@@ -17,10 +17,10 @@ import (
 type FleetConfig struct {
 	// Base is the logical server configuration. Objects is the global
 	// database size n; per-shard servers inherit Algorithm, ObjectBits,
-	// TimestampBits, Audit, PrepareTTL, VerifySample and RegroupEvery /
-	// HeatAlpha, with Objects, InitialValues and Groups projected onto
-	// each shard. Base.Obs and Base.Trace are ignored: fleet shards are
-	// untraced and ObsSnapshot is the fleet's observability.
+	// TimestampBits, Audit, VerifySample and RegroupEvery, with Objects,
+	// InitialValues and Groups projected onto each shard. Base.Obs and
+	// Base.Trace are ignored: fleet shards are untraced and ObsSnapshot
+	// is the fleet's observability.
 	Base server.Config
 	// Seed feeds the hashring placement.
 	Seed int64

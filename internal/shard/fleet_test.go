@@ -162,7 +162,7 @@ func (lostDecisions) DecideUpdate(uint64, bool) error {
 // leaves prepares pinned until each shard's TTL aborts them; no value
 // ever commits and the database stays writable afterwards.
 func TestCoordinatorCrashBetweenShots(t *testing.T) {
-	base := server.Config{Algorithm: protocol.FMatrix, ObjectBits: 64, TimestampBits: 32, PrepareTTL: 2}
+	base := server.Config{Algorithm: protocol.FMatrix, ObjectBits: 64, TimestampBits: 32}
 	f, _, pump := testFleet(t, 32, 2, base)
 	coord, err := NewCoordinator(f.Mapping(),
 		[]protocol.Participant{lostDecisions{f.Node(0)}, lostDecisions{f.Node(1)}}, CoordinatorConfig{})
@@ -190,7 +190,7 @@ func TestCoordinatorCrashBetweenShots(t *testing.T) {
 		t.Fatalf("pinned write: %v", err)
 	}
 	var cbs []*bcast.CycleBroadcast
-	for i := 0; i < 3; i++ {
+	for i := 0; i <= server.PrepareTTL; i++ {
 		cbs = pump()
 	}
 	if _, pinned := f.Node(0).PinnedBy(la); pinned {

@@ -186,19 +186,24 @@ udp-smoke:
 # Boot a 2-shard bcserver fleet, commit a cross-shard write through the
 # coordinator uplink with bcclient -shards, and read it back off both
 # broadcast channels; catches -shards wiring rot on both binaries over
-# real sockets.
+# real sockets. Under ring seed 7 objects 0 and 1 sit on shards 0 and
+# 1, so the write takes the in-process two-shot commit: the fleet's
+# /metrics must then show shard_prepares_total >= 2,
+# shard_commits_total >= 1 and shard_aborts_total = 0.
 shard-smoke:
 	$(GO) build -o /tmp/bcserver-shard-smoke ./cmd/bcserver
 	$(GO) build -o /tmp/bcclient-shard-smoke ./cmd/bcclient
 	/tmp/bcserver-shard-smoke -shards 2 -objects 256 -ring-seed 7 \
 		-broadcast 127.0.0.1:17370 -uplink 127.0.0.1:17380 \
-		-coordinator 127.0.0.1:17369 -interval 20ms & \
+		-coordinator 127.0.0.1:17369 -interval 20ms \
+		-obs-addr 127.0.0.1:17379 & \
 	spid=$$!; sleep 1; \
 	/tmp/bcclient-shard-smoke -shards 2 -objects 256 -ring-seed 7 \
 		-broadcast 127.0.0.1:17370 -coordinator 127.0.0.1:17369 \
 		-write 0=alpha,1=beta,2=gamma,3=delta; wstatus=$$?; \
 	out=$$(/tmp/bcclient-shard-smoke -shards 2 -objects 256 -ring-seed 7 \
 		-broadcast 127.0.0.1:17370 -read 0,1,2,3); rstatus=$$?; \
+	body=$$(curl -sf http://127.0.0.1:17379/metrics); \
 	kill $$spid 2>/dev/null; \
 	rm -f /tmp/bcserver-shard-smoke /tmp/bcclient-shard-smoke; \
 	if [ $$wstatus -ne 0 ] || [ $$rstatus -ne 0 ]; then \
@@ -206,7 +211,14 @@ shard-smoke:
 	fi; \
 	echo "$$out" | grep -q 'obj0="alpha"' || { echo "shard-smoke: committed write did not read back: $$out" >&2; exit 1; }; \
 	echo "$$out" | grep -q '@shard1' || { echo "shard-smoke: reads never touched shard 1: $$out" >&2; exit 1; }; \
-	echo "shard-smoke: ok"
+	prepares=$$(echo "$$body" | sed -n 's/.*"shard_prepares_total": \([0-9]*\).*/\1/p'); \
+	commits=$$(echo "$$body" | sed -n 's/.*"shard_commits_total": \([0-9]*\).*/\1/p'); \
+	aborts=$$(echo "$$body" | sed -n 's/.*"shard_aborts_total": \([0-9]*\).*/\1/p'); \
+	if [ -z "$$prepares" ] || [ "$$prepares" -lt 2 ] || [ -z "$$commits" ] || [ "$$commits" -lt 1 ] || [ "$$aborts" != 0 ]; then \
+		echo "shard-smoke: want shard_prepares_total >= 2, shard_commits_total >= 1, shard_aborts_total = 0; got $${prepares:-missing}, $${commits:-missing}, $${aborts:-missing}" >&2; \
+		exit 1; \
+	fi; \
+	echo "shard-smoke: ok ($$prepares prepares, $$commits commits, $$aborts aborts)"
 
 # The persistent quasi-cache crash/restart smoke: boot bcserver, run
 # bcclient with a disk-backed cache and a subset subscription, kill -9

@@ -328,7 +328,7 @@ type FleetConfig = shard.FleetConfig
 func NewFleet(cfg FleetConfig) (*Fleet, error) { return shard.NewFleet(cfg) }
 
 // ShardAddr reports where shard s of a fleet listens, given shard 0's
-// address for the same role (broadcast channel or participant uplink):
+// address for the same role (broadcast channel or uplink):
 // the one listen plan bcserver and bcclient share.
 func ShardAddr(base string, s int) (string, error) { return shard.Addr(base, s) }
 

@@ -34,10 +34,10 @@ type fleetOptions struct {
 }
 
 // runFleet serves a k-shard deployment: one netcast server per shard
-// (its broadcast channel plus its participant uplink), a coordinator
-// endpoint for global-id update commits, and a lockstep ticker that
-// steps every shard each interval so the fleet shares one logical
-// cycle clock.
+// (its broadcast channel plus its uplink for BCU1 in shard-local ids),
+// a coordinator endpoint for global-id update commits, which calls the
+// shards in process, and a lockstep ticker that steps every shard each
+// interval so the fleet shares one logical cycle clock.
 func runFleet(o fleetOptions) {
 	fleet, err := broadcastcc.NewFleet(broadcastcc.FleetConfig{
 		Base:   o.base,
@@ -74,7 +74,7 @@ func runFleet(o fleetOptions) {
 		}
 		defer ns.Close()
 		servers[s] = ns
-		log.Printf("shard %d/%d: broadcasting on %s (participant uplink %s), %d objects",
+		log.Printf("shard %d/%d: broadcasting on %s (local-id uplink %s), %d objects",
 			s, o.shards, ns.BroadcastAddr(), ns.UplinkAddr(), fleet.Mapping().Size(s))
 	}
 	coord, err := netcast.ServeUplink(o.coordinatorAddr, fleet.Coordinator(), netReg)
@@ -125,9 +125,9 @@ func runFleet(o fleetOptions) {
 	<-sig
 	close(stop)
 	snap := fleet.ObsSnapshot()
-	log.Printf("shutting down: %d fleet commits (%d cross-shard prepares), %d aborts, %d prepare timeouts",
+	log.Printf("shutting down: %d fleet commits (%d cross-shard prepares), %d aborts",
 		snap.Counters["shard_commits_total"], snap.Counters["shard_prepares_total"],
-		snap.Counters["shard_aborts_total"], snap.Counters["shard_prepare_timeouts"])
+		snap.Counters["shard_aborts_total"])
 }
 
 // runFleetWorkload commits synthetic blind-write transactions through

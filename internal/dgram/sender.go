@@ -24,11 +24,9 @@ type Sender struct {
 	car  Carrier
 	code map[int]*fecCode // by group size k (the tail group may be short)
 
-	pktSeq   uint64
-	group    uint64
-	regions  [][]byte // protected regions of the open group
-	cycle    int64
-	frameSeq int
+	pktSeq  uint64
+	group   uint64
+	regions [][]byte // protected regions of the open group
 
 	ctrPackets *obs.Counter
 	ctrRepair  *obs.Counter
@@ -61,57 +59,34 @@ func NewSender(car Carrier, cfg Config, reg *obs.Registry) (*Sender, error) {
 // Config returns the sender's normalized configuration.
 func (s *Sender) Config() Config { return s.cfg }
 
-// BeginCycle starts a new broadcast cycle; frame ordinals restart at 0.
-func (s *Sender) BeginCycle(cycle int64) {
-	s.cycle = cycle
-	s.frameSeq = 0
-}
-
-// SendFrame shards one wire frame of the current cycle into datagrams.
-// Shards join the open FEC group; the group closes (data plus repair
-// packets hit the carrier) each time it reaches K shards. Call Flush at
-// end of cycle to close a short tail group.
-func (s *Sender) SendFrame(frame []byte) error {
-	if len(frame) == 0 {
-		return fmt.Errorf("dgram: empty frame")
-	}
-	if len(frame) > maxFrameLen {
-		return fmt.Errorf("dgram: frame of %d bytes exceeds the %d limit", len(frame), maxFrameLen)
-	}
+// SendCycle broadcasts one whole cycle: each frame in order, sharded
+// into datagrams numbered by the frame's ordinal in the cycle. Shards
+// join the open FEC group; the group closes (data plus repair packets
+// hit the carrier) each time it reaches K shards, and the tail group
+// closes at the end of the cycle, so a repair group never spans cycles
+// — a tuner that dozed through cycle t must not need cycle t's packets
+// to repair cycle t+1.
+func (s *Sender) SendCycle(cycle int64, frames [][]byte) error {
 	chunk := s.cfg.MTU - headerLen - shardHeaderLen
-	for off := 0; off < len(frame); off += chunk {
-		end := off + chunk
-		if end > len(frame) {
-			end = len(frame)
+	for seq, frame := range frames {
+		if len(frame) == 0 {
+			return fmt.Errorf("dgram: empty frame")
 		}
-		s.regions = append(s.regions, encodeShardRegion(s.cycle, s.frameSeq, len(frame), off, frame[off:end]))
-		if len(s.regions) == s.cfg.FECData {
-			if err := s.closeGroup(); err != nil {
-				return err
+		if len(frame) > maxFrameLen {
+			return fmt.Errorf("dgram: frame of %d bytes exceeds the %d limit", len(frame), maxFrameLen)
+		}
+		for off := 0; off < len(frame); off += chunk {
+			end := min(off+chunk, len(frame))
+			s.regions = append(s.regions, encodeShardRegion(cycle, seq, len(frame), off, frame[off:end]))
+			if len(s.regions) == s.cfg.FECData {
+				if err := s.closeGroup(); err != nil {
+					return err
+				}
 			}
 		}
+		s.ctrFrames.Inc()
 	}
-	s.frameSeq++
-	s.ctrFrames.Inc()
-	return nil
-}
-
-// Flush closes the open FEC group, if any. The sender calls this at
-// cycle boundaries so a repair group never spans cycles — a tuner that
-// dozed through cycle t must not need cycle t's packets to repair
-// cycle t+1.
-func (s *Sender) Flush() error { return s.closeGroup() }
-
-// SendCycle broadcasts one whole cycle: every frame in order, then the
-// tail FEC group.
-func (s *Sender) SendCycle(cycle int64, frames [][]byte) error {
-	s.BeginCycle(cycle)
-	for _, f := range frames {
-		if err := s.SendFrame(f); err != nil {
-			return err
-		}
-	}
-	return s.Flush()
+	return s.closeGroup()
 }
 
 // closeGroup emits the buffered data shards followed by their repair

@@ -290,7 +290,6 @@ func ServeOptions(bsrv *server.Server, broadcastAddr, uplinkAddr string, opts Op
 	if err != nil {
 		return nil, err
 	}
-	// bsrv is the uplink handler, two-shot participant pair included.
 	ul, err := ServeUplink(uplinkAddr, bsrv, reg)
 	if err != nil {
 		bl.Close()
@@ -728,12 +727,13 @@ func DialUplink(addr string) (*Uplink, error) {
 	return &Uplink{conn: conn, fr: frameReader{r: conn}}, nil
 }
 
-// roundTrip encodes one uplink frame into the Uplink's buffer behind
-// its length prefix, sends it in one write and decodes the reply.
-func (u *Uplink) roundTrip(encode func(dst []byte) []byte) error {
+// SubmitUpdate implements protocol.Uplink over the wire: it encodes
+// req into the Uplink's buffer behind its length prefix, sends it in
+// one write and decodes the reply.
+func (u *Uplink) SubmitUpdate(req protocol.UpdateRequest) error {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	u.buf = encode(append(u.buf[:0], 0, 0, 0, 0))
+	u.buf = wire.AppendUpdateRequest(append(u.buf[:0], 0, 0, 0, 0), req)
 	if err := sendFrame(u.conn, u.buf); err != nil {
 		return err
 	}
@@ -746,22 +746,6 @@ func (u *Uplink) roundTrip(encode func(dst []byte) []byte) error {
 		return wireErr
 	}
 	return verdict
-}
-
-// SubmitUpdate implements protocol.Uplink over the wire.
-func (u *Uplink) SubmitUpdate(req protocol.UpdateRequest) error {
-	return u.roundTrip(func(dst []byte) []byte { return wire.AppendUpdateRequest(dst, req) })
-}
-
-// PrepareUpdate sends shot one of the cross-shard commit, making
-// *Uplink a shard coordinator participant over TCP.
-func (u *Uplink) PrepareUpdate(token uint64, req protocol.UpdateRequest, remote bool) error {
-	return u.roundTrip(func(dst []byte) []byte { return wire.AppendPrepare(dst, token, req, remote) })
-}
-
-// DecideUpdate sends shot two.
-func (u *Uplink) DecideUpdate(token uint64, commit bool) error {
-	return u.roundTrip(func(dst []byte) []byte { return wire.AppendDecision(dst, token, commit) })
 }
 
 // Close closes the uplink connection.

@@ -12,21 +12,13 @@ import (
 	"broadcastcc/internal/wire"
 )
 
-// ErrNotParticipant rejects a BCP1/BCT1 frame sent to an uplink whose
-// handler only implements the single-shot submit — e.g. a fleet
-// coordinator port, which *originates* two-shot traffic toward the
-// shards and never accepts it.
-var ErrNotParticipant = errors.New("netcast: uplink handler does not accept two-shot frames")
-
 // UplinkServer serves an uplink port over any protocol.Uplink. It is the
 // package's one uplink loop: Serve runs one in front of its broadcast
-// server (a participant, so the BCP1/BCT1 shots of the cross-shard
-// two-shot commit travel over the same scarce connection clients use),
-// and a sharded deployment runs a bare one as the coordinator endpoint —
-// clients (Routers) assemble update transactions in global object ids
-// and submit them here, and the coordinator behind the handler splits
-// them across the shards' own netcast servers. Two-shot frames are
-// dispatched only when the handler implements the prepare/decide pair.
+// server, and a sharded deployment runs a bare one as the coordinator
+// endpoint — clients (Routers) assemble update transactions in global
+// object ids and submit them here, and the coordinator behind the
+// handler splits them across the shards' servers in process. BCU1 is
+// the only frame either port accepts.
 type UplinkServer struct {
 	ln     net.Listener
 	uplink protocol.Uplink
@@ -152,34 +144,14 @@ func (u *UplinkServer) isClosed() bool {
 	return u.closed
 }
 
-// dispatch decodes and executes one uplink frame, multiplexing the
-// three frame kinds by magic: BCU1 submissions always, the BCP1/BCT1
-// shots only when the handler is a participant; BCU1 decodes into req.
+// dispatch decodes one BCU1 frame into req and submits it; a frame of
+// any other kind is refused for what it is.
 func (u *UplinkServer) dispatch(frame []byte, req *protocol.UpdateRequest) error {
-	switch kind := wire.KindOf(frame); kind {
-	case wire.KindUpdate:
-		if err := wire.DecodeUpdateRequestInto(req, frame); err != nil {
-			return err
-		}
-		return u.uplink.SubmitUpdate(*req)
-	case wire.KindPrepare, wire.KindDecision:
-		p, ok := u.uplink.(protocol.Participant)
-		if !ok {
-			return ErrNotParticipant
-		}
-		if kind == wire.KindPrepare {
-			token, req, remote, err := wire.DecodePrepare(frame)
-			if err != nil {
-				return err
-			}
-			return p.PrepareUpdate(token, req, remote)
-		}
-		token, commit, err := wire.DecodeDecision(frame)
-		if err != nil {
-			return err
-		}
-		return p.DecideUpdate(token, commit)
-	default:
+	if kind := wire.KindOf(frame); kind != wire.KindUpdate {
 		return fmt.Errorf("netcast: %v frame on the uplink", kind)
 	}
+	if err := wire.DecodeUpdateRequestInto(req, frame); err != nil {
+		return err
+	}
+	return u.uplink.SubmitUpdate(*req)
 }

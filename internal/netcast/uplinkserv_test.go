@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"reflect"
-	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -23,9 +22,11 @@ import (
 
 // TestServeUplinkNetFleet runs a whole sharded deployment over real
 // sockets: two shards each broadcasting on their own TCP channel with
-// their own participant uplink, a coordinator endpoint served with
-// ServeUplink, and a router of tuned clients committing a cross-shard
-// update through it — then reading the writes back off the air.
+// their own uplink, a coordinator endpoint served with ServeUplink, and
+// a router of tuned clients committing a cross-shard update through it
+// — then reading the writes back off the air. A burst of cross-shard
+// commits over the one coordinator connection follows, and every value
+// of it must read back intact off both channels.
 func TestServeUplinkNetFleet(t *testing.T) {
 	const k, n = 2, 16
 	f, err := shard.NewFleet(shard.FleetConfig{
@@ -38,9 +39,8 @@ func TestServeUplinkNetFleet(t *testing.T) {
 	}
 	defer f.Close()
 
-	// One netcast server per shard: its broadcast channel plus the
-	// participant uplink the coordinator would dial in a distributed
-	// deployment (here the coordinator calls the nodes in process).
+	// One netcast server per shard: its broadcast channel plus its own
+	// uplink; the coordinator calls the nodes in process.
 	nss := make([]*Server, k)
 	for s := 0; s < k; s++ {
 		ns, err := Serve(f.Node(s), "127.0.0.1:0", "127.0.0.1:0")
@@ -153,39 +153,48 @@ func TestServeUplinkNetFleet(t *testing.T) {
 	if us.Addr() == "" {
 		t.Fatal("no address")
 	}
-}
 
-// TestServeUplinkRejectsTwoShot: a coordinator endpoint is not a
-// participant — prepare/decide frames must come back refused, not
-// crash or hang, and the connection must stay usable.
-func TestServeUplinkRejectsTwoShot(t *testing.T) {
-	submitted := 0
-	us, err := ServeUplink("127.0.0.1:0", uplinkFunc(func(protocol.UpdateRequest) error {
-		submitted++
-		return nil
-	}), nil)
-	if err != nil {
-		t.Fatal(err)
+	// The burst: back-to-back blind writes, each to one fresh object on
+	// either shard, with values of differing lengths. The port reads
+	// each frame over the last and the coordinator hands the shards the
+	// frame's own values, so a shard that kept one uncopied would
+	// broadcast the bytes of a later frame.
+	var fresh [k][]int
+	for obj := 0; obj < m.N(); obj++ {
+		if s := m.ShardOf(obj); obj != a && obj != b {
+			fresh[s] = append(fresh[s], obj)
+		}
 	}
-	defer us.Close()
-
-	up, err := DialUplink(us.Addr())
-	if err != nil {
-		t.Fatal(err)
+	want := map[int][]byte{}
+	for i := 0; i < min(len(fresh[0]), len(fresh[1])); i++ {
+		x, y := fresh[0][i], fresh[1][i]
+		want[x] = bytes.Repeat([]byte{'a' + byte(i)}, 1+i%8)
+		want[y] = bytes.Repeat([]byte{'A' + byte(i)}, 8-i%8)
+		if err := up.SubmitUpdate(protocol.UpdateRequest{Writes: []protocol.ObjectWrite{
+			{Obj: x, Value: want[x]}, {Obj: y, Value: want[y]},
+		}}); err != nil {
+			t.Fatalf("burst commit %d: %v", i, err)
+		}
 	}
-	defer up.Close()
-	err = up.PrepareUpdate(1, protocol.UpdateRequest{Writes: []protocol.ObjectWrite{{Obj: 0, Value: []byte("x")}}}, false)
-	if err == nil || !strings.Contains(err.Error(), "two-shot") {
-		t.Fatalf("prepare at coordinator port: %v", err)
+	if len(want) < 8 {
+		t.Fatalf("a burst of %d writes; the placement leaves too few fresh objects", len(want))
 	}
-	if err := up.DecideUpdate(1, true); err == nil || !strings.Contains(err.Error(), "two-shot") {
-		t.Fatalf("decide at coordinator port: %v", err)
+	step()
+	for s := 0; s < k; s++ {
+		if _, ok := clients[s].AwaitCycle(); !ok {
+			t.Fatal("broadcast stream closed")
+		}
 	}
-	if err := up.SubmitUpdate(protocol.UpdateRequest{Writes: []protocol.ObjectWrite{{Obj: 0, Value: []byte("x")}}}); err != nil {
-		t.Fatalf("submit after refusals: %v", err)
-	}
-	if submitted != 1 {
-		t.Fatalf("handler saw %d submissions, want 1", submitted)
+	ro = r.BeginReadOnly()
+	defer ro.Abort()
+	for obj, v := range want {
+		got, err := ro.Read(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(bytes.TrimRight(got, "\x00"), v) {
+			t.Errorf("object %d (shard %d) reads back %q, committed %q", obj, m.ShardOf(obj), got, v)
+		}
 	}
 }
 
@@ -485,18 +494,15 @@ func TestUplinkRoundTripAllocs(t *testing.T) {
 	}
 }
 
-// noopParticipant accepts every request and both shots and does
-// nothing.
-type noopParticipant struct{}
+// noopHandler accepts every request and does nothing.
+type noopHandler struct{}
 
-func (noopParticipant) SubmitUpdate(protocol.UpdateRequest) error                { return nil }
-func (noopParticipant) PrepareUpdate(uint64, protocol.UpdateRequest, bool) error { return nil }
-func (noopParticipant) DecideUpdate(uint64, bool) error                          { return nil }
+func (noopHandler) SubmitUpdate(protocol.UpdateRequest) error { return nil }
 
 // noopUplink dials an uplink port whose handler accepts every request
 // and does nothing, so what a round trip costs is the transport.
 func noopUplink(t testing.TB) *Uplink {
-	us, err := ServeUplink("127.0.0.1:0", noopParticipant{}, nil)
+	us, err := ServeUplink("127.0.0.1:0", noopHandler{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,31 +518,20 @@ func noopUplink(t testing.TB) *Uplink {
 // BenchmarkUplinkRoundTrip is one commit's trip over loopback TCP —
 // encode, write, the server's read, decode and reply, the client's
 // read — with the server's handler reduced to a no-op, so what it times
-// is the transport; one sub-benchmark per request shape, and "prepare",
-// a two-shot commit's BCP1 and BCT1 pair of the grouped shape.
+// is the transport; one sub-benchmark per request shape.
 func BenchmarkUplinkRoundTrip(b *testing.B) {
-	bench := func(name string, commit func(up *Uplink) error) {
-		b.Run(name, func(b *testing.B) {
+	for _, shape := range uplinkShapes {
+		b.Run(shape.name, func(b *testing.B) {
 			up := noopUplink(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := commit(up); err != nil {
+				if err := up.SubmitUpdate(shape.req); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-	for _, shape := range uplinkShapes {
-		bench(shape.name, func(up *Uplink) error { return up.SubmitUpdate(shape.req) })
-	}
-	req := groupedShapeRequest(0)
-	bench("prepare", func(up *Uplink) error {
-		if err := up.PrepareUpdate(1, req, false); err != nil {
-			return err
-		}
-		return up.DecideUpdate(1, true)
-	})
 }
 
 // countingConn counts the Writes made on a connection and the Reads
@@ -566,7 +561,7 @@ func (c *countingConn) Write(p []byte) (int, error) {
 func TestUplinkOneSyscallPerFrame(t *testing.T) {
 	for _, shape := range uplinkShapes {
 		t.Run(shape.name, func(t *testing.T) {
-			us, err := ServeUplink("127.0.0.1:0", noopParticipant{}, nil)
+			us, err := ServeUplink("127.0.0.1:0", noopHandler{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -599,11 +594,10 @@ func TestUplinkOneSyscallPerFrame(t *testing.T) {
 
 // TestUplinkFrameReuseKeepsState: the uplink port decodes every request
 // into memory it reuses for the next, so what the server keeps must be
-// its own. Over one socket to a real server, shot one of a two-shot
-// commit is followed by a stream of submits, each frame laid over the
-// prepare's in the read buffer, before shot two installs it: the
-// committed values, the prepared writes and the audit log are what was
-// sent.
+// its own. Over one socket to a real server, a stream of submits, each
+// frame laid over the last in the read buffer: the committed values and
+// the audit log are what was sent. (server's TestPrepareKeepsOwnCopy
+// covers the writes a prepare parks.)
 func TestUplinkFrameReuseKeepsState(t *testing.T) {
 	const n = 16
 	srv, err := server.New(server.Config{Objects: n, ObjectBits: 64, Algorithm: protocol.FMatrix, Audit: true})
@@ -637,24 +631,13 @@ func TestUplinkFrameReuseKeepsState(t *testing.T) {
 		wantLog = append(wantLog, cmatrix.Commit{ReadSet: []int{n - 1}, WriteSet: objs, Cycle: 1})
 		return req
 	}
-	const token = 7
-	prep := request(0, 0, 1)
-	prepLog := wantLog[0]
-	wantLog = wantLog[:0] // the prepare commits last, at its decision
-	if err := up.PrepareUpdate(token, prep, false); err != nil {
-		t.Fatalf("prepare: %v", err)
-	}
 	for round := 1; round <= 3; round++ {
-		for obj := 2; obj+4 <= n-1; obj += 4 {
+		for obj := 0; obj+4 <= n-1; obj += 4 {
 			if err := up.SubmitUpdate(request(round, obj, obj+1, obj+2, obj+3)); err != nil {
 				t.Fatalf("round %d, objects %d..: %v", round, obj, err)
 			}
 		}
 	}
-	if err := up.DecideUpdate(token, true); err != nil {
-		t.Fatalf("decide: %v", err)
-	}
-	wantLog = append(wantLog, prepLog)
 
 	cb := srv.StartCycle()
 	for obj, v := range want {
@@ -667,8 +650,8 @@ func TestUplinkFrameReuseKeepsState(t *testing.T) {
 	}
 }
 
-// stallingParticipant holds every submit until release closes, then
-// reports the first value it was handed.
+// stallingParticipant holds each submit until the test sends on
+// release, then reports the value it was handed.
 type stallingParticipant struct {
 	protocol.Participant
 	release chan struct{}
@@ -681,14 +664,17 @@ func (p *stallingParticipant) SubmitUpdate(req protocol.UpdateRequest) error {
 	return nil
 }
 
-// TestCoordinatorTimeoutKeepsRequest: a coordinator behind an uplink
-// port answers a call that times out while its participant still holds
-// the request, and the port then reads the next frame over the last.
-// The participant must still see the value its request carried.
+// TestCoordinatorTimeoutKeepsRequest: the coordinator has no call
+// timeout, so a coordinator behind an uplink port answers a call only
+// once its participant is done with the request — however long that
+// takes — and the port reads the next frame over the last only after
+// that. Two frames are written back to back on one connection while
+// the participant stalls the first: no reply may come before the
+// release, and the participant must see each value its frame carried.
 func TestCoordinatorTimeoutKeepsRequest(t *testing.T) {
 	m := shard.NewMapping(shard.NewRing(1, 1, 0), 4)
 	p := &stallingParticipant{release: make(chan struct{}), seen: make(chan []byte, 2)} // one per submit
-	coord, err := shard.NewCoordinator(m, []protocol.Participant{p}, shard.CoordinatorConfig{CallTimeout: 5 * time.Millisecond})
+	coord, err := shard.NewCoordinator(m, []protocol.Participant{p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -697,21 +683,49 @@ func TestCoordinatorTimeoutKeepsRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer us.Close()
-	up, err := DialUplink(us.Addr())
+	conn, err := net.Dial("tcp", us.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer up.Close()
-	for _, v := range []string{"first", "other"} {
-		req := protocol.UpdateRequest{Writes: []protocol.ObjectWrite{{Obj: 0, Value: []byte(v)}}}
-		if err := up.SubmitUpdate(req); err == nil || !strings.Contains(err.Error(), shard.ErrPrepareTimeout.Error()) {
-			t.Fatalf("submit %q: %v, want the participant timeout", v, err)
+	defer conn.Close()
+	values := []string{"first", "other"}
+	for _, v := range values {
+		frame := wire.EncodeUpdateRequest(protocol.UpdateRequest{Writes: []protocol.ObjectWrite{{Obj: 0, Value: []byte(v)}}})
+		if err := WriteFrame(conn, frame); err != nil {
+			t.Fatal(err)
 		}
 	}
-	close(p.release)
-	got := []string{string(<-p.seen), string(<-p.seen)}
-	slices.Sort(got)
-	if got[0] != "first" || got[1] != "other" {
-		t.Fatalf("participant saw %q, want each value once", got)
+	replies := make(chan error, len(values))
+	go func() {
+		for range values {
+			reply, err := ReadFrame(conn)
+			if err == nil {
+				var wireErr error
+				err, wireErr = wire.DecodeUpdateReply(reply)
+				if wireErr != nil {
+					err = wireErr
+				}
+			}
+			replies <- err
+		}
+	}()
+	for _, v := range values {
+		select {
+		case err := <-replies:
+			t.Fatalf("reply %v before the participant released %q", err, v)
+		case <-time.After(20 * time.Millisecond):
+		}
+		p.release <- struct{}{}
+		if got := string(<-p.seen); got != v {
+			t.Fatalf("participant saw %q, its frame carried %q", got, v)
+		}
+		select {
+		case err := <-replies:
+			if err != nil {
+				t.Fatalf("submit %q: %v", v, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no reply to %q after the release", v)
+		}
 	}
 }

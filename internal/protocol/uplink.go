@@ -49,11 +49,10 @@ func CloneWrites(ws []ObjectWrite) []ObjectWrite {
 	return out
 }
 
-// Participant is one shard's uplink as the cross-shard two-shot commit
-// sees it: the single-shot submit for transactions local to the shard,
-// plus the prepare/decide pair for the others. *server.Server implements
-// it in process; netcast.Uplink implements it over TCP, and a netcast
-// uplink port dispatches two-shot frames only to a handler that is one.
+// Participant is one shard as the cross-shard two-shot commit sees it:
+// the single-shot submit for transactions local to the shard, plus the
+// prepare/decide pair for the others. *server.Server implements it,
+// and the coordinator calls it in process.
 type Participant interface {
 	Uplink
 	PrepareUpdate(token uint64, req UpdateRequest, remote bool) error

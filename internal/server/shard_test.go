@@ -75,6 +75,41 @@ func TestPrepareDecideCommit(t *testing.T) {
 	}
 }
 
+// TestPrepareKeepsOwnCopy: a request is valid only for the call
+// (protocol.Uplink), so a prepare parks its own copy of the writes.
+// Between prepare and decision the request's value bytes and entries
+// are overwritten, as a port decoding the next frame into the same
+// memory would; the decision still installs, and the audit log still
+// records, what was prepared.
+func TestPrepareKeepsOwnCopy(t *testing.T) {
+	s := newTestServer(t, protocol.FMatrix, 4)
+	s.StartCycle()
+	frame := []byte("aaaabb")
+	req := protocol.UpdateRequest{
+		Reads:  []protocol.ReadAt{readAt(3, 1)},
+		Writes: []protocol.ObjectWrite{{Obj: 0, Value: frame[0:4:4]}, {Obj: 1, Value: frame[4:6:6]}},
+	}
+	if err := s.PrepareUpdate(5, req, false); err != nil {
+		t.Fatalf("prepare: %v", err)
+	}
+	copy(frame, "xxxxyy")
+	req.Reads[0] = readAt(2, 1)
+	req.Writes[0], req.Writes[1] = protocol.ObjectWrite{Obj: 2, Value: frame[4:6:6]}, protocol.ObjectWrite{Obj: 3, Value: frame[0:4:4]}
+	if err := s.DecideUpdate(5, true); err != nil {
+		t.Fatalf("decide: %v", err)
+	}
+	cb := s.StartCycle()
+	for obj, want := range []string{"aaaa", "bb", "", ""} {
+		if got := string(cb.Values[obj]); got != want {
+			t.Errorf("object %d installed %q, prepared %q", obj, got, want)
+		}
+	}
+	want := []cmatrix.Commit{{ReadSet: []int{3}, WriteSet: []int{0, 1}, Cycle: 1}}
+	if got := s.AuditLog(); !reflect.DeepEqual(got, want) {
+		t.Errorf("audit log:\n got %v\nwant %v", got, want)
+	}
+}
+
 // TestPrepareValidationMatchesSubmit drives one request stream through
 // SubmitUpdate on one server and through PrepareUpdate + DecideUpdate
 // (local reads, so Apply) on its twin, for each control representation.

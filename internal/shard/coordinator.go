@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -10,27 +9,6 @@ import (
 	"broadcastcc/internal/obs"
 	"broadcastcc/internal/protocol"
 )
-
-// Errors returned by the coordinator.
-var (
-	// ErrPrepareTimeout marks a participant that did not answer a shot
-	// within Config.CallTimeout; the transaction aborts fleet-wide and
-	// the silent shard's own prepare TTL cleans up whatever it holds.
-	ErrPrepareTimeout = errors.New("shard: participant timed out")
-)
-
-// CoordinatorConfig parameterizes a coordinator.
-type CoordinatorConfig struct {
-	// CallTimeout bounds each participant call (prepare, decide,
-	// single-shard submit). 0 trusts participants to return — the right
-	// setting for in-process fleets; netfleet deployments should set it
-	// so a dead shard aborts transactions instead of wedging them.
-	CallTimeout time.Duration
-	// Obs receives the coordinator's metrics (shard_prepares_total,
-	// shard_commits_total, shard_aborts_total, shard_prepare_timeouts,
-	// shard_prepare_ns, shard_commit_ns). Nil uses a private registry.
-	Obs *obs.Registry
-}
 
 // Coordinator splits uplink update transactions across the fleet and
 // runs the two-shot commit: shot one prepares the transaction at every
@@ -43,31 +21,28 @@ type CoordinatorConfig struct {
 type Coordinator struct {
 	m     *Mapping
 	parts []protocol.Participant
-	cfg   CoordinatorConfig
 	obs   *obs.Registry
 	next  atomic.Uint64 // token source: 1, 2, 3, ... (deterministic)
 
 	cPrepares  *obs.Counter
 	cCommits   *obs.Counter
 	cAborts    *obs.Counter
-	cTimeouts  *obs.Counter
 	hPrepareNs *obs.Histogram
 	hCommitNs  *obs.Histogram
 }
 
 // NewCoordinator builds a coordinator over one participant per shard.
-func NewCoordinator(m *Mapping, parts []protocol.Participant, cfg CoordinatorConfig) (*Coordinator, error) {
+// Its metrics (shard_prepares_total, shard_commits_total,
+// shard_aborts_total, shard_prepare_ns, shard_commit_ns) go to a
+// registry of its own, which Obs returns.
+func NewCoordinator(m *Mapping, parts []protocol.Participant) (*Coordinator, error) {
 	if len(parts) != m.Shards() {
 		return nil, fmt.Errorf("shard: %d participants for %d shards", len(parts), m.Shards())
 	}
-	c := &Coordinator{m: m, parts: parts, cfg: cfg, obs: cfg.Obs}
-	if c.obs == nil {
-		c.obs = obs.NewRegistry()
-	}
+	c := &Coordinator{m: m, parts: parts, obs: obs.NewRegistry()}
 	c.cPrepares = c.obs.Counter("shard_prepares_total")
 	c.cCommits = c.obs.Counter("shard_commits_total")
 	c.cAborts = c.obs.Counter("shard_aborts_total")
-	c.cTimeouts = c.obs.Counter("shard_prepare_timeouts")
 	c.hPrepareNs = c.obs.Histogram("shard_prepare_ns", obs.Pow2Buckets(10, 22))
 	c.hCommitNs = c.obs.Histogram("shard_commit_ns", obs.Pow2Buckets(10, 22))
 	return c, nil
@@ -82,9 +57,8 @@ func (c *Coordinator) Mapping() *Mapping { return c.m }
 // split projects a global update request onto the fleet: per-shard
 // requests in shard-local object ids, plus the ascending list of
 // participating shards (any shard holding a read or a write). The
-// written values are copied: a call that times out leaves its
-// participant running after SubmitUpdate has returned, and req is
-// valid only until then.
+// written values are req's own: every participant call returns before
+// SubmitUpdate does, and a participant that keeps a request copies it.
 func (c *Coordinator) split(req protocol.UpdateRequest) (perShard []protocol.UpdateRequest, involved []int) {
 	perShard = make([]protocol.UpdateRequest, c.m.Shards())
 	touched := make([]bool, c.m.Shards())
@@ -93,7 +67,7 @@ func (c *Coordinator) split(req protocol.UpdateRequest) (perShard []protocol.Upd
 		perShard[s].Reads = append(perShard[s].Reads, protocol.ReadAt{Obj: c.m.Local(r.Obj), Cycle: r.Cycle})
 		touched[s] = true
 	}
-	for _, w := range protocol.CloneWrites(req.Writes) {
+	for _, w := range req.Writes {
 		s := c.m.ShardOf(w.Obj)
 		perShard[s].Writes = append(perShard[s].Writes, protocol.ObjectWrite{Obj: c.m.Local(w.Obj), Value: w.Value})
 		touched[s] = true
@@ -106,27 +80,11 @@ func (c *Coordinator) split(req protocol.UpdateRequest) (perShard []protocol.Upd
 	return perShard, involved
 }
 
-// call runs one participant call under the configured timeout.
-func (c *Coordinator) call(f func() error) error {
-	if c.cfg.CallTimeout <= 0 {
-		return f()
-	}
-	done := make(chan error, 1)
-	go func() { done <- f() }()
-	select {
-	case err := <-done:
-		return err
-	case <-time.After(c.cfg.CallTimeout):
-		c.cTimeouts.Inc()
-		return ErrPrepareTimeout
-	}
-}
-
 // SubmitUpdate routes one global update transaction: the single-shard
 // fast path submits directly; anything spanning shards runs the
 // two-shot commit. nil means the transaction committed fleet-wide; any
 // error means it aborted everywhere (prepared shards get an abort
-// decision, silent ones expire their prepare by TTL).
+// decision; any it does not reach expire their prepare by TTL).
 //
 // SubmitUpdate implements protocol.Uplink over global object ids, so a
 // Router-side UpdateTxn can commit through a Coordinator exactly as an
@@ -138,8 +96,7 @@ func (c *Coordinator) SubmitUpdate(req protocol.UpdateRequest) error {
 	}
 	if len(involved) == 1 {
 		s := involved[0]
-		err := c.call(func() error { return c.parts[s].SubmitUpdate(perShard[s]) })
-		if err != nil {
+		if err := c.parts[s].SubmitUpdate(perShard[s]); err != nil {
 			c.cAborts.Inc()
 			return err
 		}
@@ -157,11 +114,10 @@ func (c *Coordinator) submitTwoShot(perShard []protocol.UpdateRequest, involved 
 	var firstErr error
 	prepared := involved[:0:0]
 	for _, s := range involved {
-		s := s
 		// remote marks shards that cannot see the whole read set: their
 		// control state must take the conservative ApplyRemote path.
 		remote := len(perShard[s].Reads) < reads
-		err := c.call(func() error { return c.parts[s].PrepareUpdate(token, perShard[s], remote) })
+		err := c.parts[s].PrepareUpdate(token, perShard[s], remote)
 		c.cPrepares.Inc()
 		if err != nil {
 			firstErr = fmt.Errorf("shard %d: %w", s, err)
@@ -173,11 +129,10 @@ func (c *Coordinator) submitTwoShot(perShard []protocol.UpdateRequest, involved 
 	commit := firstErr == nil
 	t1 := time.Now()
 	for _, s := range involved {
-		s := s
 		if !commit && !slices.Contains(prepared, s) {
 			continue // never prepared there; nothing to abort
 		}
-		if err := c.call(func() error { return c.parts[s].DecideUpdate(token, commit) }); err != nil && commit {
+		if err := c.parts[s].DecideUpdate(token, commit); err != nil && commit {
 			// A commit decision that cannot land is an atomicity loss in
 			// flight: surface it loudly. (Aborts are best-effort — the TTL
 			// finishes the job.)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"strconv"
-	"time"
 
 	"broadcastcc/internal/bcast"
 	"broadcastcc/internal/obs"
@@ -28,8 +27,6 @@ type FleetConfig struct {
 	Shards int
 	// Vnodes is the ring's virtual-node count per shard (0 = default).
 	Vnodes int
-	// CallTimeout is passed to the coordinator (see CoordinatorConfig).
-	CallTimeout time.Duration
 }
 
 // Fleet is k per-shard servers behind one Mapping plus the coordinator
@@ -89,7 +86,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	for s, n := range f.nodes {
 		parts[s] = n
 	}
-	coord, err := NewCoordinator(m, parts, CoordinatorConfig{CallTimeout: cfg.CallTimeout})
+	coord, err := NewCoordinator(m, parts)
 	if err != nil {
 		for _, n := range f.nodes {
 			n.Close()
@@ -151,7 +148,7 @@ func (f *Fleet) Close() {
 
 // Addr is the fleet's listen plan, the deployment contract bcserver
 // and bcclient must agree on: given shard 0's address for one role
-// (broadcast channel or participant uplink), shard s listens for that
+// (broadcast channel or uplink), shard s listens for that
 // role 2s ports higher. The two roles interleave, so a base pair on
 // adjacent ports (the default 7070/7071) stays collision-free at any k.
 func Addr(base string, s int) (string, error) {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"broadcastcc/internal/bcast"
 	"broadcastcc/internal/client"
@@ -165,7 +164,7 @@ func TestCoordinatorCrashBetweenShots(t *testing.T) {
 	base := server.Config{Algorithm: protocol.FMatrix, ObjectBits: 64, TimestampBits: 32}
 	f, _, pump := testFleet(t, 32, 2, base)
 	coord, err := NewCoordinator(f.Mapping(),
-		[]protocol.Participant{lostDecisions{f.Node(0)}, lostDecisions{f.Node(1)}}, CoordinatorConfig{})
+		[]protocol.Participant{lostDecisions{f.Node(0)}, lostDecisions{f.Node(1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,59 +209,8 @@ func TestCoordinatorCrashBetweenShots(t *testing.T) {
 	}
 }
 
-// slowParticipant delays every prepare past the coordinator's timeout.
-type slowParticipant struct {
-	protocol.Participant
-	delay time.Duration
-}
-
-func (p *slowParticipant) PrepareUpdate(token uint64, req protocol.UpdateRequest, remote bool) error {
-	time.Sleep(p.delay)
-	return p.Participant.PrepareUpdate(token, req, remote)
-}
-
-// TestPrepareTimeoutAborts: a dead shard cannot wedge the fleet — the
-// coordinator times the prepare out and aborts the shards it reached.
-func TestPrepareTimeoutAborts(t *testing.T) {
-	base := server.Config{Objects: 32, Algorithm: protocol.FMatrix, ObjectBits: 64, TimestampBits: 32}
-	f, err := NewFleet(FleetConfig{Base: base, Seed: 11, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	parts := []protocol.Participant{
-		f.Node(0),
-		&slowParticipant{Participant: f.Node(1), delay: 200 * time.Millisecond},
-	}
-	coord, err := NewCoordinator(f.Mapping(), parts, CoordinatorConfig{CallTimeout: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := objOnShard(t, f.Mapping(), 0)
-	b := objOnShard(t, f.Mapping(), 1)
-	f.StartCycle()
-	err = coord.SubmitUpdate(protocol.UpdateRequest{Writes: []protocol.ObjectWrite{
-		{Obj: a, Value: []byte("x")},
-		{Obj: b, Value: []byte("x")},
-	}})
-	if !errors.Is(err, ErrPrepareTimeout) {
-		t.Fatalf("want ErrPrepareTimeout, got %v", err)
-	}
-	// Shard 0 prepared first and must have received the abort decision.
-	if _, pinned := f.Node(0).PinnedBy(f.Mapping().Local(a)); pinned {
-		t.Fatal("shard 0 still pinned after timeout abort")
-	}
-	if v := f.StartCycle()[0].Values[f.Mapping().Local(a)]; v != nil {
-		t.Fatalf("timed-out transaction committed %q on shard 0", v)
-	}
-	snap := coord.Obs().Snapshot()
-	if snap.Counters["shard_prepare_timeouts"] != 1 || snap.Counters["shard_aborts_total"] != 1 {
-		t.Fatalf("coordinator counters %v", snap.Counters)
-	}
-}
-
-// TestDuplicateDecisionFrames: replaying a decision (a netfleet retry)
-// is idempotent; contradicting it is an error.
+// TestDuplicateDecisionFrames: replaying a decision is idempotent;
+// contradicting it is an error.
 func TestDuplicateDecisionFrames(t *testing.T) {
 	base := server.Config{Algorithm: protocol.FMatrix, ObjectBits: 64, TimestampBits: 32}
 	f, r, pump := testFleet(t, 32, 2, base)

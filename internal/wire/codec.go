@@ -32,14 +32,10 @@ const (
 	KindSubsetSubscribe             // BCQ2, broadcast socket, client to server: a subset filter
 	KindSubset                      // BCQ3, broadcast: a cycle restricted to a subset
 	KindUpdate                      // BCU1, uplink: an update transaction
-	KindPrepare                     // BCP1, uplink: shot one of the cross-shard commit
-	KindDecision                    // BCT1, uplink: shot two
 )
 
 // kinds is the frame-kind table. No two kinds share a magic (dgram's
-// packet magic included, see TestMagicsUnique): the decision frame was
-// "BCD1" like the cycle delta until PR 14 and is rejected under that
-// magic now.
+// packet magic included, see TestMagicsUnique).
 var kinds = [...]struct {
 	magic   [4]byte
 	name    string
@@ -56,8 +52,6 @@ var kinds = [...]struct {
 	KindSubsetSubscribe: {[4]byte{'B', 'C', 'Q', '2'}, "subset-subscribe", subscribeHeaderBytes, 0},
 	KindSubset:          {[4]byte{'B', 'C', 'Q', '3'}, "subset-cycle", subsetHeaderBytes, 0},
 	KindUpdate:          {[4]byte{'B', 'C', 'U', '1'}, "update", updateHeaderBytes, 0},
-	KindPrepare:         {[4]byte{'B', 'C', 'P', '1'}, "prepare", shotBytes + 8, 0},
-	KindDecision:        {[4]byte{'B', 'C', 'T', '1'}, "decision", shotBytes, 0},
 }
 
 // KindOf classifies a frame by its magic.

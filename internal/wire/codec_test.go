@@ -33,8 +33,7 @@ func TestKindOfGoldenFrames(t *testing.T) {
 	want := map[string]Kind{
 		"BCC1": KindCycle, "BCD1": KindDelta, "BCG1": KindGrouped, "BCI1": KindIndex,
 		"BCB1": KindBucket, "BCQ1": KindCacheRecord, "BCQ2": KindSubsetSubscribe,
-		"BCQ3": KindSubset, "BCU1": KindUpdate, "BCP1": KindPrepare,
-		"decision": KindDecision, "reply": KindUnknown,
+		"BCQ3": KindSubset, "BCU1": KindUpdate, "reply": KindUnknown,
 	}
 	for _, g := range readGolden(t) {
 		prefix, _, _ := strings.Cut(g.name, "-")
@@ -48,23 +47,12 @@ func TestKindOfGoldenFrames(t *testing.T) {
 			}
 		}
 	}
-	for _, short := range [][]byte{nil, []byte("BCC")} {
-		if KindOf(short) != KindUnknown {
-			t.Errorf("%q classified as a frame", short)
+	// Short buffers, and the retired cross-shard shot magics, which no
+	// table row names any more.
+	for _, stray := range [][]byte{nil, []byte("BCC"), []byte("BCP1\x00"), []byte("BCT1\x00")} {
+		if KindOf(stray) != KindUnknown {
+			t.Errorf("%q classified as a frame", stray)
 		}
-	}
-}
-
-// TestOldDecisionMagicRejected: the decision frame no longer answers to
-// "BCD1" — both ends ship from this repo, so there is no dual accept.
-func TestOldDecisionMagicRejected(t *testing.T) {
-	old := EncodeDecision(9, true)
-	copy(old, "BCD1")
-	if _, _, err := DecodeDecision(old); err == nil {
-		t.Fatal("a decision frame under the cycle-delta magic was accepted")
-	}
-	if KindOf(old) != KindDelta {
-		t.Fatalf("BCD1 classified as %v", KindOf(old))
 	}
 }
 

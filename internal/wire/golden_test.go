@@ -104,8 +104,6 @@ func goldenFrames(t testing.TB) []goldenFrame {
 		Writes: []protocol.ObjectWrite{{Obj: 0, Value: []byte("v")}, {Obj: 3}},
 	}
 	add("BCU1", EncodeUpdateRequest(req), nil)
-	add("BCP1", EncodePrepare(0x0102030405060708, req, true), nil)
-	add("decision", EncodeDecision(0x0102030405060708, true), nil)
 	add("reply-ok", EncodeUpdateReply(nil), nil)
 	add("reply-reject", EncodeUpdateReply(errors.New("conflict on object 3")), nil)
 	return out

@@ -26,19 +26,14 @@ const updateHeaderBytes = 4 + 4 + 4
 // uplink into a fresh buffer.
 func EncodeUpdateRequest(req protocol.UpdateRequest) []byte { return AppendUpdateRequest(nil, req) }
 
-// AppendUpdateRequest appends req's uplink frame to dst.
+// AppendUpdateRequest appends req's uplink frame to dst, growing dst
+// at most once.
 func AppendUpdateRequest(dst []byte, req protocol.UpdateRequest) []byte {
-	return appendUpdate(dst, KindUpdate.magic(), req)
-}
-
-// appendUpdate appends head and then the BCU1 body of req — counts and
-// entries, the part BCU1 and BCP1 share — growing dst at most once.
-func appendUpdate(dst, head []byte, req protocol.UpdateRequest) []byte {
-	size := len(head) + 8 + 12*len(req.Reads)
+	size := updateHeaderBytes + 12*len(req.Reads)
 	for _, w := range req.Writes {
 		size += 8 + len(w.Value)
 	}
-	dst = append(slices.Grow(dst, size), head...)
+	dst = append(slices.Grow(dst, size), KindUpdate.magic()...)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(req.Reads)))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(req.Writes)))
 	for _, r := range req.Reads {
@@ -64,20 +59,13 @@ func DecodeUpdateRequest(data []byte) (req protocol.UpdateRequest, err error) {
 // DecodeUpdateRequestInto is DecodeUpdateRequest into req, reusing its
 // Reads and Writes: with room enough it allocates nothing.
 func DecodeUpdateRequestInto(req *protocol.UpdateRequest, data []byte) error {
-	return decodeUpdate(req, data, KindUpdate)
-}
-
-// decodeUpdate checks a frame of kind k, BCU1 or BCP1, and decodes into
-// req its BCU1 body: the counts that end k's header, then the entries.
-func decodeUpdate(req *protocol.UpdateRequest, data []byte, k Kind) error {
 	req.Reads, req.Writes = req.Reads[:0], req.Writes[:0]
-	if err := k.check(data); err != nil {
+	if err := KindUpdate.check(data); err != nil {
 		return err
 	}
-	off := kinds[k].header - 8
-	nReads := int(binary.BigEndian.Uint32(data[off : off+4]))
-	nWrites := int(binary.BigEndian.Uint32(data[off+4 : off+8]))
-	off += 8
+	nReads := int(binary.BigEndian.Uint32(data[4:8]))
+	nWrites := int(binary.BigEndian.Uint32(data[8:12]))
+	off := updateHeaderBytes
 	// Bound both counts by what the buffer can hold (a write is at
 	// least its 8-byte prefix) before allocating.
 	if err := minLen(data, int64(off), int64(nReads), 12); err != nil {

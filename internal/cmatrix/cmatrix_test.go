@@ -153,6 +153,20 @@ func TestIncrementalMatchesDefinition(t *testing.T) {
 	}
 }
 
+// VectorOf projects a full C matrix to the one-partition vector:
+// V(i) = max_j C(i,j).
+func VectorOf(m *Matrix) *Vector {
+	v := NewVector(m.N())
+	for i := 0; i < m.N(); i++ {
+		for j := 0; j < m.N(); j++ {
+			if x := m.At(i, j); x > v.v[i] {
+				v.v[i] = x
+			}
+		}
+	}
+	return v
+}
+
 // The R-Matrix vector is exactly the one-partition projection of C, and
 // its direct maintenance (write cycle per object) agrees.
 func TestVectorMatchesMatrixProjection(t *testing.T) {
@@ -357,8 +371,8 @@ func TestCodecLessHelper(t *testing.T) {
 
 func TestCodecRoundTrip(t *testing.T) {
 	c := Codec{Bits: 8}
-	if c.Mod() != 256 || c.MaxSpan() != 255 {
-		t.Fatalf("Mod/MaxSpan wrong: %d/%d", c.Mod(), c.MaxSpan())
+	if c.Mod() != 256 {
+		t.Fatalf("Mod wrong: %d", c.Mod())
 	}
 	for _, cur := range []Cycle{0, 1, 255, 256, 300, 1 << 20} {
 		for back := Cycle(0); back <= 255 && back <= cur; back += 17 {
@@ -376,12 +390,12 @@ func TestCodecLessMatchesUnwrapped(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	for trial := 0; trial < 1000; trial++ {
 		cur := Cycle(rng.Intn(1000))
-		span := Cycle(rng.Intn(int(c.MaxSpan()) + 1))
+		span := Cycle(rng.Intn(int(c.Mod()))) // at most Mod()-1 cycles back: comparisons stay exact
 		a := cur - span
 		if a < 0 {
 			continue
 		}
-		b := cur - Cycle(rng.Intn(int(c.MaxSpan())+1))
+		b := cur - Cycle(rng.Intn(int(c.Mod())))
 		if b < 0 {
 			continue
 		}

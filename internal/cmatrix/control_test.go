@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -164,7 +165,7 @@ func (m *groupedModel) check(t testing.TB, whenFormat string, whenArgs ...any) {
 	}
 	refs := m.classRefs()
 	for cls, r := range refs {
-		if cls.refs != r {
+		if int(cls.refs) != r {
 			fatalf("a class shared by %d columns counts %d", r, cls.refs)
 		}
 	}
@@ -556,6 +557,161 @@ func TestGroupedControlFullDensity(t *testing.T) {
 					t.Fatalf("n %d g %d: snapshot %d of %d changed after it was published", n, g, k, len(m.pubs))
 				}
 			}
+		}
+	}
+}
+
+// storesPrefix reports whether col stores rows 0..k−1, i.e. row i is
+// col[i] for every i < k.
+func storesPrefix(col []SparseEntry, k int) bool {
+	return k <= len(col) && (k == 0 || col[k-1].Idx == k-1)
+}
+
+// TestGroupedIndexedWalks holds the indexed walks to the oracle at every
+// edge of the state that selects them — a class column storing rows
+// 0..len−1 (full), and an MC column storing at least those rows. A
+// random stream mixes write-only commits of a prefix {0..k−1} (a full
+// class shorter than n), sparse write-only commits, read-all commits
+// (full classes of n rows), remote applies, regroups, publishes and
+// same-group write pairs; after every step the live MC is compared with
+// GroupedOf over the dense Theorem 2 matrix and the counts with a
+// recount (groupedModel.check), and every snapshot at the end with its
+// oracle. Before each step the test predicts, from the live state, which
+// walk each touched group takes, and it requires the stream to have met
+// every edge: a full class shorter than n lowered; a full class raised
+// into an MC column not storing its rows (the merge) and a sparse class
+// raised into a full MC; an indexed raise on a published column (the
+// clone), with multiplicity above 1, and from a remote apply; and full
+// density rebuilt by a regroup, and re-entered by a commit after a
+// regroup that left it.
+func TestGroupedIndexedWalks(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	met := map[string]int{}
+	for _, n := range []int{12, 33} {
+		for _, g := range []int{1, 3, n / 4, n} {
+			m := newGroupedModel(UniformPartition(n, g))
+			full := func() bool {
+				for s := range m.gc.groups {
+					if len(m.gc.groups[s].mc) != n {
+						return false
+					}
+				}
+				for _, c := range m.gc.cm.class {
+					if c == nil || !c.full || len(c.col) != n {
+						return false
+					}
+				}
+				return true
+			}
+			all := rng.Perm(n)
+			regrouped := false
+			for step, cycle := 0, Cycle(1); step < 300; step++ {
+				if rng.Intn(3) == 0 {
+					cycle++
+				}
+				var cm Commit
+				remote := false
+				switch op := rng.Intn(12); {
+				case op == 0: // a full class of k < n rows
+					cm = Commit{Cycle: cycle, WriteSet: rng.Perm(1 + rng.Intn(n-1))}
+				case op == 1: // sparse
+					cm = Commit{Cycle: cycle, WriteSet: rng.Perm(n)[:1+rng.Intn(2)]}
+				case op == 2:
+					cm, remote = Commit{Cycle: cycle, WriteSet: rng.Perm(n)[:1+rng.Intn(3)]}, true
+				case op == 3:
+					cm = Commit{Cycle: cycle, ReadSet: all, WriteSet: rng.Perm(n)[:1+rng.Intn(n)]}
+				case op == 4:
+					w := make([]float64, n)
+					for j := range w {
+						w[j] = rng.Float64()
+					}
+					wasFull := full()
+					m.regroup(HeatPartition(w, g))
+					m.check(t, "n %d g %d step %d regroup", n, g, step)
+					if regrouped = !full(); wasFull && !regrouped {
+						met["regroup: full density rebuilt"]++
+					}
+					continue
+				case op == 5:
+					m.publish()
+					continue
+				default:
+					cm = Commit{Cycle: cycle, ReadSet: rng.Perm(n)[:1+rng.Intn(4)], WriteSet: rng.Perm(n)[:1+rng.Intn(2)]}
+					if j0 := cm.WriteSet[0]; rng.Intn(2) == 0 {
+						for _, j := range rng.Perm(n) {
+							if j != j0 && m.part.GroupOf(j) == m.part.GroupOf(j0) {
+								cm.WriteSet = []int{j0, j}
+								break
+							}
+						}
+					}
+				}
+				// What the walks will meet: the rows each touched MC column
+				// stores before the commit, its sharing, the multiplicity of
+				// the new class in it, and the classes lowered.
+				type before struct {
+					rows   []SparseEntry
+					shared bool
+					m      int
+				}
+				touched := map[int]*before{}
+				seen := map[int]bool{}
+				for _, j := range cm.WriteSet {
+					if seen[j] {
+						continue
+					}
+					seen[j] = true
+					s := m.part.GroupOf(j)
+					if touched[s] == nil {
+						gs := &m.gc.groups[s]
+						touched[s] = &before{rows: slices.Clone(gs.mc), shared: gs.shared}
+					}
+					touched[s].m++
+					if old := m.gc.cm.class[j]; old != nil && old.full && len(old.col) < n {
+						met["lower: full class shorter than n"]++
+					}
+				}
+				m.apply(cm, remote)
+				m.check(t, "n %d g %d step %d", n, g, step)
+				nc := m.gc.cm.class[cm.WriteSet[0]]
+				for _, b := range touched {
+					indexed := nc.full && storesPrefix(b.rows, len(nc.col))
+					switch {
+					case nc.full && !indexed:
+						met["raise: full class into an MC column lacking its rows"]++
+					case !nc.full && len(b.rows) == n:
+						met["raise: sparse class into a full MC column"]++
+					case indexed && b.shared:
+						met["raise: indexed on a published MC column"]++
+					}
+					if indexed && b.m > 1 {
+						met["raise: indexed with multiplicity > 1"]++
+					}
+					if indexed && remote {
+						met["raise: indexed from a remote apply"]++
+					}
+				}
+				if regrouped && full() {
+					met["commit: full density re-entered after a regroup"]++
+					regrouped = false
+				}
+			}
+			m.publish()
+			m.checkPublished(t, fmt.Sprintf("n %d g %d end of stream", n, g))
+		}
+	}
+	for _, edge := range []string{
+		"lower: full class shorter than n",
+		"raise: full class into an MC column lacking its rows",
+		"raise: sparse class into a full MC column",
+		"raise: indexed on a published MC column",
+		"raise: indexed with multiplicity > 1",
+		"raise: indexed from a remote apply",
+		"regroup: full density rebuilt",
+		"commit: full density re-entered after a regroup",
+	} {
+		if met[edge] == 0 {
+			t.Errorf("the stream never met %q (met: %v)", edge, met)
 		}
 	}
 }

@@ -24,10 +24,14 @@ import (
 // positive count still has a column at the stored value and none above
 // it, so it is exact as it stands. That is O(nnz) per affected group.
 //
-// Every walk finds its rows through seek. At full density (uplink-grouped
-// from about cycle 50) row i is entry i, each lookup is one probe and no
-// MC column merges; only a column gaining rows — filling, regrouped, or
-// sparse at n ≥ 10⁵ — still does, on the same path (DESIGN.md §9).
+// A class column that stores rows 0..len−1 is full (install records it),
+// and there row i is entry i: lower indexes a full class's rows straight
+// into mc, whose first entries they are; raise does so when mc stores
+// them too; repair reads a full class at the row. Every other walk finds
+// its rows through seek — one probe where the column is filled up to the
+// row, a bounded search where it is not — and raise inserts the rows mc
+// lacks by a backward merge: the filling, regrouped and sparse (n ≥ 10⁵)
+// columns (DESIGN.md §9).
 //
 // Ownership: a column handed out by Grouped() belongs to that snapshot's
 // readers and is never written again — the first raise after a publish
@@ -287,32 +291,59 @@ func (g *GroupedControl) MC(i, s int) Cycle {
 	return lookupSparse(g.groups[s].mc, i)
 }
 
-// lower takes one column of class col out of the counts and records the
+// lower takes one column of class c out of the counts and records the
 // rows it leaves with no attaining column. Every row of a member class is
-// stored, because MC ≥ C > 0 there.
-func (gs *group) lower(col []SparseEntry) {
-	mc, cnt, skip := gs.mc, gs.cnt, 0
-	for _, e := range col {
-		k, _ := seek(mc, skip, e.Idx)
-		attains, c := mc[k].Val == e.Val, cnt[k]
-		if attains { // branch-free, as in fold; mc may be published, so only read
-			c--
+// stored, because MC ≥ C > 0 there, so a full class's rows are mc's first
+// and row i is mc[i].
+func (gs *group) lower(c *colClass) {
+	mc, cnt := gs.mc, gs.cnt
+	if c.full {
+		mc, cnt = mc[:len(c.col)], cnt[:len(c.col)]
+		for i, e := range c.col {
+			if drop(mc[i].Val, &cnt[i], e.Val) {
+				gs.zero = append(gs.zero, i)
+			}
 		}
-		if skip, cnt[k] = e.Idx-k, c; c == 0 && attains {
+		return
+	}
+	skip := 0
+	for _, e := range c.col {
+		k, _ := seek(mc, skip, e.Idx)
+		if skip = e.Idx - k; drop(mc[k].Val, &cnt[k], e.Val) {
 			gs.zero = append(gs.zero, e.Idx)
 		}
 	}
 }
 
-// raise folds class column col, carried by m of the group's columns,
-// into mc (a copy of it, if published): every row mc stores — all of
-// them, once the group is full — is updated where seek finds it, and a
-// backward merge inserts the rest.
-func (gs *group) raise(col []SparseEntry, m int32) {
+// drop takes one column holding v out of count c of stored maximum top
+// and reports whether that left the maximum with no attaining column.
+// Like fold it is branch-free; top may be published, so it is only read.
+func drop(top Cycle, c *int32, v Cycle) bool {
+	attains, n := top == v, *c
+	if attains {
+		n--
+	}
+	*c = n
+	return n == 0 && attains
+}
+
+// raise folds class c, carried by m of the group's columns, into mc (a
+// copy of it, if published). A full class whose rows mc already stores —
+// rows 0..len(c.col)−1, so row i is entry i of both — folds in one
+// indexed pass; otherwise every row mc stores is updated where seek finds
+// it, and a backward merge inserts the rest.
+func (gs *group) raise(c *colClass, m int32) {
 	if gs.shared {
 		gs.mc, gs.shared = slices.Clone(gs.mc), false
 	}
-	mc, cnt := gs.mc, gs.cnt
+	mc, cnt, col := gs.mc, gs.cnt, c.col
+	if n := len(col); c.full && n <= len(mc) && mc[n-1].Idx == n-1 {
+		mc, cnt = mc[:n], cnt[:n]
+		for i, e := range col {
+			fold(&mc[i], &cnt[i], e.Val, m)
+		}
+		return
+	}
 	missing, skip := 0, 0
 	for _, e := range col {
 		k, ok := seek(mc, skip, e.Idx)
@@ -371,7 +402,7 @@ func (gs *group) repair() {
 	// Classes outside, rows inside: each class column is probed while hot.
 	for _, c := range gs.classes {
 		for _, k := range stale {
-			fold(&mc[k], &cnt[k], lookupSparse(c.c.col, mc[k].Idx), c.m)
+			fold(&mc[k], &cnt[k], c.c.at(mc[k].Idx), c.m)
 		}
 	}
 	if !slices.ContainsFunc(stale, func(k int) bool { return mc[k].Val == 0 }) {
@@ -419,7 +450,7 @@ func (g *GroupedControl) apply(readSet, writeSet []int, commitCycle Cycle, remot
 				gs.classes = slices.Delete(gs.classes, k, k+1)
 			}
 			if !g.StaleMC {
-				gs.lower(old.col)
+				gs.lower(old)
 			}
 		}
 	}
@@ -433,7 +464,7 @@ func (g *GroupedControl) apply(readSet, writeSet []int, commitCycle Cycle, remot
 		// The first write-set column of a group raises for all of them.
 		if gs := &g.groups[g.part.GroupOf(j)]; gs.writes > 0 {
 			gs.classes = append(gs.classes, member{nc, gs.writes})
-			gs.raise(nc.col, gs.writes)
+			gs.raise(nc, gs.writes)
 			gs.repair()
 			gs.writes = 0
 		}
@@ -479,7 +510,7 @@ func (g *GroupedControl) Regroup(p *Partition) (churn int) {
 	for sl, m := range members { // any order: a maximum and its count do not depend on it
 		gs := &g.groups[sl.s]
 		gs.classes = append(gs.classes, member{sl.c, m})
-		gs.raise(sl.c.col, m)
+		gs.raise(sl.c, m)
 	}
 	return churn
 }

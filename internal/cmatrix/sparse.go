@@ -77,7 +77,16 @@ func mergeMaxInto(dst, a, b []SparseEntry) []SparseEntry {
 // sharing it) > 0; never published, a dead class is rebuilt later.
 type colClass struct {
 	col  []SparseEntry
-	refs int
+	refs int32
+	full bool // col stores rows 0..len(col)−1, so row i is col[i]
+}
+
+// at returns the class's entry at row i.
+func (c *colClass) at(i int) Cycle {
+	if c.full && uint(i) < uint(len(c.col)) {
+		return c.col[i].Val
+	}
+	return lookupSparse(c.col, i)
 }
 
 // classMatrix is the exact C matrix stored as class-shared sparse
@@ -122,7 +131,7 @@ func (cm *classMatrix) at(i, j int) Cycle {
 	cm.check(i)
 	cm.check(j)
 	if c := cm.class[j]; c != nil {
-		return lookupSparse(c.col, i)
+		return c.at(i)
 	}
 	return 0
 }
@@ -209,7 +218,8 @@ func (cm *classMatrix) install(wsSorted []int, col []SparseEntry, commitCycle Cy
 	if cap(nc.col) < len(col) {
 		nc.col = make([]SparseEntry, 0, len(col))
 	}
-	nc.col, nc.refs = append(nc.col[:0], col...), len(wsSorted)
+	nc.col, nc.refs = append(nc.col[:0], col...), int32(len(wsSorted))
+	nc.full = len(col) > 0 && col[len(col)-1].Idx == len(col)-1
 	for _, j := range wsSorted {
 		if old := cm.class[j]; old != nil {
 			if old.refs--; old.refs == 0 {

@@ -51,20 +51,6 @@ func VectorFromEntries(entries []Cycle) (*Vector, error) {
 	return &Vector{v: append([]Cycle(nil), entries...)}, nil
 }
 
-// VectorOf projects a full C matrix to the one-partition vector:
-// V(i) = max_j C(i,j).
-func VectorOf(m *Matrix) *Vector {
-	v := NewVector(m.N())
-	for i := 0; i < m.N(); i++ {
-		for j := 0; j < m.N(); j++ {
-			if x := m.At(i, j); x > v.v[i] {
-				v.v[i] = x
-			}
-		}
-	}
-	return v
-}
-
 // Partition assigns each of n objects to one of g groups for the
 // generalized n×g matrix of Section 3.2.2.
 type Partition struct {

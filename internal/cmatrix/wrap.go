@@ -22,10 +22,6 @@ func (c Codec) Mod() Cycle {
 	return Cycle(1) << c.Bits
 }
 
-// MaxSpan reports the maximum number of cycles a transaction may span
-// while comparisons remain exact: 2^Bits - 1.
-func (c Codec) MaxSpan() Cycle { return c.Mod() - 1 }
-
 // Encode wraps a cycle number to its Bits-wide representation.
 func (c Codec) Encode(x Cycle) uint32 {
 	if x < 0 {

@@ -27,35 +27,39 @@ type ProgramEncoder struct {
 	refreshEvery int
 	seqs         []uint32          // occurrences sent, per object
 	prevCols     [][]cmatrix.Cycle // the last column sent, per object
+	col          []cmatrix.Cycle   // the next column's storage: a retired prevCols entry
 	offs         []int             // an index segment's offsets, rewritten per segment
+	frames       [][]byte          // frame i of the timeline, rebuilt each cycle in its own storage
 }
 
 // NewProgramEncoder returns the transmitter of program p, before its
 // first cycle.
 func NewProgramEncoder(p *airsched.Program, refreshEvery int) *ProgramEncoder {
 	n := p.Layout().Objects
+	tl := airsched.NewTimeline(p)
 	return &ProgramEncoder{
-		tl:           airsched.NewTimeline(p),
+		tl:           tl,
 		refreshEvery: refreshEvery,
 		seqs:         make([]uint32, n),
 		prevCols:     make([][]cmatrix.Cycle, n),
 		offs:         make([]int, n),
+		frames:       make([][]byte, tl.FrameCount()),
 	}
 }
 
 // Encode encodes cb as the program's frames, one per timeline frame,
-// and reports the bytes that went out as full and as delta payload.
+// and reports the bytes that went out as full and as delta payload. The
+// frames are the encoder's own storage, valid until the next Encode.
 func (e *ProgramEncoder) Encode(cb *bcast.CycleBroadcast) (frames [][]byte, fullBytes, deltaBytes int64, err error) {
 	tl := e.tl
-	frames = make([][]byte, 0, tl.FrameCount())
 	for i, f := range tl.Frames() {
-		var data []byte
+		data := e.frames[i][:0]
 		switch f.Kind {
 		case airsched.FrameIndex:
 			for obj := range e.offs {
 				e.offs[obj] = tl.NextOccurrence(i, obj)
 			}
-			data, err = wire.EncodeIndexFrame(&wire.IndexFrame{
+			data, err = wire.AppendIndexFrame(data, &wire.IndexFrame{
 				Number:    cb.Number,
 				Segment:   f.Segment,
 				M:         tl.Program().IndexM(),
@@ -67,7 +71,7 @@ func (e *ProgramEncoder) Encode(cb *bcast.CycleBroadcast) (frames [][]byte, full
 		case airsched.FrameData:
 			obj := f.Obj
 			e.seqs[obj]++
-			col, cerr := wire.Column(cb, obj, nil)
+			col, cerr := wire.Column(cb, obj, e.col[:0])
 			if cerr != nil {
 				return nil, 0, 0, cerr
 			}
@@ -75,7 +79,12 @@ func (e *ProgramEncoder) Encode(cb *bcast.CycleBroadcast) (frames [][]byte, full
 			if e.refreshEvery > 0 && (e.seqs[obj]-1)%uint32(e.refreshEvery) != 0 {
 				prev = e.prevCols[obj]
 			}
-			data, err = wire.EncodeBucket(&wire.Bucket{
+			// Room for the largest bucket of this column, a delta changing
+			// every entry, so the frame's storage is allocated only once.
+			if need := int(wire.BucketBits(cb.Layout, len(col)) / 8); cap(data) < need {
+				data = make([]byte, 0, need)
+			}
+			data, err = wire.AppendBucket(data, &wire.Bucket{
 				Number:    cb.Number,
 				Layout:    cb.Layout,
 				Obj:       obj,
@@ -89,14 +98,14 @@ func (e *ProgramEncoder) Encode(cb *bcast.CycleBroadcast) (frames [][]byte, full
 			} else {
 				fullBytes += int64(len(data))
 			}
-			e.prevCols[obj] = col
+			e.prevCols[obj], e.col = col, e.prevCols[obj]
 		}
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		frames = append(frames, data)
+		e.frames[i] = data
 	}
-	return frames, fullBytes, deltaBytes, nil
+	return e.frames, fullBytes, deltaBytes, nil
 }
 
 // ErrBrokenChain marks a delta bucket whose base occurrence the

@@ -1,7 +1,9 @@
 package netcast
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"net"
 	"strings"
 	"sync"
@@ -401,5 +403,85 @@ func TestTunerServerRestart(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(v), "restart!") {
 		t.Fatalf("read %q after restart", v)
+	}
+}
+
+// TestProgramEncodeReusesStorage holds ProgramEncoder.Encode, which
+// builds every frame in storage it keeps from one cycle to the next, to
+// the allocating encoders byte for byte — each frame rebuilt with
+// wire.EncodeIndexFrame or wire.EncodeBucket from a fresh wire.Column and
+// the column the object last carried — over cycles of changing control
+// at the Table 1 layout (3 disks, a (1,8) index, a refresh every 4
+// occurrences). Once every column has been sent, an Encode allocates
+// nothing.
+func TestProgramEncodeReusesStorage(t *testing.T) {
+	const n, refresh = 300, 4
+	layout := bcast.LayoutFor(protocol.FMatrix, n, 8*1024, 8, 0)
+	prog, err := airsched.Build(layout, airsched.ZipfWeights(n, 0.95), 3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl := airsched.NewTimeline(prog)
+	values := make([][]byte, n)
+	for obj := range values {
+		values[obj] = []byte{byte(obj), byte(obj >> 8)}
+	}
+	rng := rand.New(rand.NewSource(43))
+	m := cmatrix.NewMatrix(n)
+	var cycles []*bcast.CycleBroadcast
+	for c := cmatrix.Cycle(1); c <= 6; c++ {
+		cycles = append(cycles, &bcast.CycleBroadcast{Number: c, Layout: layout, Values: values, Matrix: m.Snapshot()})
+		for k := 0; k < 30; k++ {
+			p := rng.Perm(n)
+			m.Apply(p[:2], p[2:4], c)
+		}
+	}
+
+	enc := NewProgramEncoder(prog, refresh)
+	seqs, prevCols := make([]uint32, n), make([][]cmatrix.Cycle, n)
+	for _, cb := range cycles {
+		frames, _, _, err := enc.Encode(cb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range tl.Frames() {
+			var want []byte
+			if f.Kind == airsched.FrameIndex {
+				offs := make([]int, n)
+				for obj := range offs {
+					offs[obj] = tl.NextOccurrence(i, obj)
+				}
+				want, err = wire.EncodeIndexFrame(&wire.IndexFrame{Number: cb.Number, Segment: f.Segment, M: prog.IndexM(),
+					Frames: tl.FrameCount(), NextIndex: tl.NextIndexDistance(i), Offsets: offs})
+			} else {
+				seqs[f.Obj]++
+				col, _ := wire.Column(cb, f.Obj, nil)
+				var prev []cmatrix.Cycle
+				if (seqs[f.Obj]-1)%refresh != 0 {
+					prev = prevCols[f.Obj]
+				}
+				want, err = wire.EncodeBucket(&wire.Bucket{Number: cb.Number, Layout: layout, Obj: f.Obj, Seq: seqs[f.Obj],
+					NextIndex: tl.NextIndexDistance(i), Value: values[f.Obj], Column: col}, prev)
+				prevCols[f.Obj] = col
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(frames[i], want) {
+				t.Fatalf("cycle %d frame %d (%v): Encode wrote %d bytes that differ from the allocating encoder's %d",
+					cb.Number, i, f.Kind, len(frames[i]), len(want))
+			}
+		}
+	}
+
+	next := 0
+	encode := func() {
+		if _, _, _, err := enc.Encode(cycles[next%len(cycles)]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	if allocs := testing.AllocsPerRun(2*len(cycles), encode); allocs != 0 {
+		t.Fatalf("a warm Encode of %d frames allocates %.0f objects, want 0", tl.FrameCount(), allocs)
 	}
 }

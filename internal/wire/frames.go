@@ -102,7 +102,11 @@ func BucketInfo(data []byte) (number cmatrix.Cycle, obj int, seq uint32, delta b
 }
 
 // EncodeIndexFrame serializes one index segment.
-func EncodeIndexFrame(f *IndexFrame) ([]byte, error) {
+func EncodeIndexFrame(f *IndexFrame) ([]byte, error) { return AppendIndexFrame(nil, f) }
+
+// AppendIndexFrame appends one index segment to dst, in dst's storage
+// when it has room (EncodeIndexFrame's bytes).
+func AppendIndexFrame(dst []byte, f *IndexFrame) ([]byte, error) {
 	if err := f.validate(); err != nil {
 		return nil, err
 	}
@@ -115,7 +119,7 @@ func EncodeIndexFrame(f *IndexFrame) ([]byte, error) {
 	binary.BigEndian.PutUint32(hdr[25:29], uint32(len(f.Offsets)))
 	binary.BigEndian.PutUint32(hdr[29:33], uint32(f.NextIndex))
 	hdr[33] = byte(ob)
-	w := KindIndex.begin(nil, hdr[:], 1, columnBytes(len(f.Offsets), ob))
+	w := KindIndex.begin(dst, hdr[:], 1, columnBytes(len(f.Offsets), ob))
 	for _, off := range f.Offsets {
 		w.WriteBits(uint64(off), ob)
 	}
@@ -208,6 +212,12 @@ type Bucket struct {
 // when nothing changed — the intra-major-cycle case). A nil prevColumn
 // forces a full refresh frame.
 func EncodeBucket(b *Bucket, prevColumn []cmatrix.Cycle) ([]byte, error) {
+	return AppendBucket(nil, b, prevColumn)
+}
+
+// AppendBucket appends one data bucket to dst, in dst's storage when it
+// has room (EncodeBucket's bytes).
+func AppendBucket(dst []byte, b *Bucket, prevColumn []cmatrix.Cycle) ([]byte, error) {
 	l := b.Layout
 	if err := l.Validate(); err != nil {
 		return nil, err
@@ -226,7 +236,7 @@ func EncodeBucket(b *Bucket, prevColumn []cmatrix.Cycle) ([]byte, error) {
 		return nil, fmt.Errorf("wire: negative next-index distance %d", b.NextIndex)
 	}
 	delta := prevColumn != nil && entries > 0
-	var changed []int
+	changed := 0
 	if delta {
 		if len(prevColumn) != entries {
 			return nil, fmt.Errorf("wire: previous column has %d entries, layout needs %d", len(prevColumn), entries)
@@ -236,7 +246,7 @@ func EncodeBucket(b *Bucket, prevColumn []cmatrix.Cycle) ([]byte, error) {
 		}
 		for i := range b.Column {
 			if b.Column[i] != prevColumn[i] {
-				changed = append(changed, i)
+				changed++
 			}
 		}
 	}
@@ -251,19 +261,21 @@ func EncodeBucket(b *Bucket, prevColumn []cmatrix.Cycle) ([]byte, error) {
 	putDims(hdr[22:], l, dimsFull)
 	size := BucketBits(l, -1)
 	if delta {
-		binary.BigEndian.PutUint32(hdr[36:40], uint32(len(changed)))
-		size = BucketBits(l, len(changed))
+		binary.BigEndian.PutUint32(hdr[36:40], uint32(changed))
+		size = BucketBits(l, changed)
 	}
 	binary.BigEndian.PutUint32(hdr[40:44], uint32(b.NextIndex))
-	w := KindBucket.begin(nil, hdr[:], 1, size/8-bucketHeaderBytes)
+	w := KindBucket.begin(dst, hdr[:], 1, size/8-bucketHeaderBytes)
 	if err := putSlot(w, b.Obj, b.Value, objBytesOf(l)); err != nil {
 		return nil, err
 	}
 	if delta {
 		eb := indexBits(entries)
-		for _, i := range changed {
-			w.WriteBits(uint64(i), eb)
-			putTS(w, b.Column[i], l.TimestampBits)
+		for i, c := range b.Column {
+			if c != prevColumn[i] {
+				w.WriteBits(uint64(i), eb)
+				putTS(w, c, l.TimestampBits)
+			}
 		}
 	} else {
 		putColumn(w, b.Column, l.TimestampBits)

@@ -113,13 +113,16 @@ figures-check:
 
 # Boot bcserver with the observability endpoint and assert /metrics
 # serves a non-empty registry snapshot; catches -obs-addr wiring rot.
+# Like every smoke below, it waits for each process it kills, and its
+# EXIT trap kills and reaps whatever an early exit leaves running.
 obs-smoke:
 	$(GO) build -o /tmp/bcserver-obs-smoke ./cmd/bcserver
+	pid=; trap 'kill $$pid 2>/dev/null; wait' EXIT; trap 'exit 1' INT TERM; \
 	/tmp/bcserver-obs-smoke -broadcast 127.0.0.1:0 -uplink 127.0.0.1:0 \
 		-obs-addr 127.0.0.1:17173 -workload 50 -interval 20ms -verify-sample 5 & \
 	pid=$$!; sleep 1; \
 	body=$$(curl -sf http://127.0.0.1:17173/metrics); status=$$?; \
-	kill $$pid 2>/dev/null; rm -f /tmp/bcserver-obs-smoke; \
+	kill $$pid 2>/dev/null; wait $$pid; pid=; rm -f /tmp/bcserver-obs-smoke; \
 	if [ $$status -ne 0 ] || [ -z "$$body" ]; then \
 		echo "obs-smoke: /metrics unreachable or empty" >&2; exit 1; \
 	fi; \
@@ -137,6 +140,7 @@ obs-smoke:
 udp-smoke:
 	$(GO) build -o /tmp/bcserver-udp-smoke ./cmd/bcserver
 	$(GO) build -o /tmp/bcclient-udp-smoke ./cmd/bcclient
+	spid=; cpid=; lpid=; trap 'kill $$spid $$cpid $$lpid 2>/dev/null; wait' EXIT; trap 'exit 1' INT TERM; \
 	/tmp/bcserver-udp-smoke -broadcast 127.0.0.1:0 -uplink 127.0.0.1:0 \
 		-udp 127.0.0.1:17272 -workload 50 -interval 20ms & \
 	spid=$$!; sleep 1; \
@@ -149,7 +153,7 @@ udp-smoke:
 			sed -n 's/.*"dgram_packets_rx": \([0-9]*\).*/\1/p'); \
 		if [ -n "$$rx" ] && [ "$$rx" -gt 0 ]; then break; fi; \
 	done; \
-	kill $$cpid 2>/dev/null; wait $$cpid 2>/dev/null; \
+	kill $$cpid 2>/dev/null; wait $$cpid 2>/dev/null; cpid=; \
 	/tmp/bcclient-udp-smoke -udp 127.0.0.1:17272 -read 0,1 -txns 100 \
 		-loss 0.2 -doze 0.1 -fault-seed 7 -obs-addr 127.0.0.1:17274 >/dev/null & \
 	lpid=$$!; missed=; dropped=; \
@@ -162,8 +166,8 @@ udp-smoke:
 		if [ -n "$$d" ]; then dropped=$$d; fi; \
 		kill -0 $$lpid 2>/dev/null || break; \
 	done; \
-	if kill $$lpid 2>/dev/null; then lrc=timeout; else wait $$lpid; lrc=$$?; fi; \
-	kill $$spid 2>/dev/null; \
+	if kill $$lpid 2>/dev/null; then wait $$lpid; lrc=timeout; else wait $$lpid; lrc=$$?; fi; lpid=; \
+	kill $$spid 2>/dev/null; wait $$spid; spid=; \
 	rm -f /tmp/bcserver-udp-smoke /tmp/bcclient-udp-smoke; \
 	if [ -z "$$rx" ] || [ "$$rx" -eq 0 ]; then \
 		echo "udp-smoke: client never saw a datagram (dgram_packets_rx $${rx:-missing})" >&2; \
@@ -193,6 +197,7 @@ udp-smoke:
 shard-smoke:
 	$(GO) build -o /tmp/bcserver-shard-smoke ./cmd/bcserver
 	$(GO) build -o /tmp/bcclient-shard-smoke ./cmd/bcclient
+	spid=; trap 'kill $$spid 2>/dev/null; wait' EXIT; trap 'exit 1' INT TERM; \
 	/tmp/bcserver-shard-smoke -shards 2 -objects 256 -ring-seed 7 \
 		-broadcast 127.0.0.1:17370 -uplink 127.0.0.1:17380 \
 		-coordinator 127.0.0.1:17369 -interval 20ms \
@@ -204,7 +209,7 @@ shard-smoke:
 	out=$$(/tmp/bcclient-shard-smoke -shards 2 -objects 256 -ring-seed 7 \
 		-broadcast 127.0.0.1:17370 -read 0,1,2,3); rstatus=$$?; \
 	body=$$(curl -sf http://127.0.0.1:17379/metrics); \
-	kill $$spid 2>/dev/null; \
+	kill $$spid 2>/dev/null; wait $$spid; spid=; \
 	rm -f /tmp/bcserver-shard-smoke /tmp/bcclient-shard-smoke; \
 	if [ $$wstatus -ne 0 ] || [ $$rstatus -ne 0 ]; then \
 		echo "shard-smoke: client exited non-zero (write $$wstatus, read $$rstatus)" >&2; exit 1; \
@@ -221,25 +226,26 @@ shard-smoke:
 	echo "shard-smoke: ok ($$prepares prepares, $$commits commits, $$aborts aborts)"
 
 # The persistent quasi-cache crash/restart smoke: boot bcserver, run
-# bcclient with a disk-backed cache and a subset subscription, kill -9
-# it mid-run, restart it on the same cache directory, and assert via
-# /metrics that the recovered inventory was revalidated off the air
-# (client_cache_revalidated > 0). The currency bound is sized so the
-# wall-clock restart gap stays within it.
+# bcclient with a disk-backed cache, kill -9 it mid-run, restart it on
+# the same cache directory, and assert via /metrics that the recovered
+# inventory was revalidated off the air (client_cache_revalidated > 0).
+# The currency bound is sized so the wall-clock restart gap stays
+# within it.
 quasi-smoke:
 	$(GO) build -o /tmp/bcserver-quasi-smoke ./cmd/bcserver
 	$(GO) build -o /tmp/bcclient-quasi-smoke ./cmd/bcclient
+	spid=; cpid=; rpid=; trap 'kill $$spid $$cpid $$rpid 2>/dev/null; wait' EXIT; trap 'exit 1' INT TERM; \
 	rm -rf /tmp/quasi-smoke-cache; \
 	/tmp/bcserver-quasi-smoke -broadcast 127.0.0.1:17470 -uplink 127.0.0.1:17471 \
 		-objects 64 -workload 20 -interval 20ms & \
 	spid=$$!; sleep 1; \
 	/tmp/bcclient-quasi-smoke -broadcast 127.0.0.1:17470 -read 0,1,2 -txns 1000000 \
-		-cache-currency 2000 -cache-dir /tmp/quasi-smoke-cache -subscribe 0,1,2,3 \
+		-cache-currency 2000 -cache-dir /tmp/quasi-smoke-cache \
 		>/dev/null 2>&1 & \
 	cpid=$$!; sleep 2; \
-	kill -9 $$cpid 2>/dev/null; \
+	kill -9 $$cpid 2>/dev/null; wait $$cpid 2>/dev/null; cpid=; \
 	/tmp/bcclient-quasi-smoke -broadcast 127.0.0.1:17470 -read 0,1,2 -txns 1000000 \
-		-cache-currency 2000 -cache-dir /tmp/quasi-smoke-cache -subscribe 0,1,2,3 \
+		-cache-currency 2000 -cache-dir /tmp/quasi-smoke-cache \
 		-obs-addr 127.0.0.1:17473 >/dev/null 2>&1 & \
 	rpid=$$!; reval=; \
 	for i in $$(seq 1 30); do \
@@ -248,7 +254,8 @@ quasi-smoke:
 			sed -n 's/.*"client_cache_revalidated": \([0-9]*\).*/\1/p'); \
 		if [ -n "$$reval" ] && [ "$$reval" -gt 0 ]; then break; fi; \
 	done; \
-	kill -9 $$rpid 2>/dev/null; kill $$spid 2>/dev/null; \
+	kill -9 $$rpid 2>/dev/null; wait $$rpid 2>/dev/null; rpid=; \
+	kill $$spid 2>/dev/null; wait $$spid; spid=; \
 	rm -f /tmp/bcserver-quasi-smoke /tmp/bcclient-quasi-smoke; \
 	rm -rf /tmp/quasi-smoke-cache; \
 	if [ -z "$$reval" ] || [ "$$reval" -eq 0 ]; then \

@@ -199,9 +199,6 @@ var (
 	// ErrConflict rejects an update transaction whose reads were
 	// overwritten by a committed transaction.
 	ErrConflict = server.ErrConflict
-	// ErrNotSubscribed rejects a read of an object outside a
-	// partial-replica client's subset subscription.
-	ErrNotSubscribed = client.ErrNotSubscribed
 )
 
 // ---- Persistent cache tier (disk-backed weak-currency cache) ----
@@ -263,14 +260,6 @@ type Tuner = netcast.Tuner
 
 // Tune connects to a broadcast stream.
 func Tune(addr string) (*Tuner, error) { return netcast.Tune(addr) }
-
-// TuneSubset connects as a partial replica: the tuner announces the
-// object subset it wants and the server thereafter ships only the
-// matching frames plus the control data needed to validate them. Wire
-// the same subset into ClientConfig.Subset so reads outside it fail
-// with ErrNotSubscribed instead of lying. Requires a classic
-// (non-program) broadcast stream.
-func TuneSubset(addr string, objs []int) (*Tuner, error) { return netcast.TuneSubset(addr, objs) }
 
 // SelectiveTuner is the (1,m) air-index receiver: it probes the
 // stream, dozes to the next index segment, and wakes exactly for the

@@ -34,13 +34,9 @@
 // that cache a persistent tier: the inventory survives restarts (and
 // kill -9 — torn tails are discarded on recovery) and is revalidated
 // against the live control information before serving, so a restarted
-// client gets warm hits without re-listening to data frames.
-// -subscribe narrows the tuner to a partial replica: the server ships
-// only the subscribed objects' frames plus the control data needed to
-// validate them, and reads outside the subset fail loudly:
+// client gets warm hits without re-listening to data frames:
 //
 //	bcclient -read 0,1 -txns 20 -cache-currency 4 -cache-dir /tmp/qc
-//	bcclient -read 0,1 -txns 10 -subscribe 0,1,2
 //
 // Against a sharded fleet (bcserver -shards k), -shards tunes all k
 // broadcast channels at once and runs transactions over global object
@@ -73,7 +69,6 @@ func main() {
 	txns := flag.Int("txns", 1, "how many transactions to run")
 	cacheT := flag.Int64("cache-currency", 0, "client cache currency bound in cycles (0 = off)")
 	cacheDir := flag.String("cache-dir", "", "persist the cache in this directory: the inventory survives restarts and is revalidated off the air before serving (requires -cache-currency > 0)")
-	subscribe := flag.String("subscribe", "", "comma-separated object ids to tune as a partial replica: the server ships only these objects' frames plus validation control (empty = full feed)")
 	loss := flag.Float64("loss", 0, "inject per-cycle frame loss with this probability [0,1]")
 	doze := flag.Float64("doze", 0, "per-cycle probability a doze window starts [0,1]")
 	dozeLen := flag.Int("doze-len", 0, "doze window length in cycles (default 1 when -doze > 0)")
@@ -106,8 +101,8 @@ func main() {
 		os.Exit(2)
 	}
 	if *shards > 1 {
-		if *selective || *udpAddr != "" || *loss > 0 || *doze > 0 || *cacheT > 0 || *subscribe != "" {
-			fmt.Fprintln(os.Stderr, "-shards composes with plain TCP tuning only (no -selective/-udp/-loss/-doze/-cache-currency/-subscribe)")
+		if *selective || *udpAddr != "" || *loss > 0 || *doze > 0 || *cacheT > 0 {
+			fmt.Fprintln(os.Stderr, "-shards composes with plain TCP tuning only (no -selective/-udp/-loss/-doze/-cache-currency)")
 			os.Exit(2)
 		}
 		reads, err := parseReads(*readList)
@@ -123,8 +118,8 @@ func main() {
 		return
 	}
 	if *selective {
-		if *writeSpec != "" || *loss > 0 || *doze > 0 || *subscribe != "" {
-			fmt.Fprintln(os.Stderr, "-selective supports read-only transactions over a clean air (no -write/-loss/-doze/-subscribe)")
+		if *writeSpec != "" || *loss > 0 || *doze > 0 {
+			fmt.Fprintln(os.Stderr, "-selective supports read-only transactions over a clean air (no -write/-loss/-doze)")
 			os.Exit(2)
 		}
 		if *udpAddr != "" {
@@ -154,15 +149,7 @@ func main() {
 		Subscribe(buffer int) *broadcastcc.Subscription
 		Close() error
 	}
-	subset, err := parseReads(*subscribe)
-	if err != nil {
-		log.Fatal(err)
-	}
 	if *udpAddr != "" {
-		if len(subset) > 0 {
-			fmt.Fprintln(os.Stderr, "-subscribe announces the subset on the TCP broadcast connection; it does not compose with -udp")
-			os.Exit(2)
-		}
 		src, err := broadcastcc.ListenUDPSource(*udpAddr)
 		if err != nil {
 			log.Fatal(err)
@@ -179,12 +166,6 @@ func main() {
 			log.Fatal(err)
 		}
 		tuner = dt
-	} else if len(subset) > 0 {
-		tcp, err := broadcastcc.TuneSubset(*broadcastAddr, subset)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tuner = tcp
 	} else {
 		tcp, err := broadcastcc.Tune(*broadcastAddr)
 		if err != nil {
@@ -214,7 +195,6 @@ func main() {
 	ccfg := broadcastcc.ClientConfig{
 		Algorithm:     alg,
 		CacheCurrency: broadcastcc.Cycle(*cacheT),
-		Subset:        subset,
 		Obs:           reg,
 	}
 	// The persistent cache tier: recovered inventory seeds the cache and

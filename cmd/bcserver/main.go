@@ -30,13 +30,6 @@
 //	bcserver -udp 239.1.2.3:7072            # multicast group
 //	bcserver -udp 127.0.0.1:7072 -udp-fec-repair 3
 //
-// Partial replication needs no server flag: a tuner that announces an
-// object subset on its broadcast connection (bcclient -subscribe, or
-// TuneSubset) is shipped only the matching objects' frames plus the
-// control data needed to validate them; subset egress and subscriber
-// counts land in netcast_subset_bytes / netcast_subset_subs on
-// /metrics.
-//
 // With -shards k the database is hashring-partitioned across k
 // broadcast channels (DESIGN.md §12): shard s streams its slice on
 // broadcast-port+2s with its own uplink (BCU1 in shard-local ids) on
@@ -222,10 +215,6 @@ func main() {
 	snap := srv.Obs().Snapshot()
 	log.Printf("shutting down: %d cycles, %d commits, %d conflicts, %d uplink requests", snap.Counters["server_cycles"],
 		snap.Counters["server_commits"], snap.Counters["server_conflict_aborts"], snap.Counters["server_uplink_requests"])
-	if snap.Counters["netcast_subset_subs"] > 0 {
-		log.Printf("partial replicas: %d subset subscriptions served, %d subset bytes",
-			snap.Counters["netcast_subset_subs"], snap.Counters["netcast_subset_bytes"])
-	}
 }
 
 // runWorkload commits synthetic update transactions at the given rate,

@@ -399,7 +399,7 @@ func TestTimelineNextReadyConsistency(t *testing.T) {
 		within := ready - float64(cycle-1)*major
 		found := false
 		for f, fr := range tl.Frames() {
-			if fr.Kind == FrameData && fr.Obj == obj && float64(tl.FrameEnd(f)) == within {
+			if fr.Kind == FrameData && fr.Obj == obj && float64(tl.frameEnd(f)) == within {
 				found = true
 			}
 		}
@@ -551,7 +551,7 @@ func TestFlatTimelineMatchesSchedule(t *testing.T) {
 				for c := range 3 {
 					// The last frame ends on a boundary, probed below.
 					for f := range tl.FrameCount() - 1 {
-						probes = append(probes, float64(c)*major+float64(tl.FrameEnd(f)))
+						probes = append(probes, float64(c)*major+float64(tl.frameEnd(f)))
 					}
 				}
 				for c := 1; c <= 5; c++ {
@@ -636,7 +636,7 @@ func TestTimelineFramesIn(t *testing.T) {
 		t.Fatal("degenerate interval counted frames")
 	}
 	// Half-open: the frame ending exactly at b counts, at a does not.
-	e0 := float64(tl.FrameEnd(0))
+	e0 := float64(tl.frameEnd(0))
 	if tl.FramesIn(0, e0) != 1 {
 		t.Fatalf("FramesIn(0,firstEnd) = %d, want 1", tl.FramesIn(0, e0))
 	}
@@ -644,7 +644,7 @@ func TestTimelineFramesIn(t *testing.T) {
 		t.Fatal("frame ending at a counted")
 	}
 	// NextFrameEnd agrees with the ends table across a wrap.
-	if got := tl.NextFrameEnd(major - 0.5); got != major+float64(tl.FrameEnd(0)) && got != major {
+	if got := tl.NextFrameEnd(major - 0.5); got != major+float64(tl.frameEnd(0)) && got != major {
 		// Last frame ends exactly at major, so from major-0.5 the next
 		// end is major itself.
 		t.Fatalf("NextFrameEnd near wrap = %v", got)

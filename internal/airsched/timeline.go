@@ -92,9 +92,9 @@ func (t *Timeline) FrameCount() int { return len(t.frames) }
 // MajorBits is the length of one major cycle in bit-units.
 func (t *Timeline) MajorBits() int64 { return t.majorBits }
 
-// FrameEnd reports the within-cycle offset at which frame i is fully
+// frameEnd reports the within-cycle offset at which frame i is fully
 // received.
-func (t *Timeline) FrameEnd(i int) int64 { return t.ends[i] }
+func (t *Timeline) frameEnd(i int) int64 { return t.ends[i] }
 
 // NextOccurrence reports how many frames after frame `from` the next
 // data frame carrying obj completes, wrapping around the major cycle:

@@ -34,10 +34,6 @@ var (
 	ErrTunedOut = errors.New("client: broadcast subscription closed")
 	// ErrTxnFinished rejects operations on a finished transaction.
 	ErrTxnFinished = errors.New("client: transaction already finished")
-	// ErrNotSubscribed rejects a read of an object outside the client's
-	// subset subscription: the broadcast never carried its value, so
-	// there is nothing sound to serve.
-	ErrNotSubscribed = errors.New("client: object outside the subset subscription")
 )
 
 // Config parameterizes a client.
@@ -68,12 +64,6 @@ type Config struct {
 	// stay in memory only (a grouped snapshot has no per-object column
 	// worth persisting); matrix and vector control persist fully.
 	Store *qcache.Store
-	// Subset, when non-nil, is the client's partial-replication filter:
-	// the object ids this client subscribes to. Reads outside the subset
-	// fail with ErrNotSubscribed — a subset broadcast never carried
-	// their values. The tuner layer is expected to deliver subset cycle
-	// views (wire.SubsetCycle.Broadcast) matching this filter.
-	Subset []int
 	// ObserveRead, when set, is called after every read validation with
 	// the object, the cycle the read was performed in (the cache entry's
 	// cycle for cache hits), whether it was served from the cache, and
@@ -108,11 +98,10 @@ func (c Config) currencyOf(obj int) cmatrix.Cycle {
 // run one client per goroutine, which is also the realistic deployment
 // (one tuner per device).
 type Client struct {
-	cfg    Config
-	sub    *bcast.Subscription
-	cur    *bcast.CycleBroadcast
-	cache  *qcache.Cache // nil = caching disabled
-	subset map[int]bool  // nil = full-channel subscription
+	cfg   Config
+	sub   *bcast.Subscription
+	cur   *bcast.CycleBroadcast
+	cache *qcache.Cache // nil = caching disabled
 
 	// pendingRevalidate marks a cache inventory recovered from the
 	// persistent store that has not yet been checked against a live
@@ -156,12 +145,6 @@ type Stats struct {
 // revalidation against the first cycle heard off the air.
 func New(cfg Config, sub *bcast.Subscription) *Client {
 	c := &Client{cfg: cfg, sub: sub}
-	if cfg.Subset != nil {
-		c.subset = make(map[int]bool, len(cfg.Subset))
-		for _, o := range cfg.Subset {
-			c.subset[o] = true
-		}
-	}
 	c.obs = cfg.Obs
 	if c.obs == nil {
 		c.obs = obs.NewRegistry()
@@ -428,21 +411,17 @@ func (t *ReadTxn) Commit() ([]protocol.ReadAt, error) {
 }
 
 // fetch resolves a read: cache first (when enabled and fresh), then the
-// current broadcast. Subset subscribers can only read subscribed
-// objects — the broadcast never carried the rest. The value returned is
-// the caller's own copy, and so is the one the cache keeps: a cycle's
-// Values are shared — with the server's committed state in process,
-// with the received frame off a tuner (wire.ViewCycle) — so nothing
-// that outlives the cycle may alias them, and nothing may write them.
+// current broadcast. The value returned is the caller's own copy, and so
+// is the one the cache keeps: a cycle's Values are shared — with the
+// server's committed state in process, with the received frame off a
+// tuner (wire.ViewCycle) — so nothing that outlives the cycle may alias
+// them, and nothing may write them.
 func (c *Client) fetch(obj int) (value []byte, snap protocol.Snapshot, cycle cmatrix.Cycle, cacheHit bool, err error) {
 	if c.cur == nil {
 		return nil, nil, 0, false, ErrNoBroadcast
 	}
 	if obj < 0 || obj >= len(c.cur.Values) {
 		return nil, nil, 0, false, fmt.Errorf("client: object %d out of range [0,%d)", obj, len(c.cur.Values))
-	}
-	if c.subset != nil && !c.subset[obj] {
-		return nil, nil, 0, false, fmt.Errorf("%w: object %d", ErrNotSubscribed, obj)
 	}
 	if c.cache != nil {
 		// Get enforces the currency bound at read time (and evicts on

@@ -316,21 +316,6 @@ func TestCacheSkipRevalidateHookServesStale(t *testing.T) {
 	}
 }
 
-func TestSubsetSubscriptionRefusesOutsideReads(t *testing.T) {
-	srv, c := newPair(t, protocol.FMatrix, 4, Config{Subset: []int{0, 2}})
-	commitWrite(t, srv, 0, "in")
-	commitWrite(t, srv, 1, "out")
-	srv.StartCycle()
-	c.AwaitCycle()
-	txn := c.BeginReadOnly()
-	if v, err := txn.Read(0); err != nil || string(v) != "in" {
-		t.Fatalf("subscribed read = %q, %v", v, err)
-	}
-	if _, err := txn.Read(1); !errors.Is(err, ErrNotSubscribed) {
-		t.Fatalf("unsubscribed read = %v, want ErrNotSubscribed", err)
-	}
-}
-
 // TestCachedReadUpdateRejectedByServer: an update transaction reads an
 // object from the cache, still within its currency bound T, after the
 // server overwrote it. The client's read-condition has no later read to

@@ -8,8 +8,9 @@ import (
 
 // The generator must actually span the currency spectrum: within a
 // modest seed range there are profiled workloads at T = 0, at finite
-// bounds, at T = ∞, with cache-size limits and with subsets — otherwise
-// "cached variants at every T" is an empty claim.
+// bounds, at T = ∞, with cache-size limits and with read footprints
+// (CacheProfile.Subset) — otherwise "cached variants at every T" is an
+// empty claim.
 func TestCacheProfileSpectrumCovered(t *testing.T) {
 	var t0, finite, inf, sized, subset int
 	for seed := int64(0); seed < 400; seed++ {
@@ -39,7 +40,8 @@ func TestCacheProfileSpectrumCovered(t *testing.T) {
 
 // The quasi-caching contract, asserted directly on a batch of clean
 // workloads: every resolved read of a T-profiled client is at most T
-// cycles stale, and subset clients never read outside their subset.
+// cycles stale, and a partial replica never reads outside its footprint
+// (it hears every object; the footprint is what it reads and caches).
 func TestCachedCurrencyBoundHolds(t *testing.T) {
 	n := 600
 	if testing.Short() {

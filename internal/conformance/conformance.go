@@ -44,7 +44,7 @@ type PlannedRead struct {
 
 // CacheProfile is one client's quasi-caching configuration (paper
 // §3.3): how stale its cache may serve, how big the cache is, and —
-// for partial replicas — which objects it subscribes to at all.
+// for partial replicas — which objects it reads at all.
 type CacheProfile struct {
 	// T is the currency bound in cycles: a cached read may be served up
 	// to T cycles after the cycle it was cached in. 0 disables caching
@@ -54,9 +54,9 @@ type CacheProfile struct {
 	// of one transaction can be served from cache; the rest degrade to
 	// fresh reads (the entry was evicted).
 	Size int `json:"size,omitempty"`
-	// Subset, when non-empty, restricts the client to these objects —
-	// a partial replica never hears the rest, so its transactions may
-	// only read inside the subset (Validate enforces this).
+	// Subset, when non-empty, is the client's read footprint: a partial
+	// replica reads, and so caches, only these objects (Validate enforces
+	// this). It hears every object; only the client knows its footprint.
 	Subset []int `json:"subset,omitempty"`
 }
 
@@ -296,8 +296,7 @@ func (w *Workload) Validate() error {
 		}
 	}
 	for cli, txns := range w.Clients {
-		// A partial replica never hears unsubscribed objects: its read
-		// programs must stay inside the subset.
+		// A partial replica's read programs stay inside its footprint.
 		if prof := w.ProfileFor(cli); prof != nil && len(prof.Subset) > 0 {
 			in := map[int]bool{}
 			for _, o := range prof.Subset {

@@ -103,8 +103,8 @@ func Generate(seed int64, p Params) *Workload {
 	// client an explicit (T, size, subset) profile, spanning the whole
 	// currency spectrum — T = 0 (caching off), finite bounds, and T = ∞
 	// — plus occasional cache-size limits and partial-replication
-	// subsets. Drawn before the read programs so subset clients can keep
-	// their reads inside the subset.
+	// footprints (the objects a client reads and so caches). Drawn before
+	// the read programs so footprint clients keep their reads inside.
 	if p.Cache && rng.Intn(2) == 0 {
 		ts := []int{0, 1, 2, 4, 8, -1}
 		for cli := 0; cli < clients; cli++ {
@@ -122,7 +122,7 @@ func Generate(seed int64, p Params) *Workload {
 	}
 
 	for cli := 0; cli < clients; cli++ {
-		// A partial replica draws its reads from its subset only.
+		// A partial replica draws its reads from its footprint only.
 		pickRead := pickDistinct
 		if prof := w.ProfileFor(cli); prof != nil && len(prof.Subset) > 0 {
 			sub := prof.Subset

@@ -346,8 +346,8 @@ func (e *Experiment) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// SeriesOf extracts (x, metric) pairs for one algorithm label.
-func (e *Experiment) SeriesOf(label string, m Metric) ([]float64, []float64, error) {
+// seriesOf extracts (x, metric) pairs for one algorithm label.
+func (e *Experiment) seriesOf(label string, m Metric) ([]float64, []float64, error) {
 	found := false
 	for _, l := range e.Labels {
 		if l == label {

@@ -106,11 +106,11 @@ func TestRenderingHelpers(t *testing.T) {
 	if !strings.HasPrefix(lines[0], "x,R-Matrix_response") {
 		t.Errorf("CSV header = %q", lines[0])
 	}
-	xs, ys, err := e.SeriesOf("F-Matrix", ResponseTime)
+	xs, ys, err := e.seriesOf("F-Matrix", ResponseTime)
 	if err != nil || len(xs) != len(e.Points) || len(ys) != len(xs) {
-		t.Errorf("SeriesOf: %v %v %v", xs, ys, err)
+		t.Errorf("seriesOf: %v %v %v", xs, ys, err)
 	}
-	if _, _, err := e.SeriesOf("Bogus", ResponseTime); err == nil {
+	if _, _, err := e.seriesOf("Bogus", ResponseTime); err == nil {
 		t.Error("unknown series should fail")
 	}
 	if e.Metric() != ResponseTime {

@@ -49,7 +49,7 @@ func TestFaultAblationDeterministicAcrossParallelism(t *testing.T) {
 	// Reception faults stretch transactions across more cycles, so the
 	// F-Matrix response time must rise from the clean to the lossiest
 	// point.
-	xs, ys, err := seq.SeriesOf(protocol.FMatrix.String(), ResponseTime)
+	xs, ys, err := seq.seriesOf(protocol.FMatrix.String(), ResponseTime)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,9 +105,9 @@ type PacketFate struct {
 	Lag        int
 }
 
-// PacketTrace enumerates the client's packet fates for transmit indexes
+// packetTrace enumerates the client's packet fates for transmit indexes
 // from..to inclusive.
-func (s *PacketSchedule) PacketTrace(client int, from, to uint64) []PacketFate {
+func (s *PacketSchedule) packetTrace(client int, from, to uint64) []PacketFate {
 	var out []PacketFate
 	for i := from; i <= to; i++ {
 		out = append(out, PacketFate{

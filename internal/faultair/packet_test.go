@@ -75,7 +75,7 @@ func TestPacketScheduleReplayDeterminism(t *testing.T) {
 	const clients, packets = 4, 2000
 	serial := make([][]PacketFate, clients)
 	for c := 0; c < clients; c++ {
-		serial[c] = s.PacketTrace(c, 0, packets-1)
+		serial[c] = s.packetTrace(c, 0, packets-1)
 	}
 	const workers = 8
 	var wg sync.WaitGroup

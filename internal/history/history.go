@@ -154,8 +154,8 @@ const (
 	StatusAborted
 )
 
-// StatusOf reports the termination state of t in h.
-func (h *History) StatusOf(t TxnID) Status {
+// statusOf reports the termination state of t in h.
+func (h *History) statusOf(t TxnID) Status {
 	for _, op := range h.ops {
 		if op.Txn != t {
 			continue

@@ -63,17 +63,17 @@ func TestAppendRejectsT0(t *testing.T) {
 func TestStatusAndReadOnly(t *testing.T) {
 	h := MustParse("r1(x) w2(x) c2 a3 r3(x) w4(y)")
 	// Note: a3 precedes r3's event in this synthetic (ill-formed) history;
-	// StatusOf scans for the first terminal event.
-	if h.StatusOf(1) != StatusActive {
+	// statusOf scans for the first terminal event.
+	if h.statusOf(1) != StatusActive {
 		t.Error("t1 should be active")
 	}
-	if h.StatusOf(2) != StatusCommitted {
+	if h.statusOf(2) != StatusCommitted {
 		t.Error("t2 should be committed")
 	}
-	if h.StatusOf(3) != StatusAborted {
+	if h.statusOf(3) != StatusAborted {
 		t.Error("t3 should be aborted")
 	}
-	if h.StatusOf(4) != StatusActive {
+	if h.statusOf(4) != StatusActive {
 		t.Error("t4 should be active")
 	}
 	if !h.IsReadOnly(1) || h.IsReadOnly(2) || !h.IsReadOnly(3) || h.IsReadOnly(4) {

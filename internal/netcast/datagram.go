@@ -79,15 +79,6 @@ func (d *FrameDecoder) Decode(frame []byte) (*bcast.CycleBroadcast, error) {
 		}
 		d.last = cb
 		return cb, nil
-	case wire.KindSubset:
-		sc, err := wire.DecodeSubsetCycle(frame)
-		if err != nil {
-			return nil, err
-		}
-		// A subset view cannot seed a delta chain: its unsubscribed
-		// columns are poison, not state.
-		d.last, d.lastFull = nil, nil
-		return sc.Broadcast()
 	case wire.KindCycle:
 		cb, err := wire.ViewCycle(frame)
 		if err != nil {

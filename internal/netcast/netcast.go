@@ -6,9 +6,9 @@
 // (internal/client) works unchanged on top of it.
 //
 // The broadcast stream is one-way, exactly like the medium it models:
-// the server never reads from broadcast connections, and a subscriber
-// that cannot keep up is disconnected rather than allowed to apply
-// backpressure.
+// every subscriber gets the same frames, a subscriber that writes
+// anything up its connection is disconnected, and so is one that cannot
+// keep up, rather than allowed to apply backpressure.
 package netcast
 
 import (
@@ -177,20 +177,6 @@ type Options struct {
 	Obs *obs.Registry
 }
 
-// target is one subscriber as fanOut's snapshot holds it.
-type target struct {
-	conn   net.Conn
-	filter subFilter
-}
-
-// subFilter is a subset subscriber's normalized object filter plus the
-// key subscribers with equal filters share one BCQ3 encode under. The
-// zero value is the full feed.
-type subFilter struct {
-	objs []int
-	key  string
-}
-
 // Server exposes a broadcast server over TCP.
 type Server struct {
 	bsrv *server.Server
@@ -204,10 +190,9 @@ type Server struct {
 	program *ProgramEncoder
 
 	mu sync.Mutex
-	// subs maps each broadcast connection to its filter. A filter is set
-	// when the subscriber's BCQ2 frame is accepted; entries vanish with
-	// the connection. Every change marks fanOut's snapshot stale.
-	subs   map[net.Conn]subFilter
+	// subs is the set of broadcast connections; entries vanish with the
+	// connection. Every change marks fanOut's snapshot stale.
+	subs   map[net.Conn]struct{}
 	stale  bool
 	closed bool
 	wg     sync.WaitGroup
@@ -221,7 +206,7 @@ type Server struct {
 	frame        []byte
 	groupedEpoch uint64
 	sentPart     bool
-	targets      []target
+	targets      []net.Conn
 	lenHdr       [4]byte
 
 	// Transmission accounting (bytes of cycle payload, framing
@@ -237,8 +222,6 @@ type Server struct {
 	cSubsDropped  *obs.Counter
 	cTxBytes      *obs.Counter
 	cReaps        *obs.Counter
-	cSubsetBytes  *obs.Counter
-	cSubsetSubs   *obs.Counter
 	gSubs         *obs.Gauge
 	reg           *obs.Registry
 
@@ -295,7 +278,7 @@ func ServeOptions(bsrv *server.Server, broadcastAddr, uplinkAddr string, opts Op
 		bl.Close()
 		return nil, err
 	}
-	s := &Server{bsrv: bsrv, opts: opts, broadcastLn: bl, uplink: ul, subs: map[net.Conn]subFilter{}, reg: reg}
+	s := &Server{bsrv: bsrv, opts: opts, broadcastLn: bl, uplink: ul, subs: map[net.Conn]struct{}{}, reg: reg}
 	s.cFullBytes = reg.Counter("netcast_full_bytes")
 	s.cDeltaBytes = reg.Counter("netcast_delta_bytes")
 	s.cGroupedBytes = reg.Counter("netcast_grouped_bytes")
@@ -305,8 +288,6 @@ func ServeOptions(bsrv *server.Server, broadcastAddr, uplinkAddr string, opts Op
 	s.cSubsDropped = reg.Counter("netcast_subs_dropped")
 	s.cTxBytes = reg.Counter("netcast_tx_bytes")
 	s.cReaps = reg.Counter("netcast_overflow_reaps")
-	s.cSubsetBytes = reg.Counter("netcast_subset_bytes")
-	s.cSubsetSubs = reg.Counter("netcast_subset_subs")
 	s.gSubs = reg.Gauge("netcast_subscribers")
 	if prog != nil {
 		s.program = NewProgramEncoder(prog, opts.RefreshEvery)
@@ -407,19 +388,14 @@ func (s *Server) encodeCycle(cb *bcast.CycleBroadcast) (data []byte, err error) 
 // fanOut writes one cycle's frames to every current subscriber and
 // returns how many took all of them. A slow or dead subscriber must not
 // stall the broadcast: each gets one write deadline for the cycle and is
-// reaped on the first failed write.
-//
-// Partial replication: a subset subscriber gets a per-subset BCQ3 frame
-// (the matching objects' values plus their full control columns) in
-// place of the cycle frame, one encode per distinct filter. Filters are
-// only accepted in classic matrix mode, so the substitution never meets
-// a multi-frame cycle.
+// reaped on the first failed write. Every subscriber gets the same
+// frames.
 func (s *Server) fanOut(cb *bcast.CycleBroadcast, frames [][]byte) int {
 	s.mu.Lock()
 	if s.stale {
-		s.targets = make([]target, 0, len(s.subs))
-		for c, f := range s.subs {
-			s.targets = append(s.targets, target{c, f})
+		s.targets = make([]net.Conn, 0, len(s.subs))
+		for c := range s.subs {
+			s.targets = append(s.targets, c)
 		}
 		s.stale = false
 	}
@@ -431,33 +407,13 @@ func (s *Server) fanOut(cb *bcast.CycleBroadcast, frames [][]byte) int {
 			timeout = 10 * time.Second
 		}
 	}
-	subsetFrames := map[string][]byte{}
-	var subsetOut [1][]byte
 	delivered := 0
-	for _, tg := range s.targets { // only Step writes the snapshot
-		out := frames
-		if tg.filter.objs != nil {
-			f, ok := subsetFrames[tg.filter.key]
-			if !ok {
-				if sc, err := wire.SubsetOf(cb, tg.filter.objs); err == nil {
-					f, _ = wire.EncodeSubsetCycle(sc)
-				}
-				subsetFrames[tg.filter.key] = f
-				if f != nil {
-					s.cSubsetBytes.Add(int64(len(f)))
-					s.cFramesSent.Inc()
-				}
-			}
-			if f != nil {
-				subsetOut[0] = f
-				out = subsetOut[:]
-			}
-		}
-		tg.conn.SetWriteDeadline(time.Now().Add(timeout))
+	for _, conn := range s.targets { // only Step writes the snapshot
+		conn.SetWriteDeadline(time.Now().Add(timeout))
 		ok := true
-		for _, data := range out {
-			if err := writeFrame(tg.conn, s.lenHdr[:], data); err != nil {
-				s.reapSub(tg.conn, cb.Number)
+		for _, data := range frames {
+			if err := writeFrame(conn, s.lenHdr[:], data); err != nil {
+				s.reapSub(conn, cb.Number)
 				ok = false
 				break
 			}
@@ -559,48 +515,30 @@ func (s *Server) acceptBroadcast() {
 			conn.Close()
 			return
 		}
-		s.subs[conn], s.stale = subFilter{}, true
+		s.subs[conn], s.stale = struct{}{}, true
 		s.reg.Update(func() {
 			s.cSubsAdded.Inc()
 			s.gSubs.Set(int64(len(s.subs)))
 		})
 		s.mu.Unlock()
-		// Per-connection reader: the broadcast stream is one-way for
-		// plain tuners (they never write, so this read blocks until the
-		// connection dies), but subset subscribers announce their object
-		// filter with a BCQ2 frame on the same socket.
+		// Per-connection reader: tuners never write, so its read blocks
+		// until the connection dies.
 		s.wg.Add(1)
 		go s.readSubscriber(conn)
 	}
 }
 
-// readSubscriber consumes the (normally empty) client-to-server side of
-// a broadcast connection, accepting BCQ2 subset-subscribe frames. A
-// malformed frame, an out-of-range filter, or a subset request against
-// a layout that cannot serve one (anything but classic matrix mode)
-// drops the connection — the broadcast socket has no reply channel, so
-// disconnection is the refusal.
+// readSubscriber watches the client-to-server side of a broadcast
+// connection, which carries nothing: the server never learns who
+// listens. Any byte that arrives — a retired BCQ2 subset filter
+// included — reaps the subscriber, since the broadcast socket has no
+// reply channel and disconnection is the refusal. EOF or an error (a
+// reap, Close) ends the reader.
 func (s *Server) readSubscriber(conn net.Conn) {
 	defer s.wg.Done()
-	for {
-		frame, err := ReadFrame(conn)
-		if err != nil {
-			return
-		}
-		objs, err := wire.DecodeSubsetSubscribe(frame)
-		layout := s.bsrv.Layout()
-		if err != nil || len(objs) == 0 || objs[len(objs)-1] >= layout.Objects ||
-			s.program != nil || layout.Control != bcast.ControlMatrix {
-			s.reapSub(conn, 0)
-			return
-		}
-		filter := subFilter{objs: objs, key: fmt.Sprint(objs)}
-		s.mu.Lock()
-		if _, ok := s.subs[conn]; ok {
-			s.subs[conn], s.stale = filter, true
-		}
-		s.mu.Unlock()
-		s.cSubsetSubs.Inc()
+	var b [1]byte
+	if n, _ := conn.Read(b[:]); n > 0 {
+		s.reapSub(conn, 0)
 	}
 }
 
@@ -657,34 +595,9 @@ type Tuner struct {
 
 // Tune connects to a broadcast address and starts receiving cycles.
 func Tune(addr string) (*Tuner, error) {
-	return tune(addr, nil)
-}
-
-// TuneSubset connects as a partial replica: it announces the object
-// filter with a BCQ2 frame, and the server thereafter ships only the
-// matching objects' values (with their full control columns) as BCQ3
-// frames. The decoded cycles are full-width views whose unsubscribed
-// columns are poisoned conservatively, so validation involving an
-// unsubscribed object fails rather than lies. Requires a classic
-// matrix-layout server; others drop the connection.
-func TuneSubset(addr string, objs []int) (*Tuner, error) {
-	objs = wire.NormalizeSubset(objs)
-	if len(objs) == 0 {
-		return nil, errors.New("netcast: empty subset")
-	}
-	return tune(addr, objs)
-}
-
-func tune(addr string, subset []int) (*Tuner, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
-	}
-	if subset != nil {
-		if err := WriteFrame(conn, wire.EncodeSubsetSubscribe(subset)); err != nil {
-			conn.Close()
-			return nil, err
-		}
 	}
 	t := &Tuner{conn: conn, receiver: newReceiver()}
 	go t.loop()

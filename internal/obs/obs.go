@@ -18,7 +18,6 @@ package obs
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -371,16 +370,6 @@ func (s Snapshot) Prefixed(prefix string) Snapshot {
 			}
 		}
 	}
-	return out
-}
-
-// Names returns the sorted counter names — handy for stable reports.
-func (s Snapshot) Names() []string {
-	out := make([]string, 0, len(s.Counters))
-	for k := range s.Counters {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }
 

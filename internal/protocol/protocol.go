@@ -222,8 +222,8 @@ func (v *RMatrixValidator) Reset() {
 	v.first = 0
 }
 
-// FirstReadCycle reports the cycle of the transaction's first read and
+// firstReadCycle reports the cycle of the transaction's first read and
 // whether one has happened.
-func (v *RMatrixValidator) FirstReadCycle() (cmatrix.Cycle, bool) {
+func (v *RMatrixValidator) firstReadCycle() (cmatrix.Cycle, bool) {
 	return v.first, v.started
 }

@@ -159,11 +159,11 @@ func TestValidatorReadSetAndReset(t *testing.T) {
 	r := &RMatrixValidator{}
 	vec := cmatrix.NewVector(2)
 	r.TryRead(vec, 0, 7)
-	if c, ok := r.FirstReadCycle(); !ok || c != 7 {
-		t.Errorf("FirstReadCycle = %v, %v", c, ok)
+	if c, ok := r.firstReadCycle(); !ok || c != 7 {
+		t.Errorf("firstReadCycle = %v, %v", c, ok)
 	}
 	r.Reset()
-	if _, ok := r.FirstReadCycle(); ok {
+	if _, ok := r.firstReadCycle(); ok {
 		t.Error("Reset should clear first-read state")
 	}
 }

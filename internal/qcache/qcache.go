@@ -360,9 +360,8 @@ func (s *Store) Inventory() map[int]Entry {
 // Len reports the number of live entries.
 func (s *Store) Len() int { return len(s.Inventory()) }
 
-// Segments reports the number of segment files (for tests and
-// compaction heuristics).
-func (s *Store) Segments() (int, error) {
+// segments reports the number of segment files.
+func (s *Store) segments() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	segs, err := listSegments(s.dir)
@@ -453,9 +452,6 @@ func (s *Store) Close() error {
 	_, err := s.drain()
 	return cmp.Or(err, s.f.Sync(), s.f.Close())
 }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
 
 func segName(seg int) string {
 	return fmt.Sprintf("%s%06d%s", segPrefix, seg, segSuffix)

@@ -576,20 +576,20 @@ func TestSegmentRotationAndCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n, _ := s.Segments(); n != 1 || s.size != 0 {
+	if n, _ := s.segments(); n != 1 || s.size != 0 {
 		t.Fatalf("before the flush: %d segments, %d bytes; want 1 empty segment", n, s.size)
 	}
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := s.Segments(); n < 2 {
+	if n, _ := s.segments(); n < 2 {
 		t.Fatalf("expected the flush to rotate into multiple segments, got %d", n)
 	}
 	want := replay(muts, len(muts))
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := s.Segments(); n != 1 {
+	if n, _ := s.segments(); n != 1 {
 		t.Fatalf("compaction left %d segments, want 1", n)
 	}
 	sameInventory(t, s.Inventory(), want)

@@ -43,8 +43,8 @@ func (s *Sample) Add(x float64) {
 	s.m2 += delta * (x - s.mean)
 }
 
-// AddAll records every observation in xs.
-func (s *Sample) AddAll(xs []float64) {
+// addAll records every observation in xs.
+func (s *Sample) addAll(xs []float64) {
 	for _, x := range xs {
 		s.Add(x)
 	}
@@ -116,11 +116,11 @@ type Interval struct {
 	Level     float64 // confidence level, e.g. 0.95
 }
 
-// Lo reports the lower bound of the interval.
-func (iv Interval) Lo() float64 { return iv.Mean - iv.HalfWidth }
+// lo reports the lower bound of the interval.
+func (iv Interval) lo() float64 { return iv.Mean - iv.HalfWidth }
 
-// Hi reports the upper bound of the interval.
-func (iv Interval) Hi() float64 { return iv.Mean + iv.HalfWidth }
+// hi reports the upper bound of the interval.
+func (iv Interval) hi() float64 { return iv.Mean + iv.HalfWidth }
 
 // RelativeWidth reports the half-width as a fraction of the mean
 // (the paper's "widths less than 10% of the point estimates" statistic).

@@ -20,7 +20,7 @@ func TestSampleBasics(t *testing.T) {
 		t.Fatalf("zero Sample should report zeros, got n=%d mean=%v var=%v", s.N(), s.Mean(), s.Variance())
 	}
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	s.AddAll(xs)
+	s.addAll(xs)
 	if s.N() != len(xs) {
 		t.Fatalf("N = %d, want %d", s.N(), len(xs))
 	}
@@ -143,7 +143,7 @@ func TestConfidenceIntervalCoversTrueMean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if iv.Lo() > 50 || iv.Hi() < 50 {
+	if iv.lo() > 50 || iv.hi() < 50 {
 		t.Errorf("CI %v does not cover true mean 50", iv)
 	}
 	if iv.RelativeWidth() > 0.01 {
@@ -153,8 +153,8 @@ func TestConfidenceIntervalCoversTrueMean(t *testing.T) {
 
 func TestIntervalAccessors(t *testing.T) {
 	iv := Interval{Mean: 10, HalfWidth: 2, Level: 0.95}
-	if iv.Lo() != 8 || iv.Hi() != 12 {
-		t.Errorf("Lo/Hi = %v/%v, want 8/12", iv.Lo(), iv.Hi())
+	if iv.lo() != 8 || iv.hi() != 12 {
+		t.Errorf("lo/hi = %v/%v, want 8/12", iv.lo(), iv.hi())
 	}
 	if iv.RelativeWidth() != 0.2 {
 		t.Errorf("RelativeWidth = %v, want 0.2", iv.RelativeWidth())
@@ -227,7 +227,7 @@ func TestQuickSampleMatchesTwoPass(t *testing.T) {
 			return true
 		}
 		var s Sample
-		s.AddAll(xs)
+		s.addAll(xs)
 		mean := Mean(xs)
 		var ss float64
 		for _, x := range xs {

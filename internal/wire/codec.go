@@ -22,16 +22,14 @@ type Kind int
 
 // The frame kinds, in the order of the table below.
 const (
-	KindUnknown         Kind = iota // no magic from the table
-	KindCycle                       // BCC1, broadcast: one whole cycle
-	KindDelta                       // BCD1, broadcast: a cycle as a delta over the previous one
-	KindGrouped                     // BCG1, broadcast: a cycle under sparse grouped control
-	KindIndex                       // BCI1, broadcast: a (1,m) air-index segment
-	KindBucket                      // BCB1, broadcast: one program-mode data slot
-	KindCacheRecord                 // BCQ1, disk: one persistent cache mutation
-	KindSubsetSubscribe             // BCQ2, broadcast socket, client to server: a subset filter
-	KindSubset                      // BCQ3, broadcast: a cycle restricted to a subset
-	KindUpdate                      // BCU1, uplink: an update transaction
+	KindUnknown     Kind = iota // no magic from the table
+	KindCycle                   // BCC1, broadcast: one whole cycle
+	KindDelta                   // BCD1, broadcast: a cycle as a delta over the previous one
+	KindGrouped                 // BCG1, broadcast: a cycle under sparse grouped control
+	KindIndex                   // BCI1, broadcast: a (1,m) air-index segment
+	KindBucket                  // BCB1, broadcast: one program-mode data slot
+	KindCacheRecord             // BCQ1, disk: one persistent cache mutation
+	KindUpdate                  // BCU1, uplink: an update transaction
 )
 
 // kinds is the frame-kind table. No two kinds share a magic (dgram's
@@ -42,16 +40,14 @@ var kinds = [...]struct {
 	header  int  // the shortest prefix a decoder may index
 	version byte // expected at byte 4; 0 when the kind carries no version
 }{
-	KindUnknown:         {name: "unknown"},
-	KindCycle:           {[4]byte{'B', 'C', 'C', '1'}, "cycle", headerBytes, 0},
-	KindDelta:           {[4]byte{'B', 'C', 'D', '1'}, "cycle-delta", deltaHeaderBytes, 0},
-	KindGrouped:         {[4]byte{'B', 'C', 'G', '1'}, "grouped-cycle", groupedHeaderBytes, 0},
-	KindIndex:           {[4]byte{'B', 'C', 'I', '1'}, "index", indexHeaderBytes, FrameVersion},
-	KindBucket:          {[4]byte{'B', 'C', 'B', '1'}, "bucket", bucketHeaderBytes, FrameVersion},
-	KindCacheRecord:     {[4]byte{'B', 'C', 'Q', '1'}, "cache-record", cacheRecordMinBytes, CacheRecordVersion},
-	KindSubsetSubscribe: {[4]byte{'B', 'C', 'Q', '2'}, "subset-subscribe", subscribeHeaderBytes, 0},
-	KindSubset:          {[4]byte{'B', 'C', 'Q', '3'}, "subset-cycle", subsetHeaderBytes, 0},
-	KindUpdate:          {[4]byte{'B', 'C', 'U', '1'}, "update", updateHeaderBytes, 0},
+	KindUnknown:     {name: "unknown"},
+	KindCycle:       {[4]byte{'B', 'C', 'C', '1'}, "cycle", headerBytes, 0},
+	KindDelta:       {[4]byte{'B', 'C', 'D', '1'}, "cycle-delta", deltaHeaderBytes, 0},
+	KindGrouped:     {[4]byte{'B', 'C', 'G', '1'}, "grouped-cycle", groupedHeaderBytes, 0},
+	KindIndex:       {[4]byte{'B', 'C', 'I', '1'}, "index", indexHeaderBytes, FrameVersion},
+	KindBucket:      {[4]byte{'B', 'C', 'B', '1'}, "bucket", bucketHeaderBytes, FrameVersion},
+	KindCacheRecord: {[4]byte{'B', 'C', 'Q', '1'}, "cache-record", cacheRecordMinBytes, CacheRecordVersion},
+	KindUpdate:      {[4]byte{'B', 'C', 'U', '1'}, "update", updateHeaderBytes, 0},
 }
 
 // KindOf classifies a frame by its magic.
@@ -128,10 +124,10 @@ func getHead(k Kind, data []byte, cycleAt, dimsAt, form int) (number cmatrix.Cyc
 	return number, l, err
 }
 
-// The dimension run (objects 4 bytes, objBytes 4, tsBits 1) that five
+// The dimension run (objects 4 bytes, objBytes 4, tsBits 1) that four
 // frame kinds carry comes in three forms.
 const (
-	dimsMatrix  = iota // nothing more; matrix control implied (BCD1, BCQ3)
+	dimsMatrix  = iota // nothing more; matrix control implied (BCD1)
 	dimsGrouped        // then groups 4 bytes; grouped control implied (BCG1)
 	dimsFull           // then control 1 byte and groups 4 bytes (BCC1, BCB1)
 )

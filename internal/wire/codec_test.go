@@ -32,8 +32,7 @@ func TestMagicsUnique(t *testing.T) {
 func TestKindOfGoldenFrames(t *testing.T) {
 	want := map[string]Kind{
 		"BCC1": KindCycle, "BCD1": KindDelta, "BCG1": KindGrouped, "BCI1": KindIndex,
-		"BCB1": KindBucket, "BCQ1": KindCacheRecord, "BCQ2": KindSubsetSubscribe,
-		"BCQ3": KindSubset, "BCU1": KindUpdate, "reply": KindUnknown,
+		"BCB1": KindBucket, "BCQ1": KindCacheRecord, "BCU1": KindUpdate, "reply": KindUnknown,
 	}
 	for _, g := range readGolden(t) {
 		prefix, _, _ := strings.Cut(g.name, "-")
@@ -47,9 +46,10 @@ func TestKindOfGoldenFrames(t *testing.T) {
 			}
 		}
 	}
-	// Short buffers, and the retired cross-shard shot magics, which no
-	// table row names any more.
-	for _, stray := range [][]byte{nil, []byte("BCC"), []byte("BCP1\x00"), []byte("BCT1\x00")} {
+	// Short buffers, and the retired magics no table row names any more:
+	// the cross-shard shots and the subset filter and subset cycle.
+	for _, stray := range [][]byte{nil, []byte("BCC"), []byte("BCP1\x00"), []byte("BCT1\x00"),
+		[]byte("BCQ2\x00"), []byte("BCQ3\x00")} {
 		if KindOf(stray) != KindUnknown {
 			t.Errorf("%q classified as a frame", stray)
 		}
@@ -87,27 +87,18 @@ func TestOverflowHeadersRejected(t *testing.T) {
 		t.Fatalf("26-byte overflow header: err = %v after allocating %d bytes", err, n)
 	}
 
-	// The BCQ3 twin: 2³¹ listed objects of 4 + (2³²−2) + (2³²−2) = 2³³
-	// bytes each. Before PR 14 it passed the length guard too and died
-	// only on its first read.
-	sub := make([]byte, subsetHeaderBytes)
-	copy(sub, "BCQ3")
-	binary.BigEndian.PutUint64(sub[4:12], 1)
-	binary.BigEndian.PutUint32(sub[12:16], 1<<32-2)
-	binary.BigEndian.PutUint32(sub[16:20], 1<<32-2)
-	sub[20] = 8
-	binary.BigEndian.PutUint32(sub[21:25], 1<<31)
-	if _, err := DecodeSubsetCycle(sub); err == nil || !strings.Contains(err.Error(), "cannot hold") {
-		t.Fatalf("BCQ3 overflow header not rejected by the length guard: %v", err)
-	}
-
-	if err := wantLen(sub, subsetHeaderBytes, 1<<31, 1<<33); err == nil {
+	// The guard itself, at the extremes a 32-bit record count and a
+	// record of two 2³²-byte runs reach: 2³¹ · 2³³ = 2⁶⁴ bytes must not
+	// wrap to "as described".
+	const head = 25
+	buf := make([]byte, head)
+	if err := wantLen(buf, head, 1<<31, 1<<33); err == nil {
 		t.Fatal("wantLen accepted a record run of 2⁶⁴ bytes")
 	}
-	if err := wantLen(sub, subsetHeaderBytes, 0, 1<<33); err != nil {
+	if err := wantLen(buf, head, 0, 1<<33); err != nil {
 		t.Fatalf("wantLen rejected an empty run: %v", err)
 	}
-	if err := wantLen(sub[:subsetHeaderBytes-1], subsetHeaderBytes, 0, 1); err == nil {
+	if err := wantLen(buf[:head-1], head, 0, 1); err == nil {
 		t.Fatal("wantLen accepted a frame shorter than its header")
 	}
 }

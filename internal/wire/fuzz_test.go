@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"reflect"
 	"slices"
@@ -341,6 +342,18 @@ func FuzzDecodeAnyFrame(f *testing.F) {
 	body := EncodeUpdateRequest(protocol.UpdateRequest{Writes: []protocol.ObjectWrite{{Obj: 2, Value: []byte("v")}}})[4:]
 	f.Add(append([]byte("BCP1\x00\x00\x00\x00\x00\x00\x00\x07\x01"), body...))
 	f.Add([]byte("BCT1\x00\x00\x00\x00\x00\x00\x00\x07\x01"))
+	// The retired subset filter and subset cycle, as their golden frames
+	// were: they meet the unknown-kind path now.
+	for _, hx := range []string{
+		"42435132000000020000000100000003",
+		"424351330000000000000007000000040000000208000000020000000162620003000000000003640000030505",
+	} {
+		data, err := hex.DecodeString(hx)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 	part := cmatrix.UniformPartition(6, 3) // the golden BCG1 frames' partition, epoch 3
 	prevCol := []cmatrix.Cycle{0, 4, 8, 7, 2}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -416,20 +429,6 @@ func roundTrip(data []byte, base *bcast.CycleBroadcast, part *cmatrix.Partition,
 			return nil
 		}
 		re = EncodeCacheRecord(rec)
-	case KindSubsetSubscribe:
-		objs, derr := DecodeSubsetSubscribe(data)
-		if derr != nil {
-			return nil
-		}
-		re = EncodeSubsetSubscribe(objs)
-	case KindSubset:
-		sc, derr := DecodeSubsetCycle(data)
-		if derr != nil {
-			return nil
-		}
-		if re, err = EncodeSubsetCycle(sc); err == nil {
-			_, err = DecodeSubsetCycle(re)
-		}
 	case KindUpdate:
 		req, derr := DecodeUpdateRequest(data)
 		if derr != nil {
@@ -444,7 +443,7 @@ func roundTrip(data []byte, base *bcast.CycleBroadcast, part *cmatrix.Partition,
 		return fmt.Errorf("accepted, but the round trip failed: %w", err)
 	}
 	switch KindOf(data) {
-	case KindCacheRecord, KindSubsetSubscribe, KindUpdate:
+	case KindCacheRecord, KindUpdate:
 		// Byte-aligned kinds with no padding and no ignored field: the
 		// encoding of what was decoded is the input.
 		if !bytes.Equal(re, data) {

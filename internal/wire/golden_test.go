@@ -33,7 +33,7 @@ func goldenFrames(t testing.TB) []goldenFrame {
 		out = append(out, goldenFrame{name, data})
 	}
 
-	matrix, subset := subsetFixture(t)
+	matrix := matrixFixture()
 	data, err := EncodeCycle(matrix)
 	add("BCC1-matrix", data, err)
 
@@ -91,13 +91,6 @@ func goldenFrames(t testing.TB) []goldenFrame {
 		Kind: CachePut, Obj: 5, Cycle: 9, Value: []byte("val"), Col: []cmatrix.Cycle{1, 0, 8},
 	}), nil)
 	add("BCQ1-delete", EncodeCacheRecord(CacheRecord{Kind: CacheDelete, Obj: 5, Cycle: 10}), nil)
-	add("BCQ2", EncodeSubsetSubscribe([]int{3, 1, 3}), nil)
-	sc, err := SubsetOf(matrix, subset)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err = EncodeSubsetCycle(sc)
-	add("BCQ3", data, err)
 
 	req := protocol.UpdateRequest{
 		Reads:  []protocol.ReadAt{{Obj: 1, Cycle: 3}, {Obj: 2, Cycle: 5}},
@@ -107,6 +100,19 @@ func goldenFrames(t testing.TB) []goldenFrame {
 	add("reply-ok", EncodeUpdateReply(nil), nil)
 	add("reply-reject", EncodeUpdateReply(errors.New("conflict on object 3")), nil)
 	return out
+}
+
+// matrixFixture is the golden BCC1 matrix cycle (and the BCD1 delta's
+// base): n = 4 under F-Matrix control at cycle 7.
+func matrixFixture() *bcast.CycleBroadcast {
+	m := cmatrix.NewMatrix(4)
+	m.Apply([]int{0}, []int{1}, 3)
+	m.Apply([]int{1}, []int{2, 3}, 5)
+	return &bcast.CycleBroadcast{
+		Number: 7, Layout: bcast.LayoutFor(protocol.FMatrix, 4, 16, 8, 0),
+		Values: [][]byte{[]byte("a"), []byte("bb"), nil, []byte("d")},
+		Matrix: m,
+	}
 }
 
 // readGolden parses testdata/frames.golden: one "name hex" line per

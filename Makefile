@@ -114,15 +114,16 @@ figures-check:
 # Boot bcserver with the observability endpoint and assert /metrics
 # serves a non-empty registry snapshot; catches -obs-addr wiring rot.
 # Like every smoke below, it waits for each process it kills, and its
-# EXIT trap kills and reaps whatever an early exit leaves running.
+# EXIT trap kills and reaps whatever an early exit leaves running and
+# removes the binaries (and files) the smoke made, on every exit path.
 obs-smoke:
-	$(GO) build -o /tmp/bcserver-obs-smoke ./cmd/bcserver
-	pid=; trap 'kill $$pid 2>/dev/null; wait' EXIT; trap 'exit 1' INT TERM; \
+	pid=; trap 'kill $$pid 2>/dev/null; wait; rm -f /tmp/bcserver-obs-smoke' EXIT; trap 'exit 1' INT TERM; \
+	$(GO) build -o /tmp/bcserver-obs-smoke ./cmd/bcserver || exit 1; \
 	/tmp/bcserver-obs-smoke -broadcast 127.0.0.1:0 -uplink 127.0.0.1:0 \
 		-obs-addr 127.0.0.1:17173 -workload 50 -interval 20ms -verify-sample 5 & \
 	pid=$$!; sleep 1; \
 	body=$$(curl -sf http://127.0.0.1:17173/metrics); status=$$?; \
-	kill $$pid 2>/dev/null; wait $$pid; pid=; rm -f /tmp/bcserver-obs-smoke; \
+	kill $$pid 2>/dev/null; wait $$pid; pid=; \
 	if [ $$status -ne 0 ] || [ -z "$$body" ]; then \
 		echo "obs-smoke: /metrics unreachable or empty" >&2; exit 1; \
 	fi; \
@@ -138,9 +139,9 @@ obs-smoke:
 # injected loss happened) and client_cycles_missed > 0: the doze path
 # recovers on the next cycle it hears.
 udp-smoke:
-	$(GO) build -o /tmp/bcserver-udp-smoke ./cmd/bcserver
-	$(GO) build -o /tmp/bcclient-udp-smoke ./cmd/bcclient
-	spid=; cpid=; lpid=; trap 'kill $$spid $$cpid $$lpid 2>/dev/null; wait' EXIT; trap 'exit 1' INT TERM; \
+	spid=; cpid=; lpid=; trap 'kill $$spid $$cpid $$lpid 2>/dev/null; wait; rm -f /tmp/bcserver-udp-smoke /tmp/bcclient-udp-smoke' EXIT; trap 'exit 1' INT TERM; \
+	$(GO) build -o /tmp/bcserver-udp-smoke ./cmd/bcserver || exit 1; \
+	$(GO) build -o /tmp/bcclient-udp-smoke ./cmd/bcclient || exit 1; \
 	/tmp/bcserver-udp-smoke -broadcast 127.0.0.1:0 -uplink 127.0.0.1:0 \
 		-udp 127.0.0.1:17272 -workload 50 -interval 20ms & \
 	spid=$$!; sleep 1; \
@@ -168,7 +169,6 @@ udp-smoke:
 	done; \
 	if kill $$lpid 2>/dev/null; then wait $$lpid; lrc=timeout; else wait $$lpid; lrc=$$?; fi; lpid=; \
 	kill $$spid 2>/dev/null; wait $$spid; spid=; \
-	rm -f /tmp/bcserver-udp-smoke /tmp/bcclient-udp-smoke; \
 	if [ -z "$$rx" ] || [ "$$rx" -eq 0 ]; then \
 		echo "udp-smoke: client never saw a datagram (dgram_packets_rx $${rx:-missing})" >&2; \
 		exit 1; \
@@ -191,13 +191,13 @@ udp-smoke:
 # coordinator uplink with bcclient -shards, and read it back off both
 # broadcast channels; catches -shards wiring rot on both binaries over
 # real sockets. Under ring seed 7 objects 0 and 1 sit on shards 0 and
-# 1, so the write takes the in-process two-shot commit: the fleet's
-# /metrics must then show shard_prepares_total >= 2,
-# shard_commits_total >= 1 and shard_aborts_total = 0.
+# 1, so the write is a cross-shard commit: the fleet's /metrics must
+# then show shard_cross_total >= 1, shard_commits_total >= 1 and
+# shard_aborts_total = 0.
 shard-smoke:
-	$(GO) build -o /tmp/bcserver-shard-smoke ./cmd/bcserver
-	$(GO) build -o /tmp/bcclient-shard-smoke ./cmd/bcclient
-	spid=; trap 'kill $$spid 2>/dev/null; wait' EXIT; trap 'exit 1' INT TERM; \
+	spid=; trap 'kill $$spid 2>/dev/null; wait; rm -f /tmp/bcserver-shard-smoke /tmp/bcclient-shard-smoke' EXIT; trap 'exit 1' INT TERM; \
+	$(GO) build -o /tmp/bcserver-shard-smoke ./cmd/bcserver || exit 1; \
+	$(GO) build -o /tmp/bcclient-shard-smoke ./cmd/bcclient || exit 1; \
 	/tmp/bcserver-shard-smoke -shards 2 -objects 256 -ring-seed 7 \
 		-broadcast 127.0.0.1:17370 -uplink 127.0.0.1:17380 \
 		-coordinator 127.0.0.1:17369 -interval 20ms \
@@ -210,20 +210,19 @@ shard-smoke:
 		-broadcast 127.0.0.1:17370 -read 0,1,2,3); rstatus=$$?; \
 	body=$$(curl -sf http://127.0.0.1:17379/metrics); \
 	kill $$spid 2>/dev/null; wait $$spid; spid=; \
-	rm -f /tmp/bcserver-shard-smoke /tmp/bcclient-shard-smoke; \
 	if [ $$wstatus -ne 0 ] || [ $$rstatus -ne 0 ]; then \
 		echo "shard-smoke: client exited non-zero (write $$wstatus, read $$rstatus)" >&2; exit 1; \
 	fi; \
 	echo "$$out" | grep -q 'obj0="alpha"' || { echo "shard-smoke: committed write did not read back: $$out" >&2; exit 1; }; \
 	echo "$$out" | grep -q '@shard1' || { echo "shard-smoke: reads never touched shard 1: $$out" >&2; exit 1; }; \
-	prepares=$$(echo "$$body" | sed -n 's/.*"shard_prepares_total": \([0-9]*\).*/\1/p'); \
+	cross=$$(echo "$$body" | sed -n 's/.*"shard_cross_total": \([0-9]*\).*/\1/p'); \
 	commits=$$(echo "$$body" | sed -n 's/.*"shard_commits_total": \([0-9]*\).*/\1/p'); \
 	aborts=$$(echo "$$body" | sed -n 's/.*"shard_aborts_total": \([0-9]*\).*/\1/p'); \
-	if [ -z "$$prepares" ] || [ "$$prepares" -lt 2 ] || [ -z "$$commits" ] || [ "$$commits" -lt 1 ] || [ "$$aborts" != 0 ]; then \
-		echo "shard-smoke: want shard_prepares_total >= 2, shard_commits_total >= 1, shard_aborts_total = 0; got $${prepares:-missing}, $${commits:-missing}, $${aborts:-missing}" >&2; \
+	if [ -z "$$cross" ] || [ "$$cross" -lt 1 ] || [ -z "$$commits" ] || [ "$$commits" -lt 1 ] || [ "$$aborts" != 0 ]; then \
+		echo "shard-smoke: want shard_cross_total >= 1, shard_commits_total >= 1, shard_aborts_total = 0; got $${cross:-missing}, $${commits:-missing}, $${aborts:-missing}" >&2; \
 		exit 1; \
 	fi; \
-	echo "shard-smoke: ok ($$prepares prepares, $$commits commits, $$aborts aborts)"
+	echo "shard-smoke: ok ($$cross cross-shard, $$commits commits, $$aborts aborts)"
 
 # The persistent quasi-cache crash/restart smoke: boot bcserver, run
 # bcclient with a disk-backed cache, kill -9 it mid-run, restart it on
@@ -232,9 +231,9 @@ shard-smoke:
 # The currency bound is sized so the wall-clock restart gap stays
 # within it.
 quasi-smoke:
-	$(GO) build -o /tmp/bcserver-quasi-smoke ./cmd/bcserver
-	$(GO) build -o /tmp/bcclient-quasi-smoke ./cmd/bcclient
-	spid=; cpid=; rpid=; trap 'kill $$spid $$cpid $$rpid 2>/dev/null; wait' EXIT; trap 'exit 1' INT TERM; \
+	spid=; cpid=; rpid=; trap 'kill $$spid $$cpid $$rpid 2>/dev/null; wait; rm -f /tmp/bcserver-quasi-smoke /tmp/bcclient-quasi-smoke; rm -rf /tmp/quasi-smoke-cache' EXIT; trap 'exit 1' INT TERM; \
+	$(GO) build -o /tmp/bcserver-quasi-smoke ./cmd/bcserver || exit 1; \
+	$(GO) build -o /tmp/bcclient-quasi-smoke ./cmd/bcclient || exit 1; \
 	rm -rf /tmp/quasi-smoke-cache; \
 	/tmp/bcserver-quasi-smoke -broadcast 127.0.0.1:17470 -uplink 127.0.0.1:17471 \
 		-objects 64 -workload 20 -interval 20ms & \
@@ -256,8 +255,6 @@ quasi-smoke:
 	done; \
 	kill -9 $$rpid 2>/dev/null; wait $$rpid 2>/dev/null; rpid=; \
 	kill $$spid 2>/dev/null; wait $$spid; spid=; \
-	rm -f /tmp/bcserver-quasi-smoke /tmp/bcclient-quasi-smoke; \
-	rm -rf /tmp/quasi-smoke-cache; \
 	if [ -z "$$reval" ] || [ "$$reval" -eq 0 ]; then \
 		echo "quasi-smoke: restarted client revalidated nothing (client_cache_revalidated $${reval:-missing})" >&2; \
 		exit 1; \

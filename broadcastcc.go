@@ -305,8 +305,8 @@ type ShardMapping = shard.Mapping
 func NewShardMapping(r *ShardRing, n int) *ShardMapping { return shard.NewMapping(r, n) }
 
 // Fleet is k per-shard broadcast servers behind one mapping plus the
-// coordinator that runs the two-shot commit for cross-shard update
-// transactions. StartCycle drives the shards in lockstep.
+// coordinator that commits cross-shard update transactions.
+// StartCycle drives the shards in lockstep.
 type Fleet = shard.Fleet
 
 // FleetConfig describes an in-process sharded deployment.
@@ -323,9 +323,9 @@ func ShardAddr(base string, s int) (string, error) { return shard.Addr(base, s) 
 
 // ShardCoordinator splits global update transactions across the fleet:
 // single-shard transactions use the shard's ordinary submit (keeping
-// k = 1 byte-identical to an unsharded server), cross-shard ones run
-// the prepare/decide two-shot commit. It implements Uplink over global
-// object ids.
+// k = 1 byte-identical to an unsharded server), cross-shard ones commit
+// in one critical section over every shard they touch, on all of them
+// or on none. It implements Uplink over global object ids.
 type ShardCoordinator = shard.Coordinator
 
 // ShardRouter gives client code the unsharded programming model over a

@@ -35,7 +35,7 @@
 // broadcast-port+2s with its own uplink (BCU1 in shard-local ids) on
 // uplink-port+2s, all shards step in lockstep on one ticker, and a
 // coordinator uplink accepts update transactions in global object ids,
-// running the two-shot commit in process when they span shards:
+// committing one that spans shards in one critical section over them:
 //
 //	bcserver -shards 4 -objects 4096 -ring-seed 7
 //	bcserver -shards 4 -workload 8 -workload-cross 0.2

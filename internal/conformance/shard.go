@@ -43,8 +43,9 @@ type shardCycle struct {
 //
 // The run is self-contained — it rebuilds its own reference server
 // rather than reusing runAir's, because background commits are replayed
-// through the uplink path (the rule the per-shard prepare applies) and
-// so may be refused where runAir's server-local transactions were not.
+// through the uplink path (the rule a cross-shard commit applies on
+// every shard it spans) and so may be refused where runAir's
+// server-local transactions were not.
 func runShard(w *Workload, tr *airTrace) ([]Violation, error) {
 	if w.Shards == 0 {
 		return nil, nil

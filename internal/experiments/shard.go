@@ -15,12 +15,12 @@ import (
 
 // The cluster-sharding study: at n = 10⁵, what does hashring-
 // partitioning the database over k broadcast channels buy per channel,
-// and what does the two-shot cross-shard commit cost? One committed
+// and what does a cross-shard commit cost? One committed
 // update stream is replayed against k ∈ {1, 2, 4, 8} deployments of the
 // same grouped control representation — each shard maintains an
 // (n/k)×g MC over its local objects, applying commits it can validate
-// locally with the exact Theorem 2 rule and remote-prepared commits
-// with the conservative diagonal-bounded rule — and read-only clients
+// locally with the exact Theorem 2 rule and the others with the
+// conservative diagonal-bounded rule — and read-only clients
 // validate against the per-shard snapshots plus the Router's
 // cross-shard cycle-alignment check. Placement hashes the key-prefix
 // entity (shard.NewPrefixMapping), so the shardAffinity fraction of
@@ -104,10 +104,10 @@ type ShardMetrics struct {
 	RestartRatio float64
 	// RestartVsFloor is RestartRatio over the k = 1 floor's.
 	RestartVsFloor float64
-	// CommitLatencyCycles is the mean uplink commit latency in cycles:
-	// a single-shard commit is decided in its arrival cycle and visible
-	// the next (1), a cross-shard commit spends one cycle in the
-	// prepared state before its decision broadcasts (2).
+	// CommitLatencyCycles is the mean uplink commit latency in cycles,
+	// modelling a networked two-shot commit: a single-shard commit is
+	// decided in its arrival cycle and visible the next (1), a
+	// cross-shard one is prepared for a cycle before its decision (2).
 	CommitLatencyCycles float64
 	// CrossShardFrac is the fraction of uplink commits touching more
 	// than one shard.
@@ -293,11 +293,11 @@ func runShardPass(cfg ShardConfig, stream *plan, seed int64, k int) ShardMetrics
 
 		// Uplink commits take effect for the next cycle. A write shard
 		// holding the whole read set applies the exact Theorem 2 rule;
-		// one prepared remotely applies the conservative
-		// diagonal-bounded rule.
-		// Latency models the two-shot: single-shard commits decide in
-		// their arrival cycle (visible next cycle, 1), cross-shard
-		// commits spend one cycle prepared before the decision (2).
+		// any other the conservative diagonal-bounded rule.
+		// Latency models a networked two-shot commit, not the one-shot
+		// in-process fleet: single-shard commits decide in their
+		// arrival cycle (visible next cycle, 1), cross-shard commits
+		// spend one cycle prepared before the decision (2).
 		for _, cm := range stream.commits[c-1] {
 			involved := map[int]bool{}
 			for _, obj := range cm.readSet {

@@ -44,7 +44,7 @@ func TestShardStudyCriterion(t *testing.T) {
 			continue
 		}
 		if m.CrossShardFrac <= 0 {
-			t.Fatalf("k=%d: no cross-shard commits; the two-shot path is unexercised", p.Shards)
+			t.Fatalf("k=%d: no cross-shard commits; the cross-shard path is unexercised", p.Shards)
 		}
 		if m.CommitLatencyCycles <= 1 || m.CommitLatencyCycles > 2 {
 			t.Fatalf("k=%d: commit latency %v outside (1, 2]", p.Shards, m.CommitLatencyCycles)

@@ -193,27 +193,28 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 }
 
 // A subscriber that disconnects outright (not merely stalls) must be
-// reaped by the broadcast loop without wedging it: remaining and future
-// subscribers keep receiving.
+// reaped without wedging the broadcast loop: the remaining subscriber
+// keeps receiving.
 func TestClosedSubscriberIsReaped(t *testing.T) {
 	_, ns := newNetServer(t, protocol.RMatrix, 2)
-	dead, err := net.Dial("tcp", ns.BroadcastAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	awaitSubscribers(t, ns, 1)
-	dead.Close()
-
 	live, err := Tune(ns.BroadcastAddr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer live.Close()
 	sub := live.Subscribe(16)
-	awaitSubscribers(t, ns, 2)
+	awaitSubscribers(t, ns, 1)
 
-	// Step until the dead connection is gone. A closed socket may absorb
-	// a few writes into kernel buffers before erroring, so loop.
+	dead, err := net.Dial("tcp", ns.BroadcastAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitSubscribers(t, ns, 2)
+	dead.Close()
+
+	// Step until the dead connection is gone: the server reads the
+	// hang-up, or a write to the closed socket fails (it may absorb a
+	// few writes into kernel buffers before erroring, so loop).
 	deadline := time.Now().Add(30 * time.Second)
 	for ns.Subscribers() > 1 {
 		if time.Now().After(deadline) {

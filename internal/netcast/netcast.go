@@ -157,7 +157,8 @@ type Options struct {
 	// frame format: each object's MC row is encoded sparsely (or densely
 	// when that is smaller), and the partition travels only in
 	// partition-bearing frames — the first frame and every frame after a
-	// regroup epoch change. Required when the server regroups
+	// regroup epoch change; epoch 0's uniform partition decodes without
+	// one (wire.DecodeGroupedCycle). Required when the server regroups
 	// (RegroupEvery > 0): only BCG1 can carry the resulting non-uniform
 	// partitions.
 	SparseGrouped bool
@@ -427,10 +428,11 @@ func (s *Server) fanOut(cb *bcast.CycleBroadcast, frames [][]byte) int {
 }
 
 // reapSub drops a subscriber whose send path overflowed — it could not
-// drain a frame within the write deadline (or the connection died). The
-// reap is observable: a dedicated counter and a trace event, because a
-// silently vanishing subscriber looks identical to a doze window from
-// the outside and the difference matters when debugging retune storms.
+// drain a frame within the write deadline — or that hung up or wrote up
+// its connection (readSubscriber). The reap is observable: a dedicated
+// counter and a trace event, because a silently vanishing subscriber
+// looks identical to a doze window from the outside and the difference
+// matters when debugging retune storms.
 func (s *Server) reapSub(c net.Conn, cycle cmatrix.Cycle) {
 	s.mu.Lock()
 	_, reaped := s.subs[c]
@@ -530,16 +532,16 @@ func (s *Server) acceptBroadcast() {
 
 // readSubscriber watches the client-to-server side of a broadcast
 // connection, which carries nothing: the server never learns who
-// listens. Any byte that arrives — a retired BCQ2 subset filter
-// included — reaps the subscriber, since the broadcast socket has no
-// reply channel and disconnection is the refusal. EOF or an error (a
-// reap, Close) ends the reader.
+// listens. Whatever ends the read reaps the subscriber: any byte that
+// arrives (a retired BCQ2 subset filter included), since the broadcast
+// socket has no reply channel and disconnection is the refusal, and EOF
+// or an error, since the tuner hung up. After a reap by fanOut or a
+// Close the connection is already gone and reapSub does nothing.
 func (s *Server) readSubscriber(conn net.Conn) {
 	defer s.wg.Done()
 	var b [1]byte
-	if n, _ := conn.Read(b[:]); n > 0 {
-		s.reapSub(conn, 0)
-	}
+	conn.Read(b[:])
+	s.reapSub(conn, 0)
 }
 
 // receiver is the transport-independent back half of a tuner: frames

@@ -387,6 +387,84 @@ func TestSparseGroupedOverTCP(t *testing.T) {
 	}
 }
 
+// TestSparseGroupedLateTunerAtEpochZero: a server that never regroups
+// sends its partition once, in the first frame, and stays at epoch 0.
+// A tuner that connects after that frame must still decode every cycle
+// it hears, on the uniform partition every server starts with.
+func TestSparseGroupedLateTunerAtEpochZero(t *testing.T) {
+	bsrv, err := server.New(server.Config{Objects: 8, ObjectBits: 64, Algorithm: protocol.Grouped, Groups: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bsrv.Close()
+	ns, err := ServeOptions(bsrv, "127.0.0.1:0", "127.0.0.1:0", Options{SparseGrouped: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ns.Close()
+	local := bsrv.Subscribe(64)          // what the server publishes, in process
+	if _, err := ns.Step(); err != nil { // the partition-bearing frame, heard by nobody
+		t.Fatal(err)
+	}
+	<-local.C
+	late, err := Tune(ns.BroadcastAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer late.Close()
+	sub := late.Subscribe(64)
+	awaitSubscribers(t, ns, 1)
+	for c := 2; c <= 21; c++ {
+		if err := bsrv.SubmitUpdate(protocol.UpdateRequest{Writes: []protocol.ObjectWrite{{Obj: c % 8, Value: []byte{byte(c)}}}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ns.Step(); err != nil {
+			t.Fatal(err)
+		}
+		w := <-local.C
+		select {
+		case cb := <-sub.C:
+			if cb.Number != w.Number || !cb.Grouped.Equal(w.Grouped) {
+				t.Fatalf("late tuner heard cycle %d (MC equal %v), want cycle %d", cb.Number, cb.Grouped.Equal(w.Grouped), w.Number)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("late tuner never decoded cycle %d at epoch 0", w.Number)
+		}
+	}
+}
+
+// TestHungUpTunerDroppedAtOnce: a tuner that closes its connection
+// leaves the audience when the server reads the hang-up, not at the next
+// Step's failed write: with no Step at all, Subscribers and the
+// netcast_subscribers gauge reach 0.
+func TestHungUpTunerDroppedAtOnce(t *testing.T) {
+	bsrv, err := server.New(server.Config{Objects: 4, ObjectBits: 64, Algorithm: protocol.FMatrix})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bsrv.Close()
+	ns, err := Serve(bsrv, "127.0.0.1:0", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ns.Close()
+	tuner, err := Tune(ns.BroadcastAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitSubscribers(t, ns, 1)
+	tuner.Close()
+	for deadline := time.Now().Add(5 * time.Second); ns.Subscribers() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a hung-up tuner is still counted without a Step")
+		}
+	}
+	snap := ns.Obs().Snapshot()
+	if g, d := snap.Gauges["netcast_subscribers"], snap.Counters["netcast_subs_dropped"]; g != 0 || d != 1 {
+		t.Fatalf("netcast_subscribers = %d, netcast_subs_dropped = %d; want 0, 1", g, d)
+	}
+}
+
 func TestServeRejectsRegroupWithoutSparse(t *testing.T) {
 	bsrv, err := server.New(server.Config{
 		Objects: 4, ObjectBits: 64, Algorithm: protocol.Grouped, Groups: 2, RegroupEvery: 2,

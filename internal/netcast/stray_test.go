@@ -30,12 +30,12 @@ func retiredShots() [][]byte {
 	}
 }
 
-// TestServeUplinkRejectsTwoShot: the fleet runs its two-shot commit in
-// process, so a BCP1 or BCT1 frame is outside input on every uplink
-// port — a shard's own (Serve) and the coordinator's (ServeUplink).
-// Each comes back refused as an unknown frame, not crashing or hanging
-// the port, and the same connection then commits a BCU1. The frame
-// decoder refuses both as unknown too.
+// TestServeUplinkRejectsTwoShot: the fleet commits cross-shard
+// transactions in process, so a BCP1 or BCT1 frame is outside input on
+// every uplink port — a shard's own (Serve) and the coordinator's
+// (ServeUplink). Each comes back refused as an unknown frame, not
+// crashing or hanging the port, and the same connection then commits a
+// BCU1. The frame decoder refuses both as unknown too.
 func TestServeUplinkRejectsTwoShot(t *testing.T) {
 	f, err := shard.NewFleet(shard.FleetConfig{
 		Base:   server.Config{Objects: 16, ObjectBits: 64, Algorithm: protocol.FMatrix},

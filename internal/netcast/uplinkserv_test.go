@@ -596,8 +596,7 @@ func TestUplinkOneSyscallPerFrame(t *testing.T) {
 // into memory it reuses for the next, so what the server keeps must be
 // its own. Over one socket to a real server, a stream of submits, each
 // frame laid over the last in the read buffer: the committed values and
-// the audit log are what was sent. (server's TestPrepareKeepsOwnCopy
-// covers the writes a prepare parks.)
+// the audit log are what was sent.
 func TestUplinkFrameReuseKeepsState(t *testing.T) {
 	const n = 16
 	srv, err := server.New(server.Config{Objects: n, ObjectBits: 64, Algorithm: protocol.FMatrix, Audit: true})
@@ -650,35 +649,29 @@ func TestUplinkFrameReuseKeepsState(t *testing.T) {
 	}
 }
 
-// stallingParticipant holds each submit until the test sends on
-// release, then reports the value it was handed.
-type stallingParticipant struct {
-	protocol.Participant
+// stallingUplink holds each submit until the test sends on release,
+// then reports the value it was handed.
+type stallingUplink struct {
 	release chan struct{}
 	seen    chan []byte
 }
 
-func (p *stallingParticipant) SubmitUpdate(req protocol.UpdateRequest) error {
+func (p *stallingUplink) SubmitUpdate(req protocol.UpdateRequest) error {
 	<-p.release
 	p.seen <- bytes.Clone(req.Writes[0].Value)
 	return nil
 }
 
-// TestCoordinatorTimeoutKeepsRequest: the coordinator has no call
-// timeout, so a coordinator behind an uplink port answers a call only
-// once its participant is done with the request — however long that
-// takes — and the port reads the next frame over the last only after
-// that. Two frames are written back to back on one connection while
-// the participant stalls the first: no reply may come before the
-// release, and the participant must see each value its frame carried.
+// TestCoordinatorTimeoutKeepsRequest: an uplink port has no call
+// timeout, so it answers a call only once its handler (a server, or the
+// fleet's coordinator) is done with the request — however long that
+// takes — and reads the next frame over the last only after that. Two
+// frames are written back to back on one connection while the handler
+// stalls the first: no reply may come before the release, and the
+// handler must see each value its frame carried.
 func TestCoordinatorTimeoutKeepsRequest(t *testing.T) {
-	m := shard.NewMapping(shard.NewRing(1, 1, 0), 4)
-	p := &stallingParticipant{release: make(chan struct{}), seen: make(chan []byte, 2)} // one per submit
-	coord, err := shard.NewCoordinator(m, []protocol.Participant{p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	us, err := ServeUplink("127.0.0.1:0", coord, nil)
+	p := &stallingUplink{release: make(chan struct{}), seen: make(chan []byte, 2)} // one per submit
+	us, err := ServeUplink("127.0.0.1:0", p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -712,12 +705,12 @@ func TestCoordinatorTimeoutKeepsRequest(t *testing.T) {
 	for _, v := range values {
 		select {
 		case err := <-replies:
-			t.Fatalf("reply %v before the participant released %q", err, v)
+			t.Fatalf("reply %v before the handler released %q", err, v)
 		case <-time.After(20 * time.Millisecond):
 		}
 		p.release <- struct{}{}
 		if got := string(<-p.seen); got != v {
-			t.Fatalf("participant saw %q, its frame carried %q", got, v)
+			t.Fatalf("handler saw %q, its frame carried %q", got, v)
 		}
 		select {
 		case err := <-replies:

@@ -22,9 +22,7 @@ const (
 	EvUplinkVerdict                        // uplink update decided; Arg = 1 accept / 0 reject
 	EvRetune                               // client re-tuned after a gap/disconnect; Arg = cycles missed
 	EvDoze                                 // client doze window; Arg = frames (or cycles) slept
-	EvSubReap                              // server reaped a subscriber that could not keep up; Arg = subscribers left
-	EvShardPrepare                         // shard accepted (Arg=1) or refused (Arg=0) a cross-shard prepare; Frame = txn token low bits
-	EvShardDecide                          // shard applied a cross-shard decision; Arg = 1 commit / 0 abort; Frame = txn token low bits
+	EvSubReap                              // server dropped a subscriber (write overflow, hang-up or a stray byte); Arg = subscribers left
 )
 
 var kindNames = [...]string{
@@ -37,8 +35,6 @@ var kindNames = [...]string{
 	EvRetune:          "retune",
 	EvDoze:            "doze",
 	EvSubReap:         "sub-reap",
-	EvShardPrepare:    "shard-prepare",
-	EvShardDecide:     "shard-decide",
 }
 
 // String returns the stable text name of the kind.
@@ -165,7 +161,7 @@ func DecodeTrace(b []byte) ([]Event, error) {
 	for off := 0; off < len(b); off += traceRecordSize {
 		rec := b[off : off+traceRecordSize]
 		k := EventKind(rec[0])
-		if k < EvCycleStart || k > EvShardDecide {
+		if k < EvCycleStart || k > EvSubReap {
 			return nil, fmt.Errorf("obs: unknown event kind %d at offset %d", rec[0], off)
 		}
 		events = append(events, Event{

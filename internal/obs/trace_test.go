@@ -74,7 +74,7 @@ func TestDecodeTraceRejectsBadInput(t *testing.T) {
 	if _, err := DecodeTrace(bad); err == nil {
 		t.Fatal("zero kind accepted")
 	}
-	bad[0] = byte(EvShardDecide) + 1
+	bad[0] = byte(EvSubReap) + 1
 	if _, err := DecodeTrace(bad); err == nil {
 		t.Fatal("out-of-range kind accepted")
 	}

@@ -24,37 +24,7 @@ type UpdateRequest struct {
 // A request is valid for the duration of the call: a netcast uplink
 // port decodes each one into memory it reuses for the next, so an
 // implementation that keeps any part of it past its return — values,
-// Reads, Writes — keeps a copy (CloneWrites). The same holds for
-// Participant.PrepareUpdate.
+// Reads, Writes — keeps a copy.
 type Uplink interface {
 	SubmitUpdate(UpdateRequest) error
-}
-
-// CloneWrites copies ws into memory it shares with nothing: one array
-// holds every value, each capped at its own length; an empty value is
-// nil.
-func CloneWrites(ws []ObjectWrite) []ObjectWrite {
-	n := 0
-	for _, w := range ws {
-		n += len(w.Value)
-	}
-	vals, out := make([]byte, 0, n), make([]ObjectWrite, len(ws))
-	for i, w := range ws {
-		out[i].Obj = w.Obj
-		if len(w.Value) > 0 {
-			vals = append(vals, w.Value...)
-			out[i].Value = vals[len(vals)-len(w.Value) : len(vals) : len(vals)]
-		}
-	}
-	return out
-}
-
-// Participant is one shard as the cross-shard two-shot commit sees it:
-// the single-shot submit for transactions local to the shard, plus the
-// prepare/decide pair for the others. *server.Server implements it,
-// and the coordinator calls it in process.
-type Participant interface {
-	Uplink
-	PrepareUpdate(token uint64, req UpdateRequest, remote bool) error
-	DecideUpdate(token uint64, commit bool) error
 }

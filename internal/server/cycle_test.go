@@ -76,15 +76,13 @@ func TestStartCycleValuesImmutable(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Two-shot prepare/decide over objects 2 and 3.
-	two := protocol.UpdateRequest{
+	// A cross-shard projection over objects 2 and 3, installed through
+	// ApplyRemote.
+	across := protocol.UpdateRequest{
 		Reads:  []protocol.ReadAt{readAt(2, 2)},
 		Writes: []protocol.ObjectWrite{write(2, "YYYYYYYY"), write(3, "YYYYYYYY")},
 	}
-	if err := s.PrepareUpdate(9, two, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.DecideUpdate(9, true); err != nil {
+	if err := SubmitAcross([]*Server{s}, []protocol.UpdateRequest{across}, []bool{true}); err != nil {
 		t.Fatal(err)
 	}
 	// Server-local transaction over objects 4 and 5, then 0 again.

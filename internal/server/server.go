@@ -127,13 +127,9 @@ type Server struct {
 	regroupEpoch uint64        // bumped on every partition change
 	closed       bool
 	audit        []cmatrix.Commit
-	// Two-shot cross-shard commit state (see shard.go): in-flight
-	// prepares, the pins they hold, recently settled tokens, and the
-	// count of conservative ApplyRemote commits (any > 0 voids the
-	// Theorem 2 equality VerifyControl checks).
-	prepares      map[uint64]*prepared
-	pinned        map[int]uint64
-	decided       map[uint64]decision
+	// remoteApplies counts the conservative ApplyRemote commits of
+	// cross-shard transactions (SubmitAcross); any > 0 voids the
+	// Theorem 2 equality VerifyControl checks.
 	remoteApplies int64
 	// Incremental verification state (Audit only): rb tracks the
 	// definition-based rebuild of the audited prefix; verifyAllGroups
@@ -157,12 +153,6 @@ type Server struct {
 	hVerifyNs      *obs.Histogram
 	cVerifyFail    *obs.Counter
 	cycleCommits   int64 // commits since the last StartCycle
-
-	cShardPrepares       *obs.Counter
-	cShardPrepareRefused *obs.Counter
-	cShardCommits        *obs.Counter
-	cShardAborts         *obs.Counter
-	cShardExpired        *obs.Counter
 }
 
 // LayoutOf is the broadcast layout of a server configured by cfg;
@@ -235,11 +225,6 @@ func New(cfg Config) (*Server, error) {
 	s.cVerifyFail = s.obs.Counter("server_verify_failures")
 	s.hCommitsCycle = s.obs.Histogram("server_commits_per_cycle", obs.LinearBuckets(0, 1, 16))
 	s.hVerifyNs = s.obs.Histogram("server_verify_ns", obs.Pow2Buckets(10, 20))
-	s.cShardPrepares = s.obs.Counter("server_shard_prepares")
-	s.cShardPrepareRefused = s.obs.Counter("server_shard_prepare_refused")
-	s.cShardCommits = s.obs.Counter("server_shard_commits")
-	s.cShardAborts = s.obs.Counter("server_shard_aborts")
-	s.cShardExpired = s.obs.Counter("server_shard_prepare_expired")
 	for i, v := range cfg.InitialValues {
 		if i >= cfg.Objects {
 			break
@@ -430,7 +415,6 @@ func (s *Server) StartCycle() *bcast.CycleBroadcast {
 	if s.heat != nil && s.cycle > 1 && (int(s.cycle)-1)%s.cfg.RegroupEvery == 0 {
 		s.regroupLocked()
 	}
-	s.expirePreparesLocked()
 	cb := &bcast.CycleBroadcast{
 		Number: s.cycle,
 		Layout: s.layout,
@@ -562,9 +546,9 @@ func (s *Server) RegroupEpoch() uint64 {
 // update is an update transaction in normal form: the distinct objects
 // read and written, in first-occurrence order, and the writes as
 // submitted — installed in that order, so the last value written to an
-// object wins. Nothing changes it once built, so the prepare table and
-// the audit log keep its sets; writes is the request's own slice,
-// valid for the call, and the prepare table keeps a copy.
+// object wins. Nothing changes it once built, so the audit log keeps
+// its sets; writes is the request's own slice, valid for the call,
+// which installLocked copies value by value.
 type update struct {
 	readSet  []int
 	writeSet []int
@@ -572,9 +556,9 @@ type update struct {
 }
 
 // shape reduces an uplink request to its update, reading nothing but
-// the configured dimensions: a malformed request is refused before any
-// currency or pin rule is asked (malformed first is the commit path's
-// one precedence rule). Callers hold mu for the seen scratch.
+// the configured dimensions: a malformed request is refused before the
+// currency rule is asked (malformed first is the commit path's one
+// precedence rule). Callers hold mu for the seen scratch.
 func (s *Server) shape(req protocol.UpdateRequest) (update, error) {
 	for _, r := range req.Reads {
 		if err := s.checkObj(r.Obj); err != nil {
@@ -613,24 +597,13 @@ func (s *Server) shape(req protocol.UpdateRequest) (update, error) {
 
 // admitLocked is the commit rule (§3.2.1). A read of obj at cycle c saw
 // the state as of the beginning of c, so it is current iff no write to
-// obj committed during or after c. An object pinned by an in-flight
-// prepare may not be written, nor — pinReads — read by another prepare;
-// a single-shot commit installs in this same critical section, so its
-// reads need no pin check. Any pin found is another token's: a live
-// token's duplicate prepare is answered before admission. Callers hold mu.
-func (s *Server) admitLocked(reads []protocol.ReadAt, writeSet []int, pinReads bool) error {
+// obj committed during or after c. The install follows in the same
+// critical section, so nothing can commit in between. Callers hold mu.
+func (s *Server) admitLocked(reads []protocol.ReadAt) error {
 	for _, r := range reads {
-		if owner, held := s.pinned[r.Obj]; held && pinReads {
-			return fmt.Errorf("%w: object %d held by token %d", ErrPinned, r.Obj, owner)
-		}
 		if s.lastCycle[r.Obj] >= r.Cycle {
 			return fmt.Errorf("%w: object %d written during cycle %d, read at cycle %d",
 				ErrConflict, r.Obj, s.lastCycle[r.Obj], r.Cycle)
-		}
-	}
-	for _, obj := range writeSet {
-		if owner, held := s.pinned[obj]; held {
-			return fmt.Errorf("%w: object %d held by token %d", ErrPinned, obj, owner)
 		}
 	}
 	return nil
@@ -710,13 +683,57 @@ func (s *Server) SubmitUpdate(req protocol.UpdateRequest) error {
 	if err != nil {
 		return err
 	}
-	if err := s.admitLocked(req.Reads, u.writeSet, false); err != nil {
+	if err := s.admitLocked(req.Reads); err != nil {
 		s.cAborts.Inc()
 		s.emitVerdict(0)
 		return err
 	}
 	s.installLocked(u, false)
 	s.emitVerdict(1)
+	return nil
+}
+
+// SubmitAcross commits one update transaction that spans several
+// servers, the shards of a fleet, as SubmitUpdate's rule applied to the
+// union of its projections: reqs[i] is the transaction's projection
+// onto servers[i] in that server's object ids, and remote[i] says its
+// read set extends beyond servers[i], so its install takes the
+// conservative ApplyRemote (installLocked). Every server's mu is held
+// for the whole call, taken in the order given: callers pass distinct
+// servers in one global order (the fleet's ascending shard ids), so two
+// calls cannot deadlock. Every projection is shaped, then admitted, and
+// only when all of them pass is each installed, at its own server's
+// current cycle. nil means the transaction committed on every server;
+// any error means it committed on none. Each request is valid for the
+// call (protocol.Uplink).
+func SubmitAcross(servers []*Server, reqs []protocol.UpdateRequest, remote []bool) error {
+	for _, s := range servers {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.closed {
+			return ErrClosed
+		}
+	}
+	us := make([]update, len(servers))
+	for i, s := range servers {
+		s.cUplink.Inc()
+		u, err := s.shape(reqs[i])
+		if err != nil {
+			return err
+		}
+		us[i] = u
+	}
+	for i, s := range servers {
+		if err := s.admitLocked(reqs[i].Reads); err != nil {
+			s.cAborts.Inc()
+			s.emitVerdict(0)
+			return err
+		}
+	}
+	for i, s := range servers {
+		s.installLocked(us[i], remote[i])
+		s.emitVerdict(1)
+	}
 	return nil
 }
 
@@ -788,8 +805,8 @@ func (t *Txn) Write(obj int, val []byte) error {
 // Commit validates and installs the transaction. ErrConflict means a
 // read was stale (the first in read order is named) and the transaction
 // aborted; the caller may Begin a new attempt. Versions are finer than
-// the cycle stamps an uplink request carries; pins and installation are
-// the uplink path's.
+// the cycle stamps an uplink request carries; installation is the
+// uplink path's.
 func (t *Txn) Commit() error {
 	if t.done {
 		return ErrTxnFinished
@@ -805,10 +822,6 @@ func (t *Txn) Commit() error {
 			t.s.cAborts.Inc()
 			return fmt.Errorf("%w: object %d changed since it was read", ErrConflict, obj)
 		}
-	}
-	if err := t.s.admitLocked(nil, t.u.writeSet, false); err != nil {
-		t.s.cAborts.Inc()
-		return err
 	}
 	t.s.installLocked(t.u, false)
 	return nil

@@ -481,7 +481,7 @@ func TestProgramLayoutMismatch(t *testing.T) {
 // TestWriteFreeSubmitIsNotACommit: an uplink request with no writes is
 // accepted (its reads were current) but installs nothing, so it must
 // not consume a commit slot, a per-cycle commit count or an audit entry
-// — exactly what DecideUpdate does for a read-only participant.
+// — exactly what SubmitAcross does for a read-only projection.
 func TestWriteFreeSubmitIsNotACommit(t *testing.T) {
 	tr := obs.NewTracer(16)
 	s, err := New(Config{Objects: 3, ObjectBits: 64, Algorithm: protocol.FMatrix, Audit: true, Trace: tr})

@@ -7,7 +7,6 @@ import (
 
 	"broadcastcc/internal/bcast"
 	"broadcastcc/internal/obs"
-	"broadcastcc/internal/protocol"
 	"broadcastcc/internal/server"
 )
 
@@ -82,11 +81,7 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		f.nodes = append(f.nodes, node)
 		f.regs = append(f.regs, sc.Obs)
 	}
-	parts := make([]protocol.Participant, cfg.Shards)
-	for s, n := range f.nodes {
-		parts[s] = n
-	}
-	coord, err := NewCoordinator(m, parts)
+	coord, err := NewCoordinator(m, f.nodes)
 	if err != nil {
 		for _, n := range f.nodes {
 			n.Close()

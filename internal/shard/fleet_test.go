@@ -101,23 +101,26 @@ func TestFleetCrossShardCommit(t *testing.T) {
 	}
 
 	snap := f.ObsSnapshot()
-	if snap.Counters["shard_commits_total"] != 1 {
-		t.Fatalf("shard_commits_total = %d", snap.Counters["shard_commits_total"])
+	if snap.Counters["shard_commits_total"] != 1 || snap.Counters["shard_cross_total"] != 1 {
+		t.Fatalf("shard_commits_total = %d, shard_cross_total = %d; want 1, 1",
+			snap.Counters["shard_commits_total"], snap.Counters["shard_cross_total"])
 	}
-	// Three participants (read shard 0, write shards 1 and 2) prepared.
-	if snap.Counters["server_shard_prepares"] != 3 {
-		t.Fatalf("server_shard_prepares = %d", snap.Counters["server_shard_prepares"])
+	// Three shards ran the commit rule (read shard 0, write shards 1
+	// and 2); only the two with writes installed.
+	if snap.Counters["server_uplink_requests"] != 3 || snap.Counters["server_commits"] != 2 {
+		t.Fatalf("server_uplink_requests = %d, server_commits = %d; want 3, 2",
+			snap.Counters["server_uplink_requests"], snap.Counters["server_commits"])
 	}
-	if snap.Counters["shard1_server_shard_commits"] != 1 {
+	if snap.Counters["shard1_server_commits"] != 1 {
 		t.Fatalf("per-shard prefixed counter missing: %v", snap.Counters)
 	}
-	if _, ok := snap.Histograms["shard_prepare_ns"]; !ok {
-		t.Fatal("shard_prepare_ns histogram not scraped")
+	if _, ok := snap.Histograms["shard_commit_ns"]; !ok {
+		t.Fatal("shard_commit_ns histogram not scraped")
 	}
 }
 
 // TestFleetSingleShardFastPath: a transaction confined to one shard
-// must bypass the two-shot protocol entirely.
+// must take the shard's own SubmitUpdate, not the cross-shard path.
 func TestFleetSingleShardFastPath(t *testing.T) {
 	base := server.Config{Algorithm: protocol.FMatrix, ObjectBits: 64, TimestampBits: 32}
 	f, r, pump := testFleet(t, 32, 4, base)
@@ -138,101 +141,11 @@ func TestFleetSingleShardFastPath(t *testing.T) {
 	if snap.Counters["shard_commits_total"] != 1 {
 		t.Fatalf("coordinator did not count the fast-path commit: %v", snap.Counters)
 	}
-	if snap.Counters["server_shard_prepares"] != 0 {
-		t.Fatalf("fast path ran a prepare: %v", snap.Counters)
+	if snap.Counters["shard_cross_total"] != 0 {
+		t.Fatalf("fast path counted a cross-shard submission: %v", snap.Counters)
 	}
 	if snap.Counters["server_commits"] != 1 {
 		t.Fatalf("server_commits = %d", snap.Counters["server_commits"])
-	}
-}
-
-// lostDecisions forwards every prepare to its shard but delivers no
-// decision: what the shards see of a coordinator that crashed between
-// shots.
-type lostDecisions struct {
-	protocol.Participant
-}
-
-func (lostDecisions) DecideUpdate(uint64, bool) error {
-	return errors.New("coordinator crashed between shots")
-}
-
-// TestCoordinatorCrashBetweenShots: a coordinator crash after shot one
-// leaves prepares pinned until each shard's TTL aborts them; no value
-// ever commits and the database stays writable afterwards.
-func TestCoordinatorCrashBetweenShots(t *testing.T) {
-	base := server.Config{Algorithm: protocol.FMatrix, ObjectBits: 64, TimestampBits: 32}
-	f, _, pump := testFleet(t, 32, 2, base)
-	coord, err := NewCoordinator(f.Mapping(),
-		[]protocol.Participant{lostDecisions{f.Node(0)}, lostDecisions{f.Node(1)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := objOnShard(t, f.Mapping(), 0)
-	b := objOnShard(t, f.Mapping(), 1)
-	pump()
-
-	if err := coord.SubmitUpdate(protocol.UpdateRequest{Writes: []protocol.ObjectWrite{
-		{Obj: a, Value: []byte("lost")},
-		{Obj: b, Value: []byte("lost")},
-	}}); err == nil {
-		t.Fatal("crashed coordinator reported a verdict")
-	}
-	la, lb := f.Mapping().Local(a), f.Mapping().Local(b)
-	if _, pinned := f.Node(0).PinnedBy(la); !pinned {
-		t.Fatal("shard 0 not pinned after crash")
-	}
-	// A local write to the pinned object must refuse until the TTL fires.
-	if err := f.Node(0).SubmitUpdate(protocol.UpdateRequest{
-		Writes: []protocol.ObjectWrite{{Obj: la, Value: []byte("blocked")}},
-	}); !errors.Is(err, server.ErrPinned) {
-		t.Fatalf("pinned write: %v", err)
-	}
-	var cbs []*bcast.CycleBroadcast
-	for i := 0; i <= server.PrepareTTL; i++ {
-		cbs = pump()
-	}
-	if _, pinned := f.Node(0).PinnedBy(la); pinned {
-		t.Fatal("pin survived the prepare TTL")
-	}
-	if v := cbs[1].Values[lb]; v != nil {
-		t.Fatalf("orphaned prepare committed %q", v)
-	}
-	snap := f.ObsSnapshot()
-	if snap.Counters["server_shard_prepare_expired"] != 2 {
-		t.Fatalf("expired = %d", snap.Counters["server_shard_prepare_expired"])
-	}
-	if err := f.Node(0).SubmitUpdate(protocol.UpdateRequest{
-		Writes: []protocol.ObjectWrite{{Obj: la, Value: []byte("after")}},
-	}); err != nil {
-		t.Fatalf("shard wedged after TTL abort: %v", err)
-	}
-}
-
-// TestDuplicateDecisionFrames: replaying a decision is idempotent;
-// contradicting it is an error.
-func TestDuplicateDecisionFrames(t *testing.T) {
-	base := server.Config{Algorithm: protocol.FMatrix, ObjectBits: 64, TimestampBits: 32}
-	f, r, pump := testFleet(t, 32, 2, base)
-	a := objOnShard(t, f.Mapping(), 0)
-	b := objOnShard(t, f.Mapping(), 1)
-	pump()
-
-	txn := r.BeginUpdate()
-	txn.Write(a, []byte("v"))
-	txn.Write(b, []byte("v"))
-	if err := txn.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	// The coordinator used token 1; replay its commit decision.
-	if err := f.Node(0).DecideUpdate(1, true); err != nil {
-		t.Fatalf("duplicate commit decision: %v", err)
-	}
-	if err := f.Node(0).DecideUpdate(1, false); !errors.Is(err, server.ErrAlreadyDecided) {
-		t.Fatalf("contradictory decision: %v", err)
-	}
-	if snap := f.ObsSnapshot(); snap.Counters["server_shard_commits"] != 2 {
-		t.Fatalf("replay double-committed: %v", snap.Counters)
 	}
 }
 

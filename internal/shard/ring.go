@@ -2,11 +2,11 @@
 // broadcast channels (DESIGN.md §12). A seeded hashring places objects
 // on shards with balance and minimal movement; each shard runs the full
 // paper machinery — its own server, broadcast program and control
-// columns over the local object ids — and a coordinator stitches
-// cross-shard update transactions back together with a two-shot uplink
-// commit (prepare under the paper's update-consistency check, then a
-// fleet-wide decision, with timeout-abort on the shard's own cycle
-// clock). Multi-shard read-only transactions validate per shard with
+// columns over the local object ids — and a coordinator commits a
+// cross-shard update transaction in one shot: the paper's
+// update-consistency check over every involved shard's projection, then
+// the installs, all under those shards' locks (server.SubmitAcross).
+// Multi-shard read-only transactions validate per shard with
 // the usual Theorem 1/2 read-conditions plus a cross-shard
 // cycle-alignment check so the union of per-shard snapshots admits one
 // serialization point.

@@ -15,7 +15,7 @@ import (
 // channel) and stitches the results back together. Read-only
 // transactions validate per shard with the ordinary Theorem 1/2 read
 // conditions plus the cross-shard cycle-alignment check; update
-// transactions commit through the coordinator's two-shot protocol.
+// transactions commit through the coordinator.
 //
 // The per-shard clients must be cache-free (CacheCurrency 0): the
 // router stamps each read with the shard's current cycle, which only
@@ -208,11 +208,11 @@ func isInconsistent(err error) bool {
 // validate on their shard's channel exactly like an unsharded update
 // transaction's; writes buffer per shard with read-your-writes; Commit
 // assembles the global update request and submits it through the
-// router's uplink (the coordinator), which runs the two-shot commit
-// when the transaction spans shards. No separate alignment check is
-// needed: each prepare re-validates the shard's reads against commits
-// up to the decision cycle, which is strictly stronger than aligning
-// at the commit point.
+// router's uplink (the coordinator), which commits it on every shard it
+// spans in one critical section. No separate alignment check is
+// needed: each shard re-validates its reads against every commit up to
+// the install, which is strictly stronger than aligning at the commit
+// point.
 type UpdateTxn struct {
 	r    *Router
 	txns []*client.UpdateTxn

@@ -23,11 +23,14 @@ import (
 // heat-adaptive regrouping ships the assignment explicitly. Carrying
 // n·ceil(log2 g) bits of partition in every cycle would wipe out the
 // sparse win, so frames come in two kinds, distinguished by a flag:
-// partition-bearing frames (sent at regroup epochs and periodically for
-// late joiners) embed the full assignment; partition-less frames name
-// only the epoch, and a client must hold the partition from that epoch
-// to decode — one that tuned in late waits for the next
-// partition-bearing frame, exactly like a delta-frame resync.
+// partition-bearing frames (a sender's first frame and its first after
+// each regroup epoch change) embed the full assignment; partition-less
+// frames name only the epoch, and a client must hold the partition from
+// that epoch to decode. Epoch 0's partition needs no frame: a server
+// starts on cmatrix.UniformPartition(n, g), and n and g are in every
+// header, so a late joiner decodes epoch-0 frames at once. One that
+// tunes in after a regroup waits for the next epoch change, exactly
+// like a delta-frame resync.
 //
 // Layout (big-endian header, then bit-packed, MSB first):
 //
@@ -191,8 +194,9 @@ func GroupedCycleBits(g *cmatrix.Grouped, objBytes, tsBits int, includePartition
 
 // DecodeGroupedCycle reconstructs a grouped broadcast cycle. For a
 // partition-less frame the caller supplies the partition it holds and
-// the epoch it came from; a mismatch (or nil) means the client must
-// wait for the next partition-bearing frame, reported as an error. The
+// the epoch it came from; a mismatch (or nil) at an epoch past 0 means
+// the client must wait for the next partition-bearing frame, reported
+// as an error, while epoch 0 decodes on the uniform partition. The
 // returned epoch tells the caller which epoch to associate with the
 // frame's partition. Values alias data, as DecodeCycle's do.
 func DecodeGroupedCycle(data []byte, prevPart *cmatrix.Partition, prevEpoch uint64) (cb *bcast.CycleBroadcast, epoch uint64, err error) {
@@ -236,10 +240,14 @@ func DecodeGroupedCycle(data []byte, prevPart *cmatrix.Partition, prevEpoch uint
 		r.Align()
 		part = cmatrix.NewPartition(groups, of)
 	} else {
-		if prevPart == nil || prevEpoch != epoch || prevPart.N() != objects || prevPart.Groups() != groups {
+		switch {
+		case prevPart != nil && prevEpoch == epoch && prevPart.N() == objects && prevPart.Groups() == groups:
+			part = prevPart
+		case epoch == 0: // the partition every server starts on
+			part = cmatrix.UniformPartition(objects, groups)
+		default:
 			return nil, 0, fmt.Errorf("wire: grouped frame needs the partition from epoch %d", epoch)
 		}
-		part = prevPart
 	}
 
 	cw := countBits(groups)

@@ -188,6 +188,20 @@ func TestGroupedCycleDecodeRejects(t *testing.T) {
 			t.Fatal("partition-less frame decoded against a wrong-shape partition")
 		}
 	})
+	t.Run("epoch 0 needs no partition", func(t *testing.T) {
+		// Every server starts on the uniform partition, so a late joiner
+		// decodes an epoch-0 frame without ever hearing one.
+		bare0, err := EncodeGroupedCycle(cb, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, held := range []*cmatrix.Partition{nil, cmatrix.UniformPartition(8, 2)} {
+			got, epoch, err := DecodeGroupedCycle(bare0, held, 7)
+			if err != nil || epoch != 0 || !got.Grouped.Equal(cb.Grouped) {
+				t.Fatalf("epoch-0 frame with %v held: epoch %d, err %v", held, epoch, err)
+			}
+		}
+	})
 	t.Run("zero groups", func(t *testing.T) {
 		bad := append([]byte(nil), withPart...)
 		binary.BigEndian.PutUint32(bad[30:34], 0)

@@ -35,8 +35,6 @@ type patchRig struct {
 	kept []byte
 	gap  bool // a cycle went by that the sender never encoded
 
-	token   uint64
-	open    []uint64        // prepared, undecided tokens
 	written map[int64][]int // cycle number → the Written it was published with
 	counts  struct{ patched, scratch, commits, refused int }
 }
@@ -155,16 +153,8 @@ func (r *patchRig) op(code byte, next func() int) {
 		r.step(true)
 	case 4:
 		count(r.srv.SubmitUpdate(request()))
-	case 5: // shot one; remote commits fold in through ApplyRemote
-		r.token++
-		if r.srv.PrepareUpdate(r.token, request(), next()%2 == 0) == nil {
-			r.open = append(r.open, r.token)
-		}
-	case 6: // shot two for the oldest open token — by now possibly expired
-		if len(r.open) > 0 {
-			count(r.srv.DecideUpdate(r.open[0], next()%3 != 0))
-			r.open = r.open[1:]
-		}
+	case 5, 6: // a cross-shard projection: remote (5) folds in through ApplyRemote
+		count(server.SubmitAcross([]*server.Server{r.srv}, []protocol.UpdateRequest{request()}, []bool{code%9 == 5}))
 	case 7: // server-local transaction
 		txn := r.srv.Begin()
 		if _, err := txn.Read(obj()); err != nil {

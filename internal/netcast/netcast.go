@@ -36,23 +36,47 @@ const maxFrame = 16 << 20
 func errFrameSize(n int) error { return fmt.Errorf("netcast: frame of %d bytes exceeds limit", n) }
 
 // WriteFrame writes one length-prefixed frame in the broadcast stream's
-// wire format (4-byte big-endian length, then the payload). Exported so
-// frame-level tools — capture tools, socket benchmarks — can speak the
-// stream format without decoding cycles.
+// wire format (4-byte big-endian length, then the payload), through the
+// fan-out's own path: prefix and payload in one WriteTo, a single writev
+// on a socket. Exported so frame-level tools — capture tools, socket
+// benchmarks — can speak the stream format without decoding cycles.
 func WriteFrame(w io.Writer, data []byte) error {
-	return writeFrame(w, nil, data)
+	var one struct { // a frameWriter and its storage, one allocation
+		fw  frameWriter
+		hdr [4]byte
+		iov [2][]byte
+	}
+	one.fw.hdrs, one.fw.iov = one.hdr[:0], one.iov[:0]
+	_, err := one.fw.write(w, [][]byte{data})
+	return err
 }
 
-// writeFrame is WriteFrame building the length prefix in hdr's storage.
-func writeFrame(w io.Writer, hdr, data []byte) error {
-	if len(data) > maxFrame {
-		return errFrameSize(len(data))
+// frameWriter writes a run of frames in the stream format — prefix,
+// frame, prefix, frame… — with one WriteTo, however many frames. The
+// prefixes and the vector live in storage it keeps, so a warm write
+// allocates nothing when the frameWriter is not on the stack.
+type frameWriter struct {
+	hdrs []byte   // the frames' length prefixes, 4 bytes each
+	iov  [][]byte // vec's storage
+	// vec is what WriteTo sends. WriteTo consumes it and rewrites its
+	// elements on a partial write, so it is rebuilt for every write.
+	vec net.Buffers
+}
+
+// write writes frames to w and returns the bytes WriteTo reports.
+func (fw *frameWriter) write(w io.Writer, frames [][]byte) (int64, error) {
+	fw.hdrs, fw.iov = fw.hdrs[:0], fw.iov[:0]
+	for _, data := range frames {
+		if len(data) > maxFrame {
+			return 0, errFrameSize(len(data))
+		}
+		fw.hdrs = binary.BigEndian.AppendUint32(fw.hdrs, uint32(len(data)))
 	}
-	if _, err := w.Write(binary.BigEndian.AppendUint32(hdr[:0], uint32(len(data)))); err != nil {
-		return err
+	for i, data := range frames {
+		fw.iov = append(fw.iov, fw.hdrs[4*i:4*i+4], data)
 	}
-	_, err := w.Write(data)
-	return err
+	fw.vec = fw.iov
+	return fw.vec.WriteTo(w)
 }
 
 // sendFrame writes frame, its first 4 bytes set to the length prefix, in one Write.
@@ -163,10 +187,11 @@ type Options struct {
 	// partitions.
 	SparseGrouped bool
 
-	// WriteTimeout bounds each subscriber socket write; a subscriber
-	// that cannot drain a frame within it is reaped (the broadcast never
-	// waits for a listener). Zero means the defaults: 2s in classic
-	// mode, 10s in program mode (whole major cycles per Step).
+	// WriteTimeout bounds each subscriber's write of a cycle; a
+	// subscriber that cannot drain the cycle's frames within it is
+	// reaped (the broadcast never waits for a listener). Zero means the
+	// defaults: 2s in classic mode, 10s in program mode (whole major
+	// cycles per Step).
 	WriteTimeout time.Duration
 
 	// Obs receives the transmission metrics (netcast_full_bytes,
@@ -202,13 +227,13 @@ type Server struct {
 	// one buffer every classic frame is built in, which regroup epoch the
 	// last sparse-grouped frame named, whether any partition-bearing
 	// frame has gone out yet, then fanOut's subscriber snapshot (rebuilt
-	// when subs is stale) and a frame's length prefix.
+	// when subs is stale) and its writer.
 	prev         *bcast.CycleBroadcast
 	frame        []byte
 	groupedEpoch uint64
 	sentPart     bool
 	targets      []net.Conn
-	lenHdr       [4]byte
+	out          frameWriter
 
 	// Transmission accounting (bytes of cycle payload, framing
 	// excluded) for the delta-bandwidth analysis, plus subscriber
@@ -388,9 +413,9 @@ func (s *Server) encodeCycle(cb *bcast.CycleBroadcast) (data []byte, err error) 
 
 // fanOut writes one cycle's frames to every current subscriber and
 // returns how many took all of them. A slow or dead subscriber must not
-// stall the broadcast: each gets one write deadline for the cycle and is
-// reaped on the first failed write. Every subscriber gets the same
-// frames.
+// stall the broadcast: each gets one write deadline for the cycle and
+// all of its frames in one gathered write, and is reaped if that write
+// fails. Every subscriber gets the same frames.
 func (s *Server) fanOut(cb *bcast.CycleBroadcast, frames [][]byte) int {
 	s.mu.Lock()
 	if s.stale {
@@ -411,36 +436,33 @@ func (s *Server) fanOut(cb *bcast.CycleBroadcast, frames [][]byte) int {
 	delivered := 0
 	for _, conn := range s.targets { // only Step writes the snapshot
 		conn.SetWriteDeadline(time.Now().Add(timeout))
-		ok := true
-		for _, data := range frames {
-			if err := writeFrame(conn, s.lenHdr[:], data); err != nil {
-				s.reapSub(conn, cb.Number)
-				ok = false
-				break
-			}
-			s.cTxBytes.Add(int64(len(data)) + 4)
+		n, err := s.out.write(conn, frames)
+		s.cTxBytes.Add(n)
+		if err != nil {
+			s.reapSub(conn, cb.Number, true)
+			continue
 		}
-		if ok {
-			delivered++
-		}
+		delivered++
 	}
 	return delivered
 }
 
-// reapSub drops a subscriber whose send path overflowed — it could not
-// drain a frame within the write deadline — or that hung up or wrote up
-// its connection (readSubscriber). The reap is observable: a dedicated
-// counter and a trace event, because a silently vanishing subscriber
-// looks identical to a doze window from the outside and the difference
-// matters when debugging retune storms.
-func (s *Server) reapSub(c net.Conn, cycle cmatrix.Cycle) {
+// reapSub drops a subscriber: one whose send path overflowed — it could
+// not drain a cycle within the write deadline, the only departure
+// netcast_overflow_reaps counts — or one that hung up or wrote up its
+// connection (readSubscriber). Every reap is a trace event, because a
+// silently vanishing subscriber looks identical to a doze window from
+// the outside and the difference matters when debugging retune storms.
+func (s *Server) reapSub(c net.Conn, cycle cmatrix.Cycle, overflow bool) {
 	s.mu.Lock()
 	_, reaped := s.subs[c]
 	if reaped {
 		delete(s.subs, c)
 		s.stale = true
 		c.Close()
-		s.cReaps.Inc()
+		if overflow {
+			s.cReaps.Inc()
+		}
 		s.reg.Update(func() {
 			s.cSubsDropped.Inc()
 			s.gSubs.Set(int64(len(s.subs)))
@@ -541,7 +563,7 @@ func (s *Server) readSubscriber(conn net.Conn) {
 	defer s.wg.Done()
 	var b [1]byte
 	conn.Read(b[:])
-	s.reapSub(conn, 0)
+	s.reapSub(conn, 0, false)
 }
 
 // receiver is the transport-independent back half of a tuner: frames

@@ -436,7 +436,8 @@ func TestSparseGroupedLateTunerAtEpochZero(t *testing.T) {
 // TestHungUpTunerDroppedAtOnce: a tuner that closes its connection
 // leaves the audience when the server reads the hang-up, not at the next
 // Step's failed write: with no Step at all, Subscribers and the
-// netcast_subscribers gauge reach 0.
+// netcast_subscribers gauge reach 0. A hang-up is no overflow:
+// netcast_overflow_reaps stays 0.
 func TestHungUpTunerDroppedAtOnce(t *testing.T) {
 	bsrv, err := server.New(server.Config{Objects: 4, ObjectBits: 64, Algorithm: protocol.FMatrix})
 	if err != nil {
@@ -462,6 +463,9 @@ func TestHungUpTunerDroppedAtOnce(t *testing.T) {
 	snap := ns.Obs().Snapshot()
 	if g, d := snap.Gauges["netcast_subscribers"], snap.Counters["netcast_subs_dropped"]; g != 0 || d != 1 {
 		t.Fatalf("netcast_subscribers = %d, netcast_subs_dropped = %d; want 0, 1", g, d)
+	}
+	if r := snap.Counters["netcast_overflow_reaps"]; r != 0 {
+		t.Fatalf("netcast_overflow_reaps = %d after a hang-up, want 0", r)
 	}
 }
 

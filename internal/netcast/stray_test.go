@@ -146,8 +146,9 @@ func retiredSubsetFrames(t *testing.T) (filter, cycle []byte) {
 
 // TestRetiredSubsetFilterIsReaped: every tuner hears the same frames,
 // so a broadcast connection carries nothing upward. A tuner that writes
-// a BCQ2 filter is reaped (one reap counted, one EvSubReap traced), a
-// plain tuner on the same server keeps hearing every cycle, and the
+// a BCQ2 filter is reaped (one EvSubReap traced, one subscriber
+// dropped, no overflow reap counted: it did not fall behind), a plain
+// tuner on the same server keeps hearing every cycle, and the
 // frame decoder refuses both subset magics as unknown.
 func TestRetiredSubsetFilterIsReaped(t *testing.T) {
 	bsrv, err := server.New(server.Config{Objects: 4, ObjectBits: 64, Algorithm: protocol.FMatrix, Trace: obs.NewTracer(64)})
@@ -201,8 +202,11 @@ func TestRetiredSubsetFilterIsReaped(t *testing.T) {
 	if n := ns.Subscribers(); n != 1 {
 		t.Fatalf("%d subscribers after the reap, want 1", n)
 	}
-	if n := ns.Obs().Counter("netcast_overflow_reaps").Load(); n != 1 {
-		t.Fatalf("netcast_overflow_reaps = %d, want 1", n)
+	if n := ns.Obs().Counter("netcast_overflow_reaps").Load(); n != 0 {
+		t.Fatalf("netcast_overflow_reaps = %d, want 0: a stray byte is no overflow", n)
+	}
+	if n := ns.Obs().Counter("netcast_subs_dropped").Load(); n != 1 {
+		t.Fatalf("netcast_subs_dropped = %d, want 1", n)
 	}
 
 	for i := 0; i < 5; i++ {

@@ -306,7 +306,8 @@ func NewShardMapping(r *ShardRing, n int) *ShardMapping { return shard.NewMappin
 
 // Fleet is k per-shard broadcast servers behind one mapping plus the
 // coordinator that commits cross-shard update transactions.
-// StartCycle drives the shards in lockstep.
+// StartCycle is its one cycle edge: every shard advances under all of
+// the shard locks.
 type Fleet = shard.Fleet
 
 // FleetConfig describes an in-process sharded deployment.

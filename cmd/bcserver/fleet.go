@@ -35,8 +35,8 @@ type fleetOptions struct {
 // runFleet serves a k-shard deployment: one netcast server per shard
 // (its broadcast channel plus its uplink for BCU1 in shard-local ids),
 // a coordinator endpoint for global-id update commits, which calls the
-// shards in process, and a lockstep ticker that steps every shard each
-// interval so the fleet shares one logical cycle clock.
+// shards in process, and a ticker that runs the fleet's one cycle edge
+// each interval and then delivers every shard's cycle on its channel.
 func runFleet(o fleetOptions) {
 	fleet, err := broadcastcc.NewFleet(broadcastcc.FleetConfig{
 		Base:   o.base,
@@ -103,11 +103,8 @@ func runFleet(o fleetOptions) {
 			case <-stop:
 				return
 			case <-t.C:
-				// Shard order every tick: the fleet's channels advance in
-				// lockstep, which the router's cross-shard alignment check
-				// relies on.
-				for _, ns := range servers {
-					if _, err := ns.Step(); err != nil {
+				for s, cb := range fleet.StartCycle() {
+					if _, err := servers[s].Deliver(cb); err != nil {
 						return
 					}
 				}

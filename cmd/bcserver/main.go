@@ -33,7 +33,8 @@
 // With -shards k the database is hashring-partitioned across k
 // broadcast channels (DESIGN.md §12): shard s streams its slice on
 // broadcast-port+2s with its own uplink (BCU1 in shard-local ids) on
-// uplink-port+2s, all shards step in lockstep on one ticker, and a
+// uplink-port+2s, one ticker runs the fleet's cycle edge (every shard
+// advances under all of the shard locks) and delivers each cycle, and a
 // coordinator uplink accepts update transactions in global object ids,
 // committing one that spans shards in one critical section over them:
 //

@@ -361,11 +361,11 @@ func TestDiffAndDeltaInPackage(t *testing.T) {
 func TestCodecLessHelper(t *testing.T) {
 	c := Codec{Bits: 8}
 	// a=10, b=12, cur=20: 10 < 12.
-	if !c.Less(c.Encode(10), 12, 20) {
-		t.Error("Less(10, 12) should hold")
+	if !(c.Decode(c.Encode(10), 20) < 12) {
+		t.Error("Decode(enc(10)) < 12 should hold")
 	}
-	if c.Less(c.Encode(15), 12, 20) {
-		t.Error("Less(15, 12) should not hold")
+	if c.Decode(c.Encode(15), 20) < 12 {
+		t.Error("Decode(enc(15)) < 12 should not hold")
 	}
 }
 
@@ -399,8 +399,8 @@ func TestCodecLessMatchesUnwrapped(t *testing.T) {
 		if b < 0 {
 			continue
 		}
-		if got, want := c.Less(c.Encode(a), b, cur), a < b; got != want {
-			t.Fatalf("Less(enc(%d), %d, cur=%d) = %v, want %v", a, b, cur, got, want)
+		if got, want := c.Decode(c.Encode(a), cur) < b, a < b; got != want {
+			t.Fatalf("Decode(enc(%d), cur=%d) < %d = %v, want %v", a, cur, b, got, want)
 		}
 	}
 }

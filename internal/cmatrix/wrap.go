@@ -11,9 +11,6 @@ type Codec struct {
 	Bits int // timestamp width in bits, in [1, 32]
 }
 
-// DefaultCodec is the paper's default 8-bit timestamp (Table 1).
-var DefaultCodec = Codec{Bits: 8}
-
 // Mod reports the wrap modulus 2^Bits.
 func (c Codec) Mod() Cycle {
 	if c.Bits < 1 || c.Bits > 32 {
@@ -47,12 +44,4 @@ func (c Codec) Decode(raw uint32, cur Cycle) Cycle {
 		diff += mod
 	}
 	return cur - diff
-}
-
-// Less reports whether the cycle encoded by rawA is strictly earlier
-// than the (unwrapped) cycle b, interpreting rawA relative to the
-// current cycle cur. This is the wrapped form of the read-condition
-// comparison C(i,j) < cycle.
-func (c Codec) Less(rawA uint32, b, cur Cycle) bool {
-	return c.Decode(rawA, cur) < b
 }

@@ -104,11 +104,6 @@ type ShardMetrics struct {
 	RestartRatio float64
 	// RestartVsFloor is RestartRatio over the k = 1 floor's.
 	RestartVsFloor float64
-	// CommitLatencyCycles is the mean uplink commit latency in cycles,
-	// modelling a networked two-shot commit: a single-shard commit is
-	// decided in its arrival cycle and visible the next (1), a
-	// cross-shard one is prepared for a cycle before its decision (2).
-	CommitLatencyCycles float64
 	// CrossShardFrac is the fraction of uplink commits touching more
 	// than one shard.
 	CrossShardFrac float64
@@ -240,7 +235,6 @@ func runShardPass(cfg ShardConfig, stream *plan, seed int64, k int) ShardMetrics
 	cUplinks := reg.Counter("exp_shard_uplink_commits")
 	cCross := reg.Counter("exp_shard_uplink_cross")
 	cRemote := reg.Counter("exp_shard_remote_applies")
-	hLatency := reg.Histogram("exp_shard_commit_cycles", []int64{1, 2})
 
 	controls := make([]*cmatrix.GroupedControl, k)
 	for s := 0; s < k; s++ {
@@ -258,7 +252,6 @@ func runShardPass(cfg ShardConfig, stream *plan, seed int64, k int) ShardMetrics
 		clients[i] = &shardClient{cursor: cursor{txns: stream.txns[i]}, m: m, vs: make([]protocol.ConjunctiveValidator, k)}
 	}
 
-	var latencySum int64
 	measuredCycles := 0
 	for c := 1; c <= cfg.Cycles; c++ {
 		cyc := cmatrix.Cycle(c)
@@ -291,30 +284,23 @@ func runShardPass(cfg ShardConfig, stream *plan, seed int64, k int) ShardMetrics
 			}
 		}
 
-		// Uplink commits take effect for the next cycle. A write shard
+		// Uplink commits take effect for the next cycle on every shard
+		// they write: the fleet has one cycle edge. A write shard
 		// holding the whole read set applies the exact Theorem 2 rule;
 		// any other the conservative diagonal-bounded rule.
-		// Latency models a networked two-shot commit, not the one-shot
-		// in-process fleet: single-shard commits decide in their
-		// arrival cycle (visible next cycle, 1), cross-shard commits
-		// spend one cycle prepared before the decision (2).
 		for _, cm := range stream.commits[c-1] {
 			involved := map[int]bool{}
-			for _, obj := range cm.readSet {
-				involved[m.ShardOf(obj)] = true
-			}
-			for _, obj := range cm.writeSet {
-				involved[m.ShardOf(obj)] = true
-			}
 			perShardWrites := map[int][]int{}
 			perShardReads := map[int][]int{}
 			for _, obj := range cm.writeSet {
 				s := m.ShardOf(obj)
 				perShardWrites[s] = append(perShardWrites[s], m.Local(obj))
+				involved[s] = true
 			}
 			for _, obj := range cm.readSet {
 				s := m.ShardOf(obj)
 				perShardReads[s] = append(perShardReads[s], m.Local(obj))
+				involved[s] = true
 			}
 			for s, writes := range perShardWrites {
 				if len(perShardReads[s]) == len(cm.readSet) {
@@ -326,17 +312,11 @@ func runShardPass(cfg ShardConfig, stream *plan, seed int64, k int) ShardMetrics
 					}
 				}
 			}
-			latency := int64(1)
-			if len(involved) > 1 {
-				latency = 2
-			}
 			if measured {
 				cUplinks.Inc()
 				if len(involved) > 1 {
 					cCross.Inc()
 				}
-				latencySum += latency
-				hLatency.Observe(latency)
 			}
 		}
 	}
@@ -351,7 +331,6 @@ func runShardPass(cfg ShardConfig, stream *plan, seed int64, k int) ShardMetrics
 		mtr.RestartRatio = float64(mtr.Restarts) / float64(mtr.Commits)
 	}
 	if up := cUplinks.Load(); up > 0 {
-		mtr.CommitLatencyCycles = float64(latencySum) / float64(up)
 		mtr.CrossShardFrac = float64(cCross.Load()) / float64(up)
 	}
 	return mtr
@@ -394,9 +373,9 @@ func ShardStudy(opt Options, cfg ShardConfig) ([]*ShardPoint, error) {
 			}
 		}
 		out = append(out, &ShardPoint{Shards: k, Metrics: mtr})
-		opt.Progress("shard: k=%d ctrl/channel=%.3g bits (%.3g of floor) restart=%.4f (%.2fx floor) latency=%.2f cycles cross=%.0f%%",
+		opt.Progress("shard: k=%d ctrl/channel=%.3g bits (%.3g of floor) restart=%.4f (%.2fx floor) cross=%.0f%%",
 			k, mtr.ControlBitsPerChannel, mtr.ChannelRatio, mtr.RestartRatio, mtr.RestartVsFloor,
-			mtr.CommitLatencyCycles, 100*mtr.CrossShardFrac)
+			100*mtr.CrossShardFrac)
 	}
 	return out, nil
 }
@@ -404,22 +383,22 @@ func ShardStudy(opt Options, cfg ShardConfig) ([]*ShardPoint, error) {
 // ShardTable renders the analysis as an aligned table.
 func ShardTable(points []*ShardPoint) string {
 	var b strings.Builder
-	b.WriteString("Cluster sharding: per-channel control bandwidth vs restart ratio and commit latency\n")
-	fmt.Fprintf(&b, "%-8s%-22s%-11s%-11s%-12s%-15s%s\n",
-		"shards", "ctrl bits/channel", "of floor", "restart", "vs floor", "latency(cyc)", "cross-shard")
+	b.WriteString("Cluster sharding: per-channel control bandwidth vs restart ratio\n")
+	fmt.Fprintf(&b, "%-8s%-22s%-11s%-11s%-12s%s\n",
+		"shards", "ctrl bits/channel", "of floor", "restart", "vs floor", "cross-shard")
 	for _, p := range points {
 		m := p.Metrics
-		fmt.Fprintf(&b, "%-8d%-22.4g%-11s%-11.4f%-12s%-15.2f%.0f%%\n",
+		fmt.Fprintf(&b, "%-8d%-22.4g%-11s%-11.4f%-12s%.0f%%\n",
 			p.Shards, m.ControlBitsPerChannel, fmt.Sprintf("%.3g", m.ChannelRatio),
 			m.RestartRatio, fmt.Sprintf("%.2fx", m.RestartVsFloor),
-			m.CommitLatencyCycles, 100*m.CrossShardFrac)
+			100*m.CrossShardFrac)
 	}
 	return b.String()
 }
 
 // ShardBench converts the analysis to the shared BENCH_<id>.json
 // schema: x is the shard count k, restart_ratio carries over, and the
-// per-channel bandwidth, latency and cross-shard accounting ride in the
+// per-channel bandwidth and cross-shard accounting ride in the
 // figure-specific values.
 func ShardBench(points []*ShardPoint) BenchExperiment {
 	head := BenchExperiment{
@@ -440,7 +419,6 @@ func ShardBench(points []*ShardPoint) BenchExperiment {
 					"ctrl_bits_per_channel": m.ControlBitsPerChannel,
 					"channel_ratio":         m.ChannelRatio,
 					"restart_vs_floor":      m.RestartVsFloor,
-					"commit_latency_cycles": m.CommitLatencyCycles,
 					"cross_shard_frac":      m.CrossShardFrac,
 				},
 				Obs: &m.Obs,

@@ -38,16 +38,13 @@ func TestShardStudyCriterion(t *testing.T) {
 			t.Fatalf("k=%d: degenerate pass: %+v", p.Shards, m)
 		}
 		if p.Shards == 1 {
-			if m.ChannelRatio != 1 || m.RestartVsFloor != 1 || m.CrossShardFrac != 0 || m.CommitLatencyCycles != 1 {
+			if m.ChannelRatio != 1 || m.RestartVsFloor != 1 || m.CrossShardFrac != 0 {
 				t.Fatalf("k=1 floor is not the floor: %+v", m)
 			}
 			continue
 		}
 		if m.CrossShardFrac <= 0 {
 			t.Fatalf("k=%d: no cross-shard commits; the cross-shard path is unexercised", p.Shards)
-		}
-		if m.CommitLatencyCycles <= 1 || m.CommitLatencyCycles > 2 {
-			t.Fatalf("k=%d: commit latency %v outside (1, 2]", p.Shards, m.CommitLatencyCycles)
 		}
 		if m.Obs.Counters["exp_shard_remote_applies"] == 0 {
 			t.Fatalf("k=%d: no remote applies despite cross-shard commits", p.Shards)
@@ -112,7 +109,7 @@ func TestShardBench(t *testing.T) {
 		if m.RestartRatio == nil {
 			t.Fatalf("x=%g: nil restart ratio", p.X)
 		}
-		for _, key := range []string{"ctrl_bits_per_channel", "channel_ratio", "restart_vs_floor", "commit_latency_cycles", "cross_shard_frac"} {
+		for _, key := range []string{"ctrl_bits_per_channel", "channel_ratio", "restart_vs_floor", "cross_shard_frac"} {
 			if _, ok := m.Values[key]; !ok {
 				t.Fatalf("x=%g: missing value %q", p.X, key)
 			}

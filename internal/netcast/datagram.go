@@ -91,12 +91,12 @@ func (d *FrameDecoder) Decode(frame []byte) (*bcast.CycleBroadcast, error) {
 	}
 }
 
-// AttachDatagram makes every subsequent Step also broadcast the cycle's
+// AttachDatagram makes every subsequent Deliver also broadcast the cycle's
 // frames over the datagram sender — one transmission per channel,
 // regardless of how many tuners listen. The TCP subscribers keep
 // receiving the identical frames; the two paths share the encoders, so
 // they can only diverge if the carrier does. Attach before the first
-// Step; the sender must not be shared with another server.
+// Deliver; the sender must not be shared with another server.
 func (s *Server) AttachDatagram(sender *dgram.Sender) {
 	s.dsender = sender
 }

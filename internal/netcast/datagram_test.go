@@ -1,6 +1,7 @@
 package netcast
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -271,31 +272,44 @@ func TestOverflowReapThenRetune(t *testing.T) {
 			defer tuner.Close()
 			sub := tuner.Subscribe(8)
 			awaitSubscribers(t, ns, 1)
+			// A failure below says what the server and the fresh tuner saw.
+			var heard cmatrix.Cycle
+			state := func() string {
+				var reaps []string
+				for _, ev := range bsrv.Tracer().Events() {
+					if ev.Kind == obs.EvSubReap {
+						reaps = append(reaps, fmt.Sprintf("cycle %d (%d left)", ev.Cycle, ev.Arg))
+					}
+				}
+				return fmt.Sprintf("fresh tuner last heard cycle %d; netcast_overflow_reaps %d, netcast_subs_dropped %d, %d subscribers; EvSubReap at %v",
+					heard, reg.Counter("netcast_overflow_reaps").Load(), reg.Counter("netcast_subs_dropped").Load(), ns.Subscribers(), reaps)
+			}
 			await := func(after cmatrix.Cycle) cmatrix.Cycle {
 				t.Helper()
 				timeout := time.After(5 * time.Second)
 				for {
 					select {
 					case cb := <-sub.C:
+						heard = cb.Number
 						if len(cb.Values) != n || cb.Matrix == nil && cb.View == nil {
-							t.Fatalf("cycle %d arrived incomplete: %d values, matrix %v, view %v", cb.Number, len(cb.Values), cb.Matrix != nil, cb.View != nil)
+							t.Fatalf("cycle %d arrived incomplete: %d values, matrix %v, view %v; %s", cb.Number, len(cb.Values), cb.Matrix != nil, cb.View != nil, state())
 						}
 						if cb.Number > after {
 							return cb.Number
 						}
 					case <-timeout:
-						t.Fatalf("retuned subscriber received no cycle past %d after the reap", after)
+						t.Fatalf("retuned subscriber received no cycle past %d after the reap; %s", after, state())
 					}
 				}
 			}
 			for i := 0; i < tc.resync; i++ {
 				if _, err := ns.Step(); err != nil {
-					t.Fatal(err)
+					t.Fatalf("%v; %s", err, state())
 				}
 			}
 			first := await(0)
 			if _, err := ns.Step(); err != nil {
-				t.Fatal(err)
+				t.Fatalf("%v; %s", err, state())
 			}
 			await(first)
 		})

@@ -212,7 +212,7 @@ type Server struct {
 	uplink      *UplinkServer
 
 	// The program-mode transmitter (nil = classic one-frame-per-cycle
-	// mode), touched only from Step, which is not concurrent.
+	// mode), touched only from Deliver, which is not concurrent.
 	program *ProgramEncoder
 
 	mu sync.Mutex
@@ -223,7 +223,7 @@ type Server struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	// Transmission state (Step only, not concurrent): the delta base, the
+	// Transmission state (Deliver only, not concurrent): the delta base, the
 	// one buffer every classic frame is built in, which regroup epoch the
 	// last sparse-grouped frame named, whether any partition-bearing
 	// frame has gone out yet, then fanOut's subscriber snapshot (rebuilt
@@ -252,15 +252,15 @@ type Server struct {
 	reg           *obs.Registry
 
 	// Optional datagram broadcast (AttachDatagram): every cycle's frames
-	// also go out once over the connectionless datapath. Step-only.
+	// also go out once over the connectionless datapath. Deliver-only.
 	dsender *dgram.Sender
 }
 
 // Serve starts listening on the two addresses (e.g. "127.0.0.1:0") and
 // begins accepting subscribers and uplink connections. Broadcast cycles
-// are produced by calls to Step (or by RunTicker). The F-Matrix-No
-// layout broadcasts no control information and therefore cannot be
-// served over a real wire.
+// are produced by calls to Step or RunTicker, or to Deliver after a
+// fleet's cycle edge. The F-Matrix-No layout broadcasts no control
+// information and therefore cannot be served over a real wire.
 func Serve(bsrv *server.Server, broadcastAddr, uplinkAddr string) (*Server, error) {
 	return ServeOptions(bsrv, broadcastAddr, uplinkAddr, Options{})
 }
@@ -336,15 +336,23 @@ func (s *Server) BroadcastAddr() string { return s.broadcastLn.Addr().String() }
 // UplinkAddr reports the uplink listener's address.
 func (s *Server) UplinkAddr() string { return s.uplink.Addr() }
 
-// Step produces and transmits one broadcast cycle. It returns the
-// number of subscribers that received it. Classic mode sends the cycle
-// as one frame (full, delta or sparse-grouped); program mode sends the
-// timeline's individual index and bucket frames, where every occurrence
-// of an object within the cycle carries the cycle-start control column,
-// so validation is identical wherever a client tunes in. A classic frame
-// is valid until the next Step builds its own in the same storage.
+// Step produces and transmits one broadcast cycle (StartCycle, then
+// Deliver) and returns the number of subscribers that received it.
 func (s *Server) Step() (int, error) {
-	cb := s.bsrv.StartCycle()
+	return s.Deliver(s.bsrv.StartCycle())
+}
+
+// Deliver is Step's transmitting half: it encodes cycle cb (nil, a
+// closed server's, is server.ErrClosed), sends it on the datagram path
+// if one is attached and fans it out, returning how many subscribers
+// received it. Classic mode sends the cycle as one frame (full, delta
+// or sparse-grouped); program mode sends the timeline's individual
+// index and bucket frames, where every occurrence of an object within
+// the cycle carries the cycle-start control column, so validation is
+// identical wherever a client tunes in. A classic frame is valid until
+// the next Deliver builds its own in the same storage. Each cycle is
+// delivered in order, before the server's next StartCycle.
+func (s *Server) Deliver(cb *bcast.CycleBroadcast) (int, error) {
 	if cb == nil {
 		return 0, server.ErrClosed
 	}
@@ -434,7 +442,7 @@ func (s *Server) fanOut(cb *bcast.CycleBroadcast, frames [][]byte) int {
 		}
 	}
 	delivered := 0
-	for _, conn := range s.targets { // only Step writes the snapshot
+	for _, conn := range s.targets { // only Deliver writes the snapshot
 		conn.SetWriteDeadline(time.Now().Add(timeout))
 		n, err := s.out.write(conn, frames)
 		s.cTxBytes.Add(n)

@@ -400,13 +400,55 @@ func (s *Server) Close() {
 // StartCycle begins the next broadcast cycle: it snapshots the committed
 // database and control information as of this instant — transactions
 // committed during earlier cycles — publishes the cycle on the medium,
-// and returns it. Returns nil on a closed server.
+// and returns it (nil on a closed server): StartCycleAcross over s.
 func (s *Server) StartCycle() *bcast.CycleBroadcast {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
+	var cb [1]*bcast.CycleBroadcast
+	StartCycleAcross([]*Server{s}, cb[:])
+	return cb[0]
+}
+
+// StartCycleAcross is the one cycle edge of a server or a fleet: under
+// every server's mu, taken in SubmitAcross's order so the two cannot
+// deadlock, it advances and snapshots each server into cbs[i]; then it
+// runs each sampled verification and publishes. A cross-shard commit
+// falls wholly before or after it. If any server is closed, none
+// advances and every cbs[i] is nil.
+func StartCycleAcross(servers []*Server, cbs []*bcast.CycleBroadcast) {
+	closed := false
+	for _, s := range servers {
+		s.mu.Lock()
+		closed = closed || s.closed
 	}
+	if !closed {
+		for i, s := range servers {
+			cbs[i] = s.advanceLocked()
+		}
+	}
+	for _, s := range servers {
+		s.mu.Unlock()
+	}
+	if closed {
+		clear(cbs)
+		return
+	}
+	for i, s := range servers {
+		if s.cfg.VerifySample > 0 && s.cfg.Audit && int64(cbs[i].Number)%int64(s.cfg.VerifySample) == 0 {
+			// Sampled integrity check: wall-clock cost lands in the
+			// registry (server_verify_ns) but never in the trace.
+			t0 := time.Now()
+			err := s.VerifyControl()
+			s.hVerifyNs.Observe(time.Since(t0).Nanoseconds())
+			if err != nil {
+				s.cVerifyFail.Inc()
+			}
+		}
+		s.medium.Publish(cbs[i])
+	}
+}
+
+// advanceLocked moves to the next cycle and snapshots the committed
+// values and control state into its broadcast. Callers hold mu.
+func (s *Server) advanceLocked() *bcast.CycleBroadcast {
 	s.cycle++
 	s.cCycles.Inc()
 	s.hCommitsCycle.Observe(s.cycleCommits)
@@ -451,19 +493,6 @@ func (s *Server) StartCycle() *bcast.CycleBroadcast {
 	if s.trace != nil { // the hash walks all of the control state: only for a tracer
 		s.trace.Emit(obs.EvSnapshotPublish, obs.ActorServer, int64(s.cycle), 0, controlFingerprint(cb))
 	}
-	verify := s.cfg.VerifySample > 0 && s.cfg.Audit && int64(s.cycle)%int64(s.cfg.VerifySample) == 0
-	s.mu.Unlock()
-	if verify {
-		// Sampled integrity check: wall-clock cost lands in the
-		// registry (server_verify_ns) but never in the trace.
-		t0 := time.Now()
-		err := s.VerifyControl()
-		s.hVerifyNs.Observe(time.Since(t0).Nanoseconds())
-		if err != nil {
-			s.cVerifyFail.Inc()
-		}
-	}
-	s.medium.Publish(cb)
 	return cb
 }
 
@@ -702,10 +731,11 @@ func (s *Server) SubmitUpdate(req protocol.UpdateRequest) error {
 // for the whole call, taken in the order given: callers pass distinct
 // servers in one global order (the fleet's ascending shard ids), so two
 // calls cannot deadlock. Every projection is shaped, then admitted, and
-// only when all of them pass is each installed, at its own server's
-// current cycle. nil means the transaction committed on every server;
-// any error means it committed on none. Each request is valid for the
-// call (protocol.Uplink).
+// only when all of them pass is each installed, at the servers' one
+// current cycle (they advance together, StartCycleAcross). nil means
+// the transaction committed on every server; any error means it
+// committed on none. Each request is valid for the call
+// (protocol.Uplink).
 func SubmitAcross(servers []*Server, reqs []protocol.UpdateRequest, remote []bool) error {
 	for _, s := range servers {
 		s.mu.Lock()

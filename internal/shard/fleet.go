@@ -31,8 +31,7 @@ type FleetConfig struct {
 // Fleet is k per-shard servers behind one Mapping plus the coordinator
 // that stitches cross-shard update transactions back together. Each
 // shard broadcasts its own program and control columns on its own
-// channel; StartCycle drives all shards in lockstep so the fleet shares
-// one logical cycle clock.
+// channel, on one cycle clock: StartCycle is the fleet's one edge.
 type Fleet struct {
 	m     *Mapping
 	nodes []*server.Server
@@ -109,15 +108,12 @@ func (f *Fleet) Subscribe(s, buffer int) *bcast.Subscription {
 	return f.nodes[s].Subscribe(buffer)
 }
 
-// StartCycle advances every shard one broadcast cycle in shard order
-// and returns the per-shard cycle broadcasts. Lockstep keeps the
-// fleet's cycle clocks aligned, which the Router's cross-shard
-// alignment check depends on.
+// StartCycle is the fleet's cycle edge, server.StartCycleAcross over
+// the shards in shard order, so every projection of a cross-shard
+// commit carries one commit cycle. It returns the per-shard cycles.
 func (f *Fleet) StartCycle() []*bcast.CycleBroadcast {
 	out := make([]*bcast.CycleBroadcast, len(f.nodes))
-	for s, n := range f.nodes {
-		out[s] = n.StartCycle()
-	}
+	server.StartCycleAcross(f.nodes, out)
 	return out
 }
 

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -236,5 +237,85 @@ func TestAddrPlan(t *testing.T) {
 	}
 	if _, err := Addr("no-port", 0); err == nil {
 		t.Fatal("an address without a port must be refused")
+	}
+}
+
+// TestFleetEdgeSeparatesCrossShardCommits is the fleet's cycle edge
+// against a committer of cross-shard pairs: every commit writes one
+// value to a (shard 0) and b (shard 1), while the test runs 20,000
+// fleet edges. An edge advances every shard under all of the shard
+// locks, so each cycle it publishes carries a and b from one commit.
+// An edge that advanced the shards one lock at a time let a commit land
+// between them, and some cycles carried a from one commit and b from
+// the next.
+func TestFleetEdgeSeparatesCrossShardCommits(t *testing.T) {
+	const edges = 20_000
+	base := server.Config{Objects: 32, Algorithm: protocol.FMatrix, ObjectBits: 64, TimestampBits: 32}
+	f, err := NewFleet(FleetConfig{Base: base, Seed: 11, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	m := f.Mapping()
+	a, b := objOnShard(t, m, 0), objOnShard(t, m, 1)
+
+	stop := make(chan struct{})
+	done := make(chan int)
+	go func() {
+		commits := 0
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				done <- commits
+				return
+			default:
+			}
+			v := []byte(fmt.Sprint(i))
+			req := protocol.UpdateRequest{Writes: []protocol.ObjectWrite{{Obj: a, Value: v}, {Obj: b, Value: v}}}
+			if err := f.Coordinator().SubmitUpdate(req); err != nil {
+				t.Error(err)
+			} else {
+				commits++
+			}
+		}
+	}()
+	torn, first := 0, ""
+	for range edges {
+		cbs := f.StartCycle()
+		va, vb := cbs[0].Values[m.Local(a)], cbs[1].Values[m.Local(b)]
+		if !bytes.Equal(va, vb) {
+			if torn++; torn == 1 {
+				first = fmt.Sprintf("cycle %d carries a = %q, b = %q", cbs[0].Number, va, vb)
+			}
+		}
+	}
+	close(stop)
+	if commits := <-done; commits == 0 {
+		t.Fatal("the committer never committed: the edge met no cross-shard commit")
+	}
+	if torn > 0 {
+		t.Fatalf("%d of %d fleet cycles carry a and b from different commits; first: %s", torn, edges, first)
+	}
+}
+
+// TestFleetEdgeHoldsWhileAnyShardIsClosed: the fleet's clock is one
+// clock, so once any shard is closed the edge advances none of them and
+// returns no cycle (which ends bcserver's tick through Deliver).
+func TestFleetEdgeHoldsWhileAnyShardIsClosed(t *testing.T) {
+	base := server.Config{Objects: 32, Algorithm: protocol.FMatrix, ObjectBits: 64, TimestampBits: 32}
+	f, err := NewFleet(FleetConfig{Base: base, Seed: 11, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	f.StartCycle()
+	f.Node(1).Close()
+	for s, cb := range f.StartCycle() {
+		if cb != nil {
+			t.Fatalf("shard %d published cycle %d with shard 1 closed", s, cb.Number)
+		}
+	}
+	if c := f.Node(0).CurrentCycle(); c != 1 {
+		t.Fatalf("shard 0 is at cycle %d with shard 1 closed, want 1", c)
 	}
 }

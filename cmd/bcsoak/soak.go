@@ -398,6 +398,10 @@ func runSoak(cfg soakConfig, logf func(string, ...any)) error {
 			}
 		}
 		if err := checkInvariants(merged, cfg, model, maxLive, txns.Load()); err != nil {
+			var v *bctest.InvariantViolation
+			if errors.As(err, &v) && v.Name == "dgram-loss-bound" {
+				err = fmt.Errorf("%w (%s)", err, udpDrops(src.LocalAddr(), car.LocalAddr()))
+			}
 			return fmt.Errorf("soak: scrape %d (t=%v): %w", scrapes, time.Since(start).Round(time.Millisecond), err)
 		}
 		if scrapes == 1 {

@@ -3,6 +3,8 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -132,5 +134,33 @@ func TestSoakConfigValidation(t *testing.T) {
 	}
 	if err := defaultSoakConfig().validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
+	}
+}
+
+// TestSocketDrops: the loss diagnostic reads the drops column of the
+// sockets it was asked about out of a /proc/net/udp-format table, IPv4
+// and IPv6 alike, and nothing else.
+func TestSocketDrops(t *testing.T) {
+	const table = `  sl  local_address rem_address   st tx_queue rx_queue tr tm->when retrnsmt   uid  timeout inode ref pointer drops
+  12: 0100007F:A1B2 00000000:0000 07 00000000:00034000 00:00000000 00000000     0        0 4242 2 0000000000000000 17
+  13: 0100007F:0035 00000000:0000 07 00000000:00000000 00:00000000 00000000     0        0 4243 2 0000000000000000 5
+   3: 00000000000000000000000001000000:C001 00000000000000000000000000000000:0000 07 00000000:00000000 00:00000000 00000000     0        0 99 2 0000000000000000 0
+`
+	got := socketDrops(strings.NewReader(table), map[int]bool{0xA1B2: true, 0xC001: true})
+	want := []string{"port 41394 drops 17", "port 49153 drops 0"}
+	if strings.Join(got, "; ") != strings.Join(want, "; ") {
+		t.Fatalf("socketDrops = %q, want %q", got, want)
+	}
+	if _, err := os.Stat("/proc/net/udp"); err != nil {
+		return // not Linux: nothing to read the table from
+	}
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	port := conn.LocalAddr().(*net.UDPAddr).Port
+	if s := udpDrops(conn.LocalAddr()); !strings.Contains(s, fmt.Sprintf("port %d drops 0", port)) {
+		t.Fatalf("udpDrops of a fresh socket on port %d = %q", port, s)
 	}
 }

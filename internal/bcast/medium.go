@@ -15,12 +15,20 @@ import (
 // except for ControlNone layouts where Matrix carries the (free)
 // F-Matrix-No control information. View is matrix or grouped control
 // read in place from a received frame (wire.ViewCycle).
+//
+// Off a tuner, Values and View are valid while a holder keeps the cycle:
+// each holder has a count on Frame (Retain), and once the last lets go
+// (Release) the frame is read over by a later cycle. Whoever is handed a
+// cycle through a Subscription holds the count that delivery took; the
+// client's current cycle, the cycle AwaitCycle returns, is valid until
+// the client makes another current or retunes.
 type CycleBroadcast struct {
 	Number cmatrix.Cycle
 	Layout Layout
 	// Values are shared, never copied per listener: in process they are
 	// the server's committed slices, off a tuner windows onto the
-	// received frame. Read them; copy what must outlive the cycle.
+	// received frame. Read them; copy what must outlive your hold on the
+	// cycle.
 	Values [][]byte
 
 	Matrix  *cmatrix.Matrix
@@ -36,6 +44,25 @@ type CycleBroadcast struct {
 	// A superset is legal; a missing object leaves the previous cycle's
 	// record on the air, stale. Readers never write it.
 	Written []int
+
+	// Frame counts the holders of the received frame Values and View
+	// alias; nil when nothing is counted (in process, DecodeCycle).
+	Frame *Frame
+}
+
+// Retain adds a holder of the cycle's frame.
+func (cb *CycleBroadcast) Retain() {
+	if cb != nil {
+		cb.Frame.Retain()
+	}
+}
+
+// Release drops a holder of the cycle's frame; the last returns it to
+// the tuner's slot.
+func (cb *CycleBroadcast) Release() {
+	if cb != nil {
+		cb.Frame.Release()
+	}
 }
 
 // MatrixView is control read in place: Bound(i, j) is C(i, j) or, under
@@ -80,7 +107,9 @@ func (cb *CycleBroadcast) Column(j int) protocol.ColumnSnapshot {
 // a buffered channel; a subscriber that falls more than its buffer
 // behind misses cycles (as a real client that tunes out would), rather
 // than stalling the broadcaster — broadcast media do not apply
-// backpressure.
+// backpressure. The medium holds a count on its last cycle and on each
+// delivery it queues; the subscriber that receives a delivery owns its
+// count (CycleBroadcast.Release).
 type Medium struct {
 	mu     sync.Mutex
 	subs   map[int]chan *CycleBroadcast
@@ -128,6 +157,7 @@ func (m *Medium) Subscribe(buffer int) *Subscription {
 	}
 	ch := make(chan *CycleBroadcast, buffer)
 	if m.last != nil {
+		m.last.Retain()
 		ch <- m.last
 	}
 	id := m.nextID
@@ -144,11 +174,15 @@ func (m *Medium) Publish(cb *CycleBroadcast) {
 	if m.closed {
 		return
 	}
+	cb.Retain()
+	m.last.Release()
 	m.last = cb
 	for _, ch := range m.subs {
+		cb.Retain()
 		select {
 		case ch <- cb:
 		default: // subscriber missed the cycle
+			cb.Release()
 		}
 	}
 }
@@ -161,6 +195,8 @@ func (m *Medium) Close() {
 		return
 	}
 	m.closed = true
+	m.last.Release()
+	m.last = nil
 	for id, ch := range m.subs {
 		delete(m.subs, id)
 		close(ch)

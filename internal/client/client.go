@@ -177,12 +177,13 @@ func New(cfg Config, sub *bcast.Subscription) *Client {
 func (c *Client) Obs() *obs.Registry { return c.obs }
 
 // AwaitCycle blocks until the next broadcast cycle arrives and makes it
-// current. Stale redeliveries (a lossy tuner retuning can replay the
-// cycle already current) are skipped. It reports false when the
-// subscription is closed. It is also the whole of recovery from a
-// doze or lost frames: an in-progress transaction continues, each later
-// read judged by the control information of the cycle it is made in,
-// and the gap is counted in Stats().CyclesMissed.
+// current; the cycle it returns is valid while it stays current. Stale
+// redeliveries (a lossy tuner retuning can replay the cycle already
+// current) are skipped. It reports false when the subscription is
+// closed. It is also the whole of recovery from a doze or lost frames:
+// an in-progress transaction continues, each later read judged by the
+// control information of the cycle it is made in, and the gap is
+// counted in Stats().CyclesMissed.
 func (c *Client) AwaitCycle() (*bcast.CycleBroadcast, bool) {
 	for {
 		cb, ok := <-c.sub.C
@@ -217,10 +218,13 @@ func (c *Client) PollCycle() bool {
 // setCurrent installs a received cycle, reporting whether it advanced
 // the client. Duplicates and regressions (retune replays) are ignored;
 // gaps — the client was dozing, frames were lost — are detected and
-// counted.
+// counted. The client holds the count its delivery took on the current
+// cycle's frame, and lets go of it on replacement; an ignored cycle's
+// count is released at once.
 func (c *Client) setCurrent(cb *bcast.CycleBroadcast) bool {
 	if c.cur != nil {
 		if cb.Number <= c.cur.Number {
+			cb.Release()
 			return false
 		}
 		if gap := int64(cb.Number-c.cur.Number) - 1; gap > 0 {
@@ -229,6 +233,7 @@ func (c *Client) setCurrent(cb *bcast.CycleBroadcast) bool {
 			c.trace.Emit(obs.EvRetune, c.cfg.ClientID, int64(cb.Number), 0, gap)
 		}
 	}
+	c.cur.Release()
 	c.cur = cb
 	c.cCyclesSeen.Inc()
 	if c.cache != nil {
@@ -281,6 +286,7 @@ func (c *Client) Retune(sub *bcast.Subscription) {
 		c.cGaps.Inc()
 		c.trace.Emit(obs.EvRetune, c.cfg.ClientID, int64(c.cur.Number), 0, -1)
 	}
+	c.cur.Release()
 	c.cur = nil
 	if c.cache != nil {
 		// The persistent inventory belongs to the old epoch too: clear it
@@ -436,9 +442,13 @@ func (c *Client) fetch(obj int) (value []byte, snap protocol.Snapshot, cycle cma
 	if c.cache != nil {
 		// Retain only this object's control slice so the cache cost per
 		// entry matches Section 3.3: a copy of one matrix column (never a
-		// view, which pins its frame), else the whole (small) control.
+		// view, which pins its frame), else the whole (small) control. A
+		// grouped view is kept whole, with a count the cache never
+		// releases: that frame stays out of the tuner's slot.
 		if l := c.cur.Layout.Control; l == bcast.ControlMatrix || l == bcast.ControlNone {
 			snap = c.cur.Column(obj)
+		} else if p, ok := snap.(protocol.Pinned); ok {
+			p.Retain()
 		}
 		c.cache.Put(obj, append([]byte(nil), value...), cycle, snap)
 	}

@@ -75,3 +75,73 @@ func TestCacheKeepsNoFrame(t *testing.T) {
 	}
 	runtime.KeepAlive(c)
 }
+
+// TestClientLetsGoOfFrames: a client holds the count its delivery took
+// on the current cycle's frame (bcast.Frame) and lets go of it when a
+// later cycle replaces it, at once for a duplicate delivery, and on
+// Retune — seen as the frame coming back out of the tuner's slot. The
+// test keeps every frame reachable, so the weakly held spare survives
+// any collection in between.
+func TestClientLetsGoOfFrames(t *testing.T) {
+	const n = 8
+	var slot bcast.FrameSlot
+	medium := bcast.NewMedium()
+	defer medium.Close()
+	hear := func(number cmatrix.Cycle) *bcast.CycleBroadcast {
+		t.Helper()
+		data, err := wire.EncodeCycle(&bcast.CycleBroadcast{
+			Number: number, Layout: bcast.LayoutFor(protocol.FMatrix, n, 64, 8, 0),
+			Values: make([][]byte, n), Matrix: cmatrix.NewMatrix(n),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := slot.Get(len(data))
+		copy(f.Data, data)
+		cb, err := wire.ViewFrame(f.Data, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		medium.Publish(cb)
+		f.Release() // the reader's count
+		return cb
+	}
+	// spare reports whether f is the slot's spare: the next Get returns
+	// it. It is put back either way.
+	spare := func(f *bcast.Frame) bool {
+		g := slot.Get(len(f.Data))
+		defer g.Release()
+		return g == f
+	}
+	c := New(Config{Algorithm: protocol.FMatrix}, medium.Subscribe(4))
+	cb1 := hear(1)
+	c.AwaitCycle()
+	cb2 := hear(2)
+	if spare(cb1.Frame) {
+		t.Fatal("cycle 1's frame came back while it was the client's current cycle")
+	}
+	c.AwaitCycle()
+	if !spare(cb1.Frame) {
+		t.Fatal("cycle 1's frame did not come back once cycle 2 replaced it")
+	}
+	medium.Publish(cb2) // a duplicate delivery of the current cycle
+	if c.PollCycle() {
+		t.Fatal("a duplicate delivery advanced the client")
+	}
+	cb3 := hear(3)
+	c.AwaitCycle()
+	if !spare(cb2.Frame) {
+		t.Fatal("cycle 2's frame did not come back: the duplicate delivery's count was kept")
+	}
+	c.Retune(medium.Subscribe(4)) // delivers cycle 3 again: a fresh epoch
+	hear(4)
+	if spare(cb3.Frame) {
+		t.Fatal("cycle 3's frame came back while the retuned client's delivery of it was queued")
+	}
+	c.AwaitCycle() // cycle 3, current again in the new epoch
+	c.AwaitCycle() // cycle 4
+	if !spare(cb3.Frame) {
+		t.Fatal("cycle 3's frame did not come back once the client moved past it")
+	}
+	runtime.KeepAlive([]*bcast.CycleBroadcast{cb1, cb2, cb3})
+}

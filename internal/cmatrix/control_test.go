@@ -597,7 +597,7 @@ func TestGroupedIndexedWalks(t *testing.T) {
 					}
 				}
 				for _, c := range m.gc.cm.class {
-					if c == nil || !c.full || len(c.col) != n {
+					if c == nil || c.missing != 0 || len(c.col) != n {
 						return false
 					}
 				}
@@ -667,7 +667,7 @@ func TestGroupedIndexedWalks(t *testing.T) {
 						touched[s] = &before{rows: slices.Clone(gs.mc), shared: gs.shared}
 					}
 					touched[s].m++
-					if old := m.gc.cm.class[j]; old != nil && old.full && len(old.col) < n {
+					if old := m.gc.cm.class[j]; old != nil && old.missing == 0 && len(old.col) < n {
 						met["lower: full class shorter than n"]++
 					}
 				}
@@ -675,11 +675,11 @@ func TestGroupedIndexedWalks(t *testing.T) {
 				m.check(t, "n %d g %d step %d", n, g, step)
 				nc := m.gc.cm.class[cm.WriteSet[0]]
 				for _, b := range touched {
-					indexed := nc.full && storesPrefix(b.rows, len(nc.col))
+					indexed := nc.missing == 0 && storesPrefix(b.rows, len(nc.col))
 					switch {
-					case nc.full && !indexed:
+					case nc.missing == 0 && !indexed:
 						met["raise: full class into an MC column lacking its rows"]++
-					case !nc.full && len(b.rows) == n:
+					case nc.missing != 0 && len(b.rows) == n:
 						met["raise: sparse class into a full MC column"]++
 					case indexed && b.shared:
 						met["raise: indexed on a published MC column"]++
@@ -881,7 +881,9 @@ func TestGroupedSnapshotAllocs(t *testing.T) {
 // TestLookupSparseMatchesLinear compares the bounded binary search with
 // a linear scan on every subset of rows for n ≤ 10, and on the filled,
 // prefix-filled and single-row columns at n = 512 that the one-probe
-// shortcut and the i+1 bound are written for.
+// shortcut and the i+1 bound are written for. A class over each column
+// (colClass.at, searching only the window of rows it may miss) must
+// agree too, also on columns missing 1–11 of 512 rows.
 func TestLookupSparseMatchesLinear(t *testing.T) {
 	linear := func(col []SparseEntry, i int) Cycle {
 		for _, e := range col {
@@ -894,8 +896,13 @@ func TestLookupSparseMatchesLinear(t *testing.T) {
 	check := func(what string, n int, col []SparseEntry) {
 		t.Helper()
 		for i := -1; i <= n; i++ {
-			if got, want := lookupSparse(col, i), linear(col, i); got != want {
+			want := linear(col, i)
+			if got := lookupSparse(col, i); got != want {
 				t.Fatalf("%s: lookupSparse(row %d) = %d, linear scan says %d (column %v)", what, i, got, want, col)
+			}
+			c := &colClass{col: col, missing: missingRows(col)}
+			if got := c.at(i); got != want {
+				t.Fatalf("%s: class missing %d rows, at(row %d) = %d, linear scan says %d (column %v)", what, c.missing, i, got, want, col)
 			}
 		}
 	}
@@ -920,6 +927,17 @@ func TestLookupSparseMatchesLinear(t *testing.T) {
 	}
 	for _, r := range []int{0, 1, 300, 511} {
 		check(fmt.Sprintf("single row %d", r), n, column(func(i int) bool { return i == r }, n))
+	}
+	rng := rand.New(rand.NewSource(47))
+	for m := 1; m <= 11; m++ {
+		for _, spread := range []int{n, 2 * m, m} { // anywhere, clustered, a run
+			lo := rng.Intn(n - spread + 1)
+			gone := map[int]bool{}
+			for len(gone) < m {
+				gone[lo+rng.Intn(spread)] = true
+			}
+			check(fmt.Sprintf("missing %d within [%d, %d)", m, lo, lo+spread), n, column(func(i int) bool { return !gone[i] }, n))
+		}
 	}
 }
 

@@ -24,10 +24,12 @@ import (
 // positive count still has a column at the stored value and none above
 // it, so it is exact as it stands. That is O(nnz) per affected group.
 //
-// A class column that stores rows 0..len−1 is full (install records it),
-// and there row i is entry i: lower indexes a full class's rows straight
-// into mc, whose first entries they are; raise does so when mc stores
-// them too; repair reads a full class at the row. Every other walk finds
+// A class column that stores rows 0..len−1 is full (install records how
+// many rows below its last it misses, and full is none), and there row i
+// is entry i: lower indexes a full class's rows straight into mc, whose
+// first entries they are; raise does so when mc stores them too; repair
+// reads a full class at the row, and any other class in the window of
+// rows it may miss. Every other walk finds
 // its rows through seek — one probe where the column is filled up to the
 // row, a bounded search where it is not — and raise inserts the rows mc
 // lacks by a backward merge: the filling, regrouped and sparse (n ≥ 10⁵)
@@ -297,7 +299,7 @@ func (g *GroupedControl) MC(i, s int) Cycle {
 // and row i is mc[i].
 func (gs *group) lower(c *colClass) {
 	mc, cnt := gs.mc, gs.cnt
-	if c.full {
+	if c.missing == 0 {
 		mc, cnt = mc[:len(c.col)], cnt[:len(c.col)]
 		for i, e := range c.col {
 			if drop(mc[i].Val, &cnt[i], e.Val) {
@@ -337,7 +339,7 @@ func (gs *group) raise(c *colClass, m int32) {
 		gs.mc, gs.shared = slices.Clone(gs.mc), false
 	}
 	mc, cnt, col := gs.mc, gs.cnt, c.col
-	if n := len(col); c.full && n <= len(mc) && mc[n-1].Idx == n-1 {
+	if n := len(col); c.missing == 0 && 0 < n && n <= len(mc) && mc[n-1].Idx == n-1 {
 		mc, cnt = mc[:n], cnt[:n]
 		for i, e := range col {
 			fold(&mc[i], &cnt[i], e.Val, m)

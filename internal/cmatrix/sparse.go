@@ -78,15 +78,49 @@ func mergeMaxInto(dst, a, b []SparseEntry) []SparseEntry {
 type colClass struct {
 	col  []SparseEntry
 	refs int32
-	full bool // col stores rows 0..len(col)−1, so row i is col[i]
+	// missing counts the rows below col's last row that col lacks. At 0
+	// the class is full: col stores rows 0..len(col)−1, so row i is col[i].
+	missing int32
 }
 
-// at returns the class's entry at row i.
+// at returns the class's entry at row i: col[i] in a full class.
 func (c *colClass) at(i int) Cycle {
-	if c.full && uint(i) < uint(len(c.col)) {
+	if c.missing == 0 && uint(i) < uint(len(c.col)) {
 		return c.col[i].Val
 	}
-	return lookupSparse(c.col, i)
+	return c.within(i)
+}
+
+// missingRows counts the rows below a sorted sparse column's last row
+// that it lacks.
+func missingRows(col []SparseEntry) int32 {
+	if n := len(col); n > 0 {
+		return int32(col[n-1].Idx + 1 - n)
+	}
+	return 0
+}
+
+// within finds row i where it can only sit, in [i − missing, i]: one
+// probe at i − missing, where it is when every row the class misses lies
+// below it, then a search of that window alone.
+func (c *colClass) within(i int) Cycle {
+	col := c.col
+	k, hi := max(i-int(c.missing), 0), min(len(col), i+1)
+	if k < hi && col[k].Idx == i {
+		return col[k].Val
+	}
+	for k < hi {
+		mid := int(uint(k+hi) >> 1)
+		if col[mid].Idx < i {
+			k = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if k < len(col) && col[k].Idx == i {
+		return col[k].Val
+	}
+	return 0
 }
 
 // classMatrix is the exact C matrix stored as class-shared sparse
@@ -219,7 +253,7 @@ func (cm *classMatrix) install(wsSorted []int, col []SparseEntry, commitCycle Cy
 		nc.col = make([]SparseEntry, 0, len(col))
 	}
 	nc.col, nc.refs = append(nc.col[:0], col...), int32(len(wsSorted))
-	nc.full = len(col) > 0 && col[len(col)-1].Idx == len(col)-1
+	nc.missing = missingRows(col)
 	for _, j := range wsSorted {
 		if old := cm.class[j]; old != nil {
 			if old.refs--; old.refs == 0 {

@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+	"time"
 
 	"broadcastcc/internal/bctest"
 	"broadcastcc/internal/client"
 	"broadcastcc/internal/cmatrix"
 	"broadcastcc/internal/core"
+	"broadcastcc/internal/netcast"
 	"broadcastcc/internal/protocol"
 	"broadcastcc/internal/server"
 )
@@ -366,8 +368,20 @@ func TestCorpusReplay(t *testing.T) {
 // TestLiveStackAudit runs the real server/client stack — not the
 // replayed validators — with the ObserveRead instrumentation hook, and
 // audits what the client actually did against the exact checkers and
-// the server's incremental control state.
+// the server's incremental control state: once in process and once over
+// a TCP tuner, whose client reads frames the tuner recycles (run it
+// under the framepoison tag to poison every frame let go of).
 func TestLiveStackAudit(t *testing.T) {
+	for _, overTCP := range []bool{false, true} {
+		name := "in-process"
+		if overTCP {
+			name = "tcp"
+		}
+		t.Run(name, func(t *testing.T) { liveStackAudit(t, overTCP) })
+	}
+}
+
+func liveStackAudit(t *testing.T, overTCP bool) {
 	srv, err := server.New(server.Config{
 		Objects:    3,
 		ObjectBits: 64,
@@ -378,6 +392,31 @@ func TestLiveStackAudit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	sub, step := srv.Subscribe(16), func() { srv.StartCycle() }
+	if overTCP {
+		ns, err := netcast.Serve(srv, "127.0.0.1:0", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ns.Close()
+		tn, err := netcast.Tune(ns.BroadcastAddr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tn.Close()
+		for deadline := time.Now().Add(5 * time.Second); ns.Subscribers() < 1; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the tuner never subscribed")
+			}
+		}
+		sub.Cancel()
+		sub = tn.Subscribe(16)
+		step = func() {
+			if _, err := ns.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 
 	type obs struct {
 		obj      int
@@ -392,7 +431,7 @@ func TestLiveStackAudit(t *testing.T) {
 		ObserveRead: func(obj int, cycle cmatrix.Cycle, cacheHit, accepted bool) {
 			observed = append(observed, obs{obj, cycle, cacheHit, accepted})
 		},
-	}, srv.Subscribe(16))
+	}, sub)
 
 	commit := func(obj int) {
 		txn := srv.Begin()
@@ -406,7 +445,7 @@ func TestLiveStackAudit(t *testing.T) {
 
 	commit(0)
 	commit(1)
-	srv.StartCycle()
+	step()
 	if _, ok := cli.AwaitCycle(); !ok {
 		t.Fatal("no cycle received")
 	}
@@ -415,7 +454,7 @@ func TestLiveStackAudit(t *testing.T) {
 		t.Fatal(err)
 	}
 	commit(2)
-	srv.StartCycle()
+	step()
 	cli.AwaitCycle()
 	if _, err := txn.Read(1); err != nil {
 		t.Fatal(err)

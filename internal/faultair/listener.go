@@ -81,6 +81,7 @@ func (l *Listener) loop(sub *bcast.Subscription) {
 			l.out.Publish(cb)
 			l.delivered.Inc()
 		}
+		cb.Release() // the delivery's count; out holds its own
 	}
 }
 

@@ -34,6 +34,7 @@ type FrameDecoder struct {
 	asm       assembler
 	last      *bcast.CycleBroadcast // a delta's base, or nil while it is lastFull
 	lastFull  []byte                // a BCC1 frame, decoded only if a delta follows
+	fullLease *bcast.Frame          // the decoder's count on lastFull
 	lastPart  *cmatrix.Partition
 	lastEpoch uint64
 }
@@ -47,7 +48,20 @@ func NewFrameDecoder() *FrameDecoder {
 // frame finished one. The cycle's Values alias frame (wire.ViewCycle):
 // the caller gives the buffer up, as ReadFrame and dgram.Reassembler do.
 func (d *FrameDecoder) Decode(frame []byte) (*bcast.CycleBroadcast, error) {
-	switch kind := wire.KindOf(frame); kind {
+	return d.decode(frame, nil)
+}
+
+// decode is Decode of a frame whose holders lease counts (nil: none).
+// Only a full frame's cycle carries the count. Whatever the decoder
+// keeps of any other frame — the assembler's buckets, a delta's base and
+// the cycles built on it — takes a count it never releases, so those
+// frames stay out of the tuner's slot.
+func (d *FrameDecoder) decode(frame []byte, lease *bcast.Frame) (*bcast.CycleBroadcast, error) {
+	kind := wire.KindOf(frame)
+	if kind != wire.KindCycle {
+		lease.Retain()
+	}
+	switch kind {
 	case wire.KindIndex, wire.KindBucket:
 		// Program-mode stream: reassemble whole cycles from the index
 		// and bucket frames.
@@ -64,8 +78,9 @@ func (d *FrameDecoder) Decode(frame []byte) (*bcast.CycleBroadcast, error) {
 		return cb, nil
 	case wire.KindDelta:
 		if d.lastFull != nil {
+			// The base aliases lastFull, whose count is kept for good.
 			d.last, _ = wire.DecodeCycle(d.lastFull) // ViewCycle accepted it
-			d.lastFull = nil
+			d.lastFull, d.fullLease = nil, nil
 		}
 		if d.last == nil {
 			return nil, nil // tuned in mid-stream: wait for the next full frame
@@ -80,11 +95,13 @@ func (d *FrameDecoder) Decode(frame []byte) (*bcast.CycleBroadcast, error) {
 		d.last = cb
 		return cb, nil
 	case wire.KindCycle:
-		cb, err := wire.ViewCycle(frame)
+		cb, err := wire.ViewFrame(frame, lease)
 		if err != nil {
 			return nil, err
 		}
-		d.last, d.lastFull = nil, frame
+		lease.Retain()
+		d.fullLease.Release()
+		d.last, d.lastFull, d.fullLease = nil, frame, lease
 		return cb, nil
 	default:
 		return nil, fmt.Errorf("netcast: %v frame on the broadcast stream", kind)
@@ -146,7 +163,7 @@ func (t *DatagramTuner) loop() {
 // is terminally corrupt.
 func (t *DatagramTuner) publish(frames []dgram.Frame) bool {
 	for _, f := range frames {
-		if !t.deliver(f.Data) {
+		if !t.deliver(f.Data, nil) {
 			return false
 		}
 	}

@@ -68,9 +68,10 @@ func TestWriteFrameExportedRoundTrip(t *testing.T) {
 }
 
 // TestTunerReceiveAllocs: a tuner reads each frame's length prefix
-// into storage it owns, so a receive allocates the frame and nothing
-// else; ReadFrame, whose prefix escapes from its own frame, allocates
-// one more.
+// into storage it owns and the frame into the one its slot recycles, so
+// a receive whose last frame was released allocates nothing; ReadFrame,
+// whose prefix escapes from its own frame, allocates the frame and one
+// more.
 func TestTunerReceiveAllocs(t *testing.T) {
 	var stream bytes.Buffer
 	if err := WriteFrame(&stream, []byte("a cycle frame")); err != nil {
@@ -82,7 +83,14 @@ func TestTunerReceiveAllocs(t *testing.T) {
 		allocs float64
 		read   func() ([]byte, error)
 	}{
-		{"tuner", 1, func() ([]byte, error) { return readFrame(r, &tn.hdr) }},
+		{"tuner", 0, func() ([]byte, error) {
+			f, err := readFrame(r, &tn.hdr, &tn.slot)
+			if err != nil {
+				return nil, err
+			}
+			defer f.Release()
+			return f.Data, nil
+		}},
 		{"ReadFrame", 2, func() ([]byte, error) { return ReadFrame(r) }},
 	} {
 		got := testing.AllocsPerRun(100, func() {

@@ -95,26 +95,49 @@ func sendFrame(w io.Writer, frame []byte) error {
 // the caller may hand it on for good (FrameDecoder.Decode keeps it).
 // A stream torn inside a frame ends in io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader) ([]byte, error) {
-	return readFrame(r, new([4]byte))
+	n, err := readLength(r, new([4]byte))
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, n)
+	return buf, readBody(r, buf)
 }
 
-// readFrame is ReadFrame reading the length prefix into hdr.
-func readFrame(r io.Reader, hdr *[4]byte) ([]byte, error) {
+// readLength reads a frame's length prefix into hdr and checks it
+// against the limit.
+func readLength(r io.Reader, hdr *[4]byte) (int, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+		return 0, err
 	}
 	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n > maxFrame {
-		return nil, errFrameSize(n)
+		return 0, errFrameSize(n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	return n, nil
+}
+
+// readBody fills buf with the frame whose length prefix was just read.
+func readBody(r io.Reader, buf []byte) error {
+	_, err := io.ReadFull(r, buf)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// readFrame is ReadFrame for a tuner: the length prefix goes into hdr
+// and the frame into one from slot, holding one count, the caller's.
+func readFrame(r io.Reader, hdr *[4]byte, slot *bcast.FrameSlot) (*bcast.Frame, error) {
+	n, err := readLength(r, hdr)
+	if err != nil {
 		return nil, err
 	}
-	return buf, nil
+	f := slot.Get(n)
+	if err := readBody(r, f.Data); err != nil {
+		f.Release()
+		return nil, err
+	}
+	return f, nil
 }
 
 // frameReader reads frames off one connection into a buffer it owns, 4
@@ -590,9 +613,11 @@ func newReceiver() receiver {
 }
 
 // deliver decodes one frame and publishes the cycle it completes, if
-// any. False means the stream is terminally corrupt (error recorded).
-func (r *receiver) deliver(frame []byte) bool {
-	cb, err := r.dec.Decode(frame)
+// any. lease, when not nil, counts the frame's holders (bcast.Frame);
+// the caller keeps its own count. False means the stream is terminally
+// corrupt (error recorded).
+func (r *receiver) deliver(frame []byte, lease *bcast.Frame) bool {
+	cb, err := r.dec.decode(frame, lease)
 	if err != nil {
 		r.err = err
 		return false
@@ -618,10 +643,13 @@ func (r *receiver) Subscribe(buffer int) *bcast.Subscription {
 	return r.medium.Subscribe(buffer)
 }
 
-// Tuner is a client's receiver on the TCP broadcast stream.
+// Tuner is a client's receiver on the TCP broadcast stream. Each frame
+// is read into one from its slot, which the frame returns to once no
+// holder of its cycle is left (bcast.Frame).
 type Tuner struct {
 	conn net.Conn
 	hdr  [4]byte // the length prefix of the frame being read
+	slot bcast.FrameSlot
 	receiver
 }
 
@@ -638,9 +666,15 @@ func Tune(addr string) (*Tuner, error) {
 
 func (t *Tuner) loop() {
 	for {
-		frame, err := readFrame(t.conn, &t.hdr)
-		if err != nil || !t.deliver(frame) {
+		f, err := readFrame(t.conn, &t.hdr, &t.slot)
+		if err != nil {
 			t.stop(err)
+			return
+		}
+		ok := t.deliver(f.Data, f)
+		f.Release()
+		if !ok {
+			t.stop(nil)
 			return
 		}
 	}

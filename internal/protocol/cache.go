@@ -62,8 +62,20 @@ func ColumnOf(snap Snapshot, obj, n int) ColumnSnapshot {
 // validator accepts exactly what ConjunctiveValidator accepts; with
 // cached (older) reads it remains exactly APPROX (acyclicity of
 // S(t_R)).
+//
+// A read whose snapshot is Pinned holds it until Reset.
 type SnapshotValidator struct {
 	reads []recordedRead
+}
+
+// Pinned is a Snapshot read in place from a received frame that is
+// recycled once nothing holds it (a tuner's wire.CycleView): whoever
+// keeps it past the read holds a count with Retain and lets go with
+// Release.
+type Pinned interface {
+	Snapshot
+	Retain()
+	Release()
 }
 
 type recordedRead struct {
@@ -85,6 +97,9 @@ func (v *SnapshotValidator) TryRead(snap Snapshot, obj int, cur cmatrix.Cycle) b
 			return false
 		}
 	}
+	if p, ok := snap.(Pinned); ok {
+		p.Retain()
+	}
 	v.reads = appendRead(v.reads, recordedRead{obj: obj, cycle: cur, snap: snap})
 	return true
 }
@@ -99,9 +114,15 @@ func (v *SnapshotValidator) ReadSet() []ReadAt {
 }
 
 // Reset clears the validator for a fresh transaction attempt. The old
-// reads' snapshots are dropped, not just sliced off: a reused validator
-// must not pin the frames and columns of a finished transaction.
+// reads' snapshots are dropped, not just sliced off, and pinned ones
+// released: a reused validator must not pin the frames and columns of a
+// finished transaction.
 func (v *SnapshotValidator) Reset() {
+	for _, r := range v.reads {
+		if p, ok := r.snap.(Pinned); ok {
+			p.Release()
+		}
+	}
 	clear(v.reads)
 	v.reads = v.reads[:0]
 }

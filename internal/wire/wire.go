@@ -206,12 +206,23 @@ func DecodeCycle(data []byte) (*bcast.CycleBroadcast, error) {
 // the cycle's View to read, so a client pays for what it reads (Section
 // 3.2.1). Values and view alias data. Other layouts decode in full.
 func ViewCycle(data []byte) (*bcast.CycleBroadcast, error) {
+	return ViewFrame(data, nil)
+}
+
+// ViewFrame is ViewCycle of a frame read into f's buffer, counting its
+// holders on f (bcast.Frame): the cycle carries f, and its View retains
+// and releases on it. A nil f counts nothing.
+func ViewFrame(data []byte, f *bcast.Frame) (*bcast.CycleBroadcast, error) {
 	number, l, err := cycleHead(data)
 	if err != nil || (l.Control != bcast.ControlMatrix && l.Control != bcast.ControlGrouped) {
-		return DecodeCycle(data)
+		cb, err := DecodeCycle(data)
+		if err == nil {
+			cb.Frame = f
+		}
+		return cb, err
 	}
 	rec, objBytes := int(recordBytes(l)), objBytesOf(l)
-	v := &CycleView{frame: data, n: l.Objects, rec: rec, ctl: headerBytes + objBytes, tsBits: l.TimestampBits,
+	v := &CycleView{frame: data, lease: f, n: l.Objects, rec: rec, ctl: headerBytes + objBytes, tsBits: l.TimestampBits,
 		ref: number - 1, mask: cmatrix.Codec{Bits: l.TimestampBits}.Mod() - 1}
 	if l.Control == bcast.ControlGrouped {
 		v.g = l.Groups
@@ -230,7 +241,7 @@ func ViewCycle(data []byte) (*bcast.CycleBroadcast, error) {
 			}
 		}
 	}
-	cb := &bcast.CycleBroadcast{Number: number, Layout: l, Values: make([][]byte, l.Objects), View: v}
+	cb := &bcast.CycleBroadcast{Number: number, Layout: l, Values: make([][]byte, l.Objects), View: v, Frame: f}
 	for j := range cb.Values {
 		cb.Values[j] = data[headerBytes+j*rec:][:objBytes:objBytes]
 	}
@@ -240,12 +251,20 @@ func ViewCycle(data []byte) (*bcast.CycleBroadcast, error) {
 // CycleView is the matrix or grouped control of a BCC1 frame, read in
 // place: records are fixed-size and byte-aligned, so C(i, j) is field i
 // of record j and MC(i, s) field s of record i, unwrapped as getTS does.
-// It pins the whole frame; what outlives the cycle copies a column out.
+// It pins the whole frame; what outlives the cycle copies a column out,
+// or holds a count on the frame (a protocol.Pinned snapshot).
 type CycleView struct {
 	frame                  []byte
+	lease                  *bcast.Frame  // counts the frame's holders; nil counts nothing
 	n, rec, ctl, tsBits, g int           // objects, record bytes, offset of column 0, width, groups (0: matrix)
 	ref, mask              cmatrix.Cycle // cycle number − 1, 2^tsBits − 1
 }
+
+// Retain holds the view's frame (protocol.Pinned).
+func (v *CycleView) Retain() { v.lease.Retain() }
+
+// Release lets go of the view's frame.
+func (v *CycleView) Release() { v.lease.Release() }
 
 // raw is field k of record j's control column as it sits on the air.
 func (v *CycleView) raw(k, j int) cmatrix.Cycle {

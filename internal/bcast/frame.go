@@ -10,7 +10,8 @@ import (
 // cycle's frame into one, and the cycle decoded from it reads its Values
 // and View there in place. Every holder of the cycle holds one count: the
 // medium's last cycle and each queued delivery, the client's current
-// cycle, a validator that keeps the View, the decoder's last full frame.
+// cycle, a validator that keeps the View, a cache entry that keeps a
+// grouped View, the decoder's last full frame.
 // When the last count is released the frame goes back to the FrameSlot it
 // came from, and a later frame is read into it. A holder that never
 // releases only keeps its frame out of the slot; an early release is the

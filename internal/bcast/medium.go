@@ -89,17 +89,15 @@ func (cb *CycleBroadcast) Snapshot() protocol.Snapshot {
 	}
 }
 
-// Column returns a copy of the F-Matrix control column for object j —
-// what a caching client stores alongside a cached value (Section 3.3).
-// It is only available under matrix layouts.
+// Column returns a copy of the F-Matrix control column for object j,
+// the control a cached value is validated by (Section 3.3); a caching
+// client copies it into its cache's own storage instead
+// (qcache.Cache.PutColumn). It is only available under matrix layouts.
 func (cb *CycleBroadcast) Column(j int) protocol.ColumnSnapshot {
-	switch {
-	case cb.Matrix != nil:
-		return protocol.ColumnSnapshot{Obj: j, Col: cb.Matrix.Column(j)}
-	case cb.View != nil && cb.Layout.Control == ControlMatrix:
-		return protocol.ColumnSnapshot{Obj: j, Col: cb.View.Col(j, nil)}
+	if cb.Matrix == nil && (cb.View == nil || cb.Layout.Control != ControlMatrix) {
+		panic(fmt.Sprintf("bcast: no matrix column available under %v layout", cb.Layout.Control))
 	}
-	panic(fmt.Sprintf("bcast: no matrix column available under %v layout", cb.Layout.Control))
+	return protocol.ColumnOf(cb.Snapshot(), j, len(cb.Values))
 }
 
 // Medium is the in-process broadcast channel: the server publishes each

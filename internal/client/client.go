@@ -417,11 +417,11 @@ func (t *ReadTxn) Commit() ([]protocol.ReadAt, error) {
 }
 
 // fetch resolves a read: cache first (when enabled and fresh), then the
-// current broadcast. The value returned is the caller's own copy, and so
-// is the one the cache keeps: a cycle's Values are shared — with the
-// server's committed state in process, with the received frame off a
-// tuner (wire.ViewCycle) — so nothing that outlives the cycle may alias
-// them, and nothing may write them.
+// current broadcast. The value returned is the caller's own copy: a
+// cycle's Values are shared — with the server's committed state in
+// process, with the received frame off a tuner (wire.ViewCycle) — and a
+// cache entry's are its recycled block, so nothing that outlives the
+// read may alias them, and nothing may write them.
 func (c *Client) fetch(obj int) (value []byte, snap protocol.Snapshot, cycle cmatrix.Cycle, cacheHit bool, err error) {
 	if c.cur == nil {
 		return nil, nil, 0, false, ErrNoBroadcast
@@ -437,22 +437,20 @@ func (c *Client) fetch(obj int) (value []byte, snap protocol.Snapshot, cycle cma
 			return append([]byte(nil), value...), snap, cycle, true, nil
 		}
 	}
-	value = append([]byte(nil), c.cur.Values[obj]...)
-	cycle, snap = c.cur.Number, c.cur.Snapshot()
+	value, cycle, snap = c.cur.Values[obj], c.cur.Number, c.cur.Snapshot()
 	if c.cache != nil {
-		// Retain only this object's control slice so the cache cost per
-		// entry matches Section 3.3: a copy of one matrix column (never a
-		// view, which pins its frame), else the whole (small) control. A
-		// grouped view is kept whole, with a count the cache never
-		// releases: that frame stays out of the tuner's slot.
+		// Under matrix control the cache keeps this object's column alone,
+		// copied into the entry's block (Section 3.3's cost per entry), and
+		// the read is validated against that block, so neither pins a
+		// tuner's frame. Vector and grouped control are kept whole; the
+		// cache holds a count on a grouped view while the entry lives.
 		if l := c.cur.Layout.Control; l == bcast.ControlMatrix || l == bcast.ControlNone {
-			snap = c.cur.Column(obj)
-		} else if p, ok := snap.(protocol.Pinned); ok {
-			p.Retain()
+			snap = c.cache.PutColumn(obj, value, cycle, snap, len(c.cur.Values))
+		} else {
+			c.cache.Put(obj, value, cycle, snap)
 		}
-		c.cache.Put(obj, append([]byte(nil), value...), cycle, snap)
 	}
-	return value, snap, cycle, false, nil
+	return append([]byte(nil), value...), snap, cycle, false, nil
 }
 
 // RunReadOnly executes fn as a read-only transaction, retrying on

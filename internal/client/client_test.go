@@ -7,12 +7,14 @@ import (
 	"sync"
 	"testing"
 
+	"broadcastcc/internal/bcast"
 	"broadcastcc/internal/bctest"
 	"broadcastcc/internal/cmatrix"
 	"broadcastcc/internal/core"
 	"broadcastcc/internal/protocol"
 	"broadcastcc/internal/qcache"
 	"broadcastcc/internal/server"
+	"broadcastcc/internal/wire"
 )
 
 func newPair(t *testing.T, alg protocol.Algorithm, n int, clientCfg Config) (*server.Server, *Client) {
@@ -738,12 +740,22 @@ func TestAbortedReadTxnRecycles(t *testing.T) {
 	}
 }
 
-// readCachedClient is the read-cached shape on the in-process medium:
-// 64 objects of 64 bytes, a currency-8, 48-entry cache with a store, and
-// a fixed pseudo-random read sequence for readTxn to walk.
-func readCachedClient(b *testing.B) (*server.Server, *Client, func(i int)) {
+// readCachedClient is the read-cached shape as a tuner hears it: 64
+// objects of 64 bytes, one update a cycle, every cycle encoded and read
+// back with wire.ViewCycle onto the client's medium, a currency-8,
+// 48-entry cache with a store, and a fixed pseudo-random read sequence
+// for readTxn to walk (a transaction a read refuses is run again at
+// once: its objects left the cache, so the rerun reads the air). next
+// commits the cycle's update and delivers the next cycle; AwaitCycle
+// makes it current.
+func readCachedClient(b *testing.B) (next func(), c *Client, readTxn func(i int)) {
 	const objects, reads = 64, 16
-	srv, err := server.New(server.Config{Objects: objects, ObjectBits: 512, Algorithm: protocol.FMatrix})
+	initial := make([][]byte, objects)
+	for obj := range initial {
+		initial[obj] = make([]byte, 64)
+		initial[obj][0] = byte(obj)
+	}
+	srv, err := server.New(server.Config{Objects: objects, ObjectBits: 512, Algorithm: protocol.FMatrix, InitialValues: initial})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -753,16 +765,44 @@ func readCachedClient(b *testing.B) (*server.Server, *Client, func(i int)) {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { store.Close() })
-	c := New(Config{Algorithm: protocol.FMatrix, CacheCurrency: 8, CacheSize: 48, Store: store}, srv.Subscribe(4))
+	medium := bcast.NewMedium()
+	b.Cleanup(medium.Close)
+	c = New(Config{Algorithm: protocol.FMatrix, CacheCurrency: 8, CacheSize: 48, Store: store}, medium.Subscribe(4))
 	rng := rand.New(rand.NewSource(7))
 	ids := make([]int, 64*reads)
 	for i := range ids {
 		ids[i] = rng.Intn(objects)
 	}
-	readTxn := func(i int) {
+	updates, value := rand.New(rand.NewSource(8)), make([]byte, 64)
+	next = func() {
+		txn := srv.Begin()
+		if _, err := txn.Read(updates.Intn(objects)); err != nil {
+			b.Fatal(err)
+		}
+		updates.Read(value)
+		if err := txn.Write(updates.Intn(objects), value); err != nil {
+			b.Fatal(err)
+		}
+		if err := txn.Commit(); err != nil {
+			b.Fatal(err)
+		}
+		frame, err := wire.EncodeCycle(srv.StartCycle())
+		if err != nil {
+			b.Fatal(err)
+		}
+		cb, err := wire.ViewCycle(frame)
+		if err != nil {
+			b.Fatal(err)
+		}
+		medium.Publish(cb)
+	}
+	readTxn = func(i int) {
+	again:
 		txn := c.BeginReadOnly()
 		for _, obj := range ids[i%64*reads:][:reads] {
-			if _, err := txn.Read(obj); err != nil {
+			if _, err := txn.Read(obj); errors.Is(err, ErrInconsistentRead) {
+				goto again
+			} else if err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -770,7 +810,7 @@ func readCachedClient(b *testing.B) (*server.Server, *Client, func(i int)) {
 			b.Fatal(err)
 		}
 	}
-	return srv, c, readTxn
+	return next, c, readTxn
 }
 
 // BenchmarkReadTxn is one read-cached read transaction: 16 reads, a new
@@ -779,13 +819,13 @@ func readCachedClient(b *testing.B) (*server.Server, *Client, func(i int)) {
 // BenchmarkCachedCycle.
 func BenchmarkReadTxn(b *testing.B) {
 	const perCycle = 16
-	srv, c, readTxn := readCachedClient(b)
+	next, c, readTxn := readCachedClient(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%perCycle == 0 {
 			b.StopTimer()
-			srv.StartCycle()
+			next()
 			c.AwaitCycle()
 			b.StartTimer()
 		}
@@ -795,16 +835,16 @@ func BenchmarkReadTxn(b *testing.B) {
 
 // BenchmarkCachedCycle is one whole read-cached cycle on the client:
 // AwaitCycle, with the cache's Expire and the store's flush, then 16
-// transactions of 16 reads. The server's StartCycle is outside the
-// timer.
+// transactions of 16 reads. The server's update, StartCycle and the
+// frame's encoding and view are outside the timer.
 func BenchmarkCachedCycle(b *testing.B) {
 	const perCycle = 16
-	srv, c, readTxn := readCachedClient(b)
+	next, c, readTxn := readCachedClient(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		srv.StartCycle()
+		next()
 		b.StartTimer()
 		c.AwaitCycle()
 		for j := 0; j < perCycle; j++ {

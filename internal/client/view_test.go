@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 	"time"
@@ -8,14 +9,17 @@ import (
 	"broadcastcc/internal/bcast"
 	"broadcastcc/internal/cmatrix"
 	"broadcastcc/internal/protocol"
+	"broadcastcc/internal/qcache"
+	"broadcastcc/internal/server"
 	"broadcastcc/internal/wire"
 )
 
 // TestCacheKeepsNoFrame: a caching client fed the cycles a tuner
 // delivers — a wire.ViewCycle view over each received frame — caches a
-// copy of every column it reads, never the view, which pins the whole
-// frame. Once the client has moved past a cycle and the transaction
-// that read it has finished, that cycle's frame is collectable.
+// copy of every column it reads, in the entry's block, never the view,
+// which pins the whole frame. Once the client has moved past a cycle
+// and the transaction that read it has finished, that cycle's frame is
+// collectable.
 func TestCacheKeepsNoFrame(t *testing.T) {
 	const n = 8
 	medium := bcast.NewMedium()
@@ -54,7 +58,7 @@ func TestCacheKeepsNoFrame(t *testing.T) {
 		for _, obj := range reads {
 			if _, _, snap, ok := c.cache.Get(obj, number); !ok {
 				t.Fatalf("cycle %d: object %d not cached", number, obj)
-			} else if _, copied := snap.(protocol.ColumnSnapshot); !copied {
+			} else if _, copied := snap.(*qcache.Block); !copied {
 				t.Fatalf("cycle %d: object %d cached with a %T, not a column copy", number, obj, snap)
 			}
 		}
@@ -144,4 +148,124 @@ func TestClientLetsGoOfFrames(t *testing.T) {
 		t.Fatal("cycle 3's frame did not come back once the client moved past it")
 	}
 	runtime.KeepAlive([]*bcast.CycleBroadcast{cb1, cb2, cb3})
+}
+
+// TestCachedReadAllocs: a read served by the cache and a read that
+// misses and caches allocate once each, the caller's copy of the value,
+// whether the cycle is the server's own or a tuner's view of its frame:
+// the miss refills the block an eviction freed, column and value both.
+func TestCachedReadAllocs(t *testing.T) {
+	const n = 8
+	for _, tuner := range []bool{false, true} {
+		name := map[bool]string{false: "in-process", true: "view"}[tuner]
+		t.Run(name, func(t *testing.T) {
+			initial := make([][]byte, n)
+			for obj := range initial {
+				initial[obj] = bytes.Repeat([]byte{byte(obj)}, 64)
+			}
+			srv, err := server.New(server.Config{Objects: n, ObjectBits: 512, Algorithm: protocol.FMatrix, InitialValues: initial})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			medium := bcast.NewMedium()
+			defer medium.Close()
+			c := New(Config{Algorithm: protocol.FMatrix, CacheCurrency: 4, CacheSize: 4}, medium.Subscribe(4))
+			commitWrite(t, srv, 1, string(bytes.Repeat([]byte{7}, 64)), 0)
+			cb := srv.StartCycle()
+			if tuner {
+				frame, err := wire.EncodeCycle(cb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cb, err = wire.ViewCycle(frame); err != nil || cb.View == nil {
+					t.Fatalf("a view-backed cycle was wanted, got %v", err)
+				}
+			}
+			medium.Publish(cb)
+			c.AwaitCycle()
+			var val protocol.Validator = &protocol.SnapshotValidator{}
+			read := func(obj int) {
+				v, err := c.read(&val, obj)
+				if err != nil || len(v) != 64 {
+					t.Fatalf("read %d = %d bytes, %v", obj, len(v), err)
+				}
+				val.Reset()
+			}
+			for obj := 0; obj < n; obj++ { // fill the cache, and free blocks
+				read(obj)
+			}
+			hits := c.Stats().CacheHits
+			if allocs := testing.AllocsPerRun(100, func() {
+				c.cache.Remove(1)
+				read(1)
+			}); allocs != 1 {
+				t.Fatalf("a miss allocates %.1f times, want 1", allocs)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { read(1) }); allocs != 1 {
+				t.Fatalf("a hit allocates %.1f times, want 1", allocs)
+			}
+			if got := c.Stats().CacheHits - hits; got != 101 {
+				t.Fatalf("%d cache hits, want the 101 runs of the second", got)
+			}
+		})
+	}
+}
+
+// TestCacheHoldsGroupedView: under grouped control a caching client's
+// entry keeps the cycle's view whole, with a count on its frame, and
+// lets go of it when the entry leaves the cache — seen as the frame
+// coming back out of the tuner's slot only once the entry has expired.
+func TestCacheHoldsGroupedView(t *testing.T) {
+	const n, g = 8, 2
+	var slot bcast.FrameSlot
+	medium := bcast.NewMedium()
+	defer medium.Close()
+	mc := cmatrix.NewGroupedControl(cmatrix.UniformPartition(n, g)).Grouped()
+	hear := func(number cmatrix.Cycle) *bcast.CycleBroadcast {
+		t.Helper()
+		data, err := wire.EncodeCycle(&bcast.CycleBroadcast{
+			Number: number, Layout: bcast.LayoutFor(protocol.Grouped, n, 64, 8, g),
+			Values: make([][]byte, n), Grouped: mc,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := slot.Get(len(data))
+		copy(f.Data, data)
+		cb, err := wire.ViewFrame(f.Data, f)
+		if err != nil || cb.View == nil {
+			t.Fatalf("cycle %d: a grouped view was wanted, got %v", number, err)
+		}
+		medium.Publish(cb)
+		f.Release() // the reader's count
+		return cb
+	}
+	spare := func(f *bcast.Frame) bool {
+		got := slot.Get(len(f.Data))
+		defer got.Release()
+		return got == f
+	}
+	c := New(Config{Algorithm: protocol.Grouped, CacheCurrency: 1}, medium.Subscribe(4))
+	cb1 := hear(1)
+	c.AwaitCycle()
+	txn := c.BeginReadOnly()
+	if _, err := txn.Read(0); err != nil {
+		t.Fatal(err)
+	}
+	txn.Commit()
+	if _, _, snap, ok := c.cache.Get(0, 1); !ok || snap != protocol.Snapshot(cb1.View) {
+		t.Fatalf("object 0 cached with %T, want cycle 1's view", snap)
+	}
+	cb2 := hear(2)
+	c.AwaitCycle()
+	if spare(cb1.Frame) {
+		t.Fatal("cycle 1's frame came back while a cache entry kept its view")
+	}
+	hear(3)
+	c.AwaitCycle() // expires the entry cached in cycle 1
+	if !spare(cb1.Frame) {
+		t.Fatal("cycle 1's frame did not come back once its cache entry expired")
+	}
+	runtime.KeepAlive([]*bcast.CycleBroadcast{cb1, cb2})
 }

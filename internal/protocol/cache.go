@@ -38,11 +38,28 @@ func (s ColumnSnapshot) Bound(i, j int) cmatrix.Cycle {
 // retains (and a persistent cache store writes) — one matrix column
 // under F-Matrix, the vector's image under the vector protocols.
 func ColumnOf(snap Snapshot, obj, n int) ColumnSnapshot {
-	col := make([]cmatrix.Cycle, n)
-	for i := range col {
-		col[i] = snap.Bound(i, obj)
+	return ColumnSnapshot{Obj: obj, Col: AppendColumn(make([]cmatrix.Cycle, 0, n), snap, obj, n)}
+}
+
+// AppendColumn appends ColumnOf(snap, obj, n)'s entries to buf and
+// returns the extended slice, copying them straight out of the snapshot
+// where it stores columns: an in-process matrix, or a tuner's matrix view
+// (a Col(j, buf) method that appends column j, as wire.CycleView has);
+// any other snapshot is asked entry by entry. A grouped view has no
+// column to copy and must not be passed.
+func AppendColumn(buf []cmatrix.Cycle, snap Snapshot, obj, n int) []cmatrix.Cycle {
+	switch s := snap.(type) {
+	case *cmatrix.Matrix:
+		return append(buf, s.Col(obj)...)
+	case interface {
+		Col(j int, buf []cmatrix.Cycle) []cmatrix.Cycle
+	}:
+		return s.Col(obj, buf)
 	}
-	return ColumnSnapshot{Obj: obj, Col: col}
+	for i := 0; i < n; i++ {
+		buf = append(buf, snap.Bound(i, obj))
+	}
+	return buf
 }
 
 // SnapshotValidator validates reads that may be out of cycle order
@@ -68,10 +85,10 @@ type SnapshotValidator struct {
 	reads []recordedRead
 }
 
-// Pinned is a Snapshot read in place from a received frame that is
-// recycled once nothing holds it (a tuner's wire.CycleView): whoever
-// keeps it past the read holds a count with Retain and lets go with
-// Release.
+// Pinned is a Snapshot read in place from storage that is recycled once
+// nothing holds it — a tuner's wire.CycleView over a received frame, a
+// cache entry's qcache.Block: whoever keeps it past the read holds a
+// count with Retain and lets go with Release.
 type Pinned interface {
 	Snapshot
 	Retain()

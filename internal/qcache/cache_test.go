@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"broadcastcc/internal/bcast"
 	"broadcastcc/internal/cmatrix"
 	"broadcastcc/internal/protocol"
 	"broadcastcc/internal/wire"
@@ -37,9 +39,8 @@ func contents(t *testing.T, c *Cache) (objs []int, inv map[int]Entry) {
 		if e.next.prev != e {
 			t.Fatalf("order ring broken after object %d", e.obj)
 		}
-		col, _ := storedColumn(e.snap)
 		objs = append(objs, e.obj)
-		inv[e.obj] = Entry{Value: e.value, Cycle: e.cycle, Col: col}
+		inv[e.obj] = Entry{Value: e.blk.value, Cycle: e.cycle, Col: e.blk.col}
 	}
 	if len(objs) != c.Len() {
 		t.Fatalf("order ring has %d entries, the index %d", len(objs), c.Len())
@@ -73,7 +74,7 @@ func TestCacheCurrency(t *testing.T) {
 			t.Run(tc.name+"/"+via, func(t *testing.T) {
 				bound := tc.bound
 				c := newTestCache(0, &bound, nil, nil)
-				c.Put(1, []byte("v"), tc.cached, colSnap(1, 0, 0))
+				c.PutColumn(1, []byte("v"), tc.cached, colSnap(1, 0, 0), 2)
 				bound = tc.lower
 				if via == "Expire" {
 					kept, dropped := c.Expire(tc.now)
@@ -123,7 +124,7 @@ func TestCacheEvictionOrder(t *testing.T) {
 			for _, o := range tc.ops {
 				switch o.kind {
 				case "put":
-					c.Put(o.obj, nil, o.at, colSnap(o.obj, 0))
+					c.PutColumn(o.obj, nil, o.at, colSnap(o.obj, 0), 1)
 				case "remove":
 					c.Remove(o.obj)
 				case "get":
@@ -182,7 +183,7 @@ func TestCacheTracksStore(t *testing.T) {
 			val := make([]byte, rng.Intn(9))
 			rng.Read(val)
 			if rng.Intn(2) == 0 {
-				c.Put(obj, val, now, colSnap(obj, col...))
+				c.PutColumn(obj, val, now, colSnap(obj, col...), len(col))
 			} else {
 				vec, _ := cmatrix.VectorFromEntries(col)
 				c.Put(obj, val, now, vec)
@@ -268,11 +269,7 @@ func BenchmarkCacheCycle(b *testing.B) {
 	defer store.Close()
 	bound := cmatrix.Cycle(8)
 	c := newTestCache(48, &bound, store, func() { b.Fatal("store write failed") })
-	value, col := make([]byte, 64), make([]cmatrix.Cycle, objects)
-	snaps := make([]protocol.Snapshot, objects)
-	for obj := range snaps {
-		snaps[obj] = colSnap(obj, col...)
-	}
+	value, m := make([]byte, 64), cmatrix.NewMatrix(objects)
 	rng := rand.New(rand.NewSource(7))
 	ids := make([]int, 64*reads)
 	for i := range ids {
@@ -284,7 +281,7 @@ func BenchmarkCacheCycle(b *testing.B) {
 		now := cmatrix.Cycle(i + 1)
 		for _, obj := range ids[i%64*reads:][:reads] {
 			if _, _, _, ok := c.Get(obj, now); !ok {
-				c.Put(obj, value, now, snaps[obj])
+				c.PutColumn(obj, value, now, m, objects)
 			}
 		}
 		c.Expire(now)
@@ -309,7 +306,7 @@ func TestCacheFailingStore(t *testing.T) {
 	c := newTestCache(0, &bound, store, func() { failed++ })
 
 	for obj := 0; obj < 5; obj++ {
-		c.Put(obj, value, 1, colSnap(obj, col...))
+		c.PutColumn(obj, value, 1, colSnap(obj, col...), len(col))
 	}
 	if failed != 0 {
 		t.Fatalf("store errors before the cycle edge = %d, want 0", failed)
@@ -341,4 +338,117 @@ func TestCacheFailingStore(t *testing.T) {
 	defer re.Close()
 	durable := Entry{Value: value, Cycle: 1, Col: col}
 	sameInventory(t, re.Inventory(), map[int]Entry{0: durable, 1: durable})
+}
+
+// TestHeldColumnSurvivesChurn: a validator that read an entry keeps its
+// block through eviction, expiry and ten cycles of churn that refill
+// every other block, and still reads the column and value the entry was
+// cached with; once it lets go the block is free, and under the
+// framepoison tag reads 0xA5 at once.
+func TestHeldColumnSurvivesChurn(t *testing.T) {
+	const objects, size = 16, 4
+	store, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	bound := cmatrix.Cycle(2)
+	c := newTestCache(size, &bound, store, func() { t.Error("store write failed") })
+	matrix := func(c func(i, j int) cmatrix.Cycle) *cmatrix.Matrix {
+		cols := make([][]cmatrix.Cycle, objects)
+		for j := range cols {
+			cols[j] = make([]cmatrix.Cycle, objects)
+			for i := range cols[j] {
+				cols[j][i] = c(i, j)
+			}
+		}
+		m, err := cmatrix.MatrixFromColumns(cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	published := matrix(func(i, _ int) cmatrix.Cycle { return cmatrix.Cycle(i) })
+	b := c.PutColumn(3, []byte("held"), 1, published, objects)
+	var v protocol.SnapshotValidator
+	if !v.TryRead(b, 3, 1) {
+		t.Fatal("first read refused")
+	}
+	churn := matrix(func(int, int) cmatrix.Cycle { return 1000 })
+	for cycle := cmatrix.Cycle(2); cycle < 14; cycle++ {
+		for obj := 4; obj < objects; obj++ {
+			c.PutColumn(obj, []byte("churn"), cycle, churn, objects)
+		}
+		c.Expire(cycle)
+	}
+	if _, _, _, ok := c.Get(3, 14); ok {
+		t.Fatal("object 3 is still cached")
+	}
+	if got := b.col; !slices.Equal(got, published.Col(3)) || string(b.value) != "held" {
+		t.Fatalf("held block reads %q %v, published %v", b.value, got, published.Col(3))
+	}
+	// The held column still decides the backward check: C(5, 3) = 5 is
+	// below cycle 6, not below cycle 5.
+	for cur, want := range map[cmatrix.Cycle]bool{6: true, 5: false} {
+		var probe protocol.SnapshotValidator
+		if !probe.TryRead(b, 3, 1) {
+			t.Fatal("re-read refused")
+		}
+		if got := probe.TryRead(cmatrix.NewMatrix(objects), 5, cur); got != want {
+			t.Fatalf("read of 5 at cycle %d after the held read = %v, want %v", cur, got, want)
+		}
+		probe.Reset()
+	}
+	free := c.nfree
+	v.Reset()
+	if c.nfree != free+1 || c.free != b {
+		t.Fatalf("the released block is not the first free one (%d free, was %d)", c.nfree, free)
+	}
+	if bcast.Poisoned {
+		for i := range objects {
+			if b.Bound(i, 3) != poisonCycle {
+				t.Fatalf("released block's C(%d, 3) = %#x, want the poison", i, b.Bound(i, 3))
+			}
+		}
+		if !bytes.Equal(b.value, bytes.Repeat([]byte{0xA5}, len(b.value))) {
+			t.Fatalf("released block's value %x, want the poison", b.value)
+		}
+	}
+}
+
+// TestFreeBlocksBounded: blocks let go of all at once return to the
+// cache's free list up to its bound, never more than the cache holds,
+// and each later miss refills one instead of allocating.
+func TestFreeBlocksBounded(t *testing.T) {
+	const objects = 64
+	m := cmatrix.NewMatrix(objects)
+	for _, size := range []int{0, 4, 48} {
+		bound := cmatrix.Cycle(8)
+		c := newTestCache(size, &bound, nil, nil)
+		var held []*Block
+		for obj := 0; obj < objects; obj++ {
+			b := c.PutColumn(obj, make([]byte, 64), 1, m, objects)
+			b.Retain()
+			held = append(held, b)
+		}
+		c.Clear()
+		for _, b := range held {
+			b.Release()
+		}
+		limit := freeMax
+		if size > 0 {
+			limit = min(freeMax, size)
+		}
+		if c.nfree != limit {
+			t.Fatalf("size %d: %d free blocks, want %d", size, c.nfree, limit)
+		}
+		for obj := 0; obj < limit; obj++ {
+			if b := c.PutColumn(obj, make([]byte, 64), 2, m, objects); !slices.Contains(held, b) {
+				t.Fatalf("size %d: miss %d took a new block with %d free", size, obj, c.nfree)
+			}
+		}
+		if c.nfree != 0 {
+			t.Fatalf("size %d: %d blocks still free", size, c.nfree)
+		}
+	}
 }

@@ -199,9 +199,11 @@ func (s *Store) Put(obj int, value []byte, cycle cmatrix.Cycle, col []cmatrix.Cy
 // Delete records obj as evicted.
 func (s *Store) Delete(obj int) error { return s.set(obj, Entry{}, false) }
 
-// set makes e obj's entry, keeping e's slices themselves (the Cache
-// hands over its own, which nothing modifies), or drops obj's entry if
-// !live, and marks obj for the next flush. It encodes and writes nothing.
+// set makes e obj's entry, keeping e's slices themselves, or drops
+// obj's entry if !live, and marks obj for the next flush. It encodes and
+// writes nothing. A Cache hands over its block's slices and replaces or
+// drops the entry before it lets go of the block, so the inventory never
+// holds a block that may be refilled.
 func (s *Store) set(obj int, e Entry, live bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -334,31 +336,49 @@ func (s *Store) rotate() error {
 	return nil
 }
 
-// Get returns the live entry for obj.
+// Get returns a copy of the live entry for obj. The inventory's own
+// slices may be a Cache's blocks, which it refills once the entry is
+// gone, so what Get hands out is the caller's.
 func (s *Store) Get(obj int) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if sl := s.inv[obj]; sl != nil && sl.live {
-		return sl.Entry, true
+		return sl.clone(), true
 	}
 	return Entry{}, false
 }
 
-// Inventory returns a copy of the live entries keyed by object id.
+// Inventory returns a copy of the live entries keyed by object id, as
+// Get copies one.
 func (s *Store) Inventory() map[int]Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make(map[int]Entry, len(s.inv))
 	for obj, sl := range s.inv {
 		if sl.live {
-			out[obj] = sl.Entry
+			out[obj] = sl.clone()
 		}
 	}
 	return out
 }
 
+// clone copies an entry's slices.
+func (e Entry) clone() Entry {
+	return Entry{Value: append([]byte(nil), e.Value...), Cycle: e.Cycle, Col: append([]cmatrix.Cycle(nil), e.Col...)}
+}
+
 // Len reports the number of live entries.
-func (s *Store) Len() int { return len(s.Inventory()) }
+func (s *Store) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, sl := range s.inv {
+		if sl.live {
+			n++
+		}
+	}
+	return n
+}
 
 // segments reports the number of segment files.
 func (s *Store) segments() (int, error) {

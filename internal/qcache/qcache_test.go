@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"broadcastcc/internal/cmatrix"
-	"broadcastcc/internal/protocol"
 	"broadcastcc/internal/wire"
 )
 
@@ -377,8 +376,9 @@ func TestCloseReportsLostTail(t *testing.T) {
 }
 
 // TestStoreAppendAllocs pins the write-behind path: a mutation through
-// Cache.Put (a miss, evicting at the cap, which hands the store the
-// cache's own slices) or Store.Delete allocates nothing, nor does a
+// Cache.PutColumn (a miss, evicting at the cap and refilling the evicted
+// entry's block, whose slices the store is handed) or Store.Delete
+// allocates nothing, nor does a
 // steady-state Flush — the dirty list is reused — or a Cache.Expire
 // that evicts and flushes; an exported Put allocates only the
 // inventory's copies of value and column.
@@ -402,23 +402,20 @@ func TestStoreAppendAllocs(t *testing.T) {
 	}
 	miss := cmatrix.Cycle(8)
 	mc := newTestCache(48, &miss, s, func() { t.Error("store write failed") })
-	snaps := make([]protocol.Snapshot, 64)
-	for o := range snaps {
-		snaps[o] = colSnap(o, col...)
-	}
+	m := cmatrix.NewMatrix(64)
 	for o := 0; o < 4*64; o++ {
-		mc.Put(o%64, value, 1, snaps[o%64])
+		mc.PutColumn(o%64, value, 1, m, 64)
 	}
 	s.Flush()
 	if allocs := testing.AllocsPerRun(200, func() {
-		mc.Put(obj%64, value, 1, snaps[obj%64]) // a miss: 48 entries over 64 objects
+		mc.PutColumn(obj%64, value, 1, m, 64) // a miss: 48 entries over 64 objects
 		obj++
 	}); allocs != 0 {
-		t.Fatalf("a miss through Cache.Put allocates %.1f times, want 0", allocs)
+		t.Fatalf("a miss through Cache.PutColumn allocates %.1f times, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
 		for i := 0; i < 32; i++ {
-			mc.Put(obj%64, value, 1, snaps[obj%64])
+			mc.PutColumn(obj%64, value, 1, m, 64)
 			obj++
 		}
 		s.Flush()
@@ -445,7 +442,7 @@ func TestStoreAppendAllocs(t *testing.T) {
 	bound := cmatrix.Cycle(1000)
 	c := newTestCache(0, &bound, s, func() { t.Error("store write failed") })
 	for obj := 1; obj <= 300; obj++ {
-		c.Put(obj, value, cmatrix.Cycle(obj), colSnap(obj, col...))
+		c.PutColumn(obj, value, cmatrix.Cycle(obj), colSnap(obj, col...), len(col))
 	}
 	k := cmatrix.Cycle(0)
 	if allocs := testing.AllocsPerRun(200, func() {
@@ -478,44 +475,52 @@ func TestStorePutCopies(t *testing.T) {
 }
 
 // TestOpenDropsOldCodecSegment: a segment of version 1 records (FNV-1a
-// 64 trailer) fails the version check at its first record, so the store
-// opens empty, truncates the file, and carries on from there.
+// 64 trailer) or version 2 records (8-byte column entries) fails the
+// version check at its first record, so the store opens empty,
+// truncates the file, and carries on from there.
 func TestOpenDropsOldCodecSegment(t *testing.T) {
-	dir := t.TempDir()
-	v1, err := hex.DecodeString("4243513101000000000500000000000000090000000376616c000000030000000000000001000000000000000000000000000000081a24233f462da821")
-	if err != nil {
-		t.Fatal(err)
+	for version, rec := range map[string]string{
+		"v1": "4243513101000000000500000000000000090000000376616c000000030000000000000001000000000000000000000000000000081a24233f462da821",
+		"v2": "4243513102000000000500000000000000090000000376616c00000003000000000000000100000000000000000000000000000008321b809a",
+	} {
+		t.Run(version, func(t *testing.T) {
+			dir := t.TempDir()
+			old, err := hex.DecodeString(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var seg []byte
+			for i := 0; i < 3; i++ {
+				seg = append(binary.BigEndian.AppendUint32(seg, uint32(len(old))), old...)
+			}
+			path := filepath.Join(dir, segName(1))
+			if err := os.WriteFile(path, seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Len() != 0 {
+				t.Fatalf("a %s segment recovered %d entries, want 0", version, s.Len())
+			}
+			if st, err := os.Stat(path); err != nil || st.Size() != 0 {
+				t.Fatalf("%s segment not truncated: %v, %v", version, st, err)
+			}
+			if err := s.Put(5, []byte("v3"), 11, []cmatrix.Cycle{1, 0}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			sameInventory(t, re.Inventory(), map[int]Entry{5: {Value: []byte("v3"), Cycle: 11, Col: []cmatrix.Cycle{1, 0}}})
+		})
 	}
-	var seg []byte
-	for i := 0; i < 3; i++ {
-		seg = append(binary.BigEndian.AppendUint32(seg, uint32(len(v1))), v1...)
-	}
-	path := filepath.Join(dir, segName(1))
-	if err := os.WriteFile(path, seg, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 0 {
-		t.Fatalf("a version 1 segment recovered %d entries, want 0", s.Len())
-	}
-	if st, err := os.Stat(path); err != nil || st.Size() != 0 {
-		t.Fatalf("version 1 segment not truncated: %v, %v", st, err)
-	}
-	if err := s.Put(5, []byte("v2"), 11, []cmatrix.Cycle{1, 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	sameInventory(t, re.Inventory(), map[int]Entry{5: {Value: []byte("v2"), Cycle: 11, Col: []cmatrix.Cycle{1, 0}}})
 }
 
 // TestRecoverSegmentLongestPrefix drives the pure recovery function
@@ -566,7 +571,7 @@ func TestRecoverSegmentLongestPrefix(t *testing.T) {
 // folds every segment into one, which later appends extend.
 func TestSegmentRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenOptions(dir, Options{MaxSegmentBytes: 256})
+	s, err := OpenOptions(dir, Options{MaxSegmentBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -226,7 +226,8 @@ type wheelEngine struct {
 	cached []protocol.SnapshotValidator
 	// hit is the cached control column the pending read was served from,
 	// nil when the read waits on the air (the cache is single-client, so
-	// one pending read is all there is).
+	// one pending read is all there is, and nothing drops its entry
+	// before the read takes a count on it).
 	hit protocol.Snapshot
 
 	stats []ClientStats
@@ -371,14 +372,11 @@ func (w *wheelEngine) read(i int) (bool, error) {
 		if snap = e.snaps[cycle]; snap == nil {
 			return false, fmt.Errorf("sim: internal error: no snapshot for cycle %d", cycle)
 		}
-		if e.cache != nil {
-			snap = protocol.ColumnOf(snap, obj, w.cfg.Objects)
-		}
 	}
 	ok := w.validator(i).TryRead(snap, obj, cycle)
 	e.recordRead(int32(i), cycle, frame, obj, ok)
 	if ok && onAir && e.cache != nil {
-		e.cache.Put(obj, nil, cycle, snap)
+		e.cache.PutColumn(obj, nil, cycle, snap, w.cfg.Objects)
 	}
 	return ok, nil
 }

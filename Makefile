@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test fmt hooks-check race flake loc verify bench bench-e2e bench-figures bench-smoke figures-check conform fuzz-smoke obs-smoke udp-smoke shard-smoke quasi-smoke soak-smoke soak-nightly
+.PHONY: build test fmt hooks-check race flake loc verify examples bench bench-e2e bench-figures bench-smoke figures-check conform fuzz-smoke obs-smoke udp-smoke shard-smoke quasi-smoke soak-smoke soak-nightly
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,17 @@ test:
 # gofmt -l prints the files it would rewrite; any name is a failure.
 fmt:
 	@test -z "$$(gofmt -l .)" || { gofmt -l . >&2; exit 1; }
+
+# Build every program under examples/ and run it to completion; the
+# first non-zero exit fails the target. The binaries live in a temporary
+# directory the EXIT trap removes.
+examples:
+	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	for d in examples/*/; do \
+		name=$$(basename $$d); echo "== $$name"; \
+		$(GO) build -o $$tmp/$$name ./$$d && $$tmp/$$name || \
+			{ echo "examples: $$name failed" >&2; exit 1; }; \
+	done
 
 # An induced defect is a conformance.Defect the harness injects into one
 # run, never a process-global switch: no non-test file under internal/

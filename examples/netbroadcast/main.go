@@ -1,6 +1,8 @@
 // Netbroadcast: the runtime on real TCP sockets with incremental
-// control-information transmission. A server streams cycles on one
-// port (delta frames with a periodic full frame) and takes update
+// control-information transmission. A server streams a flat broadcast
+// program (one disk, no index) on one port, each object's control
+// column a bucket frame sent as a delta against the column it sent last
+// time, with a full refresh every 8th time, and takes update
 // transactions on an uplink port; a client tunes in, reads off the air,
 // and commits a write over the uplink. The transmission accounting at
 // the end shows the Section 3.2.1 future-work savings.
@@ -17,14 +19,24 @@ import (
 	"broadcastcc/internal/netcast"
 )
 
-const objects = 16
+const (
+	objects = 64
+	cycles  = 24
+	refresh = 8 // each column in full every 8th time it goes out
+)
 
 func main() {
-	srv, err := broadcastcc.NewServer(broadcastcc.ServerConfig{
+	cfg := broadcastcc.ServerConfig{
 		Objects:    objects,
-		ObjectBits: 2048,
+		ObjectBits: 256,
 		Algorithm:  broadcastcc.FMatrix,
-	})
+	}
+	prog, err := broadcastcc.BuildProgram(cfg, broadcastcc.ZipfWeights(objects, 0), 1, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	cfg.Program = prog
+	srv, err := broadcastcc.NewServer(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,14 +49,13 @@ func main() {
 		}
 	}
 
-	// Delta mode: a full frame every 8 cycles, deltas in between.
-	ns, err := netcast.ServeOptions(srv, "127.0.0.1:0", "127.0.0.1:0", netcast.Options{DeltaEvery: 8})
+	ns, err := netcast.ServeOptions(srv, "127.0.0.1:0", "127.0.0.1:0", netcast.Options{RefreshEvery: refresh})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer ns.Close()
-	fmt.Printf("broadcasting on %s (uplink %s), full frame every 8 cycles\n",
-		ns.BroadcastAddr(), ns.UplinkAddr())
+	fmt.Printf("broadcasting on %s (uplink %s), each column in full every %d cycles\n",
+		ns.BroadcastAddr(), ns.UplinkAddr(), refresh)
 
 	tuner, err := broadcastcc.Tune(ns.BroadcastAddr())
 	if err != nil {
@@ -58,12 +69,12 @@ func main() {
 	}
 	defer uplink.Close()
 
-	// Wait for the subscription to register, then run 24 cycles with a
-	// server-side update every third cycle.
+	// Wait for the subscription to register, then run the cycles with a
+	// server-side update every third one.
 	for ns.Subscribers() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	for c := 1; c <= 24; c++ {
+	for c := 1; c <= cycles; c++ {
 		if _, err := ns.Step(); err != nil {
 			log.Fatal(err)
 		}
@@ -79,11 +90,11 @@ func main() {
 		}
 	}
 
-	// The client reads a consistent pair off the air (reconstructed from
-	// deltas) and pushes one write up the uplink.
+	// The client reads a consistent pair off the air (columns rebuilt
+	// from deltas) and pushes one write up the uplink.
 	readSet, err := cli.RunReadOnly(10, func(txn *broadcastcc.ReadTxn) error {
-		for !cli.PollCycle() {
-			time.Sleep(time.Millisecond)
+		for cli.PollCycle(); cli.Current() == nil || cli.Current().Number < cycles; cli.PollCycle() {
+			time.Sleep(time.Millisecond) // the tuner is still assembling the last cycle
 		}
 		v3, err := txn.Read(3)
 		if err != nil {
@@ -113,11 +124,14 @@ func main() {
 	}
 	fmt.Println("client write committed over the uplink")
 
-	full, delta := ns.TransmittedBytes()
-	fullFrames := int64(24/8 + 1)
-	deltaFrames := int64(24) - fullFrames
-	fmt.Printf("transmitted: %d bytes in %d full frames (%d B avg), %d bytes in %d delta frames (%d B avg)\n",
-		full, fullFrames, full/fullFrames, delta, deltaFrames, delta/deltaFrames)
+	// The flat program sends every object once a cycle: its column in
+	// full at cycles 1, 1+refresh, ..., as a delta the other times.
+	reg := ns.Obs()
+	full, delta := reg.Counter("netcast_full_bytes").Load(), reg.Counter("netcast_delta_bytes").Load()
+	fullBuckets := int64(objects * ((cycles + refresh - 1) / refresh))
+	deltaBuckets := int64(objects*cycles) - fullBuckets
+	fmt.Printf("transmitted: %d bytes in %d full buckets (%d B avg), %d bytes in %d delta buckets (%d B avg)\n",
+		full, fullBuckets, full/fullBuckets, delta, deltaBuckets, delta/deltaBuckets)
 }
 
 func trim(v []byte) string {

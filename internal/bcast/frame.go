@@ -11,8 +11,7 @@ import (
 // and View there in place. Every holder of the cycle holds one count: the
 // medium's last cycle and each queued delivery, the client's current
 // cycle, a validator that keeps the View, a cache entry that keeps a
-// grouped View, the decoder's last full frame.
-// When the last count is released the frame goes back to the FrameSlot it
+// grouped View. When the last count is released the frame goes back to the FrameSlot it
 // came from, and a later frame is read into it. A holder that never
 // releases only keeps its frame out of the slot; an early release is the
 // one way to read another cycle's bytes.

@@ -11,7 +11,7 @@ import (
 )
 
 // Connectionless datapath integration: the same frame formats the TCP
-// stream carries (full/delta cycles, BCG1 grouped, program-mode
+// stream carries (full cycles, BCG1 grouped, program-mode
 // index/bucket) ride internal/dgram datagrams instead. The server
 // transmits each frame exactly once per channel — zero marginal cost
 // per listener — and the TCP path remains as the conformance reference
@@ -25,16 +25,13 @@ import (
 // conformance tests pin.
 //
 // Decode returns (nil, nil) for frames that complete no cycle: program
-// frames mid-cycle, and recoverable desynchronization (a delta against
-// a cycle this tuner never heard, a grouped frame whose partition
-// baseline is missing) where the decoder waits for the next
-// self-contained frame, exactly like a tuner that missed a broadcast.
-// Errors are terminal stream corruption.
+// frames mid-cycle, and recoverable desynchronization (a grouped frame
+// whose partition baseline is missing) where the decoder waits for the
+// next partition-bearing frame, exactly like a tuner that missed a
+// broadcast. Errors are terminal stream corruption; a BCD1 cycle delta
+// is one, since only program mode's bucket deltas go on the air.
 type FrameDecoder struct {
 	asm       assembler
-	last      *bcast.CycleBroadcast // a delta's base, or nil while it is lastFull
-	lastFull  []byte                // a BCC1 frame, decoded only if a delta follows
-	fullLease *bcast.Frame          // the decoder's count on lastFull
 	lastPart  *cmatrix.Partition
 	lastEpoch uint64
 }
@@ -52,19 +49,16 @@ func (d *FrameDecoder) Decode(frame []byte) (*bcast.CycleBroadcast, error) {
 }
 
 // decode is Decode of a frame whose holders lease counts (nil: none).
-// Only a full frame's cycle carries the count. Whatever the decoder
-// keeps of any other frame — the assembler's buckets, a delta's base and
-// the cycles built on it — takes a count it never releases, so those
-// frames stay out of the tuner's slot.
+// A full or grouped frame's cycle carries the count and the decoder
+// keeps nothing of it. The assembler keeps program index and bucket
+// frames, and takes a count on them it never releases, so those frames
+// stay out of the tuner's slot.
 func (d *FrameDecoder) decode(frame []byte, lease *bcast.Frame) (*bcast.CycleBroadcast, error) {
-	kind := wire.KindOf(frame)
-	if kind != wire.KindCycle {
-		lease.Retain()
-	}
-	switch kind {
+	switch kind := wire.KindOf(frame); kind {
 	case wire.KindIndex, wire.KindBucket:
 		// Program-mode stream: reassemble whole cycles from the index
 		// and bucket frames.
+		lease.Retain()
 		return d.asm.feed(frame)
 	case wire.KindGrouped:
 		cb, epoch, err := wire.DecodeGroupedCycle(frame, d.lastPart, d.lastEpoch)
@@ -74,35 +68,12 @@ func (d *FrameDecoder) decode(frame []byte, lease *bcast.Frame) (*bcast.CycleBro
 			d.lastPart = nil
 			return nil, nil
 		}
+		// Only the Values alias the frame; the partition is built fresh.
 		d.lastPart, d.lastEpoch = cb.Grouped.Part(), epoch
-		return cb, nil
-	case wire.KindDelta:
-		if d.lastFull != nil {
-			// The base aliases lastFull, whose count is kept for good.
-			d.last, _ = wire.DecodeCycle(d.lastFull) // ViewCycle accepted it
-			d.lastFull, d.fullLease = nil, nil
-		}
-		if d.last == nil {
-			return nil, nil // tuned in mid-stream: wait for the next full frame
-		}
-		cb, err := wire.DecodeCycleDelta(frame, d.last)
-		if err != nil {
-			// Out of sync (e.g. a dropped frame): resynchronize on the
-			// next full frame rather than dying.
-			d.last = nil
-			return nil, nil
-		}
-		d.last = cb
+		cb.Frame = lease
 		return cb, nil
 	case wire.KindCycle:
-		cb, err := wire.ViewFrame(frame, lease)
-		if err != nil {
-			return nil, err
-		}
-		lease.Retain()
-		d.fullLease.Release()
-		d.last, d.lastFull, d.fullLease = nil, frame, lease
-		return cb, nil
+		return wire.ViewFrame(frame, lease)
 	default:
 		return nil, fmt.Errorf("netcast: %v frame on the broadcast stream", kind)
 	}

@@ -1,9 +1,9 @@
 // Differential conformance: the connectionless datapath must be
 // invisible. A TCP tuner and a datagram tuner attached to the same
 // server decode byte-identical cycle streams — across every wire mode
-// (classic full, delta-chained, sparse grouped, broadcast program),
-// a thousand generator-seeded workloads, and every pinned conformance
-// counterexample.
+// (classic full, sparse grouped, broadcast program with and without
+// per-column deltas), a thousand generator-seeded workloads, and every
+// pinned conformance counterexample.
 //
 // This lives in package netcast_test (not netcast) so it can import
 // internal/conformance, which sits above netcast via faultair.
@@ -58,9 +58,6 @@ func runDifferential(t *testing.T, w *conformance.Workload, mode int) {
 	switch mode {
 	case modeFull:
 		cfg.Algorithm = protocol.FMatrix
-	case modeDelta:
-		cfg.Algorithm = protocol.FMatrix
-		opts.DeltaEvery = 3
 	case modeGrouped:
 		cfg.Algorithm = protocol.Grouped
 		cfg.Groups = w.GroupsOrDefault()
@@ -69,14 +66,22 @@ func runDifferential(t *testing.T, w *conformance.Workload, mode int) {
 			cfg.RegroupEvery = 3 // exercise partition movement by default
 		}
 		opts.SparseGrouped = true
-	case modeProgram:
+	case modeDelta, modeProgram:
+		// modeDelta is the flat program (one disk, no index) with
+		// per-column bucket deltas; modeProgram a multi-disk, indexed
+		// program sending every column in full.
 		cfg.Algorithm = protocol.FMatrix
 		layout := bcast.LayoutFor(protocol.FMatrix, n, 64, 8, 0)
-		disks := 1
-		if n >= 4 {
-			disks = 2
+		disks, indexM := 1, 0
+		if mode == modeDelta {
+			opts.RefreshEvery = 3
+		} else {
+			indexM = min(2, n)
+			if n >= 4 {
+				disks = 2
+			}
 		}
-		prog, err := airsched.Build(layout, airsched.ZipfWeights(n, 0.9), disks, min(2, n))
+		prog, err := airsched.Build(layout, airsched.ZipfWeights(n, 0.9), disks, indexM)
 		if err != nil {
 			t.Fatalf("airsched.Build(n=%d): %v", n, err)
 		}
@@ -172,6 +177,9 @@ func runDifferential(t *testing.T, w *conformance.Workload, mode int) {
 	}
 	tcp := recv("tcp", tcpSub)
 	udp := recv("udp", udpSub)
+	if d := ns.Obs().Counter("netcast_delta_bytes").Load(); mode == modeDelta && cycles > 1 && d == 0 {
+		t.Fatalf("%d cycles with RefreshEvery 3 sent no delta bucket", cycles)
+	}
 
 	for i := range tcp {
 		if tcp[i].Number != udp[i].Number {

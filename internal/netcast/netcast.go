@@ -187,12 +187,6 @@ func (f *frameReader) fill(n int) error {
 
 // Options tune the network server.
 type Options struct {
-	// DeltaEvery, when positive, enables incremental transmission
-	// (matrix layouts only): cycles are sent as delta frames over the
-	// previous cycle, with a full frame every DeltaEvery cycles so late
-	// tuners and subscribers that missed a frame can resynchronize.
-	DeltaEvery int
-
 	// RefreshEvery, when positive, controls delta transmission of
 	// control columns in program mode (servers carrying an airsched
 	// program): each object's column is sent as a delta against its own
@@ -246,12 +240,11 @@ type Server struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	// Transmission state (Deliver only, not concurrent): the delta base, the
-	// one buffer every classic frame is built in, which regroup epoch the
-	// last sparse-grouped frame named, whether any partition-bearing
-	// frame has gone out yet, then fanOut's subscriber snapshot (rebuilt
-	// when subs is stale) and its writer.
-	prev         *bcast.CycleBroadcast
+	// Transmission state (Deliver only, not concurrent): the one buffer
+	// every classic frame is built in, which regroup epoch the last
+	// sparse-grouped frame named, whether any partition-bearing frame
+	// has gone out yet, then fanOut's subscriber snapshot (rebuilt when
+	// subs is stale) and its writer.
 	frame        []byte
 	groupedEpoch uint64
 	sentPart     bool
@@ -259,9 +252,8 @@ type Server struct {
 	out          frameWriter
 
 	// Transmission accounting (bytes of cycle payload, framing
-	// excluded) for the delta-bandwidth analysis, plus subscriber
-	// churn. Registry-backed so TransmittedBytes and /metrics can
-	// never disagree.
+	// excluded; program mode splits full from delta columns), plus
+	// subscriber churn, read through Obs and /metrics.
 	cFullBytes    *obs.Counter
 	cDeltaBytes   *obs.Counter
 	cGroupedBytes *obs.Counter
@@ -293,13 +285,7 @@ func ServeOptions(bsrv *server.Server, broadcastAddr, uplinkAddr string, opts Op
 	if bsrv.Layout().Control == bcast.ControlNone {
 		return nil, errors.New("netcast: the F-Matrix-No layout is a simulation-only ideal and cannot be broadcast")
 	}
-	if opts.DeltaEvery > 0 && bsrv.Layout().Control != bcast.ControlMatrix {
-		return nil, errors.New("netcast: delta transmission requires the matrix layout")
-	}
 	prog := bsrv.Program()
-	if prog != nil && opts.DeltaEvery > 0 {
-		return nil, errors.New("netcast: cycle-level deltas (DeltaEvery) do not apply to program mode; use RefreshEvery")
-	}
 	if opts.SparseGrouped {
 		if bsrv.Layout().Control != bcast.ControlGrouped {
 			return nil, errors.New("netcast: sparse grouped transmission requires the grouped layout")
@@ -346,13 +332,6 @@ func ServeOptions(bsrv *server.Server, broadcastAddr, uplinkAddr string, opts Op
 	return s, nil
 }
 
-// TransmittedBytes reports cumulative cycle payload bytes sent as full
-// frames and as delta frames (per subscriber transmission counted once;
-// the broadcast medium reaches everyone with one transmission).
-func (s *Server) TransmittedBytes() (full, delta int64) {
-	return s.cFullBytes.Load(), s.cDeltaBytes.Load()
-}
-
 // BroadcastAddr reports the broadcast listener's address.
 func (s *Server) BroadcastAddr() string { return s.broadcastLn.Addr().String() }
 
@@ -368,8 +347,8 @@ func (s *Server) Step() (int, error) {
 // Deliver is Step's transmitting half: it encodes cycle cb (nil, a
 // closed server's, is server.ErrClosed), sends it on the datagram path
 // if one is attached and fans it out, returning how many subscribers
-// received it. Classic mode sends the cycle as one frame (full, delta
-// or sparse-grouped); program mode sends the timeline's individual
+// received it. Classic mode sends the cycle as one frame (full or
+// sparse-grouped); program mode sends the timeline's individual
 // index and bucket frames, where every occurrence of an object within
 // the cycle carries the cycle-start control column, so validation is
 // identical wherever a client tunes in. A classic frame is valid until
@@ -402,9 +381,6 @@ func (s *Server) Deliver(cb *bcast.CycleBroadcast) (int, error) {
 			return 0, err
 		}
 	}
-	if s.opts.DeltaEvery > 0 {
-		s.prev = cb
-	}
 	delivered := s.fanOut(cb, frames)
 	s.bsrv.Tracer().Emit(obs.EvCycleEnd, obs.ActorServer, int64(cb.Number), int32(len(frames)), int64(delivered))
 	return delivered, nil
@@ -414,8 +390,7 @@ func (s *Server) Deliver(cb *bcast.CycleBroadcast) (int, error) {
 // accounts the payload under its kind.
 func (s *Server) encodeCycle(cb *bcast.CycleBroadcast) (data []byte, err error) {
 	kind := s.cFullBytes
-	switch {
-	case s.opts.SparseGrouped:
+	if s.opts.SparseGrouped {
 		// The epoch is stable between StartCycle calls, so reading it
 		// after StartCycle pairs it with cb's partition.
 		epoch := s.bsrv.RegroupEpoch()
@@ -425,10 +400,7 @@ func (s *Server) encodeCycle(cb *bcast.CycleBroadcast) (data []byte, err error) 
 			s.groupedEpoch, s.sentPart = epoch, true
 		}
 		kind = s.cGroupedBytes
-	case s.opts.DeltaEvery > 0 && s.prev != nil && cb.Number%cmatrix.Cycle(s.opts.DeltaEvery) != 0:
-		data, err = wire.AppendCycleDelta(s.frame[:0], s.prev, cb)
-		kind = s.cDeltaBytes
-	default:
+	} else {
 		var patched bool
 		if data, patched, err = wire.PatchCycle(s.frame, cb); patched {
 			s.cPatched.Inc()

@@ -200,98 +200,6 @@ func TestSlowSubscriberIsDropped(t *testing.T) {
 	}
 }
 
-func TestDeltaModeOverTCP(t *testing.T) {
-	bsrv, err := server.New(server.Config{Objects: 4, ObjectBits: 64, Algorithm: protocol.FMatrix})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bsrv.Close()
-	ns, err := ServeOptions(bsrv, "127.0.0.1:0", "127.0.0.1:0", Options{DeltaEvery: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ns.Close()
-
-	tuner, err := Tune(ns.BroadcastAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tuner.Close()
-	cli := client.New(client.Config{Algorithm: protocol.FMatrix}, tuner.Subscribe(64))
-	awaitSubscribers(t, ns, 1)
-
-	// Ten cycles with a commit between each; the client must see every
-	// reconstructed cycle with the right values and matrices.
-	for c := 1; c <= 10; c++ {
-		if _, err := ns.Step(); err != nil {
-			t.Fatal(err)
-		}
-		cb, ok := cli.AwaitCycle()
-		if !ok {
-			t.Fatal("stream closed")
-		}
-		if int(cb.Number) != c {
-			t.Fatalf("cycle %d, want %d", cb.Number, c)
-		}
-		if cb.Matrix == nil && cb.View == nil {
-			t.Fatal("reconstruction lost the matrix")
-		}
-		txn := cli.BeginReadOnly()
-		v, err := txn.Read(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c > 1 && v[0] != byte(c-1) {
-			t.Fatalf("cycle %d: value %v, want first byte %d", c, v, c-1)
-		}
-		up := bsrv.Begin()
-		up.Read(1)
-		up.Write(0, []byte{byte(c)})
-		if err := up.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	full, delta := ns.TransmittedBytes()
-	if full == 0 || delta == 0 {
-		t.Fatalf("transmission accounting: full=%d delta=%d", full, delta)
-	}
-	if delta/7 >= full/3 { // 3 full frames (cycles 1,4,8), 7 deltas
-		t.Errorf("mean delta frame (%d bytes over 7) should be far below mean full frame (%d over 3)", delta, full)
-	}
-
-	// A late tuner must resynchronize at the next full frame.
-	late, err := Tune(ns.BroadcastAddr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer late.Close()
-	lateCli := client.New(client.Config{Algorithm: protocol.FMatrix}, late.Subscribe(64))
-	awaitSubscribers(t, ns, 2)
-	got := 0
-	for c := 11; c <= 16; c++ {
-		if _, err := ns.Step(); err != nil {
-			t.Fatal(err)
-		}
-		if lateCli.PollCycle() {
-			got++
-		}
-		time.Sleep(2 * time.Millisecond)
-		lateCli.PollCycle()
-	}
-	if lateCli.Current() == nil {
-		t.Fatal("late tuner never resynchronized on a full frame")
-	}
-	if n := lateCli.Current().Number; n%4 == 1 {
-		// Current is the last delivered cycle; any value is fine as long
-		// as reconstruction proceeded past the first full frame.
-		_ = n
-	}
-}
-
-// TestSparseGroupedOverTCP runs a heat-regrouping grouped server over
-// the sparse BCG1 stream: a from-the-start tuner must decode every
-// cycle across regroup epochs, and a late tuner must resynchronize on
-// the next partition-bearing frame.
 func TestSparseGroupedOverTCP(t *testing.T) {
 	bsrv, err := server.New(server.Config{
 		Objects: 8, ObjectBits: 64, Algorithm: protocol.Grouped, Groups: 4,
@@ -479,20 +387,6 @@ func TestServeRejectsRegroupWithoutSparse(t *testing.T) {
 	defer bsrv.Close()
 	if _, err := Serve(bsrv, "127.0.0.1:0", "127.0.0.1:0"); err == nil {
 		t.Fatal("a regrouping server must require SparseGrouped")
-	}
-	if _, err := ServeOptions(bsrv, "127.0.0.1:0", "127.0.0.1:0", Options{SparseGrouped: true, DeltaEvery: 2}); err == nil {
-		t.Fatal("DeltaEvery on a grouped layout should fail")
-	}
-}
-
-func TestServeOptionsRejectsDeltaOnVector(t *testing.T) {
-	bsrv, err := server.New(server.Config{Objects: 2, ObjectBits: 64, Algorithm: protocol.RMatrix})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bsrv.Close()
-	if _, err := ServeOptions(bsrv, "127.0.0.1:0", "127.0.0.1:0", Options{DeltaEvery: 3}); err == nil {
-		t.Fatal("delta mode on a vector layout should fail")
 	}
 }
 

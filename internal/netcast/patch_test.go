@@ -106,8 +106,7 @@ func TestStepPatchesFullFrames(t *testing.T) {
 }
 
 // TestStepReusesFrameItCannotPatch: grouped control (dense or sparse
-// frames), delta transmission and program mode encode from scratch as
-// they always did. The classic ones still build every frame in the one
+// frames) and program mode encode from scratch as they always did. The classic ones still build every frame in the one
 // kept buffer, there for reuse, not for patching.
 func TestStepReusesFrameItCannotPatch(t *testing.T) {
 	serve := func(cfg server.Config, opts Options) (*server.Server, *Server) {
@@ -130,9 +129,6 @@ func TestStepReusesFrameItCannotPatch(t *testing.T) {
 	for name, mk := range map[string]func() (*server.Server, *Server){
 		"grouped":        func() (*server.Server, *Server) { return serve(grouped, Options{}) },
 		"sparse-grouped": func() (*server.Server, *Server) { return serve(grouped, Options{SparseGrouped: true}) },
-		"delta": func() (*server.Server, *Server) {
-			return serve(server.Config{Objects: 6, Algorithm: protocol.FMatrix}, Options{DeltaEvery: 3})
-		},
 		"program": func() (*server.Server, *Server) {
 			bsrv, ns, _ := newProgramServer(t, protocol.FMatrix, 6, 2, 1, Options{})
 			return bsrv, ns

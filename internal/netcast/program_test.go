@@ -197,7 +197,8 @@ func TestProgramDeltaReducesBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return ns.TransmittedBytes()
+		reg := ns.Obs()
+		return reg.Counter("netcast_full_bytes").Load(), reg.Counter("netcast_delta_bytes").Load()
 	}
 	fullOnly, d0 := run(0)
 	if d0 != 0 {
@@ -301,9 +302,6 @@ func TestServeOptionsRejectsProgramMisuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bsrv.Close()
-	if _, err := ServeOptions(bsrv, "127.0.0.1:0", "127.0.0.1:0", Options{DeltaEvery: 4}); err == nil {
-		t.Fatal("cycle-level deltas on a program stream should be rejected")
-	}
 	plain, err := server.New(server.Config{Objects: 4, ObjectBits: 64, Algorithm: protocol.FMatrix})
 	if err != nil {
 		t.Fatal(err)

@@ -14,15 +14,15 @@ import (
 	"broadcastcc/internal/server"
 )
 
-// recycleStack serves cfg over loopback and tunes one TCP tuner in; the
-// caller closes the tuner.
-func recycleStack(t *testing.T, cfg server.Config) (*server.Server, *Server, *Tuner) {
+// recycleStack serves cfg with opts over loopback and tunes one TCP
+// tuner in; the caller closes the tuner.
+func recycleStack(t *testing.T, cfg server.Config, opts Options) (*server.Server, *Server, *Tuner) {
 	t.Helper()
 	bsrv, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns, err := Serve(bsrv, "127.0.0.1:0", "127.0.0.1:0")
+	ns, err := ServeOptions(bsrv, "127.0.0.1:0", "127.0.0.1:0", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func writeAll(t *testing.T, bsrv *server.Server, cfg server.Config, k int, objs 
 func TestTunerRecyclesFrames(t *testing.T) {
 	const cycles, frame = 200, 397226
 	cfg := stepShapes[0].cfg
-	bsrv, ns, tn := recycleStack(t, cfg)
+	bsrv, ns, tn := recycleStack(t, cfg, Options{})
 	c := client.New(client.Config{Algorithm: cfg.Algorithm}, tn.Subscribe(4))
 	for k := 1; k <= cycles; k++ {
 		obj := k % cfg.Objects
@@ -96,6 +96,53 @@ func TestTunerRecyclesFrames(t *testing.T) {
 	}
 }
 
+// TestGroupedTunerRecyclesFrames: a BCG1 cycle carries its frame's
+// count like a BCC1 one, and the decoder keeps nothing of it (its
+// partition is built fresh), so over 200 lock-step cycles of a
+// regrouping sparse-grouped server the tuner allocates fewer than 8
+// frames, and every read returns the value its cycle carried. The
+// server runs 50 cycles off the air first: a BCG1 frame grows while its
+// MC rows fill, and each growth past the spare costs one frame.
+func TestGroupedTunerRecyclesFrames(t *testing.T) {
+	const warm, cycles = 50, 200
+	cfg := server.Config{Objects: 32, ObjectBits: 64, Algorithm: protocol.Grouped, Groups: 4, RegroupEvery: 5}
+	bsrv, ns, tn := recycleStack(t, cfg, Options{SparseGrouped: true})
+	defer tn.Close()
+	c := client.New(client.Config{Algorithm: cfg.Algorithm}, tn.Subscribe(4))
+	write := func(k int) int {
+		obj := k * 7 % cfg.Objects
+		writeAll(t, bsrv, cfg, k, obj, (obj+1)%cfg.Objects)
+		return obj
+	}
+	for k := 1; k <= warm; k++ {
+		write(k)
+		bsrv.StartCycle()
+	}
+	for k := warm + 1; k <= warm+cycles; k++ {
+		obj := write(k)
+		if n, err := ns.Step(); err != nil || n != 1 {
+			t.Fatalf("cycle %d: Step = %d, %v", k, n, err)
+		}
+		cb, ok := c.AwaitCycle()
+		if !ok || cb.Number != cmatrix.Cycle(k) {
+			t.Fatalf("cycle %d: the client made %v current (ok %v)", k, cb, ok)
+		}
+		if cb.Grouped == nil || cb.Frame == nil {
+			t.Fatalf("cycle %d: a BCG1 frame decoded without grouped control or a count: grouped %v, frame %v", k, cb.Grouped != nil, cb.Frame != nil)
+		}
+		v, err := c.BeginReadOnly().Read(obj)
+		if err != nil || !bytes.Equal(v, stamp(cfg, obj, k)) {
+			t.Fatalf("cycle %d: read of %d = %q, %v", k, obj, v, err)
+		}
+	}
+	if epoch := bsrv.RegroupEpoch(); epoch <= warm/5 {
+		t.Fatalf("regroup epoch %d: the server never regrouped on the air", epoch)
+	}
+	if fresh := tn.slot.Fresh(); fresh >= 8 {
+		t.Errorf("the tuner allocated %d frames over %d cycles, want fewer than 8", fresh, cycles)
+	}
+}
+
 // liveHeap is the heap in use after a collection.
 func liveHeap() int64 {
 	runtime.GC()
@@ -117,7 +164,7 @@ func TestHeldViewSurvivesRecycling(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	bsrv, ns, tn := recycleStack(t, cfg)
+	bsrv, ns, tn := recycleStack(t, cfg, Options{})
 	defer tn.Close()
 	c := client.New(client.Config{Algorithm: cfg.Algorithm}, tn.Subscribe(4))
 	step := func(k int) *bcast.CycleBroadcast {
@@ -194,7 +241,7 @@ func heldBytes(cb *bcast.CycleBroadcast) (vals [][]byte, bounds []cmatrix.Cycle)
 func TestHeldViewsRaceDeliveries(t *testing.T) {
 	const n, cycles, keep = 16, 300, 4
 	cfg := server.Config{Objects: n, ObjectBits: 64, Algorithm: protocol.FMatrix}
-	bsrv, ns, tn := recycleStack(t, cfg)
+	bsrv, ns, tn := recycleStack(t, cfg, Options{})
 	defer tn.Close()
 	sub := tn.Subscribe(64)
 	c := client.New(client.Config{Algorithm: cfg.Algorithm}, tn.Subscribe(4))

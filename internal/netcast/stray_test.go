@@ -103,7 +103,8 @@ func TestServeUplinkRejectsTwoShot(t *testing.T) {
 
 // TestStrayFramesRejectedAsWrongKind: the cycle-delta frame shares its
 // magic with no uplink frame, so the uplink dispatch refuses it for
-// what it is, before any decoder sees it.
+// what it is, before any decoder sees it. No sender puts one on the
+// broadcast stream either, and the frame decoder refuses it by name.
 func TestStrayFramesRejectedAsWrongKind(t *testing.T) {
 	bsrv, err := server.New(server.Config{Objects: 4, ObjectBits: 64, Algorithm: protocol.FMatrix})
 	if err != nil {
@@ -124,6 +125,9 @@ func TestStrayFramesRejectedAsWrongKind(t *testing.T) {
 	}
 	if err := u.dispatch(nil, new(protocol.UpdateRequest)); err == nil || !strings.Contains(err.Error(), "unknown frame on the uplink") {
 		t.Fatalf("empty frame fed to the uplink dispatch: %v", err)
+	}
+	if _, err := NewFrameDecoder().Decode(delta); err == nil || !strings.Contains(err.Error(), "cycle-delta frame on the broadcast stream") {
+		t.Fatalf("cycle-delta frame fed to the frame decoder: %v", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package netcast
 import (
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"broadcastcc/internal/bcast"
@@ -36,8 +37,9 @@ func matrixCycle(t *testing.T, rng *rand.Rand, n int, number cmatrix.Cycle) *bca
 // TestFrameDecoderViewsFullFrames: a tuner hears a BCC1 frame as a view
 // over it — the cycle, its value headers and the view, nothing that
 // grows with n² (it was 6 allocations and 738 KB when every frame was
-// decoded into a matrix) — and a BCD1 delta after it still builds on
-// the full cycle, decoded from the kept frame only then.
+// decoded into a matrix) — and keeps nothing of it. A BCD1 cycle delta
+// after it is refused by name: only program mode's bucket deltas go on
+// the air.
 func TestFrameDecoderViewsFullFrames(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	prev := matrixCycle(t, rng, 300, 1000)
@@ -62,26 +64,31 @@ func TestFrameDecoderViewsFullFrames(t *testing.T) {
 		t.Errorf("Decode of a Table 1 frame: %d allocations, %d bytes; want <= 3 and <= 9 KiB", allocs, size)
 	}
 
-	// The delta chain: full frame, then a delta over it.
-	cur := matrixCycle(t, rng, 300, 1001)
-	delta, err := wire.EncodeCycleDelta(prev, cur)
+	var slot bcast.FrameSlot
+	f := slot.Get(len(full))
+	copy(f.Data, full)
+	d := NewFrameDecoder()
+	cb, err := d.decode(f.Data, f)
+	if err != nil || cb == nil || cb.Number != prev.Number || cb.Frame != f {
+		t.Fatalf("full frame: %+v, %v", cb, err)
+	}
+	snap := cb.Snapshot()
+	for j := 0; j < 300; j++ {
+		for i := 0; i < 300; i++ {
+			if got := snap.Bound(i, j); got != prev.Matrix.At(i, j) {
+				t.Fatalf("full frame: C(%d, %d) = %d, want %d", i, j, got, prev.Matrix.At(i, j))
+			}
+		}
+	}
+	f.Release() // the tuner's count, the only one: the frame goes back to the slot
+	if slot.Get(len(full)) != f {
+		t.Fatal("the decoder kept a count on the full frame")
+	}
+	delta, err := wire.EncodeCycleDelta(prev, matrixCycle(t, rng, 300, 1001))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewFrameDecoder()
-	for k, frame := range [][]byte{full, delta} {
-		want := []*bcast.CycleBroadcast{prev, cur}[k]
-		cb, err := d.Decode(frame)
-		if err != nil || cb == nil || cb.Number != want.Number {
-			t.Fatalf("%v frame: %+v, %v", wire.KindOf(frame), cb, err)
-		}
-		snap := cb.Snapshot()
-		for j := 0; j < 300; j++ {
-			for i := 0; i < 300; i++ {
-				if got := snap.Bound(i, j); got != want.Matrix.At(i, j) {
-					t.Fatalf("%v frame: C(%d, %d) = %d, want %d", wire.KindOf(frame), i, j, got, want.Matrix.At(i, j))
-				}
-			}
-		}
+	if cb, err := d.Decode(delta); cb != nil || err == nil || !strings.Contains(err.Error(), "cycle-delta frame on the broadcast stream") {
+		t.Fatalf("BCD1 frame after a full one: %+v, %v; want the cycle-delta refusal", cb, err)
 	}
 }

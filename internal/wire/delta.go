@@ -48,11 +48,6 @@ func indexBits(n int) int {
 // matrix layout with identical dimensions, and prev.Number must precede
 // cur.Number.
 func EncodeCycleDelta(prev, cur *bcast.CycleBroadcast) ([]byte, error) {
-	return AppendCycleDelta(nil, prev, cur)
-}
-
-// AppendCycleDelta is EncodeCycleDelta appending to dst (nil on error).
-func AppendCycleDelta(dst []byte, prev, cur *bcast.CycleBroadcast) ([]byte, error) {
 	l := cur.Layout
 	if l.Control != bcast.ControlMatrix {
 		return nil, fmt.Errorf("wire: delta frames require the matrix layout, got %v", l.Control)
@@ -88,7 +83,7 @@ func AppendCycleDelta(dst []byte, prev, cur *bcast.CycleBroadcast) ([]byte, erro
 	putDims(hdr[20:], l, dimsMatrix)
 	binary.BigEndian.PutUint32(hdr[29:33], uint32(len(changedVals)))
 	binary.BigEndian.PutUint32(hdr[33:37], uint32(len(entries)))
-	w := KindDelta.begin(dst, hdr[:], 1, (DeltaBits(l, len(changedVals), len(entries))+7)/8-deltaHeaderBytes)
+	w := KindDelta.begin(nil, hdr[:], 1, (DeltaBits(l, len(changedVals), len(entries))+7)/8-deltaHeaderBytes)
 	for _, j := range changedVals {
 		w.WriteBits(uint64(j), 32)
 		if err := putSlot(w, j, cur.Values[j], objBytes); err != nil {

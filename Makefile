@@ -89,14 +89,15 @@ fuzz-smoke:
 # cache record through its codec, one cached read transaction and one
 # whole cached client cycle; one uplink round trip over loopback TCP;
 # one server Step, frame built in place, at the Table 1 and dense
-# grouped shapes).
+# grouped shapes; one tuner cycle viewed in a recycled frame at the
+# Table 1, fanout-small vector and dense grouped shapes).
 bench:
 	$(GO) test -run '^$$' -bench 'Matrix|Snapshot|Validator|Wire|StartCycle|Approx|UpdateConsistentExact|ScheduleNextReady' -benchtime 100x
 	$(GO) test -run '^$$' -bench 'Apply|Snapshot' -benchtime 100x ./internal/cmatrix
 	$(GO) test -run '^$$' -bench 'CacheCycle' -benchtime 100x ./internal/qcache
 	$(GO) test -run '^$$' -bench 'CacheRecord' -benchtime 100x ./internal/wire
 	$(GO) test -run '^$$' -bench 'ReadTxn|CachedCycle' -benchtime 100x ./internal/client
-	$(GO) test -run '^$$' -bench 'UplinkRoundTrip|Step' -benchtime 100x ./internal/netcast
+	$(GO) test -run '^$$' -bench 'UplinkRoundTrip|Step|TunerDecode' -benchtime 100x ./internal/netcast
 
 # The wall-clock benchmark (BENCHMARK.json, ~8 min) followed by its
 # regression table against the committed baseline. A report, not a

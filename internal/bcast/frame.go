@@ -1,28 +1,31 @@
 package bcast
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"weak"
 )
 
 // Frame is a received frame with an owner count. A tuner reads each
-// cycle's frame into one, and the cycle decoded from it reads its Values
-// and View there in place. Every holder of the cycle holds one count: the
-// medium's last cycle and each queued delivery, the client's current
-// cycle, a validator that keeps the View, a cache entry that keeps a
-// grouped View. When the last count is released the frame goes back to the FrameSlot it
-// came from, and a later frame is read into it. A holder that never
-// releases only keeps its frame out of the slot; an early release is the
-// one way to read another cycle's bytes.
+// cycle's frame into one, and the cycle viewed from it is Cycle, refilled
+// in place, Values and View included. Every holder of the cycle holds one
+// count: the medium's last cycle and each queued delivery, the client's
+// current cycle, a validator that keeps the View, a cache entry that
+// keeps a vector or grouped View. When the last count is released the
+// frame goes back to the FrameSlot it came from, and a later frame and
+// its cycle are read into it. A holder that never releases only keeps
+// its frame out of the slot; an early release is the one way to read
+// another cycle.
 //
 // A nil *Frame counts nothing: cycles built in process or decoded from a
 // buffer nobody recycles carry none, and Retain and Release on them are
 // no-ops.
 type Frame struct {
-	Data []byte
-	refs atomic.Int32
-	slot *FrameSlot
+	Data  []byte
+	Cycle CycleBroadcast
+	refs  atomic.Int32
+	slot  *FrameSlot
 }
 
 // Retain adds a holder.
@@ -39,7 +42,7 @@ func (f *Frame) Release() {
 	}
 	switch n := f.refs.Add(-1); {
 	case n == 0:
-		poison(f.Data[:cap(f.Data)])
+		poison(f)
 		f.slot.put(f)
 	case n < 0:
 		panic("bcast: frame released more often than retained")
@@ -58,7 +61,8 @@ type FrameSlot struct {
 }
 
 // Get returns a frame of n bytes with one count, the caller's: the
-// spare when there is one large enough, else a new frame.
+// spare when there is one large enough, else a new frame as large as n's
+// size class, so a frame growing a little per cycle allocates per class.
 func (s *FrameSlot) Get(n int) *Frame {
 	s.mu.Lock()
 	f := s.spare.Value()
@@ -66,7 +70,7 @@ func (s *FrameSlot) Get(n int) *Frame {
 	s.mu.Unlock()
 	if f == nil || cap(f.Data) < n {
 		s.fresh.Add(1)
-		f = &Frame{Data: make([]byte, n), slot: s}
+		f = &Frame{Data: slices.Grow([]byte(nil), n), slot: s}
 	}
 	f.Data = f.Data[:n]
 	f.refs.Store(1)

@@ -13,15 +13,16 @@ import (
 // the cycle plus the control information the configured protocol
 // requires. Exactly one of Matrix / View / Vector / Grouped is non-nil,
 // except for ControlNone layouts where Matrix carries the (free)
-// F-Matrix-No control information. View is matrix or grouped control
-// read in place from a received frame (wire.ViewCycle).
+// F-Matrix-No control information. View is the control of a received
+// frame read in place (wire.ViewCycle), under every layout on the air.
 //
-// Off a tuner, Values and View are valid while a holder keeps the cycle:
-// each holder has a count on Frame (Retain), and once the last lets go
-// (Release) the frame is read over by a later cycle. Whoever is handed a
-// cycle through a Subscription holds the count that delivery took; the
-// client's current cycle, the cycle AwaitCycle returns, is valid until
-// the client makes another current or retunes.
+// Off a tuner the whole cycle is valid while a holder keeps it: each
+// holder has a count on Frame (Retain), and once the last lets go
+// (Release) the frame and the cycle it carries (Frame.Cycle) are read
+// over by a later cycle. Whoever is handed a cycle through a Subscription
+// holds the count that delivery took; the client's current cycle, the
+// cycle AwaitCycle returns, is valid until the client makes another
+// current or retunes.
 type CycleBroadcast struct {
 	Number cmatrix.Cycle
 	Layout Layout
@@ -65,8 +66,8 @@ func (cb *CycleBroadcast) Release() {
 	}
 }
 
-// MatrixView is control read in place: Bound(i, j) is C(i, j) or, under
-// a grouped layout, MC(i, group(j)); Col (matrix only) copies column j.
+// MatrixView is control read in place: Bound(i, j) is C(i, j), MC(i,
+// group(j)) or V(i) by layout; Col (matrix only) copies column j.
 type MatrixView interface {
 	protocol.Snapshot
 	Col(j int, buf []cmatrix.Cycle) []cmatrix.Cycle

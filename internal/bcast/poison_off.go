@@ -6,4 +6,4 @@ package bcast
 // framepoison build tag; see poison.go).
 const Poisoned = false
 
-func poison([]byte) {}
+func poison(*Frame) {}

@@ -443,7 +443,7 @@ func (c *Client) fetch(obj int) (value []byte, snap protocol.Snapshot, cycle cma
 		// copied into the entry's block (Section 3.3's cost per entry), and
 		// the read is validated against that block, so neither pins a
 		// tuner's frame. Vector and grouped control are kept whole; the
-		// cache holds a count on a grouped view while the entry lives.
+		// cache holds a count on a tuner's view while the entry lives.
 		if l := c.cur.Layout.Control; l == bcast.ControlMatrix || l == bcast.ControlNone {
 			snap = c.cache.PutColumn(obj, value, cycle, snap, len(c.cur.Values))
 		} else {

@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"broadcastcc/internal/bcast"
 	"broadcastcc/internal/client"
 	"broadcastcc/internal/cmatrix"
 	"broadcastcc/internal/protocol"
+	"broadcastcc/internal/qcache"
 	"broadcastcc/internal/server"
+	"broadcastcc/internal/wire"
 )
 
 // recycleStack serves cfg with opts over loopback and tunes one TCP
@@ -59,40 +63,57 @@ func writeAll(t *testing.T, bsrv *server.Server, cfg server.Config, k int, objs 
 	}
 }
 
-// TestTunerRecyclesFrames: over 200 lock-step Table 1 cycles through a
-// TCP tuner and a client, the tuner reads every frame into one its
-// slot recycles, allocating fewer than 8 frames in all (two alternate;
-// a collection that finds the spare unused costs one more), every read
-// returns the value its cycle carried, and once collected the tuner
-// keeps one frame live — the current cycle's — not a spare beside it.
+// TestTunerRecyclesFrames: over 200 lock-step cycles through a TCP
+// tuner and a client, at Table 1 (matrix control) and at fanout-small's
+// R-Matrix vector, the tuner reads every frame into one its slot
+// recycles, allocating fewer than 8 frames in all (two alternate; a
+// collection that finds the spare unused costs one more), every cycle is
+// a view riding its frame (Frame.Cycle), every read returns the value
+// its cycle carried, and once collected the Table 1 tuner keeps one
+// frame live — the current cycle's — not a spare beside it (a 2 KiB
+// vector frame does not stand out of the heap's noise).
 func TestTunerRecyclesFrames(t *testing.T) {
-	const cycles, frame = 200, 397226
-	cfg := stepShapes[0].cfg
-	bsrv, ns, tn := recycleStack(t, cfg, Options{})
-	c := client.New(client.Config{Algorithm: cfg.Algorithm}, tn.Subscribe(4))
-	for k := 1; k <= cycles; k++ {
-		obj := k % cfg.Objects
-		writeAll(t, bsrv, cfg, k, obj)
-		if n, err := ns.Step(); err != nil || n != 1 {
-			t.Fatalf("cycle %d: Step = %d, %v", k, n, err)
-		}
-		if cb, ok := c.AwaitCycle(); !ok || cb.Number != cmatrix.Cycle(k) {
-			t.Fatalf("cycle %d: the client made %v current (ok %v)", k, cb, ok)
-		}
-		v, err := c.BeginReadOnly().Read(obj)
-		if err != nil || !bytes.Equal(v, stamp(cfg, obj, k)) {
-			t.Fatalf("cycle %d: read of %d = %q, %v", k, obj, v, err)
-		}
-	}
-	if fresh := tn.slot.Fresh(); fresh >= 8 {
-		t.Errorf("the tuner allocated %d frames (%d B) over %d cycles, want fewer than 8", fresh, fresh*frame, cycles)
-	}
-	with := liveHeap()
-	c.Cancel()
-	tn.Close()
-	held := with - liveHeap()
-	if held > frame*3/2 {
-		t.Errorf("the tuner and client kept %d B live: want one %d B frame, not two", held, frame)
+	for _, tc := range []struct {
+		name  string
+		cfg   server.Config
+		frame int64
+	}{
+		{"table1", stepShapes[0].cfg, 397226},
+		{"vector", fanoutShape, 2106},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const cycles = 200
+			cfg := tc.cfg
+			bsrv, ns, tn := recycleStack(t, cfg, Options{})
+			c := client.New(client.Config{Algorithm: cfg.Algorithm}, tn.Subscribe(4))
+			for k := 1; k <= cycles; k++ {
+				obj := k % cfg.Objects
+				writeAll(t, bsrv, cfg, k, obj)
+				if n, err := ns.Step(); err != nil || n != 1 {
+					t.Fatalf("cycle %d: Step = %d, %v", k, n, err)
+				}
+				cb, ok := c.AwaitCycle()
+				if !ok || cb.Number != cmatrix.Cycle(k) {
+					t.Fatalf("cycle %d: the client made %v current (ok %v)", k, cb, ok)
+				}
+				if cb.Frame == nil || cb != &cb.Frame.Cycle || cb.View == nil || int64(len(cb.Frame.Data)) != tc.frame {
+					t.Fatalf("cycle %d: not a view riding its %d-byte frame: %+v", k, tc.frame, cb)
+				}
+				v, err := c.BeginReadOnly().Read(obj)
+				if err != nil || !bytes.Equal(v, stamp(cfg, obj, k)) {
+					t.Fatalf("cycle %d: read of %d = %q, %v", k, obj, v, err)
+				}
+			}
+			if fresh := tn.slot.Fresh(); fresh >= 8 {
+				t.Errorf("the tuner allocated %d frames (%d B) over %d cycles, want fewer than 8", fresh, fresh*tc.frame, cycles)
+			}
+			with := liveHeap()
+			c.Cancel()
+			tn.Close()
+			if held := with - liveHeap(); tc.frame > 64<<10 && held > tc.frame*3/2 {
+				t.Errorf("the tuner and client kept %d B live: want one %d B frame, not two", held, tc.frame)
+			}
+		})
 	}
 }
 
@@ -140,6 +161,114 @@ func TestGroupedTunerRecyclesFrames(t *testing.T) {
 	}
 	if fresh := tn.slot.Fresh(); fresh >= 8 {
 		t.Errorf("the tuner allocated %d frames over %d cycles, want fewer than 8", fresh, cycles)
+	}
+}
+
+// TestGrowingFramesAllocateBySizeClass: a sparse-grouped (BCG1) stream
+// at n = 32, g = 4 grows its frame a few bytes at a time while the MC
+// rows fill, between 324 and 362 B over its first 31 cycles. The slot
+// allocates each frame at its size class, so the growth costs a frame
+// per class it crosses and frame in flight, not one per cycle: two
+// frames alternate in lock-step and the stream crosses the 352 and 384 B
+// classes, so at most 4, where exact-length frames cost 13.
+func TestGrowingFramesAllocateBySizeClass(t *testing.T) {
+	const cycles = 31
+	cfg := server.Config{Objects: 32, ObjectBits: 64, Algorithm: protocol.Grouped, Groups: 4, RegroupEvery: 5}
+	bsrv, ns, tn := recycleStack(t, cfg, Options{SparseGrouped: true})
+	defer tn.Close()
+	c := client.New(client.Config{Algorithm: cfg.Algorithm}, tn.Subscribe(4))
+	var sizes []int
+	for k := 1; k <= cycles; k++ {
+		obj := k * 7 % cfg.Objects
+		writeAll(t, bsrv, cfg, k, obj, (obj+1)%cfg.Objects)
+		if n, err := ns.Step(); err != nil || n != 1 {
+			t.Fatalf("cycle %d: Step = %d, %v", k, n, err)
+		}
+		cb, ok := c.AwaitCycle()
+		if !ok || cb.Number != cmatrix.Cycle(k) {
+			t.Fatalf("cycle %d: the client made %v current (ok %v)", k, cb, ok)
+		}
+		sizes = append(sizes, len(cb.Frame.Data))
+	}
+	t.Logf("frame sizes %v, %d frames allocated", sizes, tn.slot.Fresh())
+	if slices.Max(sizes)-slices.Min(sizes) < 32 {
+		t.Fatalf("frame sizes %v: the stream did not grow", sizes)
+	}
+	if fresh := tn.slot.Fresh(); fresh > 4 {
+		t.Errorf("the tuner allocated %d frames while its frames grew %d → %d B, want at most 4", fresh, sizes[0], sizes[len(sizes)-1])
+	}
+}
+
+// TestVectorCacheLogsThroughTuner: an R-Matrix caching client fed by a
+// TCP tuner caches each miss with the cycle's vector view kept whole, and
+// logs the view's entries, V, as the entry's column — as it logs an
+// in-process cmatrix.Vector. Once the next cycle edge has flushed them,
+// a store reopened in a fresh client recovers both entries, and that
+// client's first read is a cache hit.
+func TestVectorCacheLogsThroughTuner(t *testing.T) {
+	const n = 8
+	cfg := server.Config{Objects: n, ObjectBits: 64, Algorithm: protocol.RMatrix}
+	dir := t.TempDir()
+	store, err := qcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bsrv, ns, tn := recycleStack(t, cfg, Options{})
+	defer tn.Close()
+	c := client.New(client.Config{Algorithm: cfg.Algorithm, CacheCurrency: 10, Store: store}, tn.Subscribe(4))
+	step := func(c *client.Client, k int) *bcast.CycleBroadcast {
+		t.Helper()
+		if _, err := ns.Step(); err != nil {
+			t.Fatal(err)
+		}
+		cb, ok := c.AwaitCycle()
+		if !ok || cb.Number != cmatrix.Cycle(k) {
+			t.Fatalf("cycle %d: the client made %v current (ok %v)", k, cb, ok)
+		}
+		return cb
+	}
+	step(c, 1)
+	writeAll(t, bsrv, cfg, 1, 0, 1) // V(0) = V(1) = 1
+	if cb := step(c, 2); reflect.TypeOf(cb.View) != reflect.TypeFor[*wire.VectorView]() {
+		t.Fatalf("cycle 2 carries a %T, want the tuner's vector view", cb.View)
+	}
+	txn := c.BeginReadOnly()
+	for _, obj := range []int{0, 1} {
+		if v, err := txn.Read(obj); err != nil || !bytes.Equal(v, stamp(cfg, obj, 1)) {
+			t.Fatalf("read of %d = %q, %v", obj, v, err)
+		}
+	}
+	txn.Commit()
+	step(c, 3) // the cycle edge flushes both entries
+	c.Cancel()
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := qcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	want := make([]cmatrix.Cycle, n)
+	want[0], want[1] = 1, 1
+	for _, obj := range []int{0, 1} {
+		e, ok := re.Get(obj)
+		if !ok || e.Cycle != 2 || !bytes.Equal(e.Value, stamp(cfg, obj, 1)) || !slices.Equal(e.Col, want) {
+			t.Fatalf("recovered entry %d: %+v (ok %v), want the value read at cycle 2 and V = %v", obj, e, ok, want)
+		}
+	}
+	c2 := client.New(client.Config{Algorithm: cfg.Algorithm, CacheCurrency: 10, Store: re}, tn.Subscribe(4))
+	if cb, ok := c2.AwaitCycle(); !ok || cb.Number != 3 { // a late subscriber hears the last cycle at once
+		t.Fatalf("the restarted client made %v current (ok %v), want cycle 3", cb, ok)
+	}
+	txn = c2.BeginReadOnly()
+	if v, err := txn.Read(0); err != nil || !bytes.Equal(v, stamp(cfg, 0, 1)) {
+		t.Fatalf("restarted read of 0 = %q, %v", v, err)
+	}
+	txn.Commit()
+	if hits := c2.Stats().CacheHits; hits != 1 {
+		t.Fatalf("the restarted client's first read was not served from the recovered store (%d hits)", hits)
 	}
 }
 
@@ -207,9 +336,10 @@ func TestHeldViewSurvivesRecycling(t *testing.T) {
 			t.Fatalf("held cycle %d: C(%d, %d) = %d, published as %d", held.Number, i/n, i%n, gotBounds[i], bounds[i])
 		}
 	}
+	value := held.Values[0]
 	v.Reset()
-	if bcast.Poisoned && !bytes.Equal(held.Values[0], bytes.Repeat([]byte{0xA5}, len(held.Values[0]))) {
-		t.Fatalf("the frame the validator let go of was not poisoned: %q", held.Values[0])
+	if bcast.Poisoned && !bytes.Equal(value, bytes.Repeat([]byte{0xA5}, len(value))) {
+		t.Fatalf("the frame the validator let go of was not poisoned: %q", value)
 	}
 }
 

@@ -45,8 +45,8 @@ func ColumnOf(snap Snapshot, obj, n int) ColumnSnapshot {
 // returns the extended slice, copying them straight out of the snapshot
 // where it stores columns: an in-process matrix, or a tuner's matrix view
 // (a Col(j, buf) method that appends column j, as wire.CycleView has);
-// any other snapshot is asked entry by entry. A grouped view has no
-// column to copy and must not be passed.
+// any other snapshot is asked entry by entry. A grouped or vector view
+// has no column to copy and must not be passed.
 func AppendColumn(buf []cmatrix.Cycle, snap Snapshot, obj, n int) []cmatrix.Cycle {
 	switch s := snap.(type) {
 	case *cmatrix.Matrix:

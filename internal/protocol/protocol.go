@@ -175,11 +175,18 @@ func (v *ConjunctiveValidator) ReadSet() []ReadAt {
 // Reset implements Validator.
 func (v *ConjunctiveValidator) Reset() { v.reads = v.reads[:0] }
 
+// Vector is V over N objects, At(i) the last cycle a write hit object i:
+// *cmatrix.Vector, or a tuner's wire.VectorView.
+type Vector interface {
+	At(i int) cmatrix.Cycle
+	N() int
+}
+
 // RMatrixValidator implements R-Matrix's weakened condition
 // (∀(ob_i, cycle) ∈ R_t: V(i) < cycle) ∨ (V(j) < c_first): the
 // transaction either sees the database state at its last read or the
-// state at its first read. It requires a *cmatrix.Vector snapshot: the
-// disjunct needs V(j), the last cycle a committed write hit object j.
+// state at its first read. It requires a Vector snapshot: the disjunct
+// needs V(j), the last cycle a committed write hit object j.
 type RMatrixValidator struct {
 	reads   []ReadAt
 	first   cmatrix.Cycle
@@ -188,9 +195,9 @@ type RMatrixValidator struct {
 
 // TryRead implements Validator.
 func (v *RMatrixValidator) TryRead(snap Snapshot, obj int, cur cmatrix.Cycle) bool {
-	vs, ok := snap.(*cmatrix.Vector)
+	vs, ok := snap.(Vector)
 	if !ok {
-		panic(fmt.Sprintf("protocol: R-Matrix needs a *cmatrix.Vector, got %T", snap))
+		panic(fmt.Sprintf("protocol: R-Matrix needs a vector snapshot, got %T", snap))
 	}
 	if !v.started {
 		v.started = true

@@ -227,8 +227,10 @@ func (c *Cache) PutColumn(obj int, value []byte, cycle cmatrix.Cycle, snap proto
 // guard under the vector protocols, are logged as the entry's column.
 func (c *Cache) Put(obj int, value []byte, cycle cmatrix.Cycle, snap protocol.Snapshot) {
 	b := c.block(obj, value)
-	if v, ok := snap.(*cmatrix.Vector); ok && c.store != nil {
-		b.col = protocol.AppendColumn(b.col, v, obj, v.N())
+	if v, ok := snap.(protocol.Vector); ok && c.store != nil {
+		for i := range v.N() {
+			b.col = append(b.col, v.At(i))
+		}
 	}
 	if p, ok := snap.(protocol.Pinned); ok {
 		p.Retain()

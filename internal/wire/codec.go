@@ -228,6 +228,10 @@ func Column(cb *bcast.CycleBroadcast, j int, buf []cmatrix.Cycle) ([]cmatrix.Cyc
 		for s := 0; s < l.Groups; s++ {
 			buf = append(buf, cb.Grouped.At(j, s))
 		}
+	case l.Control != bcast.ControlNone && cb.View != nil: // MC(j, s) via s's first object ⌈s·n/g⌉; V(j) at g = 1
+		for s, g := 0, columnEntries(l); s < g; s++ {
+			buf = append(buf, cb.View.Bound(j, (s*l.Objects+g-1)/g))
+		}
 	case l.Control != bcast.ControlNone:
 		return nil, fmt.Errorf("wire: %v layout without its control structure", l.Control)
 	}

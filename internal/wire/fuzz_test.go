@@ -5,8 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"broadcastcc/internal/bcast"
@@ -60,9 +60,10 @@ func FuzzDecodeCycle(f *testing.F) {
 
 // FuzzCycleView holds ViewCycle to its oracle, DecodeCycle: on every
 // input both refuse, with the same error, or both accept, and then the
-// view answers every Bound(i, j) (and, for a matrix, Col(j)) as the
-// decoded matrix or grouped matrix does, and the values are the same
-// windows onto the frame.
+// view answers every Bound(i, j) (and, for a matrix, Col(j); for a
+// vector, At(i)) as the decoded matrix, grouped matrix or vector does,
+// and the values are the same windows onto the frame. A frame under the
+// none layout, which DecodeCycle still decodes, ViewCycle refuses.
 func FuzzCycleView(f *testing.F) {
 	mk := func(number cmatrix.Cycle, n, tsBits int) []byte {
 		cb := &bcast.CycleBroadcast{
@@ -86,6 +87,23 @@ func FuzzCycleView(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(vec)
+	v5, _ := cmatrix.VectorFromEntries([]cmatrix.Cycle{39, 0, 3, 12, 31})
+	vec5, err := EncodeCycle(&bcast.CycleBroadcast{
+		Number: 40, Layout: bcast.LayoutFor(protocol.Datacycle, 5, 8, 5, 0),
+		Values: make([][]byte, 5), Vector: v5,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(vec5)
+	none, err := EncodeCycle(&bcast.CycleBroadcast{
+		Number: 3, Layout: bcast.LayoutFor(protocol.FMatrixNo, 2, 8, 0, 0),
+		Values: [][]byte{{1}, {2}}, Matrix: cmatrix.NewMatrix(2),
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(none)
 	// C(1, 2) = 200 on the air: before cycle 0 at cycle 7 (refused), a
 	// real cycle at 300, past the first 2^8 cycles (accepted).
 	early := mk(7, 3, 8)
@@ -134,6 +152,12 @@ func FuzzCycleView(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, errD := DecodeCycle(data)
 		got, errV := ViewCycle(data)
+		if errD == nil && want.Layout.Control == bcast.ControlNone {
+			if errV == nil || !strings.Contains(errV.Error(), "none-layout") {
+				t.Fatalf("none layout: ViewCycle = %v, want the refusal", errV)
+			}
+			return
+		}
 		if errD != nil || errV != nil {
 			if errD == nil || errV == nil || errD.Error() != errV.Error() {
 				t.Fatalf("DecodeCycle: %v; ViewCycle: %v", errD, errV)
@@ -167,9 +191,20 @@ func FuzzCycleView(f *testing.F) {
 			got.View.Col(0, nil) // a grouped record holds no column
 			return
 		}
-		if want.Matrix == nil {
-			if got.View != nil || !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v layout: ViewCycle did not decode as DecodeCycle does", want.Layout.Control)
+		if want.Vector != nil {
+			vv, ok := got.View.(*VectorView)
+			if got.Vector != nil || !ok {
+				t.Fatalf("vector layout without a vector view: %T", got.View)
+			}
+			for i := range got.Values {
+				if a := vv.At(i); a != want.Vector.At(i) {
+					t.Fatalf("At(%d) = %d, want V(%d) = %d", i, a, i, want.Vector.At(i))
+				}
+				for j := range got.Values {
+					if b := got.View.Bound(i, j); b != want.Vector.At(i) {
+						t.Fatalf("Bound(%d, %d) = %d, want V(%d) = %d", i, j, b, i, want.Vector.At(i))
+					}
+				}
 			}
 			return
 		}

@@ -202,30 +202,45 @@ func DecodeCycle(data []byte) (*bcast.CycleBroadcast, error) {
 }
 
 // ViewCycle is DecodeCycle for a tuner, accepting exactly its frames.
-// Under matrix and grouped control the timestamps stay in the frame for
-// the cycle's View to read, so a client pays for what it reads (Section
-// 3.2.1). Values and view alias data. Other layouts decode in full.
+// Under every layout on the air — matrix, vector, dense grouped — the
+// timestamps stay in the frame for the cycle's View to read, so a client
+// pays for what it reads (Section 3.2.1). Values and view alias data. A
+// none-layout frame is refused: F-Matrix-No's control is never broadcast.
 func ViewCycle(data []byte) (*bcast.CycleBroadcast, error) {
 	return ViewFrame(data, nil)
 }
 
 // ViewFrame is ViewCycle of a frame read into f's buffer, counting its
-// holders on f (bcast.Frame): the cycle carries f, and its View retains
-// and releases on it. A nil f counts nothing.
+// holders on f (bcast.Frame): the cycle is f.Cycle, refilled in place,
+// and its View retains and releases on f. A nil f counts nothing.
 func ViewFrame(data []byte, f *bcast.Frame) (*bcast.CycleBroadcast, error) {
 	number, l, err := cycleHead(data)
-	if err != nil || (l.Control != bcast.ControlMatrix && l.Control != bcast.ControlGrouped) {
-		cb, err := DecodeCycle(data)
-		if err == nil {
-			cb.Frame = f
-		}
-		return cb, err
+	if err == nil && l.Control == bcast.ControlNone {
+		err = fmt.Errorf("wire: %v-layout cycle frame: F-Matrix-No control is never broadcast", l.Control)
+	}
+	if err != nil {
+		return nil, err
+	}
+	var cb *bcast.CycleBroadcast
+	if f != nil {
+		cb = &f.Cycle
+	} else {
+		cb = new(bcast.CycleBroadcast)
+	}
+	var v *CycleView
+	var view bcast.MatrixView
+	if l.Control == bcast.ControlVector {
+		vv := reuse[VectorView](cb.View)
+		v, view = &vv.CycleView, vv
+	} else {
+		v = reuse[CycleView](cb.View)
+		view = v
 	}
 	rec, objBytes := int(recordBytes(l)), objBytesOf(l)
-	v := &CycleView{frame: data, lease: f, n: l.Objects, rec: rec, ctl: headerBytes + objBytes, tsBits: l.TimestampBits,
+	*v = CycleView{frame: data, lease: f, n: l.Objects, rec: rec, ctl: headerBytes + objBytes, tsBits: l.TimestampBits,
 		ref: number - 1, mask: cmatrix.Codec{Bits: l.TimestampBits}.Mod() - 1}
-	if l.Control == bcast.ControlGrouped {
-		v.g = l.Groups
+	if l.Control != bcast.ControlMatrix {
+		v.g = columnEntries(l) // a vector record is a grouped one at g = 1
 	}
 	// An entry unwraps before cycle 0 iff it exceeds the reference (never,
 	// past the first 2^tsBits − 1 cycles); scanned in DecodeCycle's order.
@@ -241,16 +256,30 @@ func ViewFrame(data []byte, f *bcast.Frame) (*bcast.CycleBroadcast, error) {
 			}
 		}
 	}
-	cb := &bcast.CycleBroadcast{Number: number, Layout: l, Values: make([][]byte, l.Objects), View: v, Frame: f}
-	for j := range cb.Values {
-		cb.Values[j] = data[headerBytes+j*rec:][:objBytes:objBytes]
+	values := cb.Values[:0]
+	if cap(values) < l.Objects {
+		values = make([][]byte, 0, l.Objects)
 	}
+	for j := range l.Objects {
+		values = append(values, data[headerBytes+j*rec:][:objBytes:objBytes])
+	}
+	*cb = bcast.CycleBroadcast{Number: number, Layout: l, Values: values, View: view, Frame: f}
 	return cb, nil
 }
 
-// CycleView is the matrix or grouped control of a BCC1 frame, read in
-// place: records are fixed-size and byte-aligned, so C(i, j) is field i
-// of record j and MC(i, s) field s of record i, unwrapped as getTS does.
+// reuse is view, the storage a recycled frame's last cycle left, as a
+// *T when it is one, else a new T.
+func reuse[T any](view any) *T {
+	if p, ok := view.(*T); ok {
+		return p
+	}
+	return new(T)
+}
+
+// CycleView is the matrix, grouped or vector control of a BCC1 frame,
+// read in place: records are fixed-size and byte-aligned, so C(i, j) is
+// field i of record j and MC(i, s) field s of record i, unwrapped as
+// getTS does; a vector record is a grouped one at g = 1 (VectorView).
 // It pins the whole frame; what outlives the cycle copies a column out,
 // or holds a count on the frame (a protocol.Pinned snapshot).
 type CycleView struct {
@@ -259,6 +288,24 @@ type CycleView struct {
 	n, rec, ctl, tsBits, g int           // objects, record bytes, offset of column 0, width, groups (0: matrix)
 	ref, mask              cmatrix.Cycle // cycle number − 1, 2^tsBits − 1
 }
+
+// VectorView is a vector control read in place, a CycleView at g = 1
+// (Bound(i, j) is V(i)) that reads V(i) directly (protocol.Vector).
+type VectorView struct{ CycleView }
+
+// At is V(i): at TS = 8 one byte, read where it lies.
+func (v *VectorView) At(i int) cmatrix.Cycle {
+	if uint(i) >= uint(v.n) {
+		panic(fmt.Sprintf("wire: V(%d) outside a %d-object view", i, v.n))
+	}
+	if v.tsBits == 8 {
+		return v.ref - (v.ref-cmatrix.Cycle(v.frame[v.ctl+i*v.rec]))&v.mask
+	}
+	return v.ref - (v.ref-v.raw(0, i))&v.mask
+}
+
+// N is the number of objects.
+func (v *VectorView) N() int { return v.n }
 
 // Retain holds the view's frame (protocol.Pinned).
 func (v *CycleView) Retain() { v.lease.Retain() }
@@ -289,10 +336,11 @@ func (v *CycleView) Bound(i, j int) cmatrix.Cycle {
 	return v.ref - (v.ref-v.raw(i, j))&v.mask
 }
 
-// Col appends a copy of column j, C(·, j), to buf; a grouped view has none.
+// Col appends a copy of column j, C(·, j), to buf; a grouped or vector
+// view has none.
 func (v *CycleView) Col(j int, buf []cmatrix.Cycle) []cmatrix.Cycle {
 	if v.g > 0 {
-		panic("wire: Col of a grouped view")
+		panic("wire: Col of a grouped or vector view")
 	}
 	buf = slices.Grow(buf, v.n)
 	if v.tsBits == 8 {

@@ -403,3 +403,38 @@ func TestUpdateReplyRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestViewCycleReencodes: a tuner's cycle encodes back to the frame it
+// was viewed from, byte for byte — AppendCycle reads a matrix view's
+// columns, a vector view's entries and a grouped view's rows
+// (wire.Column) as it reads the in-process control structures — under
+// every layout that goes on the air, at random widths and at Table 1's.
+func TestViewCycleReencodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	for _, control := range []bcast.ControlKind{bcast.ControlMatrix, bcast.ControlVector, bcast.ControlGrouped} {
+		table1 := false // Table 1's width, whose reads take the one-byte path
+		for range 200 {
+			cb := randomCycleBroadcast(rng, control)
+			table1 = table1 || cb.Layout.TimestampBits == 8
+			frame, err := EncodeCycle(cb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			view, err := ViewCycle(frame)
+			if err != nil {
+				t.Fatalf("%v cycle %d: %v", control, cb.Number, err)
+			}
+			if view.View == nil || view.Matrix != nil || view.Vector != nil || view.Grouped != nil {
+				t.Fatalf("%v cycle %d: not a view: %+v", control, cb.Number, view)
+			}
+			again, err := AppendCycle(nil, view)
+			if err != nil || !bytes.Equal(again, frame) {
+				t.Fatalf("%v cycle %d (n %d, g %d, ts %d): the view re-encodes to %x, %v; viewed from %x",
+					control, cb.Number, cb.Layout.Objects, cb.Layout.Groups, cb.Layout.TimestampBits, again, err, frame)
+			}
+		}
+		if !table1 {
+			t.Fatalf("%v: no 8-bit cycle drawn", control)
+		}
+	}
+}

@@ -154,7 +154,8 @@ func BenchmarkMatrixClone(b *testing.B) {
 // commit volume (~13 commits/cycle at the default rate, server txn
 // length 8 with half writes) — comparing the old deep Clone against the
 // copy-on-write Snapshot. allocs/op and B/op are the headline: COW pays
-// only for the write-set's columns instead of all n².
+// for one column per commit after the snapshot, which all of the
+// commit's written columns share, instead of all n².
 func BenchmarkSnapshot(b *testing.B) {
 	const commitsPerCycle = 13
 	commitStream := func(n int) func() ([]int, []int) {

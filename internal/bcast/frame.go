@@ -1,7 +1,7 @@
 package bcast
 
 import (
-	"slices"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"weak"
@@ -61,8 +61,8 @@ type FrameSlot struct {
 }
 
 // Get returns a frame of n bytes with one count, the caller's: the
-// spare when there is one large enough, else a new frame as large as n's
-// size class, so a frame growing a little per cycle allocates per class.
+// spare when there is one large enough, else a new frame rounded up to
+// frameCap, so a frame growing a little per cycle allocates per step.
 func (s *FrameSlot) Get(n int) *Frame {
 	s.mu.Lock()
 	f := s.spare.Value()
@@ -70,11 +70,23 @@ func (s *FrameSlot) Get(n int) *Frame {
 	s.mu.Unlock()
 	if f == nil || cap(f.Data) < n {
 		s.fresh.Add(1)
-		f = &Frame{Data: slices.Grow([]byte(nil), n), slot: s}
+		f = &Frame{Data: make([]byte, n, frameCap(n)), slot: s}
 	}
 	f.Data = f.Data[:n]
 	f.refs.Store(1)
 	return f
+}
+
+// frameCap rounds n up about as the allocator's size classes do, in one
+// allocation where slices.Grow makes two under the race detector: to
+// whole 8 KiB pages past 32 KiB, the allocator's own rounding there, and
+// below that to a step of one eighth to one sixteenth of n.
+func frameCap(n int) int {
+	step := 8 << 10
+	if n <= 32<<10 {
+		step = max(8, 1<<max(0, bits.Len(uint(n))-4))
+	}
+	return (n + step - 1) &^ (step - 1)
 }
 
 // Fresh reports how many frames Get has had to allocate.

@@ -1,6 +1,9 @@
 package bcast
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestMediumHoldsFrames: the medium holds a count on its last cycle and
 // on every delivery it queues, gives a missed delivery's count straight
@@ -63,4 +66,37 @@ func TestNilFrameCountsNothing(t *testing.T) {
 	cb.Retain()
 	cb.Release()
 	cb.Release()
+}
+
+// TestFreshFrameAllocs: a Get with no spare allocates the frame and its
+// bytes, two allocations, in a plain build and under the race detector
+// alike.
+func TestFreshFrameAllocs(t *testing.T) {
+	var slot FrameSlot
+	for _, n := range []int{362, 4000, 397 << 10} {
+		if got := testing.AllocsPerRun(20, func() { _ = slot.Get(n) }); got != 2 {
+			t.Errorf("Get(%d) with no spare made %v allocations, want 2", n, got)
+		}
+	}
+}
+
+// TestFrameCapacity: past 32 KiB a frame is as large as slices.Grow
+// makes it, whole pages; below, it rounds up by less than an eighth, to
+// the size classes TestGrowingFramesAllocateBySizeClass crosses.
+func TestFrameCapacity(t *testing.T) {
+	for _, n := range []int{32<<10 + 1, 40000, 397 << 10, 1 << 20} {
+		if got, want := frameCap(n), cap(slices.Grow([]byte(nil), n)); got != want {
+			t.Errorf("frameCap(%d) = %d, slices.Grow gives %d", n, got, want)
+		}
+	}
+	for n := 0; n <= 32<<10; n++ {
+		if c := frameCap(n); c < n || c > n+max(8, n/8) {
+			t.Fatalf("frameCap(%d) = %d, want within [n, n + n/8]", n, c)
+		}
+	}
+	for n, want := range map[int]int{324: 352, 352: 352, 362: 384} {
+		if got := frameCap(n); got != want {
+			t.Errorf("frameCap(%d) = %d, want %d", n, got, want)
+		}
+	}
 }

@@ -8,6 +8,7 @@ package cmatrix
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -23,16 +24,23 @@ type Cycle int64
 //
 // Storage is column-major (one slice per column) because Theorem 2's
 // incremental rule only ever rewrites whole columns — the columns of
-// the transaction's write set — which makes both Apply and the
-// copy-on-write Snapshot column-granular: a snapshot shares every
-// column with the live matrix, and the live matrix replaces a shared
-// column before its next write instead of deep-copying all n².
+// the transaction's write set, all to the same values — which makes
+// both Apply and the copy-on-write Snapshot column-granular: a commit
+// stores one column, which every column of its write set shares; a
+// snapshot shares every column with the live matrix, and a column a
+// snapshot has seen is never written again.
 type Matrix struct {
 	n    int
 	cols [][]Cycle // column-major: cols[j][i] = C(i, j)
-	// shared[j] marks cols[j] as aliased by a Snapshot (or, within a
-	// snapshot, by the live matrix): it must be replaced, never written.
-	shared []bool
+	// Columns one commit wrote share one stored column: cols[j] lies in
+	// entry own[j], refs[s] counts the columns in entry s, and at[s] is
+	// snaps as of its last write — below snaps once a snapshot saw it.
+	// free lists the unused entries. All are nil until the first write.
+	own, refs, free []int32
+	at              []uint64
+	// snaps counts the Snapshots taken of this matrix; a snapshot starts
+	// at 1, so every column it was handed counts as seen.
+	snaps uint64
 	// Scratch buffer reused across Apply calls; owned exclusively by
 	// this matrix (Clone and Snapshot never carry it over).
 	dep []Cycle
@@ -48,7 +56,7 @@ func NewMatrix(n int) *Matrix {
 	for j := range cols {
 		cols[j] = backing[j*n : (j+1)*n : (j+1)*n]
 	}
-	return &Matrix{n: n, cols: cols, shared: make([]bool, n)}
+	return &Matrix{n: n, cols: cols}
 }
 
 // N reports the number of objects.
@@ -88,18 +96,12 @@ func (m *Matrix) Clone() *Matrix {
 
 // Snapshot returns a copy-on-write snapshot: an immutable view of the
 // matrix at this instant that shares every column with the live matrix.
-// Taking it costs O(n) (column headers + shared marks) instead of
-// Clone's O(n²); a later Apply on the live matrix replaces the columns
-// it writes (O(changed-columns × n)) so the snapshot never changes.
+// Taking it costs O(n) (the column headers) instead of Clone's O(n²); a
+// later Apply on the live matrix stores its write-set column afresh
+// (O(n) per commit) so the snapshot never changes.
 func (m *Matrix) Snapshot() *Matrix {
-	cols := make([][]Cycle, m.n)
-	copy(cols, m.cols)
-	shared := make([]bool, m.n)
-	for j := range shared {
-		m.shared[j] = true
-		shared[j] = true
-	}
-	return &Matrix{n: m.n, cols: cols, shared: shared}
+	m.snaps++
+	return &Matrix{n: m.n, cols: slices.Clone(m.cols), snaps: 1}
 }
 
 func (m *Matrix) check(i int) {
@@ -108,19 +110,49 @@ func (m *Matrix) check(i int) {
 	}
 }
 
-// mutableColumn returns column j ready for in-place writes, replacing
-// it first if a snapshot aliases it. When willOverwrite is true the
-// caller rewrites every entry, so a replacement column starts blank.
-func (m *Matrix) mutableColumn(j int, willOverwrite bool) []Cycle {
-	col := m.cols[j]
-	if m.shared[j] {
-		fresh := make([]Cycle, m.n)
-		if !willOverwrite {
-			copy(fresh, col)
+// table gives each column an entry of its own at the first write, last
+// written at snaps 0: unseen in a matrix that owns its columns, seen in
+// a snapshot and once the matrix has been snapshotted.
+func (m *Matrix) table() {
+	if m.own == nil {
+		m.own, m.refs, m.free = make([]int32, m.n), make([]int32, m.n), make([]int32, 0, m.n)
+		m.at = make([]uint64, m.n)
+		for j := range m.own {
+			m.own[j], m.refs[j] = int32(j), 1
 		}
-		m.cols[j] = fresh
-		m.shared[j] = false
-		col = fresh
+	}
+}
+
+// rewrite points every column of ws at one stored column and returns it
+// for the caller to fill whole: the first ws empties if no snapshot has
+// seen it, else a fresh one. A column ws repeats leaves its entry once.
+// Were all n entries in use, ws would empty one, so free is never empty.
+func (m *Matrix) rewrite(ws []int) []Cycle {
+	m.table()
+	s, col := int32(-1), []Cycle(nil)
+	for _, j := range ws {
+		if e := m.own[j]; e >= 0 { // else a repeat: j has left already
+			m.own[j] = -1
+			if m.refs[e]--; m.refs[e] > 0 {
+				continue
+			}
+			if s < 0 && m.at[e] == m.snaps {
+				s, col = e, m.cols[j]
+			} else {
+				m.free = append(m.free, e)
+			}
+		}
+	}
+	if s < 0 {
+		s, col = m.free[len(m.free)-1], make([]Cycle, m.n)
+		m.free = m.free[:len(m.free)-1]
+	}
+	m.at[s] = m.snaps
+	for _, j := range ws {
+		if m.own[j] < 0 {
+			m.own[j], m.cols[j] = s, col
+			m.refs[s]++
+		}
 	}
 	return col
 }
@@ -188,29 +220,14 @@ func (m *Matrix) writeColumns(dep []Cycle, writeSet []int, commitCycle Cycle) {
 		m.check(i)
 		dep[i] = commitCycle
 	}
-	for _, j := range writeSet {
-		copy(m.mutableColumn(j, true), dep)
-	}
+	copy(m.rewrite(writeSet), dep)
 }
 
 // Equal reports whether two matrices have identical dimensions and
 // entries.
 func (m *Matrix) Equal(o *Matrix) bool {
-	if m.n != o.n {
-		return false
-	}
-	for j, col := range m.cols {
-		ocol := o.cols[j]
-		if sameColumn(col, ocol) {
-			continue
-		}
-		for i, v := range col {
-			if v != ocol[i] {
-				return false
-			}
-		}
-	}
-	return true
+	_, _, differ := m.Diff(o)
+	return !differ
 }
 
 // Diff locates the first entry (scanning columns, then rows) where the
@@ -272,7 +289,7 @@ func MatrixOver(cols [][]Cycle) (*Matrix, error) {
 			return nil, fmt.Errorf("cmatrix: column %d has %d entries, want %d", j, len(col), n)
 		}
 	}
-	return &Matrix{n: n, cols: cols, shared: make([]bool, n)}, nil
+	return &Matrix{n: n, cols: cols}, nil
 }
 
 // Commit records one committed update transaction for FromLog.

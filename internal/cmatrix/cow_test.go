@@ -105,3 +105,114 @@ func TestSnapshotOfSnapshot(t *testing.T) {
 		t.Fatal("live matrix should have moved past the snapshots")
 	}
 }
+
+// sameStorage reports whether columns j and k of m lie in one stored
+// column.
+func sameStorage(m *Matrix, j, k int) bool { return sameColumn(m.Col(j), m.Col(k)) }
+
+// TestSnapshottedCommitStoresOneColumn: after a Snapshot, a commit
+// writing four objects allocates one column, and all four columns of
+// its write set lie in it.
+func TestSnapshottedCommitStoresOneColumn(t *testing.T) {
+	m := NewMatrix(64)
+	rs, ws := []int{1, 3}, []int{2, 4, 6, 8}
+	sink := m.Snapshot()
+	m.Apply(rs, ws, 1) // builds the matrix's column table
+	snap := testing.AllocsPerRun(50, func() { sink = m.Snapshot() })
+	both := testing.AllocsPerRun(50, func() {
+		sink = m.Snapshot()
+		m.Apply(rs, ws, 2)
+	})
+	if got := both - snap; got != 1 {
+		t.Fatalf("a commit after a Snapshot made %v allocations, want 1 (the column)", got)
+	}
+	for _, j := range ws[1:] {
+		if !sameStorage(m, ws[0], j) {
+			t.Fatalf("columns %d and %d of one commit are stored apart", ws[0], j)
+		}
+	}
+	_ = sink
+}
+
+// TestUnseenCommitsWriteInPlace: commits to one write set with no
+// Snapshot between them rewrite their stored column in place and
+// allocate nothing, as BenchmarkMatrixApply runs.
+func TestUnseenCommitsWriteInPlace(t *testing.T) {
+	m := NewMatrix(100)
+	rs, ws := []int{1, 3, 5, 7}, []int{2, 4, 6, 8}
+	c := Cycle(1)
+	m.Apply(rs, ws, c)
+	if allocs := testing.AllocsPerRun(100, func() { c++; m.Apply(rs, ws, c) }); allocs != 0 {
+		t.Fatalf("an unseen commit made %v allocations, want 0", allocs)
+	}
+}
+
+// TestPartialRewriteOfSharedColumn: a later commit, or a delta entry,
+// that writes some of the objects sharing one stored column leaves the
+// others' columns and every earlier snapshot as FromLog and Clone have
+// them, with or without a Snapshot between the two commits.
+func TestPartialRewriteOfSharedColumn(t *testing.T) {
+	const n = 8
+	for _, between := range []bool{false, true} {
+		m := NewMatrix(n)
+		log := []Commit{{ReadSet: []int{0}, WriteSet: []int{0, 5}, Cycle: 1}}
+		m.Apply(log[0].ReadSet, log[0].WriteSet, 1)
+		early, earlyDeep := m.Snapshot(), m.Clone()
+		log = append(log, Commit{ReadSet: []int{5, 7}, WriteSet: []int{1, 2, 3, 4}, Cycle: 2})
+		m.Apply(log[1].ReadSet, log[1].WriteSet, 2)
+		var mid, midDeep *Matrix
+		if between {
+			mid, midDeep = m.Snapshot(), m.Clone()
+		}
+		log = append(log, Commit{ReadSet: []int{0}, WriteSet: []int{3}, Cycle: 2})
+		m.Apply(log[2].ReadSet, log[2].WriteSet, 2)
+		if i, j, ok := m.Diff(FromLog(n, log)); ok {
+			t.Fatalf("between=%v: C(%d,%d) = %d after the partial commit, FromLog differs:\n%s", between, i, j, m.At(i, j), m)
+		}
+		if !sameStorage(m, 1, 4) || sameStorage(m, 1, 3) {
+			t.Fatalf("between=%v: columns 1 and 4 should still share one stored column, and 3 leave it", between)
+		}
+		before := m.Clone()
+		if err := m.ApplyDelta([]DeltaEntry{{I: 6, J: 2, Value: 9}}); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < n; j++ {
+			for i := 0; i < n; i++ {
+				want := before.At(i, j)
+				if i == 6 && j == 2 {
+					want = 9
+				}
+				if m.At(i, j) != want {
+					t.Fatalf("between=%v: delta to C(6,2) left C(%d,%d) = %d, want %d", between, i, j, m.At(i, j), want)
+				}
+			}
+		}
+		if !early.Equal(earlyDeep) || (between && !mid.Equal(midDeep)) {
+			t.Fatalf("between=%v: a partial rewrite changed an earlier snapshot", between)
+		}
+	}
+}
+
+// TestRepeatedWriteSetKeepsSharing: a write set naming an object twice
+// leaves that object's stored column once, so a column it still shares
+// with an object outside the write set is never taken as emptied and
+// written in place.
+func TestRepeatedWriteSetKeepsSharing(t *testing.T) {
+	const n = 6
+	log := []Commit{
+		{ReadSet: []int{0}, WriteSet: []int{1, 2}, Cycle: 1},
+		{ReadSet: []int{3}, WriteSet: []int{1, 1}, Cycle: 2},
+		{ReadSet: nil, WriteSet: []int{4, 2, 4}, Cycle: 3},
+		{ReadSet: []int{2}, WriteSet: []int{5, 5, 5}, Cycle: 3},
+	}
+	m := NewMatrix(n)
+	for k, c := range log {
+		m.Apply(c.ReadSet, c.WriteSet, c.Cycle)
+		if i, j, ok := m.Diff(FromLog(n, log[:k+1])); ok {
+			t.Fatalf("after commit %d: C(%d,%d) = %d, FromLog differs:\n%s", k, i, j, m.At(i, j), m)
+		}
+	}
+	if !sameStorage(m, 2, 4) {
+		t.Fatal("columns 2 and 4 of one commit are stored apart")
+	}
+}

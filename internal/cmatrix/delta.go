@@ -37,13 +37,17 @@ func Diff(old, new *Matrix) ([]DeltaEntry, error) {
 
 // ApplyDelta overwrites the listed entries, turning the previous
 // cycle's matrix into the current one. Columns shared with a snapshot
-// are copied before being written.
+// or with another column are copied before being written.
 func (m *Matrix) ApplyDelta(entries []DeltaEntry) error {
 	for _, e := range entries {
 		if e.I < 0 || e.I >= m.n || e.J < 0 || e.J >= m.n {
 			return fmt.Errorf("cmatrix: delta entry (%d,%d) out of range for n=%d", e.I, e.J, m.n)
 		}
-		m.mutableColumn(e.J, false)[e.I] = e.Value
+		old := m.cols[e.J]
+		if col := m.rewrite([]int{e.J}); !sameColumn(col, old) {
+			copy(col, old)
+		}
+		m.cols[e.J][e.I] = e.Value
 	}
 	return nil
 }

@@ -95,7 +95,7 @@ func (rb *LogRebuilder) Extend(commits []Commit) []int {
 // rebuildColumn recomputes column j from the definition: the latest
 // commit cycle among LIVE(lastWriter[j]) transactions writing each row.
 func (rb *LogRebuilder) rebuildColumn(j int) {
-	col := rb.m.mutableColumn(j, true)
+	col := rb.m.rewrite([]int{j})
 	clear(col)
 	tj := rb.lastWriter[j]
 	if tj < 0 {

@@ -110,9 +110,10 @@ type Server struct {
 
 	// committed holds the latest committed value per object. A slice in
 	// it is never written once installed: installLocked replaces it, as
-	// Apply replaces a shared matrix column, so StartCycle publishes the
-	// slices themselves and every cycle that carries one keeps reading
-	// the bytes it was published with (TestStartCycleValuesImmutable).
+	// Apply replaces a snapshotted matrix column, so StartCycle publishes
+	// the slices themselves and every cycle that carries one keeps
+	// reading the bytes it was published with
+	// (TestStartCycleValuesImmutable).
 	committed [][]byte
 	version   []int64         // per-object commit sequence number
 	lastCycle []cmatrix.Cycle // per-object cycle of last committed write (the exact V)
@@ -122,6 +123,7 @@ type Server struct {
 	control cmatrix.Control
 	heat    *airsched.EWMA // write-heat estimate driving regrouping (nil unless RegroupEvery > 0)
 	seen    []bool         // shape's per-object dedupe scratch, all false between calls
+	ids     []int          // shape's set scratch; unused under Audit, whose log keeps the sets
 
 	cycle        cmatrix.Cycle // cycle currently on the air; 0 before the first broadcast
 	regroupEpoch uint64        // bumped on every partition change
@@ -482,8 +484,8 @@ func (s *Server) advanceLocked() *bcast.CycleBroadcast {
 	switch c := s.control.(type) {
 	case *cmatrix.DenseControl:
 		// Copy-on-write: the published snapshot shares columns with the
-		// live matrix; installLocked's Apply replaces (never mutates)
-		// shared columns, so subscribers read a stable cycle image.
+		// live matrix; installLocked's Apply never writes a column a
+		// snapshot has seen, so subscribers read a stable cycle image.
 		cb.Matrix = c.Matrix().Snapshot()
 	case *cmatrix.VectorControl:
 		cb.Vector = c.Vector().Clone()
@@ -576,8 +578,9 @@ func (s *Server) RegroupEpoch() uint64 {
 // read and written, in first-occurrence order, and the writes as
 // submitted — installed in that order, so the last value written to an
 // object wins. Nothing changes it once built, so the audit log keeps
-// its sets; writes is the request's own slice, valid for the call,
-// which installLocked copies value by value.
+// its sets (shape reuses their array only when Audit is off); writes is
+// the request's own slice, valid for the call, which installLocked
+// copies value by value.
 type update struct {
 	readSet  []int
 	writeSet []int
@@ -587,7 +590,7 @@ type update struct {
 // shape reduces an uplink request to its update, reading nothing but
 // the configured dimensions: a malformed request is refused before the
 // currency rule is asked (malformed first is the commit path's one
-// precedence rule). Callers hold mu for the seen scratch.
+// precedence rule). Callers hold mu for the seen and ids scratch.
 func (s *Server) shape(req protocol.UpdateRequest) (update, error) {
 	for _, r := range req.Reads {
 		if err := s.checkObj(r.Obj); err != nil {
@@ -601,7 +604,11 @@ func (s *Server) shape(req protocol.UpdateRequest) (update, error) {
 	}
 	// One array backs both sets, each capped so neither grows into the
 	// other; seen marks the set being built and is cleared behind it.
-	ids := make([]int, 0, len(req.Reads)+len(req.Writes))
+	// Only the audit log keeps the sets past the call.
+	ids := s.ids[:0]
+	if s.cfg.Audit {
+		ids = make([]int, 0, len(req.Reads)+len(req.Writes))
+	}
 	add := func(obj int) {
 		if !s.seen[obj] {
 			s.seen[obj] = true
@@ -621,6 +628,7 @@ func (s *Server) shape(req protocol.UpdateRequest) (update, error) {
 	for _, obj := range ids[nr:] {
 		s.seen[obj] = false
 	}
+	s.ids = ids
 	return update{readSet: ids[:nr:nr], writeSet: ids[nr:len(ids):len(ids)], writes: req.Writes}, nil
 }
 
@@ -667,9 +675,9 @@ func (s *Server) installLocked(u update, remote bool) {
 	}
 	s.cCommits.Inc()
 	s.cycleCommits++
-	// Matrix churn: Apply replaces one column per distinct written
-	// object (copy-on-write), so the write-set size is the number of
-	// shared columns unshared by this commit.
+	// Matrix churn: the write set's columns are rewritten, one per
+	// distinct written object. A dense matrix stores them as one column
+	// per commit, which they all share.
 	s.cColsRewritten.Add(int64(len(u.writeSet)))
 	if s.cfg.Audit {
 		s.audit = append(s.audit, cmatrix.Commit{ReadSet: u.readSet, WriteSet: u.writeSet, Cycle: commitCycle})

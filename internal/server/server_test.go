@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -555,6 +556,51 @@ func TestSubmitUpdateAllocs(t *testing.T) {
 		})
 		if got > tc.max {
 			t.Errorf("%s: %.1f allocs per SubmitUpdate, want <= %.0f", tc.name, got, tc.max)
+		}
+	}
+}
+
+// TestShapeKeepsSetsOnlyForAudit: without Audit an accepted SubmitUpdate
+// allocates only the copies of its written values, as shape builds the
+// read and write sets in the server's scratch; with Audit every commit
+// keeps sets of its own, which later submits leave as they were.
+func TestShapeKeepsSetsOnlyForAudit(t *testing.T) {
+	req := func(k int) protocol.UpdateRequest {
+		return protocol.UpdateRequest{
+			Reads:  []protocol.ReadAt{{Obj: k % 4, Cycle: 1}},
+			Writes: []protocol.ObjectWrite{{Obj: 4 + k%4, Value: []byte{1}}, {Obj: 8 + k%4, Value: []byte{2}}},
+		}
+	}
+	for _, audit := range []bool{false, true} {
+		s, err := New(Config{Objects: 12, ObjectBits: 8, Algorithm: protocol.FMatrix, Audit: audit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.StartCycle()
+		if !audit {
+			r := req(0)
+			if got := testing.AllocsPerRun(100, func() {
+				if err := s.SubmitUpdate(r); err != nil {
+					t.Fatal(err)
+				}
+			}); got != float64(len(r.Writes)) {
+				t.Errorf("%.1f allocs per SubmitUpdate without Audit, want %d (the written values)", got, len(r.Writes))
+			}
+			continue
+		}
+		for k := 0; k < 8; k++ {
+			if err := s.SubmitUpdate(req(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k, c := range s.AuditLog() {
+			r := req(k)
+			if !slices.Equal(c.ReadSet, []int{r.Reads[0].Obj}) || !slices.Equal(c.WriteSet, []int{r.Writes[0].Obj, r.Writes[1].Obj}) {
+				t.Fatalf("audited commit %d has sets %v, %v: a later submit overwrote them", k, c.ReadSet, c.WriteSet)
+			}
+		}
+		if err := s.VerifyControl(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -104,7 +104,9 @@ func runFleet(o fleetOptions) {
 				return
 			case <-t.C:
 				for s, cb := range fleet.StartCycle() {
-					if _, err := servers[s].Deliver(cb); err != nil {
+					_, err := servers[s].Deliver(cb)
+					cb.Release()
+					if err != nil {
 						return
 					}
 				}

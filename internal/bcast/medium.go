@@ -19,10 +19,13 @@ import (
 // Off a tuner the whole cycle is valid while a holder keeps it: each
 // holder has a count on Frame (Retain), and once the last lets go
 // (Release) the frame and the cycle it carries (Frame.Cycle) are read
-// over by a later cycle. Whoever is handed a cycle through a Subscription
-// holds the count that delivery took; the client's current cycle, the
-// cycle AwaitCycle returns, is valid until the client makes another
-// current or retunes.
+// over by a later cycle. A cycle built in process has no frame and
+// counts on its control when that is a protocol.Pinned, a published
+// cmatrix.Grouped: once the last holder lets go, a later cycle's commits
+// may write the MC storage it aliases. Whoever is handed a cycle through
+// a Subscription holds the count that delivery took; the client's
+// current cycle, the cycle AwaitCycle returns, is valid until the client
+// makes another current or retunes.
 type CycleBroadcast struct {
 	Number cmatrix.Cycle
 	Layout Layout
@@ -47,21 +50,31 @@ type CycleBroadcast struct {
 	Written []int
 
 	// Frame counts the holders of the received frame Values and View
-	// alias; nil when nothing is counted (in process, DecodeCycle).
+	// alias; nil in process, where a Pinned control counts them, and off
+	// DecodeCycle, where nothing does.
 	Frame *Frame
 }
 
-// Retain adds a holder of the cycle's frame.
+// Retain adds a holder of the cycle's frame, or with no frame of its
+// Pinned control.
 func (cb *CycleBroadcast) Retain() {
-	if cb != nil {
+	switch {
+	case cb == nil:
+	case cb.Frame == nil && cb.Grouped != nil:
+		cb.Grouped.Retain()
+	default:
 		cb.Frame.Retain()
 	}
 }
 
-// Release drops a holder of the cycle's frame; the last returns it to
-// the tuner's slot.
+// Release drops a holder of the cycle's frame, the last returning it to
+// the tuner's slot, or with no frame of its Pinned control.
 func (cb *CycleBroadcast) Release() {
-	if cb != nil {
+	switch {
+	case cb == nil:
+	case cb.Frame == nil && cb.Grouped != nil:
+		cb.Grouped.Release()
+	default:
 		cb.Frame.Release()
 	}
 }

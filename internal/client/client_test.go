@@ -852,3 +852,92 @@ func BenchmarkCachedCycle(b *testing.B) {
 		}
 	}
 }
+
+// TestGroupedClientReadsWhileServerRecycles runs an in-process grouped
+// client beside a server whose commits write MC columns into storage
+// released cycles left: reads go off the air through a one-entry cache,
+// so each cycle's snapshot is let go by the next, and every fifth
+// transaction spans two cycles, keeping its snapshots (and the cache
+// its entry) across the cycle edge. Every read's verdict must be the one
+// a validator reaches over private copies of the cycles, and every
+// cached snapshot must still read as its copy after the commits.
+func TestGroupedClientReadsWhileServerRecycles(t *testing.T) {
+	const n, groups, cycles = 32, 4, 120
+	srv, err := server.New(server.Config{Objects: n, ObjectBits: 64, Algorithm: protocol.Grouped, Groups: groups})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	copies := map[cmatrix.Cycle]*cmatrix.Grouped{}
+	var ref protocol.SnapshotValidator
+	reads, differ := 0, 0
+	c := New(Config{Algorithm: protocol.Grouped, CacheCurrency: 2, CacheSize: 1,
+		ObserveRead: func(obj int, cycle cmatrix.Cycle, _, accepted bool) {
+			reads++
+			if ref.TryRead(copies[cycle], obj, cycle) != accepted {
+				differ++
+			}
+		}}, srv.Subscribe(4))
+	rng := rand.New(rand.NewSource(3))
+	seen := map[*cmatrix.SparseEntry]bool{}
+	recycled, spanned := 0, 0
+	var txn *ReadTxn
+	for k := 1; k <= cycles; k++ {
+		cb := srv.StartCycle()
+		mc := cb.Grouped
+		rows := make([][]cmatrix.Cycle, n)
+		for i := range rows {
+			rows[i] = make([]cmatrix.Cycle, groups)
+			for s := range rows[i] {
+				rows[i][s] = mc.At(i, s)
+			}
+		}
+		if copies[cb.Number], err = cmatrix.GroupedFromRows(mc.Part(), rows); err != nil {
+			t.Fatal(err)
+		}
+		for s := 0; s < groups; s++ {
+			if col := mc.Col(s); cap(col) > 0 {
+				if p := &col[:1][0]; seen[p] {
+					recycled++
+				} else {
+					seen[p] = true
+				}
+			}
+		}
+		if _, ok := c.AwaitCycle(); !ok {
+			t.Fatal("tuned out")
+		}
+		cb.Release()
+		for r := 0; r < 2; r++ {
+			if txn == nil {
+				txn = c.BeginReadOnly()
+				ref.Reset()
+			}
+			if _, err := txn.Read(rng.Intn(n)); errors.Is(err, ErrInconsistentRead) {
+				txn = nil
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if txn != nil && k%5 != 0 {
+			if rs, _ := txn.Commit(); rs[0].Cycle < cb.Number {
+				spanned++
+			}
+			txn = nil
+		}
+		for s := 0; s < groups; s++ {
+			commitWrite(t, srv, s*n/groups+rng.Intn(n/groups), "v", rng.Intn(n), rng.Intn(n))
+		}
+		for obj := 0; obj < n; obj++ {
+			if _, cycle, snap, ok := c.cache.Get(obj, cb.Number); ok && !snap.(*cmatrix.Grouped).Equal(copies[cycle]) {
+				t.Fatalf("cycle %d: the cached snapshot of cycle %d changed under the server's commits", k, cycle)
+			}
+		}
+	}
+	if differ > 0 {
+		t.Fatalf("%d of %d read verdicts differ from a validator over private copies", differ, reads)
+	}
+	if recycled < cycles || spanned < cycles/10 {
+		t.Fatalf("%d columns recycled and %d transactions spanning a cycle edge: the run exercised too little", recycled, spanned)
+	}
+}

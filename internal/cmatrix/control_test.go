@@ -964,7 +964,8 @@ func BenchmarkGroupedApply(b *testing.B) {
 // BenchmarkGroupedApplyDense is one broadcast cycle of the uplink-grouped
 // workload (bench/e2e): 56 commits of 2 reads + 2 writes drawn from one
 // permutation of the cycle, then the publish — filled columns, every
-// group written several times between publishes.
+// group written several times between publishes. No publication is
+// released, so each cycle's first write to a group clones its column.
 func BenchmarkGroupedApplyDense(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	gc := heatedGrouped(rng)
@@ -978,6 +979,26 @@ func BenchmarkGroupedApplyDense(b *testing.B) {
 		if gc.Grouped() == nil {
 			b.Fatal("nil snapshot")
 		}
+	}
+}
+
+// BenchmarkGroupedApplyDenseReleased is BenchmarkGroupedApplyDense with
+// the previous publication released before each publish, as a server's
+// Step does: each cycle's first write to a group goes into the storage
+// the group left a publication back.
+func BenchmarkGroupedApplyDenseReleased(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	gc := heatedGrouped(rng)
+	pub := gc.Grouped()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := rng.Perm(gc.N())
+		for k := 0; k < 56; k++ {
+			gc.Apply(p[4*k:4*k+2], p[4*k+2:4*k+4], Cycle(5000+i))
+		}
+		pub.Release()
+		pub = gc.Grouped()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // This file implements the grouped control matrix of Section 3.2.2 —
@@ -36,10 +37,16 @@ import (
 // columns (DESIGN.md §9).
 //
 // Ownership: a column handed out by Grouped() belongs to that snapshot's
-// readers and is never written again — the first raise after a publish
-// copies it into fresh storage, later ones of the cycle go in place.
-// Only raise and repair write MC columns, and repair only follows a
-// raise; the counts are never published and always updated in place.
+// holders, counted per publication (Retain, Release), and is not written
+// while one is left — the first raise after a publish copies it
+// (unshare), later ones of the cycle go in place. The copy goes into the
+// storage the group's previous copy left behind once every publication
+// that aliased that storage is released, else into fresh storage. For
+// O(1) bookkeeping the control watches its last two publications only,
+// and one still held when it leaves that pair keeps what it aliased from
+// reuse for good (stuck). Only raise and repair write MC columns, and
+// repair only follows a raise; the counts are never published and
+// always updated in place.
 
 // Grouped is the broadcastable n×g matrix MC. It is stored as one
 // sorted sparse column per group (only nonzero entries), which keeps
@@ -49,6 +56,24 @@ import (
 type Grouped struct {
 	part *Partition
 	cols [][]SparseEntry // cols[s] = sparse MC(·, s), sorted by row
+	refs *atomic.Int32   // a publication's holders; nil counts nothing
+}
+
+// Retain adds a holder of a published snapshot (a protocol.Pinned);
+// it does nothing on a snapshot decoded or projected, which nobody
+// recycles.
+func (g *Grouped) Retain() {
+	if g.refs != nil {
+		g.refs.Add(1)
+	}
+}
+
+// Release drops a holder. Once a publication has none, a later cycle's
+// commits may write the MC storage it aliases.
+func (g *Grouped) Release() {
+	if g.refs != nil && g.refs.Add(-1) < 0 {
+		panic("cmatrix: grouped snapshot released more often than retained")
+	}
 }
 
 // GroupedOf projects a full C matrix through a partition (reference
@@ -241,16 +266,23 @@ type GroupedControl struct {
 	cm     *classMatrix
 	part   *Partition
 	groups []group
+
+	seq        uint64         // publications so far
+	prev, last *atomic.Int32  // the counts of publications seq−1 and seq
+	counts     []atomic.Int32 // the unused rest of the block counts come from
+	stuck      uint64         // the latest publication still held when it left prev
 }
 
 // group is the maintained state of one MC column.
 type group struct {
-	classes []member      // the classes the group's columns share, each once
-	mc      []SparseEntry // MC(·, s), sorted by row
-	cnt     []int32       // cnt[k]: how many of the columns attain mc[k].Val at row mc[k].Idx
-	shared  bool          // a published *Grouped may alias mc: the next write goes to fresh storage
-	writes  int32         // scratch: columns of this group in the write set being applied
-	zero    []int         // scratch: rows lower left at count 0, for repair
+	classes  []member      // the classes the group's columns share, each once
+	mc       []SparseEntry // MC(·, s), sorted by row
+	cnt      []int32       // cnt[k]: how many of the columns attain mc[k].Val at row mc[k].Idx
+	shared   bool          // a published *Grouped may alias mc: the next write goes to other storage
+	spare    []SparseEntry // the storage mc left at its last copy
+	from, to uint64        // the publications that aliased spare; mc's are to+1 on
+	writes   int32         // scratch: columns of this group in the write set being applied
+	zero     []int         // scratch: rows lower left at count 0, for repair
 }
 
 // member is one class of a group with its multiplicity: how many of the
@@ -329,15 +361,27 @@ func drop(top Cycle, c *int32, v Cycle) bool {
 	return n == 0 && attains
 }
 
-// raise folds class c, carried by m of the group's columns, into mc (a
-// copy of it, if published). A full class whose rows mc already stores —
-// rows 0..len(c.col)−1, so row i is entry i of both — folds in one
-// indexed pass; otherwise every row mc stores is updated where seek finds
-// it, and a backward merge inserts the rest.
-func (gs *group) raise(c *colClass, m int32) {
-	if gs.shared {
-		gs.mc, gs.shared = slices.Clone(gs.mc), false
+// unshare copies a published mc into the group's spare when no
+// publication that aliased the spare is held, else into fresh storage,
+// and makes the storage it leaves the spare.
+func (g *GroupedControl) unshare(gs *group) {
+	// The spare's publications end at seq−1 at the latest: any before it
+	// left the watched pair released unless stuck reaches from, and
+	// seq−1 is prev.
+	buf := gs.spare[:0]
+	if gs.from <= g.stuck || gs.to == g.seq-1 && g.prev.Load() > 0 {
+		buf = nil
 	}
+	gs.spare, gs.from, gs.to = gs.mc, gs.to+1, g.seq
+	gs.mc, gs.shared = append(buf, gs.spare...), false
+}
+
+// raise folds class c, carried by m of the group's columns, into mc. A
+// full class whose rows mc already stores — rows 0..len(c.col)−1, so row
+// i is entry i of both — folds in one indexed pass; otherwise every row
+// mc stores is updated where seek finds it, and a backward merge inserts
+// the rest.
+func (gs *group) raise(c *colClass, m int32) {
 	mc, cnt, col := gs.mc, gs.cnt, c.col
 	if n := len(col); c.missing == 0 && 0 < n && n <= len(mc) && mc[n-1].Idx == n-1 {
 		mc, cnt = mc[:n], cnt[:n]
@@ -465,6 +509,9 @@ func (g *GroupedControl) apply(readSet, writeSet []int, commitCycle Cycle, remot
 	for _, j := range ws {
 		// The first write-set column of a group raises for all of them.
 		if gs := &g.groups[g.part.GroupOf(j)]; gs.writes > 0 {
+			if gs.shared {
+				g.unshare(gs)
+			}
 			gs.classes = append(gs.classes, member{nc, gs.writes})
 			gs.raise(nc, gs.writes)
 			gs.repair()
@@ -473,14 +520,34 @@ func (g *GroupedControl) apply(readSet, writeSet []int, commitCycle Cycle, remot
 	}
 }
 
-// Grouped returns the immutable broadcast view of the live MC (O(g)).
-// Every column it hands out is shared from here on.
+// Grouped returns the immutable broadcast view of the live MC (O(g))
+// with one count, the caller's (Release). Every column it hands out is
+// shared from here on. It stays small enough to inline, so a snapshot
+// its caller drops stays off the heap.
 func (g *GroupedControl) Grouped() *Grouped {
+	cols, refs := g.publish()
+	return &Grouped{part: g.part, cols: cols, refs: refs}
+}
+
+// publish marks every column shared and returns them with a new
+// publication's count. Counts are cut from a block allocated every 64
+// publications and never reused, so each outlives the pair of
+// publications the control watches.
+func (g *GroupedControl) publish() ([][]SparseEntry, *atomic.Int32) {
+	if g.prev != nil && g.prev.Load() > 0 {
+		g.stuck = g.seq - 1
+	}
+	if len(g.counts) == 0 {
+		g.counts = make([]atomic.Int32, 64)
+	}
+	refs := &g.counts[0]
+	refs.Store(1)
+	g.seq, g.counts, g.prev, g.last = g.seq+1, g.counts[1:], g.last, refs
 	cols := make([][]SparseEntry, len(g.groups))
 	for s := range g.groups {
 		cols[s], g.groups[s].shared = g.groups[s].mc, true
 	}
-	return &Grouped{part: g.part, cols: cols}
+	return cols, refs
 }
 
 // Snapshot implements Control.

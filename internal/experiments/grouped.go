@@ -204,6 +204,9 @@ func runGroupedPass(cfg GroupedConfig, stream *plan, series string, groups int) 
 				cRestarts.Inc()
 			}
 		}
+		// The conjunctive validators keep no snapshot: once released, the
+		// cycle's MC storage may take a later cycle's commits.
+		cb.Release()
 		for _, cm := range stream.commits[c-1] {
 			txn := srv.Begin()
 			for _, obj := range cm.readSet {

@@ -339,9 +339,13 @@ func (s *Server) BroadcastAddr() string { return s.broadcastLn.Addr().String() }
 func (s *Server) UplinkAddr() string { return s.uplink.Addr() }
 
 // Step produces and transmits one broadcast cycle (StartCycle, then
-// Deliver) and returns the number of subscribers that received it.
+// Deliver) and returns the number of subscribers that received it. It
+// releases the count StartCycle handed it once Deliver is done.
 func (s *Server) Step() (int, error) {
-	return s.Deliver(s.bsrv.StartCycle())
+	cb := s.bsrv.StartCycle()
+	n, err := s.Deliver(cb)
+	cb.Release()
+	return n, err
 }
 
 // Deliver is Step's transmitting half: it encodes cycle cb (nil, a
@@ -353,7 +357,10 @@ func (s *Server) Step() (int, error) {
 // the cycle carries the cycle-start control column, so validation is
 // identical wherever a client tunes in. A classic frame is valid until
 // the next Deliver builds its own in the same storage. Each cycle is
-// delivered in order, before the server's next StartCycle.
+// delivered in order, before the server's next StartCycle. Deliver
+// takes no count on cb and keeps nothing of it: the caller holds the
+// count StartCycle handed it through the call, and releasing it after
+// lets a later cycle's commits reuse the cycle's control storage.
 func (s *Server) Deliver(cb *bcast.CycleBroadcast) (int, error) {
 	if cb == nil {
 		return 0, server.ErrClosed

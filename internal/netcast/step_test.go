@@ -113,6 +113,58 @@ func TestStepAllocBytes(t *testing.T) {
 	}
 }
 
+// TestGroupedStepAllocBytes: at uplink-grouped's shape, a steady-state
+// cycle of one commit into each of the 16 groups and a Step writes each
+// group's MC column into the storage the group left at a released cycle,
+// so it allocates no column bytes. Each commit reads two objects of
+// other groups, which fills the columns: their 16 copies would take 128
+// KiB (512 rows of 16 bytes); the cycle's own allocations — the commits
+// and StartCycle's value headers, about 30 KiB — stay under a third of
+// that.
+func TestGroupedStepAllocBytes(t *testing.T) {
+	cfg := stepShapes[1].cfg
+	bsrv, ns := stepServer(t, cfg, 1)
+	size := cfg.Objects / cfg.Groups
+	value := make([]byte, cfg.ObjectBits/8)
+	cycle := func(i int) {
+		cur := bsrv.CurrentCycle()
+		for s := 0; s < cfg.Groups; s++ {
+			// Group s's object i mod size, reading two objects no commit of
+			// this cycle writes.
+			req := protocol.UpdateRequest{
+				Reads: []protocol.ReadAt{
+					{Obj: (s+1)%cfg.Groups*size + (i+1)%size, Cycle: cur},
+					{Obj: (s+7)%cfg.Groups*size + (i*5+3)%size, Cycle: cur},
+				},
+				Writes: []protocol.ObjectWrite{{Obj: s*size + i%size, Value: value}},
+			}
+			if err := bsrv.SubmitUpdate(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n, err := ns.Step(); err != nil || n != 1 {
+			t.Fatalf("Step = %d, %v", n, err)
+		}
+	}
+	const warm, runs = 100, 20
+	if _, err := ns.Step(); err != nil { // reads need a cycle past 0
+		t.Fatal(err)
+	}
+	for i := 0; i < warm; i++ {
+		cycle(i)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := warm; i < warm+runs; i++ {
+		cycle(i)
+	}
+	runtime.ReadMemStats(&after)
+	const columns = 16 * 512 * 16
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got >= columns/3 {
+		t.Errorf("a steady-state grouped cycle allocates %d bytes, want under %d: the MC columns go into recycled storage", got, columns/3)
+	}
+}
+
 // fanoutShape is fanout-small's server: R-Matrix, n = 32, 64-byte
 // objects, a 2,106-byte frame whose cost is the per-subscriber send.
 var fanoutShape = server.Config{Objects: 32, ObjectBits: 512, Algorithm: protocol.RMatrix}

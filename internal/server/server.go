@@ -402,7 +402,8 @@ func (s *Server) Close() {
 // StartCycle begins the next broadcast cycle: it snapshots the committed
 // database and control information as of this instant — transactions
 // committed during earlier cycles — publishes the cycle on the medium,
-// and returns it (nil on a closed server): StartCycleAcross over s.
+// and returns it (nil on a closed server): StartCycleAcross over s. The
+// caller holds one count on the cycle (bcast.CycleBroadcast.Release).
 func (s *Server) StartCycle() *bcast.CycleBroadcast {
 	var cb [1]*bcast.CycleBroadcast
 	StartCycleAcross([]*Server{s}, cb[:])
@@ -414,7 +415,11 @@ func (s *Server) StartCycle() *bcast.CycleBroadcast {
 // deadlock, it advances and snapshots each server into cbs[i]; then it
 // runs each sampled verification and publishes. A cross-shard commit
 // falls wholly before or after it. If any server is closed, none
-// advances and every cbs[i] is nil.
+// advances and every cbs[i] is nil. The caller holds one count on each
+// cbs[i], the medium its own: a caller that releases its count once
+// done with the cycle lets the commits of a later cycle write grouped
+// MC columns into the storage this one's left behind, where one that
+// never releases only keeps that storage from reuse.
 func StartCycleAcross(servers []*Server, cbs []*bcast.CycleBroadcast) {
 	closed := false
 	for _, s := range servers {

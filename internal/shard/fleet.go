@@ -110,7 +110,8 @@ func (f *Fleet) Subscribe(s, buffer int) *bcast.Subscription {
 
 // StartCycle is the fleet's cycle edge, server.StartCycleAcross over
 // the shards in shard order, so every projection of a cross-shard
-// commit carries one commit cycle. It returns the per-shard cycles.
+// commit carries one commit cycle. It returns the per-shard cycles, the
+// caller holding one count on each (server.StartCycleAcross).
 func (f *Fleet) StartCycle() []*bcast.CycleBroadcast {
 	out := make([]*bcast.CycleBroadcast, len(f.nodes))
 	server.StartCycleAcross(f.nodes, out)
